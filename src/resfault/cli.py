@@ -91,9 +91,10 @@ def cmd_train(args) -> int:
     prepared = experiment.prepare_fleet(units, cfg, split_seed)
     model, result = experiment.train_model(prepared, kind, cfg, train_seed)
 
+    residuals = experiment.fleet_residuals(model, prepared.units)
     healthy_stats = {}
     for hi_kind in experiment.HI_KINDS:
-        stats = experiment.fit_fleet_stats(prepared, model, hi_kind, cfg)
+        stats = experiment.fit_fleet_stats(prepared, model, hi_kind, cfg, residuals)
         names = _hi_channel_names(model, units[0], hi_kind)
         healthy_stats[hi_kind] = persist.stats_to_blob(stats, names)
 

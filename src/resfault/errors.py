@@ -95,3 +95,7 @@ class CycleOutOfRange(ComputeError):
 
 class SingleCluster(ComputeError):
     pass
+
+
+class NonFiniteLoss(ComputeError):
+    pass

@@ -159,9 +159,21 @@ def unit_residuals(model: AeModel | OcModel, unit: UnitSeries) -> np.ndarray:
     return models.residual_oc(model, z[:, : model.n_w], z[:, model.n_w :])
 
 
-def unit_hi(model: AeModel | OcModel, unit: UnitSeries, hi_kind: str) -> HiSeries:
-    """Health-indicator series for one unit under the given model."""
-    residuals = unit_residuals(model, unit)
+def fleet_residuals(
+    model: AeModel | OcModel, units: list[UnitSeries]
+) -> dict[str, np.ndarray]:
+    """Residual matrix of every unit, keyed by unit id.
+
+    Both indicator kinds, the healthy statistics and the detection scan
+    all derive from this one pass.
+    """
+    return {unit.unit_id: unit_residuals(model, unit) for unit in units}
+
+
+def unit_hi(
+    model: AeModel | OcModel, unit: UnitSeries, residuals: np.ndarray, hi_kind: str
+) -> HiSeries:
+    """Health-indicator series for one unit from its unit_residuals matrix."""
     if model.kind == AE_KIND:
         names = unit.channel_names
     else:
@@ -172,9 +184,19 @@ def unit_hi(model: AeModel | OcModel, unit: UnitSeries, hi_kind: str) -> HiSerie
 
 
 def fit_fleet_stats(
-    prepared: PreparedFleet, model: AeModel | OcModel, hi_kind: str, cfg: RunConfig
+    prepared: PreparedFleet,
+    model: AeModel | OcModel,
+    hi_kind: str,
+    cfg: RunConfig,
+    residuals: dict[str, np.ndarray] | None = None,
 ) -> HealthyStats:
-    """Fleet-global healthy statistics from the configured healthy rows."""
+    """Fleet-global healthy statistics from the configured healthy rows.
+
+    ``residuals`` is the fleet_residuals of the model over the prepared
+    units; it is computed here when not given.
+    """
+    if residuals is None:
+        residuals = fleet_residuals(model, prepared.units)
     pooled = []
     for unit in prepared.units:
         rows = prepared.fleet_split.validation[unit.unit_id]
@@ -184,7 +206,8 @@ def fit_fleet_stats(
             )
         if len(rows) == 0:
             continue
-        pooled.append(unit_hi(model, unit, hi_kind).values[rows])
+        hi = unit_hi(model, unit, residuals[unit.unit_id], hi_kind)
+        pooled.append(hi.values[rows])
     return detector.fit_stats(np.vstack(pooled))
 
 
@@ -206,12 +229,20 @@ def detect_with_stats(
     stats: HealthyStats,
     cfg: RunConfig,
     truths: dict[str, TruthRecord] | None = None,
+    residuals: dict[str, np.ndarray] | None = None,
 ) -> FleetDetection:
-    """Cycle-average every unit and run the alarm scan with given thresholds."""
+    """Cycle-average every unit and run the alarm scan with given thresholds.
+
+    ``residuals`` is the fleet_residuals of the model over ``units``; it
+    is computed here when not given.
+    """
+    if residuals is None:
+        residuals = fleet_residuals(model, units)
     reports = []
     cycle_averages: dict[str, CycleAverages] = {}
     for unit in units:
-        avg = detector.cycle_average(unit_hi(model, unit, hi_kind))
+        hi = unit_hi(model, unit, residuals[unit.unit_id], hi_kind)
+        avg = detector.cycle_average(hi)
         cycle_averages[unit.unit_id] = avg
         truth = truths.get(unit.unit_id) if truths else None
         reports.append(
@@ -240,10 +271,17 @@ def detect_fleet(
     hi_kind: str,
     cfg: RunConfig,
     truths: dict[str, TruthRecord] | None = None,
+    residuals: dict[str, np.ndarray] | None = None,
 ) -> FleetDetection:
-    """Fit thresholds on the prepared healthy split, then detect."""
-    stats = fit_fleet_stats(prepared, model, hi_kind, cfg)
-    return detect_with_stats(prepared.units, model, hi_kind, stats, cfg, truths)
+    """Fit thresholds on the prepared healthy split, then detect.
+
+    One residual pass per unit serves both; pass ``residuals`` to share
+    it with other indicator kinds.
+    """
+    if residuals is None:
+        residuals = fleet_residuals(model, prepared.units)
+    stats = fit_fleet_stats(prepared, model, hi_kind, cfg, residuals)
+    return detect_with_stats(prepared.units, model, hi_kind, stats, cfg, truths, residuals)
 
 
 @dataclass(frozen=True)
@@ -341,7 +379,11 @@ def run_realisation(
     cfg: RunConfig,
     realisation: int,
 ) -> RealisationResult:
-    """Re-split, retrain both models, and detect with both indicator kinds."""
+    """Re-split, retrain both models, and detect with both indicator kinds.
+
+    Each model computes every unit's residuals once; they are released
+    before the next model trains.
+    """
     split_seed = derive_seed(cfg.seed, SEED_SPLIT, realisation)
     train_seed = derive_seed(cfg.seed, SEED_TRAIN, realisation)
     prepared = prepare_fleet(preprocessed, cfg, split_seed)
@@ -350,10 +392,12 @@ def run_realisation(
     for kind in MODEL_KINDS:
         model, result = train_model(prepared, kind, cfg, train_seed)
         train_results[kind] = result
+        residuals = fleet_residuals(model, prepared.units)
         for hi_kind in HI_KINDS:
             detections[(kind, hi_kind)] = detect_fleet(
-                prepared, model, hi_kind, cfg, truths
+                prepared, model, hi_kind, cfg, truths, residuals
             )
+        del residuals
     return RealisationResult(
         realisation=realisation,
         split_seed=split_seed,
@@ -429,7 +473,8 @@ def build_segmentation(
         if unit.unit_id not in reports:
             continue
         alarm_cycle, label = reports[unit.unit_id]
-        avg = detector.cycle_average(unit_hi(model, unit, SENSORWISE))
+        hi = unit_hi(model, unit, unit_residuals(model, unit), SENSORWISE)
+        avg = detector.cycle_average(hi)
         cycle_avgs.append(avg)
         labels.append(label or unit.dataset_id)
         detection_reports.append(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, ShapeMismatch
+from .errors import EmptyDataset, NonFiniteLoss, ShapeMismatch
 
 RELU = "relu"
 LINEAR = "linear"
@@ -162,10 +162,14 @@ def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
 
 @dataclass
 class Gradients:
-    """Per-layer weight and bias gradients, shaped like the parameters."""
+    """Per-layer weight and bias gradients, shaped like the parameters.
+
+    ``loss`` is the batch loss the gradients were taken at.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    loss: float
 
     def params(self) -> list[np.ndarray]:
         out: list[np.ndarray] = []
@@ -175,13 +179,18 @@ class Gradients:
 
 
 def backward(net: DenseNet, inp: np.ndarray, target: np.ndarray) -> Gradients:
-    """Gradients of loss_mse(forward(net, inp), target) for every parameter."""
+    """Gradients of loss_mse(forward(net, inp), target) for every parameter.
+
+    One forward pass gives both the gradients and the loss they belong to.
+    """
     target, _ = _as_batch(target, net.layer_dims[-1], "target")
     pre_acts, acts = forward_activations(net, inp)
     if acts[-1].shape != target.shape:
         raise ShapeMismatch("input and target batch sizes differ")
     n = acts[0].shape[0]
-    delta = 2.0 * (acts[-1] - target) / n
+    diff = acts[-1] - target
+    loss = float(np.sum(diff * diff) / n)
+    delta = 2.0 * diff / n
     delta = delta * _activate_grad(pre_acts[-1], net.activations[-1])
     grad_w: list[np.ndarray] = [np.empty(0)] * net.n_layers
     grad_b: list[np.ndarray] = [np.empty(0)] * net.n_layers
@@ -192,7 +201,7 @@ def backward(net: DenseNet, inp: np.ndarray, target: np.ndarray) -> Gradients:
             delta = (delta @ net.weights[l]) * _activate_grad(
                 pre_acts[l - 1], net.activations[l - 1]
             )
-    return Gradients(weights=grad_w, biases=grad_b)
+    return Gradients(weights=grad_w, biases=grad_b, loss=loss)
 
 
 def finite_diff_grad(
@@ -218,7 +227,9 @@ def finite_diff_grad(
                 arr[idx] = orig
                 g[idx] = (up - down) / (2.0 * h)
             store.append(g)
-    return Gradients(weights=grad_w, biases=grad_b)
+    return Gradients(
+        weights=grad_w, biases=grad_b, loss=loss_mse(forward(net, inp), target)
+    )
 
 
 @dataclass
@@ -256,33 +267,35 @@ class AdamState:
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
 ) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update over a parameter list."""
+    """One bias-corrected Adam update over a parameter list, in place.
+
+    The parameter arrays, the moments and the step count of ``state`` are
+    updated in place; the same list and state are returned. Each element
+    goes through the operations of ``m = beta1*m + (1-beta1)*g``,
+    ``v = beta2*v + (1-beta2)*(g*g)`` and
+    ``p = p - lr*m_hat/(sqrt(v_hat)+eps)`` in that order, so the results
+    are bit-identical to those expressions.
+    """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ShapeMismatch("params, grads, and state must have matching structure")
-    t = state.step_count + 1
-    new_params = []
-    new_m = []
-    new_v = []
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+    # check every shape before the first in-place write
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ShapeMismatch(f"param shape {p.shape} != grad shape {g.shape}")
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        m_hat = m / (1.0 - state.beta1**t)
+    t = state.step_count + 1
+    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        step = state.lr * (m / (1.0 - state.beta1**t))
         v_hat = v / (1.0 - state.beta2**t)
-        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-        new_m.append(m)
-        new_v.append(v)
-    next_state = AdamState(
-        first_moment=new_m,
-        second_moment=new_v,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        lr=state.lr,
-        eps=state.eps,
-        step_count=t,
-    )
-    return new_params, next_state
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += state.eps
+        step /= v_hat
+        p -= step
+    state.step_count = t
+    return params, state
 
 
 @dataclass(frozen=True)
@@ -316,6 +329,16 @@ class TrainResult:
     epochs_run: int
 
 
+def _net_over(net: DenseNet, flat: np.ndarray) -> DenseNet:
+    """A net like ``net`` whose parameters are views into the buffer ``flat``."""
+    views = []
+    offset = 0
+    for p in net.params():
+        views.append(flat[offset : offset + p.size].reshape(p.shape))
+        offset += p.size
+    return net.with_params(views)
+
+
 def train(
     net: DenseNet,
     train_set: tuple[np.ndarray, np.ndarray],
@@ -326,7 +349,11 @@ def train(
 
     Training stops once the validation loss has failed to improve for
     ``patience`` consecutive epochs (or at ``epochs``); the returned net
-    carries the parameters of the best-validation epoch.
+    carries the parameters of the best-validation epoch. Each mini-batch
+    takes one forward pass: ``backward`` returns the batch loss with the
+    gradients. The parameters live in one contiguous buffer that Adam
+    updates in place. A non-finite training or validation loss raises
+    NonFiniteLoss.
     """
     x_train = np.asarray(train_set[0], dtype=np.float64)
     y_train = np.asarray(train_set[1], dtype=np.float64)
@@ -338,13 +365,15 @@ def train(
         raise ShapeMismatch("inputs and targets must have equal row counts")
 
     rng = np.random.default_rng(cfg.seed)
-    params = [p.copy() for p in net.params()]
+    flat = np.concatenate([p.ravel() for p in net.params()])
+    live = _net_over(net, flat)
+    params = [flat]
     state = AdamState.init(params, beta1=cfg.beta1, beta2=cfg.beta2, lr=cfg.lr)
     n = x_train.shape[0]
 
     best_val = np.inf
     best_epoch = 0
-    best_params = [p.copy() for p in params]
+    best_flat = flat.copy()
     bad_streak = 0
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -353,22 +382,25 @@ def train(
     for epoch in range(cfg.epochs):
         order = rng.permutation(n) if cfg.shuffle else np.arange(n)
         running = 0.0
-        live = net.with_params(params)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            xb, yb = x_train[batch], y_train[batch]
-            running += loss_mse(forward(live, xb), yb) * len(batch)
-            grads = backward(live, xb, yb)
-            params, state = adam_step(params, grads.params(), state)
-            live = net.with_params(params)
-        train_losses.append(running / n)
+            grads = backward(live, x_train[batch], y_train[batch])
+            running += grads.loss * len(batch)
+            adam_step(params, [np.concatenate([g.ravel() for g in grads.params()])], state)
+        train_loss = running / n
         val_loss = loss_mse(forward(live, x_val), y_val)
+        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+            raise NonFiniteLoss(
+                f"epoch {epoch}: training loss {train_loss}, validation loss "
+                f"{val_loss}; lower the learning rate or check the inputs"
+            )
+        train_losses.append(train_loss)
         val_losses.append(val_loss)
         epochs_run = epoch + 1
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = [p.copy() for p in params]
+            best_flat = flat.copy()
             bad_streak = 0
         else:
             bad_streak += 1
@@ -376,7 +408,7 @@ def train(
                 break
 
     return TrainResult(
-        net=net.with_params(best_params),
+        net=_net_over(net, best_flat),
         train_losses=train_losses,
         val_losses=val_losses,
         best_epoch=best_epoch,

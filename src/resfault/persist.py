@@ -87,7 +87,7 @@ def load_csv(path: str | Path, schema: DataSchema = DEFAULT_SCHEMA) -> list[Unit
         idx = col_index[name]
         raw = [row[idx] for row in rows]
         try:
-            return np.asarray(raw, dtype=np.float64)
+            values = np.asarray(raw, dtype=np.float64)
         except ValueError:
             for line_no, tok in enumerate(raw, start=2):
                 try:
@@ -97,6 +97,12 @@ def load_csv(path: str | Path, schema: DataSchema = DEFAULT_SCHEMA) -> list[Unit
                         f"{path}: non-numeric value {tok!r} in column {name!r}, line {line_no}"
                     ) from None
             raise
+        if not np.isfinite(values).all():
+            bad = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise NonNumericCell(
+                f"{path}: non-finite value {raw[bad]!r} in column {name!r}, line {bad + 2}"
+            )
+        return values
 
     unit_col = [row[col_index[schema.unit_column]] for row in rows]
     cycle_col = numeric_column(schema.cycle_column)

@@ -107,6 +107,38 @@ class TestTrain:
         assert code == 3
 
 
+    def test_healthy_stats_take_one_residual_pass(self, workspace, tmp_path, monkeypatch):
+        from resfault import experiment
+
+        calls = []
+        residuals = experiment.unit_residuals
+
+        def counting(model, unit):
+            calls.append(unit.unit_id)
+            return residuals(model, unit)
+
+        monkeypatch.setattr(experiment, "unit_residuals", counting)
+        code = main(
+            ["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--model", "ae", "--out", str(tmp_path / "ae.json")]
+        )
+        assert code == 0
+        assert len(calls) == 6
+        assert len(set(calls)) == 6
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_is_computation_error(self, workspace, tmp_path, capsys):
+        cfg = write_config(tmp_path / "diverge.yaml", {"training": {"learning_rate": 1e300}})
+        out = tmp_path / "oc.json"
+        code = main(
+            ["train", "--config", str(cfg), "--data", str(workspace["data"]),
+             "--model", "oc", "--out", str(out)]
+        )
+        assert code == 4
+        assert "error: epoch 0: training loss nan" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDetect:
     def test_reports_and_stats_written(self, workspace, tmp_path):
         out = tmp_path / "oc_sens.csv"

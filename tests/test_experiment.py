@@ -126,6 +126,22 @@ class TestProtocol:
             else:
                 assert unit_eval.mean_delay is None
 
+    def test_one_residual_pass_per_model_and_unit(self, mini_fleet, monkeypatch):
+        cfg, units, truths = mini_fleet
+        calls = []
+        residuals = experiment.unit_residuals
+
+        def counting(model, unit):
+            calls.append((model.kind, unit.unit_id))
+            return residuals(model, unit)
+
+        monkeypatch.setattr(experiment, "unit_residuals", counting)
+        experiment.run_protocol(units, truths, cfg)
+        expected = cfg.training.realisations * len(experiment.MODEL_KINDS) * len(units)
+        assert len(calls) == expected
+        per_pair = {pair: calls.count(pair) for pair in set(calls)}
+        assert set(per_pair.values()) == {cfg.training.realisations}
+
     def test_realisations_use_distinct_splits(self, mini_fleet):
         cfg, units, truths = mini_fleet
         result = experiment.run_protocol(units, truths, cfg)

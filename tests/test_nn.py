@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resfault import nn
-from resfault.errors import EmptyDataset, ShapeMismatch
+from resfault.errors import EmptyDataset, NonFiniteLoss, ShapeMismatch
 
 
 def random_net(rng, dims=None, max_layers=4, max_width=8):
@@ -183,6 +183,16 @@ class TestAdam:
         assert state.step_count == 2
         np.testing.assert_allclose(params[0][0], theta, atol=1e-12)
 
+    def test_updates_in_place(self):
+        params = [np.array([1.0, 2.0])]
+        state = nn.AdamState.init(params)
+        buffer = params[0]
+        out, out_state = nn.adam_step(params, [np.array([0.5, -0.5])], state)
+        assert out is params and out[0] is buffer
+        assert out_state is state and state.step_count == 1
+        g_scale = 1.0 - nn.ADAM_BETA1
+        np.testing.assert_array_equal(state.first_moment[0], [g_scale * 0.5, g_scale * -0.5])
+
     def test_shape_mismatch(self):
         params = [np.zeros(2)]
         state = nn.AdamState.init(params)
@@ -239,6 +249,34 @@ class TestTrain:
                 (np.ones((1, 1)), np.ones((1, 1))),
                 nn.TrainConfig(),
             )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_loss_raises(self, rng):
+        # before this check a NaN loss never beat best_val, so train
+        # returned the untrained initial weights without complaint
+        x, y = self.linear_task(rng, n=64)
+        net = nn.init_weights((1, 8, 1), seed=1)
+        cfg = nn.TrainConfig(epochs=3, batch_size=16, patience=3, seed=0, lr=1e300)
+        with pytest.raises(NonFiniteLoss) as err:
+            nn.train(net, (x, y), (x, y), cfg)
+        assert "epoch 0" in str(err.value)
+        assert err.value.exit_code == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_loss_raises(self, rng):
+        x, y = self.linear_task(rng, n=64)
+        y_val = y.copy()
+        y_val[3, 0] = np.inf
+        net = nn.init_weights((1, 4, 1), seed=1)
+        cfg = nn.TrainConfig(epochs=3, batch_size=16, patience=3, seed=0)
+        with pytest.raises(NonFiniteLoss):
+            nn.train(net, (x, y), (x, y_val), cfg)
+
+    def test_backward_returns_batch_loss(self, rng):
+        net = random_net(rng)
+        x = rng.normal(size=(5, net.layer_dims[0]))
+        t = rng.normal(size=(5, net.layer_dims[-1]))
+        assert nn.backward(net, x, t).loss == nn.loss_mse(nn.forward(net, x), t)
 
     def test_returns_best_epoch_weights(self, rng):
         x, y = self.linear_task(rng, n=80)

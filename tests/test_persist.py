@@ -99,6 +99,19 @@ class TestCsvRoundTrip:
         assert "line 3" in str(err.value)
         assert "Wf" in str(err.value)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_located(self, tmp_path, token):
+        header = ",".join(("unit", "cycle") + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS)
+        good = ",".join(["u1", "0"] + ["1.0"] * 18)
+        bad = ",".join(["u1", "1"] + ["1.0"] * 5 + [token] + ["1.0"] * 12)
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n" + good + "\n" + good + "\n" + bad + "\n")
+        with pytest.raises(NonNumericCell) as err:
+            load_csv(path)
+        assert repr(token) in str(err.value)
+        assert "line 4" in str(err.value)
+        assert "T30" in str(err.value)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
