@@ -10,13 +10,14 @@ timelines under --out.
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from resfault import experiment
-from resfault.cli import NO_DETECTION_MARK, write_manifest
+from resfault.cli import write_evaluations, write_manifest
 from resfault.config import load_config
 from resfault.errors import ResfaultError
 from resfault.health import SENSORWISE
@@ -37,43 +38,6 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def write_evaluations(out: Path, evaluations) -> None:
-    with (out / "evaluation_units.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "hi_kind", "dataset", "unit", "fault_cycle", "n_detected", "avg_delay"]
-        )
-        for ev in evaluations:
-            for u in ev.units:
-                writer.writerow(
-                    [
-                        ev.model_kind,
-                        ev.hi_kind,
-                        u.dataset_id,
-                        u.unit_id,
-                        NO_DETECTION_MARK if u.n_true is None else u.n_true,
-                        u.n_detected,
-                        NO_DETECTION_MARK if u.mean_delay is None else fmt(u.mean_delay),
-                    ]
-                )
-    with (out / "evaluation_summary.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "hi_kind", "n_realisations", "n_units", "mean_delay", "fpr_percent"]
-        )
-        for ev in evaluations:
-            writer.writerow(
-                [
-                    ev.model_kind,
-                    ev.hi_kind,
-                    ev.n_realisations,
-                    len(ev.units),
-                    NO_DETECTION_MARK if ev.mean_delay is None else fmt(ev.mean_delay),
-                    fmt(100.0 * ev.fpr),
-                ]
-            )
-
-
 def write_silhouette_table(out: Path, result, truths, k_range) -> None:
     rows = []
     for kind in experiment.MODEL_KINDS:
@@ -85,8 +49,9 @@ def write_silhouette_table(out: Path, result, truths, k_range) -> None:
             for point in silhouette_curve(det.reports, avgs, labels, k_range=k_range):
                 per_k[point.k].append(point.score)
         for k in k_range:
-            scores = np.array(per_k[k])
-            rows.append((kind, k, float(np.nanmean(scores)), len(scores)))
+            finite = [score for score in per_k[k] if np.isfinite(score)]
+            mean = float(np.mean(finite)) if finite else float("nan")
+            rows.append((kind, k, mean, len(finite)))
     with (out / "silhouette_vs_k.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "k", "mean_score", "n_realisations"])
@@ -116,8 +81,6 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     cfg = load_config(args.config)
     if args.seed is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, seed=args.seed).validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -140,13 +103,6 @@ def main(argv=None) -> int:
         cfg,
         {"seed": cfg.seed, "units": len(units), "out": out},
     )
-
-    for ev in evaluations:
-        delay = NO_DETECTION_MARK if ev.mean_delay is None else f"{ev.mean_delay:.2f}"
-        print(
-            f"{ev.model_kind} {ev.hi_kind}: mean delay {delay} cycles, "
-            f"FPR {100.0 * ev.fpr:.1f}%"
-        )
     return 0
 
 

@@ -19,7 +19,6 @@ from .config import RunConfig, dump_config, load_config
 from .data_model import UnitSeries
 from .errors import CorruptCheckpoint, DataError, ResfaultError
 from .health import AGGREGATED, SENSORWISE
-from .models import AeModel
 from .persist import TruthRecord
 from .persist import format_float as fmt
 from .synth import gen_fleet
@@ -46,6 +45,60 @@ def write_manifest(path: Path, command: str, cfg: RunConfig, extras: dict) -> No
     lines.append("config:")
     lines.extend("  " + ln for ln in dump_config(cfg).splitlines())
     path.write_text("\n".join(lines) + "\n")
+
+
+def _mark_none(value, text=fmt) -> str:
+    return NO_DETECTION_MARK if value is None else text(value)
+
+
+def write_evaluations(out: Path, evaluations) -> None:
+    """Write evaluation_units.csv and evaluation_summary.csv under ``out``.
+
+    Also prints one summary line per (model, indicator-kind) group.
+    """
+    with (out / "evaluation_units.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["model", "hi_kind", "dataset", "unit", "fault_cycle", "n_detected", "avg_delay"]
+        )
+        for ev in evaluations:
+            for u in ev.units:
+                writer.writerow(
+                    [
+                        ev.model_kind,
+                        ev.hi_kind,
+                        u.dataset_id,
+                        u.unit_id,
+                        _mark_none(u.n_true, str),
+                        u.n_detected,
+                        _mark_none(u.mean_delay),
+                    ]
+                )
+    with (out / "evaluation_summary.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["model", "hi_kind", "n_realisations", "n_units", "n_detected_units",
+             "mean_delay", "fpr_percent"]
+        )
+        for ev in evaluations:
+            writer.writerow(
+                [
+                    ev.model_kind,
+                    ev.hi_kind,
+                    ev.n_realisations,
+                    len(ev.units),
+                    sum(1 for u in ev.units if u.n_detected > 0),
+                    _mark_none(ev.mean_delay),
+                    _mark_none(ev.fpr, lambda v: fmt(100.0 * v)),
+                ]
+            )
+    for ev in evaluations:
+        delay = _mark_none(ev.mean_delay, "{:.2f}".format)
+        fpr = _mark_none(ev.fpr, "{:.1%}".format)
+        print(
+            f"{ev.model_kind} {ev.hi_kind}: mean delay {delay} cycles, "
+            f"FPR {fpr} over {len(ev.units)} units"
+        )
 
 
 def _load_fleet_dir(data_dir: str) -> tuple[list[UnitSeries], dict[str, TruthRecord] | None]:
@@ -95,7 +148,7 @@ def cmd_train(args) -> int:
     healthy_stats = {}
     for hi_kind in experiment.HI_KINDS:
         stats = experiment.fit_fleet_stats(prepared, model, hi_kind, cfg, residuals)
-        names = _hi_channel_names(model, units[0], hi_kind)
+        names = experiment.hi_channel_names(model, units[0], hi_kind)
         healthy_stats[hi_kind] = persist.stats_to_blob(stats, names)
 
     metadata = {
@@ -143,12 +196,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _hi_channel_names(model, unit: UnitSeries, hi_kind: str) -> tuple[str, ...]:
-    if hi_kind == AGGREGATED:
-        return (AGGREGATED,)
-    return unit.channel_names if isinstance(model, AeModel) else unit.x_names
-
-
 def _checkpoint_stats(metadata: dict, hi_kind: str):
     blob = metadata.get("healthy_stats", {}).get(hi_kind)
     if blob is None:
@@ -163,7 +210,10 @@ def cmd_detect(args) -> int:
     model, metadata = persist.load_checkpoint(args.checkpoint)
     stats, channel_names = _checkpoint_stats(metadata, args.hi)
     units, truths = _prepared_units(args.data, cfg)
-    detection = experiment.detect_with_stats(units, model, args.hi, stats, cfg, truths)
+    residuals = experiment.fleet_residuals(model, units)
+    detection = experiment.detect_with_stats(
+        units, model, args.hi, stats, cfg, truths, residuals
+    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     persist.save_reports(detection.reports, model.kind, args.hi, out)
@@ -196,59 +246,13 @@ def cmd_evaluate(args) -> int:
         for (model_kind, hi_kind), sets in sorted(grouped.items())
     ]
 
-    units_path = out / "evaluation_units.csv"
-    with units_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "hi_kind", "dataset", "unit", "fault_cycle", "n_detected", "avg_delay"]
-        )
-        for ev in evaluations:
-            for u in ev.units:
-                writer.writerow(
-                    [
-                        ev.model_kind,
-                        ev.hi_kind,
-                        u.dataset_id,
-                        u.unit_id,
-                        NO_DETECTION_MARK if u.n_true is None else u.n_true,
-                        u.n_detected,
-                        NO_DETECTION_MARK if u.mean_delay is None else fmt(u.mean_delay),
-                    ]
-                )
-
-    summary_path = out / "evaluation_summary.csv"
-    with summary_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "hi_kind", "n_realisations", "n_units", "n_detected_units",
-             "mean_delay", "fpr_percent"]
-        )
-        for ev in evaluations:
-            detected = sum(1 for u in ev.units if u.n_detected > 0)
-            writer.writerow(
-                [
-                    ev.model_kind,
-                    ev.hi_kind,
-                    ev.n_realisations,
-                    len(ev.units),
-                    detected,
-                    NO_DETECTION_MARK if ev.mean_delay is None else fmt(ev.mean_delay),
-                    fmt(100.0 * ev.fpr),
-                ]
-            )
-
+    write_evaluations(out, evaluations)
     write_manifest(
         out / "evaluate_manifest.txt",
         "evaluate",
         cfg,
         {"reports": ", ".join(str(p) for p in args.reports), "out": out},
     )
-    for ev in evaluations:
-        delay = NO_DETECTION_MARK if ev.mean_delay is None else f"{ev.mean_delay:.2f}"
-        print(
-            f"{ev.model_kind} {ev.hi_kind}: mean delay {delay} cycles, "
-            f"FPR {100.0 * ev.fpr:.1f}% over {len(ev.units)} units"
-        )
     return 0
 
 

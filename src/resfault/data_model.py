@@ -10,7 +10,7 @@ all remaining cycles to the test set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,17 +138,15 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class FleetSplit:
-    """Row selections per unit id for train/validation, test cycles per unit.
+    """Row selections per unit id for train and validation.
 
     ``train`` and ``validation`` map unit id to sorted row indices into
     that unit's arrays; together they cover exactly the healthy window.
-    ``test_cycles`` maps unit id to the cycle indices outside the window.
+    The rows after the window form the test set.
     """
 
     train: dict[str, np.ndarray]
     validation: dict[str, np.ndarray]
-    test_cycles: dict[str, np.ndarray]
-    healthy_rows_total: int = field(default=0)
 
 
 def cycles(series: UnitSeries) -> list[CycleView]:
@@ -164,7 +162,7 @@ def cycles(series: UnitSeries) -> list[CycleView]:
 
 
 def split(fleet: list[UnitSeries], spec: SplitSpec) -> FleetSplit:
-    """Partition healthy rows into train/validation and keep the rest as test.
+    """Partition healthy rows into train/validation; the rest is the test set.
 
     The healthy window is the first ``healthy_cycles_per_unit`` cycles of
     every unit. Validation rows are drawn uniformly at random from the
@@ -179,8 +177,6 @@ def split(fleet: list[UnitSeries], spec: SplitSpec) -> FleetSplit:
 
     pool_unit: list[str] = []
     pool_row: list[np.ndarray] = []
-    test_cycles: dict[str, np.ndarray] = {}
-    healthy_counts: dict[str, int] = {}
     for unit in fleet:
         views = cycles(unit)
         if len(views) <= spec.healthy_cycles_per_unit:
@@ -189,13 +185,8 @@ def split(fleet: list[UnitSeries], spec: SplitSpec) -> FleetSplit:
                 f"needs more than {spec.healthy_cycles_per_unit}"
             )
         healthy_stop = views[spec.healthy_cycles_per_unit - 1].stop
-        healthy_counts[unit.unit_id] = healthy_stop
         pool_unit.extend([unit.unit_id] * healthy_stop)
         pool_row.append(np.arange(healthy_stop, dtype=np.int64))
-        test_cycles[unit.unit_id] = np.array(
-            [v.cycle_index for v in views[spec.healthy_cycles_per_unit :]],
-            dtype=np.int64,
-        )
 
     pool_rows = np.concatenate(pool_row)
     n_pool = len(pool_rows)
@@ -215,12 +206,7 @@ def split(fleet: list[UnitSeries], spec: SplitSpec) -> FleetSplit:
         train[unit.unit_id] = rows[~val_mask]
         validation[unit.unit_id] = rows[val_mask]
 
-    return FleetSplit(
-        train=train,
-        validation=validation,
-        test_cycles=test_cycles,
-        healthy_rows_total=n_pool,
-    )
+    return FleetSplit(train=train, validation=validation)
 
 
 def stack_rows(

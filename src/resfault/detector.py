@@ -1,4 +1,4 @@
-"""Healthy statistics, thresholds, waiting-cycle alarm logic, and fleet metrics.
+"""Healthy statistics, thresholds, and waiting-cycle alarm logic.
 
 Thresholds are three standard deviations above the healthy mean, per
 channel. Detection works on cycle-averaged indicators: an alarm fires at
@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFleet, InsufficientData, ShapeMismatch
+from .errors import ShapeMismatch
 from .health import HiSeries
+from .preprocess import column_stats
 
 SIGMA_MULTIPLIER = 3.0
 DEFAULT_N_WAIT = 3
@@ -47,26 +48,19 @@ def fit_stats(hi: HiSeries | np.ndarray) -> HealthyStats:
     Uses the population (1/N) variance; the threshold is mu + 3*sigma.
     Pass the rows restricted to the healthy split.
     """
-    values = hi.values if isinstance(hi, HiSeries) else np.asarray(hi, dtype=np.float64)
-    if values.ndim != 2:
-        raise ShapeMismatch("expected a T x K matrix of indicator values")
-    if values.shape[0] < 2:
-        raise InsufficientData(f"need >= 2 rows to fit stats, got {values.shape[0]}")
-    mu = values.mean(axis=0)
-    sigma = values.std(axis=0)
-    # exactly-constant channels get exact statistics (tau == mu), immune to
-    # accumulation rounding in the mean
-    constant = values.min(axis=0) == values.max(axis=0)
-    mu = np.where(constant, values[0], mu)
-    sigma = np.where(constant, 0.0, sigma)
+    values = hi.values if isinstance(hi, HiSeries) else hi
+    mu, sigma = column_stats(values)
     return HealthyStats(
-        mu=mu, sigma=sigma, tau=mu + SIGMA_MULTIPLIER * sigma, fitted_on=values.shape[0]
+        mu=mu, sigma=sigma, tau=mu + SIGMA_MULTIPLIER * sigma, fitted_on=len(values)
     )
 
 
 @dataclass(frozen=True)
 class CycleAverages:
-    """Cycle-averaged indicator values: one row per cycle."""
+    """Cycle-averaged indicator values: one row per cycle.
+
+    Unnamed channels are named ``ch0``, ``ch1``, ... in column order.
+    """
 
     cycle_ids: np.ndarray
     values: np.ndarray
@@ -77,8 +71,10 @@ class CycleAverages:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.values.ndim != 2 or self.cycle_ids.shape != (self.values.shape[0],):
             raise ShapeMismatch("one cycle id per value row required")
-        if self.channel_names is not None:
-            object.__setattr__(self, "channel_names", tuple(self.channel_names))
+        names = self.channel_names
+        if names is None:
+            names = (f"ch{i}" for i in range(self.values.shape[1]))
+        object.__setattr__(self, "channel_names", tuple(names))
 
     @property
     def n_cycles(self) -> int:
@@ -173,14 +169,6 @@ class DetectionReport:
     def detected(self) -> bool:
         return self.alarm_cycle is not None
 
-    def is_false_positive(self) -> bool:
-        """An alarm preceding the fault, or any alarm on a truly healthy unit."""
-        if self.alarm_cycle is None:
-            return False
-        if self.n_true is None:
-            return self.ground_truth_known
-        return self.delay is not None and self.delay < 0
-
 
 def detection_delay(n0: int, n_true: int) -> int:
     """Alarm cycle minus fault-initiation cycle; negative means false positive."""
@@ -198,16 +186,13 @@ def build_report(
 ) -> DetectionReport:
     """Run detection on one unit and map the outcome to cycle labels."""
     outcome = detect(cycle_hi, stats, n_wait)
-    names = cycle_hi.channel_names or tuple(
-        f"ch{i}" for i in range(cycle_hi.n_channels)
-    )
     if outcome.alarm_index is None:
         alarm_cycle = None
         triggered: tuple[str, ...] = ()
     else:
         alarm_cycle = int(cycle_hi.cycle_ids[outcome.alarm_index])
         triggered = tuple(
-            name for name, hit in zip(names, outcome.qualifying) if hit
+            name for name, hit in zip(cycle_hi.channel_names, outcome.qualifying) if hit
         )
     delay = None
     if alarm_cycle is not None and n_true is not None:
@@ -223,18 +208,3 @@ def build_report(
         exceedance=outcome.exceedance,
         ground_truth_known=ground_truth_known,
     )
-
-
-def false_positive_rate(reports: list[DetectionReport]) -> float:
-    """Fraction of units whose alarm precedes the true fault.
-
-    Units without an alarm count in the denominator only. Every report
-    must carry ground truth (a fault cycle, or known-healthy status).
-    """
-    if not reports:
-        raise EmptyFleet("no detection reports given")
-    for r in reports:
-        if not r.ground_truth_known:
-            raise ValueError(f"unit {r.unit_id!r} has no ground truth")
-    n_fp = sum(1 for r in reports if r.is_false_positive())
-    return n_fp / len(reports)

@@ -77,10 +77,6 @@ class CorruptCheckpoint(DataError):
     pass
 
 
-class KindMismatch(DataError):
-    pass
-
-
 class ShapeMismatch(ComputeError):
     pass
 

@@ -170,17 +170,31 @@ def fleet_residuals(
     return {unit.unit_id: unit_residuals(model, unit) for unit in units}
 
 
+def hi_channel_names(
+    model: AeModel | OcModel, unit: UnitSeries, hi_kind: str
+) -> tuple[str, ...]:
+    """Channel names of a unit's indicator: one per residual column, or the aggregate.
+
+    Autoencoder residuals cover every channel; regressor residuals cover
+    the sensors only.
+    """
+    if hi_kind == AGGREGATED:
+        return (AGGREGATED,)
+    return unit.channel_names if model.kind == AE_KIND else unit.x_names
+
+
 def unit_hi(
     model: AeModel | OcModel, unit: UnitSeries, residuals: np.ndarray, hi_kind: str
 ) -> HiSeries:
     """Health-indicator series for one unit from its unit_residuals matrix."""
-    if model.kind == AE_KIND:
-        names = unit.channel_names
-    else:
-        names = unit.x_names
     if hi_kind == AGGREGATED:
         return health.aggregated_hi(residuals, unit.cycle_of, model.kind)
-    return health.sensorwise_hi(residuals, unit.cycle_of, model.kind, channel_names=names)
+    return health.sensorwise_hi(
+        residuals,
+        unit.cycle_of,
+        model.kind,
+        channel_names=hi_channel_names(model, unit, hi_kind),
+    )
 
 
 def fit_fleet_stats(
@@ -188,15 +202,13 @@ def fit_fleet_stats(
     model: AeModel | OcModel,
     hi_kind: str,
     cfg: RunConfig,
-    residuals: dict[str, np.ndarray] | None = None,
+    residuals: dict[str, np.ndarray],
 ) -> HealthyStats:
     """Fleet-global healthy statistics from the configured healthy rows.
 
     ``residuals`` is the fleet_residuals of the model over the prepared
-    units; it is computed here when not given.
+    units.
     """
-    if residuals is None:
-        residuals = fleet_residuals(model, prepared.units)
     pooled = []
     for unit in prepared.units:
         rows = prepared.fleet_split.validation[unit.unit_id]
@@ -228,16 +240,13 @@ def detect_with_stats(
     hi_kind: str,
     stats: HealthyStats,
     cfg: RunConfig,
-    truths: dict[str, TruthRecord] | None = None,
-    residuals: dict[str, np.ndarray] | None = None,
+    truths: dict[str, TruthRecord] | None,
+    residuals: dict[str, np.ndarray],
 ) -> FleetDetection:
     """Cycle-average every unit and run the alarm scan with given thresholds.
 
-    ``residuals`` is the fleet_residuals of the model over ``units``; it
-    is computed here when not given.
+    ``residuals`` is the fleet_residuals of the model over ``units``.
     """
-    if residuals is None:
-        residuals = fleet_residuals(model, units)
     reports = []
     cycle_averages: dict[str, CycleAverages] = {}
     for unit in units:
@@ -265,25 +274,6 @@ def detect_with_stats(
     )
 
 
-def detect_fleet(
-    prepared: PreparedFleet,
-    model: AeModel | OcModel,
-    hi_kind: str,
-    cfg: RunConfig,
-    truths: dict[str, TruthRecord] | None = None,
-    residuals: dict[str, np.ndarray] | None = None,
-) -> FleetDetection:
-    """Fit thresholds on the prepared healthy split, then detect.
-
-    One residual pass per unit serves both; pass ``residuals`` to share
-    it with other indicator kinds.
-    """
-    if residuals is None:
-        residuals = fleet_residuals(model, prepared.units)
-    stats = fit_fleet_stats(prepared, model, hi_kind, cfg, residuals)
-    return detect_with_stats(prepared.units, model, hi_kind, stats, cfg, truths, residuals)
-
-
 @dataclass(frozen=True)
 class UnitEvaluation:
     """Per-unit delay aggregation across realisations."""
@@ -291,12 +281,20 @@ class UnitEvaluation:
     unit_id: str
     dataset_id: str
     n_true: int | None
+    ground_truth_known: bool
     n_realisations: int
     n_detected: int
     mean_delay: float | None
 
     @property
     def is_false_positive(self) -> bool:
+        """An alarm on a known-healthy unit, or a mean delay before the fault.
+
+        A unit without ground truth is never a false positive; it does not
+        count towards the false-positive rate at all.
+        """
+        if not self.ground_truth_known:
+            return False
         if self.n_true is None:
             return self.n_detected > 0
         return self.mean_delay is not None and self.mean_delay < 0
@@ -311,7 +309,7 @@ class GroupEvaluation:
     n_realisations: int
     units: list[UnitEvaluation]
     mean_delay: float | None
-    fpr: float
+    fpr: float | None
 
 
 def evaluate_group(
@@ -320,8 +318,9 @@ def evaluate_group(
     """Average detection delays over realisations for one group.
 
     A unit's delay is averaged over the realisations in which it was
-    detected; units never detected are excluded from the mean delay but
-    counted in the false-positive-rate denominator.
+    detected; units never detected are excluded from the mean delay. The
+    false-positive rate is taken over the units with known ground truth,
+    detected or not, and is None when no unit has any.
     """
     if not report_sets or not report_sets[0]:
         raise EmptyFleet("no detection reports to evaluate")
@@ -344,6 +343,7 @@ def evaluate_group(
                 unit_id=unit_id,
                 dataset_id=reports[0].dataset_id,
                 n_true=reports[0].n_true,
+                ground_truth_known=reports[0].ground_truth_known,
                 n_realisations=len(reports),
                 n_detected=n_detected,
                 mean_delay=float(np.mean(delays)) if delays else None,
@@ -351,7 +351,8 @@ def evaluate_group(
         )
     detected_means = [u.mean_delay for u in units if u.mean_delay is not None]
     mean_delay = float(np.mean(detected_means)) if detected_means else None
-    fpr = sum(1 for u in units if u.is_false_positive) / len(units)
+    known = [u for u in units if u.ground_truth_known]
+    fpr = sum(1 for u in known if u.is_false_positive) / len(known) if known else None
     return GroupEvaluation(
         model_kind=model_kind,
         hi_kind=hi_kind,
@@ -394,8 +395,9 @@ def run_realisation(
         train_results[kind] = result
         residuals = fleet_residuals(model, prepared.units)
         for hi_kind in HI_KINDS:
-            detections[(kind, hi_kind)] = detect_fleet(
-                prepared, model, hi_kind, cfg, truths, residuals
+            stats = fit_fleet_stats(prepared, model, hi_kind, cfg, residuals)
+            detections[(kind, hi_kind)] = detect_with_stats(
+                prepared.units, model, hi_kind, stats, cfg, truths, residuals
             )
         del residuals
     return RealisationResult(
@@ -536,9 +538,6 @@ def build_segmentation(
     embedding_pca = None
     if embeddings and len(embeddings) >= 3:
         embedding_pca = segmentation.pca_2d(np.array(embeddings))
-    names = cycle_avgs[0].channel_names or tuple(
-        f"ch{i}" for i in range(cycle_avgs[0].n_channels)
-    )
     return SegmentationBundle(
         signatures=signatures,
         pca=pca,
@@ -546,5 +545,5 @@ def build_segmentation(
         timelines=timelines,
         embedding_pca=embedding_pca,
         embedding_unit_ids=embedding_unit_ids,
-        channel_names=names,
+        channel_names=cycle_avgs[0].channel_names,
     )

@@ -59,13 +59,17 @@ class HiSeries:
 def aggregated_hi(
     residuals: np.ndarray, cycle_of: np.ndarray, source_model: str
 ) -> HiSeries:
-    """Per-row Euclidean norm of the residual vector."""
+    """Per-row Euclidean norm of the residual vector, one channel named ``aggregated``."""
     r = np.asarray(residuals, dtype=np.float64)
     if r.ndim != 2:
         raise ShapeMismatch("residuals must be a T x K matrix")
     values = np.sqrt(np.sum(r * r, axis=1))[:, None]
     return HiSeries(
-        values=values, kind=AGGREGATED, source_model=source_model, cycle_of=cycle_of
+        values=values,
+        kind=AGGREGATED,
+        source_model=source_model,
+        cycle_of=cycle_of,
+        channel_names=(AGGREGATED,),
     )
 
 

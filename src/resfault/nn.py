@@ -69,9 +69,6 @@ class DenseNet:
         biases = [params[2 * l + 1] for l in range(self.n_layers)]
         return DenseNet(self.layer_dims, weights, biases, self.activations)
 
-    def clone(self) -> "DenseNet":
-        return self.with_params([p.copy() for p in self.params()])
-
 
 def default_activations(n_layers: int) -> tuple[str, ...]:
     """ReLU on every hidden layer, linear output."""
@@ -104,13 +101,6 @@ def _activate(z: np.ndarray, tag: str) -> np.ndarray:
     if tag == RELU:
         return np.maximum(z, 0.0)
     return z
-
-
-def _activate_grad(z: np.ndarray, tag: str) -> np.ndarray:
-    if tag == RELU:
-        # derivative at exactly 0 is defined as 0
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
 
 
 def _as_batch(arr: np.ndarray, width: int, what: str) -> tuple[np.ndarray, bool]:
@@ -191,45 +181,17 @@ def backward(net: DenseNet, inp: np.ndarray, target: np.ndarray) -> Gradients:
     diff = acts[-1] - target
     loss = float(np.sum(diff * diff) / n)
     delta = 2.0 * diff / n
-    delta = delta * _activate_grad(pre_acts[-1], net.activations[-1])
     grad_w: list[np.ndarray] = [np.empty(0)] * net.n_layers
     grad_b: list[np.ndarray] = [np.empty(0)] * net.n_layers
     for l in range(net.n_layers - 1, -1, -1):
+        if net.activations[l] == RELU:
+            # the derivative at exactly 0 is defined as 0
+            delta *= pre_acts[l] > 0.0
         grad_w[l] = delta.T @ acts[l]
         grad_b[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ net.weights[l]) * _activate_grad(
-                pre_acts[l - 1], net.activations[l - 1]
-            )
+            delta = delta @ net.weights[l]
     return Gradients(weights=grad_w, biases=grad_b, loss=loss)
-
-
-def finite_diff_grad(
-    net: DenseNet, inp: np.ndarray, target: np.ndarray, h: float = 1e-5
-) -> Gradients:
-    """Central-difference gradient estimate, one loss pair per parameter."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    work = net.clone()
-    grad_w = []
-    grad_b = []
-    for group, store in ((work.weights, grad_w), (work.biases, grad_b)):
-        for arr in group:
-            g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                up = loss_mse(forward(work, inp), target)
-                arr[idx] = orig - h
-                down = loss_mse(forward(work, inp), target)
-                arr[idx] = orig
-                g[idx] = (up - down) / (2.0 * h)
-            store.append(g)
-    return Gradients(
-        weights=grad_w, biases=grad_b, loss=loss_mse(forward(net, inp), target)
-    )
 
 
 @dataclass
@@ -379,33 +341,36 @@ def train(
     val_losses: list[float] = []
     epochs_run = 0
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
-        running = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            grads = backward(live, x_train[batch], y_train[batch])
-            running += grads.loss * len(batch)
-            adam_step(params, [np.concatenate([g.ravel() for g in grads.params()])], state)
-        train_loss = running / n
-        val_loss = loss_mse(forward(live, x_val), y_val)
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise NonFiniteLoss(
-                f"epoch {epoch}: training loss {train_loss}, validation loss "
-                f"{val_loss}; lower the learning rate or check the inputs"
-            )
-        train_losses.append(train_loss)
-        val_losses.append(val_loss)
-        epochs_run = epoch + 1
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_flat = flat.copy()
-            bad_streak = 0
-        else:
-            bad_streak += 1
-            if bad_streak >= cfg.patience:
-                break
+    # a diverging run overflows inside the matrix products; the non-finite
+    # loss check below reports it as NonFiniteLoss instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+            running = 0.0
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                grads = backward(live, x_train[batch], y_train[batch])
+                running += grads.loss * len(batch)
+                adam_step(params, [np.concatenate([g.ravel() for g in grads.params()])], state)
+            train_loss = running / n
+            val_loss = loss_mse(forward(live, x_val), y_val)
+            if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+                raise NonFiniteLoss(
+                    f"epoch {epoch}: training loss {train_loss}, validation loss "
+                    f"{val_loss}; lower the learning rate or check the inputs"
+                )
+            train_losses.append(train_loss)
+            val_losses.append(val_loss)
+            epochs_run = epoch + 1
+            if val_loss < best_val:
+                best_val = val_loss
+                best_epoch = epoch
+                best_flat = flat.copy()
+                bad_streak = 0
+            else:
+                bad_streak += 1
+                if bad_streak >= cfg.patience:
+                    break
 
     return TrainResult(
         net=_net_over(net, best_flat),

@@ -19,7 +19,6 @@ from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, UnitSeries
 from .errors import (
     CorruptCheckpoint,
     EmptyFile,
-    KindMismatch,
     MissingColumn,
     NonNumericCell,
     VersionMismatch,
@@ -218,16 +217,11 @@ REPORT_COLUMNS = (
 )
 
 
-def save_reports(
-    reports, model_kind: str, hi_kind: str, path: str | Path, append: bool = False
-) -> None:
+def save_reports(reports, model_kind: str, hi_kind: str, path: str | Path) -> None:
     """Write per-unit detection rows; empty cells mean None."""
-    path = Path(path)
-    mode = "a" if append and path.exists() else "w"
-    with path.open(mode, newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        if mode == "w":
-            writer.writerow(REPORT_COLUMNS)
+        writer.writerow(REPORT_COLUMNS)
         for r in reports:
             writer.writerow(
                 [
@@ -291,23 +285,6 @@ def save_stats(stats, channel_names, path: str | Path) -> None:
             )
 
 
-def save_hi_csv(hi, unit_id: str, path: str | Path, append: bool = False) -> None:
-    """Health-indicator series in long form: unit, row, cycle, channel, value."""
-    path = Path(path)
-    names = hi.channel_names or (
-        ("aggregated",) if hi.n_channels == 1 else tuple(f"ch{i}" for i in range(hi.n_channels))
-    )
-    mode = "a" if append and path.exists() else "w"
-    with path.open(mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if mode == "w":
-            writer.writerow(["unit", "row", "cycle", "channel", "value"])
-        for t in range(hi.values.shape[0]):
-            cyc = int(hi.cycle_of[t])
-            for name, value in zip(names, hi.values[t]):
-                writer.writerow([unit_id, t, cyc, name, format_float(value)])
-
-
 def save_cycle_hi_csv(cycle_averages: dict, path: str | Path) -> None:
     """Cycle-averaged indicators for plotting: unit, cycle, channel, value."""
     path = Path(path)
@@ -315,12 +292,8 @@ def save_cycle_hi_csv(cycle_averages: dict, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["unit", "cycle", "channel", "value"])
         for unit_id, avg in cycle_averages.items():
-            names = avg.channel_names or (
-                ("aggregated",) if avg.n_channels == 1
-                else tuple(f"ch{i}" for i in range(avg.n_channels))
-            )
             for i, cyc in enumerate(avg.cycle_ids):
-                for name, value in zip(names, avg.values[i]):
+                for name, value in zip(avg.channel_names, avg.values[i]):
                     writer.writerow([unit_id, int(cyc), name, format_float(value)])
 
 
@@ -378,9 +351,7 @@ def save_checkpoint(
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
-def load_checkpoint(
-    path: str | Path, expected_kind: str | None = None
-) -> tuple[AeModel | OcModel, dict]:
+def load_checkpoint(path: str | Path) -> tuple[AeModel | OcModel, dict]:
     """Load a checkpointed model; returns (model, training metadata)."""
     path = Path(path)
     try:
@@ -410,8 +381,6 @@ def load_checkpoint(
         metadata = payload.get("metadata", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed checkpoint ({exc})") from None
-    if expected_kind is not None and kind != expected_kind:
-        raise KindMismatch(f"{path}: checkpoint kind {kind!r}, expected {expected_kind!r}")
     try:
         net = nn.DenseNet(dims, weights, biases, activations)
         if kind == AE_KIND:

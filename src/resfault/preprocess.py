@@ -48,19 +48,26 @@ class Standardizer:
         return len(self.mean)
 
 
-def fit_standardizer(train_rows: np.ndarray, epsilon: float = STD_EPSILON) -> Standardizer:
-    """Per-column mean and population (1/N) standard deviation."""
-    rows = np.asarray(train_rows, dtype=np.float64)
+def column_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and population (1/N) standard deviation of a matrix.
+
+    An exactly constant column gets exactly its value as mean and 0 as
+    standard deviation, immune to summation rounding in the mean.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
-        raise ShapeMismatch("expected a 2-D matrix of training rows")
+        raise ShapeMismatch(f"expected a 2-D matrix of rows, got shape {rows.shape}")
     if rows.shape[0] < 2:
         raise InsufficientData(f"need >= 2 rows to fit, got {rows.shape[0]}")
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
-    # exactly-constant columns get exact statistics despite summation rounding
     constant = rows.min(axis=0) == rows.max(axis=0)
-    mean = np.where(constant, rows[0], mean)
-    std = np.where(constant, 0.0, std)
+    mean = np.where(constant, rows[0], rows.mean(axis=0))
+    std = np.where(constant, 0.0, rows.std(axis=0))
+    return mean, std
+
+
+def fit_standardizer(train_rows: np.ndarray, epsilon: float = STD_EPSILON) -> Standardizer:
+    """Per-column mean and population (1/N) standard deviation (column_stats)."""
+    mean, std = column_stats(train_rows)
     return Standardizer(mean=mean, std=std, epsilon=epsilon)
 
 

@@ -222,7 +222,7 @@ def trigger_timeline(
             f"alarm cycle {report.alarm_cycle} not present for unit {report.unit_id!r}"
         )
     base = int(positions[0])
-    names = cycle_hi.channel_names or tuple(f"ch{i}" for i in range(cycle_hi.n_channels))
+    names = cycle_hi.channel_names
     timeline: dict[str, int | str] = {name: NEVER_TRIGGERED for name in names}
     for c in sorted(checkpoints):
         idx = base + c

@@ -19,10 +19,11 @@ import yaml
 from resfault import experiment, nn
 from resfault.cli import main as cli_main
 from resfault.config import config_from_dict
-from resfault.detector import detect, false_positive_rate, fit_stats, HealthyStats
+from resfault.detector import detect, fit_stats, HealthyStats
 from resfault.health import AGGREGATED, SENSORWISE, aggregated_hi, sensorwise_hi
 from resfault.segmentation import pca_2d, silhouette, silhouette_curve
 from resfault.synth import gen_fleet
+from gradcheck import finite_diff_grad
 
 
 def ok(criterion: int, message: str) -> None:
@@ -53,7 +54,7 @@ def test_criterion_01_gradient_correctness():
         if relu_margin < 1e-4:
             continue
         analytic = nn.backward(net, x, t)
-        numeric = nn.finite_diff_grad(net, x, t, h=1e-5)
+        numeric = finite_diff_grad(net, x, t, h=1e-5)
         for a, f in zip(analytic.params(), numeric.params()):
             diff = np.abs(a - f)
             scale = np.maximum(np.abs(a), np.abs(f))
@@ -272,11 +273,15 @@ def end_to_end():
     healthy_detections = {}
     for kind in experiment.MODEL_KINDS:
         model, _ = experiment.train_model(prepared, kind, cfg, train_seed)
+        residuals = experiment.fleet_residuals(model, prepared.units)
+        healthy_residuals = experiment.fleet_residuals(model, healthy_pre)
         for hi_kind in experiment.HI_KINDS:
-            det = experiment.detect_fleet(prepared, model, hi_kind, cfg, truths)
-            detections[(kind, hi_kind)] = det
+            stats = experiment.fit_fleet_stats(prepared, model, hi_kind, cfg, residuals)
+            detections[(kind, hi_kind)] = experiment.detect_with_stats(
+                prepared.units, model, hi_kind, stats, cfg, truths, residuals
+            )
             healthy_detections[(kind, hi_kind)] = experiment.detect_with_stats(
-                healthy_pre, model, hi_kind, det.stats, cfg, healthy_truths
+                healthy_pre, model, hi_kind, stats, cfg, healthy_truths, healthy_residuals
             )
 
     silhouettes = {}
@@ -319,7 +324,8 @@ def test_criterion_08c_healthy_fleet_fpr_zero(end_to_end):
     for kind in experiment.MODEL_KINDS:
         reports = end_to_end["healthy"][(kind, AGGREGATED)].reports
         assert len(reports) == 10
-        fpr = false_positive_rate(reports)
+        assert all(r.ground_truth_known for r in reports)
+        fpr = experiment.evaluate_group(kind, AGGREGATED, [reports]).fpr
         assert fpr == 0.0, f"{kind} aggregated FPR {fpr:.1%} on healthy units"
     ok(8, "(c) FPR 0% on 10 healthy hold-out units for aggregated indicators")
 

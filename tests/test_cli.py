@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import resfault
 from resfault.cli import main
 from resfault.detector import DetectionReport
 from resfault.persist import load_checkpoint, save_reports
@@ -91,7 +95,8 @@ class TestSynth:
 class TestTrain:
     def test_checkpoint_and_log_written(self, workspace):
         ckpt = workspace["oc"]
-        model, metadata = load_checkpoint(ckpt, expected_kind="OC")
+        model, metadata = load_checkpoint(ckpt)
+        assert model.kind == "OC"
         assert model.net.layer_dims == (4, 128, 128, 14)
         assert "healthy_stats" in metadata
         assert set(metadata["healthy_stats"]) == {"aggregated", "sensorwise"}
@@ -126,7 +131,6 @@ class TestTrain:
         assert len(calls) == 6
         assert len(set(calls)) == 6
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training_is_computation_error(self, workspace, tmp_path, capsys):
         cfg = write_config(tmp_path / "diverge.yaml", {"training": {"learning_rate": 1e300}})
         out = tmp_path / "oc.json"
@@ -137,6 +141,21 @@ class TestTrain:
         assert code == 4
         assert "error: epoch 0: training loss nan" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_diverging_training_prints_only_the_error(self, workspace, tmp_path):
+        cfg = write_config(tmp_path / "diverge.yaml", {"training": {"learning_rate": 1e300}})
+        env = dict(os.environ)
+        src = str(Path(resfault.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "resfault", "train", "--config", str(cfg),
+             "--data", str(workspace["data"]), "--model", "oc",
+             "--out", str(tmp_path / "oc.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 4
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("error: epoch 0:")
 
 
 class TestDetect:
@@ -191,7 +210,7 @@ class TestDetect:
             assert early <= alarms[3][unit]
 
 
-def fabricate_report(unit, dataset, alarm, n_true):
+def fabricate_report(unit, dataset, alarm, n_true, known=True):
     delay = None if alarm is None or n_true is None else alarm - n_true
     return DetectionReport(
         unit_id=unit,
@@ -202,7 +221,7 @@ def fabricate_report(unit, dataset, alarm, n_true):
         triggered_first=(),
         cycle_ids=np.arange(3),
         exceedance=np.zeros((3, 1), dtype=bool),
-        ground_truth_known=True,
+        ground_truth_known=known,
     )
 
 
@@ -258,6 +277,36 @@ class TestEvaluate:
         out = tmp_path / "eval"
         assert main(["evaluate", "--reports", str(p), "--out", str(out)]) == 0
         summary = read_rows(out / "evaluation_summary.csv")[0]
+        assert float(summary["fpr_percent"]) == pytest.approx(50.0)
+
+    def test_no_ground_truth_fpr_is_dash(self, tmp_path, capsys):
+        reports = [
+            fabricate_report("u1", "", 30, None, known=False),
+            fabricate_report("u2", "", None, None, known=False),
+        ]
+        p = tmp_path / "r.csv"
+        save_reports(reports, "OC", "aggregated", p)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--reports", str(p), "--out", str(out)]) == 0
+        summary = read_rows(out / "evaluation_summary.csv")[0]
+        assert summary["fpr_percent"] == "-"
+        assert summary["n_detected_units"] == "1"
+        assert "FPR - over 2 units" in capsys.readouterr().out
+
+    def test_fpr_denominator_is_units_with_ground_truth(self, tmp_path):
+        reports = [
+            fabricate_report("u1", "fan", 15, 20),
+            fabricate_report("u2", "fan", 25, 20),
+            fabricate_report("u3", "", 12, None, known=False),
+            fabricate_report("u4", "", None, None, known=False),
+            fabricate_report("u5", "", None, None, known=False),
+        ]
+        p = tmp_path / "r.csv"
+        save_reports(reports, "OC", "aggregated", p)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--reports", str(p), "--out", str(out)]) == 0
+        summary = read_rows(out / "evaluation_summary.csv")[0]
+        assert summary["n_units"] == "5"
         assert float(summary["fpr_percent"]) == pytest.approx(50.0)
 
 

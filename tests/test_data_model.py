@@ -82,15 +82,19 @@ class TestSplit:
     def test_test_set_is_trailing_cycles(self):
         fleet = fleet_of(1, 20)
         result = split(fleet, SplitSpec(16, 0.15, seed=1))
-        np.testing.assert_array_equal(result.test_cycles["u0"], [16, 17, 18, 19])
+        unit = fleet[0]
+        healthy = np.concatenate([result.train["u0"], result.validation["u0"]])
+        rest = np.setdiff1d(np.arange(unit.n_rows), healthy)
+        np.testing.assert_array_equal(np.unique(unit.cycle_of[rest]), [16, 17, 18, 19])
 
     def test_validation_fraction_row_count(self):
         fleet = fleet_of(25, 17, rows_per_cycle=40)  # 25 x 16 x 40 = 16000 healthy rows
         spec = SplitSpec(16, 0.15, seed=1)
         result = split(fleet, spec)
         n_val = sum(len(v) for v in result.validation.values())
-        assert n_val == round(0.15 * result.healthy_rows_total)
-        assert result.healthy_rows_total == 16000
+        healthy_rows_total = n_val + sum(len(v) for v in result.train.values())
+        assert n_val == round(0.15 * healthy_rows_total)
+        assert healthy_rows_total == 16000
 
     def test_different_seeds_differ_same_sizes(self):
         fleet = fleet_of(3, 20)
@@ -129,7 +133,8 @@ class TestSplit:
             assert len(set(train) & set(val)) == 0
             assert sorted(set(train) | set(val)) == list(range(healthy_rows))
             # test cycles sit strictly after the healthy window
-            assert all(c >= 16 for c in a.test_cycles[uid])
+            test_rows = np.setdiff1d(np.arange(unit.n_rows), np.concatenate([train, val]))
+            assert all(c >= 16 for c in unit.cycle_of[test_rows])
             # pure function of the seed
             np.testing.assert_array_equal(train, b.train[uid])
             np.testing.assert_array_equal(val, b.validation[uid])

@@ -3,19 +3,22 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from resfault.detector import (
     DetectionReport,
     HealthyStats,
     build_report,
     cycle_average,
+    cycle_mean,
     detect,
     detection_delay,
-    false_positive_rate,
     fit_stats,
 )
 from resfault.errors import EmptyFleet, InsufficientData, ShapeMismatch
-from resfault.health import sensorwise_hi
+from resfault.experiment import evaluate_group
+from resfault.health import AGGREGATED, sensorwise_hi
+from resfault.preprocess import fit_standardizer
 
 
 def brute_force_alarm(exceed: np.ndarray, n_wait: int):
@@ -175,34 +178,41 @@ class TestDelayAndFpr:
             ground_truth_known=known,
         )
 
+    @staticmethod
+    def false_positive_rate(reports):
+        """The evaluation's rate over one realisation's reports."""
+        return evaluate_group("OC", AGGREGATED, [reports]).fpr
+
     def test_one_negative_among_thirty(self):
         reports = [self.report(f"u{i}", delay=5, alarm=35) for i in range(29)]
         reports.append(self.report("u29", delay=-2, alarm=28))
-        assert false_positive_rate(reports) == pytest.approx(1 / 30)
+        assert self.false_positive_rate(reports) == pytest.approx(1 / 30)
 
     def test_no_negative_delays(self):
         reports = [self.report(f"u{i}", delay=3, alarm=33) for i in range(4)]
         reports.append(self.report("u4"))  # no alarm counts only in denominator
-        assert false_positive_rate(reports) == 0.0
+        assert self.false_positive_rate(reports) == 0.0
 
     def test_all_negative(self):
         reports = [self.report(f"u{i}", delay=-1, alarm=29) for i in range(3)]
-        assert false_positive_rate(reports) == 1.0
+        assert self.false_positive_rate(reports) == 1.0
 
     def test_alarm_on_healthy_unit_counts(self):
         reports = [
             self.report("u0", alarm=12, n_true=None),
             self.report("u1", n_true=None),
         ]
-        assert false_positive_rate(reports) == 0.5
+        assert self.false_positive_rate(reports) == 0.5
 
     def test_empty_fleet(self):
         with pytest.raises(EmptyFleet):
-            false_positive_rate([])
+            self.false_positive_rate([])
 
-    def test_unknown_ground_truth_rejected(self):
-        with pytest.raises(ValueError):
-            false_positive_rate([self.report("u0", n_true=None, known=False)])
+    def test_unknown_ground_truth_excluded(self):
+        unknown = self.report("u0", alarm=12, n_true=None, known=False)
+        assert self.false_positive_rate([unknown]) is None
+        known = [self.report("u1", delay=-1, alarm=29), self.report("u2", n_true=None)]
+        assert self.false_positive_rate([unknown] + known) == 0.5
 
 
 class TestBuildReport:
@@ -238,3 +248,41 @@ def test_detect_matches_brute_force_property(n_wait, rows):
     values = np.where(exceed, 2.0, 0.0)
     outcome = detect(values, stats_for([1.0, 1.0]), n_wait=n_wait)
     assert outcome.alarm_index == brute_force_alarm(exceed, n_wait)
+
+
+# bounded so that squares in the variance stay finite
+finite_matrices = arrays(
+    np.float64,
+    st.tuples(st.integers(2, 12), st.integers(1, 5)),
+    elements=st.floats(-1e6, 1e6),
+)
+
+
+@given(finite_matrices, st.data())
+@settings(max_examples=80, deadline=None)
+def test_fit_stats_and_standardizer_agree_bit_for_bit(values, data):
+    # pin a random subset of columns to one value each
+    for col in range(values.shape[1]):
+        if data.draw(st.booleans()):
+            values[:, col] = data.draw(st.floats(-1e6, 1e6))
+    stats = fit_stats(values)
+    std = fit_standardizer(values)
+    assert stats.mu.tobytes() == std.mean.tobytes()
+    assert stats.sigma.tobytes() == std.std.tobytes()
+    constant = values.min(axis=0) == values.max(axis=0)
+    assert np.array_equal(stats.mu[constant], values[0, constant])
+    assert np.all(stats.sigma[constant] == 0.0)
+
+
+@given(finite_matrices, st.data())
+@settings(max_examples=80, deadline=None)
+def test_cycle_mean_matches_per_cycle_mean(values, data):
+    steps = data.draw(st.lists(st.integers(0, 3), min_size=len(values), max_size=len(values)))
+    cycle_of = np.cumsum(steps)
+    cycle_ids, means = cycle_mean(values, cycle_of)
+    np.testing.assert_array_equal(cycle_ids, np.unique(cycle_of))
+    for cycle, row in zip(cycle_ids, means):
+        block = values[cycle_of == cycle]
+        # np.mean may sum in another order; allow the rounding bound of a sum
+        bound = 2 * len(block) * np.finfo(np.float64).eps * np.abs(block).mean(axis=0)
+        assert np.all(np.abs(row - np.mean(block, axis=0)) <= bound)

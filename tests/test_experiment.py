@@ -78,11 +78,14 @@ class TestPreparation:
         pre = experiment.preprocess_fleet(units, cfg)
         prepared = experiment.prepare_fleet(pre, cfg, split_seed=3)
         model, _ = experiment.train_model(prepared, "OC", cfg, train_seed=1)
-        stats_val = experiment.fit_fleet_stats(prepared, model, SENSORWISE, cfg)
+        residuals = experiment.fleet_residuals(model, pre)
+        stats_val = experiment.fit_fleet_stats(prepared, model, SENSORWISE, cfg, residuals)
         both_cfg = config_from_dict(
             {"detection": {"stats_source": "train+validation"}}
         )
-        stats_both = experiment.fit_fleet_stats(prepared, model, SENSORWISE, both_cfg)
+        stats_both = experiment.fit_fleet_stats(
+            prepared, model, SENSORWISE, both_cfg, residuals
+        )
         assert stats_both.fitted_on > stats_val.fitted_on
         n_healthy = sum(
             len(prepared.fleet_split.train[u.unit_id])

@@ -28,6 +28,7 @@ class TestAggregated:
         hi = aggregated_hi(np.array([[3.0, 4.0]]), cycles_for(1), "OC")
         assert hi.values[0, 0] == 5.0
         assert hi.kind == AGGREGATED
+        assert hi.channel_names == (AGGREGATED,)
 
     def test_zero_residuals(self):
         hi = aggregated_hi(np.zeros((4, 3)), cycles_for(4), "AE")

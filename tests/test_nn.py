@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from resfault import nn
 from resfault.errors import EmptyDataset, NonFiniteLoss, ShapeMismatch
+from gradcheck import finite_diff_grad
 
 
 def random_net(rng, dims=None, max_layers=4, max_width=8):
@@ -123,7 +124,7 @@ class TestBackward:
             if min_relu_preactivation(net, x) < 1e-4:
                 continue
             analytic = nn.backward(net, x, t)
-            numeric = nn.finite_diff_grad(net, x, t, h=1e-5)
+            numeric = finite_diff_grad(net, x, t, h=1e-5)
             assert relative_grad_errors(analytic, numeric) < 1e-5
             checked += 1
 
@@ -133,19 +134,19 @@ class TestFiniteDiff:
         # single linear weight: loss (w*x - t)^2 is quadratic, central
         # differences are exact up to roundoff
         net = nn.DenseNet((1, 1), [np.array([[2.0]])], [np.zeros(1)], (nn.LINEAR,))
-        g = nn.finite_diff_grad(net, np.array([[1.0]]), np.array([[0.5]]), h=1e-3)
+        g = finite_diff_grad(net, np.array([[1.0]]), np.array([[0.5]]), h=1e-3)
         np.testing.assert_allclose(g.weights[0][0, 0], 2 * (2.0 - 0.5), rtol=1e-9)
 
     def test_near_zero_at_stationary_point(self):
         net = nn.DenseNet((1, 1), [np.array([[3.0]])], [np.zeros(1)], (nn.LINEAR,))
         x = np.array([[1.0]])
-        g = nn.finite_diff_grad(net, x, nn.forward(net, x), h=1e-5)
+        g = finite_diff_grad(net, x, nn.forward(net, x), h=1e-5)
         assert abs(g.weights[0][0, 0]) < 1e-9
 
     def test_positive_step_required(self, rng):
         net = random_net(rng, dims=(2, 1))
         with pytest.raises(ValueError):
-            nn.finite_diff_grad(net, np.zeros((1, 2)), np.zeros((1, 1)), h=0.0)
+            finite_diff_grad(net, np.zeros((1, 2)), np.zeros((1, 1)), h=0.0)
 
 
 class TestAdam:
@@ -320,5 +321,5 @@ def test_gradient_property_random_nets(seed):
     if min_relu_preactivation(net, x) < 1e-4:
         return
     analytic = nn.backward(net, x, t)
-    numeric = nn.finite_diff_grad(net, x, t, h=1e-5)
+    numeric = finite_diff_grad(net, x, t, h=1e-5)
     assert relative_grad_errors(analytic, numeric) < 1e-5

@@ -9,7 +9,6 @@ from resfault.detector import HealthyStats
 from resfault.errors import (
     CorruptCheckpoint,
     EmptyFile,
-    KindMismatch,
     MissingColumn,
     NonNumericCell,
     VersionMismatch,
@@ -26,7 +25,6 @@ from resfault.persist import (
     save_csv,
     save_cycle_hi_csv,
     save_ground_truth,
-    save_hi_csv,
     save_reports,
     save_stats,
     stats_from_blob,
@@ -187,13 +185,6 @@ class TestCheckpoint:
         with pytest.raises(VersionMismatch):
             load_checkpoint(path)
 
-    def test_kind_mismatch(self, tmp_path):
-        _, oc = make_models()
-        path = tmp_path / "oc.json"
-        save_checkpoint(oc, path)
-        with pytest.raises(KindMismatch):
-            load_checkpoint(path, expected_kind="AE")
-
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -244,10 +235,13 @@ class TestReportsCsv:
         assert loaded[1].alarm_cycle is None
         assert loaded[1].delay is None
 
-    def test_append_mode_groups(self, tmp_path):
+    def test_rows_grouped_by_model_and_kind(self, tmp_path):
         path = tmp_path / "reports.csv"
+        other = tmp_path / "other.csv"
         save_reports([self.make_report("u1")], "OC", "sensorwise", path)
-        save_reports([self.make_report("u1")], "OC", "aggregated", path, append=True)
+        save_reports([self.make_report("u1")], "OC", "aggregated", other)
+        rows = other.read_text().splitlines(keepends=True)[1:]
+        path.write_text(path.read_text() + "".join(rows))
         groups = load_reports(path)
         assert set(groups) == {("OC", "sensorwise"), ("OC", "aggregated")}
 
@@ -274,30 +268,12 @@ class TestReportsCsv:
 
 
 class TestHiExport:
-    def test_hi_series_long_form(self, tmp_path):
-        from resfault.health import sensorwise_hi
-
-        hi = sensorwise_hi(
-            np.array([[1.0, -2.0], [0.5, 0.25]]), [4, 5], "OC", channel_names=("a", "b")
-        )
-        path = tmp_path / "hi.csv"
-        save_hi_csv(hi, "u1", path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "unit,row,cycle,channel,value"
-        assert rows[1] == "u1,0,4,a,1.0"
-        assert rows[2] == "u1,0,4,b,2.0"
-        assert len(rows) == 1 + 4
-
     def test_cycle_hi_export(self, tmp_path):
-        from resfault.detector import CycleAverages
+        from resfault.detector import cycle_average
+        from resfault.health import aggregated_hi
 
-        avgs = {
-            "u1": CycleAverages(
-                cycle_ids=np.array([0, 1]),
-                values=np.array([[0.5], [0.75]]),
-                channel_names=None,
-            )
-        }
+        hi = aggregated_hi(np.array([[0.3, 0.4], [0.45, 0.6]]), [0, 1], "OC")
+        avgs = {"u1": cycle_average(hi)}
         path = tmp_path / "cycle_hi.csv"
         save_cycle_hi_csv(avgs, path)
         rows = path.read_text().strip().splitlines()
