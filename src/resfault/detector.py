@@ -113,13 +113,11 @@ class DetectOutcome:
     """Positional alarm result over a cycle-averaged matrix.
 
     ``alarm_index`` is the row (cycle position) at which the alarm can
-    first be raised, or None. ``exceedance`` flags every (cycle, channel)
-    above threshold; ``qualifying`` flags the channels whose exceedance
-    streak reached the waiting count at the alarm cycle.
+    first be raised, or None. ``qualifying`` flags the channels whose
+    exceedance streak reached the waiting count at the alarm cycle.
     """
 
     alarm_index: int | None
-    exceedance: np.ndarray
     qualifying: np.ndarray | None
 
 
@@ -145,10 +143,8 @@ def detect(
     for c in range(values.shape[0]):
         streak = np.where(exceed[c], streak + 1, 0)
         if np.any(streak >= n_wait):
-            return DetectOutcome(
-                alarm_index=c, exceedance=exceed, qualifying=streak >= n_wait
-            )
-    return DetectOutcome(alarm_index=None, exceedance=exceed, qualifying=None)
+            return DetectOutcome(alarm_index=c, qualifying=streak >= n_wait)
+    return DetectOutcome(alarm_index=None, qualifying=None)
 
 
 @dataclass(frozen=True)
@@ -161,8 +157,6 @@ class DetectionReport:
     n_true: int | None
     delay: int | None
     triggered_first: tuple[str, ...]
-    cycle_ids: np.ndarray
-    exceedance: np.ndarray
     ground_truth_known: bool = True
 
     @property
@@ -204,7 +198,5 @@ def build_report(
         n_true=n_true,
         delay=delay,
         triggered_first=triggered,
-        cycle_ids=cycle_hi.cycle_ids,
-        exceedance=outcome.exceedance,
         ground_truth_known=ground_truth_known,
     )

@@ -18,7 +18,7 @@ from .data_model import FleetSplit, SplitSpec, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
 from .errors import CycleOutOfRange, EmptyFleet
 from .health import AGGREGATED, SENSORWISE, HiSeries
-from .models import AE_KIND, OC_KIND, AeModel, OcModel
+from .models import AE_KIND, OC_KIND, ResidualModel
 from .persist import TruthRecord
 from .preprocess import (
     Standardizer,
@@ -124,12 +124,9 @@ def prepare_fleet(
 
 def train_model(
     prepared: PreparedFleet, kind: str, cfg: RunConfig, train_seed: int
-) -> tuple[AeModel | OcModel, nn.TrainResult]:
+) -> tuple[ResidualModel, nn.TrainResult]:
     """Train one residual model on the standardized healthy split."""
     std = prepared.standardizer
-    z_train = apply_standardizer(std, stack_rows(prepared.units, prepared.fleet_split.train))
-    z_val = apply_standardizer(std, stack_rows(prepared.units, prepared.fleet_split.validation))
-    n_w = prepared.units[0].n_w
     train_cfg = nn.TrainConfig(
         epochs=cfg.training.epochs,
         batch_size=cfg.training.batch_size,
@@ -139,29 +136,25 @@ def train_model(
         beta1=cfg.training.beta1,
         beta2=cfg.training.beta2,
     )
-    if kind == AE_KIND:
-        return models.train_ae(z_train, z_val, train_cfg, std, n_w)
-    if kind == OC_KIND:
-        return models.train_oc(
-            (z_train[:, :n_w], z_train[:, n_w:]),
-            (z_val[:, :n_w], z_val[:, n_w:]),
-            train_cfg,
-            std,
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    return models.train(
+        kind,
+        apply_standardizer(std, stack_rows(prepared.units, prepared.fleet_split.train)),
+        apply_standardizer(std, stack_rows(prepared.units, prepared.fleet_split.validation)),
+        train_cfg,
+        std,
+        prepared.units[0].n_w,
+    )
 
 
-def unit_residuals(model: AeModel | OcModel, unit: UnitSeries) -> np.ndarray:
+def unit_residuals(model: ResidualModel, unit: UnitSeries) -> np.ndarray:
     """Residual matrix over a unit's full (standardized) series."""
     z = apply_standardizer(model.standardizer, unit.z())
     if model.kind == AE_KIND:
         return models.residual_ae(model, z)
-    return models.residual_oc(model, z[:, : model.n_w], z[:, model.n_w :])
+    return models.residual_oc(model, *models.io_blocks(model.kind, z, model.n_w))
 
 
-def fleet_residuals(
-    model: AeModel | OcModel, units: list[UnitSeries]
-) -> dict[str, np.ndarray]:
+def fleet_residuals(model: ResidualModel, units: list[UnitSeries]) -> dict[str, np.ndarray]:
     """Residual matrix of every unit, keyed by unit id.
 
     Both indicator kinds, the healthy statistics and the detection scan
@@ -170,9 +163,7 @@ def fleet_residuals(
     return {unit.unit_id: unit_residuals(model, unit) for unit in units}
 
 
-def hi_channel_names(
-    model: AeModel | OcModel, unit: UnitSeries, hi_kind: str
-) -> tuple[str, ...]:
+def hi_channel_names(model: ResidualModel, unit: UnitSeries, hi_kind: str) -> tuple[str, ...]:
     """Channel names of a unit's indicator: one per residual column, or the aggregate.
 
     Autoencoder residuals cover every channel; regressor residuals cover
@@ -184,22 +175,21 @@ def hi_channel_names(
 
 
 def unit_hi(
-    model: AeModel | OcModel, unit: UnitSeries, residuals: np.ndarray, hi_kind: str
+    model: ResidualModel, unit: UnitSeries, residuals: np.ndarray, hi_kind: str
 ) -> HiSeries:
     """Health-indicator series for one unit from its unit_residuals matrix."""
     if hi_kind == AGGREGATED:
-        return health.aggregated_hi(residuals, unit.cycle_of, model.kind)
+        return health.aggregated_hi(residuals, unit.cycle_of)
     return health.sensorwise_hi(
         residuals,
         unit.cycle_of,
-        model.kind,
         channel_names=hi_channel_names(model, unit, hi_kind),
     )
 
 
 def fit_fleet_stats(
     prepared: PreparedFleet,
-    model: AeModel | OcModel,
+    model: ResidualModel,
     hi_kind: str,
     cfg: RunConfig,
     residuals: dict[str, np.ndarray],
@@ -236,7 +226,7 @@ class FleetDetection:
 
 def detect_with_stats(
     units: list[UnitSeries],
-    model: AeModel | OcModel,
+    model: ResidualModel,
     hi_kind: str,
     stats: HealthyStats,
     cfg: RunConfig,
@@ -450,7 +440,7 @@ class SegmentationBundle:
 
 def build_segmentation(
     units: list[UnitSeries],
-    model: AeModel | OcModel,
+    model: ResidualModel,
     stats: HealthyStats,
     reports: dict[str, tuple[int | None, str]],
     cfg: RunConfig,
@@ -487,8 +477,6 @@ def build_segmentation(
                 n_true=None,
                 delay=None,
                 triggered_first=(),
-                cycle_ids=avg.cycle_ids,
-                exceedance=avg.values > stats.tau,
                 ground_truth_known=False,
             )
         )
@@ -511,7 +499,7 @@ def build_segmentation(
             )
         except CycleOutOfRange:
             continue
-        if isinstance(model, AeModel):
+        if model.kind == AE_KIND:
             unit = by_id[report.unit_id]
             emb = model.embed(apply_standardizer(model.standardizer, unit.z()))
             cycle_ids, emb_means = detector.cycle_mean(emb, unit.cycle_of)

@@ -27,7 +27,6 @@ class HiSeries:
 
     values: np.ndarray
     kind: str
-    source_model: str
     cycle_of: np.ndarray
     channel_names: tuple[str, ...] | None = None
 
@@ -56,9 +55,7 @@ class HiSeries:
         return self.values.shape[1]
 
 
-def aggregated_hi(
-    residuals: np.ndarray, cycle_of: np.ndarray, source_model: str
-) -> HiSeries:
+def aggregated_hi(residuals: np.ndarray, cycle_of: np.ndarray) -> HiSeries:
     """Per-row Euclidean norm of the residual vector, one channel named ``aggregated``."""
     r = np.asarray(residuals, dtype=np.float64)
     if r.ndim != 2:
@@ -67,7 +64,6 @@ def aggregated_hi(
     return HiSeries(
         values=values,
         kind=AGGREGATED,
-        source_model=source_model,
         cycle_of=cycle_of,
         channel_names=(AGGREGATED,),
     )
@@ -76,7 +72,6 @@ def aggregated_hi(
 def sensorwise_hi(
     residuals: np.ndarray,
     cycle_of: np.ndarray,
-    source_model: str,
     channel_names: tuple[str, ...] | None = None,
 ) -> HiSeries:
     """Per-channel absolute residuals."""
@@ -86,7 +81,6 @@ def sensorwise_hi(
     return HiSeries(
         values=np.abs(r),
         kind=SENSORWISE,
-        source_model=source_model,
         cycle_of=cycle_of,
         channel_names=channel_names,
     )

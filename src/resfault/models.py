@@ -1,10 +1,11 @@
 """Residual-calculating models: autoencoder and operating-conditions regressor.
 
-The autoencoder reconstructs the full channel vector (descriptors and
+The autoencoder (AE) reconstructs the full channel vector (descriptors and
 sensors together) through a narrow bottleneck; its residual is input minus
-reconstruction. The operating-conditions model maps the descriptors to
+reconstruction. The operating-conditions model (OC) maps the descriptors to
 the sensor readings; its residual is measured minus predicted sensors.
-Both are trained on standardized healthy rows only.
+Both are one ``ResidualModel`` type tagged with its kind, and both are
+trained on standardized healthy rows only.
 """
 
 from __future__ import annotations
@@ -23,119 +24,83 @@ OC_KIND = "OC"
 AE_HIDDEN = (128, 8, 128)
 OC_HIDDEN = (128, 128)
 
+# activation index of the AE bottleneck (input is index 0)
+AE_BOTTLENECK = int(np.argmin(AE_HIDDEN)) + 1
 
-def ae_layer_dims(n_z: int) -> tuple[int, ...]:
-    return (n_z, *AE_HIDDEN, n_z)
+
+def layer_dims(kind: str, n_w: int, n_x: int) -> tuple[int, ...]:
+    """Layer widths of a model of ``kind`` over n_w descriptors and n_x sensors."""
+    if kind == AE_KIND:
+        return (n_w + n_x, *AE_HIDDEN, n_w + n_x)
+    if kind == OC_KIND:
+        return (n_w, *OC_HIDDEN, n_x)
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
-def oc_layer_dims(n_w: int, n_x: int) -> tuple[int, ...]:
-    return (n_w, *OC_HIDDEN, n_x)
+def io_blocks(kind: str, z_rows: np.ndarray, n_w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(input, target) column blocks of standardized rows for a model of ``kind``."""
+    if kind == AE_KIND:
+        return z_rows, z_rows
+    if kind == OC_KIND:
+        return z_rows[:, :n_w], z_rows[:, n_w:]
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 @dataclass(frozen=True)
-class AeModel:
-    """Autoencoder over all channels, bottleneck width 8."""
+class ResidualModel:
+    """A trained residual model: its kind, net, standardizer and descriptor count."""
 
+    kind: str
     net: nn.DenseNet
     standardizer: Standardizer
     n_w: int
 
     def __post_init__(self):
-        dims = self.net.layer_dims
-        if dims[0] != dims[-1]:
-            raise ShapeMismatch("autoencoder input and output widths must match")
-        if dims != ae_layer_dims(dims[0]):
-            raise ShapeMismatch(f"expected layer dims {ae_layer_dims(dims[0])}, got {dims}")
-        if self.net.activations != nn.default_activations(self.net.n_layers):
-            raise ShapeMismatch("hidden layers must be relu with a linear output")
-        if self.standardizer.n_channels != dims[0]:
-            raise ShapeMismatch("standardizer width must match the channel count")
-
-    @property
-    def kind(self) -> str:
-        return AE_KIND
-
-    @property
-    def n_channels(self) -> int:
-        return self.net.layer_dims[0]
-
-    def bottleneck_layer(self) -> int:
-        dims = self.net.layer_dims
-        return int(np.argmin(dims[1:-1])) + 1
-
-    def embed(self, z_rows: np.ndarray) -> np.ndarray:
-        """Bottleneck activations for standardized rows."""
-        _, acts = nn.forward_activations(self.net, z_rows)
-        return acts[self.bottleneck_layer()]
-
-
-@dataclass(frozen=True)
-class OcModel:
-    """Regressor from operating descriptors to sensor readings."""
-
-    net: nn.DenseNet
-    standardizer: Standardizer
-    n_w: int
-
-    def __post_init__(self):
-        dims = self.net.layer_dims
-        if dims[0] != self.n_w:
-            raise ShapeMismatch("input width must equal the descriptor count")
-        if dims != oc_layer_dims(dims[0], dims[-1]):
+        expected = layer_dims(self.kind, self.n_w, self.n_x)
+        if self.net.layer_dims != expected:
             raise ShapeMismatch(
-                f"expected layer dims {oc_layer_dims(dims[0], dims[-1])}, got {dims}"
+                f"{self.kind} model: expected layer dims {expected}, got {self.net.layer_dims}"
             )
         if self.net.activations != nn.default_activations(self.net.n_layers):
             raise ShapeMismatch("hidden layers must be relu with a linear output")
-        if self.standardizer.n_channels != self.n_w + dims[-1]:
-            raise ShapeMismatch("standardizer must cover descriptor and sensor channels")
-
-    @property
-    def kind(self) -> str:
-        return OC_KIND
 
     @property
     def n_x(self) -> int:
-        return self.net.layer_dims[-1]
+        return self.standardizer.n_channels - self.n_w
+
+    def embed(self, z_rows: np.ndarray) -> np.ndarray:
+        """Bottleneck activations for standardized rows (autoencoders only)."""
+        if self.kind != AE_KIND:
+            raise ValueError(f"{self.kind} models have no bottleneck embedding")
+        _, acts = nn.forward_activations(self.net, z_rows)
+        return acts[AE_BOTTLENECK]
 
 
-def train_ae(
-    healthy_train: np.ndarray,
-    healthy_val: np.ndarray,
+def train(
+    kind: str,
+    z_train: np.ndarray,
+    z_val: np.ndarray,
     cfg: nn.TrainConfig,
     standardizer: Standardizer,
     n_w: int,
-) -> tuple[AeModel, nn.TrainResult]:
-    """Train the autoencoder on standardized healthy rows (input = target)."""
-    z_train = np.asarray(healthy_train, dtype=np.float64)
-    z_val = np.asarray(healthy_val, dtype=np.float64)
-    net = nn.init_weights(ae_layer_dims(z_train.shape[1]), seed=cfg.seed)
-    result = nn.train(net, (z_train, z_train), (z_val, z_val), cfg)
-    return AeModel(net=result.net, standardizer=standardizer, n_w=n_w), result
+) -> tuple[ResidualModel, nn.TrainResult]:
+    """Train a model of ``kind`` on standardized healthy rows (descriptors first)."""
+    z_train = np.asarray(z_train, dtype=np.float64)
+    z_val = np.asarray(z_val, dtype=np.float64)
+    net = nn.init_weights(layer_dims(kind, n_w, z_train.shape[1] - n_w), seed=cfg.seed)
+    result = nn.train(
+        net, io_blocks(kind, z_train, n_w), io_blocks(kind, z_val, n_w), cfg
+    )
+    return ResidualModel(kind, result.net, standardizer, n_w), result
 
 
-def train_oc(
-    healthy_train: tuple[np.ndarray, np.ndarray],
-    healthy_val: tuple[np.ndarray, np.ndarray],
-    cfg: nn.TrainConfig,
-    standardizer: Standardizer,
-) -> tuple[OcModel, nn.TrainResult]:
-    """Train the descriptor-to-sensor regressor on standardized healthy rows."""
-    w_train, x_train = (np.asarray(a, dtype=np.float64) for a in healthy_train)
-    w_val, x_val = (np.asarray(a, dtype=np.float64) for a in healthy_val)
-    net = nn.init_weights(oc_layer_dims(w_train.shape[1], x_train.shape[1]), seed=cfg.seed)
-    result = nn.train(net, (w_train, x_train), (w_val, x_val), cfg)
-    model = OcModel(net=result.net, standardizer=standardizer, n_w=w_train.shape[1])
-    return model, result
-
-
-def residual_ae(model: AeModel, z_rows: np.ndarray) -> np.ndarray:
+def residual_ae(model: ResidualModel, z_rows: np.ndarray) -> np.ndarray:
     """Row-wise input minus reconstruction; expects standardized rows."""
     z_rows = np.asarray(z_rows, dtype=np.float64)
     return z_rows - nn.forward(model.net, z_rows)
 
 
-def residual_oc(model: OcModel, w_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
+def residual_oc(model: ResidualModel, w_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
     """Row-wise measured minus predicted sensors; expects standardized rows."""
     w_rows = np.asarray(w_rows, dtype=np.float64)
     x_rows = np.asarray(x_rows, dtype=np.float64)

@@ -23,7 +23,7 @@ from .errors import (
     NonNumericCell,
     VersionMismatch,
 )
-from .models import AE_KIND, OC_KIND, AeModel, OcModel
+from .models import ResidualModel
 from .preprocess import Standardizer
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -180,6 +180,19 @@ def save_ground_truth(truths, path: str | Path) -> None:
             )
 
 
+def _int_cell(path: Path, line: int, row: dict, column: str) -> int | None:
+    """Integer value of a cell, None when empty; anything else is a NonNumericCell."""
+    token = (row[column] or "").strip()
+    if not token:
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        raise NonNumericCell(
+            f"{path}: non-integer value {token!r} in column {column!r}, line {line}"
+        ) from None
+
+
 def load_ground_truth(path: str | Path) -> dict[str, TruthRecord]:
     path = Path(path)
     with path.open(newline="") as fh:
@@ -191,12 +204,11 @@ def load_ground_truth(path: str | Path) -> dict[str, TruthRecord]:
                 raise MissingColumn(f"{path} is missing required column {name!r}")
         out: dict[str, TruthRecord] = {}
         for row in reader:
-            fault_cycle = row["fault_cycle"].strip()
             sensors = tuple(s for s in row["faulty_sensors"].split(";") if s)
             out[row["unit"]] = TruthRecord(
                 unit_id=row["unit"],
                 family=row["family"],
-                fault_cycle=int(fault_cycle) if fault_cycle else None,
+                fault_cycle=_int_cell(path, reader.line_num, row, "fault_cycle"),
                 fault_sensors=sensors,
             )
     if not out:
@@ -252,20 +264,23 @@ def load_reports(path: str | Path):
             raise MissingColumn(f"{path} is missing column(s) {sorted(missing)}")
         groups: dict[tuple[str, str], list[DetectionReport]] = {}
         for row in reader:
+            if row["gt_known"] not in ("0", "1"):
+                raise NonNumericCell(
+                    f"{path}: gt_known must be 0 or 1, got {row['gt_known']!r}, "
+                    f"line {reader.line_num}"
+                )
             key = (row["model"], row["hi_kind"])
             groups.setdefault(key, []).append(
                 DetectionReport(
                     unit_id=row["unit"],
                     dataset_id=row["dataset"],
-                    alarm_cycle=int(row["alarm_cycle"]) if row["alarm_cycle"] else None,
-                    n_true=int(row["fault_cycle"]) if row["fault_cycle"] else None,
-                    delay=int(row["delay"]) if row["delay"] else None,
+                    alarm_cycle=_int_cell(path, reader.line_num, row, "alarm_cycle"),
+                    n_true=_int_cell(path, reader.line_num, row, "fault_cycle"),
+                    delay=_int_cell(path, reader.line_num, row, "delay"),
                     triggered_first=tuple(
                         s for s in row["triggered_first"].split(";") if s
                     ),
-                    cycle_ids=np.array([], dtype=np.int64),
-                    exceedance=np.empty((0, 0), dtype=bool),
-                    ground_truth_known=bool(int(row["gt_known"])),
+                    ground_truth_known=row["gt_known"] == "1",
                 )
             )
     if not groups:
@@ -326,7 +341,7 @@ def stats_from_blob(blob: dict):
 
 
 def save_checkpoint(
-    model: AeModel | OcModel, path: str | Path, metadata: dict | None = None
+    model: ResidualModel, path: str | Path, metadata: dict | None = None
 ) -> None:
     """Serialize a trained model, its standardizer, and training metadata."""
     net = model.net
@@ -351,7 +366,7 @@ def save_checkpoint(
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
-def load_checkpoint(path: str | Path) -> tuple[AeModel | OcModel, dict]:
+def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
     """Load a checkpointed model; returns (model, training metadata)."""
     path = Path(path)
     try:
@@ -383,14 +398,7 @@ def load_checkpoint(path: str | Path) -> tuple[AeModel | OcModel, dict]:
         raise CorruptCheckpoint(f"{path}: malformed checkpoint ({exc})") from None
     try:
         net = nn.DenseNet(dims, weights, biases, activations)
-        if kind == AE_KIND:
-            model: AeModel | OcModel = AeModel(net=net, standardizer=standardizer, n_w=n_w)
-        elif kind == OC_KIND:
-            model = OcModel(net=net, standardizer=standardizer, n_w=n_w)
-        else:
-            raise CorruptCheckpoint(f"{path}: unknown model kind {kind!r}")
-    except CorruptCheckpoint:
-        raise
+        model = ResidualModel(kind, net, standardizer, n_w)
     except Exception as exc:
         raise CorruptCheckpoint(f"{path}: inconsistent checkpoint ({exc})") from None
     return model, metadata

@@ -136,13 +136,13 @@ def test_criterion_04_waiting_cycle_exhaustive():
 
 
 def test_criterion_05_hi_identities():
-    assert aggregated_hi(np.array([[3.0, 4.0]]), np.zeros(1, dtype=int), "OC").values[0, 0] == 5.0
+    assert aggregated_hi(np.array([[3.0, 4.0]]), np.zeros(1, dtype=int)).values[0, 0] == 5.0
     rng = np.random.default_rng(7)
     for _ in range(25):
         r = rng.normal(size=(rng.integers(1, 40), rng.integers(2, 20))) * 10
         cyc = np.zeros(r.shape[0], dtype=int)
-        agg = aggregated_hi(r, cyc, "OC").values[:, 0]
-        sens = sensorwise_hi(r, cyc, "OC").values
+        agg = aggregated_hi(r, cyc).values[:, 0]
+        sens = sensorwise_hi(r, cyc).values
         np.testing.assert_allclose(agg**2, (sens**2).sum(axis=1), rtol=1e-10, atol=1e-10)
     ok(5, "aggregated^2 equals sum of sensor-wise^2 to 1e-10; [3,4] -> 5")
 

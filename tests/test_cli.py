@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -111,6 +110,21 @@ class TestTrain:
         )
         assert code == 3
 
+    def test_non_integer_fault_cycle_is_data_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "fleet.csv").write_bytes((workspace["data"] / "fleet.csv").read_bytes())
+        truth = (workspace["data"] / "ground_truth.csv").read_text().splitlines()
+        unit, family, _, sensors = truth[1].split(",")
+        truth[1] = ",".join([unit, family, "x", sensors])
+        (data / "ground_truth.csv").write_text("\n".join(truth) + "\n")
+        code = main(
+            ["train", "--config", str(workspace["config"]), "--data", str(data),
+             "--model", "oc", "--out", str(tmp_path / "oc.json")]
+        )
+        assert code == 3
+        assert "'fault_cycle', line 2" in capsys.readouterr().err
+
 
     def test_healthy_stats_take_one_residual_pass(self, workspace, tmp_path, monkeypatch):
         from resfault import experiment
@@ -193,6 +207,18 @@ class TestDetect:
         assert all(r["alarm_cycle"] == "" for r in rows)
         assert all(r["fault_cycle"] == "" and r["gt_known"] == "1" for r in rows)
 
+    def test_checkpoint_of_unknown_kind_is_data_error(self, workspace, tmp_path, capsys):
+        blob = json.loads(workspace["oc"].read_text())
+        blob["kind"] = "RNN"
+        ckpt = tmp_path / "rnn.json"
+        ckpt.write_text(json.dumps(blob))
+        code = main(
+            ["detect", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--checkpoint", str(ckpt), "--hi", "sensorwise", "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 3
+        assert "unknown model kind 'RNN'" in capsys.readouterr().err
+
     def test_waiting_one_cycle_never_alarms_later(self, workspace, tmp_path):
         alarms = {}
         for n_wait in (1, 3):
@@ -219,8 +245,6 @@ def fabricate_report(unit, dataset, alarm, n_true, known=True):
         n_true=n_true,
         delay=delay,
         triggered_first=(),
-        cycle_ids=np.arange(3),
-        exceedance=np.zeros((3, 1), dtype=bool),
         ground_truth_known=known,
     )
 
@@ -278,6 +302,13 @@ class TestEvaluate:
         assert main(["evaluate", "--reports", str(p), "--out", str(out)]) == 0
         summary = read_rows(out / "evaluation_summary.csv")[0]
         assert float(summary["fpr_percent"]) == pytest.approx(50.0)
+
+    def test_non_integer_alarm_cycle_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "r.csv"
+        save_reports([fabricate_report("u1", "fan", 30, 20)], "OC", "sensorwise", p)
+        p.write_text(p.read_text().replace(",30,", ",abc,"))
+        assert main(["evaluate", "--reports", str(p), "--out", str(tmp_path / "eval")]) == 3
+        assert "'alarm_cycle', line 2" in capsys.readouterr().err
 
     def test_no_ground_truth_fpr_is_dash(self, tmp_path, capsys):
         reports = [

@@ -70,12 +70,12 @@ class TestFitStats:
 
 class TestCycleAverage:
     def test_two_row_cycle(self):
-        hi = sensorwise_hi(np.array([[2.0, 1.0], [4.0, 1.0]]), [0, 0], "OC")
+        hi = sensorwise_hi(np.array([[2.0, 1.0], [4.0, 1.0]]), [0, 0])
         avg = cycle_average(hi)
         np.testing.assert_array_equal(avg.values, [[3.0, 1.0]])
 
     def test_single_row_cycle(self):
-        hi = sensorwise_hi(np.array([[7.0, 2.0]]), [3], "OC")
+        hi = sensorwise_hi(np.array([[7.0, 2.0]]), [3])
         avg = cycle_average(hi)
         np.testing.assert_array_equal(avg.values, [[7.0, 2.0]])
         np.testing.assert_array_equal(avg.cycle_ids, [3])
@@ -83,7 +83,7 @@ class TestCycleAverage:
     def test_matches_groupby_mean_oracle(self, rng):
         cyc = np.repeat([0, 1, 2, 5], [4, 3, 6, 2])
         values = np.abs(rng.normal(size=(15, 3)))
-        hi = sensorwise_hi(values, cyc, "AE")
+        hi = sensorwise_hi(values, cyc)
         avg = cycle_average(hi)
         for i, c in enumerate([0, 1, 2, 5]):
             np.testing.assert_allclose(
@@ -173,8 +173,6 @@ class TestDelayAndFpr:
             n_true=n_true,
             delay=delay,
             triggered_first=(),
-            cycle_ids=np.arange(5),
-            exceedance=np.zeros((5, 1), dtype=bool),
             ground_truth_known=known,
         )
 
@@ -219,7 +217,7 @@ class TestBuildReport:
     def test_maps_alarm_to_cycle_label(self):
         values = np.abs(np.array([[0.1], [0.1], [5.0], [5.0], [5.0]]))
         hi = sensorwise_hi(
-            np.hstack([values, values]), [10, 11, 12, 13, 14], "OC",
+            np.hstack([values, values]), [10, 11, 12, 13, 14],
             channel_names=("a", "b"),
         )
         avg = cycle_average(hi)
@@ -230,7 +228,7 @@ class TestBuildReport:
         assert rep.triggered_first == ("a",)
 
     def test_no_alarm_report(self):
-        hi = sensorwise_hi(np.zeros((4, 2)), [0, 0, 1, 1], "OC")
+        hi = sensorwise_hi(np.zeros((4, 2)), [0, 0, 1, 1])
         avg = cycle_average(hi)
         rep = build_report("u1", "ds", avg, stats_for([1.0, 1.0]), n_true=2)
         assert rep.alarm_cycle is None

@@ -161,8 +161,6 @@ class TestEvaluateGroup:
             n_true=n_true,
             delay=None if alarm is None or n_true is None else alarm - n_true,
             triggered_first=(),
-            cycle_ids=np.arange(2),
-            exceedance=np.zeros((2, 1), dtype=bool),
         )
 
     def test_partial_detection_averaging(self):

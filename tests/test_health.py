@@ -25,35 +25,35 @@ def cycles_for(n):
 
 class TestAggregated:
     def test_three_four_five(self):
-        hi = aggregated_hi(np.array([[3.0, 4.0]]), cycles_for(1), "OC")
+        hi = aggregated_hi(np.array([[3.0, 4.0]]), cycles_for(1))
         assert hi.values[0, 0] == 5.0
         assert hi.kind == AGGREGATED
         assert hi.channel_names == (AGGREGATED,)
 
     def test_zero_residuals(self):
-        hi = aggregated_hi(np.zeros((4, 3)), cycles_for(4), "AE")
+        hi = aggregated_hi(np.zeros((4, 3)), cycles_for(4))
         np.testing.assert_array_equal(hi.values, 0.0)
 
     def test_matches_sqrt_sum_squares_oracle(self, rng):
         r = rng.normal(size=(200, 14))
-        hi = aggregated_hi(r, cycles_for(200), "OC")
+        hi = aggregated_hi(r, cycles_for(200))
         expected = np.array([np.sqrt(sum(v * v for v in row)) for row in r])
         np.testing.assert_allclose(hi.values[:, 0], expected, atol=1e-12)
 
 
 class TestSensorwise:
     def test_absolute_values(self):
-        hi = sensorwise_hi(np.array([[-2.0, 3.0]]), cycles_for(1), "OC")
+        hi = sensorwise_hi(np.array([[-2.0, 3.0]]), cycles_for(1))
         np.testing.assert_array_equal(hi.values, [[2.0, 3.0]])
         assert hi.kind == SENSORWISE
 
     def test_zeros(self):
-        hi = sensorwise_hi(np.zeros((3, 2)), cycles_for(3), "AE")
+        hi = sensorwise_hi(np.zeros((3, 2)), cycles_for(3))
         np.testing.assert_array_equal(hi.values, 0.0)
 
     def test_channel_names_carried(self):
         hi = sensorwise_hi(
-            np.ones((2, 2)), cycles_for(2), "OC", channel_names=("a", "b")
+            np.ones((2, 2)), cycles_for(2), channel_names=("a", "b")
         )
         assert hi.channel_names == ("a", "b")
 
@@ -64,7 +64,6 @@ class TestHiSeries:
             HiSeries(
                 values=np.array([[-1.0, 0.0]]),
                 kind=SENSORWISE,
-                source_model="OC",
                 cycle_of=cycles_for(1),
             )
 
@@ -73,7 +72,6 @@ class TestHiSeries:
             HiSeries(
                 values=np.ones((2, 3)),
                 kind=AGGREGATED,
-                source_model="OC",
                 cycle_of=cycles_for(2),
             )
 
@@ -82,8 +80,8 @@ class TestHiSeries:
 @settings(max_examples=60, deadline=None)
 def test_norm_consistency_identity(r):
     cyc = cycles_for(r.shape[0])
-    agg = aggregated_hi(r, cyc, "OC").values[:, 0]
-    sens = sensorwise_hi(r, cyc, "OC").values
+    agg = aggregated_hi(r, cyc).values[:, 0]
+    sens = sensorwise_hi(r, cyc).values
     np.testing.assert_allclose(agg**2, (sens**2).sum(axis=1), rtol=1e-10, atol=1e-10)
     assert np.all(agg >= 0)
     assert np.all(sens >= 0)
@@ -96,6 +94,6 @@ def test_norm_consistency_identity(r):
 @settings(max_examples=40, deadline=None)
 def test_monotone_scaling(r, c):
     cyc = cycles_for(r.shape[0])
-    base = aggregated_hi(r, cyc, "OC").values
-    scaled = aggregated_hi(c * r, cyc, "OC").values
+    base = aggregated_hi(r, cyc).values
+    scaled = aggregated_hi(c * r, cyc).values
     np.testing.assert_allclose(scaled, c * base, rtol=1e-12)

@@ -4,14 +4,13 @@ import pytest
 from resfault import nn
 from resfault.errors import ShapeMismatch
 from resfault.models import (
-    AeModel,
-    OcModel,
-    ae_layer_dims,
-    oc_layer_dims,
+    AE_KIND,
+    OC_KIND,
+    ResidualModel,
+    layer_dims,
     residual_ae,
     residual_oc,
-    train_ae,
-    train_oc,
+    train,
 )
 from resfault.preprocess import Standardizer
 
@@ -26,7 +25,7 @@ def identity_ae_net(n_z: int) -> nn.DenseNet:
     Each layer embeds the signal in its first n_z units; ReLU is the
     identity on positive values, so forward(net, z) == z for z > 0.
     """
-    dims = ae_layer_dims(n_z)
+    dims = layer_dims(AE_KIND, 2, n_z - 2)
     weights = []
     biases = []
     for l in range(len(dims) - 1):
@@ -41,7 +40,9 @@ def identity_ae_net(n_z: int) -> nn.DenseNet:
 class TestResidualAe:
     def test_identity_net_zero_residuals(self, rng):
         n_z = 4
-        model = AeModel(net=identity_ae_net(n_z), standardizer=unit_standardizer(n_z), n_w=2)
+        model = ResidualModel(
+            AE_KIND, net=identity_ae_net(n_z), standardizer=unit_standardizer(n_z), n_w=2
+        )
         z = rng.uniform(0.1, 1.0, size=(20, n_z))
         np.testing.assert_allclose(residual_ae(model, z), 0.0, atol=1e-15)
 
@@ -49,14 +50,14 @@ class TestResidualAe:
         n_z = 5
         net = identity_ae_net(n_z)
         zeroed = net.with_params([np.zeros_like(p) for p in net.params()])
-        model = AeModel(net=zeroed, standardizer=unit_standardizer(n_z), n_w=2)
+        model = ResidualModel(AE_KIND, net=zeroed, standardizer=unit_standardizer(n_z), n_w=2)
         z = rng.normal(size=(10, n_z))
         np.testing.assert_array_equal(residual_ae(model, z), z)
 
     def test_matches_forward_then_subtract(self, rng):
         n_z = 6
-        net = nn.init_weights(ae_layer_dims(n_z), seed=12)
-        model = AeModel(net=net, standardizer=unit_standardizer(n_z), n_w=2)
+        net = nn.init_weights(layer_dims(AE_KIND, 2, n_z - 2), seed=12)
+        model = ResidualModel(AE_KIND, net=net, standardizer=unit_standardizer(n_z), n_w=2)
         z = rng.normal(size=(15, n_z))
         expected = z - nn.forward(net, z)
         np.testing.assert_allclose(residual_ae(model, z), expected, atol=1e-12)
@@ -64,45 +65,57 @@ class TestResidualAe:
 
     def test_bottleneck_embedding_width(self, rng):
         n_z = 6
-        net = nn.init_weights(ae_layer_dims(n_z), seed=3)
-        model = AeModel(net=net, standardizer=unit_standardizer(n_z), n_w=2)
+        net = nn.init_weights(layer_dims(AE_KIND, 2, n_z - 2), seed=3)
+        model = ResidualModel(AE_KIND, net=net, standardizer=unit_standardizer(n_z), n_w=2)
         emb = model.embed(rng.normal(size=(9, n_z)))
         assert emb.shape == (9, 8)
 
     def test_wrong_dims_rejected(self):
         net = nn.init_weights((4, 16, 4), seed=0)
         with pytest.raises(ShapeMismatch):
-            AeModel(net=net, standardizer=unit_standardizer(4), n_w=2)
+            ResidualModel(AE_KIND, net=net, standardizer=unit_standardizer(4), n_w=2)
+
+
+    def test_unknown_kind_rejected(self):
+        net = nn.init_weights(layer_dims(AE_KIND, 2, 2), seed=0)
+        with pytest.raises(ValueError, match="unknown model kind"):
+            ResidualModel("VAE", net=net, standardizer=unit_standardizer(4), n_w=2)
 
 
 class TestResidualOc:
     def test_exact_match_gives_zeros(self, rng):
-        net = nn.init_weights(oc_layer_dims(3, 4), seed=5)
-        model = OcModel(net=net, standardizer=unit_standardizer(7), n_w=3)
+        net = nn.init_weights(layer_dims(OC_KIND, 3, 4), seed=5)
+        model = ResidualModel(OC_KIND, net=net, standardizer=unit_standardizer(7), n_w=3)
         w = rng.normal(size=(12, 3))
         x = nn.forward(net, w)
         np.testing.assert_array_equal(residual_oc(model, w, x), 0.0)
 
     def test_zero_output_net_residual_equals_sensors(self, rng):
-        net = nn.init_weights(oc_layer_dims(2, 3), seed=1)
+        net = nn.init_weights(layer_dims(OC_KIND, 2, 3), seed=1)
         zeroed = net.with_params([np.zeros_like(p) for p in net.params()])
-        model = OcModel(net=zeroed, standardizer=unit_standardizer(5), n_w=2)
+        model = ResidualModel(OC_KIND, net=zeroed, standardizer=unit_standardizer(5), n_w=2)
         w = rng.normal(size=(8, 2))
         x = rng.normal(size=(8, 3))
         np.testing.assert_array_equal(residual_oc(model, w, x), x)
 
     def test_matches_independent_evaluation(self, rng):
-        net = nn.init_weights(oc_layer_dims(2, 3), seed=9)
-        model = OcModel(net=net, standardizer=unit_standardizer(5), n_w=2)
+        net = nn.init_weights(layer_dims(OC_KIND, 2, 3), seed=9)
+        model = ResidualModel(OC_KIND, net=net, standardizer=unit_standardizer(5), n_w=2)
         w = rng.normal(size=(10, 2))
         x = rng.normal(size=(10, 3))
         expected = x - nn.forward(net, w)
         np.testing.assert_allclose(residual_oc(model, w, x), expected, atol=1e-12)
         assert residual_oc(model, w, x).shape == (10, 3)
 
+    def test_no_bottleneck_embedding(self, rng):
+        net = nn.init_weights(layer_dims(OC_KIND, 2, 3), seed=2)
+        model = ResidualModel(OC_KIND, net=net, standardizer=unit_standardizer(5), n_w=2)
+        with pytest.raises(ValueError, match="no bottleneck"):
+            model.embed(rng.normal(size=(4, 5)))
+
     def test_row_count_mismatch(self, rng):
-        net = nn.init_weights(oc_layer_dims(2, 3), seed=0)
-        model = OcModel(net=net, standardizer=unit_standardizer(5), n_w=2)
+        net = nn.init_weights(layer_dims(OC_KIND, 2, 3), seed=0)
+        model = ResidualModel(OC_KIND, net=net, standardizer=unit_standardizer(5), n_w=2)
         with pytest.raises(ShapeMismatch):
             residual_oc(model, np.zeros((3, 2)), np.zeros((2, 3)))
 
@@ -116,7 +129,7 @@ class TestTrainAe:
         z = latent @ mix + 0.05 * rng.normal(size=(1500, 6))
         z_train, z_val = z[:1200], z[1200:]
         cfg = nn.TrainConfig(epochs=40, batch_size=64, patience=40, seed=0, lr=0.01)
-        model, result = train_ae(z_train, z_val, cfg, unit_standardizer(6), n_w=2)
+        model, result = train(AE_KIND, z_train, z_val, cfg, unit_standardizer(6), n_w=2)
         mean_predictor_loss = ((z_val - z_train.mean(axis=0)) ** 2).sum(axis=1).mean()
         assert result.val_losses[result.best_epoch] < mean_predictor_loss
 
@@ -124,14 +137,14 @@ class TestTrainAe:
         row = np.array([0.3, -0.2, 0.5, 0.1])
         z = np.tile(row, (256, 1))
         cfg = nn.TrainConfig(epochs=70, batch_size=32, patience=70, seed=1, lr=0.01)
-        model, result = train_ae(z, z[:32], cfg, unit_standardizer(4), n_w=2)
+        model, result = train(AE_KIND, z, z[:32], cfg, unit_standardizer(4), n_w=2)
         assert result.val_losses[result.best_epoch] < 1e-3
 
     def test_deterministic(self, rng):
         z = rng.normal(size=(200, 4))
         cfg = nn.TrainConfig(epochs=3, batch_size=32, patience=3, seed=7)
-        a, _ = train_ae(z[:160], z[160:], cfg, unit_standardizer(4), n_w=2)
-        b, _ = train_ae(z[:160], z[160:], cfg, unit_standardizer(4), n_w=2)
+        a, _ = train(AE_KIND, z[:160], z[160:], cfg, unit_standardizer(4), n_w=2)
+        b, _ = train(AE_KIND, z[:160], z[160:], cfg, unit_standardizer(4), n_w=2)
         for pa, pb in zip(a.net.params(), b.net.params()):
             np.testing.assert_array_equal(pa, pb)
 
@@ -142,8 +155,9 @@ class TestTrainOc:
         w = rng.uniform(-1, 1, size=(2400, 2))
         x = w @ a_map
         cfg = nn.TrainConfig(epochs=70, batch_size=64, patience=70, seed=2, lr=0.01)
-        model, result = train_oc(
-            (w[:2048], x[:2048]), (w[2048:], x[2048:]), cfg, unit_standardizer(5)
+        z = np.hstack([w, x])
+        model, result = train(
+            OC_KIND, z[:2048], z[2048:], cfg, unit_standardizer(5), n_w=2
         )
         assert result.val_losses[result.best_epoch] < 1e-3
 
@@ -152,8 +166,9 @@ class TestTrainOc:
         w = rng.uniform(-1, 1, size=(3000, 2))
         x = sigma * rng.normal(size=(3000, 3))  # independent of w
         cfg = nn.TrainConfig(epochs=25, batch_size=64, patience=25, seed=3)
-        model, result = train_oc(
-            (w[:2400], x[:2400]), (w[2400:], x[2400:]), cfg, unit_standardizer(5)
+        z = np.hstack([w, x])
+        model, result = train(
+            OC_KIND, z[:2400], z[2400:], cfg, unit_standardizer(5), n_w=2
         )
         floor = 3 * sigma**2
         best = result.val_losses[result.best_epoch]
@@ -164,7 +179,8 @@ class TestTrainOc:
         w = rng.uniform(-1, 1, size=(1500, 2))
         x = w @ a_map + 0.05 * rng.normal(size=(1500, 3))
         cfg = nn.TrainConfig(epochs=30, batch_size=64, patience=30, seed=4, lr=0.01)
-        model, _ = train_oc((w[:1200], x[:1200]), (w[1200:], x[1200:]), cfg, unit_standardizer(5))
+        z = np.hstack([w, x])
+        model, _ = train(OC_KIND, z[:1200], z[1200:], cfg, unit_standardizer(5), n_w=2)
         w_test, x_test = w[1200:], x[1200:]
         healthy = np.abs(residual_oc(model, w_test, x_test)).mean(axis=0)
         x_faulty = x_test.copy()
@@ -177,7 +193,8 @@ class TestTrainOc:
         w = rng.uniform(-1, 1, size=(1500, 2))
         x = w @ a_map + 0.05 * rng.normal(size=(1500, 3))
         cfg = nn.TrainConfig(epochs=30, batch_size=64, patience=30, seed=5, lr=0.01)
-        model, _ = train_oc((w[:1200], x[:1200]), (w[1200:], x[1200:]), cfg, unit_standardizer(5))
+        z = np.hstack([w, x])
+        model, _ = train(OC_KIND, z[:1200], z[1200:], cfg, unit_standardizer(5), n_w=2)
         r = residual_oc(model, w[1200:], x[1200:])
         mean_mag = np.abs(r.mean(axis=0))
         channel_std = x[1200:].std(axis=0)

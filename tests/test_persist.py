@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from resfault.errors import (
     NonNumericCell,
     VersionMismatch,
 )
-from resfault.models import AeModel, OcModel, ae_layer_dims, oc_layer_dims
+from resfault.models import AE_KIND, OC_KIND, ResidualModel, layer_dims
 from resfault.persist import (
     DataSchema,
     TruthRecord,
@@ -147,15 +148,28 @@ class TestGroundTruthSidecar:
         with pytest.raises(MissingColumn):
             load_ground_truth(path)
 
+    @pytest.mark.parametrize("token", ["x", "20.5", "1e3"])
+    def test_non_integer_fault_cycle(self, tmp_path, token):
+        path = tmp_path / "gt.csv"
+        path.write_text(
+            f"unit,family,fault_cycle,faulty_sensors\nu1,fan,20,P2\nu2,fan,{token},P2\n"
+        )
+        with pytest.raises(NonNumericCell, match=r"'fault_cycle', line 3"):
+            load_ground_truth(path)
+
 
 def make_models(seed=0):
     n_w, n_x = 4, 14
     n_z = n_w + n_x
     rng = np.random.default_rng(seed)
     std = Standardizer(mean=rng.normal(size=n_z), std=np.abs(rng.normal(size=n_z)) + 0.1)
-    ae = AeModel(net=nn.init_weights(ae_layer_dims(n_z), seed=seed), standardizer=std, n_w=n_w)
-    oc = OcModel(
-        net=nn.init_weights(oc_layer_dims(n_w, n_x), seed=seed + 1), standardizer=std, n_w=n_w
+    ae = ResidualModel(
+        AE_KIND, net=nn.init_weights(layer_dims(AE_KIND, n_w, n_x), seed=seed),
+        standardizer=std, n_w=n_w,
+    )
+    oc = ResidualModel(
+        OC_KIND, net=nn.init_weights(layer_dims(OC_KIND, n_w, n_x), seed=seed + 1),
+        standardizer=std, n_w=n_w,
     )
     return ae, oc
 
@@ -201,6 +215,29 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
 
+    def tampered(self, tmp_path, model, **fields):
+        path = tmp_path / "tampered.json"
+        save_checkpoint(model, path)
+        blob = json.loads(path.read_text())
+        blob.update(fields)
+        path.write_text(json.dumps(blob))
+        return path
+
+    def test_unknown_kind(self, tmp_path):
+        ae, _ = make_models()
+        with pytest.raises(CorruptCheckpoint, match="unknown model kind 'RNN'"):
+            load_checkpoint(self.tampered(tmp_path, ae, kind="RNN"))
+
+    def test_ae_dims_under_oc_kind(self, tmp_path):
+        ae, _ = make_models()
+        with pytest.raises(CorruptCheckpoint, match="expected layer dims"):
+            load_checkpoint(self.tampered(tmp_path, ae, kind="OC"))
+
+    def test_oc_n_w_not_matching_first_layer(self, tmp_path):
+        _, oc = make_models()
+        with pytest.raises(CorruptCheckpoint, match="expected layer dims"):
+            load_checkpoint(self.tampered(tmp_path, oc, n_w=5))
+
     def test_non_finite_weights_refused(self, tmp_path):
         ae, _ = make_models()
         ae.net.weights[0][0, 0] = np.inf
@@ -218,8 +255,6 @@ class TestReportsCsv:
             n_true=n_true,
             delay=delay,
             triggered_first=("P2", "Nf") if alarm is not None else (),
-            cycle_ids=np.arange(40),
-            exceedance=np.zeros((40, 2), dtype=bool),
             ground_truth_known=True,
         )
 
@@ -244,6 +279,24 @@ class TestReportsCsv:
         path.write_text(path.read_text() + "".join(rows))
         groups = load_reports(path)
         assert set(groups) == {("OC", "sensorwise"), ("OC", "aggregated")}
+
+    @pytest.mark.parametrize(
+        "column, token",
+        [("alarm_cycle", "abc"), ("fault_cycle", "2.5"), ("delay", "ten"),
+         ("gt_known", "yes"), ("gt_known", "2"), ("gt_known", "")],
+    )
+    def test_malformed_cell(self, tmp_path, column, token):
+        path = tmp_path / "reports.csv"
+        save_reports([self.make_report("u1"), self.make_report("u2")], "OC", "sensorwise", path)
+        with path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[1][column] = token
+        with path.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        with pytest.raises(NonNumericCell, match=rf"{column}.*line 3"):
+            load_reports(path)
 
     def test_stats_csv_written(self, tmp_path):
         stats = HealthyStats(
@@ -272,7 +325,7 @@ class TestHiExport:
         from resfault.detector import cycle_average
         from resfault.health import aggregated_hi
 
-        hi = aggregated_hi(np.array([[0.3, 0.4], [0.45, 0.6]]), [0, 1], "OC")
+        hi = aggregated_hi(np.array([[0.3, 0.4], [0.45, 0.6]]), [0, 1])
         avgs = {"u1": cycle_average(hi)}
         path = tmp_path / "cycle_hi.csv"
         save_cycle_hi_csv(avgs, path)

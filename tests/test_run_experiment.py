@@ -7,7 +7,6 @@ import math
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from resfault import experiment
@@ -59,7 +58,7 @@ def experiment_run(tmp_path_factory):
 def test_evaluation_headers_match_evaluate(experiment_run, tmp_path):
     out, _ = experiment_run
     reports = tmp_path / "r.csv"
-    report = DetectionReport("u1", "fan", 30, 20, 10, (), np.arange(1), np.zeros((1, 1), bool))
+    report = DetectionReport("u1", "fan", 30, 20, 10, ())
     save_reports([report], "OC", "sensorwise", reports)
     eval_out = tmp_path / "eval"
     assert cli_main(["evaluate", "--reports", str(reports), "--out", str(eval_out)]) == 0

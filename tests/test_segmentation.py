@@ -20,7 +20,7 @@ from resfault.segmentation import (
 from resfault.synth import FamilyFault, SynthConfig, build_sensor_map, gen_unit
 
 
-def report_with_alarm(unit_id, alarm, cycle_ids, n_channels=3):
+def report_with_alarm(unit_id, alarm):
     return DetectionReport(
         unit_id=unit_id,
         dataset_id="d",
@@ -28,8 +28,6 @@ def report_with_alarm(unit_id, alarm, cycle_ids, n_channels=3):
         n_true=None,
         delay=None,
         triggered_first=(),
-        cycle_ids=np.asarray(cycle_ids),
-        exceedance=np.zeros((len(cycle_ids), n_channels), dtype=bool),
         ground_truth_known=False,
     )
 
@@ -46,30 +44,30 @@ class TestSnapshot:
         values = np.zeros((12, 3))
         values[11] = [2.0, 4.0, 1.0]
         avg = averages(values)
-        report = report_with_alarm("u1", alarm=1, cycle_ids=np.arange(12))
+        report = report_with_alarm("u1", alarm=1)
         sig = snapshot(report, avg, k=10, fault_label="fam")
         np.testing.assert_array_equal(sig.vector, [0.5, 1.0, 0.25])
         assert sig.fault_label == "fam"
 
     def test_all_equal_row_becomes_ones(self):
         values = np.full((5, 4), 3.3)
-        report = report_with_alarm("u1", alarm=0, cycle_ids=np.arange(5), n_channels=4)
+        report = report_with_alarm("u1", alarm=0)
         sig = snapshot(report, averages(values), k=4)
         np.testing.assert_array_equal(sig.vector, 1.0)
 
     def test_zero_row_stays_zero(self):
         values = np.zeros((3, 2))
-        report = report_with_alarm("u1", alarm=0, cycle_ids=np.arange(3), n_channels=2)
+        report = report_with_alarm("u1", alarm=0)
         sig = snapshot(report, averages(values), k=1)
         np.testing.assert_array_equal(sig.vector, 0.0)
 
     def test_no_alarm(self):
-        report = report_with_alarm("u1", alarm=None, cycle_ids=np.arange(3))
+        report = report_with_alarm("u1", alarm=None)
         with pytest.raises(NoAlarm):
             snapshot(report, averages(np.ones((3, 2))), k=1)
 
     def test_out_of_range(self):
-        report = report_with_alarm("u1", alarm=2, cycle_ids=np.arange(4))
+        report = report_with_alarm("u1", alarm=2)
         with pytest.raises(CycleOutOfRange):
             snapshot(report, averages(np.ones((4, 2))), k=10)
 
@@ -78,7 +76,7 @@ class TestSnapshot:
         values = np.array([[1.0], [2.0], [6.0], [3.0]])
         # widen to 2 channels so max-normalization is visible
         values = np.hstack([values, values * 0.5])
-        report = report_with_alarm("u1", alarm=8, cycle_ids=cycle_ids, n_channels=2)
+        report = report_with_alarm("u1", alarm=8)
         sig = snapshot(report, averages(values, cycle_ids), k=1)
         np.testing.assert_array_equal(sig.vector, [1.0, 0.5])
 
@@ -88,7 +86,7 @@ class TestSnapshot:
             gen = np.random.default_rng(seed)
             values = np.abs(gen.normal(0.05, 0.01, size=(20, 6)))
             values[10:, channels] += np.linspace(0.5, 3.0, 10)[:, None]
-            report = report_with_alarm("u", alarm=9, cycle_ids=np.arange(20), n_channels=6)
+            report = report_with_alarm("u", alarm=9)
             return snapshot(report, averages(values), k=10).vector
 
         fam_a = [sig_for([0, 1], s) for s in range(3)]
@@ -276,7 +274,7 @@ class TestSilhouetteCurve:
                 ramp = np.linspace(0.5, 4.0, max(length - alarm, 1))[:, None]
                 values[alarm:, chans] += ramp
                 reports.append(
-                    report_with_alarm(f"{fam}{u}", alarm, np.arange(length), n_channels=6)
+                    report_with_alarm(f"{fam}{u}", alarm)
                 )
                 avgs.append(averages(values))
                 labels.append(fam)
@@ -307,7 +305,7 @@ class TestSilhouetteCurve:
 
     def test_no_alarm_units_skipped(self):
         reports, avgs, labels = self.build_fleet()
-        reports[0] = report_with_alarm("A0", None, np.arange(25), n_channels=6)
+        reports[0] = report_with_alarm("A0", None)
         curve = silhouette_curve(reports, avgs, labels, k_range=[0])
         assert curve[0].n_units == 5
 
@@ -324,7 +322,7 @@ class TestTriggerTimeline:
         values[alarm + 25 :, 2] = 5.0
         avg = averages(values, names=("c0", "c1", "c2"))
         stats = fit_stats(np.array([[0.0, 0.0, 0.0], [0.4, 0.4, 0.4]]))
-        report = report_with_alarm("u1", alarm, np.arange(n))
+        report = report_with_alarm("u1", alarm)
         timeline = trigger_timeline(report, stats, avg, checkpoints=(10, 20, 30, 40))
         assert timeline["c0"] == 10
         assert timeline["c1"] == NEVER_TRIGGERED
@@ -335,14 +333,14 @@ class TestTriggerTimeline:
         values[:, 0] = 5.0
         avg = averages(values, names=("c0", "c1"))
         stats = fit_stats(np.array([[0.0, 0.0], [0.4, 0.4]]))
-        report = report_with_alarm("u1", 15, np.arange(20), n_channels=2)
+        report = report_with_alarm("u1", 15)
         timeline = trigger_timeline(report, stats, avg, checkpoints=(10, 20, 30, 40))
         # only the +10 checkpoint cycle falls outside... the series ends at
         # position 19 < 15+10, so nothing is reachable
         assert timeline["c0"] == NEVER_TRIGGERED
 
     def test_no_alarm_rejected(self):
-        report = report_with_alarm("u1", None, np.arange(5))
+        report = report_with_alarm("u1", None)
         stats = fit_stats(np.ones((2, 3)))
         with pytest.raises(NoAlarm):
             trigger_timeline(report, stats, averages(np.ones((5, 3))))
@@ -370,7 +368,7 @@ class TestTriggerTimeline:
         response = build_sensor_map(cfg.effective_map_seed())
         residuals = series.x - response.apply(series.w)
         hi = sensorwise_hi(
-            residuals, series.cycle_of, "OC", channel_names=DEFAULT_X_CHANNELS
+            residuals, series.cycle_of, channel_names=DEFAULT_X_CHANNELS
         )
         healthy_rows = series.cycle_of < cfg.healthy_cycles_per_unit
         stats = fit_stats(hi.values[healthy_rows])

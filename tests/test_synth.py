@@ -92,7 +92,7 @@ class TestGenUnit:
         series, truth = gen_unit(cfg, cfg.families[0], unit_seed=8)
         assert truth.fault_cycle is None and truth.fault_sensors == ()
         residuals = oracle_residuals(cfg, series)
-        hi = sensorwise_hi(residuals, series.cycle_of, "OC", channel_names=DEFAULT_X_CHANNELS)
+        hi = sensorwise_hi(residuals, series.cycle_of, channel_names=DEFAULT_X_CHANNELS)
         healthy = series.cycle_of < 16
         stats = fit_stats(hi.values[healthy])
         report = build_report("u", "f", cycle_average(hi), stats, n_wait=3)
@@ -151,7 +151,7 @@ class TestGenUnit:
         per_unit = []
         for series, truth in fleet:
             residuals = oracle_residuals(cfg, series)
-            hi = sensorwise_hi(residuals, series.cycle_of, "OC", channel_names=DEFAULT_X_CHANNELS)
+            hi = sensorwise_hi(residuals, series.cycle_of, channel_names=DEFAULT_X_CHANNELS)
             healthy_pool.append(hi.values[series.cycle_of < 16])
             per_unit.append((series, truth, hi))
         stats = fit_stats(np.vstack(healthy_pool))

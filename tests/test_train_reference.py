@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from resfault import nn
-from resfault.models import ae_layer_dims, oc_layer_dims
+from resfault.models import AE_KIND, OC_KIND, layer_dims
 
 
 def reference_backward(net, inp, target):
@@ -121,7 +121,7 @@ def oc_data(rng, n_train, n_val, n_w=4, n_x=14):
 def test_ae_dims_ragged_last_batch(rng, seed):
     # 301 rows in batches of 64: the last batch holds 45 rows
     train_set, val_set = ae_data(rng, 301, 60)
-    net = nn.init_weights(ae_layer_dims(18), seed=seed)
+    net = nn.init_weights(layer_dims(AE_KIND, 4, 14), seed=seed)
     cfg = nn.TrainConfig(epochs=6, batch_size=64, patience=6, seed=seed)
     result = assert_same_as_reference(net, train_set, val_set, cfg)
     assert result.epochs_run == 6
@@ -130,14 +130,14 @@ def test_ae_dims_ragged_last_batch(rng, seed):
 @pytest.mark.parametrize("seed", [1, 3])
 def test_oc_dims_ragged_last_batch(rng, seed):
     train_set, val_set = oc_data(rng, 250, 50)
-    net = nn.init_weights(oc_layer_dims(4, 14), seed=seed)
+    net = nn.init_weights(layer_dims(OC_KIND, 4, 14), seed=seed)
     cfg = nn.TrainConfig(epochs=5, batch_size=64, patience=5, seed=seed, lr=0.003)
     assert_same_as_reference(net, train_set, val_set, cfg)
 
 
 def test_early_stopping_fires(rng):
     train_set, val_set = oc_data(rng, 130, 40)
-    net = nn.init_weights(oc_layer_dims(4, 14), seed=5)
+    net = nn.init_weights(layer_dims(OC_KIND, 4, 14), seed=5)
     cfg = nn.TrainConfig(epochs=40, batch_size=32, patience=1, seed=2, lr=0.05)
     result = assert_same_as_reference(net, train_set, val_set, cfg)
     assert result.epochs_run < cfg.epochs
@@ -146,6 +146,6 @@ def test_early_stopping_fires(rng):
 
 def test_unshuffled_single_batch(rng):
     train_set, val_set = ae_data(rng, 40, 10, n_z=6)
-    net = nn.init_weights(ae_layer_dims(6), seed=4)
+    net = nn.init_weights(layer_dims(AE_KIND, 2, 4), seed=4)
     cfg = nn.TrainConfig(epochs=4, batch_size=64, patience=4, seed=0, shuffle=False)
     assert_same_as_reference(net, train_set, val_set, cfg)
