@@ -21,6 +21,7 @@ from resfault.cli import write_evaluations, write_manifest
 from resfault.config import load_config
 from resfault.errors import ResfaultError
 from resfault.health import SENSORWISE
+from resfault.models import OC_KIND
 from resfault.persist import format_float as fmt
 from resfault.segmentation import silhouette_curve, trigger_timeline
 from resfault.synth import gen_fleet
@@ -31,14 +32,11 @@ def parse_args(argv=None):
     parser.add_argument("--config", help="YAML config overriding defaults")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument(
-        "--k-max", type=int, default=None,
-        help="override the silhouette-curve offset range (default: config value)",
-    )
     return parser.parse_args(argv)
 
 
-def write_silhouette_table(out: Path, result, truths, k_range) -> None:
+def write_silhouette_table(out: Path, result, truths, seg) -> None:
+    k_range = range(0, seg.k_max + 1)
     rows = []
     for kind in experiment.MODEL_KINDS:
         per_k = {k: [] for k in k_range}
@@ -46,7 +44,10 @@ def write_silhouette_table(out: Path, result, truths, k_range) -> None:
             det = realisation.detections[(kind, SENSORWISE)]
             avgs = [det.cycle_averages[r.unit_id] for r in det.reports]
             labels = [truths[r.unit_id].family for r in det.reports]
-            for point in silhouette_curve(det.reports, avgs, labels, k_range=k_range):
+            curve = silhouette_curve(
+                det.reports, avgs, labels, k_range=k_range, normalize=seg.normalization
+            )
+            for point in curve:
                 per_k[point.k].append(point.score)
         for k in k_range:
             finite = [score for score in per_k[k] if np.isfinite(score)]
@@ -59,17 +60,20 @@ def write_silhouette_table(out: Path, result, truths, k_range) -> None:
             writer.writerow([kind, k, fmt(score), n])
 
 
-def write_trigger_timelines(out: Path, result) -> None:
+def write_trigger_timelines(out: Path, result, seg) -> None:
     with (out / "trigger_timeline.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["realisation", "unit", "channel", "triggered_at"])
         for realisation in result.realisations:
-            det = realisation.detections[("OC", SENSORWISE)]
+            det = realisation.detections[(OC_KIND, SENSORWISE)]
             for report in det.reports:
                 if not report.detected:
                     continue
                 timeline = trigger_timeline(
-                    report, det.stats, det.cycle_averages[report.unit_id]
+                    report,
+                    det.stats,
+                    det.cycle_averages[report.unit_id],
+                    checkpoints=seg.timeline_checkpoints,
                 )
                 for channel, category in timeline.items():
                     writer.writerow(
@@ -81,7 +85,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed).validate()
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -94,9 +98,8 @@ def main(argv=None) -> int:
     evaluations = [result.evaluations[key] for key in sorted(result.evaluations)]
     write_evaluations(out, evaluations)
 
-    k_max = args.k_max if args.k_max is not None else cfg.segmentation.k_max
-    write_silhouette_table(out, result, truths, range(0, k_max + 1))
-    write_trigger_timelines(out, result)
+    write_silhouette_table(out, result, truths, cfg.segmentation)
+    write_trigger_timelines(out, result, cfg.segmentation)
     write_manifest(
         out / "experiment_manifest.txt",
         "run_experiment",

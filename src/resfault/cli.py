@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__, experiment, persist
 from .config import RunConfig, dump_config, load_config
 from .data_model import UnitSeries
-from .errors import CorruptCheckpoint, DataError, ResfaultError
+from .errors import ConfigInvalid, CorruptCheckpoint, DataError, ResfaultError
 from .health import AGGREGATED, SENSORWISE
 from .persist import TruthRecord
 from .persist import format_float as fmt
@@ -31,7 +31,7 @@ NO_DETECTION_MARK = "-"
 def _effective_config(args) -> RunConfig:
     cfg = load_config(getattr(args, "config", None))
     if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed).validate()
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -136,6 +136,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.realisation < 0:
+        raise ConfigInvalid(f"--realisation must be >= 0, got {args.realisation}")
     cfg = _effective_config(args)
     kind = args.model.upper()
     units, truths = _prepared_units(args.data, cfg)

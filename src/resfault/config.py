@@ -1,7 +1,11 @@
 """Run configuration: defaults for every pipeline constant, YAML overrides.
 
-An empty config file yields the full default configuration. Unknown keys
-are rejected so typos never silently fall back to defaults.
+Each section is the one definition of its settings: the pipeline takes the
+section itself (or a required argument read from it), never a copy with
+defaults of its own. A section checks its values when it is built, so an
+invalid section cannot exist. An empty config file yields the full default
+configuration. Unknown keys are rejected so typos never silently fall back
+to defaults.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ class PreprocessSettings:
     cruise_threshold: float = 0.85
     order: str = DOWNSAMPLE_FIRST
 
-    def validate(self):
+    def __post_init__(self):
         if self.downsample_factor < 1:
             raise ConfigInvalid("preprocess.downsample_factor must be >= 1")
         if not 0.0 < self.cruise_threshold < 1.0:
@@ -44,7 +48,7 @@ class SplitSettings:
     healthy_cycles: int = 16
     validation_fraction: float = 0.15
 
-    def validate(self):
+    def __post_init__(self):
         if self.healthy_cycles < 1:
             raise ConfigInvalid("split.healthy_cycles must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
@@ -61,7 +65,7 @@ class TrainingSettings:
     patience: int = 10
     realisations: int = 5
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1:
             raise ConfigInvalid("training.epochs must be >= 1")
         if self.batch_size < 1:
@@ -81,7 +85,7 @@ class DetectionSettings:
     n_wait: int = 3
     stats_source: str = STATS_ON_VALIDATION
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_wait < 1:
             raise ConfigInvalid("detection.n_wait must be >= 1")
         if self.stats_source not in (STATS_ON_VALIDATION, STATS_ON_TRAIN_VALIDATION):
@@ -98,7 +102,7 @@ class SegmentationSettings:
     timeline_checkpoints: tuple[int, ...] = (10, 20, 30, 40)
     normalization: str = "max"
 
-    def validate(self):
+    def __post_init__(self):
         if self.snapshot_offset < 0:
             raise ConfigInvalid("segmentation.snapshot_offset must be >= 0")
         if self.k_max < 0:
@@ -123,7 +127,7 @@ class SynthSettings:
     map_seed: int | None = None
     unit_prefix: str = ""
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_units < 1:
             raise ConfigInvalid("synth.n_units must be >= 1")
         if not 1 <= self.n_families <= 3:
@@ -140,17 +144,11 @@ class RunConfig:
     segmentation: SegmentationSettings = field(default_factory=SegmentationSettings)
     synth: SynthSettings = field(default_factory=SynthSettings)
 
-    def validate(self) -> "RunConfig":
-        for section in (
-            self.preprocess,
-            self.split,
-            self.training,
-            self.detection,
-            self.segmentation,
-            self.synth,
-        ):
-            section.validate()
-        return self
+    def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigInvalid(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
 
 
 _SECTION_TYPES = {
@@ -215,20 +213,17 @@ def config_from_dict(blob: dict | None) -> RunConfig:
     unknown = set(blob) - set(_SECTION_TYPES) - {"seed"}
     if unknown:
         raise UnknownKey(f"unknown top-level key(s): {sorted(unknown)}")
-    seed = blob.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigInvalid(f"seed must be an integer, got {seed!r}")
     sections = {
         name: _build_section(name, cls, blob.get(name))
         for name, cls in _SECTION_TYPES.items()
     }
-    return RunConfig(seed=seed, **sections).validate()
+    return RunConfig(seed=blob.get("seed", 0), **sections)
 
 
 def load_config(path: str | Path | None) -> RunConfig:
     """Load a YAML config file; an empty or absent file means all defaults."""
     if path is None:
-        return RunConfig().validate()
+        return RunConfig()
     try:
         text = Path(path).read_text()
     except OSError as exc:

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SplitSettings
 from .errors import ShapeMismatch, UnitTooShort
-
-DEFAULT_HEALTHY_CYCLES = 16
-DEFAULT_VALIDATION_FRACTION = 0.15
 
 # Operating descriptors: altitude, Mach number, throttle-resolver angle,
 # total temperature at the fan inlet.
@@ -122,21 +120,6 @@ class CycleView:
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    """Healthy-window length, validation fraction, and split seed."""
-
-    healthy_cycles_per_unit: int = DEFAULT_HEALTHY_CYCLES
-    validation_fraction: float = DEFAULT_VALIDATION_FRACTION
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.healthy_cycles_per_unit < 1:
-            raise ValueError("healthy_cycles_per_unit must be >= 1")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class FleetSplit:
     """Row selections per unit id for train and validation.
 
@@ -161,10 +144,10 @@ def cycles(series: UnitSeries) -> list[CycleView]:
     ]
 
 
-def split(fleet: list[UnitSeries], spec: SplitSpec) -> FleetSplit:
+def split(fleet: list[UnitSeries], settings: SplitSettings, seed: int) -> FleetSplit:
     """Partition healthy rows into train/validation; the rest is the test set.
 
-    The healthy window is the first ``healthy_cycles_per_unit`` cycles of
+    The healthy window is the first ``settings.healthy_cycles`` cycles of
     every unit. Validation rows are drawn uniformly at random from the
     pooled healthy rows of the whole fleet, so the draw is not stratified
     by unit. The same seed always reproduces the same split.
@@ -179,19 +162,19 @@ def split(fleet: list[UnitSeries], spec: SplitSpec) -> FleetSplit:
     pool_row: list[np.ndarray] = []
     for unit in fleet:
         views = cycles(unit)
-        if len(views) <= spec.healthy_cycles_per_unit:
+        if len(views) <= settings.healthy_cycles:
             raise UnitTooShort(
                 f"unit {unit.unit_id!r} has {len(views)} cycles; "
-                f"needs more than {spec.healthy_cycles_per_unit}"
+                f"needs more than {settings.healthy_cycles}"
             )
-        healthy_stop = views[spec.healthy_cycles_per_unit - 1].stop
+        healthy_stop = views[settings.healthy_cycles - 1].stop
         pool_unit.extend([unit.unit_id] * healthy_stop)
         pool_row.append(np.arange(healthy_stop, dtype=np.int64))
 
     pool_rows = np.concatenate(pool_row)
     n_pool = len(pool_rows)
-    n_val = round(spec.validation_fraction * n_pool)
-    rng = np.random.default_rng(spec.seed)
+    n_val = round(settings.validation_fraction * n_pool)
+    rng = np.random.default_rng(seed)
     val_positions = rng.choice(n_pool, size=n_val, replace=False)
     is_val = np.zeros(n_pool, dtype=bool)
     is_val[val_positions] = True
@@ -209,27 +192,18 @@ def split(fleet: list[UnitSeries], spec: SplitSpec) -> FleetSplit:
     return FleetSplit(train=train, validation=validation)
 
 
-def stack_rows(
-    fleet: list[UnitSeries], selection: dict[str, np.ndarray], channels: str = "z"
-) -> np.ndarray:
-    """Stack the selected rows of every unit into one matrix.
+def stack_rows(fleet: list[UnitSeries], selection: dict[str, np.ndarray]) -> np.ndarray:
+    """Stack the selected rows of every unit's full channel matrix ``z``.
 
-    ``channels`` picks the column block: "z" (all), "w", or "x". Units are
-    stacked in fleet order; rows within a unit keep their stored order.
+    Units are stacked in fleet order; rows within a unit keep their stored
+    order.
     """
     blocks = []
     for unit in fleet:
         rows = selection.get(unit.unit_id)
         if rows is None or len(rows) == 0:
             continue
-        if channels == "z":
-            blocks.append(unit.z()[rows])
-        elif channels == "w":
-            blocks.append(unit.w[rows])
-        elif channels == "x":
-            blocks.append(unit.x[rows])
-        else:
-            raise ValueError(f"unknown channel block {channels!r}")
+        blocks.append(unit.z()[rows])
     if not blocks:
         raise ValueError("selection picked no rows")
     return np.vstack(blocks)

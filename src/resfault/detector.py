@@ -17,7 +17,6 @@ from .health import HiSeries
 from .preprocess import column_stats
 
 SIGMA_MULTIPLIER = 3.0
-DEFAULT_N_WAIT = 3
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ class DetectOutcome:
 def detect(
     cycle_hi: np.ndarray | CycleAverages,
     stats: HealthyStats,
-    n_wait: int = DEFAULT_N_WAIT,
+    n_wait: int,
 ) -> DetectOutcome:
     """Scan cycle-averaged indicators for a persistent threshold exceedance.
 
@@ -174,7 +173,7 @@ def build_report(
     dataset_id: str,
     cycle_hi: CycleAverages,
     stats: HealthyStats,
-    n_wait: int = DEFAULT_N_WAIT,
+    n_wait: int,
     n_true: int | None = None,
     ground_truth_known: bool = True,
 ) -> DetectionReport:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import detector, health, models, nn, segmentation
 from .config import CRUISE_FIRST, RunConfig, STATS_ON_TRAIN_VALIDATION
-from .data_model import FleetSplit, SplitSpec, UnitSeries, split, stack_rows
+from .data_model import FleetSplit, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
 from .errors import CycleOutOfRange, EmptyFleet
 from .health import AGGREGATED, SENSORWISE, HiSeries
@@ -108,13 +108,8 @@ def prepare_fleet(
     preprocessed: list[UnitSeries], cfg: RunConfig, split_seed: int
 ) -> PreparedFleet:
     """Split healthy rows and fit the standardizer on the training rows."""
-    spec = SplitSpec(
-        healthy_cycles_per_unit=cfg.split.healthy_cycles,
-        validation_fraction=cfg.split.validation_fraction,
-        seed=split_seed,
-    )
-    fleet_split = split(preprocessed, spec)
-    z_train = stack_rows(preprocessed, fleet_split.train, channels="z")
+    fleet_split = split(preprocessed, cfg.split, split_seed)
+    z_train = stack_rows(preprocessed, fleet_split.train)
     return PreparedFleet(
         units=preprocessed,
         fleet_split=fleet_split,
@@ -127,20 +122,12 @@ def train_model(
 ) -> tuple[ResidualModel, nn.TrainResult]:
     """Train one residual model on the standardized healthy split."""
     std = prepared.standardizer
-    train_cfg = nn.TrainConfig(
-        epochs=cfg.training.epochs,
-        batch_size=cfg.training.batch_size,
-        patience=cfg.training.patience,
-        seed=train_seed,
-        lr=cfg.training.learning_rate,
-        beta1=cfg.training.beta1,
-        beta2=cfg.training.beta2,
-    )
     return models.train(
         kind,
         apply_standardizer(std, stack_rows(prepared.units, prepared.fleet_split.train)),
         apply_standardizer(std, stack_rows(prepared.units, prepared.fleet_split.validation)),
-        train_cfg,
+        cfg.training,
+        train_seed,
         std,
         prepared.units[0].n_w,
     )

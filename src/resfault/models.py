@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .config import TrainingSettings
 from .errors import ShapeMismatch
 from .preprocess import Standardizer
 
@@ -80,16 +81,20 @@ def train(
     kind: str,
     z_train: np.ndarray,
     z_val: np.ndarray,
-    cfg: nn.TrainConfig,
+    settings: TrainingSettings,
+    seed: int,
     standardizer: Standardizer,
     n_w: int,
 ) -> tuple[ResidualModel, nn.TrainResult]:
-    """Train a model of ``kind`` on standardized healthy rows (descriptors first)."""
+    """Train a model of ``kind`` on standardized healthy rows (descriptors first).
+
+    ``seed`` draws the initial weights and the training shuffle.
+    """
     z_train = np.asarray(z_train, dtype=np.float64)
     z_val = np.asarray(z_val, dtype=np.float64)
-    net = nn.init_weights(layer_dims(kind, n_w, z_train.shape[1] - n_w), seed=cfg.seed)
+    net = nn.init_weights(layer_dims(kind, n_w, z_train.shape[1] - n_w), seed=seed)
     result = nn.train(
-        net, io_blocks(kind, z_train, n_w), io_blocks(kind, z_val, n_w), cfg
+        net, io_blocks(kind, z_train, n_w), io_blocks(kind, z_val, n_w), settings, seed
     )
     return ResidualModel(kind, result.net, standardizer, n_w), result
 

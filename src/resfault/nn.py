@@ -11,14 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TrainingSettings
 from .errors import EmptyDataset, NonFiniteLoss, ShapeMismatch
 
 RELU = "relu"
 LINEAR = "linear"
 
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_LR = 0.001
 ADAM_EPS = 1e-8
 
 
@@ -200,9 +198,9 @@ class AdamState:
 
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    lr: float = ADAM_LR
+    beta1: float
+    beta2: float
+    lr: float
     eps: float = ADAM_EPS
     step_count: int = 0
 
@@ -210,9 +208,9 @@ class AdamState:
     def init(
         cls,
         params: list[np.ndarray],
-        beta1: float = ADAM_BETA1,
-        beta2: float = ADAM_BETA2,
-        lr: float = ADAM_LR,
+        beta1: float,
+        beta2: float,
+        lr: float,
         eps: float = ADAM_EPS,
     ) -> "AdamState":
         return cls(
@@ -260,28 +258,6 @@ def adam_step(
     return params, state
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Mini-batch training schedule with early stopping."""
-
-    epochs: int = 70
-    batch_size: int = 64
-    patience: int = 10
-    seed: int = 0
-    shuffle: bool = True
-    lr: float = ADAM_LR
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
-
-
 @dataclass
 class TrainResult:
     net: DenseNet
@@ -305,17 +281,19 @@ def train(
     net: DenseNet,
     train_set: tuple[np.ndarray, np.ndarray],
     val_set: tuple[np.ndarray, np.ndarray],
-    cfg: TrainConfig,
+    settings: TrainingSettings,
+    seed: int,
 ) -> TrainResult:
     """Mini-batch Adam training with validation-based early stopping.
 
-    Training stops once the validation loss has failed to improve for
-    ``patience`` consecutive epochs (or at ``epochs``); the returned net
-    carries the parameters of the best-validation epoch. Each mini-batch
-    takes one forward pass: ``backward`` returns the batch loss with the
-    gradients. The parameters live in one contiguous buffer that Adam
-    updates in place. A non-finite training or validation loss raises
-    NonFiniteLoss.
+    ``seed`` drives the per-epoch shuffle of the training rows. Training
+    stops once the validation loss has failed to improve for
+    ``settings.patience`` consecutive epochs (or at ``settings.epochs``);
+    the returned net carries the parameters of the best-validation epoch.
+    Each mini-batch takes one forward pass: ``backward`` returns the batch
+    loss with the gradients. The parameters live in one contiguous buffer
+    that Adam updates in place. A non-finite training or validation loss
+    raises NonFiniteLoss.
     """
     x_train = np.asarray(train_set[0], dtype=np.float64)
     y_train = np.asarray(train_set[1], dtype=np.float64)
@@ -326,11 +304,13 @@ def train(
     if x_train.shape[0] != y_train.shape[0] or x_val.shape[0] != y_val.shape[0]:
         raise ShapeMismatch("inputs and targets must have equal row counts")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     flat = np.concatenate([p.ravel() for p in net.params()])
     live = _net_over(net, flat)
     params = [flat]
-    state = AdamState.init(params, beta1=cfg.beta1, beta2=cfg.beta2, lr=cfg.lr)
+    state = AdamState.init(
+        params, beta1=settings.beta1, beta2=settings.beta2, lr=settings.learning_rate
+    )
     n = x_train.shape[0]
 
     best_val = np.inf
@@ -344,11 +324,11 @@ def train(
     # a diverging run overflows inside the matrix products; the non-finite
     # loss check below reports it as NonFiniteLoss instead
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        for epoch in range(settings.epochs):
+            order = rng.permutation(n)
             running = 0.0
-            for start in range(0, n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
+            for start in range(0, n, settings.batch_size):
+                batch = order[start : start + settings.batch_size]
                 grads = backward(live, x_train[batch], y_train[batch])
                 running += grads.loss * len(batch)
                 adam_step(params, [np.concatenate([g.ravel() for g in grads.params()])], state)
@@ -369,7 +349,7 @@ def train(
                 bad_streak = 0
             else:
                 bad_streak += 1
-                if bad_streak >= cfg.patience:
+                if bad_streak >= settings.patience:
                     break
 
     return TrainResult(

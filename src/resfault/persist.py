@@ -28,37 +28,18 @@ from .preprocess import Standardizer
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-
-@dataclass(frozen=True)
-class DataSchema:
-    """Column-role mapping for fleet CSV files.
-
-    The first descriptor column is treated as altitude by the cruise
-    filter.
-    """
-
-    unit_column: str = "unit"
-    cycle_column: str = "cycle"
-    w_columns: tuple[str, ...] = DEFAULT_W_CHANNELS
-    x_columns: tuple[str, ...] = DEFAULT_X_CHANNELS
-
-    def __post_init__(self):
-        cols = self.all_columns()
-        if len(set(cols)) != len(cols):
-            raise ValueError("schema binds a column to more than one role")
-
-    def all_columns(self) -> tuple[str, ...]:
-        return (self.unit_column, self.cycle_column) + self.w_columns + self.x_columns
-
-
-DEFAULT_SCHEMA = DataSchema()
+# Fleet CSV columns: unit id, cycle index, descriptors, sensors. The first
+# descriptor column is treated as altitude by the cruise filter.
+UNIT_COLUMN = "unit"
+CYCLE_COLUMN = "cycle"
+FLEET_COLUMNS = (UNIT_COLUMN, CYCLE_COLUMN) + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS
 
 
 def format_float(v: float) -> str:
     return repr(float(v))
 
 
-def load_csv(path: str | Path, schema: DataSchema = DEFAULT_SCHEMA) -> list[UnitSeries]:
+def load_csv(path: str | Path) -> list[UnitSeries]:
     """Read a fleet CSV into per-unit series.
 
     Rows are grouped by unit id (units ordered by first appearance) and
@@ -77,7 +58,7 @@ def load_csv(path: str | Path, schema: DataSchema = DEFAULT_SCHEMA) -> list[Unit
         raise EmptyFile(f"{path} has a header but no data rows")
 
     col_index: dict[str, int] = {}
-    for name in schema.all_columns():
+    for name in FLEET_COLUMNS:
         if name not in header:
             raise MissingColumn(f"{path} is missing required column {name!r}")
         col_index[name] = header.index(name)
@@ -103,12 +84,12 @@ def load_csv(path: str | Path, schema: DataSchema = DEFAULT_SCHEMA) -> list[Unit
             )
         return values
 
-    unit_col = [row[col_index[schema.unit_column]] for row in rows]
-    cycle_col = numeric_column(schema.cycle_column)
+    unit_col = [row[col_index[UNIT_COLUMN]] for row in rows]
+    cycle_col = numeric_column(CYCLE_COLUMN)
     if np.any(cycle_col != np.floor(cycle_col)):
         raise NonNumericCell(f"{path}: cycle column must hold integers")
-    w = np.column_stack([numeric_column(name) for name in schema.w_columns])
-    x = np.column_stack([numeric_column(name) for name in schema.x_columns])
+    w = np.column_stack([numeric_column(name) for name in DEFAULT_W_CHANNELS])
+    x = np.column_stack([numeric_column(name) for name in DEFAULT_X_CHANNELS])
     cycle_int = cycle_col.astype(np.int64)
 
     order: list[str] = []
@@ -130,20 +111,18 @@ def load_csv(path: str | Path, schema: DataSchema = DEFAULT_SCHEMA) -> list[Unit
                 w=w[idx],
                 x=x[idx],
                 cycle_of=cycle_int[idx],
-                channel_names=schema.w_columns + schema.x_columns,
+                channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
             )
         )
     return fleet
 
 
-def save_csv(
-    fleet: list[UnitSeries], path: str | Path, schema: DataSchema = DEFAULT_SCHEMA
-) -> None:
-    """Write a fleet to CSV in the schema's column order."""
+def save_csv(fleet: list[UnitSeries], path: str | Path) -> None:
+    """Write a fleet to CSV in FLEET_COLUMNS order."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(schema.all_columns())
+        writer.writerow(FLEET_COLUMNS)
         for unit in fleet:
             for t in range(unit.n_rows):
                 writer.writerow(

@@ -1,7 +1,8 @@
 """Downsampling, cruise-phase filtering, and per-channel standardization.
 
-Pipeline order is fixed: downsample first, then keep only cruise rows,
-then fit the standardizer on training rows and apply it everywhere else.
+Downsampling and the cruise filter run in the order ``preprocess.order``
+chooses (downsample first by default); the standardizer is then fitted on
+training rows and applied everywhere else.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from .errors import InsufficientData, NonPositiveAltitude, ShapeMismatch
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_CRUISE_THRESHOLD = 0.85
-DEFAULT_DOWNSAMPLE_FACTOR = 10
 STD_EPSILON = 1e-8
 
 
@@ -103,7 +102,7 @@ def downsample(series: UnitSeries, factor: int) -> UnitSeries:
 
 def cruise_filter(
     series: UnitSeries,
-    threshold: float = DEFAULT_CRUISE_THRESHOLD,
+    threshold: float,
     altitude_channel: int = 0,
 ) -> UnitSeries:
     """Keep the rows of each cycle whose normalized altitude exceeds the threshold.

@@ -15,8 +15,6 @@ import numpy as np
 from .detector import CycleAverages, DetectionReport, HealthyStats
 from .errors import CycleOutOfRange, InsufficientData, NoAlarm, ShapeMismatch, SingleCluster
 
-DEFAULT_SNAPSHOT_OFFSET = 10
-DEFAULT_TIMELINE_CHECKPOINTS = (10, 20, 30, 40)
 NORMALIZE_MAX = "max"
 NORMALIZE_ZSCORE = "zscore"
 NORMALIZE_NONE = "none"
@@ -52,9 +50,9 @@ def _normalize_row(row: np.ndarray, mode: str) -> np.ndarray:
 def snapshot(
     report: DetectionReport,
     cycle_hi: CycleAverages,
-    k: int = DEFAULT_SNAPSHOT_OFFSET,
+    k: int,
+    normalize: str,
     fault_label: str = "",
-    normalize: str = NORMALIZE_MAX,
 ) -> UnitSignature:
     """Signature vector k cycles after the alarm, normalized per unit.
 
@@ -167,8 +165,8 @@ def silhouette_curve(
     reports: list[DetectionReport],
     cycle_his: list[CycleAverages],
     fault_labels: list[str],
-    k_range: range | list[int] = range(0, 35),
-    normalize: str = NORMALIZE_MAX,
+    k_range: range | list[int],
+    normalize: str,
 ) -> list[SilhouettePoint]:
     """Silhouette of snapshot signatures versus cycles after detection.
 
@@ -204,7 +202,7 @@ def trigger_timeline(
     report: DetectionReport,
     stats: HealthyStats,
     cycle_hi: CycleAverages,
-    checkpoints: tuple[int, ...] = DEFAULT_TIMELINE_CHECKPOINTS,
+    checkpoints: tuple[int, ...],
 ) -> dict[str, int | str]:
     """Earliest post-alarm checkpoint at which each channel exceeds its threshold.
 

@@ -79,7 +79,7 @@ def test_criterion_02_adam_two_step_trace():
         theta -= lr * (m / (1 - beta1**t)) / (math.sqrt(v / (1 - beta2**t)) + eps)
 
     params = [np.array([0.5])]
-    state = nn.AdamState.init(params)
+    state = nn.AdamState.init(params, beta1=beta1, beta2=beta2, lr=lr)
     for _ in range(2):
         params, state = nn.adam_step(params, [np.array([1.0])], state)
     assert abs(params[0][0] - theta) <= 1e-12
@@ -289,7 +289,9 @@ def end_to_end():
         det = detections[(kind, SENSORWISE)]
         avgs = [det.cycle_averages[r.unit_id] for r in det.reports]
         labels = [truths[r.unit_id].family for r in det.reports]
-        curve = silhouette_curve(det.reports, avgs, labels, k_range=[10])
+        curve = silhouette_curve(
+            det.reports, avgs, labels, k_range=[10], normalize=cfg.segmentation.normalization
+        )
         silhouettes[kind] = curve[0].score
 
     return {

@@ -13,6 +13,8 @@ from resfault.cli import main
 from resfault.detector import DetectionReport
 from resfault.persist import load_checkpoint, save_reports
 
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
+
 MINI_CONFIG = {
     "seed": 123,
     "split": {"healthy_cycles": 6, "validation_fraction": 0.15},
@@ -45,6 +47,16 @@ def write_config(path: Path, overrides: dict | None = None) -> Path:
             blob[section] = values
     path.write_text(yaml.safe_dump(blob))
     return path
+
+
+def run_fresh(args: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python args...`` in a fresh interpreter that imports this resfault."""
+    env = dict(os.environ)
+    src = str(Path(resfault.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 @pytest.fixture(scope="module")
@@ -158,18 +170,44 @@ class TestTrain:
 
     def test_diverging_training_prints_only_the_error(self, workspace, tmp_path):
         cfg = write_config(tmp_path / "diverge.yaml", {"training": {"learning_rate": 1e300}})
-        env = dict(os.environ)
-        src = str(Path(resfault.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "resfault", "train", "--config", str(cfg),
+        proc = run_fresh(
+            ["-m", "resfault", "train", "--config", str(cfg),
              "--data", str(workspace["data"]), "--model", "oc",
-             "--out", str(tmp_path / "oc.json")],
-            capture_output=True, text=True, env=env, timeout=120,
+             "--out", str(tmp_path / "oc.json")]
         )
         assert proc.returncode == 4
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stderr.startswith("error: epoch 0:")
+
+
+class TestNegativeSeeds:
+    """A negative seed is a config error (exit 2), never numpy's traceback."""
+
+    def assert_config_error(self, proc, message):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {message}\n"
+
+    def test_synth_seed_option(self, tmp_path):
+        out = tmp_path / "o"
+        proc = run_fresh(["-m", "resfault", "synth", "--seed", "-1", "--out", str(out)])
+        self.assert_config_error(proc, "seed must be >= 0, got -1")
+        assert not out.exists()
+
+    def test_script_config_seed(self, tmp_path):
+        cfg = write_config(tmp_path / "neg.yaml", {"seed": -5})
+        proc = run_fresh([str(SCRIPT), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        self.assert_config_error(proc, "seed must be >= 0, got -5")
+
+    def test_train_realisation(self, workspace, tmp_path):
+        out = tmp_path / "oc.json"
+        proc = run_fresh(
+            ["-m", "resfault", "train", "--config", str(workspace["config"]),
+             "--data", str(workspace["data"]), "--model", "oc", "--realisation", "-1",
+             "--out", str(out)]
+        )
+        self.assert_config_error(proc, "--realisation must be >= 0, got -1")
+        assert not out.exists()
 
 
 class TestDetect:

@@ -87,12 +87,8 @@ class TestOverrides:
                               "patience": 2, "realisations": 1}}
             )
             assert cfg.training.learning_rate == lr
-            train_cfg_lr = cfg.training.learning_rate
             net = nn.init_weights((1, 1), seed=0, activations=(nn.LINEAR,))
-            result = nn.train(
-                net, data, data,
-                nn.TrainConfig(epochs=2, batch_size=32, patience=2, seed=0, lr=train_cfg_lr),
-            )
+            result = nn.train(net, data, data, cfg.training, seed=0)
             nets[lr] = result.net.weights[0][0, 0]
         # a 10x learning rate must move the weight further in 2 epochs
         assert nets[0.001] != nets[0.01]

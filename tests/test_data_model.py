@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resfault.data_model import SplitSpec, UnitSeries, cycles, split, stack_rows
+from resfault.config import SplitSettings
+from resfault.data_model import UnitSeries, cycles, split, stack_rows
 from resfault.errors import ShapeMismatch, UnitTooShort
 from resfault.synth import FamilyFault, SynthConfig, gen_unit
 
@@ -81,7 +82,7 @@ def fleet_of(n_units: int, n_cycles: int, rows_per_cycle: int = 5):
 class TestSplit:
     def test_test_set_is_trailing_cycles(self):
         fleet = fleet_of(1, 20)
-        result = split(fleet, SplitSpec(16, 0.15, seed=1))
+        result = split(fleet, SplitSettings(16, 0.15), 1)
         unit = fleet[0]
         healthy = np.concatenate([result.train["u0"], result.validation["u0"]])
         rest = np.setdiff1d(np.arange(unit.n_rows), healthy)
@@ -89,8 +90,7 @@ class TestSplit:
 
     def test_validation_fraction_row_count(self):
         fleet = fleet_of(25, 17, rows_per_cycle=40)  # 25 x 16 x 40 = 16000 healthy rows
-        spec = SplitSpec(16, 0.15, seed=1)
-        result = split(fleet, spec)
+        result = split(fleet, SplitSettings(16, 0.15), 1)
         n_val = sum(len(v) for v in result.validation.values())
         healthy_rows_total = n_val + sum(len(v) for v in result.train.values())
         assert n_val == round(0.15 * healthy_rows_total)
@@ -98,8 +98,8 @@ class TestSplit:
 
     def test_different_seeds_differ_same_sizes(self):
         fleet = fleet_of(3, 20)
-        a = split(fleet, SplitSpec(16, 0.15, seed=1))
-        b = split(fleet, SplitSpec(16, 0.15, seed=2))
+        a = split(fleet, SplitSettings(16, 0.15), 1)
+        b = split(fleet, SplitSettings(16, 0.15), 2)
         sizes_a = {u: len(v) for u, v in a.validation.items()}
         total_a = sum(sizes_a.values())
         total_b = sum(len(v) for v in b.validation.values())
@@ -111,20 +111,20 @@ class TestSplit:
     def test_unit_too_short(self):
         fleet = fleet_of(1, 16)
         with pytest.raises(UnitTooShort):
-            split(fleet, SplitSpec(16, 0.15, seed=0))
+            split(fleet, SplitSettings(16, 0.15), 0)
 
     def test_duplicate_unit_ids_rejected(self):
         fleet = fleet_of(1, 20) + fleet_of(1, 20)
         with pytest.raises(ValueError):
-            split(fleet, SplitSpec(16, 0.15, seed=0))
+            split(fleet, SplitSettings(16, 0.15), 0)
 
     @given(seed=st.integers(0, 2**32 - 1), n_units=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
     def test_partition_and_determinism(self, seed, n_units):
         fleet = fleet_of(n_units, 19, rows_per_cycle=3)
-        spec = SplitSpec(16, 0.15, seed=seed)
-        a = split(fleet, spec)
-        b = split(fleet, spec)
+        spec = SplitSettings(16, 0.15)
+        a = split(fleet, spec, seed)
+        b = split(fleet, spec, seed)
         for unit in fleet:
             uid = unit.unit_id
             train, val = a.train[uid], a.validation[uid]
@@ -144,11 +144,6 @@ class TestStackRows:
     def test_stacks_in_fleet_order(self):
         fleet = fleet_of(2, 2, rows_per_cycle=2)
         selection = {"u0": np.array([1]), "u1": np.array([0, 2])}
-        out = stack_rows(fleet, selection, channels="x")
-        expected = np.vstack([fleet[0].x[[1]], fleet[1].x[[0, 2]]])
+        out = stack_rows(fleet, selection)
+        expected = np.vstack([fleet[0].z()[[1]], fleet[1].z()[[0, 2]]])
         np.testing.assert_array_equal(out, expected)
-
-    def test_unknown_channel_block(self):
-        fleet = fleet_of(1, 2)
-        with pytest.raises(ValueError):
-            stack_rows(fleet, {"u0": np.array([0])}, channels="q")

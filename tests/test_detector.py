@@ -230,7 +230,7 @@ class TestBuildReport:
     def test_no_alarm_report(self):
         hi = sensorwise_hi(np.zeros((4, 2)), [0, 0, 1, 1])
         avg = cycle_average(hi)
-        rep = build_report("u1", "ds", avg, stats_for([1.0, 1.0]), n_true=2)
+        rep = build_report("u1", "ds", avg, stats_for([1.0, 1.0]), n_wait=3, n_true=2)
         assert rep.alarm_cycle is None
         assert rep.delay is None
         assert not rep.detected

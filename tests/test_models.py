@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from resfault import nn
+from resfault.config import TrainingSettings
 from resfault.errors import ShapeMismatch
 from resfault.models import (
     AE_KIND,
@@ -128,23 +129,31 @@ class TestTrainAe:
         mix = rng.normal(size=(2, 6))
         z = latent @ mix + 0.05 * rng.normal(size=(1500, 6))
         z_train, z_val = z[:1200], z[1200:]
-        cfg = nn.TrainConfig(epochs=40, batch_size=64, patience=40, seed=0, lr=0.01)
-        model, result = train(AE_KIND, z_train, z_val, cfg, unit_standardizer(6), n_w=2)
+        cfg = TrainingSettings(epochs=40, batch_size=64, patience=40, learning_rate=0.01)
+        model, result = train(
+            AE_KIND, z_train, z_val, cfg, seed=0, standardizer=unit_standardizer(6), n_w=2
+        )
         mean_predictor_loss = ((z_val - z_train.mean(axis=0)) ** 2).sum(axis=1).mean()
         assert result.val_losses[result.best_epoch] < mean_predictor_loss
 
     def test_constant_data_near_zero_error(self):
         row = np.array([0.3, -0.2, 0.5, 0.1])
         z = np.tile(row, (256, 1))
-        cfg = nn.TrainConfig(epochs=70, batch_size=32, patience=70, seed=1, lr=0.01)
-        model, result = train(AE_KIND, z, z[:32], cfg, unit_standardizer(4), n_w=2)
+        cfg = TrainingSettings(epochs=70, batch_size=32, patience=70, learning_rate=0.01)
+        model, result = train(
+            AE_KIND, z, z[:32], cfg, seed=1, standardizer=unit_standardizer(4), n_w=2
+        )
         assert result.val_losses[result.best_epoch] < 1e-3
 
     def test_deterministic(self, rng):
         z = rng.normal(size=(200, 4))
-        cfg = nn.TrainConfig(epochs=3, batch_size=32, patience=3, seed=7)
-        a, _ = train(AE_KIND, z[:160], z[160:], cfg, unit_standardizer(4), n_w=2)
-        b, _ = train(AE_KIND, z[:160], z[160:], cfg, unit_standardizer(4), n_w=2)
+        cfg = TrainingSettings(epochs=3, batch_size=32, patience=3)
+        a, _ = train(
+            AE_KIND, z[:160], z[160:], cfg, seed=7, standardizer=unit_standardizer(4), n_w=2
+        )
+        b, _ = train(
+            AE_KIND, z[:160], z[160:], cfg, seed=7, standardizer=unit_standardizer(4), n_w=2
+        )
         for pa, pb in zip(a.net.params(), b.net.params()):
             np.testing.assert_array_equal(pa, pb)
 
@@ -154,10 +163,10 @@ class TestTrainOc:
         a_map = rng.normal(size=(2, 3))
         w = rng.uniform(-1, 1, size=(2400, 2))
         x = w @ a_map
-        cfg = nn.TrainConfig(epochs=70, batch_size=64, patience=70, seed=2, lr=0.01)
+        cfg = TrainingSettings(epochs=70, batch_size=64, patience=70, learning_rate=0.01)
         z = np.hstack([w, x])
         model, result = train(
-            OC_KIND, z[:2048], z[2048:], cfg, unit_standardizer(5), n_w=2
+            OC_KIND, z[:2048], z[2048:], cfg, seed=2, standardizer=unit_standardizer(5), n_w=2
         )
         assert result.val_losses[result.best_epoch] < 1e-3
 
@@ -165,10 +174,10 @@ class TestTrainOc:
         sigma = 0.3
         w = rng.uniform(-1, 1, size=(3000, 2))
         x = sigma * rng.normal(size=(3000, 3))  # independent of w
-        cfg = nn.TrainConfig(epochs=25, batch_size=64, patience=25, seed=3)
+        cfg = TrainingSettings(epochs=25, batch_size=64, patience=25)
         z = np.hstack([w, x])
         model, result = train(
-            OC_KIND, z[:2400], z[2400:], cfg, unit_standardizer(5), n_w=2
+            OC_KIND, z[:2400], z[2400:], cfg, seed=3, standardizer=unit_standardizer(5), n_w=2
         )
         floor = 3 * sigma**2
         best = result.val_losses[result.best_epoch]
@@ -178,9 +187,11 @@ class TestTrainOc:
         a_map = rng.normal(size=(2, 3))
         w = rng.uniform(-1, 1, size=(1500, 2))
         x = w @ a_map + 0.05 * rng.normal(size=(1500, 3))
-        cfg = nn.TrainConfig(epochs=30, batch_size=64, patience=30, seed=4, lr=0.01)
+        cfg = TrainingSettings(epochs=30, batch_size=64, patience=30, learning_rate=0.01)
         z = np.hstack([w, x])
-        model, _ = train(OC_KIND, z[:1200], z[1200:], cfg, unit_standardizer(5), n_w=2)
+        model, _ = train(
+            OC_KIND, z[:1200], z[1200:], cfg, seed=4, standardizer=unit_standardizer(5), n_w=2
+        )
         w_test, x_test = w[1200:], x[1200:]
         healthy = np.abs(residual_oc(model, w_test, x_test)).mean(axis=0)
         x_faulty = x_test.copy()
@@ -192,9 +203,11 @@ class TestTrainOc:
         a_map = rng.normal(size=(2, 3))
         w = rng.uniform(-1, 1, size=(1500, 2))
         x = w @ a_map + 0.05 * rng.normal(size=(1500, 3))
-        cfg = nn.TrainConfig(epochs=30, batch_size=64, patience=30, seed=5, lr=0.01)
+        cfg = TrainingSettings(epochs=30, batch_size=64, patience=30, learning_rate=0.01)
         z = np.hstack([w, x])
-        model, _ = train(OC_KIND, z[:1200], z[1200:], cfg, unit_standardizer(5), n_w=2)
+        model, _ = train(
+            OC_KIND, z[:1200], z[1200:], cfg, seed=5, standardizer=unit_standardizer(5), n_w=2
+        )
         r = residual_oc(model, w[1200:], x[1200:])
         mean_mag = np.abs(r.mean(axis=0))
         channel_std = x[1200:].std(axis=0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resfault import nn
+from resfault.config import TrainingSettings
 from resfault.errors import EmptyDataset, NonFiniteLoss, ShapeMismatch
 from gradcheck import finite_diff_grad
 
@@ -153,14 +154,14 @@ class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         for g in (0.37, -12.0, 4e-3):
             params = [np.array([1.0])]
-            state = nn.AdamState.init(params)
+            state = nn.AdamState.init(params, beta1=0.9, beta2=0.999, lr=0.001)
             out, _ = nn.adam_step(params, [np.array([g])], state)
             delta = out[0][0] - 1.0
             assert abs(delta - (-0.001 * math.copysign(1.0, g))) < 1e-6
 
     def test_zero_gradient_keeps_params(self):
         params = [np.array([2.0, -1.0])]
-        state = nn.AdamState.init(params)
+        state = nn.AdamState.init(params, beta1=0.9, beta2=0.999, lr=0.001)
         for _ in range(3):
             params, state = nn.adam_step(params, [np.zeros(2)], state)
         np.testing.assert_array_equal(params[0], [2.0, -1.0])
@@ -178,7 +179,7 @@ class TestAdam:
             theta = theta - lr * m_hat / (math.sqrt(v_hat) + eps)
 
         params = [np.array([0.5])]
-        state = nn.AdamState.init(params)
+        state = nn.AdamState.init(params, beta1=0.9, beta2=0.999, lr=0.001)
         for _ in range(2):
             params, state = nn.adam_step(params, [np.array([1.0])], state)
         assert state.step_count == 2
@@ -186,17 +187,17 @@ class TestAdam:
 
     def test_updates_in_place(self):
         params = [np.array([1.0, 2.0])]
-        state = nn.AdamState.init(params)
+        state = nn.AdamState.init(params, beta1=0.9, beta2=0.999, lr=0.001)
         buffer = params[0]
         out, out_state = nn.adam_step(params, [np.array([0.5, -0.5])], state)
         assert out is params and out[0] is buffer
         assert out_state is state and state.step_count == 1
-        g_scale = 1.0 - nn.ADAM_BETA1
+        g_scale = 1.0 - state.beta1
         np.testing.assert_array_equal(state.first_moment[0], [g_scale * 0.5, g_scale * -0.5])
 
     def test_shape_mismatch(self):
         params = [np.zeros(2)]
-        state = nn.AdamState.init(params)
+        state = nn.AdamState.init(params, beta1=0.9, beta2=0.999, lr=0.001)
         with pytest.raises(ShapeMismatch):
             nn.adam_step(params, [np.zeros(3)], state)
 
@@ -209,25 +210,25 @@ class TestTrain:
     def test_learns_doubling_map(self, rng):
         x, y = self.linear_task(rng, n=8704)
         net = nn.init_weights((1, 1), seed=3, activations=(nn.LINEAR,))
-        cfg = nn.TrainConfig(epochs=70, batch_size=64, patience=70, seed=0)
-        result = nn.train(net, (x[:8192], y[:8192]), (x[8192:], y[8192:]), cfg)
+        cfg = TrainingSettings(epochs=70, batch_size=64, patience=70)
+        result = nn.train(net, (x[:8192], y[:8192]), (x[8192:], y[8192:]), cfg, seed=0)
         assert result.val_losses[result.best_epoch] < 1e-4
 
     def test_patience_zero_stops_at_first_non_improvement(self, rng):
         x, y = self.linear_task(rng, n=64)
         net = nn.init_weights((1, 4, 1), seed=1)
-        cfg = nn.TrainConfig(epochs=50, batch_size=16, patience=0, seed=0, lr=0.5)
-        result = nn.train(net, (x, y), (x, y), cfg)
+        cfg = TrainingSettings(epochs=50, batch_size=16, patience=0, learning_rate=0.5)
+        result = nn.train(net, (x, y), (x, y), cfg, seed=0)
         # the run ends exactly one epoch after the best one
         assert result.epochs_run == result.best_epoch + 2 or result.epochs_run == 50
 
     def test_same_seed_bit_identical(self, rng):
         x, y = self.linear_task(rng, n=100)
-        cfg = nn.TrainConfig(epochs=8, batch_size=16, patience=8, seed=11)
+        cfg = TrainingSettings(epochs=8, batch_size=16, patience=8)
         runs = []
         for _ in range(2):
             net = nn.init_weights((1, 3, 1), seed=5)
-            runs.append(nn.train(net, (x[:80], y[:80]), (x[80:], y[80:]), cfg))
+            runs.append(nn.train(net, (x[:80], y[:80]), (x[80:], y[80:]), cfg, seed=11))
         assert runs[0].train_losses == runs[1].train_losses
         assert runs[0].val_losses == runs[1].val_losses
         for a, b in zip(runs[0].net.params(), runs[1].net.params()):
@@ -237,8 +238,8 @@ class TestTrain:
         x = rng.normal(size=(120, 2))
         y = x @ np.array([[1.0], [-0.5]]) + 0.3
         net = nn.init_weights((2, 8, 1), seed=2)
-        cfg = nn.TrainConfig(epochs=30, batch_size=32, patience=30, seed=4)
-        result = nn.train(net, (x[:100], y[:100]), (x[100:], y[100:]), cfg)
+        cfg = TrainingSettings(epochs=30, batch_size=32, patience=30)
+        result = nn.train(net, (x[:100], y[:100]), (x[100:], y[100:]), cfg, seed=4)
         assert result.train_losses[-1] < result.train_losses[0]
 
     def test_empty_dataset(self):
@@ -248,7 +249,8 @@ class TestTrain:
                 net,
                 (np.empty((0, 1)), np.empty((0, 1))),
                 (np.ones((1, 1)), np.ones((1, 1))),
-                nn.TrainConfig(),
+                TrainingSettings(),
+                seed=0,
             )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -257,9 +259,9 @@ class TestTrain:
         # returned the untrained initial weights without complaint
         x, y = self.linear_task(rng, n=64)
         net = nn.init_weights((1, 8, 1), seed=1)
-        cfg = nn.TrainConfig(epochs=3, batch_size=16, patience=3, seed=0, lr=1e300)
+        cfg = TrainingSettings(epochs=3, batch_size=16, patience=3, learning_rate=1e300)
         with pytest.raises(NonFiniteLoss) as err:
-            nn.train(net, (x, y), (x, y), cfg)
+            nn.train(net, (x, y), (x, y), cfg, seed=0)
         assert "epoch 0" in str(err.value)
         assert err.value.exit_code == 4
 
@@ -269,9 +271,9 @@ class TestTrain:
         y_val = y.copy()
         y_val[3, 0] = np.inf
         net = nn.init_weights((1, 4, 1), seed=1)
-        cfg = nn.TrainConfig(epochs=3, batch_size=16, patience=3, seed=0)
+        cfg = TrainingSettings(epochs=3, batch_size=16, patience=3)
         with pytest.raises(NonFiniteLoss):
-            nn.train(net, (x, y), (x, y_val), cfg)
+            nn.train(net, (x, y), (x, y_val), cfg, seed=0)
 
     def test_backward_returns_batch_loss(self, rng):
         net = random_net(rng)
@@ -282,8 +284,8 @@ class TestTrain:
     def test_returns_best_epoch_weights(self, rng):
         x, y = self.linear_task(rng, n=80)
         net = nn.init_weights((1, 2, 1), seed=9)
-        cfg = nn.TrainConfig(epochs=25, batch_size=8, patience=25, seed=2)
-        result = nn.train(net, (x[:60], y[:60]), (x[60:], y[60:]), cfg)
+        cfg = TrainingSettings(epochs=25, batch_size=8, patience=25)
+        result = nn.train(net, (x[:60], y[:60]), (x[60:], y[60:]), cfg, seed=2)
         restored_loss = nn.loss_mse(nn.forward(result.net, x[60:]), y[60:])
         np.testing.assert_allclose(restored_loss, min(result.val_losses), rtol=1e-12)
 

@@ -16,7 +16,6 @@ from resfault.errors import (
 )
 from resfault.models import AE_KIND, OC_KIND, ResidualModel, layer_dims
 from resfault.persist import (
-    DataSchema,
     TruthRecord,
     load_checkpoint,
     load_csv,
@@ -122,10 +121,6 @@ class TestCsvRoundTrip:
         path.write_text(",".join(("unit", "cycle") + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS) + "\n")
         with pytest.raises(EmptyFile):
             load_csv(path)
-
-    def test_duplicate_role_binding_rejected(self):
-        with pytest.raises(ValueError):
-            DataSchema(unit_column="alt")
 
 
 class TestGroundTruthSidecar:

@@ -100,13 +100,13 @@ class TestCruiseFilter:
 
     def test_constant_altitude_keeps_all(self):
         unit = make_unit([0, 0, 0], w=np.full((3, 2), 7000.0))
-        out = cruise_filter(unit)
+        out = cruise_filter(unit, 0.85)
         assert out.n_rows == 3
 
     def test_non_positive_altitude(self):
         unit = make_unit([0, 0], w=np.array([[0.0, 1], [-5.0, 1]]))
         with pytest.raises(NonPositiveAltitude):
-            cruise_filter(unit)
+            cruise_filter(unit, 0.85)
 
     def test_matches_generator_cruise_segment(self):
         cfg = SynthConfig(

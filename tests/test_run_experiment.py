@@ -87,3 +87,18 @@ def test_silhouette_counts_only_finite_scores(experiment_run):
                 assert math.isnan(float(row["mean_score"]))
     # the tiny fleet ends before the largest offsets, so some scores are nan
     assert saw_partial
+
+
+def test_segmentation_settings_reach_the_tables(experiment_run, tmp_path):
+    default_out, _ = experiment_run
+    blob = {**TINY, "segmentation": {"normalization": "zscore", "timeline_checkpoints": [1, 2]}}
+    cfg = tmp_path / "zscore.yaml"
+    cfg.write_text(json.dumps(blob))
+    out = tmp_path / "out"
+    assert load_script().main(["--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+    with open(out / "trigger_timeline.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    assert {row["triggered_at"] for row in rows} <= {"1", "2", "No"}
+    table = "silhouette_vs_k.csv"
+    assert (out / table).read_bytes() != (default_out / table).read_bytes()

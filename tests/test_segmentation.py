@@ -10,6 +10,7 @@ from resfault.errors import CycleOutOfRange, InsufficientData, NoAlarm, SingleCl
 from resfault.health import sensorwise_hi
 from resfault.segmentation import (
     NEVER_TRIGGERED,
+    NORMALIZE_MAX,
     UnitSignature,
     pca_2d,
     silhouette,
@@ -45,31 +46,31 @@ class TestSnapshot:
         values[11] = [2.0, 4.0, 1.0]
         avg = averages(values)
         report = report_with_alarm("u1", alarm=1)
-        sig = snapshot(report, avg, k=10, fault_label="fam")
+        sig = snapshot(report, avg, k=10, fault_label="fam", normalize=NORMALIZE_MAX)
         np.testing.assert_array_equal(sig.vector, [0.5, 1.0, 0.25])
         assert sig.fault_label == "fam"
 
     def test_all_equal_row_becomes_ones(self):
         values = np.full((5, 4), 3.3)
         report = report_with_alarm("u1", alarm=0)
-        sig = snapshot(report, averages(values), k=4)
+        sig = snapshot(report, averages(values), k=4, normalize=NORMALIZE_MAX)
         np.testing.assert_array_equal(sig.vector, 1.0)
 
     def test_zero_row_stays_zero(self):
         values = np.zeros((3, 2))
         report = report_with_alarm("u1", alarm=0)
-        sig = snapshot(report, averages(values), k=1)
+        sig = snapshot(report, averages(values), k=1, normalize=NORMALIZE_MAX)
         np.testing.assert_array_equal(sig.vector, 0.0)
 
     def test_no_alarm(self):
         report = report_with_alarm("u1", alarm=None)
         with pytest.raises(NoAlarm):
-            snapshot(report, averages(np.ones((3, 2))), k=1)
+            snapshot(report, averages(np.ones((3, 2))), k=1, normalize=NORMALIZE_MAX)
 
     def test_out_of_range(self):
         report = report_with_alarm("u1", alarm=2)
         with pytest.raises(CycleOutOfRange):
-            snapshot(report, averages(np.ones((4, 2))), k=10)
+            snapshot(report, averages(np.ones((4, 2))), k=10, normalize=NORMALIZE_MAX)
 
     def test_offset_counts_positions_from_alarm_cycle(self):
         cycle_ids = np.array([7, 8, 9, 10])
@@ -77,7 +78,7 @@ class TestSnapshot:
         # widen to 2 channels so max-normalization is visible
         values = np.hstack([values, values * 0.5])
         report = report_with_alarm("u1", alarm=8)
-        sig = snapshot(report, averages(values, cycle_ids), k=1)
+        sig = snapshot(report, averages(values, cycle_ids), k=1, normalize=NORMALIZE_MAX)
         np.testing.assert_array_equal(sig.vector, [1.0, 0.5])
 
     def test_same_family_signatures_are_closer(self, rng):
@@ -87,7 +88,7 @@ class TestSnapshot:
             values = np.abs(gen.normal(0.05, 0.01, size=(20, 6)))
             values[10:, channels] += np.linspace(0.5, 3.0, 10)[:, None]
             report = report_with_alarm("u", alarm=9)
-            return snapshot(report, averages(values), k=10).vector
+            return snapshot(report, averages(values), k=10, normalize=NORMALIZE_MAX).vector
 
         fam_a = [sig_for([0, 1], s) for s in range(3)]
         fam_b = [sig_for([3, 4], s + 10) for s in range(3)]
@@ -282,31 +283,35 @@ class TestSilhouetteCurve:
 
     def test_scores_finite_over_domain(self):
         reports, avgs, labels = self.build_fleet()
-        curve = silhouette_curve(reports, avgs, labels, k_range=range(0, 7))
+        curve = silhouette_curve(
+            reports, avgs, labels, k_range=range(0, 7), normalize=NORMALIZE_MAX
+        )
         assert [p.k for p in curve] == list(range(7))
         assert all(np.isfinite(p.score) for p in curve)
         assert all(p.n_units == 6 for p in curve)
 
     def test_separable_families_score_high(self):
         reports, avgs, labels = self.build_fleet()
-        curve = silhouette_curve(reports, avgs, labels, k_range=[10])
+        curve = silhouette_curve(reports, avgs, labels, k_range=[10], normalize=NORMALIZE_MAX)
         assert curve[0].score > 0.5
 
     def test_units_dropped_after_series_end(self):
         reports, avgs, labels = self.build_fleet(short_unit=True)
-        curve = silhouette_curve(reports, avgs, labels, k_range=[0, 10])
+        curve = silhouette_curve(reports, avgs, labels, k_range=[0, 10], normalize=NORMALIZE_MAX)
         assert curve[0].n_units == 6
         assert curve[1].n_units == 5
 
     def test_single_family_rejected(self):
         reports, avgs, labels = self.build_fleet()
         with pytest.raises(SingleCluster):
-            silhouette_curve(reports[:3], avgs[:3], labels[:3], k_range=[0])
+            silhouette_curve(
+                reports[:3], avgs[:3], labels[:3], k_range=[0], normalize=NORMALIZE_MAX
+            )
 
     def test_no_alarm_units_skipped(self):
         reports, avgs, labels = self.build_fleet()
         reports[0] = report_with_alarm("A0", None)
-        curve = silhouette_curve(reports, avgs, labels, k_range=[0])
+        curve = silhouette_curve(reports, avgs, labels, k_range=[0], normalize=NORMALIZE_MAX)
         assert curve[0].n_units == 5
 
 
@@ -343,7 +348,7 @@ class TestTriggerTimeline:
         report = report_with_alarm("u1", None)
         stats = fit_stats(np.ones((2, 3)))
         with pytest.raises(NoAlarm):
-            trigger_timeline(report, stats, averages(np.ones((5, 3))))
+            trigger_timeline(report, stats, averages(np.ones((5, 3))), checkpoints=(10, 20))
 
     def test_staggered_onsets_from_generator(self):
         family = FamilyFault(

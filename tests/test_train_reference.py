@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from resfault import nn
+from resfault.config import TrainingSettings
 from resfault.models import AE_KIND, OC_KIND, layer_dims
 
 
@@ -43,15 +44,15 @@ def reference_adam_step(params, grads, moments, t, cfg):
         v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
         m_hat = m / (1.0 - cfg.beta1**t)
         v_hat = v / (1.0 - cfg.beta2**t)
-        new_params.append(p - cfg.lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS))
+        new_params.append(p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS))
         new_moments.append((m, v))
     return new_params, new_moments
 
 
-def reference_train(net, train_set, val_set, cfg):
+def reference_train(net, train_set, val_set, cfg, seed):
     x_train, y_train = train_set
     x_val, y_val = val_set
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     params = [p.copy() for p in net.params()]
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     t = 0
@@ -63,7 +64,7 @@ def reference_train(net, train_set, val_set, cfg):
     train_losses, val_losses = [], []
     epochs_run = 0
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         running = 0.0
         live = net.with_params(params)
         for start in range(0, n, cfg.batch_size):
@@ -90,11 +91,11 @@ def reference_train(net, train_set, val_set, cfg):
     return best_params, train_losses, val_losses, best_epoch, epochs_run
 
 
-def assert_same_as_reference(net, train_set, val_set, cfg):
+def assert_same_as_reference(net, train_set, val_set, cfg, seed):
     params, train_losses, val_losses, best_epoch, epochs_run = reference_train(
-        net, train_set, val_set, cfg
+        net, train_set, val_set, cfg, seed
     )
-    result = nn.train(net, train_set, val_set, cfg)
+    result = nn.train(net, train_set, val_set, cfg, seed)
     assert result.train_losses == train_losses
     assert result.val_losses == val_losses
     assert result.best_epoch == best_epoch
@@ -122,8 +123,8 @@ def test_ae_dims_ragged_last_batch(rng, seed):
     # 301 rows in batches of 64: the last batch holds 45 rows
     train_set, val_set = ae_data(rng, 301, 60)
     net = nn.init_weights(layer_dims(AE_KIND, 4, 14), seed=seed)
-    cfg = nn.TrainConfig(epochs=6, batch_size=64, patience=6, seed=seed)
-    result = assert_same_as_reference(net, train_set, val_set, cfg)
+    cfg = TrainingSettings(epochs=6, batch_size=64, patience=6)
+    result = assert_same_as_reference(net, train_set, val_set, cfg, seed)
     assert result.epochs_run == 6
 
 
@@ -131,21 +132,23 @@ def test_ae_dims_ragged_last_batch(rng, seed):
 def test_oc_dims_ragged_last_batch(rng, seed):
     train_set, val_set = oc_data(rng, 250, 50)
     net = nn.init_weights(layer_dims(OC_KIND, 4, 14), seed=seed)
-    cfg = nn.TrainConfig(epochs=5, batch_size=64, patience=5, seed=seed, lr=0.003)
-    assert_same_as_reference(net, train_set, val_set, cfg)
+    cfg = TrainingSettings(epochs=5, batch_size=64, patience=5, learning_rate=0.003)
+    assert_same_as_reference(net, train_set, val_set, cfg, seed)
 
 
 def test_early_stopping_fires(rng):
     train_set, val_set = oc_data(rng, 130, 40)
     net = nn.init_weights(layer_dims(OC_KIND, 4, 14), seed=5)
-    cfg = nn.TrainConfig(epochs=40, batch_size=32, patience=1, seed=2, lr=0.05)
-    result = assert_same_as_reference(net, train_set, val_set, cfg)
+    cfg = TrainingSettings(epochs=40, batch_size=32, patience=1, learning_rate=0.05)
+    result = assert_same_as_reference(net, train_set, val_set, cfg, seed=2)
     assert result.epochs_run < cfg.epochs
     assert result.best_epoch < result.epochs_run - 1
 
 
 def test_unshuffled_single_batch(rng):
+    # 40 rows in batches of 64: every epoch is one batch holding all rows,
+    # so the shuffle only reorders rows inside that batch
     train_set, val_set = ae_data(rng, 40, 10, n_z=6)
     net = nn.init_weights(layer_dims(AE_KIND, 2, 4), seed=4)
-    cfg = nn.TrainConfig(epochs=4, batch_size=64, patience=4, seed=0, shuffle=False)
-    assert_same_as_reference(net, train_set, val_set, cfg)
+    cfg = TrainingSettings(epochs=4, batch_size=64, patience=4)
+    assert_same_as_reference(net, train_set, val_set, cfg, seed=0)
