@@ -9,7 +9,6 @@ timelines under --out.
 """
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -23,6 +22,7 @@ from resfault.errors import ResfaultError
 from resfault.health import SENSORWISE
 from resfault.models import OC_KIND
 from resfault.persist import format_float as fmt
+from resfault.persist import write_table
 from resfault.segmentation import silhouette_curve, trigger_timeline
 from resfault.synth import gen_fleet
 
@@ -42,43 +42,39 @@ def write_silhouette_table(out: Path, result, truths, seg) -> None:
         per_k = {k: [] for k in k_range}
         for realisation in result.realisations:
             det = realisation.detections[(kind, SENSORWISE)]
+            alarms = [(r.unit_id, r.alarm_cycle) for r in det.reports]
             avgs = [det.cycle_averages[r.unit_id] for r in det.reports]
             labels = [truths[r.unit_id].family for r in det.reports]
             curve = silhouette_curve(
-                det.reports, avgs, labels, k_range=k_range, normalize=seg.normalization
+                alarms, avgs, labels, k_range=k_range, normalize=seg.normalization
             )
             for point in curve:
                 per_k[point.k].append(point.score)
         for k in k_range:
             finite = [score for score in per_k[k] if np.isfinite(score)]
             mean = float(np.mean(finite)) if finite else float("nan")
-            rows.append((kind, k, mean, len(finite)))
-    with (out / "silhouette_vs_k.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "k", "mean_score", "n_realisations"])
-        for kind, k, score, n in rows:
-            writer.writerow([kind, k, fmt(score), n])
+            rows.append([kind, k, fmt(mean), len(finite)])
+    write_table(out / "silhouette_vs_k.csv", ["model", "k", "mean_score", "n_realisations"], rows)
 
 
 def write_trigger_timelines(out: Path, result, seg) -> None:
-    with (out / "trigger_timeline.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["realisation", "unit", "channel", "triggered_at"])
-        for realisation in result.realisations:
-            det = realisation.detections[(OC_KIND, SENSORWISE)]
-            for report in det.reports:
-                if not report.detected:
-                    continue
-                timeline = trigger_timeline(
-                    report,
-                    det.stats,
-                    det.cycle_averages[report.unit_id],
-                    checkpoints=seg.timeline_checkpoints,
-                )
-                for channel, category in timeline.items():
-                    writer.writerow(
-                        [realisation.realisation, report.unit_id, channel, category]
-                    )
+    rows = []
+    for realisation in result.realisations:
+        det = realisation.detections[(OC_KIND, SENSORWISE)]
+        for report in det.reports:
+            if not report.detected:
+                continue
+            timeline = trigger_timeline(
+                report.unit_id,
+                report.alarm_cycle,
+                det.stats,
+                det.cycle_averages[report.unit_id],
+                checkpoints=seg.timeline_checkpoints,
+            )
+            for channel, category in timeline.items():
+                rows.append([realisation.realisation, report.unit_id, channel, category])
+    header = ["realisation", "unit", "channel", "triggered_at"]
+    write_table(out / "trigger_timeline.csv", header, rows)
 
 
 def main(argv=None) -> int:

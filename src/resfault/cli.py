@@ -9,13 +9,12 @@ configuration and seeds. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
 
 from . import __version__, experiment, persist
-from .config import RunConfig, dump_config, load_config
+from .config import RunConfig, derive_seed, dump_config, load_config
 from .data_model import UnitSeries
 from .errors import ConfigInvalid, CorruptCheckpoint, DataError, ResfaultError
 from .health import AGGREGATED, SENSORWISE
@@ -56,42 +55,40 @@ def write_evaluations(out: Path, evaluations) -> None:
 
     Also prints one summary line per (model, indicator-kind) group.
     """
-    with (out / "evaluation_units.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "hi_kind", "dataset", "unit", "fault_cycle", "n_detected", "avg_delay"]
-        )
-        for ev in evaluations:
-            for u in ev.units:
-                writer.writerow(
-                    [
-                        ev.model_kind,
-                        ev.hi_kind,
-                        u.dataset_id,
-                        u.unit_id,
-                        _mark_none(u.n_true, str),
-                        u.n_detected,
-                        _mark_none(u.mean_delay),
-                    ]
-                )
-    with (out / "evaluation_summary.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "hi_kind", "n_realisations", "n_units", "n_detected_units",
-             "mean_delay", "fpr_percent"]
-        )
-        for ev in evaluations:
-            writer.writerow(
-                [
-                    ev.model_kind,
-                    ev.hi_kind,
-                    ev.n_realisations,
-                    len(ev.units),
-                    sum(1 for u in ev.units if u.n_detected > 0),
-                    _mark_none(ev.mean_delay),
-                    _mark_none(ev.fpr, lambda v: fmt(100.0 * v)),
-                ]
-            )
+    persist.write_table(
+        out / "evaluation_units.csv",
+        ["model", "hi_kind", "dataset", "unit", "fault_cycle", "n_detected", "avg_delay"],
+        (
+            [
+                ev.model_kind,
+                ev.hi_kind,
+                u.dataset_id,
+                u.unit_id,
+                _mark_none(u.n_true, str),
+                u.n_detected,
+                _mark_none(u.mean_delay),
+            ]
+            for ev in evaluations
+            for u in ev.units
+        ),
+    )
+    persist.write_table(
+        out / "evaluation_summary.csv",
+        ["model", "hi_kind", "n_realisations", "n_units", "n_detected_units",
+         "mean_delay", "fpr_percent"],
+        (
+            [
+                ev.model_kind,
+                ev.hi_kind,
+                ev.n_realisations,
+                len(ev.units),
+                sum(1 for u in ev.units if u.n_detected > 0),
+                _mark_none(ev.mean_delay),
+                _mark_none(ev.fpr, lambda v: fmt(100.0 * v)),
+            ]
+            for ev in evaluations
+        ),
+    )
     for ev in evaluations:
         delay = _mark_none(ev.mean_delay, "{:.2f}".format)
         fpr = _mark_none(ev.fpr, "{:.1%}".format)
@@ -141,8 +138,8 @@ def cmd_train(args) -> int:
     cfg = _effective_config(args)
     kind = args.model.upper()
     units, truths = _prepared_units(args.data, cfg)
-    split_seed = experiment.derive_seed(cfg.seed, experiment.SEED_SPLIT, args.realisation)
-    train_seed = experiment.derive_seed(cfg.seed, experiment.SEED_TRAIN, args.realisation)
+    split_seed = derive_seed(cfg.seed, experiment.SEED_SPLIT, args.realisation)
+    train_seed = derive_seed(cfg.seed, experiment.SEED_TRAIN, args.realisation)
     prepared = experiment.prepare_fleet(units, cfg, split_seed)
     model, result = experiment.train_model(prepared, kind, cfg, train_seed)
 
@@ -169,12 +166,14 @@ def cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     persist.save_checkpoint(model, out, metadata)
 
-    log_path = out.with_name(out.stem + "_log.csv")
-    with log_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for i, (tr, va) in enumerate(zip(result.train_losses, result.val_losses)):
-            writer.writerow([i, fmt(tr), fmt(va)])
+    persist.write_table(
+        out.with_name(out.stem + "_log.csv"),
+        ["epoch", "train_loss", "val_loss"],
+        (
+            [i, fmt(tr), fmt(va)]
+            for i, (tr, va) in enumerate(zip(result.train_losses, result.val_losses))
+        ),
+    )
 
     write_manifest(
         out.with_name(out.stem + "_manifest.txt"),
@@ -284,37 +283,27 @@ def cmd_segment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    with (out / "signatures.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "label"] + list(bundle.channel_names))
-        for sig in bundle.signatures:
-            writer.writerow([sig.unit_id, sig.fault_label] + [fmt(v) for v in sig.vector])
-
-    with (out / "pca_coords.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "label", "pc1", "pc2"])
-        for sig, xy in zip(bundle.signatures, bundle.pca.coords):
-            writer.writerow([sig.unit_id, sig.fault_label, fmt(xy[0]), fmt(xy[1])])
-
-    with (out / "silhouette_curve.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "score", "n_units"])
-        for point in bundle.curve:
-            writer.writerow([point.k, fmt(point.score), point.n_units])
-
-    with (out / "trigger_timeline.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "channel", "triggered_at"])
-        for unit_id, timeline in bundle.timelines.items():
-            for channel, category in timeline.items():
-                writer.writerow([unit_id, channel, category])
-
+    rows = [[sig.unit_id, sig.fault_label, *map(fmt, sig.vector)] for sig in bundle.signatures]
+    persist.write_table(out / "signatures.csv", ["unit", "label", *bundle.channel_names], rows)
+    rows = [
+        [sig.unit_id, sig.fault_label, fmt(x), fmt(y)]
+        for sig, (x, y) in zip(bundle.signatures, bundle.pca.coords)
+    ]
+    persist.write_table(out / "pca_coords.csv", ["unit", "label", "pc1", "pc2"], rows)
+    rows = [[point.k, fmt(point.score), point.n_units] for point in bundle.curve]
+    persist.write_table(out / "silhouette_curve.csv", ["k", "score", "n_units"], rows)
+    rows = [
+        [unit_id, channel, category]
+        for unit_id, timeline in bundle.timelines.items()
+        for channel, category in timeline.items()
+    ]
+    persist.write_table(out / "trigger_timeline.csv", ["unit", "channel", "triggered_at"], rows)
     if bundle.embedding_pca is not None:
-        with (out / "ae_embedding_pca.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["unit", "pc1", "pc2"])
-            for unit_id, xy in zip(bundle.embedding_unit_ids, bundle.embedding_pca.coords):
-                writer.writerow([unit_id, fmt(xy[0]), fmt(xy[1])])
+        rows = [
+            [unit_id, fmt(x), fmt(y)]
+            for unit_id, (x, y) in zip(bundle.embedding_unit_ids, bundle.embedding_pca.coords)
+        ]
+        persist.write_table(out / "ae_embedding_pca.csv", ["unit", "pc1", "pc2"], rows)
 
     write_manifest(
         out / "segment_manifest.txt",

@@ -14,9 +14,17 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .errors import ConfigInvalid, UnknownKey
+
+
+def derive_seed(master_seed: int, *keys: int) -> int:
+    """Stable child seed for a labeled purpose (a realisation, a synth unit)."""
+    seq = np.random.SeedSequence([master_seed, *keys])
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
+
 
 STATS_ON_VALIDATION = "validation"
 STATS_ON_TRAIN_VALIDATION = "train+validation"

@@ -82,10 +82,6 @@ class UnitSeries:
         return self.x.shape[1]
 
     @property
-    def w_names(self) -> tuple[str, ...]:
-        return self.channel_names[: self.n_w]
-
-    @property
     def x_names(self) -> tuple[str, ...]:
         return self.channel_names[self.n_w :]
 
@@ -107,19 +103,6 @@ class UnitSeries:
 
 
 @dataclass(frozen=True)
-class CycleView:
-    """Half-open row interval [start, stop) holding one cycle."""
-
-    cycle_index: int
-    start: int
-    stop: int
-
-    @property
-    def n_rows(self) -> int:
-        return self.stop - self.start
-
-
-@dataclass(frozen=True)
 class FleetSplit:
     """Row selections per unit id for train and validation.
 
@@ -132,16 +115,12 @@ class FleetSplit:
     validation: dict[str, np.ndarray]
 
 
-def cycles(series: UnitSeries) -> list[CycleView]:
-    """Segment the row range into per-cycle views, ordered by cycle index."""
-    cyc = series.cycle_of
-    boundaries = np.flatnonzero(np.diff(cyc)) + 1
+def cycle_bounds(cycle_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row intervals [starts[i], stops[i]) of the contiguous cycle blocks, in order."""
+    boundaries = np.flatnonzero(np.diff(cycle_of)) + 1
     starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [len(cyc)]])
-    return [
-        CycleView(cycle_index=int(cyc[a]), start=int(a), stop=int(b))
-        for a, b in zip(starts, stops)
-    ]
+    stops = np.concatenate([boundaries, [len(cycle_of)]])
+    return starts, stops
 
 
 def split(fleet: list[UnitSeries], settings: SplitSettings, seed: int) -> FleetSplit:
@@ -161,13 +140,13 @@ def split(fleet: list[UnitSeries], settings: SplitSettings, seed: int) -> FleetS
     pool_unit: list[str] = []
     pool_row: list[np.ndarray] = []
     for unit in fleet:
-        views = cycles(unit)
-        if len(views) <= settings.healthy_cycles:
+        _, stops = cycle_bounds(unit.cycle_of)
+        if len(stops) <= settings.healthy_cycles:
             raise UnitTooShort(
-                f"unit {unit.unit_id!r} has {len(views)} cycles; "
+                f"unit {unit.unit_id!r} has {len(stops)} cycles; "
                 f"needs more than {settings.healthy_cycles}"
             )
-        healthy_stop = views[settings.healthy_cycles - 1].stop
+        healthy_stop = int(stops[settings.healthy_cycles - 1])
         pool_unit.extend([unit.unit_id] * healthy_stop)
         pool_row.append(np.arange(healthy_stop, dtype=np.int64))
 

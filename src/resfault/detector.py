@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import cycle_bounds
 from .errors import ShapeMismatch
 from .health import HiSeries
 from .preprocess import column_stats
@@ -41,13 +42,12 @@ class HealthyStats:
         return len(self.mu)
 
 
-def fit_stats(hi: HiSeries | np.ndarray) -> HealthyStats:
+def fit_stats(values: np.ndarray) -> HealthyStats:
     """Fit per-channel statistics on healthy indicator rows.
 
     Uses the population (1/N) variance; the threshold is mu + 3*sigma.
     Pass the rows restricted to the healthy split.
     """
-    values = hi.values if isinstance(hi, HiSeries) else hi
     mu, sigma = column_stats(values)
     return HealthyStats(
         mu=mu, sigma=sigma, tau=mu + SIGMA_MULTIPLIER * sigma, fitted_on=len(values)
@@ -90,11 +90,9 @@ def cycle_mean(values: np.ndarray, cycle_of: np.ndarray) -> tuple[np.ndarray, np
     cyc = np.asarray(cycle_of, dtype=np.int64)
     if values.ndim != 2 or cyc.shape != (values.shape[0],):
         raise ShapeMismatch("one cycle id per value row required")
-    boundaries = np.flatnonzero(np.diff(cyc)) + 1
-    starts = np.concatenate([[0], boundaries])
+    starts, stops = cycle_bounds(cyc)
     sums = np.add.reduceat(values, starts, axis=0)
-    counts = np.diff(np.concatenate([starts, [len(cyc)]]))
-    return cyc[starts], sums / counts[:, None]
+    return cyc[starts], sums / (stops - starts)[:, None]
 
 
 def cycle_average(hi: HiSeries) -> CycleAverages:
@@ -120,17 +118,13 @@ class DetectOutcome:
     qualifying: np.ndarray | None
 
 
-def detect(
-    cycle_hi: np.ndarray | CycleAverages,
-    stats: HealthyStats,
-    n_wait: int,
-) -> DetectOutcome:
-    """Scan cycle-averaged indicators for a persistent threshold exceedance.
+def detect(values: np.ndarray, stats: HealthyStats, n_wait: int) -> DetectOutcome:
+    """Scan cycle-averaged indicators (one row per cycle) for a persistent exceedance.
 
     The alarm is raised at the first cycle where some single channel has
     exceeded its threshold for ``n_wait`` consecutive cycles ending there.
     """
-    values = cycle_hi.values if isinstance(cycle_hi, CycleAverages) else np.asarray(cycle_hi)
+    values = np.asarray(values)
     if n_wait < 1:
         raise ValueError("n_wait must be >= 1")
     if values.ndim != 2 or values.shape[1] != stats.n_channels:
@@ -178,7 +172,7 @@ def build_report(
     ground_truth_known: bool = True,
 ) -> DetectionReport:
     """Run detection on one unit and map the outcome to cycle labels."""
-    outcome = detect(cycle_hi, stats, n_wait)
+    outcome = detect(cycle_hi.values, stats, n_wait)
     if outcome.alarm_index is None:
         alarm_cycle = None
         triggered: tuple[str, ...] = ()

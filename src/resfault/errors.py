@@ -61,6 +61,10 @@ class NonNumericCell(DataError):
     pass
 
 
+class RaggedRow(DataError):
+    pass
+
+
 class EmptyFile(DataError):
     pass
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detector, health, models, nn, segmentation
-from .config import CRUISE_FIRST, RunConfig, STATS_ON_TRAIN_VALIDATION
+from .config import CRUISE_FIRST, RunConfig, STATS_ON_TRAIN_VALIDATION, derive_seed
 from .data_model import FleetSplit, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
-from .errors import CycleOutOfRange, EmptyFleet
+from .errors import CycleOutOfRange, EmptyFleet, InsufficientData
 from .health import AGGREGATED, SENSORWISE, HiSeries
 from .models import AE_KIND, OC_KIND, ResidualModel
 from .persist import TruthRecord
@@ -31,12 +31,6 @@ from .synth import DEFAULT_FAMILIES, SynthConfig
 
 HI_KINDS = (AGGREGATED, SENSORWISE)
 MODEL_KINDS = (AE_KIND, OC_KIND)
-
-
-def derive_seed(master_seed: int, *keys: int) -> int:
-    """Stable child seed for a labeled purpose (realisation index etc.)."""
-    seq = np.random.SeedSequence([master_seed, *keys])
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
 # purpose tags for derive_seed
@@ -439,72 +433,56 @@ def build_segmentation(
     Snapshots, the principal-component projection, the silhouette curve,
     and per-unit trigger timelines all use sensor-wise indicators from
     the given model; for autoencoders the bottleneck embedding is also
-    projected for comparison.
+    projected for comparison. Fewer than three units with a signature
+    raise InsufficientData.
     """
     offset = cfg.segmentation.snapshot_offset
     normalize = cfg.segmentation.normalization
 
-    detection_reports: list[DetectionReport] = []
+    alarms: list[tuple[str, int]] = []
     cycle_avgs: list[CycleAverages] = []
     labels: list[str] = []
-    by_id = {unit.unit_id: unit for unit in units}
-    for unit in units:
-        if unit.unit_id not in reports:
-            continue
-        alarm_cycle, label = reports[unit.unit_id]
-        hi = unit_hi(model, unit, unit_residuals(model, unit), SENSORWISE)
-        avg = detector.cycle_average(hi)
-        cycle_avgs.append(avg)
-        labels.append(label or unit.dataset_id)
-        detection_reports.append(
-            DetectionReport(
-                unit_id=unit.unit_id,
-                dataset_id=unit.dataset_id,
-                alarm_cycle=alarm_cycle,
-                n_true=None,
-                delay=None,
-                triggered_first=(),
-                ground_truth_known=False,
-            )
-        )
-
     signatures = []
     timelines: dict[str, dict[str, int | str]] = {}
     embeddings = []
     embedding_unit_ids = []
-    for report, avg, label in zip(detection_reports, cycle_avgs, labels):
-        if report.alarm_cycle is None:
+    for unit in units:
+        alarm_cycle, label = reports.get(unit.unit_id, (None, ""))
+        if alarm_cycle is None:
             continue
-        timelines[report.unit_id] = segmentation.trigger_timeline(
-            report, stats, avg, checkpoints=cfg.segmentation.timeline_checkpoints
+        label = label or unit.dataset_id
+        hi = unit_hi(model, unit, unit_residuals(model, unit), SENSORWISE)
+        avg = detector.cycle_average(hi)
+        alarms.append((unit.unit_id, alarm_cycle))
+        cycle_avgs.append(avg)
+        labels.append(label)
+        timelines[unit.unit_id] = segmentation.trigger_timeline(
+            unit.unit_id, alarm_cycle, stats, avg, cfg.segmentation.timeline_checkpoints
         )
         try:
             signatures.append(
-                segmentation.snapshot(
-                    report, avg, k=offset, fault_label=label, normalize=normalize
-                )
+                segmentation.snapshot(unit.unit_id, alarm_cycle, avg, offset, normalize, label)
             )
         except CycleOutOfRange:
             continue
         if model.kind == AE_KIND:
-            unit = by_id[report.unit_id]
             emb = model.embed(apply_standardizer(model.standardizer, unit.z()))
-            cycle_ids, emb_means = detector.cycle_mean(emb, unit.cycle_of)
-            emb_avg = CycleAverages(cycle_ids=cycle_ids, values=emb_means)
+            emb_avg = CycleAverages(*detector.cycle_mean(emb, unit.cycle_of))
             embeddings.append(
                 segmentation.snapshot(
-                    report,
-                    emb_avg,
-                    k=offset,
-                    fault_label=label,
-                    normalize=segmentation.NORMALIZE_NONE,
+                    unit.unit_id, alarm_cycle, emb_avg, offset, segmentation.NORMALIZE_NONE
                 ).vector
             )
-            embedding_unit_ids.append(report.unit_id)
+            embedding_unit_ids.append(unit.unit_id)
 
-    pca = segmentation.pca_2d(signatures)
+    if len(signatures) < 3:
+        raise InsufficientData(
+            f"segmentation needs >= 3 units with a signature {offset} cycles after "
+            f"their alarm, got {len(signatures)}"
+        )
+    pca = segmentation.pca_2d(np.array([s.vector for s in signatures]))
     curve = segmentation.silhouette_curve(
-        detection_reports,
+        alarms,
         cycle_avgs,
         labels,
         k_range=range(0, cfg.segmentation.k_max + 1),

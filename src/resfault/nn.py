@@ -73,18 +73,12 @@ def default_activations(n_layers: int) -> tuple[str, ...]:
     return tuple([RELU] * (n_layers - 1) + [LINEAR])
 
 
-def init_weights(
-    layer_dims: tuple[int, ...] | list[int],
-    seed: int,
-    activations: tuple[str, ...] | None = None,
-) -> DenseNet:
-    """Seeded uniform init scaled by 1/sqrt(fan_in); biases start at zero."""
+def init_weights(layer_dims: tuple[int, ...] | list[int], seed: int) -> DenseNet:
+    """Seeded uniform init scaled by 1/sqrt(fan_in), zero biases, default_activations."""
     dims = tuple(int(d) for d in layer_dims)
     if any(d < 1 for d in dims):
         raise ValueError("all layer dims must be >= 1")
     n_layers = len(dims) - 1
-    if activations is None:
-        activations = default_activations(n_layers)
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -92,7 +86,7 @@ def init_weights(
         bound = 1.0 / np.sqrt(dims[l])
         weights.append(rng.uniform(-bound, bound, size=(dims[l + 1], dims[l])))
         biases.append(np.zeros(dims[l + 1]))
-    return DenseNet(dims, weights, biases, tuple(activations))
+    return DenseNet(dims, weights, biases, default_activations(n_layers))
 
 
 def _activate(z: np.ndarray, tag: str) -> np.ndarray:
@@ -101,22 +95,19 @@ def _activate(z: np.ndarray, tag: str) -> np.ndarray:
     return z
 
 
-def _as_batch(arr: np.ndarray, width: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(arr: np.ndarray, width: int, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != width:
-        raise ShapeMismatch(f"{what} must have width {width}, got shape {arr.shape}")
-    return arr, single
+        raise ShapeMismatch(f"{what} must be a batch of width {width}, got shape {arr.shape}")
+    return arr
 
 
 def forward(net: DenseNet, inp: np.ndarray) -> np.ndarray:
-    """Affine + activation composition; accepts a single row or a batch."""
-    a, single = _as_batch(inp, net.layer_dims[0], "input")
+    """Affine + activation composition over a 2-D batch of rows."""
+    a = _as_batch(inp, net.layer_dims[0], "input")
     for w, b, tag in zip(net.weights, net.biases, net.activations):
         a = _activate(a @ w.T + b, tag)
-    return a[0] if single else a
+    return a
 
 
 def forward_activations(net: DenseNet, inp: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -125,7 +116,7 @@ def forward_activations(net: DenseNet, inp: np.ndarray) -> tuple[list[np.ndarray
     Returns (pre_acts, acts) where acts[0] is the input batch and
     acts[l+1] = activate(pre_acts[l]).
     """
-    a, _ = _as_batch(inp, net.layer_dims[0], "input")
+    a = _as_batch(inp, net.layer_dims[0], "input")
     pre_acts: list[np.ndarray] = []
     acts: list[np.ndarray] = [a]
     for w, b, tag in zip(net.weights, net.biases, net.activations):
@@ -136,14 +127,13 @@ def forward_activations(net: DenseNet, inp: np.ndarray) -> tuple[list[np.ndarray
 
 
 def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean over the batch of squared Euclidean residual norms."""
+    """Mean over a 2-D batch of squared Euclidean residual norms."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeMismatch(f"pred shape {pred.shape} != target shape {target.shape}")
-    if pred.ndim == 1:
-        pred = pred[None, :]
-        target = target[None, :]
+    if pred.shape != target.shape or pred.ndim != 2:
+        raise ShapeMismatch(
+            f"pred and target must be 2-D batches of one shape: {pred.shape}, {target.shape}"
+        )
     diff = pred - target
     return float(np.sum(diff * diff) / diff.shape[0])
 
@@ -171,7 +161,7 @@ def backward(net: DenseNet, inp: np.ndarray, target: np.ndarray) -> Gradients:
 
     One forward pass gives both the gradients and the loss they belong to.
     """
-    target, _ = _as_batch(target, net.layer_dims[-1], "target")
+    target = _as_batch(target, net.layer_dims[-1], "target")
     pre_acts, acts = forward_activations(net, inp)
     if acts[-1].shape != target.shape:
         raise ShapeMismatch("input and target batch sizes differ")
@@ -196,66 +186,46 @@ def backward(net: DenseNet, inp: np.ndarray, target: np.ndarray) -> Gradients:
 class AdamState:
     """Adam optimizer state: hyperparameters, step count, and moments."""
 
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     beta1: float
     beta2: float
     lr: float
-    eps: float = ADAM_EPS
     step_count: int = 0
 
     @classmethod
-    def init(
-        cls,
-        params: list[np.ndarray],
-        beta1: float,
-        beta2: float,
-        lr: float,
-        eps: float = ADAM_EPS,
-    ) -> "AdamState":
-        return cls(
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
-            beta1=beta1,
-            beta2=beta2,
-            lr=lr,
-            eps=eps,
-            step_count=0,
-        )
+    def init(cls, param: np.ndarray, beta1: float, beta2: float, lr: float) -> "AdamState":
+        return cls(np.zeros_like(param), np.zeros_like(param), beta1, beta2, lr)
 
 
 def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update over a parameter list, in place.
+    param: np.ndarray, grad: np.ndarray, state: AdamState
+) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update of a parameter array, in place.
 
-    The parameter arrays, the moments and the step count of ``state`` are
-    updated in place; the same list and state are returned. Each element
+    The parameter array, the moments and the step count of ``state`` are
+    updated in place; the same array and state are returned. Each element
     goes through the operations of ``m = beta1*m + (1-beta1)*g``,
     ``v = beta2*v + (1-beta2)*(g*g)`` and
     ``p = p - lr*m_hat/(sqrt(v_hat)+eps)`` in that order, so the results
     are bit-identical to those expressions.
     """
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ShapeMismatch("params, grads, and state must have matching structure")
-    # check every shape before the first in-place write
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"param shape {p.shape} != grad shape {g.shape}")
+    if not param.shape == grad.shape == state.first_moment.shape:
+        raise ShapeMismatch(f"param {param.shape}, grad {grad.shape} and state shapes differ")
     t = state.step_count + 1
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        step = state.lr * (m / (1.0 - state.beta1**t))
-        v_hat = v / (1.0 - state.beta2**t)
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += state.eps
-        step /= v_hat
-        p -= step
+    m, v = state.first_moment, state.second_moment
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grad * grad)
+    step = state.lr * (m / (1.0 - state.beta1**t))
+    v_hat = v / (1.0 - state.beta2**t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += ADAM_EPS
+    step /= v_hat
+    param -= step
     state.step_count = t
-    return params, state
+    return param, state
 
 
 @dataclass
@@ -307,9 +277,8 @@ def train(
     rng = np.random.default_rng(seed)
     flat = np.concatenate([p.ravel() for p in net.params()])
     live = _net_over(net, flat)
-    params = [flat]
     state = AdamState.init(
-        params, beta1=settings.beta1, beta2=settings.beta2, lr=settings.learning_rate
+        flat, beta1=settings.beta1, beta2=settings.beta2, lr=settings.learning_rate
     )
     n = x_train.shape[0]
 
@@ -331,7 +300,7 @@ def train(
                 batch = order[start : start + settings.batch_size]
                 grads = backward(live, x_train[batch], y_train[batch])
                 running += grads.loss * len(batch)
-                adam_step(params, [np.concatenate([g.ravel() for g in grads.params()])], state)
+                adam_step(flat, np.concatenate([g.ravel() for g in grads.params()]), state)
             train_loss = running / n
             val_loss = loss_mse(forward(live, x_val), y_val)
             if not (np.isfinite(train_loss) and np.isfinite(val_loss)):

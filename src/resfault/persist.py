@@ -21,6 +21,7 @@ from .errors import (
     EmptyFile,
     MissingColumn,
     NonNumericCell,
+    RaggedRow,
     VersionMismatch,
 )
 from .models import ResidualModel
@@ -37,6 +38,14 @@ FLEET_COLUMNS = (UNIT_COLUMN, CYCLE_COLUMN) + DEFAULT_W_CHANNELS + DEFAULT_X_CHA
 
 def format_float(v: float) -> str:
     return repr(float(v))
+
+
+def write_table(path: str | Path, header, rows) -> None:
+    """Write a CSV table: the header row, then every row of ``rows``."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_csv(path: str | Path) -> list[UnitSeries]:
@@ -56,6 +65,9 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
         rows = list(reader)
     if not rows:
         raise EmptyFile(f"{path} has a header but no data rows")
+    if set(map(len, rows)) != {len(header)}:
+        line, row = next((i, r) for i, r in enumerate(rows, 2) if len(r) != len(header))
+        raise RaggedRow(f"{path}: line {line} has {len(row)} cells, the header has {len(header)}")
 
     col_index: dict[str, int] = {}
     for name in FLEET_COLUMNS:
@@ -144,19 +156,19 @@ class TruthRecord:
 
 def save_ground_truth(truths, path: str | Path) -> None:
     """Write the ground-truth sidecar (empty fault cycle = healthy unit)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "family", "fault_cycle", "faulty_sensors"])
-        for t in truths:
-            writer.writerow(
-                [
-                    t.unit_id,
-                    t.family,
-                    "" if t.fault_cycle is None else int(t.fault_cycle),
-                    ";".join(t.fault_sensors),
-                ]
-            )
+    write_table(
+        path,
+        ["unit", "family", "fault_cycle", "faulty_sensors"],
+        (
+            [
+                t.unit_id,
+                t.family,
+                "" if t.fault_cycle is None else int(t.fault_cycle),
+                ";".join(t.fault_sensors),
+            ]
+            for t in truths
+        ),
+    )
 
 
 def _int_cell(path: Path, line: int, row: dict, column: str) -> int | None:
@@ -210,23 +222,24 @@ REPORT_COLUMNS = (
 
 def save_reports(reports, model_kind: str, hi_kind: str, path: str | Path) -> None:
     """Write per-unit detection rows; empty cells mean None."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in reports:
-            writer.writerow(
-                [
-                    model_kind,
-                    hi_kind,
-                    r.unit_id,
-                    r.dataset_id,
-                    "" if r.n_true is None else int(r.n_true),
-                    "" if r.alarm_cycle is None else int(r.alarm_cycle),
-                    "" if r.delay is None else int(r.delay),
-                    ";".join(r.triggered_first),
-                    int(r.ground_truth_known),
-                ]
-            )
+    write_table(
+        path,
+        REPORT_COLUMNS,
+        (
+            [
+                model_kind,
+                hi_kind,
+                r.unit_id,
+                r.dataset_id,
+                "" if r.n_true is None else int(r.n_true),
+                "" if r.alarm_cycle is None else int(r.alarm_cycle),
+                "" if r.delay is None else int(r.delay),
+                ";".join(r.triggered_first),
+                int(r.ground_truth_known),
+            ]
+            for r in reports
+        ),
+    )
 
 
 def load_reports(path: str | Path):
@@ -269,26 +282,28 @@ def load_reports(path: str | Path):
 
 def save_stats(stats, channel_names, path: str | Path) -> None:
     """Healthy statistics sidecar: one row per indicator channel."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "mu", "sigma", "tau", "fitted_on"])
-        for name, mu, sigma, tau in zip(channel_names, stats.mu, stats.sigma, stats.tau):
-            writer.writerow(
-                [name, format_float(mu), format_float(sigma), format_float(tau), stats.fitted_on]
-            )
+    write_table(
+        path,
+        ["channel", "mu", "sigma", "tau", "fitted_on"],
+        (
+            [name, format_float(mu), format_float(sigma), format_float(tau), stats.fitted_on]
+            for name, mu, sigma, tau in zip(channel_names, stats.mu, stats.sigma, stats.tau)
+        ),
+    )
 
 
 def save_cycle_hi_csv(cycle_averages: dict, path: str | Path) -> None:
     """Cycle-averaged indicators for plotting: unit, cycle, channel, value."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "cycle", "channel", "value"])
-        for unit_id, avg in cycle_averages.items():
-            for i, cyc in enumerate(avg.cycle_ids):
-                for name, value in zip(avg.channel_names, avg.values[i]):
-                    writer.writerow([unit_id, int(cyc), name, format_float(value)])
+    write_table(
+        path,
+        ["unit", "cycle", "channel", "value"],
+        (
+            [unit_id, int(cyc), name, format_float(value)]
+            for unit_id, avg in cycle_averages.items()
+            for cyc, row in zip(avg.cycle_ids, avg.values)
+            for name, value in zip(avg.channel_names, row)
+        ),
+    )
 
 
 def stats_to_blob(stats, channel_names) -> dict:

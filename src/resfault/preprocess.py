@@ -12,12 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import UnitSeries, cycles
+from .data_model import UnitSeries, cycle_bounds
 from .errors import InsufficientData, NonPositiveAltitude, ShapeMismatch
 
 logger = logging.getLogger(__name__)
 
 STD_EPSILON = 1e-8
+# column of ``UnitSeries.w`` that holds the altitude
+ALTITUDE_CHANNEL = 0
 
 
 @dataclass(frozen=True)
@@ -64,24 +66,20 @@ def column_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def fit_standardizer(train_rows: np.ndarray, epsilon: float = STD_EPSILON) -> Standardizer:
+def fit_standardizer(train_rows: np.ndarray) -> Standardizer:
     """Per-column mean and population (1/N) standard deviation (column_stats)."""
     mean, std = column_stats(train_rows)
-    return Standardizer(mean=mean, std=std, epsilon=epsilon)
+    return Standardizer(mean=mean, std=std)
 
 
 def apply_standardizer(std: Standardizer, rows: np.ndarray) -> np.ndarray:
-    """(rows - mean) / max(std, epsilon), column-wise."""
+    """(rows - mean) / max(std, epsilon), column-wise, over a 2-D batch of rows."""
     rows = np.asarray(rows, dtype=np.float64)
-    single = rows.ndim == 1
-    if single:
-        rows = rows[None, :]
-    if rows.shape[1] != std.n_channels:
+    if rows.ndim != 2 or rows.shape[1] != std.n_channels:
         raise ShapeMismatch(
-            f"standardizer fitted on {std.n_channels} channels, data has {rows.shape[1]}"
+            f"standardizer fitted on {std.n_channels} channels, data has shape {rows.shape}"
         )
-    out = (rows - std.mean) / np.maximum(std.std, std.epsilon)
-    return out[0] if single else out
+    return (rows - std.mean) / np.maximum(std.std, std.epsilon)
 
 
 def downsample(series: UnitSeries, factor: int) -> UnitSeries:
@@ -94,39 +92,36 @@ def downsample(series: UnitSeries, factor: int) -> UnitSeries:
         raise ValueError("downsample factor must be >= 1")
     if factor == 1:
         return series
+    starts, stops = cycle_bounds(series.cycle_of)
     keep = np.concatenate(
-        [np.arange(v.start, v.stop, factor, dtype=np.int64) for v in cycles(series)]
+        [np.arange(a, b, factor, dtype=np.int64) for a, b in zip(starts, stops)]
     )
     return series.take_rows(keep)
 
 
-def cruise_filter(
-    series: UnitSeries,
-    threshold: float,
-    altitude_channel: int = 0,
-) -> UnitSeries:
+def cruise_filter(series: UnitSeries, threshold: float) -> UnitSeries:
     """Keep the rows of each cycle whose normalized altitude exceeds the threshold.
 
     Altitude is normalized per cycle by that cycle's maximum, so the
     comparison is altitude / max_altitude > threshold. Cycles whose rows
     are all filtered away are dropped and reported via a warning.
     """
-    alt = series.w[:, altitude_channel]
+    alt = series.w[:, ALTITUDE_CHANNEL]
     keep_blocks = []
     dropped = []
-    for view in cycles(series):
-        cyc_alt = alt[view.start : view.stop]
+    for start, stop in zip(*cycle_bounds(series.cycle_of)):
+        cyc_alt = alt[start:stop]
         top = cyc_alt.max()
         if top <= 0:
             raise NonPositiveAltitude(
-                f"unit {series.unit_id!r} cycle {view.cycle_index}: "
+                f"unit {series.unit_id!r} cycle {series.cycle_of[start]}: "
                 f"max altitude {top} is not positive"
             )
         mask = cyc_alt / top > threshold
         if not mask.any():
-            dropped.append(view.cycle_index)
+            dropped.append(int(series.cycle_of[start]))
             continue
-        keep_blocks.append(np.flatnonzero(mask) + view.start)
+        keep_blocks.append(np.flatnonzero(mask) + start)
     if dropped:
         logger.warning(
             "unit %s: dropped %d cycle(s) with no cruise rows: %s",

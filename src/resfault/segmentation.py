@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import CycleAverages, DetectionReport, HealthyStats
+from .detector import CycleAverages, HealthyStats
 from .errors import CycleOutOfRange, InsufficientData, NoAlarm, ShapeMismatch, SingleCluster
 
 NORMALIZE_MAX = "max"
@@ -47,8 +47,23 @@ def _normalize_row(row: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
+def _alarm_position(unit_id: str, alarm_cycle: int | None, cycle_hi: CycleAverages) -> int:
+    """Row of the alarm cycle in a unit's cycle averages.
+
+    Raises NoAlarm when the unit never alarmed and CycleOutOfRange when
+    its cycle averages do not hold the alarm cycle.
+    """
+    if alarm_cycle is None:
+        raise NoAlarm(f"unit {unit_id!r} has no alarm cycle")
+    positions = np.flatnonzero(cycle_hi.cycle_ids == alarm_cycle)
+    if len(positions) == 0:
+        raise CycleOutOfRange(f"alarm cycle {alarm_cycle} not present for unit {unit_id!r}")
+    return int(positions[0])
+
+
 def snapshot(
-    report: DetectionReport,
+    unit_id: str,
+    alarm_cycle: int | None,
     cycle_hi: CycleAverages,
     k: int,
     normalize: str,
@@ -60,20 +75,11 @@ def snapshot(
     Raises NoAlarm when the unit never alarmed and CycleOutOfRange when
     the series ends before the snapshot cycle.
     """
-    if report.alarm_cycle is None:
-        raise NoAlarm(f"unit {report.unit_id!r} has no alarm cycle")
-    positions = np.flatnonzero(cycle_hi.cycle_ids == report.alarm_cycle)
-    if len(positions) == 0:
-        raise CycleOutOfRange(
-            f"alarm cycle {report.alarm_cycle} not present for unit {report.unit_id!r}"
-        )
-    idx = int(positions[0]) + k
+    idx = _alarm_position(unit_id, alarm_cycle, cycle_hi) + k
     if idx < 0 or idx >= cycle_hi.n_cycles:
-        raise CycleOutOfRange(
-            f"unit {report.unit_id!r} ends before {k} cycles past the alarm"
-        )
+        raise CycleOutOfRange(f"unit {unit_id!r} ends before {k} cycles past the alarm")
     return UnitSignature(
-        unit_id=report.unit_id,
+        unit_id=unit_id,
         fault_label=fault_label,
         vector=_normalize_row(cycle_hi.values[idx], normalize),
     )
@@ -88,17 +94,14 @@ class PcaResult:
     explained_variance: np.ndarray
 
 
-def pca_2d(signatures: list[UnitSignature] | np.ndarray) -> PcaResult:
-    """Project onto the top two principal components.
+def pca_2d(matrix: np.ndarray) -> PcaResult:
+    """Project the rows of an n x d matrix onto the top two principal components.
 
     Components are unit-norm eigenvectors of the mean-centered covariance,
     ordered by descending eigenvalue, with each component's sign fixed so
     its largest-magnitude entry is positive.
     """
-    if isinstance(signatures, np.ndarray):
-        matrix = np.asarray(signatures, dtype=np.float64)
-    else:
-        matrix = np.array([s.vector for s in signatures], dtype=np.float64)
+    matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ShapeMismatch("expected an n x d signature matrix")
     n, d = matrix.shape
@@ -162,7 +165,7 @@ class SilhouettePoint:
 
 
 def silhouette_curve(
-    reports: list[DetectionReport],
+    alarms: list[tuple[str, int | None]],
     cycle_his: list[CycleAverages],
     fault_labels: list[str],
     k_range: range | list[int],
@@ -170,23 +173,24 @@ def silhouette_curve(
 ) -> list[SilhouettePoint]:
     """Silhouette of snapshot signatures versus cycles after detection.
 
+    ``alarms`` holds one (unit id, alarm cycle or None) pair per unit.
     Units with no alarm are skipped entirely; units whose series end
     before a given offset are dropped at that offset. A score of NaN is
     recorded where fewer than two fault families survive the attrition.
     """
     alarmed = [
-        (r, hi, lab)
-        for r, hi, lab in zip(reports, cycle_his, fault_labels)
-        if r.alarm_cycle is not None
+        (alarm, hi, lab)
+        for alarm, hi, lab in zip(alarms, cycle_his, fault_labels)
+        if alarm[1] is not None
     ]
     if len({lab for _, _, lab in alarmed}) < 2:
         raise SingleCluster("need alarms from >= 2 fault families")
     curve = []
     for k in k_range:
         sigs = []
-        for report, hi, label in alarmed:
+        for (unit_id, alarm_cycle), hi, label in alarmed:
             try:
-                sigs.append(snapshot(report, hi, k=k, fault_label=label, normalize=normalize))
+                sigs.append(snapshot(unit_id, alarm_cycle, hi, k, normalize, label))
             except CycleOutOfRange:
                 continue
         labels = [s.fault_label for s in sigs]
@@ -199,7 +203,8 @@ def silhouette_curve(
 
 
 def trigger_timeline(
-    report: DetectionReport,
+    unit_id: str,
+    alarm_cycle: int | None,
     stats: HealthyStats,
     cycle_hi: CycleAverages,
     checkpoints: tuple[int, ...],
@@ -210,16 +215,9 @@ def trigger_timeline(
     waiting window). Channels that never exceed by the last reachable
     checkpoint are labeled "No".
     """
-    if report.alarm_cycle is None:
-        raise NoAlarm(f"unit {report.unit_id!r} has no alarm cycle")
+    base = _alarm_position(unit_id, alarm_cycle, cycle_hi)
     if cycle_hi.n_channels != stats.n_channels:
         raise ShapeMismatch("cycle matrix and stats channel counts differ")
-    positions = np.flatnonzero(cycle_hi.cycle_ids == report.alarm_cycle)
-    if len(positions) == 0:
-        raise CycleOutOfRange(
-            f"alarm cycle {report.alarm_cycle} not present for unit {report.unit_id!r}"
-        )
-    base = int(positions[0])
     names = cycle_hi.channel_names
     timeline: dict[str, int | str] = {name: NEVER_TRIGGERED for name in names}
     for c in sorted(checkpoints):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import derive_seed
 from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, UnitSeries
 from .errors import ConfigInvalid
 
@@ -244,11 +245,6 @@ def build_sensor_map(seed: int) -> SensorMap:
     )
 
 
-def derive_unit_seed(master_seed: int, family_index: int, unit_index: int) -> int:
-    seq = np.random.SeedSequence([master_seed, family_index, unit_index])
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
 def gen_unit(
     cfg: SynthConfig,
     family: FamilyFault,
@@ -316,6 +312,6 @@ def gen_fleet(cfg: SynthConfig) -> list[tuple[UnitSeries, GroundTruth]]:
     for f_idx, family in enumerate(cfg.families):
         for u_idx in range(cfg.n_units):
             unit_id = f"{cfg.unit_prefix}{family.name}-u{u_idx + 1:02d}"
-            seed = derive_unit_seed(cfg.seed, f_idx, u_idx)
+            seed = derive_seed(cfg.seed, f_idx, u_idx)
             fleet.append(gen_unit(cfg, family, seed, unit_id=unit_id))
     return fleet

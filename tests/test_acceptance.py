@@ -78,11 +78,11 @@ def test_criterion_02_adam_two_step_trace():
         v = beta2 * v + (1 - beta2) * 1.0
         theta -= lr * (m / (1 - beta1**t)) / (math.sqrt(v / (1 - beta2**t)) + eps)
 
-    params = [np.array([0.5])]
-    state = nn.AdamState.init(params, beta1=beta1, beta2=beta2, lr=lr)
+    param = np.array([0.5])
+    state = nn.AdamState.init(param, beta1=beta1, beta2=beta2, lr=lr)
     for _ in range(2):
-        params, state = nn.adam_step(params, [np.array([1.0])], state)
-    assert abs(params[0][0] - theta) <= 1e-12
+        param, state = nn.adam_step(param, np.array([1.0]), state)
+    assert abs(param[0] - theta) <= 1e-12
     ok(2, f"two-step trace matches hand computation to 1e-12 (theta={theta:.12f})")
 
 
@@ -289,8 +289,9 @@ def end_to_end():
         det = detections[(kind, SENSORWISE)]
         avgs = [det.cycle_averages[r.unit_id] for r in det.reports]
         labels = [truths[r.unit_id].family for r in det.reports]
+        alarms = [(r.unit_id, r.alarm_cycle) for r in det.reports]
         curve = silhouette_curve(
-            det.reports, avgs, labels, k_range=[10], normalize=cfg.segmentation.normalization
+            alarms, avgs, labels, k_range=[10], normalize=cfg.segmentation.normalization
         )
         silhouettes[kind] = curve[0].score
 

@@ -438,6 +438,69 @@ class TestSegment:
         assert code == 4
 
 
+    @pytest.mark.parametrize("n_alarmed", [0, 2])
+    def test_fewer_than_three_signatures_is_data_error(
+        self, workspace, tmp_path, capsys, n_alarmed
+    ):
+        reports = tmp_path / "reports.csv"
+        assert main(
+            ["detect", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--checkpoint", str(workspace["oc"]), "--hi", "sensorwise", "--out", str(reports)]
+        ) == 0
+        rows = read_rows(reports)
+        few = tmp_path / "few.csv"
+        kept = [
+            fabricate_report(
+                r["unit"],
+                r["dataset"],
+                int(r["alarm_cycle"]) if i < n_alarmed else None,
+                int(r["fault_cycle"]),
+            )
+            for i, r in enumerate(rows)
+        ]
+        save_reports(kept, "OC", "sensorwise", few)
+        capsys.readouterr()
+        code = main(
+            ["segment", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--checkpoint", str(workspace["oc"]), "--reports", str(few),
+             "--out", str(tmp_path / "seg")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"got {n_alarmed}" in err and "10 cycles after" in err
+
+
+class TestMalformedFleet:
+    """A fleet row whose cell count differs from the header's is a data error."""
+
+    @pytest.mark.parametrize("damage", ["trailing_blank_line", "short_row", "extra_cell"])
+    def test_ragged_row_exits_3_without_traceback(self, workspace, tmp_path, damage):
+        lines = (workspace["data"] / "fleet.csv").read_text().splitlines()
+        n_cells = len(lines[0].split(","))
+        if damage == "trailing_blank_line":
+            lines.append("")
+            bad_line, bad_cells = len(lines), 0
+        elif damage == "short_row":
+            lines[4] = lines[4].rsplit(",", 1)[0]
+            bad_line, bad_cells = 5, n_cells - 1
+        else:
+            lines[4] = lines[4] + ",0.5"
+            bad_line, bad_cells = 5, n_cells + 1
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "fleet.csv").write_text("\n".join(lines) + "\n")
+        proc = run_fresh(
+            ["-m", "resfault", "train", "--config", str(workspace["config"]), "--data",
+             str(data), "--model", "oc", "--out", str(tmp_path / "oc.json")]
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: {data / 'fleet.csv'}: line {bad_line} has {bad_cells} cells, "
+            f"the header has {n_cells}"
+        ]
+
+
 class TestAeEmbedding:
     def test_embedding_projection_emitted_for_ae(self, workspace, tmp_path):
         cfg = workspace["config"]

@@ -87,7 +87,7 @@ class TestOverrides:
                               "patience": 2, "realisations": 1}}
             )
             assert cfg.training.learning_rate == lr
-            net = nn.init_weights((1, 1), seed=0, activations=(nn.LINEAR,))
+            net = nn.init_weights((1, 1), seed=0)
             result = nn.train(net, data, data, cfg.training, seed=0)
             nets[lr] = result.net.weights[0][0, 0]
         # a 10x learning rate must move the weight further in 2 epochs

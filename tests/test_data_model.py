@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resfault.config import SplitSettings
-from resfault.data_model import UnitSeries, cycles, split, stack_rows
+from resfault.data_model import UnitSeries, cycle_bounds, split, stack_rows
 from resfault.errors import ShapeMismatch, UnitTooShort
 from resfault.synth import FamilyFault, SynthConfig, gen_unit
 
@@ -35,22 +35,28 @@ class TestUnitSeries:
         np.testing.assert_array_equal(unit.z(), [[1, 2, 5], [3, 4, 6]])
 
 
+def cycle_views(unit):
+    """(cycle index, start, stop) per cycle block, from cycle_bounds."""
+    starts, stops = cycle_bounds(unit.cycle_of)
+    return [(unit.cycle_of[a], a, b) for a, b in zip(starts, stops)]
+
+
 class TestCycles:
     def test_two_cycle_segmentation(self):
-        views = cycles(make_unit([0, 0, 1, 1, 1]))
-        assert [(v.cycle_index, v.start, v.stop) for v in views] == [(0, 0, 2), (1, 2, 5)]
+        views = cycle_views(make_unit([0, 0, 1, 1, 1]))
+        assert views == [(0, 0, 2), (1, 2, 5)]
 
     def test_singleton(self):
-        views = cycles(make_unit([5]))
-        assert [(v.cycle_index, v.start, v.stop) for v in views] == [(5, 0, 1)]
+        views = cycle_views(make_unit([5]))
+        assert views == [(5, 0, 1)]
 
     def test_views_cover_all_rows_in_order(self):
         unit = make_unit([0, 0, 0, 2, 2, 7])
-        views = cycles(unit)
-        assert views[0].start == 0 and views[-1].stop == unit.n_rows
+        views = cycle_views(unit)
+        assert views[0][1] == 0 and views[-1][2] == unit.n_rows
         for a, b in zip(views, views[1:]):
-            assert a.stop == b.start
-            assert a.cycle_index < b.cycle_index
+            assert a[2] == b[1]
+            assert a[0] < b[0]
 
     def test_synth_unit_has_known_boundaries(self):
         cfg = SynthConfig(
@@ -62,9 +68,9 @@ class TestCycles:
             healthy_cycles_per_unit=1,
         )
         series, _ = gen_unit(cfg, cfg.families[0], unit_seed=3)
-        views = cycles(series)
-        assert len(views) == 3
-        assert all(v.n_rows == 100 for v in views)
+        starts, stops = cycle_bounds(series.cycle_of)
+        assert len(starts) == 3
+        assert all(stops - starts == 100)
 
 
 def fleet_of(n_units: int, n_cycles: int, rows_per_cycle: int = 5):

@@ -284,3 +284,43 @@ def test_cycle_mean_matches_per_cycle_mean(values, data):
         # np.mean may sum in another order; allow the rounding bound of a sum
         bound = 2 * len(block) * np.finfo(np.float64).eps * np.abs(block).mean(axis=0)
         assert np.all(np.abs(row - np.mean(block, axis=0)) <= bound)
+
+
+def alarm_rank(outcome) -> float:
+    """Alarm position, with no alarm ranked after every cycle."""
+    return np.inf if outcome.alarm_index is None else outcome.alarm_index
+
+
+cycle_matrices = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 12), st.integers(1, 4)),
+    elements=st.floats(0.0, 2.0),
+)
+
+
+@given(cycle_matrices, st.data())
+@settings(max_examples=100, deadline=None)
+def test_raising_any_tau_never_alarms_earlier(values, data):
+    n_channels = values.shape[1]
+    tau = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n_channels,
+                                      max_size=n_channels)))
+    channel = data.draw(st.integers(0, n_channels - 1))
+    raised = tau.copy()
+    raised[channel] += data.draw(st.floats(0.0, 2.0))
+    n_wait = data.draw(st.integers(1, 4))
+    before = detect(values, stats_for(tau), n_wait=n_wait)
+    after = detect(values, stats_for(raised), n_wait=n_wait)
+    assert alarm_rank(after) >= alarm_rank(before)
+
+
+@given(cycle_matrices, st.data())
+@settings(max_examples=100, deadline=None)
+def test_lowering_n_wait_never_alarms_later(values, data):
+    n_channels = values.shape[1]
+    stats = stats_for(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n_channels,
+                                         max_size=n_channels)))
+    n_wait = data.draw(st.integers(2, 5))
+    lower = data.draw(st.integers(1, n_wait - 1))
+    longer = detect(values, stats, n_wait=n_wait)
+    shorter = detect(values, stats, n_wait=lower)
+    assert alarm_rank(shorter) <= alarm_rank(longer)

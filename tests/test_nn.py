@@ -65,11 +65,12 @@ class TestForward:
         expected = h @ net.weights[1].T + net.biases[1]
         np.testing.assert_allclose(nn.forward(net, x), expected, atol=1e-12)
 
-    def test_single_row_round_trip(self, rng):
+    def test_single_row_must_be_a_batch(self, rng):
         net = random_net(rng, dims=(4, 2))
-        x = rng.normal(size=4)
-        batch = nn.forward(net, x[None, :])
-        np.testing.assert_array_equal(nn.forward(net, x), batch[0])
+        with pytest.raises(ShapeMismatch):
+            nn.forward(net, rng.normal(size=4))
+        with pytest.raises(ShapeMismatch):
+            nn.loss_mse(np.zeros(2), np.zeros(2))
 
     def test_width_mismatch(self, rng):
         net = random_net(rng, dims=(4, 2))
@@ -153,18 +154,18 @@ class TestFiniteDiff:
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         for g in (0.37, -12.0, 4e-3):
-            params = [np.array([1.0])]
-            state = nn.AdamState.init(params, beta1=0.9, beta2=0.999, lr=0.001)
-            out, _ = nn.adam_step(params, [np.array([g])], state)
-            delta = out[0][0] - 1.0
+            param = np.array([1.0])
+            state = nn.AdamState.init(param, beta1=0.9, beta2=0.999, lr=0.001)
+            out, _ = nn.adam_step(param, np.array([g]), state)
+            delta = out[0] - 1.0
             assert abs(delta - (-0.001 * math.copysign(1.0, g))) < 1e-6
 
     def test_zero_gradient_keeps_params(self):
-        params = [np.array([2.0, -1.0])]
-        state = nn.AdamState.init(params, beta1=0.9, beta2=0.999, lr=0.001)
+        param = np.array([2.0, -1.0])
+        state = nn.AdamState.init(param, beta1=0.9, beta2=0.999, lr=0.001)
         for _ in range(3):
-            params, state = nn.adam_step(params, [np.zeros(2)], state)
-        np.testing.assert_array_equal(params[0], [2.0, -1.0])
+            param, state = nn.adam_step(param, np.zeros(2), state)
+        np.testing.assert_array_equal(param, [2.0, -1.0])
 
     def test_two_step_hand_trace(self):
         # explicit arithmetic for two updates with g = 1
@@ -178,28 +179,27 @@ class TestAdam:
             v_hat = v / (1 - beta2**t)
             theta = theta - lr * m_hat / (math.sqrt(v_hat) + eps)
 
-        params = [np.array([0.5])]
-        state = nn.AdamState.init(params, beta1=0.9, beta2=0.999, lr=0.001)
+        param = np.array([0.5])
+        state = nn.AdamState.init(param, beta1=0.9, beta2=0.999, lr=0.001)
         for _ in range(2):
-            params, state = nn.adam_step(params, [np.array([1.0])], state)
+            param, state = nn.adam_step(param, np.array([1.0]), state)
         assert state.step_count == 2
-        np.testing.assert_allclose(params[0][0], theta, atol=1e-12)
+        np.testing.assert_allclose(param[0], theta, atol=1e-12)
 
     def test_updates_in_place(self):
-        params = [np.array([1.0, 2.0])]
-        state = nn.AdamState.init(params, beta1=0.9, beta2=0.999, lr=0.001)
-        buffer = params[0]
-        out, out_state = nn.adam_step(params, [np.array([0.5, -0.5])], state)
-        assert out is params and out[0] is buffer
+        buffer = np.array([1.0, 2.0])
+        state = nn.AdamState.init(buffer, beta1=0.9, beta2=0.999, lr=0.001)
+        out, out_state = nn.adam_step(buffer, np.array([0.5, -0.5]), state)
+        assert out is buffer
         assert out_state is state and state.step_count == 1
         g_scale = 1.0 - state.beta1
-        np.testing.assert_array_equal(state.first_moment[0], [g_scale * 0.5, g_scale * -0.5])
+        np.testing.assert_array_equal(state.first_moment, [g_scale * 0.5, g_scale * -0.5])
 
     def test_shape_mismatch(self):
-        params = [np.zeros(2)]
-        state = nn.AdamState.init(params, beta1=0.9, beta2=0.999, lr=0.001)
+        param = np.zeros(2)
+        state = nn.AdamState.init(param, beta1=0.9, beta2=0.999, lr=0.001)
         with pytest.raises(ShapeMismatch):
-            nn.adam_step(params, [np.zeros(3)], state)
+            nn.adam_step(param, np.zeros(3), state)
 
 
 class TestTrain:
@@ -209,7 +209,7 @@ class TestTrain:
 
     def test_learns_doubling_map(self, rng):
         x, y = self.linear_task(rng, n=8704)
-        net = nn.init_weights((1, 1), seed=3, activations=(nn.LINEAR,))
+        net = nn.init_weights((1, 1), seed=3)
         cfg = TrainingSettings(epochs=70, batch_size=64, patience=70)
         result = nn.train(net, (x[:8192], y[:8192]), (x[8192:], y[8192:]), cfg, seed=0)
         assert result.val_losses[result.best_epoch] < 1e-4

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resfault.data_model import DEFAULT_X_CHANNELS
-from resfault.detector import CycleAverages, DetectionReport, build_report, cycle_average, fit_stats
+from resfault.detector import CycleAverages, build_report, cycle_average, fit_stats
 from resfault.errors import CycleOutOfRange, InsufficientData, NoAlarm, SingleCluster
 from resfault.health import sensorwise_hi
 from resfault.segmentation import (
     NEVER_TRIGGERED,
     NORMALIZE_MAX,
-    UnitSignature,
     pca_2d,
     silhouette,
     silhouette_curve,
@@ -19,18 +18,6 @@ from resfault.segmentation import (
     trigger_timeline,
 )
 from resfault.synth import FamilyFault, SynthConfig, build_sensor_map, gen_unit
-
-
-def report_with_alarm(unit_id, alarm):
-    return DetectionReport(
-        unit_id=unit_id,
-        dataset_id="d",
-        alarm_cycle=alarm,
-        n_true=None,
-        delay=None,
-        triggered_first=(),
-        ground_truth_known=False,
-    )
 
 
 def averages(values, cycle_ids=None, names=None):
@@ -45,40 +32,34 @@ class TestSnapshot:
         values = np.zeros((12, 3))
         values[11] = [2.0, 4.0, 1.0]
         avg = averages(values)
-        report = report_with_alarm("u1", alarm=1)
-        sig = snapshot(report, avg, k=10, fault_label="fam", normalize=NORMALIZE_MAX)
+        sig = snapshot("u1", 1, avg, k=10, fault_label="fam", normalize=NORMALIZE_MAX)
         np.testing.assert_array_equal(sig.vector, [0.5, 1.0, 0.25])
         assert sig.fault_label == "fam"
 
     def test_all_equal_row_becomes_ones(self):
         values = np.full((5, 4), 3.3)
-        report = report_with_alarm("u1", alarm=0)
-        sig = snapshot(report, averages(values), k=4, normalize=NORMALIZE_MAX)
+        sig = snapshot("u1", 0, averages(values), k=4, normalize=NORMALIZE_MAX)
         np.testing.assert_array_equal(sig.vector, 1.0)
 
     def test_zero_row_stays_zero(self):
         values = np.zeros((3, 2))
-        report = report_with_alarm("u1", alarm=0)
-        sig = snapshot(report, averages(values), k=1, normalize=NORMALIZE_MAX)
+        sig = snapshot("u1", 0, averages(values), k=1, normalize=NORMALIZE_MAX)
         np.testing.assert_array_equal(sig.vector, 0.0)
 
     def test_no_alarm(self):
-        report = report_with_alarm("u1", alarm=None)
         with pytest.raises(NoAlarm):
-            snapshot(report, averages(np.ones((3, 2))), k=1, normalize=NORMALIZE_MAX)
+            snapshot("u1", None, averages(np.ones((3, 2))), k=1, normalize=NORMALIZE_MAX)
 
     def test_out_of_range(self):
-        report = report_with_alarm("u1", alarm=2)
         with pytest.raises(CycleOutOfRange):
-            snapshot(report, averages(np.ones((4, 2))), k=10, normalize=NORMALIZE_MAX)
+            snapshot("u1", 2, averages(np.ones((4, 2))), k=10, normalize=NORMALIZE_MAX)
 
     def test_offset_counts_positions_from_alarm_cycle(self):
         cycle_ids = np.array([7, 8, 9, 10])
         values = np.array([[1.0], [2.0], [6.0], [3.0]])
         # widen to 2 channels so max-normalization is visible
         values = np.hstack([values, values * 0.5])
-        report = report_with_alarm("u1", alarm=8)
-        sig = snapshot(report, averages(values, cycle_ids), k=1, normalize=NORMALIZE_MAX)
+        sig = snapshot("u1", 8, averages(values, cycle_ids), k=1, normalize=NORMALIZE_MAX)
         np.testing.assert_array_equal(sig.vector, [1.0, 0.5])
 
     def test_same_family_signatures_are_closer(self, rng):
@@ -87,8 +68,7 @@ class TestSnapshot:
             gen = np.random.default_rng(seed)
             values = np.abs(gen.normal(0.05, 0.01, size=(20, 6)))
             values[10:, channels] += np.linspace(0.5, 3.0, 10)[:, None]
-            report = report_with_alarm("u", alarm=9)
-            return snapshot(report, averages(values), k=10, normalize=NORMALIZE_MAX).vector
+            return snapshot("u", 9, averages(values), k=10, normalize=NORMALIZE_MAX).vector
 
         fam_a = [sig_for([0, 1], s) for s in range(3)]
         fam_b = [sig_for([3, 4], s + 10) for s in range(3)]
@@ -171,14 +151,6 @@ class TestPca2d:
         a = pca_2d(points)
         b = pca_2d(shifted)
         np.testing.assert_allclose(a.coords, b.coords, atol=1e-10)
-
-    def test_accepts_signatures(self, rng):
-        sigs = [
-            UnitSignature(unit_id=f"u{i}", fault_label="f", vector=rng.uniform(size=4))
-            for i in range(5)
-        ]
-        result = pca_2d(sigs)
-        assert result.coords.shape == (5, 2)
 
 
 def brute_silhouette(points, labels):
@@ -274,9 +246,7 @@ class TestSilhouetteCurve:
                 values = np.abs(gen.normal(0.05, 0.01, size=(length, 6)))
                 ramp = np.linspace(0.5, 4.0, max(length - alarm, 1))[:, None]
                 values[alarm:, chans] += ramp
-                reports.append(
-                    report_with_alarm(f"{fam}{u}", alarm)
-                )
+                reports.append((f"{fam}{u}", alarm))
                 avgs.append(averages(values))
                 labels.append(fam)
         return reports, avgs, labels
@@ -310,7 +280,7 @@ class TestSilhouetteCurve:
 
     def test_no_alarm_units_skipped(self):
         reports, avgs, labels = self.build_fleet()
-        reports[0] = report_with_alarm("A0", None)
+        reports[0] = ("A0", None)
         curve = silhouette_curve(reports, avgs, labels, k_range=[0], normalize=NORMALIZE_MAX)
         assert curve[0].n_units == 5
 
@@ -327,8 +297,7 @@ class TestTriggerTimeline:
         values[alarm + 25 :, 2] = 5.0
         avg = averages(values, names=("c0", "c1", "c2"))
         stats = fit_stats(np.array([[0.0, 0.0, 0.0], [0.4, 0.4, 0.4]]))
-        report = report_with_alarm("u1", alarm)
-        timeline = trigger_timeline(report, stats, avg, checkpoints=(10, 20, 30, 40))
+        timeline = trigger_timeline("u1", alarm, stats, avg, checkpoints=(10, 20, 30, 40))
         assert timeline["c0"] == 10
         assert timeline["c1"] == NEVER_TRIGGERED
         assert timeline["c2"] == 30
@@ -338,17 +307,15 @@ class TestTriggerTimeline:
         values[:, 0] = 5.0
         avg = averages(values, names=("c0", "c1"))
         stats = fit_stats(np.array([[0.0, 0.0], [0.4, 0.4]]))
-        report = report_with_alarm("u1", 15)
-        timeline = trigger_timeline(report, stats, avg, checkpoints=(10, 20, 30, 40))
+        timeline = trigger_timeline("u1", 15, stats, avg, checkpoints=(10, 20, 30, 40))
         # only the +10 checkpoint cycle falls outside... the series ends at
         # position 19 < 15+10, so nothing is reachable
         assert timeline["c0"] == NEVER_TRIGGERED
 
     def test_no_alarm_rejected(self):
-        report = report_with_alarm("u1", None)
         stats = fit_stats(np.ones((2, 3)))
         with pytest.raises(NoAlarm):
-            trigger_timeline(report, stats, averages(np.ones((5, 3))), checkpoints=(10, 20))
+            trigger_timeline("u1", None, stats, averages(np.ones((5, 3))), checkpoints=(10, 20))
 
     def test_staggered_onsets_from_generator(self):
         family = FamilyFault(
@@ -380,7 +347,9 @@ class TestTriggerTimeline:
         avg = cycle_average(hi)
         report = build_report("u1", "stag", avg, stats, n_wait=3, n_true=truth.fault_cycle)
         assert report.detected
-        timeline = trigger_timeline(report, stats, avg, checkpoints=(10, 20, 30, 40))
+        timeline = trigger_timeline(
+            report.unit_id, report.alarm_cycle, stats, avg, checkpoints=(10, 20, 30, 40)
+        )
         first = timeline["T24"]
         second = timeline["T30"]
         assert first != NEVER_TRIGGERED and second != NEVER_TRIGGERED
