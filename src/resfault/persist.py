@@ -7,7 +7,10 @@ shortest round-trip decimal formatting and parsed back as 64-bit floats.
 
 from __future__ import annotations
 
+import array
 import csv
+import io
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +37,9 @@ CHECKPOINT_FORMAT_VERSION = 1
 UNIT_COLUMN = "unit"
 CYCLE_COLUMN = "cycle"
 FLEET_COLUMNS = (UNIT_COLUMN, CYCLE_COLUMN) + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS
+# The columns of the table the fleet parsers return, next to the unit ids in
+# order of first appearance and each row's index into them.
+NUMERIC_COLUMNS = (CYCLE_COLUMN,) + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS
 
 
 def format_float(v: float) -> str:
@@ -54,67 +60,21 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     Rows are grouped by unit id (units ordered by first appearance) and
     stably sorted by cycle within each unit, preserving row order inside
     a cycle.
+
+    A well-formed file is parsed by ``np.loadtxt``; anything else (quotes,
+    ragged or blank lines, non-numeric or non-finite cells, no data) is
+    parsed again by the ``csv`` module, which names the offending line.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path} has no header row") from None
-        rows = list(reader)
-    if not rows:
-        raise EmptyFile(f"{path} has a header but no data rows")
-    if set(map(len, rows)) != {len(header)}:
-        line, row = next((i, r) for i, r in enumerate(rows, 2) if len(r) != len(header))
-        raise RaggedRow(f"{path}: line {line} has {len(row)} cells, the header has {len(header)}")
-
-    col_index: dict[str, int] = {}
-    for name in FLEET_COLUMNS:
-        if name not in header:
-            raise MissingColumn(f"{path} is missing required column {name!r}")
-        col_index[name] = header.index(name)
-
-    def numeric_column(name: str) -> np.ndarray:
-        idx = col_index[name]
-        raw = [row[idx] for row in rows]
-        try:
-            values = np.asarray(raw, dtype=np.float64)
-        except ValueError:
-            for line_no, tok in enumerate(raw, start=2):
-                try:
-                    float(tok)
-                except ValueError:
-                    raise NonNumericCell(
-                        f"{path}: non-numeric value {tok!r} in column {name!r}, line {line_no}"
-                    ) from None
-            raise
-        if not np.isfinite(values).all():
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise NonNumericCell(
-                f"{path}: non-finite value {raw[bad]!r} in column {name!r}, line {bad + 2}"
-            )
-        return values
-
-    unit_col = [row[col_index[UNIT_COLUMN]] for row in rows]
-    cycle_col = numeric_column(CYCLE_COLUMN)
-    if np.any(cycle_col != np.floor(cycle_col)):
-        raise NonNumericCell(f"{path}: cycle column must hold integers")
-    w = np.column_stack([numeric_column(name) for name in DEFAULT_W_CHANNELS])
-    x = np.column_stack([numeric_column(name) for name in DEFAULT_X_CHANNELS])
-    cycle_int = cycle_col.astype(np.int64)
-
-    order: list[str] = []
-    row_ids: dict[str, list[int]] = {}
-    for i, uid in enumerate(unit_col):
-        if uid not in row_ids:
-            order.append(uid)
-            row_ids[uid] = []
-        row_ids[uid].append(i)
-
+    unit_ids, codes, table = _parse_fast(path) or _parse_csv(path)
+    cycle_int = table[:, 0].astype(np.int64)
+    n_w = len(DEFAULT_W_CHANNELS)
+    w, x = table[:, 1 : 1 + n_w], table[:, 1 + n_w :]
+    rows_by_unit = np.split(
+        np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1]
+    )
     fleet = []
-    for uid in order:
-        idx = np.array(row_ids[uid], dtype=np.int64)
+    for uid, idx in zip(unit_ids, rows_by_unit):
         idx = idx[np.argsort(cycle_int[idx], kind="stable")]
         fleet.append(
             UnitSeries(
@@ -129,18 +89,154 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     return fleet
 
 
+def _parse_fast(path: Path):
+    """Columns of a well-formed fleet CSV, or None when the csv path must decide.
+
+    One pass over the lines checks that no line holds a quote and that every
+    line has the header's cell count, and takes the unit column; then
+    ``np.loadtxt`` parses the numeric columns from a second handle. Neither
+    holds the whole file in memory.
+    """
+    with path.open(newline="") as fh:
+        first = fh.readline()
+        header = next(csv.reader([first]), [])
+        if '"' in first or not set(FLEET_COLUMNS) <= set(header):
+            return None
+        unit_at = header.index(UNIT_COLUMN)
+        index: dict[str, int] = {}
+        codes = []
+        for line in fh:
+            cells = line.rstrip("\r\n").split(",")
+            if len(cells) != len(header) or '"' in line:
+                return None
+            codes.append(index.setdefault(cells[unit_at], len(index)))
+    if not codes:
+        return None
+    with path.open() as fh:
+        fh.readline()
+        try:
+            table = np.loadtxt(
+                fh,
+                delimiter=",",
+                comments=None,
+                usecols=[header.index(name) for name in NUMERIC_COLUMNS],
+                ndmin=2,
+            )
+        except ValueError:
+            return None
+    cycle = table[:, 0]
+    if (
+        table.shape[0] != len(codes)
+        or not np.isfinite(table).all()
+        or np.any(cycle != np.floor(cycle))
+    ):
+        return None
+    return list(index), np.array(codes, dtype=np.int64), table
+
+
+def _parse_csv(path: Path):
+    """Columns of any fleet CSV, read row by row with ``csv``.
+
+    Raises the typed error of the first defect: no header or no rows, the
+    first ragged row, the first missing column, then column by column in
+    NUMERIC_COLUMNS order the first non-numeric or non-finite cell, as
+    written, with its line.
+    """
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyFile(f"{path} has no header row") from None
+        missing = [name for name in FLEET_COLUMNS if name not in header]
+        numeric = [] if missing else [header.index(name) for name in NUMERIC_COLUMNS]
+        unit_at = None if missing else header.index(UNIT_COLUMN)
+        index: dict[str, int] = {}
+        codes = []
+        values = array.array("d")
+        non_numeric: dict[int, tuple[int, str]] = {}  # column -> first (line, cell)
+        line = 1
+        for line, row in enumerate(reader, 2):
+            if len(row) != len(header):
+                raise _ragged_row(path, line, row, header)
+            if missing:
+                continue
+            codes.append(index.setdefault(row[unit_at], len(index)))
+            try:
+                values.extend([float(row[i]) for i in numeric])
+            except ValueError:
+                for j, i in enumerate(numeric):
+                    try:
+                        values.append(float(row[i]))
+                    except ValueError:
+                        non_numeric.setdefault(j, (line, row[i]))
+                        values.append(np.nan)
+    if line == 1:
+        raise EmptyFile(f"{path} has a header but no data rows")
+    if missing:
+        raise MissingColumn(f"{path} is missing required column {missing[0]!r}")
+    table = np.frombuffer(values).reshape(len(codes), len(numeric))
+    for j, name in enumerate(NUMERIC_COLUMNS):
+        if j in non_numeric:
+            line, cell = non_numeric[j]
+            raise NonNumericCell(
+                f"{path}: non-numeric value {cell!r} in column {name!r}, line {line}"
+            )
+        finite = np.isfinite(table[:, j])
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise NonNumericCell(
+                f"{path}: non-finite value {_cell(path, bad, numeric[j])!r} "
+                f"in column {name!r}, line {bad + 2}"
+            )
+        if name == CYCLE_COLUMN and np.any(table[:, j] != np.floor(table[:, j])):
+            raise NonNumericCell(f"{path}: cycle column must hold integers")
+    return list(index), np.array(codes, dtype=np.int64), table
+
+
+def _cell(path: Path, row: int, column: int) -> str:
+    """Cell ``column`` of data row ``row`` (0-based), as written."""
+    with path.open(newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        return next(itertools.islice(rows, row, None))[column]
+
+
+# Rows formatted per write: one string per chunk keeps memory flat, where
+# one string per unit would hold a whole unit's text.
+_WRITE_CHUNK_ROWS = 200
+
+
+def _unit_field(unit_id: str) -> str:
+    """The unit id cell as ``csv.writer`` writes it inside a full row.
+
+    A row is written, not the id alone: ``writerow([""])`` gives ``""``,
+    while an empty first cell of a longer row is written as nothing.
+    """
+    buf = io.StringIO()
+    csv.writer(buf).writerow([unit_id, 0])
+    return buf.getvalue()[: -len(",0\r\n")]
+
+
 def save_csv(fleet: list[UnitSeries], path: str | Path) -> None:
-    """Write a fleet to CSV in FLEET_COLUMNS order."""
+    """Write a fleet to CSV in FLEET_COLUMNS order.
+
+    The bytes are those of ``csv.writer`` rows of ``format_float`` cells;
+    the rows are formatted ``_WRITE_CHUNK_ROWS`` at a time, one write each.
+    """
     path = Path(path)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FLEET_COLUMNS)
+        csv.writer(fh).writerow(FLEET_COLUMNS)
         for unit in fleet:
-            for t in range(unit.n_rows):
-                writer.writerow(
-                    [unit.unit_id, int(unit.cycle_of[t])]
-                    + [format_float(v) for v in unit.w[t]]
-                    + [format_float(v) for v in unit.x[t]]
+            uid = _unit_field(unit.unit_id)
+            for start in range(0, unit.n_rows, _WRITE_CHUNK_ROWS):
+                rows = slice(start, start + _WRITE_CHUNK_ROWS)
+                values = np.hstack([unit.w[rows], unit.x[rows]]).tolist()
+                fh.write(
+                    "".join(
+                        f"{uid},{cycle},{','.join(map(repr, row))}\r\n"
+                        for cycle, row in zip(unit.cycle_of[rows].tolist(), values)
+                    )
                 )
 
 
@@ -171,9 +267,33 @@ def save_ground_truth(truths, path: str | Path) -> None:
     )
 
 
+def _ragged_row(path: Path, line: int, row: list[str], header: list[str]) -> RaggedRow:
+    return RaggedRow(f"{path}: line {line} has {len(row)} cells, the header has {len(header)}")
+
+
+def _records(path: Path, fh):
+    """Header and ``(line, {column: cell})`` rows of a CSV sidecar.
+
+    A row whose cell count differs from the header's, a blank line
+    included, is a RaggedRow, the rule of load_csv.
+    """
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise EmptyFile(f"{path} has no header row")
+
+    def rows():
+        for row in reader:
+            if len(row) != len(header):
+                raise _ragged_row(path, reader.line_num, row, header)
+            yield reader.line_num, dict(zip(header, row))
+
+    return header, rows()
+
+
 def _int_cell(path: Path, line: int, row: dict, column: str) -> int | None:
     """Integer value of a cell, None when empty; anything else is a NonNumericCell."""
-    token = (row[column] or "").strip()
+    token = row[column].strip()
     if not token:
         return None
     try:
@@ -187,19 +307,17 @@ def _int_cell(path: Path, line: int, row: dict, column: str) -> int | None:
 def load_ground_truth(path: str | Path) -> dict[str, TruthRecord]:
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyFile(f"{path} has no header row")
+        header, rows = _records(path, fh)
         for name in ("unit", "family", "fault_cycle", "faulty_sensors"):
-            if name not in reader.fieldnames:
+            if name not in header:
                 raise MissingColumn(f"{path} is missing required column {name!r}")
         out: dict[str, TruthRecord] = {}
-        for row in reader:
+        for line, row in rows:
             sensors = tuple(s for s in row["faulty_sensors"].split(";") if s)
             out[row["unit"]] = TruthRecord(
                 unit_id=row["unit"],
                 family=row["family"],
-                fault_cycle=_int_cell(path, reader.line_num, row, "fault_cycle"),
+                fault_cycle=_int_cell(path, line, row, "fault_cycle"),
                 fault_sensors=sensors,
             )
     if not out:
@@ -248,27 +366,24 @@ def load_reports(path: str | Path):
 
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyFile(f"{path} has no header row")
-        missing = set(REPORT_COLUMNS) - set(reader.fieldnames)
+        header, rows = _records(path, fh)
+        missing = set(REPORT_COLUMNS) - set(header)
         if missing:
             raise MissingColumn(f"{path} is missing column(s) {sorted(missing)}")
         groups: dict[tuple[str, str], list[DetectionReport]] = {}
-        for row in reader:
+        for line, row in rows:
             if row["gt_known"] not in ("0", "1"):
                 raise NonNumericCell(
-                    f"{path}: gt_known must be 0 or 1, got {row['gt_known']!r}, "
-                    f"line {reader.line_num}"
+                    f"{path}: gt_known must be 0 or 1, got {row['gt_known']!r}, line {line}"
                 )
             key = (row["model"], row["hi_kind"])
             groups.setdefault(key, []).append(
                 DetectionReport(
                     unit_id=row["unit"],
                     dataset_id=row["dataset"],
-                    alarm_cycle=_int_cell(path, reader.line_num, row, "alarm_cycle"),
-                    n_true=_int_cell(path, reader.line_num, row, "fault_cycle"),
-                    delay=_int_cell(path, reader.line_num, row, "delay"),
+                    alarm_cycle=_int_cell(path, line, row, "alarm_cycle"),
+                    n_true=_int_cell(path, line, row, "fault_cycle"),
+                    delay=_int_cell(path, line, row, "delay"),
                     triggered_first=tuple(
                         s for s in row["triggered_first"].split(";") if s
                     ),

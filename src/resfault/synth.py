@@ -257,8 +257,19 @@ def gen_unit(
     regenerating with the same seed and a zero severity scale yields the
     identical series minus the injected drift.
     """
-    rng = np.random.default_rng(unit_seed)
     sensor_map = build_sensor_map(cfg.effective_map_seed())
+    return _gen_unit(cfg, family, unit_seed, unit_id, sensor_map)
+
+
+def _gen_unit(
+    cfg: SynthConfig,
+    family: FamilyFault,
+    unit_seed: int,
+    unit_id: str,
+    sensor_map: SensorMap,
+) -> tuple[UnitSeries, GroundTruth]:
+    """gen_unit with the fleet's sensor map already built."""
+    rng = np.random.default_rng(unit_seed)
     scale = cfg.effective_scale()
     lo, hi = cfg.fault_start_range()
     n_true = int(rng.integers(lo, hi + 1))
@@ -308,10 +319,11 @@ def gen_unit(
 
 def gen_fleet(cfg: SynthConfig) -> list[tuple[UnitSeries, GroundTruth]]:
     """Generate n_families x n_units units with per-unit derived seeds."""
+    sensor_map = build_sensor_map(cfg.effective_map_seed())
     fleet = []
     for f_idx, family in enumerate(cfg.families):
         for u_idx in range(cfg.n_units):
             unit_id = f"{cfg.unit_prefix}{family.name}-u{u_idx + 1:02d}"
             seed = derive_seed(cfg.seed, f_idx, u_idx)
-            fleet.append(gen_unit(cfg, family, seed, unit_id=unit_id))
+            fleet.append(_gen_unit(cfg, family, seed, unit_id, sensor_map))
     return fleet

@@ -501,6 +501,60 @@ class TestMalformedFleet:
         ]
 
 
+class TestMalformedSidecars:
+    """Ground-truth and report rows follow the fleet's cell-count rule."""
+
+    @pytest.mark.parametrize("damage", ["short_row", "extra_cell"])
+    def test_ground_truth_ragged_row_exits_3(self, workspace, tmp_path, damage):
+        lines = (workspace["data"] / "ground_truth.csv").read_text().splitlines()
+        if damage == "short_row":
+            lines[2] = lines[2].rsplit(",", 1)[0]
+            bad_cells = 3
+        else:
+            lines[2] = lines[2] + ",extra"
+            bad_cells = 5
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "fleet.csv").write_bytes((workspace["data"] / "fleet.csv").read_bytes())
+        (data / "ground_truth.csv").write_text("\n".join(lines) + "\n")
+        proc = run_fresh(
+            ["-m", "resfault", "detect", "--config", str(workspace["config"]), "--data",
+             str(data), "--checkpoint", str(workspace["oc"]), "--hi", "sensorwise",
+             "--out", str(tmp_path / "reports.csv")]
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: {data / 'ground_truth.csv'}: line 3 has {bad_cells} cells, "
+            "the header has 4"
+        ]
+
+    @pytest.mark.parametrize("damage", ["six_cells_short", "extra_cell"])
+    def test_report_ragged_row_exits_3(self, tmp_path, damage):
+        path = tmp_path / "reports.csv"
+        save_reports(
+            [fabricate_report("u1", "fan", 30, 20), fabricate_report("u2", "fan", 26, 20)],
+            "OC", "sensorwise", path,
+        )
+        lines = path.read_text().splitlines()
+        if damage == "six_cells_short":
+            lines[2] = ",".join(lines[2].split(",")[:3])
+            bad_cells = 3
+        else:
+            lines[2] = lines[2] + ",extra"
+            bad_cells = 10
+        path.write_text("\n".join(lines) + "\n")
+        proc = run_fresh(
+            ["-m", "resfault", "evaluate", "--reports", str(path), "--out",
+             str(tmp_path / "eval")]
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: {path}: line 3 has {bad_cells} cells, the header has 9"
+        ]
+
+
 class TestAeEmbedding:
     def test_embedding_projection_emitted_for_ae(self, workspace, tmp_path):
         cfg = workspace["config"]

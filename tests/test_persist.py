@@ -1,22 +1,32 @@
 import csv
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resfault import nn
-from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS
+from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, UnitSeries
 from resfault.detector import HealthyStats
 from resfault.errors import (
     CorruptCheckpoint,
+    DataError,
     EmptyFile,
     MissingColumn,
     NonNumericCell,
+    RaggedRow,
     VersionMismatch,
 )
 from resfault.models import AE_KIND, OC_KIND, ResidualModel, layer_dims
 from resfault.persist import (
+    FLEET_COLUMNS,
     TruthRecord,
+    _parse_csv,
+    _parse_fast,
+    format_float,
     load_checkpoint,
     load_csv,
     load_ground_truth,
@@ -35,6 +45,35 @@ from resfault.synth import SynthConfig, gen_fleet
 from resfault.detector import DetectionReport
 
 
+LINE_ENDS = ("\n", "\r\n")
+
+
+def reference_save_csv(fleet, path):
+    """The fleet writer save_csv replaced: csv.writer rows of format_float cells."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(FLEET_COLUMNS)
+        for unit in fleet:
+            for t in range(unit.n_rows):
+                writer.writerow(
+                    [unit.unit_id, int(unit.cycle_of[t])]
+                    + [format_float(v) for v in unit.w[t]]
+                    + [format_float(v) for v in unit.x[t]]
+                )
+
+
+def write_lines(path, lines, line_end):
+    path.write_bytes("".join(line + line_end for line in lines).encode())
+
+
+def same_columns(a, b):
+    """Two parses agree bit for bit: unit ids, row codes, cycles, w and x."""
+    assert a[0] == b[0]
+    for left, right in zip(a[1:], b[1:]):
+        assert left.dtype == right.dtype and left.shape == right.shape
+        assert left.tobytes() == right.tobytes()
+
+
 def small_fleet():
     cfg = SynthConfig(
         n_units=2,
@@ -51,6 +90,7 @@ class TestCsvRoundTrip:
         fleet, _ = small_fleet()
         path = tmp_path / "fleet.csv"
         save_csv(fleet, path)
+        same_columns(_parse_fast(path), _parse_csv(path))
         loaded = load_csv(path)
         assert [u.unit_id for u in loaded] == [u.unit_id for u in fleet]
         for a, b in zip(fleet, loaded):
@@ -73,42 +113,128 @@ class TestCsvRoundTrip:
         assert "XM" in str(err.value)
 
     def test_interleaved_units_regrouped(self, tmp_path):
-        header = ",".join(("unit", "cycle") + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS)
         rows = []
-        for cyc in (0, 1):
+        for cyc in (1, 0):
             for uid in ("a", "b"):
-                rows.append(",".join([uid, str(cyc)] + ["1.5"] * 18))
+                rows.append([uid, str(cyc)] + [f"{cyc}.{i}" for i in range(18)])
         path = tmp_path / "mix.csv"
-        path.write_text(header + "\n" + "\n".join(rows) + "\n")
-        fleet = load_csv(path)
-        assert [u.unit_id for u in fleet] == ["a", "b"]
-        for unit in fleet:
-            np.testing.assert_array_equal(unit.cycle_of, [0, 1])
+        # the file's columns: as written, and reversed so the unit column is last
+        for order in (list(range(20)), list(range(19, -1, -1))):
+            for line_end in LINE_ENDS:
+                write_lines(
+                    path,
+                    [",".join(FLEET_COLUMNS[i] for i in order)]
+                    + [",".join(row[i] for i in order) for row in rows],
+                    line_end,
+                )
+                assert _parse_fast(path) is not None
+                fleet = load_csv(path)
+                assert [u.unit_id for u in fleet] == ["a", "b"]
+                for unit in fleet:
+                    np.testing.assert_array_equal(unit.cycle_of, [0, 1])
+                    np.testing.assert_array_equal(unit.w[:, 0], [0.0, 1.0])
+                    np.testing.assert_array_equal(unit.x[:, 13], [0.17, 1.17])
 
     def test_non_numeric_cell_located(self, tmp_path):
         header = ",".join(("unit", "cycle") + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS)
         good = ",".join(["u1", "0"] + ["1.0"] * 18)
         bad = ",".join(["u1", "0"] + ["1.0"] * 17 + ["oops"])
         path = tmp_path / "bad.csv"
-        path.write_text(header + "\n" + good + "\n" + bad + "\n")
-        with pytest.raises(NonNumericCell) as err:
-            load_csv(path)
-        assert "oops" in str(err.value)
-        assert "line 3" in str(err.value)
-        assert "Wf" in str(err.value)
+        for line_end in LINE_ENDS:
+            write_lines(path, [header, good, bad], line_end)
+            with pytest.raises(NonNumericCell) as err:
+                load_csv(path)
+            assert "oops" in str(err.value)
+            assert "line 3" in str(err.value)
+            assert "Wf" in str(err.value)
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf"])
     def test_non_finite_cell_located(self, tmp_path, token):
         header = ",".join(("unit", "cycle") + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS)
         good = ",".join(["u1", "0"] + ["1.0"] * 18)
         bad = ",".join(["u1", "1"] + ["1.0"] * 5 + [token] + ["1.0"] * 12)
         path = tmp_path / "bad.csv"
-        path.write_text(header + "\n" + good + "\n" + good + "\n" + bad + "\n")
+        for line_end in LINE_ENDS:
+            write_lines(path, [header, good, good, bad], line_end)
+            with pytest.raises(NonNumericCell) as err:
+                load_csv(path)
+            assert repr(token) in str(err.value)
+            assert "line 4" in str(err.value)
+            assert "T30" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["blank_line", "trailing_blank_line", "short_row", "long_row",
+         "extra_cell_mid_row", "short_and_long_row"],
+    )
+    def test_ragged_row_located(self, tmp_path, damage):
+        # unit column last: a short row then lacks only the unit cell
+        header = ",".join(FLEET_COLUMNS[1:] + FLEET_COLUMNS[:1])
+        lines = [header] + [",".join([str(c)] + ["1.5"] * 18 + ["u1"]) for c in range(4)]
+        if damage == "blank_line":
+            lines.insert(3, "")
+            bad_line, bad_cells = 4, 0
+        elif damage == "trailing_blank_line":
+            lines.append("")
+            bad_line, bad_cells = 6, 0
+        elif damage == "short_row":
+            lines[2] = lines[2].rsplit(",", 1)[0]
+            bad_line, bad_cells = 3, 19
+        elif damage == "long_row":
+            lines[2] += ",0.5"
+            bad_line, bad_cells = 3, 21
+        elif damage == "extra_cell_mid_row":
+            cells = lines[4].split(",")
+            lines[4] = ",".join(cells[:9] + ["0.5"] + cells[9:])
+            bad_line, bad_cells = 5, 21
+        else:
+            # as many commas in the file as a well-formed one holds
+            lines[2] = lines[2].rsplit(",", 1)[0]
+            lines[3] += ",0.5"
+            bad_line, bad_cells = 3, 19
+        path = tmp_path / "ragged.csv"
+        for line_end in LINE_ENDS:
+            write_lines(path, lines, line_end)
+            with pytest.raises(RaggedRow) as err:
+                load_csv(path)
+            assert str(err.value) == (
+                f"{path}: line {bad_line} has {bad_cells} cells, the header has 20"
+            )
+
+    @pytest.mark.parametrize(
+        "cells, error",
+        [
+            # two bad cells in one column: the first line's is named
+            ({(2, "Wf"): "oops", (3, "Wf"): "bad"},
+             "non-numeric value 'oops' in column 'Wf', line 2"),
+            # columns are checked in order, so an earlier column on a later line wins
+            ({(2, "Wf"): "oops", (3, "alt"): "bad"},
+             "non-numeric value 'bad' in column 'alt', line 3"),
+            # within a column, a non-numeric cell outranks an earlier non-finite one
+            ({(2, "T30"): "nan", (3, "T30"): "oops"},
+             "non-numeric value 'oops' in column 'T30', line 3"),
+            ({(2, "cycle"): "1.5", (3, "alt"): "oops"}, "cycle column must hold integers"),
+            ({(3, "XM"): " Infinity", (2, "T2"): "NaN"},
+             "non-finite value ' Infinity' in column 'XM', line 3"),
+        ],
+    )
+    def test_first_defect_named(self, tmp_path, cells, error):
+        rows = {line: dict(zip(FLEET_COLUMNS, ["u1", "0"] + ["1.0"] * 18)) for line in (2, 3)}
+        for (line, column), token in cells.items():
+            rows[line][column] = token
+        path = tmp_path / "bad.csv"
+        write_lines(
+            path, [",".join(FLEET_COLUMNS)] + [",".join(rows[i].values()) for i in (2, 3)], "\n"
+        )
         with pytest.raises(NonNumericCell) as err:
             load_csv(path)
-        assert repr(token) in str(err.value)
-        assert "line 4" in str(err.value)
-        assert "T30" in str(err.value)
+        assert str(err.value) == f"{path}: {error}"
+
+    def test_ragged_row_outranks_missing_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_lines(path, [",".join(FLEET_COLUMNS[:-1]), ",".join(["u1", "0"] + ["1.0"] * 18)], "\n")
+        with pytest.raises(RaggedRow, match="line 2 has 20 cells, the header has 19"):
+            load_csv(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -118,9 +244,108 @@ class TestCsvRoundTrip:
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "hdr.csv"
-        path.write_text(",".join(("unit", "cycle") + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS) + "\n")
-        with pytest.raises(EmptyFile):
-            load_csv(path)
+        for line_end in LINE_ENDS + ("",):
+            path.write_bytes((",".join(FLEET_COLUMNS) + line_end).encode())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EmptyFile, match="has a header but no data rows"):
+                    load_csv(path)
+
+
+finite_floats = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-05, 9.999999999999999e-05,
+         0.0001, -1.0000000000000002e-05, 9999999999999998.0, 1e16, -1.0000000000000002e16,
+         1.7976931348623157e308]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+unit_ids = st.one_of(
+    st.sampled_from(["u,1", 'u"1', " u1", "ünït-é", "", "u\r\n1", "u1 "]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def fleets(draw):
+    ids = draw(st.lists(unit_ids, min_size=1, max_size=3, unique=True))
+    fleet = []
+    for uid in ids:
+        n = draw(st.integers(1, 4))
+        values = np.array(draw(st.lists(finite_floats, min_size=18 * n, max_size=18 * n)))
+        cycles = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)))
+        fleet.append(
+            UnitSeries(
+                unit_id=uid,
+                dataset_id="",
+                w=values.reshape(n, 18)[:, :4],
+                x=values.reshape(n, 18)[:, 4:],
+                cycle_of=cycles,
+                channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
+            )
+        )
+    return fleet
+
+
+@settings(max_examples=150, deadline=None)
+@given(fleets())
+def test_save_matches_reference_and_round_trips(fleet):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "fleet.csv", Path(tmp) / "reference.csv"
+        save_csv(fleet, path)
+        reference_save_csv(fleet, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        loaded = load_csv(path)
+        fast = _parse_fast(path)
+        if fast is not None:
+            same_columns(fast, _parse_csv(path))
+    assert [u.unit_id for u in loaded] == [u.unit_id for u in fleet]
+    for a, b in zip(fleet, loaded):
+        assert a.w.tobytes() == b.w.tobytes()
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.cycle_of.tobytes() == b.cycle_of.tobytes()
+
+
+GOOD_CELLS = ["0", "1", "2.5", "-0.0", "1e-05"]
+BAD_CELLS = ["", "x", "nan", "NaN", "-inf", "1e400", '"2.5"', '"', " 1", "1.5 "]
+UNIT_CELLS = ["u0", "u1", " u1", '"u0"', '"u,1"', 'u"1', ""]
+
+
+@st.composite
+def damaged_fleet_files(draw):
+    """A small fleet file's text: odd cells, then up to three cuts and insertions."""
+    columns = draw(st.permutations(FLEET_COLUMNS))
+    numeric = st.sampled_from(GOOD_CELLS * 80 + BAD_CELLS)
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append(",".join(
+            draw(st.sampled_from(UNIT_CELLS) if c == "unit" else numeric) for c in columns
+        ))
+    text = draw(st.sampled_from(LINE_ENDS)).join(lines) + draw(st.sampled_from(LINE_ENDS + ("",)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from([",", "\n", "\r", '"', " ", "x"])) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 3)):]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_fleet_files())
+def test_loadtxt_path_agrees_with_csv_path(text):
+    """The fast parse answers only where the csv parse gives the same columns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fleet.csv"
+        path.write_bytes(text.encode())
+        fast = _parse_fast(path)
+        try:
+            slow = _parse_csv(path)
+        except DataError:
+            assert fast is None
+            return
+    if fast is not None:
+        same_columns(fast, slow)
 
 
 class TestGroundTruthSidecar:
