@@ -10,6 +10,7 @@ timelines under --out.
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -77,6 +78,18 @@ def write_trigger_timelines(out: Path, result, seg) -> None:
     write_table(out / "trigger_timeline.csv", header, rows)
 
 
+def training_outcomes(result) -> dict[str, str]:
+    """One manifest entry per (realisation, kind): how its training ended."""
+    outcomes = {}
+    for realisation in result.realisations:
+        for kind, train in realisation.train_results.items():
+            outcomes[f"training {realisation.realisation} {kind}"] = (
+                f"epochs_run {train.epochs_run}, best_epoch {train.best_epoch}, "
+                f"best_val_loss {fmt(train.val_losses[train.best_epoch])}"
+            )
+    return outcomes
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     cfg = load_config(args.config)
@@ -90,7 +103,10 @@ def main(argv=None) -> int:
     truths = {t.unit_id: t for _, t in fleet}
     print(f"generated {len(units)} units; running {cfg.training.realisations} realisations")
 
-    result = experiment.run_protocol(units, truths, cfg)
+    # one worker per usable CPU, up to one per job; `taskset -c 0` runs serially
+    n_jobs = cfg.training.realisations * len(experiment.MODEL_KINDS)
+    workers = min(len(os.sched_getaffinity(0)), n_jobs)
+    result = experiment.run_protocol(units, truths, cfg, workers)
     evaluations = [result.evaluations[key] for key in sorted(result.evaluations)]
     write_evaluations(out, evaluations)
 
@@ -100,7 +116,13 @@ def main(argv=None) -> int:
         out / "experiment_manifest.txt",
         "run_experiment",
         cfg,
-        {"seed": cfg.seed, "units": len(units), "out": out},
+        {
+            "seed": cfg.seed,
+            "units": len(units),
+            "out": out,
+            "workers": workers,
+            **training_outcomes(result),
+        },
     )
     return 0
 

@@ -8,6 +8,8 @@ averaging protocol.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,6 +337,40 @@ def evaluate_group(
 
 
 @dataclass(frozen=True)
+class ModelRun:
+    """One (realisation, model kind) job: its training and both detection passes."""
+
+    kind: str
+    train_result: nn.TrainResult
+    detections: dict[tuple[str, str], FleetDetection]
+
+
+def run_realisation(
+    preprocessed: list[UnitSeries],
+    truths: dict[str, TruthRecord] | None,
+    cfg: RunConfig,
+    realisation: int,
+    kind: str,
+) -> ModelRun:
+    """Re-split, retrain one model kind, and detect with both indicator kinds.
+
+    The model computes every unit's residuals once, for both indicators.
+    """
+    split_seed = derive_seed(cfg.seed, SEED_SPLIT, realisation)
+    train_seed = derive_seed(cfg.seed, SEED_TRAIN, realisation)
+    prepared = prepare_fleet(preprocessed, cfg, split_seed)
+    model, result = train_model(prepared, kind, cfg, train_seed)
+    residuals = fleet_residuals(model, prepared.units)
+    detections: dict[tuple[str, str], FleetDetection] = {}
+    for hi_kind in HI_KINDS:
+        stats = fit_fleet_stats(prepared, model, hi_kind, cfg, residuals)
+        detections[(kind, hi_kind)] = detect_with_stats(
+            prepared.units, model, hi_kind, stats, cfg, truths, residuals
+        )
+    return ModelRun(kind=kind, train_result=result, detections=detections)
+
+
+@dataclass(frozen=True)
 class RealisationResult:
     """All four (model, indicator) detection passes of one realisation."""
 
@@ -345,41 +381,6 @@ class RealisationResult:
     train_results: dict[str, nn.TrainResult]
 
 
-def run_realisation(
-    preprocessed: list[UnitSeries],
-    truths: dict[str, TruthRecord] | None,
-    cfg: RunConfig,
-    realisation: int,
-) -> RealisationResult:
-    """Re-split, retrain both models, and detect with both indicator kinds.
-
-    Each model computes every unit's residuals once; they are released
-    before the next model trains.
-    """
-    split_seed = derive_seed(cfg.seed, SEED_SPLIT, realisation)
-    train_seed = derive_seed(cfg.seed, SEED_TRAIN, realisation)
-    prepared = prepare_fleet(preprocessed, cfg, split_seed)
-    detections: dict[tuple[str, str], FleetDetection] = {}
-    train_results: dict[str, nn.TrainResult] = {}
-    for kind in MODEL_KINDS:
-        model, result = train_model(prepared, kind, cfg, train_seed)
-        train_results[kind] = result
-        residuals = fleet_residuals(model, prepared.units)
-        for hi_kind in HI_KINDS:
-            stats = fit_fleet_stats(prepared, model, hi_kind, cfg, residuals)
-            detections[(kind, hi_kind)] = detect_with_stats(
-                prepared.units, model, hi_kind, stats, cfg, truths, residuals
-            )
-        del residuals
-    return RealisationResult(
-        realisation=realisation,
-        split_seed=split_seed,
-        train_seed=train_seed,
-        detections=detections,
-        train_results=train_results,
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     """Multi-realisation protocol output: per-realisation and averaged."""
@@ -388,17 +389,92 @@ class ExperimentResult:
     evaluations: dict[tuple[str, str], GroupEvaluation]
 
 
+# Each of these sizes a BLAS thread pool when a process imports numpy; a
+# worker runs one thread so that the workers do not contend for cores.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# The run_realisation inputs of a worker process, set once by _init_worker so
+# that each job sends only its (realisation, kind) pair.
+_worker_inputs: tuple | None = None
+
+
+def _init_worker(
+    preprocessed: list[UnitSeries], truths: dict[str, TruthRecord] | None, cfg: RunConfig
+) -> None:
+    global _worker_inputs
+    _worker_inputs = (preprocessed, truths, cfg)
+
+
+def _worker_job(realisation: int, kind: str) -> ModelRun:
+    return run_realisation(*_worker_inputs, realisation, kind)
+
+
+def _run_jobs(
+    preprocessed: list[UnitSeries],
+    truths: dict[str, TruthRecord] | None,
+    cfg: RunConfig,
+    workers: int,
+) -> list[ModelRun]:
+    """run_realisation for every (realisation, kind), in that order."""
+    realisations = [r for r in range(cfg.training.realisations) for _ in MODEL_KINDS]
+    kinds = list(MODEL_KINDS) * cfg.training.realisations
+    if workers == 1:
+        job = functools.partial(run_realisation, preprocessed, truths, cfg)
+        return list(map(job, realisations, kinds))
+    # imported here: the CLI imports this module and never starts a pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_worker,
+            initargs=(preprocessed, truths, cfg),
+        )
+        try:
+            return list(pool.map(_worker_job, realisations, kinds))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def run_protocol(
     units: list[UnitSeries],
     truths: dict[str, TruthRecord] | None,
     cfg: RunConfig,
+    workers: int,
 ) -> ExperimentResult:
-    """The full repeated-training protocol with averaged evaluation."""
+    """The full repeated-training protocol with averaged evaluation.
+
+    Each (realisation, model kind) pair is one run_realisation job. With
+    ``workers`` 1 the jobs run one after another in this process; with more,
+    on that many ``spawn`` worker processes, each with one BLAS thread. The
+    results are the same bytes either way. A spawned worker imports the
+    caller's main module, so a program that calls this with ``workers`` > 1
+    must guard its entry point with ``if __name__ == "__main__":``.
+    """
     preprocessed = label_fleet(preprocess_fleet(units, cfg), truths)
-    realisations = [
-        run_realisation(preprocessed, truths, cfg, r)
-        for r in range(cfg.training.realisations)
-    ]
+    runs = _run_jobs(preprocessed, truths, cfg, workers)
+    realisations = []
+    for r in range(cfg.training.realisations):
+        mine = runs[r * len(MODEL_KINDS) : (r + 1) * len(MODEL_KINDS)]
+        realisations.append(
+            RealisationResult(
+                realisation=r,
+                split_seed=derive_seed(cfg.seed, SEED_SPLIT, r),
+                train_seed=derive_seed(cfg.seed, SEED_TRAIN, r),
+                detections={k: d for run in mine for k, d in run.detections.items()},
+                train_results={run.kind: run.train_result for run in mine},
+            )
+        )
     evaluations = {}
     for key in [(m, h) for m in MODEL_KINDS for h in HI_KINDS]:
         report_sets = [r.detections[key].reports for r in realisations]

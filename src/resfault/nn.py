@@ -20,6 +20,11 @@ LINEAR = "linear"
 ADAM_EPS = 1e-8
 
 
+def _interleave(weights: list[np.ndarray], biases: list[np.ndarray]) -> list[np.ndarray]:
+    """[W0, b0, W1, b1, ...]: the one parameter order of nets and their gradients."""
+    return [p for pair in zip(weights, biases) for p in pair]
+
+
 @dataclass(frozen=True)
 class DenseNet:
     """Fully connected network: weights[l] has shape (d_{l+1}, d_l)."""
@@ -57,10 +62,7 @@ class DenseNet:
 
     def params(self) -> list[np.ndarray]:
         """Interleaved [W0, b0, W1, b1, ...] view of the parameters."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+        return _interleave(self.weights, self.biases)
 
     def with_params(self, params: list[np.ndarray]) -> "DenseNet":
         weights = [params[2 * l] for l in range(self.n_layers)]
@@ -150,10 +152,8 @@ class Gradients:
     loss: float
 
     def params(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+        """Interleaved like DenseNet.params()."""
+        return _interleave(self.weights, self.biases)
 
 
 def backward(net: DenseNet, inp: np.ndarray, target: np.ndarray) -> Gradients:

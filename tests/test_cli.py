@@ -59,6 +59,15 @@ def run_fresh(args: list[str]) -> subprocess.CompletedProcess:
     )
 
 
+def test_cli_import_leaves_the_process_pool_out():
+    proc = run_fresh(["-c", "import sys, resfault.cli; print(*sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "resfault.experiment" in loaded
+    assert "multiprocessing" not in loaded
+    assert "concurrent.futures.process" not in loaded
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One synth + train run shared by the read-only CLI tests."""

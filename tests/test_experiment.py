@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -106,7 +109,7 @@ class TestDeriveSeed:
 class TestProtocol:
     def test_run_protocol_structure_and_averaging(self, mini_fleet):
         cfg, units, truths = mini_fleet
-        result = experiment.run_protocol(units, truths, cfg)
+        result = experiment.run_protocol(units, truths, cfg, workers=1)
         assert len(result.realisations) == 2
         assert set(result.evaluations) == {
             ("AE", AGGREGATED),
@@ -139,15 +142,24 @@ class TestProtocol:
             return residuals(model, unit)
 
         monkeypatch.setattr(experiment, "unit_residuals", counting)
-        experiment.run_protocol(units, truths, cfg)
+        experiment.run_protocol(units, truths, cfg, workers=1)
         expected = cfg.training.realisations * len(experiment.MODEL_KINDS) * len(units)
         assert len(calls) == expected
         per_pair = {pair: calls.count(pair) for pair in set(calls)}
         assert set(per_pair.values()) == {cfg.training.realisations}
 
+    def test_worker_pool_gives_the_serial_results(self, mini_fleet):
+        cfg, units, truths = mini_fleet
+        environ = {var: os.environ.get(var) for var in experiment.BLAS_THREAD_VARS}
+        serial = experiment.run_protocol(units, truths, cfg, workers=1)
+        pooled = experiment.run_protocol(units, truths, cfg, workers=2)
+        # every detection, statistic, cycle average, weight and loss
+        np.testing.assert_equal(dataclasses.asdict(pooled), dataclasses.asdict(serial))
+        assert {var: os.environ.get(var) for var in experiment.BLAS_THREAD_VARS} == environ
+
     def test_realisations_use_distinct_splits(self, mini_fleet):
         cfg, units, truths = mini_fleet
-        result = experiment.run_protocol(units, truths, cfg)
+        result = experiment.run_protocol(units, truths, cfg, workers=1)
         seeds = {r.split_seed for r in result.realisations}
         assert len(seeds) == 2
 

@@ -1,18 +1,26 @@
 """scripts/run_experiment.py run in process on a tiny fleet."""
 
+import contextlib
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
+import os
+import re
 import warnings
 from pathlib import Path
 
 import pytest
+import yaml
 
 from resfault import experiment
 from resfault.cli import main as cli_main
+from resfault.config import load_config
 from resfault.detector import DetectionReport
-from resfault.persist import save_reports
+from resfault.persist import format_float, save_reports
+from resfault.synth import gen_fleet
+from test_cli import run_fresh
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
 TINY = {
@@ -26,6 +34,21 @@ def load_script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@contextlib.contextmanager
+def usable_cpus(cpus):
+    """Restrict this thread, and the processes it starts, to ``cpus``."""
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, cpus)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, saved)
+
+
+def one_cpu():
+    return usable_cpus({min(os.sched_getaffinity(0))})
 
 
 def header(path):
@@ -48,11 +71,79 @@ def experiment_run(tmp_path_factory):
 
     script.silhouette_curve = recording
     out = root / "out"
-    with warnings.catch_warnings():
+    # one usable CPU: training runs in this process, under the warnings filter
+    with one_cpu(), warnings.catch_warnings():
         warnings.simplefilter("error")
         code = script.main(["--config", str(cfg), "--seed", "3", "--out", str(out)])
     assert code == 0
     return out, curves
+
+
+def test_manifest_records_workers_and_training_outcomes(experiment_run):
+    out, _ = experiment_run
+    lines = (out / "experiment_manifest.txt").read_text().splitlines()
+    assert "workers: 1" in lines
+    pattern = re.compile(
+        r"training (\d+) (\w+): epochs_run (\d+), best_epoch (\d+), best_val_loss (\S+)"
+    )
+    found = {
+        (int(m[1]), m[2]): (int(m[3]), int(m[4]), m[5])
+        for m in map(pattern.fullmatch, lines)
+        if m
+    }
+    realisations = range(TINY["training"]["realisations"])
+    assert list(found) == [(r, kind) for r in realisations for kind in experiment.MODEL_KINDS]
+    # the recorded outcome is the one the job's training returned
+    cfg = dataclasses.replace(load_config(out.parent / "tiny.yaml"), seed=3)
+    fleet = gen_fleet(experiment.synth_config_from_run(cfg))
+    truths = {t.unit_id: t for _, t in fleet}
+    preprocessed = experiment.label_fleet(
+        experiment.preprocess_fleet([s for s, _ in fleet], cfg), truths
+    )
+    for r, kind in found:
+        train = experiment.run_realisation(preprocessed, truths, cfg, r, kind).train_result
+        assert found[(r, kind)] == (
+            train.epochs_run,
+            train.best_epoch,
+            format_float(train.val_losses[train.best_epoch]),
+        )
+
+
+def test_one_usable_cpu_starts_no_pool(tmp_path):
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text(json.dumps(TINY))
+    out = tmp_path / "out"
+    code = f"""
+import importlib.util, os, sys
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+spec = importlib.util.spec_from_file_location("run_experiment", {str(SCRIPT)!r})
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+assert script.main(["--config", {str(cfg)!r}, "--out", {str(out)!r}]) == 0
+print(sorted(m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules))
+"""
+    proc = run_fresh(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert "workers: 1" in (out / "experiment_manifest.txt").read_text().splitlines()
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="a worker pool needs 2 usable CPUs"
+)
+def test_failing_job_fails_the_pool_run_cleanly(tmp_path):
+    blob = {**TINY, "training": {**TINY["training"], "learning_rate": 1e300}}
+    cfg = tmp_path / "diverge.yaml"
+    cfg.write_text(yaml.safe_dump(blob))
+    with usable_cpus(sorted(os.sched_getaffinity(0))[:2]):
+        # run_fresh times out rather than wait on a hung pool
+        proc = run_fresh([str(SCRIPT), "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 4
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: epoch 0:")
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_evaluation_headers_match_evaluate(experiment_run, tmp_path):
