@@ -98,7 +98,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    fleet = gen_fleet(experiment.synth_config_from_run(cfg))
+    fleet = gen_fleet(cfg)
     units = [s for s, _ in fleet]
     truths = {t.unit_id: t for _, t in fleet}
     print(f"generated {len(units)} units; running {cfg.training.realisations} realisations")

@@ -14,11 +14,10 @@ import sys
 from pathlib import Path
 
 from . import __version__, experiment, persist
-from .config import RunConfig, derive_seed, dump_config, load_config
-from .data_model import UnitSeries
+from .config import RunConfig, dump_config, load_config
+from .data_model import TruthRecord, UnitSeries
 from .errors import ConfigInvalid, CorruptCheckpoint, DataError, ResfaultError
 from .health import AGGREGATED, SENSORWISE
-from .persist import TruthRecord
 from .persist import format_float as fmt
 from .synth import gen_fleet
 
@@ -119,7 +118,7 @@ def cmd_synth(args) -> int:
     cfg = _effective_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fleet = gen_fleet(experiment.synth_config_from_run(cfg))
+    fleet = gen_fleet(cfg)
     persist.save_csv([series for series, _ in fleet], out / FLEET_FILE)
     persist.save_ground_truth([truth for _, truth in fleet], out / TRUTH_FILE)
     write_manifest(
@@ -138,8 +137,7 @@ def cmd_train(args) -> int:
     cfg = _effective_config(args)
     kind = args.model.upper()
     units, truths = _prepared_units(args.data, cfg)
-    split_seed = derive_seed(cfg.seed, experiment.SEED_SPLIT, args.realisation)
-    train_seed = derive_seed(cfg.seed, experiment.SEED_TRAIN, args.realisation)
+    split_seed, train_seed = experiment.realisation_seeds(cfg.seed, args.realisation)
     prepared = experiment.prepare_fleet(units, cfg, split_seed)
     model, result = experiment.train_model(prepared, kind, cfg, train_seed)
 
@@ -197,19 +195,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint_stats(metadata: dict, hi_kind: str):
-    blob = metadata.get("healthy_stats", {}).get(hi_kind)
+def _checkpoint_stats(model, metadata: dict, hi_kind: str):
+    """The checkpoint's healthy statistics for ``hi_kind``, sized for ``model``."""
+    by_kind = metadata.get("healthy_stats", {})
+    if not isinstance(by_kind, dict):
+        raise CorruptCheckpoint("checkpoint healthy_stats must be a JSON object")
+    blob = by_kind.get(hi_kind)
     if blob is None:
         raise CorruptCheckpoint(
             f"checkpoint carries no healthy statistics for {hi_kind!r} indicators"
         )
-    return persist.stats_from_blob(blob)
+    stats, channel_names = persist.stats_from_blob(blob)
+    width = 1 if hi_kind == AGGREGATED else model.net.layer_dims[-1]
+    if stats.n_channels != width:
+        raise CorruptCheckpoint(
+            f"checkpoint has {stats.n_channels} {hi_kind} statistics channels, "
+            f"the {model.kind} model needs {width}"
+        )
+    return stats, channel_names
 
 
 def cmd_detect(args) -> int:
     cfg = _effective_config(args)
     model, metadata = persist.load_checkpoint(args.checkpoint)
-    stats, channel_names = _checkpoint_stats(metadata, args.hi)
+    stats, channel_names = _checkpoint_stats(model, metadata, args.hi)
     units, truths = _prepared_units(args.data, cfg)
     residuals = experiment.fleet_residuals(model, units)
     detection = experiment.detect_with_stats(
@@ -260,7 +269,7 @@ def cmd_evaluate(args) -> int:
 def cmd_segment(args) -> int:
     cfg = _effective_config(args)
     model, metadata = persist.load_checkpoint(args.checkpoint)
-    stats, _ = _checkpoint_stats(metadata, SENSORWISE)
+    stats, _ = _checkpoint_stats(model, metadata, SENSORWISE)
     units, truths = _prepared_units(args.data, cfg)
 
     groups = persist.load_reports(args.reports)

@@ -11,6 +11,7 @@ to defaults.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,6 +124,14 @@ class SegmentationSettings:
 
 @dataclass(frozen=True)
 class SynthSettings:
+    """The synthetic fleet of synth.gen_fleet.
+
+    ``severity_scale`` is the drift per (cycle - fault cycle) **
+    ``severity_exponent`` in sensor units (None: 6 * noise_std ten cycles
+    after the fault; 0: healthy). ``map_seed`` (None: the master seed) pins
+    the sensor response map, so a second fleet can share the first's physics.
+    """
+
     n_units: int = 10
     n_families: int = 3
     cycles_per_unit: int = 48
@@ -140,6 +149,22 @@ class SynthSettings:
             raise ConfigInvalid("synth.n_units must be >= 1")
         if not 1 <= self.n_families <= 3:
             raise ConfigInvalid("synth.n_families must lie in 1..3")
+        if self.cycles_per_unit < 2:
+            raise ConfigInvalid("synth.cycles_per_unit must be >= 2")
+        if self.rows_per_cycle < 20:
+            raise ConfigInvalid("synth.rows_per_cycle must be >= 20")
+        if self.fault_start_lo > self.fault_start_hi:
+            raise ConfigInvalid("synth.fault_start_lo must be <= synth.fault_start_hi")
+        if self.fault_start_hi >= self.cycles_per_unit:
+            raise ConfigInvalid("synth.fault_start_hi must be < synth.cycles_per_unit")
+        if self.noise_std < 0:
+            raise ConfigInvalid("synth.noise_std must be >= 0")
+        if self.severity_exponent <= 0:
+            raise ConfigInvalid("synth.severity_exponent must be positive")
+        if self.severity_scale is not None and self.severity_scale < 0:
+            raise ConfigInvalid("synth.severity_scale must be >= 0")
+        if self.map_seed is not None and self.map_seed < 0:
+            raise ConfigInvalid("synth.map_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -228,6 +253,22 @@ def config_from_dict(blob: dict | None) -> RunConfig:
     return RunConfig(seed=blob.get("seed", 0), **sections)
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads a YAML 1.2 float with no dot, such as 1e-3."""
+
+
+class _Dumper(yaml.SafeDumper):
+    """SafeDumper that quotes a string such as "1e3", which _Loader reads as a float."""
+
+
+for _cls in (_Loader, _Dumper):
+    _cls.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"),
+        list("-+0123456789"),
+    )
+
+
 def load_config(path: str | Path | None) -> RunConfig:
     """Load a YAML config file; an empty or absent file means all defaults."""
     if path is None:
@@ -237,7 +278,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config file: {exc}") from None
     try:
-        blob = yaml.safe_load(text)
+        blob = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"invalid YAML in {path}: {exc}") from None
     return config_from_dict(blob)
@@ -245,10 +286,4 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> str:
     """Render a config back to YAML (used by run manifests)."""
-    blob = dataclasses.asdict(cfg)
-    for section in blob.values():
-        if isinstance(section, dict):
-            for key, value in section.items():
-                if isinstance(value, tuple):
-                    section[key] = list(value)
-    return yaml.safe_dump(blob, sort_keys=True)
+    return yaml.dump(dataclasses.asdict(cfg), Dumper=_Dumper, sort_keys=True)

@@ -103,6 +103,16 @@ class UnitSeries:
 
 
 @dataclass(frozen=True)
+class TruthRecord:
+    """One unit's fault family, fault cycle (None: healthy) and faulty sensors."""
+
+    unit_id: str
+    family: str
+    fault_cycle: int | None
+    fault_sensors: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class FleetSplit:
     """Row selections per unit id for train and validation.
 

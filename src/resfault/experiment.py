@@ -16,12 +16,11 @@ import numpy as np
 
 from . import detector, health, models, nn, segmentation
 from .config import CRUISE_FIRST, RunConfig, STATS_ON_TRAIN_VALIDATION, derive_seed
-from .data_model import FleetSplit, UnitSeries, split, stack_rows
+from .data_model import FleetSplit, TruthRecord, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
 from .errors import CycleOutOfRange, EmptyFleet, InsufficientData
 from .health import AGGREGATED, SENSORWISE, HiSeries
 from .models import AE_KIND, OC_KIND, ResidualModel
-from .persist import TruthRecord
 from .preprocess import (
     Standardizer,
     apply_standardizer,
@@ -29,33 +28,14 @@ from .preprocess import (
     downsample,
     fit_standardizer,
 )
-from .synth import DEFAULT_FAMILIES, SynthConfig
 
 HI_KINDS = (AGGREGATED, SENSORWISE)
 MODEL_KINDS = (AE_KIND, OC_KIND)
 
 
-# purpose tags for derive_seed
-SEED_SPLIT = 1
-SEED_TRAIN = 2
-
-
-def synth_config_from_run(cfg: RunConfig) -> SynthConfig:
-    s = cfg.synth
-    return SynthConfig(
-        n_units=s.n_units,
-        families=DEFAULT_FAMILIES[: s.n_families],
-        cycles_per_unit=s.cycles_per_unit,
-        rows_per_cycle=s.rows_per_cycle,
-        fault_start_cycle=(s.fault_start_lo, s.fault_start_hi),
-        severity_scale=s.severity_scale,
-        severity_exponent=s.severity_exponent,
-        noise_std=s.noise_std,
-        healthy_cycles_per_unit=cfg.split.healthy_cycles,
-        seed=cfg.seed,
-        map_seed=s.map_seed,
-        unit_prefix=s.unit_prefix,
-    )
+def realisation_seeds(master_seed: int, realisation: int) -> tuple[int, int]:
+    """(split seed, train seed) of one realisation: derive_seed purpose tags 1 and 2."""
+    return derive_seed(master_seed, 1, realisation), derive_seed(master_seed, 2, realisation)
 
 
 def preprocess_fleet(units: list[UnitSeries], cfg: RunConfig) -> list[UnitSeries]:
@@ -356,8 +336,7 @@ def run_realisation(
 
     The model computes every unit's residuals once, for both indicators.
     """
-    split_seed = derive_seed(cfg.seed, SEED_SPLIT, realisation)
-    train_seed = derive_seed(cfg.seed, SEED_TRAIN, realisation)
+    split_seed, train_seed = realisation_seeds(cfg.seed, realisation)
     prepared = prepare_fleet(preprocessed, cfg, split_seed)
     model, result = train_model(prepared, kind, cfg, train_seed)
     residuals = fleet_residuals(model, prepared.units)
@@ -466,11 +445,12 @@ def run_protocol(
     realisations = []
     for r in range(cfg.training.realisations):
         mine = runs[r * len(MODEL_KINDS) : (r + 1) * len(MODEL_KINDS)]
+        split_seed, train_seed = realisation_seeds(cfg.seed, r)
         realisations.append(
             RealisationResult(
                 realisation=r,
-                split_seed=derive_seed(cfg.seed, SEED_SPLIT, r),
-                train_seed=derive_seed(cfg.seed, SEED_TRAIN, r),
+                split_seed=split_seed,
+                train_seed=train_seed,
                 detections={k: d for run in mine for k, d in run.detections.items()},
                 train_results={run.kind: run.train_result for run in mine},
             )

@@ -12,19 +12,20 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, UnitSeries
+from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, TruthRecord, UnitSeries
+from .detector import DetectionReport, HealthyStats
 from .errors import (
     CorruptCheckpoint,
     EmptyFile,
     MissingColumn,
     NonNumericCell,
     RaggedRow,
+    ShapeMismatch,
     VersionMismatch,
 )
 from .models import ResidualModel
@@ -240,16 +241,6 @@ def save_csv(fleet: list[UnitSeries], path: str | Path) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class TruthRecord:
-    """Ground-truth sidecar row: fault timing and affected sensors per unit."""
-
-    unit_id: str
-    family: str
-    fault_cycle: int | None
-    fault_sensors: tuple[str, ...]
-
-
 def save_ground_truth(truths, path: str | Path) -> None:
     """Write the ground-truth sidecar (empty fault cycle = healthy unit)."""
     write_table(
@@ -362,8 +353,6 @@ def save_reports(reports, model_kind: str, hi_kind: str, path: str | Path) -> No
 
 def load_reports(path: str | Path):
     """Read detection rows back, grouped as (model, hi_kind) -> reports."""
-    from .detector import DetectionReport
-
     path = Path(path)
     with path.open(newline="") as fh:
         header, rows = _records(path, fh)
@@ -434,8 +423,6 @@ def stats_to_blob(stats, channel_names) -> dict:
 
 def stats_from_blob(blob: dict):
     """Inverse of stats_to_blob: (HealthyStats, channel names)."""
-    from .detector import HealthyStats
-
     try:
         stats = HealthyStats(
             mu=np.asarray(blob["mu"], dtype=np.float64),
@@ -444,8 +431,12 @@ def stats_from_blob(blob: dict):
             fitted_on=int(blob["fitted_on"]),
         )
         channels = tuple(blob["channels"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
         raise CorruptCheckpoint(f"malformed healthy statistics blob ({exc})") from None
+    if len(channels) != stats.n_channels:
+        raise CorruptCheckpoint(
+            f"healthy statistics name {len(channels)} channels for {stats.n_channels} values"
+        )
     return stats, channels
 
 
@@ -505,6 +496,8 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
         metadata = payload.get("metadata", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed checkpoint ({exc})") from None
+    if not isinstance(metadata, dict):
+        raise CorruptCheckpoint(f"{path}: checkpoint metadata must be a JSON object")
     try:
         net = nn.DenseNet(dims, weights, biases, activations)
         model = ResidualModel(kind, net, standardizer, n_w)

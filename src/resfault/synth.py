@@ -13,19 +13,15 @@ plausible but carry no thermodynamic meaning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import derive_seed
-from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, UnitSeries
+from .config import RunConfig, SynthSettings, derive_seed
+from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, TruthRecord, UnitSeries
 from .errors import ConfigInvalid
 
 ALTITUDE_CEILING = 35000.0
-
-SEGMENT_CLIMB = 0
-SEGMENT_CRUISE = 1
-SEGMENT_DESCENT = 2
 
 # Fractions of each cycle spent per phase; the cruise plateau must stay
 # dominant so the cruise filter keeps enough rows after downsampling.
@@ -84,94 +80,6 @@ DEFAULT_FAMILIES = (
 
 
 @dataclass(frozen=True)
-class SynthConfig:
-    """Fleet layout, flight-profile sizing, fault timing, and drift severity.
-
-    ``severity_scale`` is the drift added per (cycle - fault cycle) **
-    ``severity_exponent``, in raw sensor units (sensor signals have unit
-    variance over the operating envelope). None auto-calibrates it so the
-    fastest sensor reaches 6 * noise_std ten cycles after fault
-    initiation; 0 disables faults entirely (healthy fleet).
-
-    ``map_seed`` pins the fleet-wide sensor response map independently of
-    ``seed`` so a second fleet (e.g. healthy hold-out units) can share the
-    first fleet's physics while drawing fresh flight profiles;
-    ``unit_prefix`` keeps such a fleet's unit ids distinct.
-    """
-
-    n_units: int = 10
-    families: tuple[FamilyFault, ...] = DEFAULT_FAMILIES
-    cycles_per_unit: int = 48
-    rows_per_cycle: int = 200
-    fault_start_cycle: int | tuple[int, int] = (18, 22)
-    severity_scale: float | None = None
-    severity_exponent: float = 2.0
-    noise_std: float = 0.05
-    healthy_cycles_per_unit: int = 16
-    seed: int = 0
-    map_seed: int | None = None
-    unit_prefix: str = ""
-
-    def __post_init__(self):
-        if self.n_units < 1:
-            raise ConfigInvalid("n_units must be >= 1")
-        if not self.families:
-            raise ConfigInvalid("at least one fault family required")
-        sensor_sets = [frozenset(f.sensors) for f in self.families]
-        if len(set(sensor_sets)) != len(sensor_sets):
-            raise ConfigInvalid("fault sensor sets must be pairwise distinct")
-        if self.cycles_per_unit < 2:
-            raise ConfigInvalid("cycles_per_unit must be >= 2")
-        if self.rows_per_cycle < 20:
-            raise ConfigInvalid("rows_per_cycle must be >= 20")
-        lo, hi = self.fault_start_range()
-        if lo > hi:
-            raise ConfigInvalid("fault_start_cycle range must be non-decreasing")
-        if lo <= self.healthy_cycles_per_unit:
-            raise ConfigInvalid(
-                "faults must start after the healthy window "
-                f"({lo} <= {self.healthy_cycles_per_unit})"
-            )
-        if hi >= self.cycles_per_unit:
-            raise ConfigInvalid("faults must start before the unit ends")
-        if self.noise_std < 0:
-            raise ConfigInvalid("noise_std must be >= 0")
-        if self.severity_exponent <= 0:
-            raise ConfigInvalid("severity_exponent must be positive")
-        if self.severity_scale is not None and self.severity_scale < 0:
-            raise ConfigInvalid("severity_scale must be >= 0")
-
-    def fault_start_range(self) -> tuple[int, int]:
-        if isinstance(self.fault_start_cycle, int):
-            return self.fault_start_cycle, self.fault_start_cycle
-        lo, hi = self.fault_start_cycle
-        return int(lo), int(hi)
-
-    def effective_scale(self) -> float:
-        if self.severity_scale is not None:
-            return self.severity_scale
-        return (
-            DRIFT_TARGET_SIGMA
-            * self.noise_std
-            / DRIFT_TARGET_CYCLES**self.severity_exponent
-        )
-
-    def effective_map_seed(self) -> int:
-        return self.seed if self.map_seed is None else self.map_seed
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Evaluation-only truth for one generated unit."""
-
-    unit_id: str
-    family: str
-    fault_cycle: int | None
-    fault_sensors: tuple[str, ...]
-    segment_of: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class SensorMap:
     """Fleet-wide smooth map from normalized descriptors to sensor readings."""
 
@@ -194,11 +102,16 @@ def _normalize_w(w_rows: np.ndarray) -> np.ndarray:
     )
 
 
-def _cycle_profile(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """One cycle of descriptor rows plus per-row segment labels."""
+def segment_rows(rows: int) -> tuple[int, int, int]:
+    """Climb, cruise and descent row counts, in flight order, of a ``rows``-row cycle."""
     n_climb = max(2, round(CLIMB_FRACTION * rows))
     n_desc = max(2, round(DESCENT_FRACTION * rows))
-    n_cruise = rows - n_climb - n_desc
+    return n_climb, rows - n_climb - n_desc, n_desc
+
+
+def _cycle_profile(rng: np.random.Generator, rows: int) -> np.ndarray:
+    """One cycle of descriptor rows, laid out by segment_rows."""
+    n_climb, n_cruise, n_desc = segment_rows(rows)
     alt_top = rng.uniform(0.8, 1.0) * ALTITUDE_CEILING
     # climb tops out at 0.80 of the plateau so the cruise filter's 0.85
     # normalized-altitude cut separates the phases exactly
@@ -206,23 +119,12 @@ def _cycle_profile(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.
     cruise = alt_top * rng.uniform(0.97, 1.0, size=n_cruise)
     descent = np.linspace(0.80, 0.05, n_desc) * alt_top
     alt = np.concatenate([climb, cruise, descent])
-    segments = np.concatenate(
-        [
-            np.full(n_climb, SEGMENT_CLIMB, dtype=np.int8),
-            np.full(n_cruise, SEGMENT_CRUISE, dtype=np.int8),
-            np.full(n_desc, SEGMENT_DESCENT, dtype=np.int8),
-        ]
-    )
+    climbing = np.arange(rows) < n_climb
     rel = alt / ALTITUDE_CEILING
     mach = 0.30 + 0.48 * rel + rng.normal(0.0, 0.01, size=rows)
-    tra = (
-        35.0
-        + 40.0 * rel
-        + 18.0 * (segments == SEGMENT_CLIMB)
-        + rng.normal(0.0, 1.0, size=rows)
-    )
+    tra = 35.0 + 40.0 * rel + 18.0 * climbing + rng.normal(0.0, 1.0, size=rows)
     t2 = 518.67 - 3.0e-3 * alt + 8.0 * mach**2 + rng.normal(0.0, 0.5, size=rows)
-    return np.column_stack([alt, mach, tra, t2]), segments
+    return np.column_stack([alt, mach, tra, t2])
 
 
 def build_sensor_map(seed: int) -> SensorMap:
@@ -234,7 +136,7 @@ def build_sensor_map(seed: int) -> SensorMap:
     offset = rng.uniform(-1.0, 1.0, size=_MAP_HIDDEN)
     readout = rng.normal(0.0, 1.0, size=(n_x, _MAP_HIDDEN))
     reference = np.vstack(
-        [_cycle_profile(rng, 150)[0] for _ in range(_MAP_CALIBRATION_CYCLES)]
+        [_cycle_profile(rng, 150) for _ in range(_MAP_CALIBRATION_CYCLES)]
     )
     hidden = np.tanh(_normalize_w(reference) @ mix.T + offset)
     raw = hidden @ readout.T
@@ -245,45 +147,43 @@ def build_sensor_map(seed: int) -> SensorMap:
     )
 
 
+def _drift_scale(settings: SynthSettings) -> float:
+    """``severity_scale``, or the calibrated scale when it is unset."""
+    if settings.severity_scale is not None:
+        return settings.severity_scale
+    return (
+        DRIFT_TARGET_SIGMA
+        * settings.noise_std
+        / DRIFT_TARGET_CYCLES**settings.severity_exponent
+    )
+
+
 def gen_unit(
-    cfg: SynthConfig,
+    settings: SynthSettings,
     family: FamilyFault,
     unit_seed: int,
-    unit_id: str = "u00",
-) -> tuple[UnitSeries, GroundTruth]:
+    unit_id: str,
+    sensor_map: SensorMap,
+) -> tuple[UnitSeries, TruthRecord]:
     """Generate one unit plus its ground truth.
 
     The drift component is deterministic given the cycle index, so
     regenerating with the same seed and a zero severity scale yields the
     identical series minus the injected drift.
     """
-    sensor_map = build_sensor_map(cfg.effective_map_seed())
-    return _gen_unit(cfg, family, unit_seed, unit_id, sensor_map)
-
-
-def _gen_unit(
-    cfg: SynthConfig,
-    family: FamilyFault,
-    unit_seed: int,
-    unit_id: str,
-    sensor_map: SensorMap,
-) -> tuple[UnitSeries, GroundTruth]:
-    """gen_unit with the fleet's sensor map already built."""
     rng = np.random.default_rng(unit_seed)
-    scale = cfg.effective_scale()
-    lo, hi = cfg.fault_start_range()
-    n_true = int(rng.integers(lo, hi + 1))
+    scale = _drift_scale(settings)
+    n_true = int(rng.integers(settings.fault_start_lo, settings.fault_start_hi + 1))
     healthy = scale == 0.0
 
     sensor_idx = {name: i for i, name in enumerate(DEFAULT_X_CHANNELS)}
     w_blocks = []
     x_blocks = []
-    segment_blocks = []
     cycle_blocks = []
-    for cycle in range(cfg.cycles_per_unit):
-        w_cycle, segments = _cycle_profile(rng, cfg.rows_per_cycle)
+    for cycle in range(settings.cycles_per_unit):
+        w_cycle = _cycle_profile(rng, settings.rows_per_cycle)
         x_cycle = sensor_map.apply(w_cycle) + rng.normal(
-            0.0, cfg.noise_std, size=(cfg.rows_per_cycle, len(DEFAULT_X_CHANNELS))
+            0.0, settings.noise_std, size=(settings.rows_per_cycle, len(DEFAULT_X_CHANNELS))
         )
         if not healthy and cycle > n_true:
             for name, mult, onset in zip(
@@ -292,12 +192,11 @@ def _gen_unit(
                 growth = cycle - n_true - onset
                 if growth > 0:
                     x_cycle[:, sensor_idx[name]] += (
-                        mult * scale * growth**cfg.severity_exponent
+                        mult * scale * growth**settings.severity_exponent
                     )
         w_blocks.append(w_cycle)
         x_blocks.append(x_cycle)
-        segment_blocks.append(segments)
-        cycle_blocks.append(np.full(cfg.rows_per_cycle, cycle, dtype=np.int64))
+        cycle_blocks.append(np.full(settings.rows_per_cycle, cycle, dtype=np.int64))
 
     series = UnitSeries(
         unit_id=unit_id,
@@ -307,23 +206,33 @@ def _gen_unit(
         cycle_of=np.concatenate(cycle_blocks),
         channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
     )
-    truth = GroundTruth(
+    truth = TruthRecord(
         unit_id=unit_id,
         family=family.name,
         fault_cycle=None if healthy else n_true,
         fault_sensors=() if healthy else tuple(family.sensors),
-        segment_of=np.concatenate(segment_blocks),
     )
     return series, truth
 
 
-def gen_fleet(cfg: SynthConfig) -> list[tuple[UnitSeries, GroundTruth]]:
-    """Generate n_families x n_units units with per-unit derived seeds."""
-    sensor_map = build_sensor_map(cfg.effective_map_seed())
+def gen_fleet(cfg: RunConfig) -> list[tuple[UnitSeries, TruthRecord]]:
+    """n_units units of each of the first n_families DEFAULT_FAMILIES, per ``cfg.synth``.
+
+    Faults must start after the healthy window ``cfg.split.healthy_cycles``,
+    so that models train on healthy rows only.
+    """
+    settings = cfg.synth
+    if settings.fault_start_lo <= cfg.split.healthy_cycles:
+        raise ConfigInvalid(
+            "faults must start after the healthy window "
+            f"({settings.fault_start_lo} <= {cfg.split.healthy_cycles})"
+        )
+    map_seed = cfg.seed if settings.map_seed is None else settings.map_seed
+    sensor_map = build_sensor_map(map_seed)
     fleet = []
-    for f_idx, family in enumerate(cfg.families):
-        for u_idx in range(cfg.n_units):
-            unit_id = f"{cfg.unit_prefix}{family.name}-u{u_idx + 1:02d}"
+    for f_idx, family in enumerate(DEFAULT_FAMILIES[: settings.n_families]):
+        for u_idx in range(settings.n_units):
+            unit_id = f"{settings.unit_prefix}{family.name}-u{u_idx + 1:02d}"
             seed = derive_seed(cfg.seed, f_idx, u_idx)
-            fleet.append(_gen_unit(cfg, family, seed, unit_id, sensor_map))
+            fleet.append(gen_unit(settings, family, seed, unit_id, sensor_map))
     return fleet

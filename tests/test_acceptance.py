@@ -22,7 +22,7 @@ from resfault.config import config_from_dict
 from resfault.detector import detect, fit_stats, HealthyStats
 from resfault.health import AGGREGATED, SENSORWISE, aggregated_hi, sensorwise_hi
 from resfault.segmentation import pca_2d, silhouette, silhouette_curve
-from resfault.synth import gen_fleet
+from resfault.synth import _drift_scale, gen_fleet
 from gradcheck import finite_diff_grad
 
 
@@ -239,22 +239,24 @@ def test_criterion_07_pca_oracle():
 def end_to_end():
     started = time.perf_counter()
     cfg = config_from_dict({"training": {"realisations": 1}})
-    synth_cfg = experiment.synth_config_from_run(cfg)
-    assert synth_cfg.effective_scale() == pytest.approx(
-        6.0 * synth_cfg.noise_std / 10**2
+    assert _drift_scale(cfg.synth) == pytest.approx(
+        6.0 * cfg.synth.noise_std / 10**2
     )
-    fleet = gen_fleet(synth_cfg)
+    fleet = gen_fleet(cfg)
     assert len(fleet) == 30
     units = [s for s, _ in fleet]
     truths = {t.unit_id: t for _, t in fleet}
 
     healthy_cfg = dataclasses.replace(
-        synth_cfg,
-        severity_scale=0.0,
-        n_units=4,
-        seed=synth_cfg.seed + 101,
-        map_seed=synth_cfg.effective_map_seed(),
-        unit_prefix="holdout-",
+        cfg,
+        seed=cfg.seed + 101,
+        synth=dataclasses.replace(
+            cfg.synth,
+            severity_scale=0.0,
+            n_units=4,
+            map_seed=cfg.seed,
+            unit_prefix="holdout-",
+        ),
     )
     healthy_fleet = gen_fleet(healthy_cfg)[:10]
     healthy_units = [s for s, _ in healthy_fleet]
@@ -265,9 +267,8 @@ def end_to_end():
     healthy_pre = experiment.label_fleet(
         experiment.preprocess_fleet(healthy_units, cfg), healthy_truths
     )
-    prepared = experiment.prepare_fleet(pre, cfg, split_seed=experiment.derive_seed(
-        cfg.seed, experiment.SEED_SPLIT, 0))
-    train_seed = experiment.derive_seed(cfg.seed, experiment.SEED_TRAIN, 0)
+    split_seed, train_seed = experiment.realisation_seeds(cfg.seed, 0)
+    prepared = experiment.prepare_fleet(pre, cfg, split_seed)
 
     detections = {}
     healthy_detections = {}

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import resfault
+from resfault import experiment
 from resfault.cli import main
 from resfault.detector import DetectionReport
 from resfault.persist import load_checkpoint, save_reports
@@ -124,6 +125,11 @@ class TestTrain:
         assert len(log) == metadata["epochs_run"]
         assert (ckpt.with_name("oc_manifest.txt")).exists()
 
+    def test_checkpoint_seeds_are_the_protocols(self, workspace):
+        _, metadata = load_checkpoint(workspace["oc"])
+        seeds = (metadata["split_seed"], metadata["train_seed"])
+        assert seeds == experiment.realisation_seeds(MINI_CONFIG["seed"], 0)
+
     def test_missing_data_dir_is_data_error(self, workspace, tmp_path):
         code = main(
             ["train", "--config", str(workspace["config"]), "--data",
@@ -207,6 +213,13 @@ class TestNegativeSeeds:
         cfg = write_config(tmp_path / "neg.yaml", {"seed": -5})
         proc = run_fresh([str(SCRIPT), "--config", str(cfg), "--out", str(tmp_path / "o")])
         self.assert_config_error(proc, "seed must be >= 0, got -5")
+
+    def test_synth_map_seed(self, tmp_path):
+        cfg = write_config(tmp_path / "neg.yaml", {"synth": {"map_seed": -1}})
+        out = tmp_path / "o"
+        proc = run_fresh(["-m", "resfault", "synth", "--config", str(cfg), "--out", str(out)])
+        self.assert_config_error(proc, "synth.map_seed must be >= 0")
+        assert not out.exists()
 
     def test_train_realisation(self, workspace, tmp_path):
         out = tmp_path / "oc.json"
@@ -477,6 +490,67 @@ class TestSegment:
         assert code == 3
         err = capsys.readouterr().err
         assert f"got {n_alarmed}" in err and "10 cycles after" in err
+
+
+CORRUPT_STATS = ["metadata_is_a_list", "healthy_stats_is_a_list", "unequal_lengths",
+                 "thirteen_channels", "thirteen_names"]
+
+
+def corrupt_checkpoint(source: Path, target: Path, case: str) -> str:
+    """Write ``source`` with its healthy statistics damaged; returns the expected error."""
+    blob = json.loads(source.read_text())
+    sensorwise = blob["metadata"]["healthy_stats"]["sensorwise"]
+    if case == "metadata_is_a_list":
+        blob["metadata"] = []
+        expected = "checkpoint metadata must be a JSON object"
+    elif case == "healthy_stats_is_a_list":
+        blob["metadata"]["healthy_stats"] = []
+        expected = "checkpoint healthy_stats must be a JSON object"
+    elif case == "unequal_lengths":
+        sensorwise["tau"].pop()
+        expected = "mu, sigma, tau must be 1-D vectors of equal length"
+    elif case == "thirteen_names":
+        sensorwise["channels"].pop()
+        expected = "healthy statistics name 13 channels for 14 values"
+    else:
+        # 13 channels for the 14-sensor OC model
+        for key in ("channels", "mu", "sigma", "tau"):
+            sensorwise[key].pop()
+        expected = "checkpoint has 13 sensorwise statistics channels, the OC model needs 14"
+    target.write_text(json.dumps(blob))
+    return expected
+
+
+class TestCorruptCheckpointStats:
+    """Bad healthy statistics in a checkpoint are a data error, exit 3."""
+
+    def assert_data_error(self, code, capsys, expected):
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert expected in err[0]
+
+    @pytest.mark.parametrize("case", CORRUPT_STATS)
+    def test_detect(self, workspace, tmp_path, capsys, case):
+        ckpt = tmp_path / "corrupt.json"
+        expected = corrupt_checkpoint(workspace["oc"], ckpt, case)
+        out = tmp_path / "r.csv"
+        code = main(
+            ["detect", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--checkpoint", str(ckpt), "--hi", "sensorwise", "--out", str(out)]
+        )
+        self.assert_data_error(code, capsys, expected)
+        assert not out.exists()
+
+    def test_segment(self, workspace, seg_out, tmp_path, capsys):
+        ckpt = tmp_path / "corrupt.json"
+        expected = corrupt_checkpoint(workspace["oc"], ckpt, "thirteen_channels")
+        code = main(
+            ["segment", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--checkpoint", str(ckpt), "--reports", str(seg_out.parent / "reports.csv"),
+             "--out", str(tmp_path / "seg")]
+        )
+        self.assert_data_error(code, capsys, expected)
 
 
 class TestMalformedFleet:

@@ -1,7 +1,7 @@
 import pytest
 import yaml
 
-from resfault import experiment, nn
+from resfault import nn
 from resfault.config import (
     RunConfig,
     config_from_dict,
@@ -98,10 +98,9 @@ class TestOverrides:
             {"seed": 9, "synth": {"n_units": 2, "severity_scale": 0.0, "unit_prefix": "h-"}}
         )
         assert cfg.seed == 9
-        scfg = experiment.synth_config_from_run(cfg)
-        assert scfg.n_units == 2
-        assert scfg.severity_scale == 0.0
-        assert scfg.unit_prefix == "h-"
+        assert cfg.synth.n_units == 2
+        assert cfg.synth.severity_scale == 0.0
+        assert cfg.synth.unit_prefix == "h-"
 
     def test_timeline_checkpoints_list(self):
         cfg = config_from_dict({"segmentation": {"timeline_checkpoints": [5, 15]}})
@@ -111,3 +110,35 @@ class TestOverrides:
         cfg = config_from_dict({"training": {"epochs": 3}, "seed": 4})
         again = config_from_dict(yaml.safe_load(dump_config(cfg)))
         assert again == cfg
+
+    def test_load_of_dump_round_trips(self, tmp_path):
+        # "1e3" is a string that the YAML 1.2 float rule would read as a number
+        cfg = config_from_dict(
+            {"training": {"learning_rate": 1e-5}, "synth": {"unit_prefix": "1e3"}}
+        )
+        path = tmp_path / "dumped.yaml"
+        path.write_text(dump_config(cfg))
+        assert load_config(path) == cfg
+
+
+class TestYamlNumbers:
+    def load(self, tmp_path, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        return load_config(path)
+
+    def test_exponent_float_without_dot(self, tmp_path):
+        cfg = self.load(tmp_path, "training: {learning_rate: 1e-3}\n")
+        assert cfg.training.learning_rate == 0.001
+
+    @pytest.mark.parametrize("text", ["-2.5E-4", "-25E-5"])
+    def test_negative_exponent_float_reaches_the_range_check(self, tmp_path, text):
+        with pytest.raises(ConfigInvalid, match="learning_rate must be positive"):
+            self.load(tmp_path, f"training: {{learning_rate: {text}}}\n")
+
+    def test_exponent_is_not_an_integer(self, tmp_path):
+        with pytest.raises(ConfigInvalid, match="epochs must be an integer"):
+            self.load(tmp_path, "training: {epochs: 1e3}\n")
+
+    def test_global_safe_loader_unchanged(self):
+        assert yaml.safe_load("a: 1e-3") == {"a": "1e-3"}

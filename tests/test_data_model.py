@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from resfault.config import SplitSettings
 from resfault.data_model import UnitSeries, cycle_bounds, split, stack_rows
 from resfault.errors import ShapeMismatch, UnitTooShort
-from resfault.synth import FamilyFault, SynthConfig, gen_unit
+from resfault.config import SynthSettings
+from resfault.synth import FamilyFault, build_sensor_map, gen_unit
 
 from conftest import make_unit
 
@@ -59,15 +60,15 @@ class TestCycles:
             assert a[0] < b[0]
 
     def test_synth_unit_has_known_boundaries(self):
-        cfg = SynthConfig(
+        settings = SynthSettings(
             n_units=1,
-            families=(FamilyFault(name="f", sensors=("T24",)),),
             cycles_per_unit=3,
             rows_per_cycle=100,
-            fault_start_cycle=2,
-            healthy_cycles_per_unit=1,
+            fault_start_lo=2,
+            fault_start_hi=2,
         )
-        series, _ = gen_unit(cfg, cfg.families[0], unit_seed=3)
+        family = FamilyFault(name="f", sensors=("T24",))
+        series, _ = gen_unit(settings, family, 3, "u00", build_sensor_map(0))
         starts, stops = cycle_bounds(series.cycle_of)
         assert len(starts) == 3
         assert all(stops - starts == 100)

@@ -42,7 +42,7 @@ def mini_cfg(realisations=2):
 @pytest.fixture(scope="module")
 def mini_fleet():
     cfg = mini_cfg()
-    fleet = gen_fleet(experiment.synth_config_from_run(cfg))
+    fleet = gen_fleet(cfg)
     units = [s for s, _ in fleet]
     truths = {t.unit_id: t for _, t in fleet}
     return cfg, units, truths
@@ -100,10 +100,10 @@ class TestPreparation:
 
 class TestDeriveSeed:
     def test_stable_and_distinct(self):
-        a = experiment.derive_seed(5, experiment.SEED_SPLIT, 0)
-        assert a == experiment.derive_seed(5, experiment.SEED_SPLIT, 0)
-        assert a != experiment.derive_seed(5, experiment.SEED_SPLIT, 1)
-        assert a != experiment.derive_seed(5, experiment.SEED_TRAIN, 0)
+        split0, train0 = experiment.realisation_seeds(5, 0)
+        assert (split0, train0) == experiment.realisation_seeds(5, 0)
+        assert split0 != experiment.realisation_seeds(5, 1)[0]
+        assert split0 != train0
 
 
 class TestProtocol:
@@ -162,6 +162,10 @@ class TestProtocol:
         result = experiment.run_protocol(units, truths, cfg, workers=1)
         seeds = {r.split_seed for r in result.realisations}
         assert len(seeds) == 2
+        for r in result.realisations:
+            assert (r.split_seed, r.train_seed) == experiment.realisation_seeds(
+                cfg.seed, r.realisation
+            )
 
 
 class TestEvaluateGroup:

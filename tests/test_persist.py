@@ -41,7 +41,8 @@ from resfault.persist import (
     stats_to_blob,
 )
 from resfault.preprocess import Standardizer
-from resfault.synth import SynthConfig, gen_fleet
+from resfault.config import RunConfig, SynthSettings
+from resfault.synth import gen_fleet
 from resfault.detector import DetectionReport
 
 
@@ -75,12 +76,11 @@ def same_columns(a, b):
 
 
 def small_fleet():
-    cfg = SynthConfig(
-        n_units=2,
-        cycles_per_unit=20,
-        rows_per_cycle=25,
-        fault_start_cycle=18,
+    cfg = RunConfig(
         seed=5,
+        synth=SynthSettings(
+            n_units=2, cycles_per_unit=20, rows_per_cycle=25, fault_start_lo=18, fault_start_hi=18
+        ),
     )
     return [s for s, _ in gen_fleet(cfg)], [t for _, t in gen_fleet(cfg)]
 

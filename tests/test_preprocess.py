@@ -11,9 +11,32 @@ from resfault.preprocess import (
     downsample,
     fit_standardizer,
 )
-from resfault.synth import FamilyFault, SEGMENT_CRUISE, SynthConfig, gen_unit
+from resfault.config import SynthSettings
+from resfault.synth import FamilyFault, build_sensor_map, gen_unit, segment_rows
 
 from conftest import make_unit
+
+
+def synth_unit(cycles: int, rows: int, fault_start: int, unit_seed: int):
+    """One generated unit with a single-sensor fault family."""
+    settings = SynthSettings(
+        n_units=1,
+        cycles_per_unit=cycles,
+        rows_per_cycle=rows,
+        fault_start_lo=fault_start,
+        fault_start_hi=fault_start,
+    )
+    family = FamilyFault(name="f", sensors=("T24",))
+    series, _ = gen_unit(settings, family, unit_seed, "u00", build_sensor_map(0))
+    return series
+
+
+def cruise_rows(series) -> np.ndarray:
+    """Per-row cruise flag of a generated unit, from the generator's cycle layout."""
+    starts, stops = cycle_bounds(series.cycle_of)
+    return np.concatenate(
+        [np.repeat([False, True, False], segment_rows(b - a)) for a, b in zip(starts, stops)]
+    )
 
 
 class TestDownsample:
@@ -114,37 +137,22 @@ class TestCruiseFilter:
             cruise_filter(unit, 0.85)
 
     def test_matches_generator_cruise_segment(self):
-        cfg = SynthConfig(
-            n_units=1,
-            families=(FamilyFault(name="f", sensors=("T24",)),),
-            cycles_per_unit=4,
-            rows_per_cycle=60,
-            fault_start_cycle=3,
-            healthy_cycles_per_unit=2,
-        )
-        series, truth = gen_unit(cfg, cfg.families[0], unit_seed=11)
+        series = synth_unit(cycles=4, rows=60, fault_start=3, unit_seed=11)
         kept = cruise_filter(series, 0.85)
-        expected_rows = np.flatnonzero(truth.segment_of == SEGMENT_CRUISE)
+        expected_rows = np.flatnonzero(cruise_rows(series))
         assert kept.n_rows == len(expected_rows)
         np.testing.assert_array_equal(kept.w, series.w[expected_rows])
 
     def test_survives_downsampling_first(self):
         # pipeline order: downsample, then cruise-filter the strided rows
-        cfg = SynthConfig(
-            n_units=1,
-            families=(FamilyFault(name="f", sensors=("T24",)),),
-            cycles_per_unit=3,
-            rows_per_cycle=100,
-            fault_start_cycle=2,
-            healthy_cycles_per_unit=1,
-        )
-        series, truth = gen_unit(cfg, cfg.families[0], unit_seed=2)
+        series = synth_unit(cycles=3, rows=100, fault_start=2, unit_seed=2)
         down = downsample(series, 10)
-        down_segments = np.concatenate(
-            [truth.segment_of[a:b:10] for a, b in zip(*cycle_bounds(series.cycle_of))]
+        is_cruise = cruise_rows(series)
+        down_cruise = np.concatenate(
+            [is_cruise[a:b:10] for a, b in zip(*cycle_bounds(series.cycle_of))]
         )
         kept = cruise_filter(down, 0.85)
-        expected = np.flatnonzero(down_segments == SEGMENT_CRUISE)
+        expected = np.flatnonzero(down_cruise)
         np.testing.assert_array_equal(kept.w, down.w[expected])
 
     def test_output_is_ordered_row_subset(self, rng):

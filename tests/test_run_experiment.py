@@ -95,7 +95,7 @@ def test_manifest_records_workers_and_training_outcomes(experiment_run):
     assert list(found) == [(r, kind) for r in realisations for kind in experiment.MODEL_KINDS]
     # the recorded outcome is the one the job's training returned
     cfg = dataclasses.replace(load_config(out.parent / "tiny.yaml"), seed=3)
-    fleet = gen_fleet(experiment.synth_config_from_run(cfg))
+    fleet = gen_fleet(cfg)
     truths = {t.unit_id: t for _, t in fleet}
     preprocessed = experiment.label_fleet(
         experiment.preprocess_fleet([s for s, _ in fleet], cfg), truths

@@ -17,7 +17,8 @@ from resfault.segmentation import (
     snapshot,
     trigger_timeline,
 )
-from resfault.synth import FamilyFault, SynthConfig, build_sensor_map, gen_unit
+from resfault.config import SynthSettings
+from resfault.synth import FamilyFault, build_sensor_map, gen_unit
 
 
 def averages(values, cycle_ids=None, names=None):
@@ -324,25 +325,23 @@ class TestTriggerTimeline:
             rate_multipliers=(1.0, 1.0),
             onset_offsets=(0, 15),
         )
-        cfg = SynthConfig(
+        settings = SynthSettings(
             n_units=1,
-            families=(family,),
             cycles_per_unit=70,
             rows_per_cycle=40,
-            fault_start_cycle=18,
+            fault_start_lo=18,
+            fault_start_hi=18,
             noise_std=0.05,
-            healthy_cycles_per_unit=16,
-            seed=21,
         )
-        series, truth = gen_unit(cfg, family, unit_seed=99, unit_id="u1")
+        response = build_sensor_map(21)
+        series, truth = gen_unit(settings, family, 99, "u1", response)
         # oracle residuals: the generator's own response map is a perfect
         # operating-conditions model, so residual = noise + injected drift
-        response = build_sensor_map(cfg.effective_map_seed())
         residuals = series.x - response.apply(series.w)
         hi = sensorwise_hi(
             residuals, series.cycle_of, channel_names=DEFAULT_X_CHANNELS
         )
-        healthy_rows = series.cycle_of < cfg.healthy_cycles_per_unit
+        healthy_rows = series.cycle_of < 16
         stats = fit_stats(hi.values[healthy_rows])
         avg = cycle_average(hi)
         report = build_report("u1", "stag", avg, stats, n_wait=3, n_true=truth.fault_cycle)

@@ -11,7 +11,7 @@ import inspect
 
 import pytest
 
-from resfault import data_model, detector, models, nn, preprocess, segmentation
+from resfault import data_model, detector, models, nn, preprocess, segmentation, synth
 from resfault.config import (
     DetectionSettings,
     PreprocessSettings,
@@ -40,6 +40,8 @@ RECEIVES_SETTING = [
     (nn.train, "seed"),
     (models.train, "settings"),
     (models.train, "seed"),
+    (synth.gen_unit, "settings"),
+    (synth.gen_fleet, "cfg"),
 ]
 
 
@@ -62,6 +64,11 @@ def test_setting_parameter_has_no_default(fn, name):
         (DetectionSettings, {"n_wait": 0}),
         (SegmentationSettings, {"normalization": "l2"}),
         (SynthSettings, {"n_families": 4}),
+        (SynthSettings, {"map_seed": -1}),
+        (SynthSettings, {"rows_per_cycle": 19}),
+        (SynthSettings, {"fault_start_lo": 21, "fault_start_hi": 20}),
+        (SynthSettings, {"fault_start_hi": 48}),
+        (SynthSettings, {"noise_std": -0.1}),
         (RunConfig, {"seed": -1}),
         (RunConfig, {"seed": 1.5}),
     ],

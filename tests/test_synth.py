@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from resfault.config import derive_seed
+from resfault.config import RunConfig, SynthSettings, derive_seed
 from resfault.data_model import DEFAULT_X_CHANNELS, cycle_bounds
 from resfault.detector import build_report, cycle_average, fit_stats
 from resfault.errors import ConfigInvalid
@@ -13,55 +13,61 @@ from resfault.synth import (
     DRIFT_TARGET_CYCLES,
     DRIFT_TARGET_SIGMA,
     FamilyFault,
-    SynthConfig,
+    _drift_scale,
     build_sensor_map,
     gen_fleet,
     gen_unit,
 )
 
+SEED = 3
 
-def small_cfg(**overrides):
+
+def small_cfg(seed=SEED, **overrides):
     base = dict(
         n_units=2,
-        families=DEFAULT_FAMILIES[:2],
+        n_families=2,
         cycles_per_unit=30,
         rows_per_cycle=40,
-        fault_start_cycle=(18, 20),
+        fault_start_lo=18,
+        fault_start_hi=20,
         noise_std=0.05,
-        seed=3,
     )
     base.update(overrides)
-    return SynthConfig(**base)
+    return RunConfig(seed=seed, synth=SynthSettings(**base))
 
 
-def oracle_residuals(cfg, series):
-    response = build_sensor_map(cfg.effective_map_seed())
+def small_unit(settings, unit_seed, unit_id="u00"):
+    """One unit of the first family on the response map of SEED."""
+    return gen_unit(settings, DEFAULT_FAMILIES[0], unit_seed, unit_id, build_sensor_map(SEED))
+
+
+def oracle_residuals(series):
+    response = build_sensor_map(SEED)
     return series.x - response.apply(series.w)
 
 
 class TestConfig:
     def test_distinct_sensor_sets_required(self):
-        fam = FamilyFault(name="a", sensors=("T24",))
-        clone = FamilyFault(name="b", sensors=("T24",))
-        with pytest.raises(ConfigInvalid):
-            small_cfg(families=(fam, clone))
+        # families are told apart by their sensors; the fleet's are fixed
+        sensor_sets = [frozenset(f.sensors) for f in DEFAULT_FAMILIES]
+        assert len(set(sensor_sets)) == len(sensor_sets)
 
     def test_fault_must_start_after_healthy_window(self):
-        with pytest.raises(ConfigInvalid):
-            small_cfg(fault_start_cycle=(10, 12))
+        with pytest.raises(ConfigInvalid, match="after the healthy window"):
+            gen_fleet(small_cfg(fault_start_lo=10, fault_start_hi=12))
 
     def test_fault_must_start_before_unit_ends(self):
         with pytest.raises(ConfigInvalid):
-            small_cfg(fault_start_cycle=(18, 30))
+            small_cfg(fault_start_lo=18, fault_start_hi=30)
 
     def test_unknown_sensor_rejected(self):
         with pytest.raises(ConfigInvalid):
             FamilyFault(name="x", sensors=("NOPE",))
 
     def test_auto_calibrated_scale(self):
-        cfg = small_cfg()
-        expected = DRIFT_TARGET_SIGMA * cfg.noise_std / DRIFT_TARGET_CYCLES**2
-        assert cfg.effective_scale() == pytest.approx(expected)
+        settings = small_cfg().synth
+        expected = DRIFT_TARGET_SIGMA * settings.noise_std / DRIFT_TARGET_CYCLES**2
+        assert _drift_scale(settings) == pytest.approx(expected)
 
     def test_default_multipliers_descend_from_one(self):
         fam = DEFAULT_FAMILIES[0]
@@ -71,27 +77,24 @@ class TestConfig:
 
 class TestGenUnit:
     def test_shape_and_cycles(self):
-        cfg = small_cfg()
-        series, truth = gen_unit(cfg, cfg.families[0], unit_seed=1, unit_id="u1")
+        series, truth = small_unit(small_cfg().synth, unit_seed=1, unit_id="u1")
         assert series.n_rows == 30 * 40
         assert len(cycle_bounds(series.cycle_of)[0]) == 30
         assert series.n_w == 4 and series.n_x == 14
         assert truth.fault_cycle is not None
         assert 18 <= truth.fault_cycle <= 20
-        assert truth.fault_sensors == cfg.families[0].sensors
-        assert truth.segment_of.shape == (series.n_rows,)
+        assert truth.fault_sensors == DEFAULT_FAMILIES[0].sensors
 
     def test_noiseless_map_reproduction(self):
-        cfg = small_cfg(noise_std=0.0, severity_scale=0.0)
-        series, truth = gen_unit(cfg, cfg.families[0], unit_seed=5)
-        np.testing.assert_allclose(oracle_residuals(cfg, series), 0.0, atol=1e-12)
+        settings = small_cfg(noise_std=0.0, severity_scale=0.0).synth
+        series, truth = small_unit(settings, unit_seed=5)
+        np.testing.assert_allclose(oracle_residuals(series), 0.0, atol=1e-12)
         assert truth.fault_cycle is None
 
     def test_zero_scale_unit_never_alarms(self):
-        cfg = small_cfg(severity_scale=0.0)
-        series, truth = gen_unit(cfg, cfg.families[0], unit_seed=8)
+        series, truth = small_unit(small_cfg(severity_scale=0.0).synth, unit_seed=8)
         assert truth.fault_cycle is None and truth.fault_sensors == ()
-        residuals = oracle_residuals(cfg, series)
+        residuals = oracle_residuals(series)
         hi = sensorwise_hi(residuals, series.cycle_of, channel_names=DEFAULT_X_CHANNELS)
         healthy = series.cycle_of < 16
         stats = fit_stats(hi.values[healthy])
@@ -99,11 +102,9 @@ class TestGenUnit:
         assert not report.detected
 
     def test_drift_is_pure_addition_after_fault_cycle(self):
-        cfg = small_cfg()
-        faulty, truth = gen_unit(cfg, cfg.families[0], unit_seed=13)
-        clean, _ = gen_unit(
-            dataclasses.replace(cfg, severity_scale=0.0), cfg.families[0], unit_seed=13
-        )
+        settings = small_cfg().synth
+        faulty, truth = small_unit(settings, unit_seed=13)
+        clean, _ = small_unit(dataclasses.replace(settings, severity_scale=0.0), unit_seed=13)
         # identical flights: the fault only ever adds drift on top
         np.testing.assert_array_equal(faulty.w, clean.w)
         diff = faulty.x - clean.x
@@ -115,11 +116,9 @@ class TestGenUnit:
         assert touched == set(truth.fault_sensors)
 
     def test_drift_constant_within_cycle_and_nondecreasing(self):
-        cfg = small_cfg()
-        faulty, truth = gen_unit(cfg, cfg.families[0], unit_seed=21)
-        clean, _ = gen_unit(
-            dataclasses.replace(cfg, severity_scale=0.0), cfg.families[0], unit_seed=21
-        )
+        settings = small_cfg().synth
+        faulty, truth = small_unit(settings, unit_seed=21)
+        clean, _ = small_unit(dataclasses.replace(settings, severity_scale=0.0), unit_seed=21)
         diff = faulty.x - clean.x
         fastest = DEFAULT_X_CHANNELS.index(truth.fault_sensors[0])
         per_cycle = []
@@ -131,26 +130,24 @@ class TestGenUnit:
         assert np.all(np.diff(per_cycle) >= -1e-12)
 
     def test_drift_calibration_target(self):
-        cfg = small_cfg()
-        faulty, truth = gen_unit(cfg, cfg.families[0], unit_seed=2)
-        clean, _ = gen_unit(
-            dataclasses.replace(cfg, severity_scale=0.0), cfg.families[0], unit_seed=2
-        )
+        settings = small_cfg().synth
+        faulty, truth = small_unit(settings, unit_seed=2)
+        clean, _ = small_unit(dataclasses.replace(settings, severity_scale=0.0), unit_seed=2)
         diff = faulty.x - clean.x
         fastest = DEFAULT_X_CHANNELS.index(truth.fault_sensors[0])
         at_target = faulty.cycle_of == truth.fault_cycle + DRIFT_TARGET_CYCLES
-        expected = DRIFT_TARGET_SIGMA * cfg.noise_std
+        expected = DRIFT_TARGET_SIGMA * settings.noise_std
         np.testing.assert_allclose(diff[at_target, fastest], expected, rtol=1e-9)
 
     def test_oracle_detection_within_twelve_cycles(self):
         # calibrated drift must be detectable quickly by sensor-wise
         # indicators computed from oracle residuals
-        cfg = small_cfg(n_units=5, families=DEFAULT_FAMILIES, cycles_per_unit=40)
+        cfg = small_cfg(n_units=5, n_families=3, cycles_per_unit=40)
         fleet = gen_fleet(cfg)
         healthy_pool = []
         per_unit = []
         for series, truth in fleet:
-            residuals = oracle_residuals(cfg, series)
+            residuals = oracle_residuals(series)
             hi = sensorwise_hi(residuals, series.cycle_of, channel_names=DEFAULT_X_CHANNELS)
             healthy_pool.append(hi.values[series.cycle_of < 16])
             per_unit.append((series, truth, hi))
@@ -170,7 +167,7 @@ class TestGenUnit:
 
 class TestGenFleet:
     def test_fleet_layout(self):
-        cfg = small_cfg(n_units=10, families=DEFAULT_FAMILIES)
+        cfg = small_cfg(n_units=10, n_families=3)
         fleet = gen_fleet(cfg)
         assert len(fleet) == 30
         ids = [s.unit_id for s, _ in fleet]
@@ -188,7 +185,7 @@ class TestGenFleet:
             assert ta.fault_cycle == tb.fault_cycle
 
     def test_configured_sensor_sets_echoed_and_disjoint(self):
-        cfg = small_cfg(n_units=1, families=DEFAULT_FAMILIES)
+        cfg = small_cfg(n_units=1, n_families=3)
         fleet = gen_fleet(cfg)
         sets = [set(t.fault_sensors) for _, t in fleet]
         for i, a in enumerate(sets):
@@ -196,17 +193,14 @@ class TestGenFleet:
                 assert a.isdisjoint(b)
 
     def test_unit_prefix_and_shared_map(self):
-        cfg = small_cfg()
-        other = dataclasses.replace(
-            cfg, seed=cfg.seed + 1, map_seed=cfg.seed, unit_prefix="hold-"
-        )
+        other = small_cfg(seed=SEED + 1, map_seed=SEED, unit_prefix="hold-")
         fleet = gen_fleet(other)
         assert all(s.unit_id.startswith("hold-") for s, _ in fleet)
         # the response map is pinned: oracle residuals stay at noise level
         series, _ = fleet[0]
-        residuals = oracle_residuals(cfg, series)
+        residuals = oracle_residuals(series)
         healthy = series.cycle_of < 16
-        assert np.abs(residuals[healthy]).mean() < 3 * cfg.noise_std
+        assert np.abs(residuals[healthy]).mean() < 3 * other.synth.noise_std
 
     def test_derive_unit_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
