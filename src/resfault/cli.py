@@ -145,8 +145,7 @@ def cmd_train(args) -> int:
     healthy_stats = {}
     for hi_kind in experiment.HI_KINDS:
         stats = experiment.fit_fleet_stats(prepared, model, hi_kind, cfg, residuals)
-        names = experiment.hi_channel_names(model, units[0], hi_kind)
-        healthy_stats[hi_kind] = persist.stats_to_blob(stats, names)
+        healthy_stats[hi_kind] = persist.stats_to_blob(stats)
 
     metadata = {
         "master_seed": cfg.seed,
@@ -205,20 +204,20 @@ def _checkpoint_stats(model, metadata: dict, hi_kind: str):
         raise CorruptCheckpoint(
             f"checkpoint carries no healthy statistics for {hi_kind!r} indicators"
         )
-    stats, channel_names = persist.stats_from_blob(blob)
+    stats = persist.stats_from_blob(blob)
     width = 1 if hi_kind == AGGREGATED else model.net.layer_dims[-1]
     if stats.n_channels != width:
         raise CorruptCheckpoint(
             f"checkpoint has {stats.n_channels} {hi_kind} statistics channels, "
             f"the {model.kind} model needs {width}"
         )
-    return stats, channel_names
+    return stats
 
 
 def cmd_detect(args) -> int:
     cfg = _effective_config(args)
     model, metadata = persist.load_checkpoint(args.checkpoint)
-    stats, channel_names = _checkpoint_stats(model, metadata, args.hi)
+    stats = _checkpoint_stats(model, metadata, args.hi)
     units, truths = _prepared_units(args.data, cfg)
     residuals = experiment.fleet_residuals(model, units)
     detection = experiment.detect_with_stats(
@@ -227,10 +226,10 @@ def cmd_detect(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     persist.save_reports(detection.reports, model.kind, args.hi, out)
-    persist.save_stats(stats, channel_names, out.with_name(out.stem + "_stats.csv"))
+    persist.save_stats(stats, out.with_name(out.stem + "_stats.csv"))
     if args.dump_hi:
         persist.save_cycle_hi_csv(
-            detection.cycle_averages, out.with_name(out.stem + "_hi.csv")
+            detection.cycle_averages, stats.channel_names, out.with_name(out.stem + "_hi.csv")
         )
     write_manifest(
         out.with_name(out.stem + "_manifest.txt"),
@@ -269,7 +268,7 @@ def cmd_evaluate(args) -> int:
 def cmd_segment(args) -> int:
     cfg = _effective_config(args)
     model, metadata = persist.load_checkpoint(args.checkpoint)
-    stats, _ = _checkpoint_stats(model, metadata, SENSORWISE)
+    stats = _checkpoint_stats(model, metadata, SENSORWISE)
     units, truths = _prepared_units(args.data, cfg)
 
     groups = persist.load_reports(args.reports)
@@ -293,7 +292,7 @@ def cmd_segment(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     rows = [[sig.unit_id, sig.fault_label, *map(fmt, sig.vector)] for sig in bundle.signatures]
-    persist.write_table(out / "signatures.csv", ["unit", "label", *bundle.channel_names], rows)
+    persist.write_table(out / "signatures.csv", ["unit", "label", *stats.channel_names], rows)
     rows = [
         [sig.unit_id, sig.fault_label, fmt(x), fmt(y)]
         for sig, (x, y) in zip(bundle.signatures, bundle.pca.coords)

@@ -147,6 +147,7 @@ class SynthSettings:
     def __post_init__(self):
         if self.n_units < 1:
             raise ConfigInvalid("synth.n_units must be >= 1")
+        # 3 is len(synth.DEFAULT_FAMILIES); synth imports this module, so it is restated
         if not 1 <= self.n_families <= 3:
             raise ConfigInvalid("synth.n_families must lie in 1..3")
         if self.cycles_per_unit < 2:

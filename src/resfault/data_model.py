@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SplitSettings
-from .errors import ShapeMismatch, UnitTooShort
+from .errors import InsufficientData, ShapeMismatch, UnitTooShort
 
 # Operating descriptors: altitude, Mach number, throttle-resolver angle,
 # total temperature at the fan inlet.
@@ -139,7 +139,8 @@ def split(fleet: list[UnitSeries], settings: SplitSettings, seed: int) -> FleetS
     The healthy window is the first ``settings.healthy_cycles`` cycles of
     every unit. Validation rows are drawn uniformly at random from the
     pooled healthy rows of the whole fleet, so the draw is not stratified
-    by unit. The same seed always reproduces the same split.
+    by unit. The same seed always reproduces the same split. A pool too
+    small to leave rows in both train and validation is InsufficientData.
     """
     seen: set[str] = set()
     for unit in fleet:
@@ -163,6 +164,11 @@ def split(fleet: list[UnitSeries], settings: SplitSettings, seed: int) -> FleetS
     pool_rows = np.concatenate(pool_row)
     n_pool = len(pool_rows)
     n_val = round(settings.validation_fraction * n_pool)
+    if not 0 < n_val < n_pool:
+        raise InsufficientData(
+            f"split.validation_fraction {settings.validation_fraction} of {n_pool} healthy "
+            f"rows leaves {n_val} validation and {n_pool - n_val} training rows"
+        )
     rng = np.random.default_rng(seed)
     val_positions = rng.choice(n_pool, size=n_val, replace=False)
     is_val = np.zeros(n_pool, dtype=bool)

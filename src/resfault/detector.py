@@ -14,7 +14,6 @@ import numpy as np
 
 from .data_model import cycle_bounds
 from .errors import ShapeMismatch
-from .health import HiSeries
 from .preprocess import column_stats
 
 SIGMA_MULTIPLIER = 3.0
@@ -22,58 +21,66 @@ SIGMA_MULTIPLIER = 3.0
 
 @dataclass(frozen=True)
 class HealthyStats:
-    """Per-channel healthy mean, standard deviation, and alarm threshold."""
+    """Per-channel healthy mean, standard deviation, and alarm threshold.
+
+    ``channel_names`` names the indicator channels, one per ``mu`` entry;
+    alarm reports, trigger timelines and every written table take their
+    channel names from here.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
     tau: np.ndarray
     fitted_on: int
+    channel_names: tuple[str, ...]
 
     def __post_init__(self):
         for name in ("mu", "sigma", "tau"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        object.__setattr__(self, "channel_names", tuple(self.channel_names))
         if not (self.mu.shape == self.sigma.shape == self.tau.shape) or self.mu.ndim != 1:
             raise ShapeMismatch("mu, sigma, tau must be 1-D vectors of equal length")
         if np.any(self.sigma < 0):
             raise ValueError("sigma must be non-negative")
+        if len(self.channel_names) != len(self.mu):
+            raise ShapeMismatch(
+                f"healthy statistics name {len(self.channel_names)} channels "
+                f"for {len(self.mu)} values"
+            )
 
     @property
     def n_channels(self) -> int:
         return len(self.mu)
 
 
-def fit_stats(values: np.ndarray) -> HealthyStats:
+def fit_stats(values: np.ndarray, channel_names: tuple[str, ...]) -> HealthyStats:
     """Fit per-channel statistics on healthy indicator rows.
 
     Uses the population (1/N) variance; the threshold is mu + 3*sigma.
-    Pass the rows restricted to the healthy split.
+    Pass the rows restricted to the healthy split and one name per column.
     """
     mu, sigma = column_stats(values)
     return HealthyStats(
-        mu=mu, sigma=sigma, tau=mu + SIGMA_MULTIPLIER * sigma, fitted_on=len(values)
+        mu=mu,
+        sigma=sigma,
+        tau=mu + SIGMA_MULTIPLIER * sigma,
+        fitted_on=len(values),
+        channel_names=channel_names,
     )
 
 
 @dataclass(frozen=True)
 class CycleAverages:
-    """Cycle-averaged indicator values: one row per cycle.
-
-    Unnamed channels are named ``ch0``, ``ch1``, ... in column order.
-    """
+    """Cycle-averaged indicator values: one row per cycle."""
 
     cycle_ids: np.ndarray
     values: np.ndarray
-    channel_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "cycle_ids", np.asarray(self.cycle_ids, dtype=np.int64))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.values.ndim != 2 or self.cycle_ids.shape != (self.values.shape[0],):
             raise ShapeMismatch("one cycle id per value row required")
-        names = self.channel_names
-        if names is None:
-            names = (f"ch{i}" for i in range(self.values.shape[1]))
-        object.__setattr__(self, "channel_names", tuple(names))
 
     @property
     def n_cycles(self) -> int:
@@ -84,25 +91,15 @@ class CycleAverages:
         return self.values.shape[1]
 
 
-def cycle_mean(values: np.ndarray, cycle_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row means per contiguous cycle block: (cycle ids, C x K means)."""
+def cycle_average(values: np.ndarray, cycle_of: np.ndarray) -> CycleAverages:
+    """Mean of every column over each contiguous block of rows of one cycle."""
     values = np.asarray(values, dtype=np.float64)
     cyc = np.asarray(cycle_of, dtype=np.int64)
     if values.ndim != 2 or cyc.shape != (values.shape[0],):
         raise ShapeMismatch("one cycle id per value row required")
     starts, stops = cycle_bounds(cyc)
     sums = np.add.reduceat(values, starts, axis=0)
-    return cyc[starts], sums / (stops - starts)[:, None]
-
-
-def cycle_average(hi: HiSeries) -> CycleAverages:
-    """Mean indicator value per cycle and channel."""
-    cycle_ids, means = cycle_mean(hi.values, hi.cycle_of)
-    return CycleAverages(
-        cycle_ids=cycle_ids,
-        values=means,
-        channel_names=hi.channel_names,
-    )
+    return CycleAverages(cycle_ids=cyc[starts], values=sums / (stops - starts)[:, None])
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,7 @@ def build_report(
     else:
         alarm_cycle = int(cycle_hi.cycle_ids[outcome.alarm_index])
         triggered = tuple(
-            name for name, hit in zip(cycle_hi.channel_names, outcome.qualifying) if hit
+            name for name, hit in zip(stats.channel_names, outcome.qualifying) if hit
         )
     delay = None
     if alarm_cycle is not None and n_true is not None:

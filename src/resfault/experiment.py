@@ -19,7 +19,7 @@ from .config import CRUISE_FIRST, RunConfig, STATS_ON_TRAIN_VALIDATION, derive_s
 from .data_model import FleetSplit, TruthRecord, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
 from .errors import CycleOutOfRange, EmptyFleet, InsufficientData
-from .health import AGGREGATED, SENSORWISE, HiSeries
+from .health import AGGREGATED, SENSORWISE
 from .models import AE_KIND, OC_KIND, ResidualModel
 from .preprocess import (
     Standardizer,
@@ -137,17 +137,11 @@ def hi_channel_names(model: ResidualModel, unit: UnitSeries, hi_kind: str) -> tu
     return unit.channel_names if model.kind == AE_KIND else unit.x_names
 
 
-def unit_hi(
-    model: ResidualModel, unit: UnitSeries, residuals: np.ndarray, hi_kind: str
-) -> HiSeries:
-    """Health-indicator series for one unit from its unit_residuals matrix."""
+def unit_hi(residuals: np.ndarray, hi_kind: str) -> np.ndarray:
+    """Health-indicator matrix of one unit from its unit_residuals matrix."""
     if hi_kind == AGGREGATED:
-        return health.aggregated_hi(residuals, unit.cycle_of)
-    return health.sensorwise_hi(
-        residuals,
-        unit.cycle_of,
-        channel_names=hi_channel_names(model, unit, hi_kind),
-    )
+        return health.aggregated_hi(residuals)
+    return health.sensorwise_hi(residuals)
 
 
 def fit_fleet_stats(
@@ -171,9 +165,9 @@ def fit_fleet_stats(
             )
         if len(rows) == 0:
             continue
-        hi = unit_hi(model, unit, residuals[unit.unit_id], hi_kind)
-        pooled.append(hi.values[rows])
-    return detector.fit_stats(np.vstack(pooled))
+        pooled.append(unit_hi(residuals[unit.unit_id], hi_kind)[rows])
+    names = hi_channel_names(model, prepared.units[0], hi_kind)
+    return detector.fit_stats(np.vstack(pooled), names)
 
 
 @dataclass(frozen=True)
@@ -203,8 +197,7 @@ def detect_with_stats(
     reports = []
     cycle_averages: dict[str, CycleAverages] = {}
     for unit in units:
-        hi = unit_hi(model, unit, residuals[unit.unit_id], hi_kind)
-        avg = detector.cycle_average(hi)
+        avg = detector.cycle_average(unit_hi(residuals[unit.unit_id], hi_kind), unit.cycle_of)
         cycle_averages[unit.unit_id] = avg
         truth = truths.get(unit.unit_id) if truths else None
         reports.append(
@@ -472,7 +465,6 @@ class SegmentationBundle:
     timelines: dict[str, dict[str, int | str]]
     embedding_pca: segmentation.PcaResult | None
     embedding_unit_ids: list[str]
-    channel_names: tuple[str, ...]
 
 
 def build_segmentation(
@@ -507,8 +499,8 @@ def build_segmentation(
         if alarm_cycle is None:
             continue
         label = label or unit.dataset_id
-        hi = unit_hi(model, unit, unit_residuals(model, unit), SENSORWISE)
-        avg = detector.cycle_average(hi)
+        hi = unit_hi(unit_residuals(model, unit), SENSORWISE)
+        avg = detector.cycle_average(hi, unit.cycle_of)
         alarms.append((unit.unit_id, alarm_cycle))
         cycle_avgs.append(avg)
         labels.append(label)
@@ -523,7 +515,7 @@ def build_segmentation(
             continue
         if model.kind == AE_KIND:
             emb = model.embed(apply_standardizer(model.standardizer, unit.z()))
-            emb_avg = CycleAverages(*detector.cycle_mean(emb, unit.cycle_of))
+            emb_avg = detector.cycle_average(emb, unit.cycle_of)
             embeddings.append(
                 segmentation.snapshot(
                     unit.unit_id, alarm_cycle, emb_avg, offset, segmentation.NORMALIZE_NONE
@@ -554,5 +546,4 @@ def build_segmentation(
         timelines=timelines,
         embedding_pca=embedding_pca,
         embedding_unit_ids=embedding_unit_ids,
-        channel_names=cycle_avgs[0].channel_names,
     )

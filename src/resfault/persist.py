@@ -21,6 +21,7 @@ from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, TruthRecord, Uni
 from .detector import DetectionReport, HealthyStats
 from .errors import (
     CorruptCheckpoint,
+    DataError,
     EmptyFile,
     MissingColumn,
     NonNumericCell,
@@ -296,6 +297,7 @@ def _int_cell(path: Path, line: int, row: dict, column: str) -> int | None:
 
 
 def load_ground_truth(path: str | Path) -> dict[str, TruthRecord]:
+    """Ground-truth sidecar by unit id; a second row for one unit is a DataError."""
     path = Path(path)
     with path.open(newline="") as fh:
         header, rows = _records(path, fh)
@@ -304,6 +306,8 @@ def load_ground_truth(path: str | Path) -> dict[str, TruthRecord]:
                 raise MissingColumn(f"{path} is missing required column {name!r}")
         out: dict[str, TruthRecord] = {}
         for line, row in rows:
+            if row["unit"] in out:
+                raise DataError(f"{path}: line {line} repeats unit {row['unit']!r}")
             sensors = tuple(s for s in row["faulty_sensors"].split(";") if s)
             out[row["unit"]] = TruthRecord(
                 unit_id=row["unit"],
@@ -352,7 +356,10 @@ def save_reports(reports, model_kind: str, hi_kind: str, path: str | Path) -> No
 
 
 def load_reports(path: str | Path):
-    """Read detection rows back, grouped as (model, hi_kind) -> reports."""
+    """Read detection rows back, grouped as (model, hi_kind) -> reports.
+
+    A second row for one (model, hi_kind, unit) is a DataError.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         header, rows = _records(path, fh)
@@ -360,12 +367,19 @@ def load_reports(path: str | Path):
         if missing:
             raise MissingColumn(f"{path} is missing column(s) {sorted(missing)}")
         groups: dict[tuple[str, str], list[DetectionReport]] = {}
+        seen: set[tuple[str, str, str]] = set()
         for line, row in rows:
             if row["gt_known"] not in ("0", "1"):
                 raise NonNumericCell(
                     f"{path}: gt_known must be 0 or 1, got {row['gt_known']!r}, line {line}"
                 )
             key = (row["model"], row["hi_kind"])
+            if (*key, row["unit"]) in seen:
+                raise DataError(
+                    f"{path}: line {line} repeats unit {row['unit']!r} "
+                    f"of the {key[0]} {key[1]} reports"
+                )
+            seen.add((*key, row["unit"]))
             groups.setdefault(key, []).append(
                 DetectionReport(
                     unit_id=row["unit"],
@@ -384,19 +398,19 @@ def load_reports(path: str | Path):
     return groups
 
 
-def save_stats(stats, channel_names, path: str | Path) -> None:
+def save_stats(stats: HealthyStats, path: str | Path) -> None:
     """Healthy statistics sidecar: one row per indicator channel."""
     write_table(
         path,
         ["channel", "mu", "sigma", "tau", "fitted_on"],
         (
             [name, format_float(mu), format_float(sigma), format_float(tau), stats.fitted_on]
-            for name, mu, sigma, tau in zip(channel_names, stats.mu, stats.sigma, stats.tau)
+            for name, mu, sigma, tau in zip(stats.channel_names, stats.mu, stats.sigma, stats.tau)
         ),
     )
 
 
-def save_cycle_hi_csv(cycle_averages: dict, path: str | Path) -> None:
+def save_cycle_hi_csv(cycle_averages: dict, channel_names, path: str | Path) -> None:
     """Cycle-averaged indicators for plotting: unit, cycle, channel, value."""
     write_table(
         path,
@@ -405,15 +419,15 @@ def save_cycle_hi_csv(cycle_averages: dict, path: str | Path) -> None:
             [unit_id, int(cyc), name, format_float(value)]
             for unit_id, avg in cycle_averages.items()
             for cyc, row in zip(avg.cycle_ids, avg.values)
-            for name, value in zip(avg.channel_names, row)
+            for name, value in zip(channel_names, row)
         ),
     )
 
 
-def stats_to_blob(stats, channel_names) -> dict:
+def stats_to_blob(stats: HealthyStats) -> dict:
     """JSON-ready healthy statistics (stored in checkpoint metadata)."""
     return {
-        "channels": list(channel_names),
+        "channels": list(stats.channel_names),
         "mu": stats.mu.tolist(),
         "sigma": stats.sigma.tolist(),
         "tau": stats.tau.tolist(),
@@ -421,23 +435,18 @@ def stats_to_blob(stats, channel_names) -> dict:
     }
 
 
-def stats_from_blob(blob: dict):
-    """Inverse of stats_to_blob: (HealthyStats, channel names)."""
+def stats_from_blob(blob: dict) -> HealthyStats:
+    """Inverse of stats_to_blob."""
     try:
-        stats = HealthyStats(
+        return HealthyStats(
             mu=np.asarray(blob["mu"], dtype=np.float64),
             sigma=np.asarray(blob["sigma"], dtype=np.float64),
             tau=np.asarray(blob["tau"], dtype=np.float64),
             fitted_on=int(blob["fitted_on"]),
+            channel_names=blob["channels"],
         )
-        channels = tuple(blob["channels"])
     except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
         raise CorruptCheckpoint(f"malformed healthy statistics blob ({exc})") from None
-    if len(channels) != stats.n_channels:
-        raise CorruptCheckpoint(
-            f"healthy statistics name {len(channels)} channels for {stats.n_channels} values"
-        )
-    return stats, channels
 
 
 def save_checkpoint(

@@ -218,14 +218,13 @@ def trigger_timeline(
     base = _alarm_position(unit_id, alarm_cycle, cycle_hi)
     if cycle_hi.n_channels != stats.n_channels:
         raise ShapeMismatch("cycle matrix and stats channel counts differ")
-    names = cycle_hi.channel_names
-    timeline: dict[str, int | str] = {name: NEVER_TRIGGERED for name in names}
+    timeline: dict[str, int | str] = dict.fromkeys(stats.channel_names, NEVER_TRIGGERED)
     for c in sorted(checkpoints):
         idx = base + c
         if idx >= cycle_hi.n_cycles:
             break
         exceeding = cycle_hi.values[idx] > stats.tau
-        for name, hit in zip(names, exceeding):
+        for name, hit in zip(stats.channel_names, exceeding):
             if hit and timeline[name] == NEVER_TRIGGERED:
                 timeline[name] = c
     return timeline

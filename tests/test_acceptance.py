@@ -90,10 +90,10 @@ def test_criterion_02_adam_two_step_trace():
 
 
 def test_criterion_03_threshold_math():
-    s = fit_stats(np.array([[0.0], [2.0]]))
+    s = fit_stats(np.array([[0.0], [2.0]]), ("h",))
     assert s.mu[0] == 1.0 and s.sigma[0] == 1.0 and s.tau[0] == 4.0
 
-    const = fit_stats(np.full((20, 1), 3.7))
+    const = fit_stats(np.full((20, 1), 3.7), ("h",))
     assert const.tau[0] == const.mu[0]
     outcome = detect(np.full((100, 1), 3.7), const, n_wait=1)
     assert outcome.alarm_index is None
@@ -113,8 +113,10 @@ def brute_force_alarm(exceed: np.ndarray, n_wait: int):
 
 
 def test_criterion_04_waiting_cycle_exhaustive():
-    stats1 = HealthyStats(mu=np.array([1.0]), sigma=np.zeros(1), tau=np.array([1.0]), fitted_on=2)
-    stats2 = HealthyStats(mu=np.ones(2), sigma=np.zeros(2), tau=np.ones(2), fitted_on=2)
+    stats1 = HealthyStats(mu=np.array([1.0]), sigma=np.zeros(1), tau=np.array([1.0]), fitted_on=2,
+                          channel_names=("a",))
+    stats2 = HealthyStats(mu=np.ones(2), sigma=np.zeros(2), tau=np.ones(2), fitted_on=2,
+                          channel_names=("a", "b"))
     cases = 0
     no_alarm_cases = 0
     for n_channels, stats in ((1, stats1), (2, stats2)):
@@ -136,13 +138,12 @@ def test_criterion_04_waiting_cycle_exhaustive():
 
 
 def test_criterion_05_hi_identities():
-    assert aggregated_hi(np.array([[3.0, 4.0]]), np.zeros(1, dtype=int)).values[0, 0] == 5.0
+    assert aggregated_hi(np.array([[3.0, 4.0]]))[0, 0] == 5.0
     rng = np.random.default_rng(7)
     for _ in range(25):
         r = rng.normal(size=(rng.integers(1, 40), rng.integers(2, 20))) * 10
-        cyc = np.zeros(r.shape[0], dtype=int)
-        agg = aggregated_hi(r, cyc).values[:, 0]
-        sens = sensorwise_hi(r, cyc).values
+        agg = aggregated_hi(r)[:, 0]
+        sens = sensorwise_hi(r)
         np.testing.assert_allclose(agg**2, (sens**2).sum(axis=1), rtol=1e-10, atol=1e-10)
     ok(5, "aggregated^2 equals sum of sensor-wise^2 to 1e-10; [3,4] -> 5")
 

@@ -11,6 +11,7 @@ import yaml
 import resfault
 from resfault import experiment
 from resfault.cli import main
+from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS
 from resfault.detector import DetectionReport
 from resfault.persist import load_checkpoint, save_reports
 
@@ -193,6 +194,29 @@ class TestTrain:
         assert proc.returncode == 4
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stderr.startswith("error: epoch 0:")
+
+    def test_empty_validation_split_exits_3(self, tmp_path):
+        # one unit of five one-row cycles: three healthy rows, 0.1 of them rounds to none
+        data = tmp_path / "data"
+        data.mkdir()
+        header = ["unit", "cycle", *DEFAULT_W_CHANNELS, *DEFAULT_X_CHANNELS]
+        cells = ["1.0"] * (len(header) - 2)
+        rows = [",".join(["u1", str(cycle), *cells]) for cycle in range(5)]
+        (data / "fleet.csv").write_text("\n".join([",".join(header), *rows]) + "\n")
+        cfg = write_config(
+            tmp_path / "tiny.yaml", {"split": {"healthy_cycles": 3, "validation_fraction": 0.1}}
+        )
+        out = tmp_path / "oc.json"
+        proc = run_fresh(
+            ["-m", "resfault", "train", "--config", str(cfg), "--data", str(data),
+             "--model", "oc", "--out", str(out)]
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "error: split.validation_fraction 0.1 of 3 healthy rows leaves 0 validation "
+            "and 3 training rows"
+        ]
+        assert not out.exists()
 
 
 class TestNegativeSeeds:
@@ -636,6 +660,62 @@ class TestMalformedSidecars:
         assert proc.stderr.splitlines() == [
             f"error: {path}: line 3 has {bad_cells} cells, the header has 9"
         ]
+
+
+    def test_repeated_ground_truth_unit_exits_3(self, workspace, tmp_path):
+        lines = (workspace["data"] / "ground_truth.csv").read_text().splitlines()
+        lines.append(lines[1].split(",", 1)[0] + ",hpc,,")
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "fleet.csv").write_bytes((workspace["data"] / "fleet.csv").read_bytes())
+        (data / "ground_truth.csv").write_text("\n".join(lines) + "\n")
+        proc = run_fresh(
+            ["-m", "resfault", "detect", "--config", str(workspace["config"]), "--data",
+             str(data), "--checkpoint", str(workspace["oc"]), "--hi", "sensorwise",
+             "--out", str(tmp_path / "reports.csv")]
+        )
+        assert proc.returncode == 3
+        unit = lines[1].split(",", 1)[0]
+        assert proc.stderr.splitlines() == [
+            f"error: {data / 'ground_truth.csv'}: line {len(lines)} repeats unit {unit!r}"
+        ]
+
+    def test_repeated_report_row_exits_3(self, tmp_path):
+        path = tmp_path / "reports.csv"
+        save_reports(
+            [fabricate_report("u1", "fan", 30, 20)] * 2, "OC", "sensorwise", path
+        )
+        out = tmp_path / "eval"
+        proc = run_fresh(["-m", "resfault", "evaluate", "--reports", str(path), "--out", str(out)])
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            f"error: {path}: line 3 repeats unit 'u1' of the OC sensorwise reports"
+        ]
+        assert not out.exists()
+
+
+class TestChannelNamesFromCheckpoint:
+    """Indicator channels are named after the checkpoint's statistics, not the fleet."""
+
+    def test_renamed_sensorwise_channels(self, workspace, tmp_path):
+        blob = json.loads(workspace["oc"].read_text())
+        sensorwise = blob["metadata"]["healthy_stats"]["sensorwise"]
+        names = [f"s-{name}" for name in sensorwise["channels"]]
+        sensorwise["channels"] = names
+        ckpt = tmp_path / "renamed.json"
+        ckpt.write_text(json.dumps(blob))
+        common = ["--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                  "--checkpoint", str(ckpt)]
+        out = tmp_path / "r.csv"
+        assert main(["detect", *common, "--hi", "sensorwise", "--out", str(out), "--dump-hi"]) == 0
+        triggered = {n for r in read_rows(out) for n in r["triggered_first"].split(";") if n}
+        assert triggered and triggered <= set(names)
+        assert {r["channel"] for r in read_rows(out.with_name("r_hi.csv"))} == set(names)
+        assert [r["channel"] for r in read_rows(out.with_name("r_stats.csv"))] == names
+        seg = tmp_path / "seg"
+        assert main(["segment", *common, "--reports", str(out), "--out", str(seg)]) == 0
+        assert list(read_rows(seg / "signatures.csv")[0])[2:] == names
+        assert {r["channel"] for r in read_rows(seg / "trigger_timeline.csv")} == set(names)
 
 
 class TestAeEmbedding:

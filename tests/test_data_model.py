@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from resfault.config import SplitSettings
 from resfault.data_model import UnitSeries, cycle_bounds, split, stack_rows
-from resfault.errors import ShapeMismatch, UnitTooShort
+from resfault.errors import InsufficientData, ShapeMismatch, UnitTooShort
 from resfault.config import SynthSettings
 from resfault.synth import FamilyFault, build_sensor_map, gen_unit
 
@@ -119,6 +119,20 @@ class TestSplit:
         fleet = fleet_of(1, 16)
         with pytest.raises(UnitTooShort):
             split(fleet, SplitSettings(16, 0.15), 0)
+
+    @pytest.mark.parametrize(
+        "healthy_cycles, fraction, n_val",
+        [(3, 0.1, 0), (1, 0.9, 1)],
+        ids=["no_validation_rows", "no_training_rows"],
+    )
+    def test_empty_side_is_insufficient_data(self, healthy_cycles, fraction, n_val):
+        fleet = [make_unit(np.arange(5))]  # one row per cycle
+        message = (
+            f"validation_fraction {fraction} of {healthy_cycles} healthy rows leaves "
+            f"{n_val} validation and {healthy_cycles - n_val} training rows"
+        )
+        with pytest.raises(InsufficientData, match=message):
+            split(fleet, SplitSettings(healthy_cycles, fraction), 0)
 
     def test_duplicate_unit_ids_rejected(self):
         fleet = fleet_of(1, 20) + fleet_of(1, 20)

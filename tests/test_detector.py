@@ -10,14 +10,13 @@ from resfault.detector import (
     HealthyStats,
     build_report,
     cycle_average,
-    cycle_mean,
     detect,
     detection_delay,
     fit_stats,
 )
 from resfault.errors import EmptyFleet, InsufficientData, ShapeMismatch
 from resfault.experiment import evaluate_group
-from resfault.health import AGGREGATED, sensorwise_hi
+from resfault.health import AGGREGATED
 from resfault.preprocess import fit_standardizer
 
 
@@ -31,27 +30,32 @@ def brute_force_alarm(exceed: np.ndarray, n_wait: int):
     return None
 
 
-def stats_for(tau):
+def names_for(n):
+    return tuple(f"c{i}" for i in range(n))
+
+
+def stats_for(tau, names=None):
     tau = np.asarray(tau, dtype=np.float64)
     return HealthyStats(
-        mu=tau, sigma=np.zeros_like(tau), tau=tau, fitted_on=2
+        mu=tau, sigma=np.zeros_like(tau), tau=tau, fitted_on=2,
+        channel_names=names or names_for(len(tau)),
     )
 
 
 class TestFitStats:
     def test_constant_channel(self):
-        s = fit_stats(np.array([[1.0], [1.0], [1.0]]))
+        s = fit_stats(np.array([[1.0], [1.0], [1.0]]), ("h",))
         assert s.mu[0] == 1.0 and s.sigma[0] == 0.0 and s.tau[0] == 1.0
 
     def test_zero_two_hand_arithmetic(self):
-        s = fit_stats(np.array([[0.0], [2.0]]))
+        s = fit_stats(np.array([[0.0], [2.0]]), ("h",))
         assert s.mu[0] == 1.0
         assert s.sigma[0] == 1.0
         assert s.tau[0] == 4.0
 
     def test_matches_two_pass_oracle(self, rng):
         values = rng.exponential(size=(500, 3))
-        s = fit_stats(values)
+        s = fit_stats(values, names_for(3))
         for ch in range(3):
             mu = sum(values[:, ch]) / 500
             var = sum((v - mu) ** 2 for v in values[:, ch]) / 500
@@ -60,31 +64,28 @@ class TestFitStats:
             np.testing.assert_allclose(s.tau[ch], mu + 3 * np.sqrt(var), rtol=1e-12)
 
     def test_three_sigma_identity(self, rng):
-        s = fit_stats(rng.exponential(size=(50, 4)))
+        s = fit_stats(rng.exponential(size=(50, 4)), names_for(4))
         np.testing.assert_array_equal(s.tau - s.mu, 3.0 * s.sigma)
 
     def test_insufficient_rows(self):
         with pytest.raises(InsufficientData):
-            fit_stats(np.ones((1, 2)))
+            fit_stats(np.ones((1, 2)), names_for(2))
 
 
 class TestCycleAverage:
     def test_two_row_cycle(self):
-        hi = sensorwise_hi(np.array([[2.0, 1.0], [4.0, 1.0]]), [0, 0])
-        avg = cycle_average(hi)
+        avg = cycle_average(np.array([[2.0, 1.0], [4.0, 1.0]]), [0, 0])
         np.testing.assert_array_equal(avg.values, [[3.0, 1.0]])
 
     def test_single_row_cycle(self):
-        hi = sensorwise_hi(np.array([[7.0, 2.0]]), [3])
-        avg = cycle_average(hi)
+        avg = cycle_average(np.array([[7.0, 2.0]]), [3])
         np.testing.assert_array_equal(avg.values, [[7.0, 2.0]])
         np.testing.assert_array_equal(avg.cycle_ids, [3])
 
     def test_matches_groupby_mean_oracle(self, rng):
         cyc = np.repeat([0, 1, 2, 5], [4, 3, 6, 2])
         values = np.abs(rng.normal(size=(15, 3)))
-        hi = sensorwise_hi(values, cyc)
-        avg = cycle_average(hi)
+        avg = cycle_average(values, cyc)
         for i, c in enumerate([0, 1, 2, 5]):
             np.testing.assert_allclose(
                 avg.values[i], values[cyc == c].mean(axis=0), atol=1e-12
@@ -149,7 +150,7 @@ class TestDetect:
             detect(np.ones((2, 2)), stats_for([1.0]), n_wait=1)
 
     def test_constant_series_with_tau_equal_mu_never_alarms(self):
-        s = fit_stats(np.full((10, 1), 3.7))
+        s = fit_stats(np.full((10, 1), 3.7), ("h",))
         assert s.tau[0] == s.mu[0]
         outcome = detect(np.full((50, 1), 3.7), s, n_wait=1)
         assert outcome.alarm_index is None
@@ -216,20 +217,15 @@ class TestDelayAndFpr:
 class TestBuildReport:
     def test_maps_alarm_to_cycle_label(self):
         values = np.abs(np.array([[0.1], [0.1], [5.0], [5.0], [5.0]]))
-        hi = sensorwise_hi(
-            np.hstack([values, values]), [10, 11, 12, 13, 14],
-            channel_names=("a", "b"),
-        )
-        avg = cycle_average(hi)
-        stats = stats_for([1.0, 9.0])
+        avg = cycle_average(np.hstack([values, values]), [10, 11, 12, 13, 14])
+        stats = stats_for([1.0, 9.0], names=("a", "b"))
         rep = build_report("u7", "ds", avg, stats, n_wait=3, n_true=11)
         assert rep.alarm_cycle == 14
         assert rep.delay == 3
         assert rep.triggered_first == ("a",)
 
     def test_no_alarm_report(self):
-        hi = sensorwise_hi(np.zeros((4, 2)), [0, 0, 1, 1])
-        avg = cycle_average(hi)
+        avg = cycle_average(np.zeros((4, 2)), [0, 0, 1, 1])
         rep = build_report("u1", "ds", avg, stats_for([1.0, 1.0]), n_wait=3, n_true=2)
         assert rep.alarm_cycle is None
         assert rep.delay is None
@@ -263,7 +259,7 @@ def test_fit_stats_and_standardizer_agree_bit_for_bit(values, data):
     for col in range(values.shape[1]):
         if data.draw(st.booleans()):
             values[:, col] = data.draw(st.floats(-1e6, 1e6))
-    stats = fit_stats(values)
+    stats = fit_stats(values, names_for(values.shape[1]))
     std = fit_standardizer(values)
     assert stats.mu.tobytes() == std.mean.tobytes()
     assert stats.sigma.tobytes() == std.std.tobytes()
@@ -277,9 +273,9 @@ def test_fit_stats_and_standardizer_agree_bit_for_bit(values, data):
 def test_cycle_mean_matches_per_cycle_mean(values, data):
     steps = data.draw(st.lists(st.integers(0, 3), min_size=len(values), max_size=len(values)))
     cycle_of = np.cumsum(steps)
-    cycle_ids, means = cycle_mean(values, cycle_of)
-    np.testing.assert_array_equal(cycle_ids, np.unique(cycle_of))
-    for cycle, row in zip(cycle_ids, means):
+    avg = cycle_average(values, cycle_of)
+    np.testing.assert_array_equal(avg.cycle_ids, np.unique(cycle_of))
+    for cycle, row in zip(avg.cycle_ids, avg.values):
         block = values[cycle_of == cycle]
         # np.mean may sum in another order; allow the rounding bound of a sum
         bound = 2 * len(block) * np.finfo(np.float64).eps * np.abs(block).mean(axis=0)

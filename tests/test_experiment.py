@@ -96,6 +96,9 @@ class TestPreparation:
             for u in pre
         )
         assert stats_both.fitted_on == n_healthy
+        assert stats_val.channel_names == pre[0].x_names
+        aggregated = experiment.fit_fleet_stats(prepared, model, AGGREGATED, cfg, residuals)
+        assert aggregated.channel_names == (AGGREGATED,)
 
 
 class TestDeriveSeed:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -377,6 +378,15 @@ class TestGroundTruthSidecar:
         with pytest.raises(NonNumericCell, match=r"'fault_cycle', line 3"):
             load_ground_truth(path)
 
+    def test_repeated_unit_is_data_error(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text(
+            "unit,family,fault_cycle,faulty_sensors\nu1,fan,20,P2\nu2,fan,,\nu1,hpc,,\n"
+        )
+        expected = f"{path}: line 4 repeats unit 'u1'"
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+            load_ground_truth(path)
+
 
 def make_models(seed=0):
     n_w, n_x = 4, 14
@@ -500,6 +510,14 @@ class TestReportsCsv:
         groups = load_reports(path)
         assert set(groups) == {("OC", "sensorwise"), ("OC", "aggregated")}
 
+    def test_repeated_unit_is_data_error(self, tmp_path):
+        path = tmp_path / "reports.csv"
+        reports = [self.make_report("u1"), self.make_report("u2"), self.make_report("u1")]
+        save_reports(reports, "OC", "sensorwise", path)
+        expected = f"{path}: line 4 repeats unit 'u1' of the OC sensorwise reports"
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+            load_reports(path)
+
     @pytest.mark.parametrize(
         "column, token",
         [("alarm_cycle", "abc"), ("fault_cycle", "2.5"), ("delay", "ten"),
@@ -521,23 +539,24 @@ class TestReportsCsv:
     def test_stats_csv_written(self, tmp_path):
         stats = HealthyStats(
             mu=np.array([1.0, 2.0]), sigma=np.array([0.5, 0.25]),
-            tau=np.array([2.5, 2.75]), fitted_on=100,
+            tau=np.array([2.5, 2.75]), fitted_on=100, channel_names=("a", "b"),
         )
         path = tmp_path / "stats.csv"
-        save_stats(stats, ("a", "b"), path)
+        save_stats(stats, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "channel,mu,sigma,tau,fitted_on"
         assert len(lines) == 3
 
     def test_stats_blob_round_trip(self):
         stats = HealthyStats(
-            mu=np.array([0.1]), sigma=np.array([0.2]), tau=np.array([0.7]), fitted_on=9
+            mu=np.array([0.1]), sigma=np.array([0.2]), tau=np.array([0.7]), fitted_on=9,
+            channel_names=("only",),
         )
-        blob = stats_to_blob(stats, ("only",))
-        back, channels = stats_from_blob(json.loads(json.dumps(blob)))
+        blob = stats_to_blob(stats)
+        back = stats_from_blob(json.loads(json.dumps(blob)))
         np.testing.assert_array_equal(back.mu, stats.mu)
         np.testing.assert_array_equal(back.tau, stats.tau)
-        assert channels == ("only",)
+        assert back.channel_names == ("only",)
 
 
 class TestHiExport:
@@ -545,10 +564,10 @@ class TestHiExport:
         from resfault.detector import cycle_average
         from resfault.health import aggregated_hi
 
-        hi = aggregated_hi(np.array([[0.3, 0.4], [0.45, 0.6]]), [0, 1])
-        avgs = {"u1": cycle_average(hi)}
+        hi = aggregated_hi(np.array([[0.3, 0.4], [0.45, 0.6]]))
+        avgs = {"u1": cycle_average(hi, [0, 1])}
         path = tmp_path / "cycle_hi.csv"
-        save_cycle_hi_csv(avgs, path)
+        save_cycle_hi_csv(avgs, ("aggregated",), path)
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "unit,cycle,channel,value"
         assert rows[1] == "u1,0,aggregated,0.5"

@@ -21,11 +21,11 @@ from resfault.config import SynthSettings
 from resfault.synth import FamilyFault, build_sensor_map, gen_unit
 
 
-def averages(values, cycle_ids=None, names=None):
+def averages(values, cycle_ids=None):
     values = np.asarray(values, dtype=np.float64)
     if cycle_ids is None:
         cycle_ids = np.arange(values.shape[0])
-    return CycleAverages(cycle_ids=cycle_ids, values=values, channel_names=names)
+    return CycleAverages(cycle_ids=cycle_ids, values=values)
 
 
 class TestSnapshot:
@@ -296,8 +296,8 @@ class TestTriggerTimeline:
         alarm = 12
         values[alarm:, 0] = 5.0
         values[alarm + 25 :, 2] = 5.0
-        avg = averages(values, names=("c0", "c1", "c2"))
-        stats = fit_stats(np.array([[0.0, 0.0, 0.0], [0.4, 0.4, 0.4]]))
+        avg = averages(values)
+        stats = fit_stats(np.array([[0.0, 0.0, 0.0], [0.4, 0.4, 0.4]]), ("c0", "c1", "c2"))
         timeline = trigger_timeline("u1", alarm, stats, avg, checkpoints=(10, 20, 30, 40))
         assert timeline["c0"] == 10
         assert timeline["c1"] == NEVER_TRIGGERED
@@ -306,15 +306,15 @@ class TestTriggerTimeline:
     def test_checkpoints_past_series_end_do_not_trigger(self):
         values = np.full((20, 2), 0.1)
         values[:, 0] = 5.0
-        avg = averages(values, names=("c0", "c1"))
-        stats = fit_stats(np.array([[0.0, 0.0], [0.4, 0.4]]))
+        avg = averages(values)
+        stats = fit_stats(np.array([[0.0, 0.0], [0.4, 0.4]]), ("c0", "c1"))
         timeline = trigger_timeline("u1", 15, stats, avg, checkpoints=(10, 20, 30, 40))
         # only the +10 checkpoint cycle falls outside... the series ends at
         # position 19 < 15+10, so nothing is reachable
         assert timeline["c0"] == NEVER_TRIGGERED
 
     def test_no_alarm_rejected(self):
-        stats = fit_stats(np.ones((2, 3)))
+        stats = fit_stats(np.ones((2, 3)), ("c0", "c1", "c2"))
         with pytest.raises(NoAlarm):
             trigger_timeline("u1", None, stats, averages(np.ones((5, 3))), checkpoints=(10, 20))
 
@@ -338,12 +338,10 @@ class TestTriggerTimeline:
         # oracle residuals: the generator's own response map is a perfect
         # operating-conditions model, so residual = noise + injected drift
         residuals = series.x - response.apply(series.w)
-        hi = sensorwise_hi(
-            residuals, series.cycle_of, channel_names=DEFAULT_X_CHANNELS
-        )
+        hi = sensorwise_hi(residuals)
         healthy_rows = series.cycle_of < 16
-        stats = fit_stats(hi.values[healthy_rows])
-        avg = cycle_average(hi)
+        stats = fit_stats(hi[healthy_rows], DEFAULT_X_CHANNELS)
+        avg = cycle_average(hi, series.cycle_of)
         report = build_report("u1", "stag", avg, stats, n_wait=3, n_true=truth.fault_cycle)
         assert report.detected
         timeline = trigger_timeline(

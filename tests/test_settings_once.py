@@ -77,3 +77,10 @@ def test_setting_parameter_has_no_default(fn, name):
 def test_section_rejects_bad_value_when_built(cls, bad):
     with pytest.raises(ConfigInvalid):
         cls(**bad)
+
+
+def test_family_bound_is_the_generators_family_count():
+    # config cannot import synth, which imports config, so it restates the count
+    SynthSettings(n_families=len(synth.DEFAULT_FAMILIES))
+    with pytest.raises(ConfigInvalid):
+        SynthSettings(n_families=len(synth.DEFAULT_FAMILIES) + 1)

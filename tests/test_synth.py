@@ -95,10 +95,10 @@ class TestGenUnit:
         series, truth = small_unit(small_cfg(severity_scale=0.0).synth, unit_seed=8)
         assert truth.fault_cycle is None and truth.fault_sensors == ()
         residuals = oracle_residuals(series)
-        hi = sensorwise_hi(residuals, series.cycle_of, channel_names=DEFAULT_X_CHANNELS)
+        hi = sensorwise_hi(residuals)
         healthy = series.cycle_of < 16
-        stats = fit_stats(hi.values[healthy])
-        report = build_report("u", "f", cycle_average(hi), stats, n_wait=3)
+        stats = fit_stats(hi[healthy], DEFAULT_X_CHANNELS)
+        report = build_report("u", "f", cycle_average(hi, series.cycle_of), stats, n_wait=3)
         assert not report.detected
 
     def test_drift_is_pure_addition_after_fault_cycle(self):
@@ -148,14 +148,14 @@ class TestGenUnit:
         per_unit = []
         for series, truth in fleet:
             residuals = oracle_residuals(series)
-            hi = sensorwise_hi(residuals, series.cycle_of, channel_names=DEFAULT_X_CHANNELS)
-            healthy_pool.append(hi.values[series.cycle_of < 16])
+            hi = sensorwise_hi(residuals)
+            healthy_pool.append(hi[series.cycle_of < 16])
             per_unit.append((series, truth, hi))
-        stats = fit_stats(np.vstack(healthy_pool))
+        stats = fit_stats(np.vstack(healthy_pool), DEFAULT_X_CHANNELS)
         delays = []
         for series, truth, hi in per_unit:
             report = build_report(
-                series.unit_id, series.dataset_id, cycle_average(hi), stats,
+                series.unit_id, series.dataset_id, cycle_average(hi, series.cycle_of), stats,
                 n_wait=3, n_true=truth.fault_cycle,
             )
             assert report.detected
