@@ -10,20 +10,18 @@ timelines under --out.
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from resfault import experiment
-from resfault.cli import write_evaluations, write_manifest
+from resfault import experiment, parallel
 from resfault.config import load_config
-from resfault.errors import ResfaultError
+from resfault.errors import DataError, ResfaultError
 from resfault.health import SENSORWISE
 from resfault.models import OC_KIND
 from resfault.persist import format_float as fmt
-from resfault.persist import write_table
+from resfault.persist import write_evaluations, write_manifest, write_table
 from resfault.segmentation import silhouette_curve, trigger_timeline
 from resfault.synth import gen_fleet
 
@@ -104,8 +102,7 @@ def main(argv=None) -> int:
     print(f"generated {len(units)} units; running {cfg.training.realisations} realisations")
 
     # one worker per usable CPU, up to one per job; `taskset -c 0` runs serially
-    n_jobs = cfg.training.realisations * len(experiment.MODEL_KINDS)
-    workers = min(len(os.sched_getaffinity(0)), n_jobs)
+    workers = parallel.worker_count(cfg.training.realisations * len(experiment.MODEL_KINDS))
     result = experiment.run_protocol(units, truths, cfg, workers)
     evaluations = [result.evaluations[key] for key in sorted(result.evaluations)]
     write_evaluations(out, evaluations)
@@ -133,3 +130,6 @@ if __name__ == "__main__":
     except ResfaultError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(exc.exit_code)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(DataError.exit_code)

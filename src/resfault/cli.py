@@ -3,7 +3,8 @@
 Every command takes --config (YAML overrides of the built-in defaults)
 and writes a run manifest next to its outputs recording the effective
 configuration and seeds. Exit codes: 0 success, 2 configuration error,
-3 data error, 4 computation error.
+3 data error (also a file that cannot be read or written), 4 computation
+error.
 """
 
 from __future__ import annotations
@@ -13,17 +14,15 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import __version__, experiment, persist
-from .config import RunConfig, dump_config, load_config
+from . import __version__, experiment, parallel, persist, synth
+from .config import RunConfig, load_config
 from .data_model import TruthRecord, UnitSeries
 from .errors import ConfigInvalid, CorruptCheckpoint, DataError, ResfaultError
 from .health import AGGREGATED, SENSORWISE
 from .persist import format_float as fmt
-from .synth import gen_fleet
 
 FLEET_FILE = "fleet.csv"
 TRUTH_FILE = "ground_truth.csv"
-NO_DETECTION_MARK = "-"
 
 
 def _effective_config(args) -> RunConfig:
@@ -31,70 +30,6 @@ def _effective_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
-
-
-def write_manifest(path: Path, command: str, cfg: RunConfig, extras: dict) -> None:
-    lines = [
-        f"command: {command}",
-        f"resfault_version: {__version__}",
-    ]
-    for key, value in extras.items():
-        lines.append(f"{key}: {value}")
-    lines.append("config:")
-    lines.extend("  " + ln for ln in dump_config(cfg).splitlines())
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _mark_none(value, text=fmt) -> str:
-    return NO_DETECTION_MARK if value is None else text(value)
-
-
-def write_evaluations(out: Path, evaluations) -> None:
-    """Write evaluation_units.csv and evaluation_summary.csv under ``out``.
-
-    Also prints one summary line per (model, indicator-kind) group.
-    """
-    persist.write_table(
-        out / "evaluation_units.csv",
-        ["model", "hi_kind", "dataset", "unit", "fault_cycle", "n_detected", "avg_delay"],
-        (
-            [
-                ev.model_kind,
-                ev.hi_kind,
-                u.dataset_id,
-                u.unit_id,
-                _mark_none(u.n_true, str),
-                u.n_detected,
-                _mark_none(u.mean_delay),
-            ]
-            for ev in evaluations
-            for u in ev.units
-        ),
-    )
-    persist.write_table(
-        out / "evaluation_summary.csv",
-        ["model", "hi_kind", "n_realisations", "n_units", "n_detected_units",
-         "mean_delay", "fpr_percent"],
-        (
-            [
-                ev.model_kind,
-                ev.hi_kind,
-                ev.n_realisations,
-                len(ev.units),
-                sum(1 for u in ev.units if u.n_detected > 0),
-                _mark_none(ev.mean_delay),
-                _mark_none(ev.fpr, lambda v: fmt(100.0 * v)),
-            ]
-            for ev in evaluations
-        ),
-    )
-    for ev in evaluations:
-        delay = _mark_none(ev.mean_delay, "{:.2f}".format)
-        fpr = _mark_none(ev.fpr, "{:.1%}".format)
-        print(
-            f"{ev.model_kind} {ev.hi_kind}: mean delay {delay} cycles, "
-            f"FPR {fpr} over {len(ev.units)} units"
-        )
 
 
 def _load_fleet_dir(data_dir: str) -> tuple[list[UnitSeries], dict[str, TruthRecord] | None]:
@@ -118,16 +53,16 @@ def cmd_synth(args) -> int:
     cfg = _effective_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fleet = gen_fleet(cfg)
-    persist.save_csv([series for series, _ in fleet], out / FLEET_FILE)
-    persist.save_ground_truth([truth for _, truth in fleet], out / TRUTH_FILE)
-    write_manifest(
+    workers = parallel.worker_count(len(synth.unit_plan(cfg)))
+    truths = synth.save_fleet(cfg, out / FLEET_FILE, workers)
+    persist.save_ground_truth(truths, out / TRUTH_FILE)
+    persist.write_manifest(
         out / "synth_manifest.txt",
         "synth",
         cfg,
-        {"seed": cfg.seed, "units": len(fleet), "out": out},
+        {"seed": cfg.seed, "units": len(truths), "out": out, "workers": workers},
     )
-    print(f"wrote {len(fleet)} units to {out / FLEET_FILE}")
+    print(f"wrote {len(truths)} units to {out / FLEET_FILE}")
     return 0
 
 
@@ -172,7 +107,7 @@ def cmd_train(args) -> int:
         ),
     )
 
-    write_manifest(
+    persist.write_manifest(
         out.with_name(out.stem + "_manifest.txt"),
         f"train {args.model}",
         cfg,
@@ -231,7 +166,7 @@ def cmd_detect(args) -> int:
         persist.save_cycle_hi_csv(
             detection.cycle_averages, stats.channel_names, out.with_name(out.stem + "_hi.csv")
         )
-    write_manifest(
+    persist.write_manifest(
         out.with_name(out.stem + "_manifest.txt"),
         f"detect {args.hi}",
         cfg,
@@ -255,8 +190,8 @@ def cmd_evaluate(args) -> int:
         for (model_kind, hi_kind), sets in sorted(grouped.items())
     ]
 
-    write_evaluations(out, evaluations)
-    write_manifest(
+    persist.write_evaluations(out, evaluations)
+    persist.write_manifest(
         out / "evaluate_manifest.txt",
         "evaluate",
         cfg,
@@ -313,7 +248,7 @@ def cmd_segment(args) -> int:
         ]
         persist.write_table(out / "ae_embedding_pca.csv", ["unit", "pc1", "pc2"], rows)
 
-    write_manifest(
+    persist.write_manifest(
         out / "segment_manifest.txt",
         "segment",
         cfg,
@@ -395,7 +330,7 @@ def main(argv=None) -> int:
     except ResfaultError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DataError.exit_code
 

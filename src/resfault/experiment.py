@@ -8,13 +8,11 @@ averaging protocol.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import detector, health, models, nn, segmentation
+from . import detector, health, models, nn, parallel, segmentation
 from .config import CRUISE_FIRST, RunConfig, STATS_ON_TRAIN_VALIDATION, derive_seed
 from .data_model import FleetSplit, TruthRecord, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
@@ -361,63 +359,6 @@ class ExperimentResult:
     evaluations: dict[tuple[str, str], GroupEvaluation]
 
 
-# Each of these sizes a BLAS thread pool when a process imports numpy; a
-# worker runs one thread so that the workers do not contend for cores.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# The run_realisation inputs of a worker process, set once by _init_worker so
-# that each job sends only its (realisation, kind) pair.
-_worker_inputs: tuple | None = None
-
-
-def _init_worker(
-    preprocessed: list[UnitSeries], truths: dict[str, TruthRecord] | None, cfg: RunConfig
-) -> None:
-    global _worker_inputs
-    _worker_inputs = (preprocessed, truths, cfg)
-
-
-def _worker_job(realisation: int, kind: str) -> ModelRun:
-    return run_realisation(*_worker_inputs, realisation, kind)
-
-
-def _run_jobs(
-    preprocessed: list[UnitSeries],
-    truths: dict[str, TruthRecord] | None,
-    cfg: RunConfig,
-    workers: int,
-) -> list[ModelRun]:
-    """run_realisation for every (realisation, kind), in that order."""
-    realisations = [r for r in range(cfg.training.realisations) for _ in MODEL_KINDS]
-    kinds = list(MODEL_KINDS) * cfg.training.realisations
-    if workers == 1:
-        job = functools.partial(run_realisation, preprocessed, truths, cfg)
-        return list(map(job, realisations, kinds))
-    # imported here: the CLI imports this module and never starts a pool
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        pool = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_init_worker,
-            initargs=(preprocessed, truths, cfg),
-        )
-        try:
-            return list(pool.map(_worker_job, realisations, kinds))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
 def run_protocol(
     units: list[UnitSeries],
     truths: dict[str, TruthRecord] | None,
@@ -426,15 +367,13 @@ def run_protocol(
 ) -> ExperimentResult:
     """The full repeated-training protocol with averaged evaluation.
 
-    Each (realisation, model kind) pair is one run_realisation job. With
-    ``workers`` 1 the jobs run one after another in this process; with more,
-    on that many ``spawn`` worker processes, each with one BLAS thread. The
-    results are the same bytes either way. A spawned worker imports the
-    caller's main module, so a program that calls this with ``workers`` > 1
-    must guard its entry point with ``if __name__ == "__main__":``.
+    Each (realisation, model kind) pair is one run_realisation job, run on
+    ``workers`` processes by parallel.run_jobs. The results are the same
+    bytes for any worker count.
     """
     preprocessed = label_fleet(preprocess_fleet(units, cfg), truths)
-    runs = _run_jobs(preprocessed, truths, cfg, workers)
+    jobs = [(r, kind) for r in range(cfg.training.realisations) for kind in MODEL_KINDS]
+    runs = parallel.run_jobs(run_realisation, (preprocessed, truths, cfg), jobs, workers)
     realisations = []
     for r in range(cfg.training.realisations):
         mine = runs[r * len(MODEL_KINDS) : (r + 1) * len(MODEL_KINDS)]

@@ -12,11 +12,13 @@ import csv
 import io
 import itertools
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import __version__, nn
+from .config import RunConfig, dump_config
 from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, TruthRecord, UnitSeries
 from .detector import DetectionReport, HealthyStats
 from .errors import (
@@ -33,6 +35,9 @@ from .models import ResidualModel
 from .preprocess import Standardizer
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# The cell of a value that does not exist, such as the delay of a unit with no alarm.
+NO_DETECTION_MARK = "-"
 
 # Fleet CSV columns: unit id, cycle index, descriptors, sensors. The first
 # descriptor column is treated as altitude by the cruise filter.
@@ -209,37 +214,61 @@ def _cell(path: Path, row: int, column: int) -> str:
 _WRITE_CHUNK_ROWS = 200
 
 
+def _csv_row(cells) -> str:
+    """One row as ``csv.writer`` writes it, line ending included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
+
+
 def _unit_field(unit_id: str) -> str:
     """The unit id cell as ``csv.writer`` writes it inside a full row.
 
     A row is written, not the id alone: ``writerow([""])`` gives ``""``,
     while an empty first cell of a longer row is written as nothing.
     """
-    buf = io.StringIO()
-    csv.writer(buf).writerow([unit_id, 0])
-    return buf.getvalue()[: -len(",0\r\n")]
+    return _csv_row([unit_id, 0])[: -len(",0\r\n")]
 
 
 def save_csv(fleet: list[UnitSeries], path: str | Path) -> None:
     """Write a fleet to CSV in FLEET_COLUMNS order.
 
-    The bytes are those of ``csv.writer`` rows of ``format_float`` cells;
-    the rows are formatted ``_WRITE_CHUNK_ROWS`` at a time, one write each.
+    The bytes are those of ``csv.writer`` rows of ``format_float`` cells.
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(FLEET_COLUMNS)
-        for unit in fleet:
-            uid = _unit_field(unit.unit_id)
-            for start in range(0, unit.n_rows, _WRITE_CHUNK_ROWS):
-                rows = slice(start, start + _WRITE_CHUNK_ROWS)
-                values = np.hstack([unit.w[rows], unit.x[rows]]).tolist()
-                fh.write(
-                    "".join(
-                        f"{uid},{cycle},{','.join(map(repr, row))}\r\n"
-                        for cycle, row in zip(unit.cycle_of[rows].tolist(), values)
-                    )
+    with Path(path).open("w", newline="") as fh:
+        fh.write(_csv_row(FLEET_COLUMNS))
+        write_fleet_rows(fh, fleet)
+
+
+def write_fleet_rows(fh, fleet) -> None:
+    """Write the data rows of save_csv for ``fleet`` to the text file ``fh``.
+
+    ``fh`` is opened with ``newline=""``. The rows are formatted
+    ``_WRITE_CHUNK_ROWS`` at a time, one write each.
+    """
+    for unit in fleet:
+        uid = _unit_field(unit.unit_id)
+        for start in range(0, unit.n_rows, _WRITE_CHUNK_ROWS):
+            rows = slice(start, start + _WRITE_CHUNK_ROWS)
+            values = np.hstack([unit.w[rows], unit.x[rows]]).tolist()
+            fh.write(
+                "".join(
+                    f"{uid},{cycle},{','.join(map(repr, row))}\r\n"
+                    for cycle, row in zip(unit.cycle_of[rows].tolist(), values)
                 )
+            )
+
+
+def join_fleet_parts(parts: list[Path], path: str | Path) -> None:
+    """Write the fleet CSV whose data rows are the files ``parts``, in order.
+
+    Each part holds write_fleet_rows rows; the header is save_csv's.
+    """
+    with Path(path).open("wb") as fh:
+        fh.write(_csv_row(FLEET_COLUMNS).encode())
+        for part in parts:
+            with part.open("rb") as src:
+                shutil.copyfileobj(src, fh)
 
 
 def save_ground_truth(truths, path: str | Path) -> None:
@@ -513,3 +542,69 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
     except Exception as exc:
         raise CorruptCheckpoint(f"{path}: inconsistent checkpoint ({exc})") from None
     return model, metadata
+
+
+def write_manifest(path: Path, command: str, cfg: RunConfig, extras: dict) -> None:
+    """Write a run manifest: the command, the version, one line per ``extras``
+    entry, then the effective configuration."""
+    lines = [
+        f"command: {command}",
+        f"resfault_version: {__version__}",
+    ]
+    for key, value in extras.items():
+        lines.append(f"{key}: {value}")
+    lines.append("config:")
+    lines.extend("  " + ln for ln in dump_config(cfg).splitlines())
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _mark_none(value, text=format_float) -> str:
+    return NO_DETECTION_MARK if value is None else text(value)
+
+
+def write_evaluations(out: Path, evaluations) -> None:
+    """Write evaluation_units.csv and evaluation_summary.csv under ``out``.
+
+    Also prints one summary line per (model, indicator-kind) group.
+    """
+    write_table(
+        out / "evaluation_units.csv",
+        ["model", "hi_kind", "dataset", "unit", "fault_cycle", "n_detected", "avg_delay"],
+        (
+            [
+                ev.model_kind,
+                ev.hi_kind,
+                u.dataset_id,
+                u.unit_id,
+                _mark_none(u.n_true, str),
+                u.n_detected,
+                _mark_none(u.mean_delay),
+            ]
+            for ev in evaluations
+            for u in ev.units
+        ),
+    )
+    write_table(
+        out / "evaluation_summary.csv",
+        ["model", "hi_kind", "n_realisations", "n_units", "n_detected_units",
+         "mean_delay", "fpr_percent"],
+        (
+            [
+                ev.model_kind,
+                ev.hi_kind,
+                ev.n_realisations,
+                len(ev.units),
+                sum(1 for u in ev.units if u.n_detected > 0),
+                _mark_none(ev.mean_delay),
+                _mark_none(ev.fpr, lambda v: format_float(100.0 * v)),
+            ]
+            for ev in evaluations
+        ),
+    )
+    for ev in evaluations:
+        delay = _mark_none(ev.mean_delay, "{:.2f}".format)
+        fpr = _mark_none(ev.fpr, "{:.1%}".format)
+        print(
+            f"{ev.model_kind} {ev.hi_kind}: mean delay {delay} cycles, "
+            f"FPR {fpr} over {len(ev.units)} units"
+        )

@@ -14,9 +14,11 @@ plausible but carry no thermodynamic meaning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from . import parallel, persist
 from .config import RunConfig, SynthSettings, derive_seed
 from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, TruthRecord, UnitSeries
 from .errors import ConfigInvalid
@@ -215,11 +217,13 @@ def gen_unit(
     return series, truth
 
 
-def gen_fleet(cfg: RunConfig) -> list[tuple[UnitSeries, TruthRecord]]:
-    """n_units units of each of the first n_families DEFAULT_FAMILIES, per ``cfg.synth``.
+def unit_plan(cfg: RunConfig) -> list[tuple[FamilyFault, int, str]]:
+    """(family, unit seed, unit id) of each unit of the fleet, in fleet order.
 
-    Faults must start after the healthy window ``cfg.split.healthy_cycles``,
-    so that models train on healthy rows only.
+    The fleet is n_units units of each of the first n_families
+    DEFAULT_FAMILIES, per ``cfg.synth``. Faults must start after the healthy
+    window ``cfg.split.healthy_cycles``, so that models train on healthy
+    rows only.
     """
     settings = cfg.synth
     if settings.fault_start_lo <= cfg.split.healthy_cycles:
@@ -227,12 +231,60 @@ def gen_fleet(cfg: RunConfig) -> list[tuple[UnitSeries, TruthRecord]]:
             "faults must start after the healthy window "
             f"({settings.fault_start_lo} <= {cfg.split.healthy_cycles})"
         )
-    map_seed = cfg.seed if settings.map_seed is None else settings.map_seed
-    sensor_map = build_sensor_map(map_seed)
-    fleet = []
-    for f_idx, family in enumerate(DEFAULT_FAMILIES[: settings.n_families]):
-        for u_idx in range(settings.n_units):
-            unit_id = f"{settings.unit_prefix}{family.name}-u{u_idx + 1:02d}"
-            seed = derive_seed(cfg.seed, f_idx, u_idx)
-            fleet.append(gen_unit(settings, family, seed, unit_id, sensor_map))
-    return fleet
+    return [
+        (
+            family,
+            derive_seed(cfg.seed, f_idx, u_idx),
+            f"{settings.unit_prefix}{family.name}-u{u_idx + 1:02d}",
+        )
+        for f_idx, family in enumerate(DEFAULT_FAMILIES[: settings.n_families])
+        for u_idx in range(settings.n_units)
+    ]
+
+
+def _fleet_sensor_map(cfg: RunConfig) -> SensorMap:
+    settings = cfg.synth
+    return build_sensor_map(cfg.seed if settings.map_seed is None else settings.map_seed)
+
+
+def gen_fleet(cfg: RunConfig) -> list[tuple[UnitSeries, TruthRecord]]:
+    """Every unit of unit_plan(cfg), with its ground truth."""
+    plan = unit_plan(cfg)
+    sensor_map = _fleet_sensor_map(cfg)
+    return [gen_unit(cfg.synth, *planned, sensor_map) for planned in plan]
+
+
+def _write_part(cfg: RunConfig, plan: list, path: Path) -> list[TruthRecord]:
+    """Generate the units of ``plan`` and write their fleet rows to ``path``.
+
+    Each unit is written as soon as it is made, so one unit is held at a time.
+    """
+    sensor_map = _fleet_sensor_map(cfg)
+    truths = []
+    with path.open("w", newline="") as fh:
+        for planned in plan:
+            series, truth = gen_unit(cfg.synth, *planned, sensor_map)
+            persist.write_fleet_rows(fh, [series])
+            truths.append(truth)
+    return truths
+
+
+def save_fleet(cfg: RunConfig, path: Path, workers: int) -> list[TruthRecord]:
+    """Write the fleet of gen_fleet(cfg) to ``path`` as persist.save_csv would.
+
+    Each of ``workers`` jobs generates one contiguous slice of the units and
+    writes it to a part file beside ``path``; the parts are then joined in
+    unit order and deleted, also when a job fails. The bytes are the same for
+    any worker count. Returns the units' ground truth, in fleet order.
+    """
+    plan = unit_plan(cfg)
+    bounds = [len(plan) * i // workers for i in range(workers + 1)]
+    parts = [path.with_name(f".{path.name}.part{i}") for i in range(workers)]
+    jobs = [(plan[lo:hi], part) for lo, hi, part in zip(bounds, bounds[1:], parts)]
+    try:
+        truths = parallel.run_jobs(_write_part, (cfg,), jobs, workers)
+        persist.join_fleet_parts(parts, path)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
+    return [truth for part_truths in truths for truth in part_truths]

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import resfault
-from resfault import experiment
+from resfault import experiment, parallel
 from resfault.cli import main
 from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS
 from resfault.detector import DetectionReport
@@ -97,7 +97,12 @@ class TestSynth:
         assert len(fleet_rows) == 6 * 36 * 100
         truth_rows = read_rows(data / "ground_truth.csv")
         assert len(truth_rows) == 6
-        assert (data / "synth_manifest.txt").exists()
+        # the worker jobs' part files are gone
+        assert sorted(p.name for p in data.iterdir()) == [
+            "fleet.csv", "ground_truth.csv", "synth_manifest.txt"
+        ]
+        workers = parallel.worker_count(6)
+        assert f"workers: {workers}" in (data / "synth_manifest.txt").read_text().splitlines()
 
     def test_same_seed_same_bytes(self, tmp_path):
         cfg = write_config(tmp_path / "mini.yaml", {"synth": {"cycles_per_unit": 12,
@@ -155,7 +160,7 @@ class TestTrain:
 
 
     def test_healthy_stats_take_one_residual_pass(self, workspace, tmp_path, monkeypatch):
-        from resfault import experiment
+        from resfault import experiment, parallel
 
         calls = []
         residuals = experiment.unit_residuals
@@ -217,6 +222,30 @@ class TestTrain:
             "and 3 training rows"
         ]
         assert not out.exists()
+
+
+class TestUnwritableOut:
+    """An --out that cannot be created is a data error (exit 3), never a traceback."""
+
+    @pytest.fixture(params=["existing_file", "below_a_file"])
+    def out(self, request, tmp_path):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        return blocker if request.param == "existing_file" else blocker / "sub"
+
+    def test_synth(self, tmp_path, out, capsys):
+        cfg = write_config(tmp_path / "mini.yaml")
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(out) in err[0]
+
+    def test_script(self, tmp_path, out):
+        cfg = write_config(tmp_path / "mini.yaml")
+        proc = run_fresh([str(SCRIPT), "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestNegativeSeeds:

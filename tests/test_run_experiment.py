@@ -112,10 +112,12 @@ def test_manifest_records_workers_and_training_outcomes(experiment_run):
 def test_one_usable_cpu_starts_no_pool(tmp_path):
     cfg = tmp_path / "tiny.yaml"
     cfg.write_text(json.dumps(TINY))
-    out = tmp_path / "out"
+    out, data = tmp_path / "out", tmp_path / "data"
     code = f"""
 import importlib.util, os, sys
+import resfault.cli
 os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+assert resfault.cli.main(["synth", "--config", {str(cfg)!r}, "--out", {str(data)!r}]) == 0
 spec = importlib.util.spec_from_file_location("run_experiment", {str(SCRIPT)!r})
 script = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(script)
@@ -125,6 +127,7 @@ print(sorted(m for m in ("multiprocessing", "concurrent.futures.process") if m i
     proc = run_fresh(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+    assert "workers: 1" in (data / "synth_manifest.txt").read_text().splitlines()
     assert "workers: 1" in (out / "experiment_manifest.txt").read_text().splitlines()
 
 

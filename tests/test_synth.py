@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from resfault.config import RunConfig, SynthSettings, derive_seed
+from resfault import parallel, synth
+from resfault.config import RunConfig, SynthSettings, config_from_dict, derive_seed
 from resfault.data_model import DEFAULT_X_CHANNELS, cycle_bounds
 from resfault.detector import build_report, cycle_average, fit_stats
 from resfault.errors import ConfigInvalid
@@ -17,7 +19,9 @@ from resfault.synth import (
     build_sensor_map,
     gen_fleet,
     gen_unit,
+    save_fleet,
 )
+from resfault.persist import save_csv, save_ground_truth
 
 SEED = 3
 
@@ -205,3 +209,68 @@ class TestGenFleet:
     def test_derive_unit_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
+
+
+# SHA-256 of fleet.csv and ground_truth.csv as `resfault synth --seed 5` wrote
+# them from a single process, before the units were written by worker jobs.
+PINNED = {
+    1: (
+        "5fce1331cb5548a90beb3db4927ac24b630a2cc64b5c4bbf64b7ea401bf29e1a",
+        "01ef5d9df4a912e4bc70a6fd9b3f580d666ac612f3d84f81f7934527d8ccf59f",
+    ),
+    2: (
+        "7c0376de9a7188358342973b99ab2f376179badf0ad3ece79561d22a23c6156e",
+        "d984fd6b650d37e5bd34821c9f0f4d98ec0562d85962fa7aca788a9c7618130b",
+    ),
+}
+
+
+def pinned_cfg(n_units):
+    return config_from_dict({"seed": 5, "synth": {"n_units": n_units, "rows_per_cycle": 40}})
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestSaveFleet:
+    @pytest.mark.parametrize(
+        "n_units, workers",
+        # 3 families of 2 units: 1 slice, slices of 3 and 3, of 2, 2 and 2;
+        # 3 families of 1 unit on 2 workers: slices of 1 and 2
+        [(2, 1), (2, 2), (2, 3), (1, 2)],
+    )
+    def test_bytes_are_the_single_process_bytes(self, tmp_path, n_units, workers):
+        cfg = pinned_cfg(n_units)
+        path = tmp_path / "fleet.csv"
+        truths = save_fleet(cfg, path, workers)
+        assert [p.name for p in tmp_path.iterdir()] == ["fleet.csv"]
+        assert truths == [truth for _, truth in gen_fleet(cfg)]
+        save_ground_truth(truths, tmp_path / "ground_truth.csv")
+        assert (sha256(path), sha256(tmp_path / "ground_truth.csv")) == PINNED[n_units]
+
+    def test_bytes_are_save_csv_bytes(self, tmp_path):
+        cfg = small_cfg(unit_prefix='a "quoted", prefix ')
+        save_fleet(cfg, tmp_path / "parts.csv", 1)
+        save_csv([series for series, _ in gen_fleet(cfg)], tmp_path / "whole.csv")
+        assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_failing_job_leaves_no_part_file(self, tmp_path, monkeypatch):
+        made = []
+
+        def failing(settings, family, unit_seed, unit_id, sensor_map):
+            if len(made) == 4:
+                raise OSError("no space left on device")
+            made.append(unit_id)
+            return gen_unit(settings, family, unit_seed, unit_id, sensor_map)
+
+        def in_process(fn, shared, jobs, workers):
+            return [fn(*shared, *args) for args in jobs]
+
+        monkeypatch.setattr(synth, "gen_unit", failing)
+        # three jobs in this process, so that the first two parts are written
+        monkeypatch.setattr(parallel, "run_jobs", in_process)
+        with pytest.raises(OSError, match="no space left"):
+            save_fleet(pinned_cfg(2), tmp_path / "fleet.csv", 3)
+        assert len(made) == 4
+        assert list(tmp_path.iterdir()) == []
