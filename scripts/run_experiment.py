@@ -22,7 +22,7 @@ from resfault.health import SENSORWISE
 from resfault.models import OC_KIND
 from resfault.persist import format_float as fmt
 from resfault.persist import write_evaluations, write_manifest, write_table
-from resfault.segmentation import silhouette_curve, trigger_timeline
+from resfault.segmentation import silhouette_curve
 from resfault.synth import gen_fleet
 
 
@@ -34,16 +34,15 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def write_silhouette_table(out: Path, result, truths, seg) -> None:
+def write_silhouette_table(out: Path, result, seg) -> None:
     k_range = range(0, seg.k_max + 1)
     rows = []
     for kind in experiment.MODEL_KINDS:
         per_k = {k: [] for k in k_range}
-        for realisation in result.realisations:
-            det = realisation.detections[(kind, SENSORWISE)]
-            alarms = [(r.unit_id, r.alarm_cycle) for r in det.reports]
-            avgs = [det.cycle_averages[r.unit_id] for r in det.reports]
-            labels = [truths[r.unit_id].family for r in det.reports]
+        for run in [run for run in result.runs if run.kind == kind]:
+            alarms, avgs, labels = experiment.alarm_views(run.detections[SENSORWISE])
+            if len(set(labels)) < 2:  # one family alarmed: no score at any k
+                continue
             curve = silhouette_curve(
                 alarms, avgs, labels, k_range=k_range, normalize=seg.normalization
             )
@@ -58,20 +57,11 @@ def write_silhouette_table(out: Path, result, truths, seg) -> None:
 
 def write_trigger_timelines(out: Path, result, seg) -> None:
     rows = []
-    for realisation in result.realisations:
-        det = realisation.detections[(OC_KIND, SENSORWISE)]
-        for report in det.reports:
-            if not report.detected:
-                continue
-            timeline = trigger_timeline(
-                report.unit_id,
-                report.alarm_cycle,
-                det.stats,
-                det.cycle_averages[report.unit_id],
-                checkpoints=seg.timeline_checkpoints,
-            )
-            for channel, category in timeline.items():
-                rows.append([realisation.realisation, report.unit_id, channel, category])
+    for run in [run for run in result.runs if run.kind == OC_KIND]:
+        detection = run.detections[SENSORWISE]
+        timelines = experiment.trigger_timelines(detection, seg.timeline_checkpoints)
+        for unit_id, timeline in timelines.items():
+            rows.extend([run.realisation, unit_id, *item] for item in timeline.items())
     header = ["realisation", "unit", "channel", "triggered_at"]
     write_table(out / "trigger_timeline.csv", header, rows)
 
@@ -79,12 +69,12 @@ def write_trigger_timelines(out: Path, result, seg) -> None:
 def training_outcomes(result) -> dict[str, str]:
     """One manifest entry per (realisation, kind): how its training ended."""
     outcomes = {}
-    for realisation in result.realisations:
-        for kind, train in realisation.train_results.items():
-            outcomes[f"training {realisation.realisation} {kind}"] = (
-                f"epochs_run {train.epochs_run}, best_epoch {train.best_epoch}, "
-                f"best_val_loss {fmt(train.val_losses[train.best_epoch])}"
-            )
+    for run in result.runs:
+        train = run.train_result
+        outcomes[f"training {run.realisation} {run.kind}"] = (
+            f"epochs_run {train.epochs_run}, best_epoch {train.best_epoch}, "
+            f"best_val_loss {fmt(train.val_losses[train.best_epoch])}"
+        )
     return outcomes
 
 
@@ -107,7 +97,7 @@ def main(argv=None) -> int:
     evaluations = [result.evaluations[key] for key in sorted(result.evaluations)]
     write_evaluations(out, evaluations)
 
-    write_silhouette_table(out, result, truths, cfg.segmentation)
+    write_silhouette_table(out, result, cfg.segmentation)
     write_trigger_timelines(out, result, cfg.segmentation)
     write_manifest(
         out / "experiment_manifest.txt",

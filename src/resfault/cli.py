@@ -14,7 +14,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import __version__, experiment, parallel, persist, synth
+from . import __version__, detector, experiment, parallel, persist, synth
 from .config import RunConfig, load_config
 from .data_model import TruthRecord, UnitSeries
 from .errors import ConfigInvalid, CorruptCheckpoint, DataError, ResfaultError
@@ -45,8 +45,7 @@ def _load_fleet_dir(data_dir: str) -> tuple[list[UnitSeries], dict[str, TruthRec
 
 def _prepared_units(data_dir: str, cfg: RunConfig):
     units, truths = _load_fleet_dir(data_dir)
-    units = experiment.label_fleet(experiment.preprocess_fleet(units, cfg), truths)
-    return units, truths
+    return experiment.preprocess_fleet(units, cfg, truths), truths
 
 
 def cmd_synth(args) -> int:
@@ -71,16 +70,9 @@ def cmd_train(args) -> int:
         raise ConfigInvalid(f"--realisation must be >= 0, got {args.realisation}")
     cfg = _effective_config(args)
     kind = args.model.upper()
-    units, truths = _prepared_units(args.data, cfg)
+    units, _ = _prepared_units(args.data, cfg)
     split_seed, train_seed = experiment.realisation_seeds(cfg.seed, args.realisation)
-    prepared = experiment.prepare_fleet(units, cfg, split_seed)
-    model, result = experiment.train_model(prepared, kind, cfg, train_seed)
-
-    residuals = experiment.fleet_residuals(model, prepared.units)
-    healthy_stats = {}
-    for hi_kind in experiment.HI_KINDS:
-        stats = experiment.fit_fleet_stats(prepared, model, hi_kind, cfg, residuals)
-        healthy_stats[hi_kind] = persist.stats_to_blob(stats)
+    model, result, _, stats = experiment.fit_model(units, cfg, kind, split_seed, train_seed)
 
     metadata = {
         "master_seed": cfg.seed,
@@ -92,7 +84,7 @@ def cmd_train(args) -> int:
         "final_train_loss": result.train_losses[-1],
         "final_val_loss": result.val_losses[-1],
         "best_val_loss": result.val_losses[result.best_epoch],
-        "healthy_stats": healthy_stats,
+        "healthy_stats": {hi: persist.stats_to_blob(st) for hi, st in stats.items()},
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -155,9 +147,7 @@ def cmd_detect(args) -> int:
     stats = _checkpoint_stats(model, metadata, args.hi)
     units, truths = _prepared_units(args.data, cfg)
     residuals = experiment.fleet_residuals(model, units)
-    detection = experiment.detect_with_stats(
-        units, model, args.hi, stats, cfg, truths, residuals
-    )
+    detection = experiment.detect_with_stats(units, args.hi, stats, cfg, truths, residuals)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     persist.save_reports(detection.reports, model.kind, args.hi, out)
@@ -204,7 +194,7 @@ def cmd_segment(args) -> int:
     cfg = _effective_config(args)
     model, metadata = persist.load_checkpoint(args.checkpoint)
     stats = _checkpoint_stats(model, metadata, SENSORWISE)
-    units, truths = _prepared_units(args.data, cfg)
+    units, _ = _prepared_units(args.data, cfg)
 
     groups = persist.load_reports(args.reports)
     matching = {k: v for k, v in groups.items() if k[0] == model.kind}
@@ -212,17 +202,21 @@ def cmd_segment(args) -> int:
         raise DataError(
             f"report file {args.reports} has no rows for model kind {model.kind}"
         )
-    key = (model.kind, SENSORWISE) if (model.kind, SENSORWISE) in matching else next(
-        iter(sorted(matching))
-    )
-    report_map = {}
-    for r in matching[key]:
-        label = r.dataset_id
-        if not label and truths and r.unit_id in truths:
-            label = truths[r.unit_id].family
-        report_map[r.unit_id] = (r.alarm_cycle, label)
-
-    bundle = experiment.build_segmentation(units, model, stats, report_map, cfg)
+    key = (model.kind, SENSORWISE) if (model.kind, SENSORWISE) in matching else min(matching)
+    # the report file's alarmed units in fleet order, each labelled by its
+    # report or else by the unit's (ground-truth) dataset tag
+    alarmed = {r.unit_id: r for r in matching[key] if r.detected}
+    reports, cycle_averages = [], {}
+    for unit in units:
+        report = alarmed.get(unit.unit_id)
+        if report is None:
+            continue
+        label = report.dataset_id or unit.dataset_id
+        reports.append(dataclasses.replace(report, dataset_id=label))
+        hi = experiment.unit_hi(experiment.unit_residuals(model, unit), SENSORWISE)
+        cycle_averages[unit.unit_id] = detector.cycle_average(hi, unit.cycle_of)
+    detection = experiment.FleetDetection(stats, reports, cycle_averages)
+    bundle = experiment.build_segmentation(units, model, detection, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

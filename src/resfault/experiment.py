@@ -36,11 +36,14 @@ def realisation_seeds(master_seed: int, realisation: int) -> tuple[int, int]:
     return derive_seed(master_seed, 1, realisation), derive_seed(master_seed, 2, realisation)
 
 
-def preprocess_fleet(units: list[UnitSeries], cfg: RunConfig) -> list[UnitSeries]:
+def preprocess_fleet(
+    units: list[UnitSeries], cfg: RunConfig, truths: dict[str, TruthRecord] | None
+) -> list[UnitSeries]:
     """Run the split-independent row-selection steps on every unit.
 
     Default order is downsample then cruise-filter; the alternative order
-    is available behind ``preprocess.order`` for sensitivity studies.
+    is available behind ``preprocess.order`` for sensitivity studies. Each
+    unit's dataset tag becomes its ground-truth family, if known.
     """
     out = []
     for unit in units:
@@ -50,61 +53,19 @@ def preprocess_fleet(units: list[UnitSeries], cfg: RunConfig) -> list[UnitSeries
         else:
             unit = downsample(unit, cfg.preprocess.downsample_factor)
             unit = cruise_filter(unit, cfg.preprocess.cruise_threshold)
-        out.append(unit)
-    return out
-
-
-def label_fleet(
-    units: list[UnitSeries], truths: dict[str, TruthRecord] | None
-) -> list[UnitSeries]:
-    """Stamp each unit's dataset tag from its ground-truth family, if known."""
-    if not truths:
-        return units
-    out = []
-    for unit in units:
-        truth = truths.get(unit.unit_id)
+        truth = truths.get(unit.unit_id) if truths else None
         if truth is not None and truth.family and unit.dataset_id != truth.family:
             unit = dataclasses.replace(unit, dataset_id=truth.family)
         out.append(unit)
     return out
 
 
-@dataclass(frozen=True)
-class PreparedFleet:
-    """Preprocessed units plus the split and standardizer of one realisation."""
-
-    units: list[UnitSeries]
-    fleet_split: FleetSplit
-    standardizer: Standardizer
-
-
 def prepare_fleet(
     preprocessed: list[UnitSeries], cfg: RunConfig, split_seed: int
-) -> PreparedFleet:
+) -> tuple[FleetSplit, Standardizer]:
     """Split healthy rows and fit the standardizer on the training rows."""
     fleet_split = split(preprocessed, cfg.split, split_seed)
-    z_train = stack_rows(preprocessed, fleet_split.train)
-    return PreparedFleet(
-        units=preprocessed,
-        fleet_split=fleet_split,
-        standardizer=fit_standardizer(z_train),
-    )
-
-
-def train_model(
-    prepared: PreparedFleet, kind: str, cfg: RunConfig, train_seed: int
-) -> tuple[ResidualModel, nn.TrainResult]:
-    """Train one residual model on the standardized healthy split."""
-    std = prepared.standardizer
-    return models.train(
-        kind,
-        apply_standardizer(std, stack_rows(prepared.units, prepared.fleet_split.train)),
-        apply_standardizer(std, stack_rows(prepared.units, prepared.fleet_split.validation)),
-        cfg.training,
-        train_seed,
-        std,
-        prepared.units[0].n_w,
-    )
+    return fleet_split, fit_standardizer(stack_rows(preprocessed, fleet_split.train))
 
 
 def unit_residuals(model: ResidualModel, unit: UnitSeries) -> np.ndarray:
@@ -143,7 +104,8 @@ def unit_hi(residuals: np.ndarray, hi_kind: str) -> np.ndarray:
 
 
 def fit_fleet_stats(
-    prepared: PreparedFleet,
+    units: list[UnitSeries],
+    fleet_split: FleetSplit,
     model: ResidualModel,
     hi_kind: str,
     cfg: RunConfig,
@@ -151,29 +113,51 @@ def fit_fleet_stats(
 ) -> HealthyStats:
     """Fleet-global healthy statistics from the configured healthy rows.
 
-    ``residuals`` is the fleet_residuals of the model over the prepared
-    units.
+    ``residuals`` is the fleet_residuals of the model over ``units``.
     """
     pooled = []
-    for unit in prepared.units:
-        rows = prepared.fleet_split.validation[unit.unit_id]
+    for unit in units:
+        rows = fleet_split.validation[unit.unit_id]
         if cfg.detection.stats_source == STATS_ON_TRAIN_VALIDATION:
-            rows = np.sort(
-                np.concatenate([rows, prepared.fleet_split.train[unit.unit_id]])
-            )
+            rows = np.sort(np.concatenate([rows, fleet_split.train[unit.unit_id]]))
         if len(rows) == 0:
             continue
         pooled.append(unit_hi(residuals[unit.unit_id], hi_kind)[rows])
-    names = hi_channel_names(model, prepared.units[0], hi_kind)
+    names = hi_channel_names(model, units[0], hi_kind)
     return detector.fit_stats(np.vstack(pooled), names)
+
+
+def fit_model(
+    preprocessed: list[UnitSeries], cfg: RunConfig, kind: str, split_seed: int, train_seed: int
+) -> tuple[ResidualModel, nn.TrainResult, dict[str, np.ndarray], dict[str, HealthyStats]]:
+    """Train one residual model on the healthy split and fit its thresholds.
+
+    Returns the model, its training record, every unit's residuals (one
+    pass, keyed by unit id) and the healthy statistics of each indicator
+    kind.
+    """
+    fleet_split, std = prepare_fleet(preprocessed, cfg, split_seed)
+    model, result = models.train(
+        kind,
+        apply_standardizer(std, stack_rows(preprocessed, fleet_split.train)),
+        apply_standardizer(std, stack_rows(preprocessed, fleet_split.validation)),
+        cfg.training,
+        train_seed,
+        std,
+        preprocessed[0].n_w,
+    )
+    residuals = fleet_residuals(model, preprocessed)
+    stats = {
+        hi_kind: fit_fleet_stats(preprocessed, fleet_split, model, hi_kind, cfg, residuals)
+        for hi_kind in HI_KINDS
+    }
+    return model, result, residuals, stats
 
 
 @dataclass(frozen=True)
 class FleetDetection:
-    """Detection results for one (model, indicator-kind) pass over a fleet."""
+    """Detection results of one indicator kind's pass over a fleet."""
 
-    model_kind: str
-    hi_kind: str
     stats: HealthyStats
     reports: list[DetectionReport]
     cycle_averages: dict[str, CycleAverages]
@@ -181,7 +165,6 @@ class FleetDetection:
 
 def detect_with_stats(
     units: list[UnitSeries],
-    model: ResidualModel,
     hi_kind: str,
     stats: HealthyStats,
     cfg: RunConfig,
@@ -209,13 +192,34 @@ def detect_with_stats(
                 ground_truth_known=truth is not None,
             )
         )
-    return FleetDetection(
-        model_kind=model.kind,
-        hi_kind=hi_kind,
-        stats=stats,
-        reports=reports,
-        cycle_averages=cycle_averages,
+    return FleetDetection(stats=stats, reports=reports, cycle_averages=cycle_averages)
+
+
+def alarm_views(
+    detection: FleetDetection,
+) -> tuple[list[tuple[str, int]], list[CycleAverages], list[str]]:
+    """(unit id, alarm cycle) pairs, cycle averages and labels of the alarmed units.
+
+    The label of a unit is its report's dataset tag; the order is the
+    reports'.
+    """
+    alarmed = [r for r in detection.reports if r.detected]
+    return (
+        [(r.unit_id, r.alarm_cycle) for r in alarmed],
+        [detection.cycle_averages[r.unit_id] for r in alarmed],
+        [r.dataset_id for r in alarmed],
     )
+
+
+def trigger_timelines(
+    detection: FleetDetection, checkpoints: tuple[int, ...]
+) -> dict[str, dict[str, int | str]]:
+    """segmentation.trigger_timeline of each alarmed unit, keyed by unit id."""
+    alarms, avgs, _ = alarm_views(detection)
+    return {
+        unit_id: segmentation.trigger_timeline(unit_id, cycle, detection.stats, avg, checkpoints)
+        for (unit_id, cycle), avg in zip(alarms, avgs)
+    }
 
 
 @dataclass(frozen=True)
@@ -269,19 +273,13 @@ def evaluate_group(
     if not report_sets or not report_sets[0]:
         raise EmptyFleet("no detection reports to evaluate")
     by_unit: dict[str, list[DetectionReport]] = {}
-    unit_order: list[str] = []
     for report_set in report_sets:
         for report in report_set:
-            if report.unit_id not in by_unit:
-                by_unit[report.unit_id] = []
-                unit_order.append(report.unit_id)
-            by_unit[report.unit_id].append(report)
+            by_unit.setdefault(report.unit_id, []).append(report)
 
     units = []
-    for unit_id in unit_order:
-        reports = by_unit[unit_id]
+    for unit_id, reports in by_unit.items():
         delays = [r.delay for r in reports if r.delay is not None]
-        n_detected = sum(1 for r in reports if r.detected)
         units.append(
             UnitEvaluation(
                 unit_id=unit_id,
@@ -289,7 +287,7 @@ def evaluate_group(
                 n_true=reports[0].n_true,
                 ground_truth_known=reports[0].ground_truth_known,
                 n_realisations=len(reports),
-                n_detected=n_detected,
+                n_detected=sum(1 for r in reports if r.detected),
                 mean_delay=float(np.mean(delays)) if delays else None,
             )
         )
@@ -309,11 +307,17 @@ def evaluate_group(
 
 @dataclass(frozen=True)
 class ModelRun:
-    """One (realisation, model kind) job: its training and both detection passes."""
+    """One (realisation, model kind) job: its seeds, training and detections.
 
+    ``detections`` holds one FleetDetection per indicator kind.
+    """
+
+    realisation: int
+    split_seed: int
+    train_seed: int
     kind: str
     train_result: nn.TrainResult
-    detections: dict[tuple[str, str], FleetDetection]
+    detections: dict[str, FleetDetection]
 
 
 def run_realisation(
@@ -328,34 +332,22 @@ def run_realisation(
     The model computes every unit's residuals once, for both indicators.
     """
     split_seed, train_seed = realisation_seeds(cfg.seed, realisation)
-    prepared = prepare_fleet(preprocessed, cfg, split_seed)
-    model, result = train_model(prepared, kind, cfg, train_seed)
-    residuals = fleet_residuals(model, prepared.units)
-    detections: dict[tuple[str, str], FleetDetection] = {}
-    for hi_kind in HI_KINDS:
-        stats = fit_fleet_stats(prepared, model, hi_kind, cfg, residuals)
-        detections[(kind, hi_kind)] = detect_with_stats(
-            prepared.units, model, hi_kind, stats, cfg, truths, residuals
-        )
-    return ModelRun(kind=kind, train_result=result, detections=detections)
-
-
-@dataclass(frozen=True)
-class RealisationResult:
-    """All four (model, indicator) detection passes of one realisation."""
-
-    realisation: int
-    split_seed: int
-    train_seed: int
-    detections: dict[tuple[str, str], FleetDetection]
-    train_results: dict[str, nn.TrainResult]
+    model, result, residuals, stats = fit_model(preprocessed, cfg, kind, split_seed, train_seed)
+    detections = {
+        hi_kind: detect_with_stats(preprocessed, hi_kind, stats[hi_kind], cfg, truths, residuals)
+        for hi_kind in HI_KINDS
+    }
+    return ModelRun(realisation, split_seed, train_seed, kind, result, detections)
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Multi-realisation protocol output: per-realisation and averaged."""
+    """Multi-realisation protocol output: every job's run, and their averages.
 
-    realisations: list[RealisationResult]
+    ``runs`` holds the jobs in (realisation, model kind) order.
+    """
+
+    runs: list[ModelRun]
     evaluations: dict[tuple[str, str], GroupEvaluation]
 
 
@@ -371,27 +363,17 @@ def run_protocol(
     ``workers`` processes by parallel.run_jobs. The results are the same
     bytes for any worker count.
     """
-    preprocessed = label_fleet(preprocess_fleet(units, cfg), truths)
+    preprocessed = preprocess_fleet(units, cfg, truths)
     jobs = [(r, kind) for r in range(cfg.training.realisations) for kind in MODEL_KINDS]
     runs = parallel.run_jobs(run_realisation, (preprocessed, truths, cfg), jobs, workers)
-    realisations = []
-    for r in range(cfg.training.realisations):
-        mine = runs[r * len(MODEL_KINDS) : (r + 1) * len(MODEL_KINDS)]
-        split_seed, train_seed = realisation_seeds(cfg.seed, r)
-        realisations.append(
-            RealisationResult(
-                realisation=r,
-                split_seed=split_seed,
-                train_seed=train_seed,
-                detections={k: d for run in mine for k, d in run.detections.items()},
-                train_results={run.kind: run.train_result for run in mine},
-            )
+    evaluations = {
+        (kind, hi_kind): evaluate_group(
+            kind, hi_kind, [run.detections[hi_kind].reports for run in runs if run.kind == kind]
         )
-    evaluations = {}
-    for key in [(m, h) for m in MODEL_KINDS for h in HI_KINDS]:
-        report_sets = [r.detections[key].reports for r in realisations]
-        evaluations[key] = evaluate_group(key[0], key[1], report_sets)
-    return ExperimentResult(realisations=realisations, evaluations=evaluations)
+        for kind in MODEL_KINDS
+        for hi_kind in HI_KINDS
+    }
+    return ExperimentResult(runs=runs, evaluations=evaluations)
 
 
 @dataclass(frozen=True)
@@ -409,80 +391,51 @@ class SegmentationBundle:
 def build_segmentation(
     units: list[UnitSeries],
     model: ResidualModel,
-    stats: HealthyStats,
-    reports: dict[str, tuple[int | None, str]],
+    detection: FleetDetection,
     cfg: RunConfig,
 ) -> SegmentationBundle:
-    """Sensor-wise segmentation analysis over the units with alarms.
+    """Sensor-wise segmentation analysis over the alarmed units of a detection.
 
-    ``reports`` maps unit id to (alarm cycle or None, fault label) and
-    ``stats`` must be the sensor-wise healthy statistics of the model.
-    Snapshots, the principal-component projection, the silhouette curve,
-    and per-unit trigger timelines all use sensor-wise indicators from
-    the given model; for autoencoders the bottleneck embedding is also
-    projected for comparison. Fewer than three units with a signature
-    raise InsufficientData.
+    ``detection`` must be a sensor-wise detection of the model; its alarmed
+    reports give the units, their alarm cycles and labels. Snapshots, the
+    principal-component projection, the silhouette curve, and per-unit
+    trigger timelines all read it; for autoencoders the bottleneck
+    embedding of those ``units`` is also projected for comparison. Fewer
+    than three units with a signature raise InsufficientData.
     """
     offset = cfg.segmentation.snapshot_offset
     normalize = cfg.segmentation.normalization
-
-    alarms: list[tuple[str, int]] = []
-    cycle_avgs: list[CycleAverages] = []
-    labels: list[str] = []
-    signatures = []
-    timelines: dict[str, dict[str, int | str]] = {}
-    embeddings = []
-    embedding_unit_ids = []
-    for unit in units:
-        alarm_cycle, label = reports.get(unit.unit_id, (None, ""))
-        if alarm_cycle is None:
-            continue
-        label = label or unit.dataset_id
-        hi = unit_hi(unit_residuals(model, unit), SENSORWISE)
-        avg = detector.cycle_average(hi, unit.cycle_of)
-        alarms.append((unit.unit_id, alarm_cycle))
-        cycle_avgs.append(avg)
-        labels.append(label)
-        timelines[unit.unit_id] = segmentation.trigger_timeline(
-            unit.unit_id, alarm_cycle, stats, avg, cfg.segmentation.timeline_checkpoints
-        )
+    alarms, cycle_avgs, labels = alarm_views(detection)
+    by_id = {unit.unit_id: unit for unit in units}
+    signatures, embeddings, embedding_unit_ids = [], [], []
+    for (unit_id, cycle), avg, label in zip(alarms, cycle_avgs, labels):
         try:
-            signatures.append(
-                segmentation.snapshot(unit.unit_id, alarm_cycle, avg, offset, normalize, label)
-            )
+            signatures.append(segmentation.snapshot(unit_id, cycle, avg, offset, normalize, label))
         except CycleOutOfRange:
             continue
         if model.kind == AE_KIND:
+            unit = by_id[unit_id]
             emb = model.embed(apply_standardizer(model.standardizer, unit.z()))
             emb_avg = detector.cycle_average(emb, unit.cycle_of)
             embeddings.append(
                 segmentation.snapshot(
-                    unit.unit_id, alarm_cycle, emb_avg, offset, segmentation.NORMALIZE_NONE
+                    unit_id, cycle, emb_avg, offset, segmentation.NORMALIZE_NONE
                 ).vector
             )
-            embedding_unit_ids.append(unit.unit_id)
+            embedding_unit_ids.append(unit_id)
 
     if len(signatures) < 3:
         raise InsufficientData(
             f"segmentation needs >= 3 units with a signature {offset} cycles after "
             f"their alarm, got {len(signatures)}"
         )
-    pca = segmentation.pca_2d(np.array([s.vector for s in signatures]))
-    curve = segmentation.silhouette_curve(
-        alarms,
-        cycle_avgs,
-        labels,
-        k_range=range(0, cfg.segmentation.k_max + 1),
-        normalize=normalize,
-    )
-    embedding_pca = None
-    if embeddings and len(embeddings) >= 3:
-        embedding_pca = segmentation.pca_2d(np.array(embeddings))
     return SegmentationBundle(
         signatures=signatures,
-        pca=pca,
-        curve=curve,
-        timelines=timelines,
-        embedding_pca=embedding_pca,
+        pca=segmentation.pca_2d(np.array([s.vector for s in signatures])),
+        curve=segmentation.silhouette_curve(
+            alarms, cycle_avgs, labels, range(0, cfg.segmentation.k_max + 1), normalize
+        ),
+        timelines=trigger_timelines(detection, cfg.segmentation.timeline_checkpoints),
+        embedding_pca=segmentation.pca_2d(np.array(embeddings)) if len(embeddings) >= 3 else None,
         embedding_unit_ids=embedding_unit_ids,
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 import functools
 import os
 
+from .errors import ComputeError
+
 # Each of these sizes a BLAS thread pool when a process imports numpy; a
 # worker runs one thread so that the workers do not contend for cores.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -43,13 +45,15 @@ def run_jobs(fn, shared: tuple, jobs: list[tuple], workers: int) -> list:
     sent once per worker, and a job's exception is raised here once every
     running job has ended. A spawned worker imports the caller's main
     module, so a program that calls this with ``workers`` > 1 must guard its
-    entry point with ``if __name__ == "__main__":``.
+    entry point with ``if __name__ == "__main__":``; a worker that dies,
+    as one does without that guard, raises ComputeError.
     """
     if workers == 1:
         return [fn(*shared, *args) for args in jobs]
     # imported here: the CLI imports this module and may never start a pool
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
@@ -62,6 +66,11 @@ def run_jobs(fn, shared: tuple, jobs: list[tuple], workers: int) -> list:
         )
         try:
             return list(pool.map(_run_worker_job, jobs))
+        except BrokenProcessPool:
+            raise ComputeError(
+                "a worker process ended abruptly; a program that starts workers must "
+                'guard its entry point with `if __name__ == "__main__":`'
+            ) from None
         finally:
             pool.shutdown(cancel_futures=True)
     finally:

@@ -264,34 +264,28 @@ def end_to_end():
     healthy_truths = {t.unit_id: t for _, t in healthy_fleet}
     assert len(healthy_units) == 10
 
-    pre = experiment.label_fleet(experiment.preprocess_fleet(units, cfg), truths)
-    healthy_pre = experiment.label_fleet(
-        experiment.preprocess_fleet(healthy_units, cfg), healthy_truths
-    )
+    pre = experiment.preprocess_fleet(units, cfg, truths)
+    healthy_pre = experiment.preprocess_fleet(healthy_units, cfg, healthy_truths)
     split_seed, train_seed = experiment.realisation_seeds(cfg.seed, 0)
-    prepared = experiment.prepare_fleet(pre, cfg, split_seed)
 
     detections = {}
     healthy_detections = {}
     for kind in experiment.MODEL_KINDS:
-        model, _ = experiment.train_model(prepared, kind, cfg, train_seed)
-        residuals = experiment.fleet_residuals(model, prepared.units)
+        model, _, residuals, stats = experiment.fit_model(pre, cfg, kind, split_seed, train_seed)
         healthy_residuals = experiment.fleet_residuals(model, healthy_pre)
         for hi_kind in experiment.HI_KINDS:
-            stats = experiment.fit_fleet_stats(prepared, model, hi_kind, cfg, residuals)
             detections[(kind, hi_kind)] = experiment.detect_with_stats(
-                prepared.units, model, hi_kind, stats, cfg, truths, residuals
+                pre, hi_kind, stats[hi_kind], cfg, truths, residuals
             )
             healthy_detections[(kind, hi_kind)] = experiment.detect_with_stats(
-                healthy_pre, model, hi_kind, stats, cfg, healthy_truths, healthy_residuals
+                healthy_pre, hi_kind, stats[hi_kind], cfg, healthy_truths, healthy_residuals
             )
 
     silhouettes = {}
     for kind in experiment.MODEL_KINDS:
-        det = detections[(kind, SENSORWISE)]
-        avgs = [det.cycle_averages[r.unit_id] for r in det.reports]
-        labels = [truths[r.unit_id].family for r in det.reports]
-        alarms = [(r.unit_id, r.alarm_cycle) for r in det.reports]
+        alarms, avgs, labels = experiment.alarm_views(detections[(kind, SENSORWISE)])
+        # every alarmed unit is labelled with its ground-truth fault family
+        assert labels == [truths[unit_id].family for unit_id, _ in alarms]
         curve = silhouette_curve(
             alarms, avgs, labels, k_range=[10], normalize=cfg.segmentation.normalization
         )

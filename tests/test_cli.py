@@ -13,7 +13,14 @@ from resfault import experiment, parallel
 from resfault.cli import main
 from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS
 from resfault.detector import DetectionReport
-from resfault.persist import load_checkpoint, save_reports
+from resfault.config import load_config
+from resfault.persist import (
+    load_checkpoint,
+    load_csv,
+    load_ground_truth,
+    save_reports,
+    stats_to_blob,
+)
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
 
@@ -135,6 +142,18 @@ class TestTrain:
         _, metadata = load_checkpoint(workspace["oc"])
         seeds = (metadata["split_seed"], metadata["train_seed"])
         assert seeds == experiment.realisation_seeds(MINI_CONFIG["seed"], 0)
+
+    def test_checkpoint_stats_are_the_protocols(self, workspace):
+        # train and the protocol's job for the same realisation fit one model
+        _, metadata = load_checkpoint(workspace["oc"])
+        cfg = load_config(workspace["config"])
+        data = workspace["data"]
+        truths = load_ground_truth(data / "ground_truth.csv")
+        units = experiment.preprocess_fleet(load_csv(data / "fleet.csv"), cfg, truths)
+        run = experiment.run_realisation(units, truths, cfg, 0, "OC")
+        for hi_kind in experiment.HI_KINDS:
+            blob = stats_to_blob(run.detections[hi_kind].stats)
+            assert metadata["healthy_stats"][hi_kind] == blob
 
     def test_missing_data_dir_is_data_error(self, workspace, tmp_path):
         code = main(

@@ -49,16 +49,16 @@ def mini_fleet():
 
 
 class TestPreparation:
-    def test_label_fleet_stamps_family(self, mini_fleet):
+    def test_preprocess_fleet_stamps_family(self, mini_fleet):
         cfg, units, truths = mini_fleet
-        pre = experiment.label_fleet(experiment.preprocess_fleet(units, cfg), truths)
+        pre = experiment.preprocess_fleet(units, cfg, truths)
         assert {u.dataset_id for u in pre} == {"fan", "hpc"}
 
     def test_preprocess_order_is_configurable(self, mini_fleet):
         cfg, units, truths = mini_fleet
-        default = experiment.preprocess_fleet(units, cfg)
+        default = experiment.preprocess_fleet(units, cfg, truths)
         alt_cfg = config_from_dict({"preprocess": {"order": "cruise_first"}})
-        alternative = experiment.preprocess_fleet(units, alt_cfg)
+        alternative = experiment.preprocess_fleet(units, alt_cfg, truths)
         # cruise-first strides over cruise rows only, so it keeps at least
         # as many rows per cycle and selects a different row set
         assert alternative[0].n_rows >= default[0].n_rows
@@ -68,37 +68,40 @@ class TestPreparation:
 
     def test_standardizer_fits_train_rows_only(self, mini_fleet):
         cfg, units, truths = mini_fleet
-        pre = experiment.preprocess_fleet(units, cfg)
-        prepared = experiment.prepare_fleet(pre, cfg, split_seed=3)
-        z_train = apply_standardizer(
-            prepared.standardizer, stack_rows(pre, prepared.fleet_split.train)
-        )
+        pre = experiment.preprocess_fleet(units, cfg, truths)
+        fleet_split, standardizer = experiment.prepare_fleet(pre, cfg, split_seed=3)
+        z_train = apply_standardizer(standardizer, stack_rows(pre, fleet_split.train))
         np.testing.assert_allclose(z_train.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(z_train.std(axis=0), 1.0, atol=1e-10)
 
     def test_stats_source_config_extends_pool(self, mini_fleet):
         cfg, units, truths = mini_fleet
-        pre = experiment.preprocess_fleet(units, cfg)
-        prepared = experiment.prepare_fleet(pre, cfg, split_seed=3)
-        model, _ = experiment.train_model(prepared, "OC", cfg, train_seed=1)
-        residuals = experiment.fleet_residuals(model, pre)
-        stats_val = experiment.fit_fleet_stats(prepared, model, SENSORWISE, cfg, residuals)
+        pre = experiment.preprocess_fleet(units, cfg, truths)
+        model, _, residuals, stats = experiment.fit_model(
+            pre, cfg, "OC", split_seed=3, train_seed=1
+        )
+        fleet_split, _ = experiment.prepare_fleet(pre, cfg, split_seed=3)
+        stats_val = experiment.fit_fleet_stats(
+            pre, fleet_split, model, SENSORWISE, cfg, residuals
+        )
+        # fit_model fits the same statistics from its own split
+        np.testing.assert_equal(
+            dataclasses.asdict(stats_val), dataclasses.asdict(stats[SENSORWISE])
+        )
         both_cfg = config_from_dict(
             {"detection": {"stats_source": "train+validation"}}
         )
         stats_both = experiment.fit_fleet_stats(
-            prepared, model, SENSORWISE, both_cfg, residuals
+            pre, fleet_split, model, SENSORWISE, both_cfg, residuals
         )
         assert stats_both.fitted_on > stats_val.fitted_on
         n_healthy = sum(
-            len(prepared.fleet_split.train[u.unit_id])
-            + len(prepared.fleet_split.validation[u.unit_id])
+            len(fleet_split.train[u.unit_id]) + len(fleet_split.validation[u.unit_id])
             for u in pre
         )
         assert stats_both.fitted_on == n_healthy
         assert stats_val.channel_names == pre[0].x_names
-        aggregated = experiment.fit_fleet_stats(prepared, model, AGGREGATED, cfg, residuals)
-        assert aggregated.channel_names == (AGGREGATED,)
+        assert stats[AGGREGATED].channel_names == (AGGREGATED,)
 
 
 class TestDeriveSeed:
@@ -113,7 +116,9 @@ class TestProtocol:
     def test_run_protocol_structure_and_averaging(self, mini_fleet):
         cfg, units, truths = mini_fleet
         result = experiment.run_protocol(units, truths, cfg, workers=1)
-        assert len(result.realisations) == 2
+        assert [(run.realisation, run.kind) for run in result.runs] == [
+            (r, kind) for r in range(2) for kind in experiment.MODEL_KINDS
+        ]
         assert set(result.evaluations) == {
             ("AE", AGGREGATED),
             ("AE", SENSORWISE),
@@ -121,13 +126,13 @@ class TestProtocol:
             ("OC", SENSORWISE),
         }
         # averaged values equal the mean of per-realisation delays
-        key = ("OC", SENSORWISE)
-        evaluation = result.evaluations[key]
+        evaluation = result.evaluations[("OC", SENSORWISE)]
         for unit_eval in evaluation.units:
             delays = [
                 r.delay
-                for real in result.realisations
-                for r in real.detections[key].reports
+                for run in result.runs
+                if run.kind == "OC"
+                for r in run.detections[SENSORWISE].reports
                 if r.unit_id == unit_eval.unit_id and r.delay is not None
             ]
             if delays:
@@ -163,11 +168,11 @@ class TestProtocol:
     def test_realisations_use_distinct_splits(self, mini_fleet):
         cfg, units, truths = mini_fleet
         result = experiment.run_protocol(units, truths, cfg, workers=1)
-        seeds = {r.split_seed for r in result.realisations}
+        seeds = {run.split_seed for run in result.runs}
         assert len(seeds) == 2
-        for r in result.realisations:
-            assert (r.split_seed, r.train_seed) == experiment.realisation_seeds(
-                cfg.seed, r.realisation
+        for run in result.runs:
+            assert (run.split_seed, run.train_seed) == experiment.realisation_seeds(
+                cfg.seed, run.realisation
             )
 
 

@@ -97,9 +97,7 @@ def test_manifest_records_workers_and_training_outcomes(experiment_run):
     cfg = dataclasses.replace(load_config(out.parent / "tiny.yaml"), seed=3)
     fleet = gen_fleet(cfg)
     truths = {t.unit_id: t for _, t in fleet}
-    preprocessed = experiment.label_fleet(
-        experiment.preprocess_fleet([s for s, _ in fleet], cfg), truths
-    )
+    preprocessed = experiment.preprocess_fleet([s for s, _ in fleet], cfg, truths)
     for r, kind in found:
         train = experiment.run_realisation(preprocessed, truths, cfg, r, kind).train_result
         assert found[(r, kind)] == (
@@ -147,6 +145,53 @@ def test_failing_job_fails_the_pool_run_cleanly(tmp_path):
     assert errors[0].startswith("error: epoch 0:")
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="a worker pool needs 2 usable CPUs"
+)
+def test_unguarded_program_gets_one_error_line(tmp_path):
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text(json.dumps(TINY))
+    data = tmp_path / "data"
+    program = tmp_path / "unguarded.py"
+    # no `if __name__ == "__main__":`: each spawned worker re-runs the synth
+    program.write_text(
+        "import sys\n"
+        "from resfault.cli import main\n"
+        f"sys.exit(main(['synth', '--config', {str(cfg)!r}, '--out', {str(data)!r}]))\n"
+    )
+    with usable_cpus(sorted(os.sched_getaffinity(0))[:2]):
+        proc = run_fresh([str(program)])
+    assert proc.returncode == 4
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "__main__" in errors[0]
+    assert "BrokenProcessPool" not in proc.stderr
+    assert not [p.name for p in data.iterdir() if ".part" in p.name]
+
+
+def test_one_family_fleet_writes_every_table(tmp_path):
+    blob = {**TINY, "synth": {**TINY["synth"], "n_families": 1}}
+    cfg = tmp_path / "one_family.yaml"
+    cfg.write_text(json.dumps(blob))
+    out = tmp_path / "out"
+    with one_cpu():
+        assert load_script().main(["--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "evaluation_summary.csv",
+        "evaluation_units.csv",
+        "experiment_manifest.txt",
+        "silhouette_vs_k.csv",
+        "trigger_timeline.csv",
+    ]
+    with open(out / "silhouette_vs_k.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(experiment.MODEL_KINDS) * (load_config(cfg).segmentation.k_max + 1)
+    # one family alarmed: no realisation gives a score at any offset
+    for row in rows:
+        assert math.isnan(float(row["mean_score"]))
+        assert row["n_realisations"] == "0"
 
 
 def test_evaluation_headers_match_evaluate(experiment_run, tmp_path):
