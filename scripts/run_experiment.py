@@ -9,27 +9,23 @@ timelines under --out.
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from resfault import experiment, parallel
-from resfault.config import load_config
-from resfault.errors import DataError, ResfaultError
+from resfault import cli, experiment, parallel
 from resfault.health import SENSORWISE
 from resfault.models import OC_KIND
 from resfault.persist import format_float as fmt
 from resfault.persist import write_evaluations, write_manifest, write_table
-from resfault.segmentation import silhouette_curve
+from resfault.segmentation import silhouette_curve, trigger_timeline
 from resfault.synth import gen_fleet
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", help="YAML config overriding defaults")
-    parser.add_argument("--seed", type=int, default=None, help="master seed override")
+    cli.add_common_options(parser)
     parser.add_argument("--out", required=True, help="output directory")
     return parser.parse_args(argv)
 
@@ -59,8 +55,11 @@ def write_trigger_timelines(out: Path, result, seg) -> None:
     rows = []
     for run in [run for run in result.runs if run.kind == OC_KIND]:
         detection = run.detections[SENSORWISE]
-        timelines = experiment.trigger_timelines(detection, seg.timeline_checkpoints)
-        for unit_id, timeline in timelines.items():
+        alarms, avgs, _ = experiment.alarm_views(detection)
+        for (unit_id, cycle), avg in zip(alarms, avgs):
+            timeline = trigger_timeline(
+                unit_id, cycle, detection.stats, avg, seg.timeline_checkpoints
+            )
             rows.extend([run.realisation, unit_id, *item] for item in timeline.items())
     header = ["realisation", "unit", "channel", "triggered_at"]
     write_table(out / "trigger_timeline.csv", header, rows)
@@ -80,9 +79,7 @@ def training_outcomes(result) -> dict[str, str]:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = cli.effective_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -115,11 +112,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except ResfaultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(exc.exit_code)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(DataError.exit_code)
+    sys.exit(cli.exit_code(main))

@@ -14,18 +14,30 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import __version__, detector, experiment, parallel, persist, synth
+import numpy as np
+
+from . import __version__, detector, experiment, parallel, persist, segmentation, synth
 from .config import RunConfig, load_config
 from .data_model import TruthRecord, UnitSeries
-from .errors import ConfigInvalid, CorruptCheckpoint, DataError, ResfaultError
+from .errors import ConfigInvalid, CorruptCheckpoint, CycleOutOfRange, DataError
+from .errors import InsufficientData, ResfaultError
 from .health import AGGREGATED, SENSORWISE
+from .models import AE_KIND
 from .persist import format_float as fmt
+from .preprocess import apply_standardizer
 
 FLEET_FILE = "fleet.csv"
 TRUTH_FILE = "ground_truth.csv"
 
 
-def _effective_config(args) -> RunConfig:
+def add_common_options(parser: argparse.ArgumentParser) -> None:
+    """The --config and --seed options of every command and of the experiment script."""
+    parser.add_argument("--config", help="YAML config file overriding defaults")
+    parser.add_argument("--seed", type=int, default=None, help="master seed override")
+
+
+def effective_config(args) -> RunConfig:
+    """The --config file's settings, with --seed in place of its seed when given."""
     cfg = load_config(getattr(args, "config", None))
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -49,7 +61,7 @@ def _prepared_units(data_dir: str, cfg: RunConfig):
 
 
 def cmd_synth(args) -> int:
-    cfg = _effective_config(args)
+    cfg = effective_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     workers = parallel.worker_count(len(synth.unit_plan(cfg)))
@@ -68,7 +80,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     if args.realisation < 0:
         raise ConfigInvalid(f"--realisation must be >= 0, got {args.realisation}")
-    cfg = _effective_config(args)
+    cfg = effective_config(args)
     kind = args.model.upper()
     units, _ = _prepared_units(args.data, cfg)
     split_seed, train_seed = experiment.realisation_seeds(cfg.seed, args.realisation)
@@ -142,7 +154,7 @@ def _checkpoint_stats(model, metadata: dict, hi_kind: str):
 
 
 def cmd_detect(args) -> int:
-    cfg = _effective_config(args)
+    cfg = effective_config(args)
     model, metadata = persist.load_checkpoint(args.checkpoint)
     stats = _checkpoint_stats(model, metadata, args.hi)
     units, truths = _prepared_units(args.data, cfg)
@@ -168,7 +180,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _effective_config(args)
+    cfg = effective_config(args)
     grouped: dict[tuple[str, str], list[list]] = {}
     for path in args.reports:
         for key, reports in persist.load_reports(path).items():
@@ -191,7 +203,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    cfg = _effective_config(args)
+    cfg = effective_config(args)
+    offset, normalize = cfg.segmentation.snapshot_offset, cfg.segmentation.normalization
     model, metadata = persist.load_checkpoint(args.checkpoint)
     stats = _checkpoint_stats(model, metadata, SENSORWISE)
     units, _ = _prepared_units(args.data, cfg)
@@ -206,40 +219,64 @@ def cmd_segment(args) -> int:
     # the report file's alarmed units in fleet order, each labelled by its
     # report or else by the unit's (ground-truth) dataset tag
     alarmed = {r.unit_id: r for r in matching[key] if r.detected}
-    reports, cycle_averages = [], {}
+    alarms, averages, labels, signatures, embeddings, embedded_ids = [], [], [], [], [], []
     for unit in units:
         report = alarmed.get(unit.unit_id)
         if report is None:
             continue
-        label = report.dataset_id or unit.dataset_id
-        reports.append(dataclasses.replace(report, dataset_id=label))
         hi = experiment.unit_hi(experiment.unit_residuals(model, unit), SENSORWISE)
-        cycle_averages[unit.unit_id] = detector.cycle_average(hi, unit.cycle_of)
-    detection = experiment.FleetDetection(stats, reports, cycle_averages)
-    bundle = experiment.build_segmentation(units, model, detection, cfg)
+        avg = detector.cycle_average(hi, unit.cycle_of)
+        if report.alarm_cycle not in avg.cycle_ids:
+            raise DataError(
+                f"report file {args.reports}: unit {unit.unit_id!r} has no cycle "
+                f"{report.alarm_cycle}, its alarm cycle"
+            )
+        alarm = (unit.unit_id, report.alarm_cycle)
+        alarms.append(alarm)
+        averages.append(avg)
+        labels.append(report.dataset_id or unit.dataset_id)
+        try:
+            signatures.append(segmentation.snapshot(*alarm, avg, offset, normalize, labels[-1]))
+        except CycleOutOfRange:
+            continue
+        if model.kind == AE_KIND:
+            emb = model.embed(apply_standardizer(model.standardizer, unit.z()))
+            emb_avg = detector.cycle_average(emb, unit.cycle_of)
+            embeddings.append(
+                segmentation.snapshot(*alarm, emb_avg, offset, segmentation.NORMALIZE_NONE).vector
+            )
+            embedded_ids.append(unit.unit_id)
+    if len(signatures) < 3:
+        raise InsufficientData(
+            f"segmentation needs >= 3 units with a signature {offset} cycles after "
+            f"their alarm, got {len(signatures)}"
+        )
+    pca = segmentation.pca_2d(np.array([sig.vector for sig in signatures]))
+    k_range = range(0, cfg.segmentation.k_max + 1)
+    curve = segmentation.silhouette_curve(alarms, averages, labels, k_range, normalize)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = [[sig.unit_id, sig.fault_label, *map(fmt, sig.vector)] for sig in bundle.signatures]
+    rows = [[sig.unit_id, sig.fault_label, *map(fmt, sig.vector)] for sig in signatures]
     persist.write_table(out / "signatures.csv", ["unit", "label", *stats.channel_names], rows)
     rows = [
         [sig.unit_id, sig.fault_label, fmt(x), fmt(y)]
-        for sig, (x, y) in zip(bundle.signatures, bundle.pca.coords)
+        for sig, (x, y) in zip(signatures, pca.coords)
     ]
     persist.write_table(out / "pca_coords.csv", ["unit", "label", "pc1", "pc2"], rows)
-    rows = [[point.k, fmt(point.score), point.n_units] for point in bundle.curve]
+    rows = [[point.k, fmt(point.score), point.n_units] for point in curve]
     persist.write_table(out / "silhouette_curve.csv", ["k", "score", "n_units"], rows)
     rows = [
         [unit_id, channel, category]
-        for unit_id, timeline in bundle.timelines.items()
-        for channel, category in timeline.items()
+        for (unit_id, cycle), avg in zip(alarms, averages)
+        for channel, category in segmentation.trigger_timeline(
+            unit_id, cycle, stats, avg, cfg.segmentation.timeline_checkpoints
+        ).items()
     ]
     persist.write_table(out / "trigger_timeline.csv", ["unit", "channel", "triggered_at"], rows)
-    if bundle.embedding_pca is not None:
-        rows = [
-            [unit_id, fmt(x), fmt(y)]
-            for unit_id, (x, y) in zip(bundle.embedding_unit_ids, bundle.embedding_pca.coords)
-        ]
+    if len(embeddings) >= 3:
+        coords = segmentation.pca_2d(np.array(embeddings)).coords
+        rows = [[unit_id, fmt(x), fmt(y)] for unit_id, (x, y) in zip(embedded_ids, coords)]
         persist.write_table(out / "ae_embedding_pca.csv", ["unit", "pc1", "pc2"], rows)
 
     persist.write_manifest(
@@ -249,9 +286,8 @@ def cmd_segment(args) -> int:
         {"checkpoint": args.checkpoint, "reports": args.reports, "out": out},
     )
     print(
-        f"segmented {len(bundle.signatures)} units; "
-        f"silhouette at +{cfg.segmentation.snapshot_offset}: "
-        f"{_curve_at(bundle.curve, cfg.segmentation.snapshot_offset)}"
+        f"segmented {len(signatures)} units; "
+        f"silhouette at +{offset}: {_curve_at(curve, offset)}"
     )
     return 0
 
@@ -271,17 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="YAML config file overriding defaults")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-
     p = sub.add_parser("synth", help="generate a synthetic fleet with ground truth")
-    common(p)
+    add_common_options(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a residual model on healthy data")
-    common(p)
+    add_common_options(p)
     p.add_argument("--data", required=True, help="directory holding fleet.csv")
     p.add_argument("--model", required=True, choices=["ae", "oc"])
     p.add_argument("--realisation", type=int, default=0, help="realisation index")
@@ -289,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="run fault detection with a trained model")
-    common(p)
+    add_common_options(p)
     p.add_argument("--data", required=True, help="directory holding fleet.csv")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--hi", required=True, choices=[AGGREGATED, SENSORWISE])
@@ -301,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("evaluate", help="aggregate detection reports into metrics")
-    common(p)
+    add_common_options(p)
     p.add_argument("--reports", nargs="+", required=True, help="report CSVs (one per realisation)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("segment", help="fault segmentation analysis of alarmed units")
-    common(p)
+    add_common_options(p)
     p.add_argument("--data", required=True, help="directory holding fleet.csv")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--reports", required=True, help="detection report CSV")
@@ -317,16 +349,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def exit_code(run) -> int:
+    """Exit code of ``run()``: a ResfaultError or OSError prints one error line."""
     try:
-        return args.func(args)
+        return run()
     except ResfaultError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DataError.exit_code
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_code(lambda: args.func(args))
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 Each section is the one definition of its settings: the pipeline takes the
 section itself (or a required argument read from it), never a copy with
-defaults of its own. A section checks its values when it is built, so an
-invalid section cannot exist. An empty config file yields the full default
-configuration. Unknown keys are rejected so typos never silently fall back
-to defaults.
+defaults of its own. A section checks its values when it is built, every
+float finite, so an invalid section cannot exist. An empty config file
+yields the full default configuration. Unknown keys are rejected so typos
+never silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -79,10 +79,11 @@ class TrainingSettings:
             raise ConfigInvalid("training.epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigInvalid("training.batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigInvalid("training.learning_rate must be positive")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ConfigInvalid("training.beta1/beta2 must lie in [0, 1)")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigInvalid("training.learning_rate must be positive and finite")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigInvalid(f"training.{name} must lie in [0, 1)")
         if self.patience < 0:
             raise ConfigInvalid("training.patience must be >= 0")
         if self.realisations < 1:
@@ -158,12 +159,12 @@ class SynthSettings:
             raise ConfigInvalid("synth.fault_start_lo must be <= synth.fault_start_hi")
         if self.fault_start_hi >= self.cycles_per_unit:
             raise ConfigInvalid("synth.fault_start_hi must be < synth.cycles_per_unit")
-        if self.noise_std < 0:
-            raise ConfigInvalid("synth.noise_std must be >= 0")
-        if self.severity_exponent <= 0:
-            raise ConfigInvalid("synth.severity_exponent must be positive")
-        if self.severity_scale is not None and self.severity_scale < 0:
-            raise ConfigInvalid("synth.severity_scale must be >= 0")
+        if not 0 <= self.noise_std < np.inf:
+            raise ConfigInvalid("synth.noise_std must be >= 0 and finite")
+        if not 0 < self.severity_exponent < np.inf:
+            raise ConfigInvalid("synth.severity_exponent must be positive and finite")
+        if self.severity_scale is not None and not 0 <= self.severity_scale < np.inf:
+            raise ConfigInvalid("synth.severity_scale must be >= 0 and finite")
         if self.map_seed is not None and self.map_seed < 0:
             raise ConfigInvalid("synth.map_seed must be >= 0")
 

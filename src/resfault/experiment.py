@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import detector, health, models, nn, parallel, segmentation
+from . import detector, health, models, nn, parallel
 from .config import CRUISE_FIRST, RunConfig, STATS_ON_TRAIN_VALIDATION, derive_seed
 from .data_model import FleetSplit, TruthRecord, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
-from .errors import CycleOutOfRange, EmptyFleet, InsufficientData
+from .errors import EmptyFleet
 from .health import AGGREGATED, SENSORWISE
 from .models import AE_KIND, OC_KIND, ResidualModel
 from .preprocess import (
@@ -211,17 +211,6 @@ def alarm_views(
     )
 
 
-def trigger_timelines(
-    detection: FleetDetection, checkpoints: tuple[int, ...]
-) -> dict[str, dict[str, int | str]]:
-    """segmentation.trigger_timeline of each alarmed unit, keyed by unit id."""
-    alarms, avgs, _ = alarm_views(detection)
-    return {
-        unit_id: segmentation.trigger_timeline(unit_id, cycle, detection.stats, avg, checkpoints)
-        for (unit_id, cycle), avg in zip(alarms, avgs)
-    }
-
-
 @dataclass(frozen=True)
 class UnitEvaluation:
     """Per-unit delay aggregation across realisations."""
@@ -374,68 +363,3 @@ def run_protocol(
         for hi_kind in HI_KINDS
     }
     return ExperimentResult(runs=runs, evaluations=evaluations)
-
-
-@dataclass(frozen=True)
-class SegmentationBundle:
-    """Everything the segmentation outputs are rendered from."""
-
-    signatures: list[segmentation.UnitSignature]
-    pca: segmentation.PcaResult
-    curve: list[segmentation.SilhouettePoint]
-    timelines: dict[str, dict[str, int | str]]
-    embedding_pca: segmentation.PcaResult | None
-    embedding_unit_ids: list[str]
-
-
-def build_segmentation(
-    units: list[UnitSeries],
-    model: ResidualModel,
-    detection: FleetDetection,
-    cfg: RunConfig,
-) -> SegmentationBundle:
-    """Sensor-wise segmentation analysis over the alarmed units of a detection.
-
-    ``detection`` must be a sensor-wise detection of the model; its alarmed
-    reports give the units, their alarm cycles and labels. Snapshots, the
-    principal-component projection, the silhouette curve, and per-unit
-    trigger timelines all read it; for autoencoders the bottleneck
-    embedding of those ``units`` is also projected for comparison. Fewer
-    than three units with a signature raise InsufficientData.
-    """
-    offset = cfg.segmentation.snapshot_offset
-    normalize = cfg.segmentation.normalization
-    alarms, cycle_avgs, labels = alarm_views(detection)
-    by_id = {unit.unit_id: unit for unit in units}
-    signatures, embeddings, embedding_unit_ids = [], [], []
-    for (unit_id, cycle), avg, label in zip(alarms, cycle_avgs, labels):
-        try:
-            signatures.append(segmentation.snapshot(unit_id, cycle, avg, offset, normalize, label))
-        except CycleOutOfRange:
-            continue
-        if model.kind == AE_KIND:
-            unit = by_id[unit_id]
-            emb = model.embed(apply_standardizer(model.standardizer, unit.z()))
-            emb_avg = detector.cycle_average(emb, unit.cycle_of)
-            embeddings.append(
-                segmentation.snapshot(
-                    unit_id, cycle, emb_avg, offset, segmentation.NORMALIZE_NONE
-                ).vector
-            )
-            embedding_unit_ids.append(unit_id)
-
-    if len(signatures) < 3:
-        raise InsufficientData(
-            f"segmentation needs >= 3 units with a signature {offset} cycles after "
-            f"their alarm, got {len(signatures)}"
-        )
-    return SegmentationBundle(
-        signatures=signatures,
-        pca=segmentation.pca_2d(np.array([s.vector for s in signatures])),
-        curve=segmentation.silhouette_curve(
-            alarms, cycle_avgs, labels, range(0, cfg.segmentation.k_max + 1), normalize
-        ),
-        timelines=trigger_timelines(detection, cfg.segmentation.timeline_checkpoints),
-        embedding_pca=segmentation.pca_2d(np.array(embeddings)) if len(embeddings) >= 3 else None,
-        embedding_unit_ids=embedding_unit_ids,
-    )

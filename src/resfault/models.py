@@ -62,8 +62,6 @@ class ResidualModel:
             raise ShapeMismatch(
                 f"{self.kind} model: expected layer dims {expected}, got {self.net.layer_dims}"
             )
-        if self.net.activations != nn.default_activations(self.net.n_layers):
-            raise ShapeMismatch("hidden layers must be relu with a linear output")
 
     @property
     def n_x(self) -> int:

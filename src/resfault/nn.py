@@ -14,9 +14,6 @@ import numpy as np
 from .config import TrainingSettings
 from .errors import EmptyDataset, NonFiniteLoss, ShapeMismatch
 
-RELU = "relu"
-LINEAR = "linear"
-
 ADAM_EPS = 1e-8
 
 
@@ -27,74 +24,57 @@ def _interleave(weights: list[np.ndarray], biases: list[np.ndarray]) -> list[np.
 
 @dataclass(frozen=True)
 class DenseNet:
-    """Fully connected network: weights[l] has shape (d_{l+1}, d_l)."""
+    """Fully connected network: weights[l] has shape (d_{l+1}, d_l).
 
-    layer_dims: tuple[int, ...]
+    Every hidden layer is ReLU and the output layer is linear.
+    """
+
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activations: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
-        object.__setattr__(self, "activations", tuple(self.activations))
-        dims = self.layer_dims
-        if len(dims) < 2:
-            raise ShapeMismatch("need at least input and output layer dims")
-        n_layers = len(dims) - 1
-        if len(self.weights) != n_layers or len(self.biases) != n_layers:
+        if not self.weights or len(self.weights) != len(self.biases):
             raise ShapeMismatch("one weight matrix and bias vector per layer required")
-        if len(self.activations) != n_layers:
-            raise ShapeMismatch("one activation tag per layer required")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[l + 1], dims[l]):
+            if w.ndim != 2:
+                raise ShapeMismatch(f"layer {l}: weight shape {w.shape} is not 2-D")
+            if l > 0 and w.shape[1] != self.weights[l - 1].shape[0]:
                 raise ShapeMismatch(
-                    f"layer {l}: weight shape {w.shape} != {(dims[l + 1], dims[l])}"
+                    f"layer {l}: weight shape {w.shape} does not take the "
+                    f"{self.weights[l - 1].shape[0]} outputs of layer {l - 1}"
                 )
-            if b.shape != (dims[l + 1],):
-                raise ShapeMismatch(f"layer {l}: bias shape {b.shape} != {(dims[l + 1],)}")
-        for tag in self.activations:
-            if tag not in (RELU, LINEAR):
-                raise ValueError(f"unknown activation tag {tag!r}")
+            if b.shape != (w.shape[0],):
+                raise ShapeMismatch(f"layer {l}: bias shape {b.shape} != {(w.shape[0],)}")
+
+    @property
+    def layer_dims(self) -> tuple[int, ...]:
+        return (self.weights[0].shape[1], *(w.shape[0] for w in self.weights))
 
     @property
     def n_layers(self) -> int:
-        return len(self.layer_dims) - 1
+        return len(self.weights)
 
     def params(self) -> list[np.ndarray]:
         """Interleaved [W0, b0, W1, b1, ...] view of the parameters."""
         return _interleave(self.weights, self.biases)
 
     def with_params(self, params: list[np.ndarray]) -> "DenseNet":
-        weights = [params[2 * l] for l in range(self.n_layers)]
-        biases = [params[2 * l + 1] for l in range(self.n_layers)]
-        return DenseNet(self.layer_dims, weights, biases, self.activations)
-
-
-def default_activations(n_layers: int) -> tuple[str, ...]:
-    """ReLU on every hidden layer, linear output."""
-    return tuple([RELU] * (n_layers - 1) + [LINEAR])
+        return DenseNet(list(params[0::2]), list(params[1::2]))
 
 
 def init_weights(layer_dims: tuple[int, ...] | list[int], seed: int) -> DenseNet:
-    """Seeded uniform init scaled by 1/sqrt(fan_in), zero biases, default_activations."""
+    """Seeded uniform init scaled by 1/sqrt(fan_in), zero biases."""
     dims = tuple(int(d) for d in layer_dims)
     if any(d < 1 for d in dims):
         raise ValueError("all layer dims must be >= 1")
-    n_layers = len(dims) - 1
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
-    for l in range(n_layers):
+    for l in range(len(dims) - 1):
         bound = 1.0 / np.sqrt(dims[l])
         weights.append(rng.uniform(-bound, bound, size=(dims[l + 1], dims[l])))
         biases.append(np.zeros(dims[l + 1]))
-    return DenseNet(dims, weights, biases, default_activations(n_layers))
-
-
-def _activate(z: np.ndarray, tag: str) -> np.ndarray:
-    if tag == RELU:
-        return np.maximum(z, 0.0)
-    return z
+    return DenseNet(weights, biases)
 
 
 def _as_batch(arr: np.ndarray, width: int, what: str) -> np.ndarray:
@@ -106,25 +86,26 @@ def _as_batch(arr: np.ndarray, width: int, what: str) -> np.ndarray:
 
 def forward(net: DenseNet, inp: np.ndarray) -> np.ndarray:
     """Affine + activation composition over a 2-D batch of rows."""
-    a = _as_batch(inp, net.layer_dims[0], "input")
-    for w, b, tag in zip(net.weights, net.biases, net.activations):
-        a = _activate(a @ w.T + b, tag)
-    return a
+    a = _as_batch(inp, net.weights[0].shape[1], "input")
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.maximum(a @ w.T + b, 0.0)
+    return a @ net.weights[-1].T + net.biases[-1]
 
 
 def forward_activations(net: DenseNet, inp: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Forward pass keeping every pre-activation and activation.
 
     Returns (pre_acts, acts) where acts[0] is the input batch and
-    acts[l+1] = activate(pre_acts[l]).
+    acts[l+1] is ReLU(pre_acts[l]) on a hidden layer, pre_acts[l] at the output.
     """
-    a = _as_batch(inp, net.layer_dims[0], "input")
+    a = _as_batch(inp, net.weights[0].shape[1], "input")
     pre_acts: list[np.ndarray] = []
     acts: list[np.ndarray] = [a]
-    for w, b, tag in zip(net.weights, net.biases, net.activations):
+    last = net.n_layers - 1
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = acts[-1] @ w.T + b
         pre_acts.append(z)
-        acts.append(_activate(z, tag))
+        acts.append(np.maximum(z, 0.0) if l < last else z)
     return pre_acts, acts
 
 
@@ -161,7 +142,7 @@ def backward(net: DenseNet, inp: np.ndarray, target: np.ndarray) -> Gradients:
 
     One forward pass gives both the gradients and the loss they belong to.
     """
-    target = _as_batch(target, net.layer_dims[-1], "target")
+    target = _as_batch(target, net.weights[-1].shape[0], "target")
     pre_acts, acts = forward_activations(net, inp)
     if acts[-1].shape != target.shape:
         raise ShapeMismatch("input and target batch sizes differ")
@@ -172,7 +153,7 @@ def backward(net: DenseNet, inp: np.ndarray, target: np.ndarray) -> Gradients:
     grad_w: list[np.ndarray] = [np.empty(0)] * net.n_layers
     grad_b: list[np.ndarray] = [np.empty(0)] * net.n_layers
     for l in range(net.n_layers - 1, -1, -1):
-        if net.activations[l] == RELU:
+        if l < net.n_layers - 1:
             # the derivative at exactly 0 is defined as 0
             delta *= pre_acts[l] > 0.0
         grad_w[l] = delta.T @ acts[l]

@@ -36,6 +36,12 @@ from .preprocess import Standardizer
 
 CHECKPOINT_FORMAT_VERSION = 1
 
+
+def _activation_tags(n_layers: int) -> list[str]:
+    """The checkpoint's activation tags: ReLU on every hidden layer, linear output."""
+    return ["relu"] * (n_layers - 1) + ["linear"]
+
+
 # The cell of a value that does not exist, such as the delay of a unit with no alarm.
 NO_DETECTION_MARK = "-"
 
@@ -465,9 +471,9 @@ def stats_to_blob(stats: HealthyStats) -> dict:
 
 
 def stats_from_blob(blob: dict) -> HealthyStats:
-    """Inverse of stats_to_blob."""
+    """Inverse of stats_to_blob; a non-finite mu, sigma or tau is a CorruptCheckpoint."""
     try:
-        return HealthyStats(
+        stats = HealthyStats(
             mu=np.asarray(blob["mu"], dtype=np.float64),
             sigma=np.asarray(blob["sigma"], dtype=np.float64),
             tau=np.asarray(blob["tau"], dtype=np.float64),
@@ -476,6 +482,14 @@ def stats_from_blob(blob: dict) -> HealthyStats:
         )
     except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
         raise CorruptCheckpoint(f"malformed healthy statistics blob ({exc})") from None
+    _require_finite([stats.mu, stats.sigma, stats.tau], "checkpoint healthy statistics")
+    return stats
+
+
+def _require_finite(arrays, what: str) -> None:
+    """Raise CorruptCheckpoint naming ``what`` unless every value of ``arrays`` is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise CorruptCheckpoint(f"{what} hold a non-finite number")
 
 
 def save_checkpoint(
@@ -490,7 +504,7 @@ def save_checkpoint(
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": model.kind,
         "layer_dims": list(net.layer_dims),
-        "activations": list(net.activations),
+        "activations": _activation_tags(net.n_layers),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
         "standardizer": {
@@ -505,7 +519,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
-    """Load a checkpointed model; returns (model, training metadata)."""
+    """Load a checkpointed model; returns (model, training metadata).
+
+    The layer dims and activation tags must be those the weights fix, and
+    every parameter and standardizer value must be finite.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -521,7 +539,7 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
     try:
         kind = payload["kind"]
         dims = tuple(int(d) for d in payload["layer_dims"])
-        activations = tuple(payload["activations"])
+        activations = list(payload["activations"])
         weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
         biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
         std_blob = payload["standardizer"]
@@ -537,10 +555,19 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
     if not isinstance(metadata, dict):
         raise CorruptCheckpoint(f"{path}: checkpoint metadata must be a JSON object")
     try:
-        net = nn.DenseNet(dims, weights, biases, activations)
+        net = nn.DenseNet(weights, biases)
         model = ResidualModel(kind, net, standardizer, n_w)
     except Exception as exc:
         raise CorruptCheckpoint(f"{path}: inconsistent checkpoint ({exc})") from None
+    if dims != net.layer_dims or activations != _activation_tags(net.n_layers):
+        raise CorruptCheckpoint(
+            f"{path}: layer_dims {list(dims)} and activations {activations} "
+            f"do not fit weights of layer dims {list(net.layer_dims)}"
+        )
+    _require_finite(
+        [*net.params(), standardizer.mean, standardizer.std, standardizer.epsilon],
+        f"{path}: weights, biases and standardizer values",
+    )
     return model, metadata
 
 

@@ -564,6 +564,40 @@ class TestSegment:
         assert f"got {n_alarmed}" in err and "10 cycles after" in err
 
 
+    def test_alarm_cycle_outside_the_series_exits_3(self, workspace, tmp_path, capsys):
+        reports = tmp_path / "reports.csv"
+        assert main(
+            ["detect", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--checkpoint", str(workspace["oc"]), "--hi", "sensorwise", "--out", str(reports)]
+        ) == 0
+        rows = read_rows(reports)
+        shifted = tmp_path / "shifted.csv"
+        kept = [
+            fabricate_report(
+                r["unit"],
+                r["dataset"],
+                int(r["alarm_cycle"]) + (1000 if i == 1 else 0),
+                int(r["fault_cycle"]),
+            )
+            for i, r in enumerate(rows)
+        ]
+        save_reports(kept, "OC", "sensorwise", shifted)
+        capsys.readouterr()
+        out = tmp_path / "seg"
+        code = main(
+            ["segment", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--checkpoint", str(workspace["oc"]), "--reports", str(shifted),
+             "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(shifted) in err[0]
+        assert repr(rows[1]["unit"]) in err[0]
+        assert str(int(rows[1]["alarm_cycle"]) + 1000) in err[0]
+        assert not out.exists()
+
+
 CORRUPT_STATS = ["metadata_is_a_list", "healthy_stats_is_a_list", "unequal_lengths",
                  "thirteen_channels", "thirteen_names"]
 
@@ -623,6 +657,66 @@ class TestCorruptCheckpointStats:
              "--out", str(tmp_path / "seg")]
         )
         self.assert_data_error(code, capsys, expected)
+
+
+NON_FINITE_PARTS = ["weight", "bias", "mean", "std", "epsilon", "mu", "sigma", "tau"]
+
+
+def non_finite_checkpoint(source: Path, target: Path, part: str, value: float) -> None:
+    """Write ``source`` with one number of ``part`` replaced by ``value``."""
+    blob = json.loads(source.read_text())
+    if part == "weight":
+        blob["weights"][1][2][0] = value
+    elif part == "bias":
+        blob["biases"][0][3] = value
+    elif part == "epsilon":
+        blob["standardizer"]["epsilon"] = value
+    elif part in ("mean", "std"):
+        blob["standardizer"][part][5] = value
+    else:
+        blob["metadata"]["healthy_stats"]["sensorwise"][part][4] = value
+    target.write_text(json.dumps(blob))
+
+
+class TestCheckpointContents:
+    """A checkpoint number that is not finite, or a tag that does not fit, is exit 3."""
+
+    def detect(self, workspace, ckpt, out):
+        return main(
+            ["detect", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--checkpoint", str(ckpt), "--hi", "sensorwise", "--out", str(out)]
+        )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("part", NON_FINITE_PARTS)
+    def test_non_finite_number_exits_3(self, workspace, tmp_path, capsys, part, value):
+        ckpt = tmp_path / "bad.json"
+        non_finite_checkpoint(workspace["oc"], ckpt, part, value)
+        out = tmp_path / "r.csv"
+        capsys.readouterr()
+        assert self.detect(workspace, ckpt, out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "non-finite number" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("activations", ["relu", "relu", "relu"]),
+        ("activations", ["relu", "linear"]),
+        ("layer_dims", [4, 128, 64, 14]),
+    ])
+    def test_tags_or_dims_that_do_not_fit_exit_3(
+        self, workspace, tmp_path, capsys, key, value
+    ):
+        blob = json.loads(workspace["oc"].read_text())
+        assert blob["activations"] == ["relu", "relu", "linear"]
+        assert blob["layer_dims"] == [4, 128, 128, 14]
+        blob[key] = value
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(blob))
+        capsys.readouterr()
+        assert self.detect(workspace, ckpt, tmp_path / "r.csv") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "do not fit weights" in err[0]
 
 
 class TestMalformedFleet:

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 import yaml
 
-from resfault import nn
+from resfault import config, nn
 from resfault.config import (
     RunConfig,
     config_from_dict,
@@ -142,3 +144,36 @@ class TestYamlNumbers:
 
     def test_global_safe_loader_unchanged(self):
         assert yaml.safe_load("a: 1e-3") == {"a": "1e-3"}
+
+
+FLOAT_FIELDS = [
+    (section, fld.name)
+    for section, cls in config._SECTION_TYPES.items()
+    for fld in dataclasses.fields(cls)
+    if str(fld.type).startswith("float")
+]
+
+
+class TestNonFiniteFloats:
+    """No float setting accepts NaN or an infinity; comparisons let NaN through."""
+
+    def test_every_section_float_is_covered(self):
+        assert ("training", "learning_rate") in FLOAT_FIELDS
+        assert ("synth", "noise_std") in FLOAT_FIELDS
+        assert ("synth", "severity_scale") in FLOAT_FIELDS
+        assert len(FLOAT_FIELDS) == 8
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("section, name", FLOAT_FIELDS)
+    def test_rejected_from_dict_and_by_construction(self, section, name, value):
+        with pytest.raises(ConfigInvalid, match=f"{section}.{name}"):
+            config_from_dict({section: {name: value}})
+        with pytest.raises(ConfigInvalid, match=f"{section}.{name}"):
+            config._SECTION_TYPES[section](**{name: value})
+
+    @pytest.mark.parametrize("text", [".nan", ".inf", "-.inf"])
+    def test_rejected_from_yaml(self, tmp_path, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"synth: {{noise_std: {text}}}\n")
+        with pytest.raises(ConfigInvalid, match="synth.noise_std"):
+            load_config(path)

@@ -1,0 +1,65 @@
+"""Each datum has one form, and each rule one place.
+
+A DenseNet is its weights and biases: its layer widths and its activations
+(ReLU on every hidden layer, a linear output) follow from them, so no
+stored copy can disagree with the weights. `resfault segment` hands the
+report file's alarms straight to the segmentation functions instead of
+building a detection object only to take it apart again. And the CLI is
+the one place that turns a package error into an exit code.
+"""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+from resfault import experiment, nn
+
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAM_FILES = sorted(ROOT.glob("src/resfault/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+
+
+def test_a_dense_net_is_its_weights_and_biases():
+    assert [f.name for f in dataclasses.fields(nn.DenseNet)] == ["weights", "biases"]
+
+
+def test_removed_forms_stay_gone():
+    for module, name in (
+        (experiment, "build_segmentation"),
+        (experiment, "SegmentationBundle"),
+        (experiment, "trigger_timelines"),
+        (nn, "default_activations"),
+        (nn, "_activate"),
+    ):
+        assert not hasattr(module, name), name
+
+
+def read_names(node: ast.AST) -> set[str]:
+    """Every bare or attribute name read inside ``node``."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+    return names
+
+
+def test_segment_builds_no_fleet_detection():
+    tree = ast.parse((ROOT / "src/resfault/cli.py").read_text())
+    (segment,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "cmd_segment"
+    ]
+    names = read_names(segment)
+    assert "unit_residuals" in names
+    assert not names & {"FleetDetection", "detect_with_stats", "alarm_views"}
+
+
+def test_only_cli_catches_resfault_error():
+    catchers = set()
+    for path in PROGRAM_FILES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "ResfaultError" in read_names(node.type):
+                    catchers.add(f"{path.parent.name}/{path.name}")
+    assert catchers == {"resfault/cli.py"}

@@ -35,7 +35,7 @@ def identity_ae_net(n_z: int) -> nn.DenseNet:
             w[i, i] = 1.0
         weights.append(w)
         biases.append(np.zeros(dims[l + 1]))
-    return nn.DenseNet(dims, weights, biases, nn.default_activations(len(dims) - 1))
+    return nn.DenseNet(weights, biases)
 
 
 class TestResidualAe:

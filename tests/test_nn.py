@@ -33,26 +33,21 @@ def relative_grad_errors(analytic, numeric):
 
 
 def min_relu_preactivation(net, x):
+    """Smallest |pre-activation| over the hidden (ReLU) layers."""
     pre_acts, _ = nn.forward_activations(net, x)
     worst = np.inf
-    for z, tag in zip(pre_acts, net.activations):
-        if tag == nn.RELU:
-            worst = min(worst, float(np.abs(z).min()))
+    for z in pre_acts[:-1]:
+        worst = min(worst, float(np.abs(z).min()))
     return worst
 
 
 class TestForward:
     def test_zero_net_gives_zero(self):
-        net = nn.DenseNet(
-            (3, 2),
-            [np.zeros((2, 3))],
-            [np.zeros(2)],
-            (nn.LINEAR,),
-        )
+        net = nn.DenseNet([np.zeros((2, 3))], [np.zeros(2)])
         np.testing.assert_array_equal(nn.forward(net, np.ones((4, 3))), 0.0)
 
     def test_identity_linear_layer(self):
-        net = nn.DenseNet((3, 3), [np.eye(3)], [np.zeros(3)], (nn.LINEAR,))
+        net = nn.DenseNet([np.eye(3)], [np.zeros(3)])
         x = np.array([[1.0, -2.0, 3.0]])
         np.testing.assert_array_equal(nn.forward(net, x), x)
 
@@ -76,6 +71,30 @@ class TestForward:
         net = random_net(rng, dims=(4, 2))
         with pytest.raises(ShapeMismatch):
             nn.forward(net, np.zeros((2, 5)))
+
+
+class TestDenseNet:
+    def test_widths_follow_from_the_weights(self):
+        net = nn.DenseNet([np.zeros((5, 3)), np.zeros((2, 5))], [np.zeros(5), np.zeros(2)])
+        assert net.layer_dims == (3, 5, 2)
+        assert net.n_layers == 2
+
+    @pytest.mark.parametrize(
+        "weights, biases",
+        [
+            ([], []),
+            ([np.zeros((2, 3))], []),
+            ([np.zeros((2, 3))], [np.zeros(2), np.zeros(2)]),
+            ([np.zeros(3)], [np.zeros(1)]),
+            ([np.zeros((2, 3, 1))], [np.zeros(2)]),
+            ([np.zeros((4, 3)), np.zeros((2, 5))], [np.zeros(4), np.zeros(2)]),
+            ([np.zeros((2, 3))], [np.zeros(3)]),
+            ([np.zeros((2, 3))], [np.zeros((2, 1))]),
+        ],
+    )
+    def test_inconsistent_shapes_rejected(self, weights, biases):
+        with pytest.raises(ShapeMismatch):
+            nn.DenseNet(weights, biases)
 
 
 class TestLossMse:
@@ -112,7 +131,7 @@ class TestBackward:
     def test_single_linear_neuron_closed_form(self):
         # y = w*x, loss (w*x - t)^2, dL/dw = 2x(w*x - t)
         w0, x0, t0 = 1.7, 0.6, -0.9
-        net = nn.DenseNet((1, 1), [np.array([[w0]])], [np.zeros(1)], (nn.LINEAR,))
+        net = nn.DenseNet([np.array([[w0]])], [np.zeros(1)])
         grads = nn.backward(net, np.array([[x0]]), np.array([[t0]]))
         expected = 2.0 * x0 * (w0 * x0 - t0)
         np.testing.assert_allclose(grads.weights[0][0, 0], expected, rtol=1e-12)
@@ -135,12 +154,12 @@ class TestFiniteDiff:
     def test_exact_on_quadratic(self):
         # single linear weight: loss (w*x - t)^2 is quadratic, central
         # differences are exact up to roundoff
-        net = nn.DenseNet((1, 1), [np.array([[2.0]])], [np.zeros(1)], (nn.LINEAR,))
+        net = nn.DenseNet([np.array([[2.0]])], [np.zeros(1)])
         g = finite_diff_grad(net, np.array([[1.0]]), np.array([[0.5]]), h=1e-3)
         np.testing.assert_allclose(g.weights[0][0, 0], 2 * (2.0 - 0.5), rtol=1e-9)
 
     def test_near_zero_at_stationary_point(self):
-        net = nn.DenseNet((1, 1), [np.array([[3.0]])], [np.zeros(1)], (nn.LINEAR,))
+        net = nn.DenseNet([np.array([[3.0]])], [np.zeros(1)])
         x = np.array([[1.0]])
         g = finite_diff_grad(net, x, nn.forward(net, x), h=1e-5)
         assert abs(g.weights[0][0, 0]) < 1e-9
@@ -308,9 +327,15 @@ class TestInitWeights:
         for b in net.biases:
             np.testing.assert_array_equal(b, 0.0)
 
-    def test_default_activations(self):
+    def test_default_activations(self, rng):
+        # ReLU on every hidden layer, linear output
         net = nn.init_weights((4, 8, 8, 2), seed=0)
-        assert net.activations == (nn.RELU, nn.RELU, nn.LINEAR)
+        assert net.layer_dims == (4, 8, 8, 2) and net.n_layers == 3
+        pre_acts, acts = nn.forward_activations(net, rng.normal(size=(50, 4)))
+        for z, a in zip(pre_acts[:-1], acts[1:-1]):
+            np.testing.assert_array_equal(a, np.maximum(z, 0.0))
+        assert (pre_acts[-1] < 0).any()
+        np.testing.assert_array_equal(acts[-1], pre_acts[-1])
 
 
 @given(seed=st.integers(0, 2**31 - 1))

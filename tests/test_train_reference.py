@@ -20,17 +20,16 @@ def reference_backward(net, inp, target):
     pre_acts, acts = nn.forward_activations(net, inp)
     n = acts[0].shape[0]
     delta = 2.0 * (acts[-1] - target) / n
-    if net.activations[-1] == nn.RELU:
-        delta = delta * (pre_acts[-1] > 0.0).astype(np.float64)
+    output = net.n_layers - 1
     grads_w = [None] * net.n_layers
     grads_b = [None] * net.n_layers
-    for l in range(net.n_layers - 1, -1, -1):
+    for l in range(output, -1, -1):
+        if l < output:  # a hidden layer: ReLU
+            delta = delta * (pre_acts[l] > 0.0).astype(np.float64)
         grads_w[l] = delta.T @ acts[l]
         grads_b[l] = delta.sum(axis=0)
         if l > 0:
             delta = delta @ net.weights[l]
-            if net.activations[l - 1] == nn.RELU:
-                delta = delta * (pre_acts[l - 1] > 0.0).astype(np.float64)
     out = []
     for w, b in zip(grads_w, grads_b):
         out.extend([w, b])
