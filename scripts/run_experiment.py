@@ -36,12 +36,10 @@ def write_silhouette_table(out: Path, result, seg) -> None:
     for kind in experiment.MODEL_KINDS:
         per_k = {k: [] for k in k_range}
         for run in [run for run in result.runs if run.kind == kind]:
-            alarms, avgs, labels = experiment.alarm_views(run.detections[SENSORWISE])
+            _, posts, labels = experiment.alarm_views(run.detections[SENSORWISE])
             if len(set(labels)) < 2:  # one family alarmed: no score at any k
                 continue
-            curve = silhouette_curve(
-                alarms, avgs, labels, k_range=k_range, normalize=seg.normalization
-            )
+            curve = silhouette_curve(posts, labels, k_range=k_range, normalize=seg.normalization)
             for point in curve:
                 per_k[point.k].append(point.score)
         for k in k_range:
@@ -55,11 +53,9 @@ def write_trigger_timelines(out: Path, result, seg) -> None:
     rows = []
     for run in [run for run in result.runs if run.kind == OC_KIND]:
         detection = run.detections[SENSORWISE]
-        alarms, avgs, _ = experiment.alarm_views(detection)
-        for (unit_id, cycle), avg in zip(alarms, avgs):
-            timeline = trigger_timeline(
-                unit_id, cycle, detection.stats, avg, seg.timeline_checkpoints
-            )
+        ids, posts, _ = experiment.alarm_views(detection)
+        for unit_id, post in zip(ids, posts):
+            timeline = trigger_timeline(post, detection.stats, seg.timeline_checkpoints)
             rows.extend([run.realisation, unit_id, *item] for item in timeline.items())
     header = ["realisation", "unit", "channel", "triggered_at"]
     write_table(out / "trigger_timeline.csv", header, rows)

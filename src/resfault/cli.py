@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, detector, experiment, parallel, persist, segmentation, synth
 from .config import RunConfig, load_config
 from .data_model import TruthRecord, UnitSeries
-from .errors import ConfigInvalid, CorruptCheckpoint, CycleOutOfRange, DataError
+from .errors import ConfigInvalid, CorruptCheckpoint, DataError
 from .errors import InsufficientData, ResfaultError
 from .health import AGGREGATED, SENSORWISE
 from .models import AE_KIND
@@ -217,9 +217,13 @@ def cmd_segment(args) -> int:
         )
     key = (model.kind, SENSORWISE) if (model.kind, SENSORWISE) in matching else min(matching)
     # the report file's alarmed units in fleet order, each labelled by its
-    # report or else by the unit's (ground-truth) dataset tag
+    # report or else by the unit's (ground-truth) dataset tag; `signed`
+    # holds the positions of those with a signature row
     alarmed = {r.unit_id: r for r in matching[key] if r.detected}
-    alarms, averages, labels, signatures, embeddings, embedded_ids = [], [], [], [], [], []
+    ghosts = alarmed.keys() - {unit.unit_id for unit in units}
+    if ghosts:
+        raise DataError(f"report file {args.reports}: unit {min(ghosts)!r} is not in the fleet")
+    ids, labels, posts, signed, signatures, embeddings = [], [], [], [], [], []
     for unit in units:
         report = alarmed.get(unit.unit_id)
         if report is None:
@@ -231,52 +235,46 @@ def cmd_segment(args) -> int:
                 f"report file {args.reports}: unit {unit.unit_id!r} has no cycle "
                 f"{report.alarm_cycle}, its alarm cycle"
             )
-        alarm = (unit.unit_id, report.alarm_cycle)
-        alarms.append(alarm)
-        averages.append(avg)
+        ids.append(unit.unit_id)
         labels.append(report.dataset_id or unit.dataset_id)
-        try:
-            signatures.append(segmentation.snapshot(*alarm, avg, offset, normalize, labels[-1]))
-        except CycleOutOfRange:
+        posts.append(avg.since(report.alarm_cycle))
+        if offset >= len(posts[-1]):
             continue
+        signed.append(len(posts) - 1)
+        signatures.append(segmentation.snapshot(posts[-1], offset, normalize))
         if model.kind == AE_KIND:
             emb = model.embed(apply_standardizer(model.standardizer, unit.z()))
-            emb_avg = detector.cycle_average(emb, unit.cycle_of)
             embeddings.append(
-                segmentation.snapshot(*alarm, emb_avg, offset, segmentation.NORMALIZE_NONE).vector
+                detector.cycle_average(emb, unit.cycle_of).since(report.alarm_cycle)[offset]
             )
-            embedded_ids.append(unit.unit_id)
     if len(signatures) < 3:
         raise InsufficientData(
             f"segmentation needs >= 3 units with a signature {offset} cycles after "
             f"their alarm, got {len(signatures)}"
         )
-    pca = segmentation.pca_2d(np.array([sig.vector for sig in signatures]))
+    pca = segmentation.pca_2d(np.array(signatures))
     k_range = range(0, cfg.segmentation.k_max + 1)
-    curve = segmentation.silhouette_curve(alarms, averages, labels, k_range, normalize)
+    curve = segmentation.silhouette_curve(posts, labels, k_range, normalize)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = [[sig.unit_id, sig.fault_label, *map(fmt, sig.vector)] for sig in signatures]
+    rows = [[ids[i], labels[i], *map(fmt, vector)] for i, vector in zip(signed, signatures)]
     persist.write_table(out / "signatures.csv", ["unit", "label", *stats.channel_names], rows)
-    rows = [
-        [sig.unit_id, sig.fault_label, fmt(x), fmt(y)]
-        for sig, (x, y) in zip(signatures, pca.coords)
-    ]
+    rows = [[ids[i], labels[i], fmt(x), fmt(y)] for i, (x, y) in zip(signed, pca.coords)]
     persist.write_table(out / "pca_coords.csv", ["unit", "label", "pc1", "pc2"], rows)
     rows = [[point.k, fmt(point.score), point.n_units] for point in curve]
     persist.write_table(out / "silhouette_curve.csv", ["k", "score", "n_units"], rows)
     rows = [
         [unit_id, channel, category]
-        for (unit_id, cycle), avg in zip(alarms, averages)
+        for unit_id, post in zip(ids, posts)
         for channel, category in segmentation.trigger_timeline(
-            unit_id, cycle, stats, avg, cfg.segmentation.timeline_checkpoints
+            post, stats, cfg.segmentation.timeline_checkpoints
         ).items()
     ]
     persist.write_table(out / "trigger_timeline.csv", ["unit", "channel", "triggered_at"], rows)
     if len(embeddings) >= 3:
         coords = segmentation.pca_2d(np.array(embeddings)).coords
-        rows = [[unit_id, fmt(x), fmt(y)] for unit_id, (x, y) in zip(embedded_ids, coords)]
+        rows = [[ids[i], fmt(x), fmt(y)] for i, (x, y) in zip(signed, coords)]
         persist.write_table(out / "ae_embedding_pca.csv", ["unit", "pc1", "pc2"], rows)
 
     persist.write_manifest(

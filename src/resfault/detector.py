@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import cycle_bounds
-from .errors import ShapeMismatch
+from .errors import CycleOutOfRange, ShapeMismatch
 from .preprocess import column_stats
 
 SIGMA_MULTIPLIER = 3.0
@@ -82,13 +82,15 @@ class CycleAverages:
         if self.values.ndim != 2 or self.cycle_ids.shape != (self.values.shape[0],):
             raise ShapeMismatch("one cycle id per value row required")
 
-    @property
-    def n_cycles(self) -> int:
-        return len(self.cycle_ids)
+    def since(self, cycle: int) -> np.ndarray:
+        """A view of the value rows from ``cycle``'s row on.
 
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[1]
+        Raises CycleOutOfRange when ``cycle`` is not one of the cycle ids.
+        """
+        positions = np.flatnonzero(self.cycle_ids == cycle)
+        if len(positions) == 0:
+            raise CycleOutOfRange(f"cycle {cycle} is not among the averaged cycles")
+        return self.values[positions[0]:]
 
 
 def cycle_average(values: np.ndarray, cycle_of: np.ndarray) -> CycleAverages:

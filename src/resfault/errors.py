@@ -85,10 +85,6 @@ class ShapeMismatch(ComputeError):
     pass
 
 
-class NoAlarm(ComputeError):
-    pass
-
-
 class CycleOutOfRange(ComputeError):
     pass
 

@@ -195,18 +195,16 @@ def detect_with_stats(
     return FleetDetection(stats=stats, reports=reports, cycle_averages=cycle_averages)
 
 
-def alarm_views(
-    detection: FleetDetection,
-) -> tuple[list[tuple[str, int]], list[CycleAverages], list[str]]:
-    """(unit id, alarm cycle) pairs, cycle averages and labels of the alarmed units.
+def alarm_views(detection: FleetDetection) -> tuple[list[str], list[np.ndarray], list[str]]:
+    """Ids, post-alarm rows and labels of the alarmed units, in report order.
 
-    The label of a unit is its report's dataset tag; the order is the
-    reports'.
+    A unit's post-alarm rows are its cycle averages from its alarm cycle
+    on; its label is its report's dataset tag.
     """
     alarmed = [r for r in detection.reports if r.detected]
     return (
-        [(r.unit_id, r.alarm_cycle) for r in alarmed],
-        [detection.cycle_averages[r.unit_id] for r in alarmed],
+        [r.unit_id for r in alarmed],
+        [detection.cycle_averages[r.unit_id].since(r.alarm_cycle) for r in alarmed],
         [r.dataset_id for r in alarmed],
     )
 
@@ -219,7 +217,6 @@ class UnitEvaluation:
     dataset_id: str
     n_true: int | None
     ground_truth_known: bool
-    n_realisations: int
     n_detected: int
     mean_delay: float | None
 
@@ -275,7 +272,6 @@ def evaluate_group(
                 dataset_id=reports[0].dataset_id,
                 n_true=reports[0].n_true,
                 ground_truth_known=reports[0].ground_truth_known,
-                n_realisations=len(reports),
                 n_detected=sum(1 for r in reports if r.detected),
                 mean_delay=float(np.mean(delays)) if delays else None,
             )

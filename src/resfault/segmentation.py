@@ -1,9 +1,12 @@
 """Fault-segmentation analysis of sensor-wise health indicators.
 
-Per-unit signatures are cycle-averaged sensor-wise indicators captured a
-fixed number of cycles after the alarm, normalized per unit. Signatures
-are projected to two principal components for visualization and scored
-with the silhouette coefficient against ground-truth fault labels.
+Each alarmed unit is read through its ``post`` rows: its cycle-averaged
+sensor-wise indicators from the alarm cycle on (``CycleAverages.since``),
+so row ``k`` is ``k`` cycles after the alarm. A signature is the row at a
+fixed offset, normalized per unit; a unit whose series ends before an
+offset has no row there. Signatures are projected to two principal
+components for visualization and scored with the silhouette coefficient
+against ground-truth fault labels.
 """
 
 from __future__ import annotations
@@ -12,77 +15,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import CycleAverages, HealthyStats
-from .errors import CycleOutOfRange, InsufficientData, NoAlarm, ShapeMismatch, SingleCluster
+from .detector import HealthyStats
+from .errors import InsufficientData, ShapeMismatch, SingleCluster
 
 NORMALIZE_MAX = "max"
 NORMALIZE_ZSCORE = "zscore"
-NORMALIZE_NONE = "none"
 NEVER_TRIGGERED = "No"
 
 
-@dataclass(frozen=True)
-class UnitSignature:
-    """Per-unit normalized sensor-wise indicator vector at the snapshot cycle."""
+def snapshot(post: np.ndarray, k: int, normalize: str) -> np.ndarray:
+    """The signature ``k`` cycles after the alarm: row ``k`` of ``post``, normalized.
 
-    unit_id: str
-    fault_label: str
-    vector: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=np.float64))
-        if self.vector.ndim != 1:
-            raise ShapeMismatch("signature vector must be 1-D")
-
-
-def _normalize_row(row: np.ndarray, mode: str) -> np.ndarray:
-    if mode == NORMALIZE_MAX:
+    The caller checks ``k < len(post)``.
+    """
+    row = post[k]
+    if normalize == NORMALIZE_MAX:
         top = row.max()
         return row / top if top > 0 else row.copy()
-    if mode == NORMALIZE_ZSCORE:
+    if normalize == NORMALIZE_ZSCORE:
         sd = row.std()
         return (row - row.mean()) / sd if sd > 0 else row - row.mean()
-    if mode == NORMALIZE_NONE:
-        return row.copy()
-    raise ValueError(f"unknown normalization mode {mode!r}")
-
-
-def _alarm_position(unit_id: str, alarm_cycle: int | None, cycle_hi: CycleAverages) -> int:
-    """Row of the alarm cycle in a unit's cycle averages.
-
-    Raises NoAlarm when the unit never alarmed and CycleOutOfRange when
-    its cycle averages do not hold the alarm cycle.
-    """
-    if alarm_cycle is None:
-        raise NoAlarm(f"unit {unit_id!r} has no alarm cycle")
-    positions = np.flatnonzero(cycle_hi.cycle_ids == alarm_cycle)
-    if len(positions) == 0:
-        raise CycleOutOfRange(f"alarm cycle {alarm_cycle} not present for unit {unit_id!r}")
-    return int(positions[0])
-
-
-def snapshot(
-    unit_id: str,
-    alarm_cycle: int | None,
-    cycle_hi: CycleAverages,
-    k: int,
-    normalize: str,
-    fault_label: str = "",
-) -> UnitSignature:
-    """Signature vector k cycles after the alarm, normalized per unit.
-
-    The offset is counted in positions along the unit's cycle sequence.
-    Raises NoAlarm when the unit never alarmed and CycleOutOfRange when
-    the series ends before the snapshot cycle.
-    """
-    idx = _alarm_position(unit_id, alarm_cycle, cycle_hi) + k
-    if idx < 0 or idx >= cycle_hi.n_cycles:
-        raise CycleOutOfRange(f"unit {unit_id!r} ends before {k} cycles past the alarm")
-    return UnitSignature(
-        unit_id=unit_id,
-        fault_label=fault_label,
-        vector=_normalize_row(cycle_hi.values[idx], normalize),
-    )
+    raise ValueError(f"unknown normalization mode {normalize!r}")
 
 
 @dataclass(frozen=True)
@@ -165,49 +118,33 @@ class SilhouettePoint:
 
 
 def silhouette_curve(
-    alarms: list[tuple[str, int | None]],
-    cycle_his: list[CycleAverages],
+    posts: list[np.ndarray],
     fault_labels: list[str],
     k_range: range | list[int],
     normalize: str,
 ) -> list[SilhouettePoint]:
     """Silhouette of snapshot signatures versus cycles after detection.
 
-    ``alarms`` holds one (unit id, alarm cycle or None) pair per unit.
-    Units with no alarm are skipped entirely; units whose series end
-    before a given offset are dropped at that offset. A score of NaN is
-    recorded where fewer than two fault families survive the attrition.
+    ``posts`` holds one alarmed unit's post-alarm rows each. A unit whose
+    series ends before an offset is dropped at that offset. A score of NaN
+    is recorded where fewer than two fault families survive the attrition.
     """
-    alarmed = [
-        (alarm, hi, lab)
-        for alarm, hi, lab in zip(alarms, cycle_his, fault_labels)
-        if alarm[1] is not None
-    ]
-    if len({lab for _, _, lab in alarmed}) < 2:
+    if len(set(fault_labels)) < 2:
         raise SingleCluster("need alarms from >= 2 fault families")
     curve = []
     for k in k_range:
-        sigs = []
-        for (unit_id, alarm_cycle), hi, label in alarmed:
-            try:
-                sigs.append(snapshot(unit_id, alarm_cycle, hi, k, normalize, label))
-            except CycleOutOfRange:
-                continue
-        labels = [s.fault_label for s in sigs]
+        kept = [(post, lab) for post, lab in zip(posts, fault_labels) if k < len(post)]
+        labels = [lab for _, lab in kept]
         if len(set(labels)) < 2:
-            curve.append(SilhouettePoint(k=k, score=float("nan"), n_units=len(sigs)))
+            curve.append(SilhouettePoint(k=k, score=float("nan"), n_units=len(kept)))
             continue
-        score = silhouette(np.array([s.vector for s in sigs]), labels)
-        curve.append(SilhouettePoint(k=k, score=score, n_units=len(sigs)))
+        score = silhouette(np.array([snapshot(post, k, normalize) for post, _ in kept]), labels)
+        curve.append(SilhouettePoint(k=k, score=score, n_units=len(kept)))
     return curve
 
 
 def trigger_timeline(
-    unit_id: str,
-    alarm_cycle: int | None,
-    stats: HealthyStats,
-    cycle_hi: CycleAverages,
-    checkpoints: tuple[int, ...],
+    post: np.ndarray, stats: HealthyStats, checkpoints: tuple[int, ...]
 ) -> dict[str, int | str]:
     """Earliest post-alarm checkpoint at which each channel exceeds its threshold.
 
@@ -215,16 +152,13 @@ def trigger_timeline(
     waiting window). Channels that never exceed by the last reachable
     checkpoint are labeled "No".
     """
-    base = _alarm_position(unit_id, alarm_cycle, cycle_hi)
-    if cycle_hi.n_channels != stats.n_channels:
+    if post.shape[1] != stats.n_channels:
         raise ShapeMismatch("cycle matrix and stats channel counts differ")
     timeline: dict[str, int | str] = dict.fromkeys(stats.channel_names, NEVER_TRIGGERED)
     for c in sorted(checkpoints):
-        idx = base + c
-        if idx >= cycle_hi.n_cycles:
+        if c >= len(post):
             break
-        exceeding = cycle_hi.values[idx] > stats.tau
-        for name, hit in zip(stats.channel_names, exceeding):
+        for name, hit in zip(stats.channel_names, post[c] > stats.tau):
             if hit and timeline[name] == NEVER_TRIGGERED:
                 timeline[name] = c
     return timeline

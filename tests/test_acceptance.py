@@ -280,11 +280,11 @@ def end_to_end():
 
     silhouettes = {}
     for kind in experiment.MODEL_KINDS:
-        alarms, avgs, labels = experiment.alarm_views(detections[(kind, SENSORWISE)])
+        ids, posts, labels = experiment.alarm_views(detections[(kind, SENSORWISE)])
         # every alarmed unit is labelled with its ground-truth fault family
-        assert labels == [truths[unit_id].family for unit_id, _ in alarms]
+        assert labels == [truths[unit_id].family for unit_id in ids]
         curve = silhouette_curve(
-            alarms, avgs, labels, k_range=[10], normalize=cfg.segmentation.normalization
+            posts, labels, k_range=[10], normalize=cfg.segmentation.normalization
         )
         silhouettes[kind] = curve[0].score
 

@@ -597,6 +597,27 @@ class TestSegment:
         assert str(int(rows[1]["alarm_cycle"]) + 1000) in err[0]
         assert not out.exists()
 
+    def test_alarmed_unit_missing_from_the_fleet_exits_3(self, workspace, tmp_path, capsys):
+        reports = tmp_path / "reports.csv"
+        assert main(
+            ["detect", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--checkpoint", str(workspace["oc"]), "--hi", "sensorwise", "--out", str(reports)]
+        ) == 0
+        with open(reports, "a", newline="") as fh:
+            fh.write("OC,sensorwise,ghost-u09,fan,20,25,5,,1\n")
+        capsys.readouterr()
+        out = tmp_path / "seg"
+        code = main(
+            ["segment", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--checkpoint", str(workspace["oc"]), "--reports", str(reports),
+             "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(reports) in err[0] and "'ghost-u09'" in err[0]
+        assert not out.exists()
+
 
 CORRUPT_STATS = ["metadata_is_a_list", "healthy_stats_is_a_list", "unequal_lengths",
                  "thirteen_channels", "thirteen_names"]

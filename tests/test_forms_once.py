@@ -4,15 +4,17 @@ A DenseNet is its weights and biases: its layer widths and its activations
 (ReLU on every hidden layer, a linear output) follow from them, so no
 stored copy can disagree with the weights. `resfault segment` hands the
 report file's alarms straight to the segmentation functions instead of
-building a detection object only to take it apart again. And the CLI is
-the one place that turns a package error into an exit code.
+building a detection object only to take it apart again. An alarmed unit
+is read through its rows from the alarm cycle on, so an offset past its
+series is a length test, not a caught CycleOutOfRange. And the CLI is the
+one place that turns a package error into an exit code.
 """
 
 import ast
 import dataclasses
 from pathlib import Path
 
-from resfault import experiment, nn
+from resfault import errors, experiment, nn, segmentation
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM_FILES = sorted(ROOT.glob("src/resfault/*.py")) + sorted(ROOT.glob("scripts/*.py"))
@@ -29,6 +31,10 @@ def test_removed_forms_stay_gone():
         (experiment, "trigger_timelines"),
         (nn, "default_activations"),
         (nn, "_activate"),
+        (segmentation, "UnitSignature"),
+        (segmentation, "_alarm_position"),
+        (segmentation, "NORMALIZE_NONE"),
+        (errors, "NoAlarm"),
     ):
         assert not hasattr(module, name), name
 
@@ -55,11 +61,20 @@ def test_segment_builds_no_fleet_detection():
     assert not names & {"FleetDetection", "detect_with_stats", "alarm_views"}
 
 
-def test_only_cli_catches_resfault_error():
+def catchers_of(error_name: str) -> set[str]:
+    """The program files with an ``except`` clause naming ``error_name``."""
     catchers = set()
     for path in PROGRAM_FILES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
-                if "ResfaultError" in read_names(node.type):
+                if error_name in read_names(node.type):
                     catchers.add(f"{path.parent.name}/{path.name}")
-    assert catchers == {"resfault/cli.py"}
+    return catchers
+
+
+def test_only_cli_catches_resfault_error():
+    assert catchers_of("ResfaultError") == {"resfault/cli.py"}
+
+
+def test_no_program_file_catches_cycle_out_of_range():
+    assert catchers_of("CycleOutOfRange") == set()

@@ -3,14 +3,22 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from resfault.data_model import DEFAULT_X_CHANNELS
-from resfault.detector import CycleAverages, build_report, cycle_average, fit_stats
-from resfault.errors import CycleOutOfRange, InsufficientData, NoAlarm, SingleCluster
+from resfault.detector import (
+    CycleAverages,
+    HealthyStats,
+    build_report,
+    cycle_average,
+    fit_stats,
+)
+from resfault.errors import CycleOutOfRange, InsufficientData, SingleCluster
 from resfault.health import sensorwise_hi
 from resfault.segmentation import (
     NEVER_TRIGGERED,
     NORMALIZE_MAX,
+    NORMALIZE_ZSCORE,
     pca_2d,
     silhouette,
     silhouette_curve,
@@ -28,40 +36,53 @@ def averages(values, cycle_ids=None):
     return CycleAverages(cycle_ids=cycle_ids, values=values)
 
 
+class TestSince:
+    def test_view_from_the_alarm_row(self):
+        avg = averages(np.arange(12.0).reshape(6, 2), cycle_ids=[3, 4, 5, 7, 8, 9])
+        post = avg.since(7)
+        np.testing.assert_array_equal(post, [[6.0, 7.0], [8.0, 9.0], [10.0, 11.0]])
+        assert np.shares_memory(post, avg.values)
+        assert len(avg.since(3)) == 6 and len(avg.since(9)) == 1
+
+    def test_out_of_range(self):
+        avg = averages(np.ones((4, 2)), cycle_ids=[2, 3, 5, 6])
+        for absent in (1, 4, 7):
+            with pytest.raises(CycleOutOfRange):
+                avg.since(absent)
+
+
 class TestSnapshot:
     def test_max_normalization(self):
         values = np.zeros((12, 3))
         values[11] = [2.0, 4.0, 1.0]
-        avg = averages(values)
-        sig = snapshot("u1", 1, avg, k=10, fault_label="fam", normalize=NORMALIZE_MAX)
-        np.testing.assert_array_equal(sig.vector, [0.5, 1.0, 0.25])
-        assert sig.fault_label == "fam"
+        sig = snapshot(averages(values).since(1), k=10, normalize=NORMALIZE_MAX)
+        np.testing.assert_array_equal(sig, [0.5, 1.0, 0.25])
 
     def test_all_equal_row_becomes_ones(self):
         values = np.full((5, 4), 3.3)
-        sig = snapshot("u1", 0, averages(values), k=4, normalize=NORMALIZE_MAX)
-        np.testing.assert_array_equal(sig.vector, 1.0)
+        sig = snapshot(averages(values).since(0), k=4, normalize=NORMALIZE_MAX)
+        np.testing.assert_array_equal(sig, 1.0)
 
     def test_zero_row_stays_zero(self):
         values = np.zeros((3, 2))
-        sig = snapshot("u1", 0, averages(values), k=1, normalize=NORMALIZE_MAX)
-        np.testing.assert_array_equal(sig.vector, 0.0)
+        sig = snapshot(averages(values).since(0), k=1, normalize=NORMALIZE_MAX)
+        np.testing.assert_array_equal(sig, 0.0)
 
-    def test_no_alarm(self):
-        with pytest.raises(NoAlarm):
-            snapshot("u1", None, averages(np.ones((3, 2))), k=1, normalize=NORMALIZE_MAX)
-
-    def test_out_of_range(self):
-        with pytest.raises(CycleOutOfRange):
-            snapshot("u1", 2, averages(np.ones((4, 2))), k=10, normalize=NORMALIZE_MAX)
+    def test_normalization_leaves_the_averages_unchanged(self):
+        avg = averages(np.array([[0.0, 0.0], [2.0, 4.0], [-1.0, -3.0]]))
+        before = avg.values.copy()
+        for normalize in (NORMALIZE_MAX, NORMALIZE_ZSCORE):
+            for k in range(3):
+                snapshot(avg.since(0), k, normalize)
+        np.testing.assert_array_equal(avg.values, before)
 
     def test_offset_counts_positions_from_alarm_cycle(self):
         cycle_ids = np.array([7, 8, 9, 10])
         values = np.array([[1.0], [2.0], [6.0], [3.0]])
         # widen to 2 channels so max-normalization is visible
         values = np.hstack([values, values * 0.5])
-        sig = snapshot("u1", 8, averages(values, cycle_ids), k=1, normalize=NORMALIZE_MAX)
-        np.testing.assert_array_equal(sig.vector, [1.0, 0.5])
+        sig = snapshot(averages(values, cycle_ids).since(8), k=1, normalize=NORMALIZE_MAX)
+        np.testing.assert_array_equal(sig, [1.0, 0.5])
 
     def test_same_family_signatures_are_closer(self, rng):
         # disjoint per-family fault channels, constructed cycle averages
@@ -69,7 +90,7 @@ class TestSnapshot:
             gen = np.random.default_rng(seed)
             values = np.abs(gen.normal(0.05, 0.01, size=(20, 6)))
             values[10:, channels] += np.linspace(0.5, 3.0, 10)[:, None]
-            return snapshot("u", 9, averages(values), k=10, normalize=NORMALIZE_MAX).vector
+            return snapshot(averages(values).since(9), k=10, normalize=NORMALIZE_MAX)
 
         fam_a = [sig_for([0, 1], s) for s in range(3)]
         fam_b = [sig_for([3, 4], s + 10) for s in range(3)]
@@ -239,7 +260,7 @@ class TestSilhouette:
 
 class TestSilhouetteCurve:
     def build_fleet(self, n_per_family=3, n_cycles=25, alarm=10, short_unit=False):
-        reports, avgs, labels = [], [], []
+        posts, labels = [], []
         gen = np.random.default_rng(5)
         for fam_idx, (fam, chans) in enumerate((("A", [0, 1]), ("B", [3, 4]))):
             for u in range(n_per_family):
@@ -247,43 +268,32 @@ class TestSilhouetteCurve:
                 values = np.abs(gen.normal(0.05, 0.01, size=(length, 6)))
                 ramp = np.linspace(0.5, 4.0, max(length - alarm, 1))[:, None]
                 values[alarm:, chans] += ramp
-                reports.append((f"{fam}{u}", alarm))
-                avgs.append(averages(values))
+                posts.append(averages(values).since(alarm))
                 labels.append(fam)
-        return reports, avgs, labels
+        return posts, labels
 
     def test_scores_finite_over_domain(self):
-        reports, avgs, labels = self.build_fleet()
-        curve = silhouette_curve(
-            reports, avgs, labels, k_range=range(0, 7), normalize=NORMALIZE_MAX
-        )
+        posts, labels = self.build_fleet()
+        curve = silhouette_curve(posts, labels, k_range=range(0, 7), normalize=NORMALIZE_MAX)
         assert [p.k for p in curve] == list(range(7))
         assert all(np.isfinite(p.score) for p in curve)
         assert all(p.n_units == 6 for p in curve)
 
     def test_separable_families_score_high(self):
-        reports, avgs, labels = self.build_fleet()
-        curve = silhouette_curve(reports, avgs, labels, k_range=[10], normalize=NORMALIZE_MAX)
+        posts, labels = self.build_fleet()
+        curve = silhouette_curve(posts, labels, k_range=[10], normalize=NORMALIZE_MAX)
         assert curve[0].score > 0.5
 
     def test_units_dropped_after_series_end(self):
-        reports, avgs, labels = self.build_fleet(short_unit=True)
-        curve = silhouette_curve(reports, avgs, labels, k_range=[0, 10], normalize=NORMALIZE_MAX)
+        posts, labels = self.build_fleet(short_unit=True)
+        curve = silhouette_curve(posts, labels, k_range=[0, 10], normalize=NORMALIZE_MAX)
         assert curve[0].n_units == 6
         assert curve[1].n_units == 5
 
     def test_single_family_rejected(self):
-        reports, avgs, labels = self.build_fleet()
+        posts, labels = self.build_fleet()
         with pytest.raises(SingleCluster):
-            silhouette_curve(
-                reports[:3], avgs[:3], labels[:3], k_range=[0], normalize=NORMALIZE_MAX
-            )
-
-    def test_no_alarm_units_skipped(self):
-        reports, avgs, labels = self.build_fleet()
-        reports[0] = ("A0", None)
-        curve = silhouette_curve(reports, avgs, labels, k_range=[0], normalize=NORMALIZE_MAX)
-        assert curve[0].n_units == 5
+            silhouette_curve(posts[:3], labels[:3], k_range=[0], normalize=NORMALIZE_MAX)
 
 
 class TestTriggerTimeline:
@@ -298,7 +308,7 @@ class TestTriggerTimeline:
         values[alarm + 25 :, 2] = 5.0
         avg = averages(values)
         stats = fit_stats(np.array([[0.0, 0.0, 0.0], [0.4, 0.4, 0.4]]), ("c0", "c1", "c2"))
-        timeline = trigger_timeline("u1", alarm, stats, avg, checkpoints=(10, 20, 30, 40))
+        timeline = trigger_timeline(avg.since(alarm), stats, checkpoints=(10, 20, 30, 40))
         assert timeline["c0"] == 10
         assert timeline["c1"] == NEVER_TRIGGERED
         assert timeline["c2"] == 30
@@ -308,15 +318,10 @@ class TestTriggerTimeline:
         values[:, 0] = 5.0
         avg = averages(values)
         stats = fit_stats(np.array([[0.0, 0.0], [0.4, 0.4]]), ("c0", "c1"))
-        timeline = trigger_timeline("u1", 15, stats, avg, checkpoints=(10, 20, 30, 40))
+        timeline = trigger_timeline(avg.since(15), stats, checkpoints=(10, 20, 30, 40))
         # only the +10 checkpoint cycle falls outside... the series ends at
         # position 19 < 15+10, so nothing is reachable
         assert timeline["c0"] == NEVER_TRIGGERED
-
-    def test_no_alarm_rejected(self):
-        stats = fit_stats(np.ones((2, 3)), ("c0", "c1", "c2"))
-        with pytest.raises(NoAlarm):
-            trigger_timeline("u1", None, stats, averages(np.ones((5, 3))), checkpoints=(10, 20))
 
     def test_staggered_onsets_from_generator(self):
         family = FamilyFault(
@@ -345,9 +350,68 @@ class TestTriggerTimeline:
         report = build_report("u1", "stag", avg, stats, n_wait=3, n_true=truth.fault_cycle)
         assert report.detected
         timeline = trigger_timeline(
-            report.unit_id, report.alarm_cycle, stats, avg, checkpoints=(10, 20, 30, 40)
+            avg.since(report.alarm_cycle), stats, checkpoints=(10, 20, 30, 40)
         )
         first = timeline["T24"]
         second = timeline["T30"]
         assert first != NEVER_TRIGGERED and second != NEVER_TRIGGERED
         assert second > first
+
+
+N_CHANNELS = 3
+
+
+@st.composite
+def alarmed_fleets(draw):
+    """Post-alarm rows of 1..40 cycles, each unit in one of 2 or 3 families."""
+    families = "ABC"[: draw(st.integers(2, 3))]
+    labels = [families[i % len(families)] for i in range(draw(st.integers(len(families), 8)))]
+    labels = draw(st.permutations(labels))
+    posts = [
+        draw(arrays(np.float64, (draw(st.integers(1, 40)), N_CHANNELS),
+                    elements=st.floats(0.0, 4.0)))
+        for _ in labels
+    ]
+    return posts, labels
+
+
+def normalized(row, mode):
+    if mode == NORMALIZE_MAX:
+        return row / row.max() if row.max() > 0 else row
+    centred = row - row.mean()
+    return centred / row.std() if row.std() > 0 else centred
+
+
+@given(alarmed_fleets(), st.sampled_from([NORMALIZE_MAX, NORMALIZE_ZSCORE]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_curve_scores_the_units_whose_rows_reach_each_offset(fleet, normalize):
+    posts, labels = fleet
+    k_range = range(0, 42)
+    curve = silhouette_curve(posts, labels, k_range, normalize)
+    assert [point.k for point in curve] == list(k_range)
+    for k, point in zip(k_range, curve):
+        kept = [i for i, post in enumerate(posts) if len(post) > k]
+        assert point.n_units == len(kept)
+        if len({labels[i] for i in kept}) < 2:
+            assert math.isnan(point.score)
+        else:
+            rows = np.array([normalized(posts[i][k], normalize) for i in kept])
+            assert point.score == silhouette(rows, [labels[i] for i in kept])
+
+
+@given(
+    alarmed_fleets(),
+    st.lists(st.floats(0.0, 4.0), min_size=N_CHANNELS, max_size=N_CHANNELS),
+    st.lists(st.integers(0, 45), max_size=5, unique=True),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_timeline_is_the_first_reachable_checkpoint_above_tau(fleet, tau, checkpoints):
+    names = ("c0", "c1", "c2")
+    stats = HealthyStats(
+        mu=tau, sigma=np.zeros(N_CHANNELS), tau=tau, fitted_on=2, channel_names=names
+    )
+    for post in fleet[0]:
+        timeline = trigger_timeline(post, stats, tuple(checkpoints))
+        for ch, name in enumerate(names):
+            hits = [c for c in sorted(checkpoints) if c < len(post) and post[c, ch] > tau[ch]]
+            assert timeline[name] == (hits[0] if hits else NEVER_TRIGGERED)
