@@ -39,7 +39,7 @@ def write_silhouette_table(out: Path, result, seg) -> None:
             _, posts, labels = experiment.alarm_views(run.detections[SENSORWISE])
             if len(set(labels)) < 2:  # one family alarmed: no score at any k
                 continue
-            curve = silhouette_curve(posts, labels, k_range=k_range, normalize=seg.normalization)
+            curve = silhouette_curve(posts, labels, k_range=k_range)
             for point in curve:
                 per_k[point.k].append(point.score)
         for k in k_range:

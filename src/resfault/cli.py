@@ -204,7 +204,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_segment(args) -> int:
     cfg = effective_config(args)
-    offset, normalize = cfg.segmentation.snapshot_offset, cfg.segmentation.normalization
+    offset = cfg.segmentation.snapshot_offset
     model, metadata = persist.load_checkpoint(args.checkpoint)
     stats = _checkpoint_stats(model, metadata, SENSORWISE)
     units, _ = _prepared_units(args.data, cfg)
@@ -241,7 +241,7 @@ def cmd_segment(args) -> int:
         if offset >= len(posts[-1]):
             continue
         signed.append(len(posts) - 1)
-        signatures.append(segmentation.snapshot(posts[-1], offset, normalize))
+        signatures.append(segmentation.snapshot(posts[-1], offset))
         if model.kind == AE_KIND:
             emb = model.embed(apply_standardizer(model.standardizer, unit.z()))
             embeddings.append(
@@ -254,7 +254,7 @@ def cmd_segment(args) -> int:
         )
     pca = segmentation.pca_2d(np.array(signatures))
     k_range = range(0, cfg.segmentation.k_max + 1)
-    curve = segmentation.silhouette_curve(posts, labels, k_range, normalize)
+    curve = segmentation.silhouette_curve(posts, labels, k_range)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

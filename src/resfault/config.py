@@ -27,29 +27,16 @@ def derive_seed(master_seed: int, *keys: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-STATS_ON_VALIDATION = "validation"
-STATS_ON_TRAIN_VALIDATION = "train+validation"
-
-
-DOWNSAMPLE_FIRST = "downsample_first"
-CRUISE_FIRST = "cruise_first"
-
-
 @dataclass(frozen=True)
 class PreprocessSettings:
     downsample_factor: int = 10
     cruise_threshold: float = 0.85
-    order: str = DOWNSAMPLE_FIRST
 
     def __post_init__(self):
         if self.downsample_factor < 1:
             raise ConfigInvalid("preprocess.downsample_factor must be >= 1")
         if not 0.0 < self.cruise_threshold < 1.0:
             raise ConfigInvalid("preprocess.cruise_threshold must lie in (0, 1)")
-        if self.order not in (DOWNSAMPLE_FIRST, CRUISE_FIRST):
-            raise ConfigInvalid(
-                f"preprocess.order must be {DOWNSAMPLE_FIRST!r} or {CRUISE_FIRST!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -93,16 +80,10 @@ class TrainingSettings:
 @dataclass(frozen=True)
 class DetectionSettings:
     n_wait: int = 3
-    stats_source: str = STATS_ON_VALIDATION
 
     def __post_init__(self):
         if self.n_wait < 1:
             raise ConfigInvalid("detection.n_wait must be >= 1")
-        if self.stats_source not in (STATS_ON_VALIDATION, STATS_ON_TRAIN_VALIDATION):
-            raise ConfigInvalid(
-                "detection.stats_source must be "
-                f"{STATS_ON_VALIDATION!r} or {STATS_ON_TRAIN_VALIDATION!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -110,7 +91,6 @@ class SegmentationSettings:
     snapshot_offset: int = 10
     k_max: int = 34
     timeline_checkpoints: tuple[int, ...] = (10, 20, 30, 40)
-    normalization: str = "max"
 
     def __post_init__(self):
         if self.snapshot_offset < 0:
@@ -119,8 +99,6 @@ class SegmentationSettings:
             raise ConfigInvalid("segmentation.k_max must be >= 0")
         if any(c < 0 for c in self.timeline_checkpoints):
             raise ConfigInvalid("segmentation.timeline_checkpoints must be >= 0")
-        if self.normalization not in ("max", "zscore"):
-            raise ConfigInvalid("segmentation.normalization must be 'max' or 'zscore'")
 
 
 @dataclass(frozen=True)

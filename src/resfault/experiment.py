@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detector, health, models, nn, parallel
-from .config import CRUISE_FIRST, RunConfig, STATS_ON_TRAIN_VALIDATION, derive_seed
+from .config import RunConfig, derive_seed
 from .data_model import FleetSplit, TruthRecord, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
 from .errors import EmptyFleet
@@ -39,20 +39,14 @@ def realisation_seeds(master_seed: int, realisation: int) -> tuple[int, int]:
 def preprocess_fleet(
     units: list[UnitSeries], cfg: RunConfig, truths: dict[str, TruthRecord] | None
 ) -> list[UnitSeries]:
-    """Run the split-independent row-selection steps on every unit.
+    """Downsample, then cruise-filter, every unit: the split-independent row selection.
 
-    Default order is downsample then cruise-filter; the alternative order
-    is available behind ``preprocess.order`` for sensitivity studies. Each
-    unit's dataset tag becomes its ground-truth family, if known.
+    Each unit's dataset tag becomes its ground-truth family, if known.
     """
     out = []
     for unit in units:
-        if cfg.preprocess.order == CRUISE_FIRST:
-            unit = cruise_filter(unit, cfg.preprocess.cruise_threshold)
-            unit = downsample(unit, cfg.preprocess.downsample_factor)
-        else:
-            unit = downsample(unit, cfg.preprocess.downsample_factor)
-            unit = cruise_filter(unit, cfg.preprocess.cruise_threshold)
+        unit = downsample(unit, cfg.preprocess.downsample_factor)
+        unit = cruise_filter(unit, cfg.preprocess.cruise_threshold)
         truth = truths.get(unit.unit_id) if truths else None
         if truth is not None and truth.family and unit.dataset_id != truth.family:
             unit = dataclasses.replace(unit, dataset_id=truth.family)
@@ -108,18 +102,15 @@ def fit_fleet_stats(
     fleet_split: FleetSplit,
     model: ResidualModel,
     hi_kind: str,
-    cfg: RunConfig,
     residuals: dict[str, np.ndarray],
 ) -> HealthyStats:
-    """Fleet-global healthy statistics from the configured healthy rows.
+    """Fleet-global healthy statistics from the pooled validation rows.
 
     ``residuals`` is the fleet_residuals of the model over ``units``.
     """
     pooled = []
     for unit in units:
         rows = fleet_split.validation[unit.unit_id]
-        if cfg.detection.stats_source == STATS_ON_TRAIN_VALIDATION:
-            rows = np.sort(np.concatenate([rows, fleet_split.train[unit.unit_id]]))
         if len(rows) == 0:
             continue
         pooled.append(unit_hi(residuals[unit.unit_id], hi_kind)[rows])
@@ -148,7 +139,7 @@ def fit_model(
     )
     residuals = fleet_residuals(model, preprocessed)
     stats = {
-        hi_kind: fit_fleet_stats(preprocessed, fleet_split, model, hi_kind, cfg, residuals)
+        hi_kind: fit_fleet_stats(preprocessed, fleet_split, model, hi_kind, residuals)
         for hi_kind in HI_KINDS
     }
     return model, result, residuals, stats

@@ -393,7 +393,8 @@ def save_reports(reports, model_kind: str, hi_kind: str, path: str | Path) -> No
 def load_reports(path: str | Path):
     """Read detection rows back, grouped as (model, hi_kind) -> reports.
 
-    A second row for one (model, hi_kind, unit) is a DataError.
+    A second row for one (model, hi_kind, unit) is a DataError, and so is a
+    delay other than alarm_cycle - fault_cycle (empty when either is).
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -415,13 +416,21 @@ def load_reports(path: str | Path):
                     f"of the {key[0]} {key[1]} reports"
                 )
             seen.add((*key, row["unit"]))
+            alarm = _int_cell(path, line, row, "alarm_cycle")
+            fault = _int_cell(path, line, row, "fault_cycle")
+            delay = _int_cell(path, line, row, "delay")
+            if delay != (None if alarm is None or fault is None else alarm - fault):
+                raise DataError(
+                    f"{path}: line {line}, unit {row['unit']!r}: delay {row['delay']!r} "
+                    "is not alarm_cycle - fault_cycle"
+                )
             groups.setdefault(key, []).append(
                 DetectionReport(
                     unit_id=row["unit"],
                     dataset_id=row["dataset"],
-                    alarm_cycle=_int_cell(path, line, row, "alarm_cycle"),
-                    n_true=_int_cell(path, line, row, "fault_cycle"),
-                    delay=_int_cell(path, line, row, "delay"),
+                    alarm_cycle=alarm,
+                    n_true=fault,
+                    delay=delay,
                     triggered_first=tuple(
                         s for s in row["triggered_first"].split(";") if s
                     ),

@@ -1,21 +1,17 @@
 """Downsampling, cruise-phase filtering, and per-channel standardization.
 
-Downsampling and the cruise filter run in the order ``preprocess.order``
-chooses (downsample first by default); the standardizer is then fitted on
-training rows and applied everywhere else.
+Each unit is downsampled, then cruise-filtered; the standardizer is then
+fitted on training rows and applied everywhere else.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import UnitSeries, cycle_bounds
 from .errors import InsufficientData, NonPositiveAltitude, ShapeMismatch
-
-logger = logging.getLogger(__name__)
 
 STD_EPSILON = 1e-8
 # column of ``UnitSeries.w`` that holds the altitude
@@ -103,12 +99,12 @@ def cruise_filter(series: UnitSeries, threshold: float) -> UnitSeries:
     """Keep the rows of each cycle whose normalized altitude exceeds the threshold.
 
     Altitude is normalized per cycle by that cycle's maximum, so the
-    comparison is altitude / max_altitude > threshold. Cycles whose rows
-    are all filtered away are dropped and reported via a warning.
+    comparison is altitude / max_altitude > threshold. The maximum's own
+    row has ratio exactly 1, so under a threshold below 1 (as every
+    ``preprocess.cruise_threshold`` is) every cycle keeps a row.
     """
     alt = series.w[:, ALTITUDE_CHANNEL]
     keep_blocks = []
-    dropped = []
     for start, stop in zip(*cycle_bounds(series.cycle_of)):
         cyc_alt = alt[start:stop]
         top = cyc_alt.max()
@@ -117,17 +113,5 @@ def cruise_filter(series: UnitSeries, threshold: float) -> UnitSeries:
                 f"unit {series.unit_id!r} cycle {series.cycle_of[start]}: "
                 f"max altitude {top} is not positive"
             )
-        mask = cyc_alt / top > threshold
-        if not mask.any():
-            dropped.append(int(series.cycle_of[start]))
-            continue
-        keep_blocks.append(np.flatnonzero(mask) + start)
-    if dropped:
-        logger.warning(
-            "unit %s: dropped %d cycle(s) with no cruise rows: %s",
-            series.unit_id,
-            len(dropped),
-            dropped,
-        )
-    keep = np.concatenate(keep_blocks) if keep_blocks else np.array([], dtype=np.int64)
-    return series.take_rows(keep)
+        keep_blocks.append(np.flatnonzero(cyc_alt / top > threshold) + start)
+    return series.take_rows(np.concatenate(keep_blocks))

@@ -3,7 +3,7 @@
 Each alarmed unit is read through its ``post`` rows: its cycle-averaged
 sensor-wise indicators from the alarm cycle on (``CycleAverages.since``),
 so row ``k`` is ``k`` cycles after the alarm. A signature is the row at a
-fixed offset, normalized per unit; a unit whose series ends before an
+fixed offset divided by its maximum; a unit whose series ends before an
 offset has no row there. Signatures are projected to two principal
 components for visualization and scored with the silhouette coefficient
 against ground-truth fault labels.
@@ -18,24 +18,18 @@ import numpy as np
 from .detector import HealthyStats
 from .errors import InsufficientData, ShapeMismatch, SingleCluster
 
-NORMALIZE_MAX = "max"
-NORMALIZE_ZSCORE = "zscore"
 NEVER_TRIGGERED = "No"
 
 
-def snapshot(post: np.ndarray, k: int, normalize: str) -> np.ndarray:
-    """The signature ``k`` cycles after the alarm: row ``k`` of ``post``, normalized.
+def snapshot(post: np.ndarray, k: int) -> np.ndarray:
+    """The signature ``k`` cycles after the alarm: row ``k`` of ``post`` over its maximum.
 
-    The caller checks ``k < len(post)``.
+    A row with no positive entry is returned as a copy, unscaled. The caller
+    checks ``k < len(post)``.
     """
     row = post[k]
-    if normalize == NORMALIZE_MAX:
-        top = row.max()
-        return row / top if top > 0 else row.copy()
-    if normalize == NORMALIZE_ZSCORE:
-        sd = row.std()
-        return (row - row.mean()) / sd if sd > 0 else row - row.mean()
-    raise ValueError(f"unknown normalization mode {normalize!r}")
+    top = row.max()
+    return row / top if top > 0 else row.copy()
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,6 @@ def silhouette_curve(
     posts: list[np.ndarray],
     fault_labels: list[str],
     k_range: range | list[int],
-    normalize: str,
 ) -> list[SilhouettePoint]:
     """Silhouette of snapshot signatures versus cycles after detection.
 
@@ -138,7 +131,7 @@ def silhouette_curve(
         if len(set(labels)) < 2:
             curve.append(SilhouettePoint(k=k, score=float("nan"), n_units=len(kept)))
             continue
-        score = silhouette(np.array([snapshot(post, k, normalize) for post, _ in kept]), labels)
+        score = silhouette(np.array([snapshot(post, k) for post, _ in kept]), labels)
         curve.append(SilhouettePoint(k=k, score=score, n_units=len(kept)))
     return curve
 

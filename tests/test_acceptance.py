@@ -283,10 +283,7 @@ def end_to_end():
         ids, posts, labels = experiment.alarm_views(detections[(kind, SENSORWISE)])
         # every alarmed unit is labelled with its ground-truth fault family
         assert labels == [truths[unit_id].family for unit_id in ids]
-        curve = silhouette_curve(
-            posts, labels, k_range=[10], normalize=cfg.segmentation.normalization
-        )
-        silhouettes[kind] = curve[0].score
+        silhouettes[kind] = silhouette_curve(posts, labels, k_range=[10])[0].score
 
     return {
         "detections": detections,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -243,6 +244,25 @@ class TestTrain:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("preprocess", "order", "cruise_first"),
+        ("detection", "stats_source", "train+validation"),
+        ("segmentation", "normalization", "zscore"),
+    ],
+)
+def test_removed_config_key_exits_2(tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({section: {key: value}}))
+    code = main(["train", "--config", str(cfg), "--data", str(tmp_path), "--model", "oc",
+                 "--out", str(tmp_path / "oc.json")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: unknown key(s) in {section!r}: [{key!r}]"
+    ]
+
+
 class TestUnwritableOut:
     """An --out that cannot be created is a data error (exit 3), never a traceback."""
 
@@ -441,6 +461,23 @@ class TestEvaluate:
         p.write_text(p.read_text().replace(",30,", ",abc,"))
         assert main(["evaluate", "--reports", str(p), "--out", str(tmp_path / "eval")]) == 3
         assert "'alarm_cycle', line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "alarm, n_true, delay", [(30, 20, -11), (30, 20, None), (None, 20, 5), (30, None, 10)]
+    )
+    def test_delay_that_contradicts_the_cycles_exits_3(
+        self, tmp_path, capsys, alarm, n_true, delay
+    ):
+        report = dataclasses.replace(fabricate_report("u1", "fan", alarm, n_true), delay=delay)
+        p = tmp_path / "r.csv"
+        save_reports([fabricate_report("u0", "fan", 30, 20), report], "OC", "sensorwise", p)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--reports", str(p), "--out", str(out)]) == 3
+        cell = "" if delay is None else str(delay)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {p}: line 3, unit 'u1': delay {cell!r} is not alarm_cycle - fault_cycle"
+        ]
+        assert not out.exists()
 
     def test_no_ground_truth_fpr_is_dash(self, tmp_path, capsys):
         reports = [

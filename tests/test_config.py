@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -57,19 +59,11 @@ class TestValidation:
         with pytest.raises(ConfigInvalid):
             config_from_dict({"preprocess": {"cruise_threshold": "high"}})
         with pytest.raises(ConfigInvalid):
-            config_from_dict({"detection": {"stats_source": 4}})
+            config_from_dict({"synth": {"unit_prefix": 4}})
 
     def test_bool_is_not_an_integer(self):
         with pytest.raises(ConfigInvalid):
             config_from_dict({"training": {"epochs": True}})
-
-    def test_bad_stats_source_value(self):
-        with pytest.raises(ConfigInvalid):
-            config_from_dict({"detection": {"stats_source": "test"}})
-
-    def test_bad_preprocess_order(self):
-        with pytest.raises(ConfigInvalid):
-            config_from_dict({"preprocess": {"order": "sideways"}})
 
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -177,3 +171,17 @@ class TestNonFiniteFloats:
         path.write_text(f"synth: {{noise_std: {text}}}\n")
         with pytest.raises(ConfigInvalid, match="synth.noise_std"):
             load_config(path)
+
+
+def test_readme_config_block_is_the_default_config(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```yaml\n(.*?)```", readme, flags=re.DOTALL)
+    path = tmp_path / "readme.yaml"
+    path.write_text(block)
+    assert load_config(path) == RunConfig()
+    blob = yaml.safe_load(block)
+    sections = [f.name for f in dataclasses.fields(RunConfig) if f.name != "seed"]
+    assert sorted(blob) == sorted(["seed", *sections])
+    for name in sections:
+        fields = dataclasses.fields(getattr(RunConfig(), name))
+        assert sorted(blob[name]) == sorted(f.name for f in fields), name

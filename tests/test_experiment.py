@@ -54,18 +54,6 @@ class TestPreparation:
         pre = experiment.preprocess_fleet(units, cfg, truths)
         assert {u.dataset_id for u in pre} == {"fan", "hpc"}
 
-    def test_preprocess_order_is_configurable(self, mini_fleet):
-        cfg, units, truths = mini_fleet
-        default = experiment.preprocess_fleet(units, cfg, truths)
-        alt_cfg = config_from_dict({"preprocess": {"order": "cruise_first"}})
-        alternative = experiment.preprocess_fleet(units, alt_cfg, truths)
-        # cruise-first strides over cruise rows only, so it keeps at least
-        # as many rows per cycle and selects a different row set
-        assert alternative[0].n_rows >= default[0].n_rows
-        assert alternative[0].n_rows != default[0].n_rows or not np.array_equal(
-            alternative[0].x, default[0].x
-        )
-
     def test_standardizer_fits_train_rows_only(self, mini_fleet):
         cfg, units, truths = mini_fleet
         pre = experiment.preprocess_fleet(units, cfg, truths)
@@ -74,32 +62,20 @@ class TestPreparation:
         np.testing.assert_allclose(z_train.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(z_train.std(axis=0), 1.0, atol=1e-10)
 
-    def test_stats_source_config_extends_pool(self, mini_fleet):
+    def test_healthy_stats_pool_the_validation_rows(self, mini_fleet):
         cfg, units, truths = mini_fleet
         pre = experiment.preprocess_fleet(units, cfg, truths)
         model, _, residuals, stats = experiment.fit_model(
             pre, cfg, "OC", split_seed=3, train_seed=1
         )
         fleet_split, _ = experiment.prepare_fleet(pre, cfg, split_seed=3)
-        stats_val = experiment.fit_fleet_stats(
-            pre, fleet_split, model, SENSORWISE, cfg, residuals
-        )
+        stats_val = experiment.fit_fleet_stats(pre, fleet_split, model, SENSORWISE, residuals)
         # fit_model fits the same statistics from its own split
         np.testing.assert_equal(
             dataclasses.asdict(stats_val), dataclasses.asdict(stats[SENSORWISE])
         )
-        both_cfg = config_from_dict(
-            {"detection": {"stats_source": "train+validation"}}
-        )
-        stats_both = experiment.fit_fleet_stats(
-            pre, fleet_split, model, SENSORWISE, both_cfg, residuals
-        )
-        assert stats_both.fitted_on > stats_val.fitted_on
-        n_healthy = sum(
-            len(fleet_split.train[u.unit_id]) + len(fleet_split.validation[u.unit_id])
-            for u in pre
-        )
-        assert stats_both.fitted_on == n_healthy
+        # the pool is the validation rows, and only they
+        assert stats_val.fitted_on == sum(len(fleet_split.validation[u.unit_id]) for u in pre)
         assert stats_val.channel_names == pre[0].x_names
         assert stats[AGGREGATED].channel_names == (AGGREGATED,)
 

@@ -14,7 +14,7 @@ import ast
 import dataclasses
 from pathlib import Path
 
-from resfault import errors, experiment, nn, segmentation
+from resfault import config, errors, experiment, nn, segmentation
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM_FILES = sorted(ROOT.glob("src/resfault/*.py")) + sorted(ROOT.glob("scripts/*.py"))
@@ -34,6 +34,12 @@ def test_removed_forms_stay_gone():
         (segmentation, "UnitSignature"),
         (segmentation, "_alarm_position"),
         (segmentation, "NORMALIZE_NONE"),
+        (segmentation, "NORMALIZE_MAX"),
+        (segmentation, "NORMALIZE_ZSCORE"),
+        (config, "STATS_ON_VALIDATION"),
+        (config, "STATS_ON_TRAIN_VALIDATION"),
+        (config, "DOWNSAMPLE_FIRST"),
+        (config, "CRUISE_FIRST"),
         (errors, "NoAlarm"),
     ):
         assert not hasattr(module, name), name

@@ -164,3 +164,28 @@ class TestCruiseFilter:
         # every kept row appears in the input, in the original order
         positions = [np.flatnonzero((unit.w == row).all(axis=1))[0] for row in out.w]
         assert positions == sorted(positions)
+
+
+@st.composite
+def altitude_cycles(draw):
+    """Positive altitudes of 1..6 cycles of 1..12 rows each."""
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    alt = draw(
+        st.lists(
+            st.floats(0.0, 1e9, exclude_min=True),
+            min_size=sum(lengths),
+            max_size=sum(lengths),
+        )
+    )
+    return np.repeat(np.arange(len(lengths)), lengths), np.array(alt)
+
+
+@given(altitude_cycles(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_cruise_filter_keeps_every_cycle_and_the_rows_above_threshold(cycles, threshold):
+    cycle_of, alt = cycles
+    unit = make_unit(cycle_of, w=np.column_stack([alt, np.ones(len(alt))]))
+    kept = cruise_filter(unit, threshold)
+    np.testing.assert_array_equal(np.unique(kept.cycle_of), np.unique(cycle_of))
+    top = np.array([alt[cycle_of == c].max() for c in cycle_of])
+    np.testing.assert_array_equal(kept.w, unit.w[alt / top > threshold])

@@ -230,8 +230,8 @@ def test_silhouette_counts_only_finite_scores(experiment_run):
 
 def test_segmentation_settings_reach_the_tables(experiment_run, tmp_path):
     default_out, _ = experiment_run
-    blob = {**TINY, "segmentation": {"normalization": "zscore", "timeline_checkpoints": [1, 2]}}
-    cfg = tmp_path / "zscore.yaml"
+    blob = {**TINY, "segmentation": {"k_max": 5, "timeline_checkpoints": [1, 2]}}
+    cfg = tmp_path / "k_max.yaml"
     cfg.write_text(json.dumps(blob))
     out = tmp_path / "out"
     assert load_script().main(["--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
@@ -239,5 +239,12 @@ def test_segmentation_settings_reach_the_tables(experiment_run, tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows
     assert {row["triggered_at"] for row in rows} <= {"1", "2", "No"}
-    table = "silhouette_vs_k.csv"
-    assert (out / table).read_bytes() != (default_out / table).read_bytes()
+    with open(out / "silhouette_vs_k.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(default_out / "silhouette_vs_k.csv", newline="") as fh:
+        default_rows = list(csv.DictReader(fh))
+    # the same curves, cut at k_max
+    assert [(row["model"], row["k"]) for row in rows] == [
+        (kind, str(k)) for kind in experiment.MODEL_KINDS for k in range(6)
+    ]
+    assert rows == [row for row in default_rows if int(row["k"]) <= 5]

@@ -17,8 +17,6 @@ from resfault.errors import CycleOutOfRange, InsufficientData, SingleCluster
 from resfault.health import sensorwise_hi
 from resfault.segmentation import (
     NEVER_TRIGGERED,
-    NORMALIZE_MAX,
-    NORMALIZE_ZSCORE,
     pca_2d,
     silhouette,
     silhouette_curve,
@@ -55,25 +53,24 @@ class TestSnapshot:
     def test_max_normalization(self):
         values = np.zeros((12, 3))
         values[11] = [2.0, 4.0, 1.0]
-        sig = snapshot(averages(values).since(1), k=10, normalize=NORMALIZE_MAX)
+        sig = snapshot(averages(values).since(1), k=10)
         np.testing.assert_array_equal(sig, [0.5, 1.0, 0.25])
 
     def test_all_equal_row_becomes_ones(self):
         values = np.full((5, 4), 3.3)
-        sig = snapshot(averages(values).since(0), k=4, normalize=NORMALIZE_MAX)
+        sig = snapshot(averages(values).since(0), k=4)
         np.testing.assert_array_equal(sig, 1.0)
 
     def test_zero_row_stays_zero(self):
         values = np.zeros((3, 2))
-        sig = snapshot(averages(values).since(0), k=1, normalize=NORMALIZE_MAX)
+        sig = snapshot(averages(values).since(0), k=1)
         np.testing.assert_array_equal(sig, 0.0)
 
     def test_normalization_leaves_the_averages_unchanged(self):
         avg = averages(np.array([[0.0, 0.0], [2.0, 4.0], [-1.0, -3.0]]))
         before = avg.values.copy()
-        for normalize in (NORMALIZE_MAX, NORMALIZE_ZSCORE):
-            for k in range(3):
-                snapshot(avg.since(0), k, normalize)
+        for k in range(3):
+            snapshot(avg.since(0), k)
         np.testing.assert_array_equal(avg.values, before)
 
     def test_offset_counts_positions_from_alarm_cycle(self):
@@ -81,7 +78,7 @@ class TestSnapshot:
         values = np.array([[1.0], [2.0], [6.0], [3.0]])
         # widen to 2 channels so max-normalization is visible
         values = np.hstack([values, values * 0.5])
-        sig = snapshot(averages(values, cycle_ids).since(8), k=1, normalize=NORMALIZE_MAX)
+        sig = snapshot(averages(values, cycle_ids).since(8), k=1)
         np.testing.assert_array_equal(sig, [1.0, 0.5])
 
     def test_same_family_signatures_are_closer(self, rng):
@@ -90,7 +87,7 @@ class TestSnapshot:
             gen = np.random.default_rng(seed)
             values = np.abs(gen.normal(0.05, 0.01, size=(20, 6)))
             values[10:, channels] += np.linspace(0.5, 3.0, 10)[:, None]
-            return snapshot(averages(values).since(9), k=10, normalize=NORMALIZE_MAX)
+            return snapshot(averages(values).since(9), k=10)
 
         fam_a = [sig_for([0, 1], s) for s in range(3)]
         fam_b = [sig_for([3, 4], s + 10) for s in range(3)]
@@ -274,26 +271,26 @@ class TestSilhouetteCurve:
 
     def test_scores_finite_over_domain(self):
         posts, labels = self.build_fleet()
-        curve = silhouette_curve(posts, labels, k_range=range(0, 7), normalize=NORMALIZE_MAX)
+        curve = silhouette_curve(posts, labels, k_range=range(0, 7))
         assert [p.k for p in curve] == list(range(7))
         assert all(np.isfinite(p.score) for p in curve)
         assert all(p.n_units == 6 for p in curve)
 
     def test_separable_families_score_high(self):
         posts, labels = self.build_fleet()
-        curve = silhouette_curve(posts, labels, k_range=[10], normalize=NORMALIZE_MAX)
+        curve = silhouette_curve(posts, labels, k_range=[10])
         assert curve[0].score > 0.5
 
     def test_units_dropped_after_series_end(self):
         posts, labels = self.build_fleet(short_unit=True)
-        curve = silhouette_curve(posts, labels, k_range=[0, 10], normalize=NORMALIZE_MAX)
+        curve = silhouette_curve(posts, labels, k_range=[0, 10])
         assert curve[0].n_units == 6
         assert curve[1].n_units == 5
 
     def test_single_family_rejected(self):
         posts, labels = self.build_fleet()
         with pytest.raises(SingleCluster):
-            silhouette_curve(posts[:3], labels[:3], k_range=[0], normalize=NORMALIZE_MAX)
+            silhouette_curve(posts[:3], labels[:3], k_range=[0])
 
 
 class TestTriggerTimeline:
@@ -375,19 +372,16 @@ def alarmed_fleets(draw):
     return posts, labels
 
 
-def normalized(row, mode):
-    if mode == NORMALIZE_MAX:
-        return row / row.max() if row.max() > 0 else row
-    centred = row - row.mean()
-    return centred / row.std() if row.std() > 0 else centred
+def normalized(row):
+    return row / row.max() if row.max() > 0 else row
 
 
-@given(alarmed_fleets(), st.sampled_from([NORMALIZE_MAX, NORMALIZE_ZSCORE]))
+@given(alarmed_fleets())
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_curve_scores_the_units_whose_rows_reach_each_offset(fleet, normalize):
+def test_curve_scores_the_units_whose_rows_reach_each_offset(fleet):
     posts, labels = fleet
     k_range = range(0, 42)
-    curve = silhouette_curve(posts, labels, k_range, normalize)
+    curve = silhouette_curve(posts, labels, k_range)
     assert [point.k for point in curve] == list(k_range)
     for k, point in zip(k_range, curve):
         kept = [i for i, post in enumerate(posts) if len(post) > k]
@@ -395,7 +389,7 @@ def test_curve_scores_the_units_whose_rows_reach_each_offset(fleet, normalize):
         if len({labels[i] for i in kept}) < 2:
             assert math.isnan(point.score)
         else:
-            rows = np.array([normalized(posts[i][k], normalize) for i in kept])
+            rows = np.array([normalized(posts[i][k]) for i in kept])
             assert point.score == silhouette(rows, [labels[i] for i in kept])
 
 

@@ -28,9 +28,7 @@ RECEIVES_SETTING = [
     (detector.detect, "n_wait"),
     (detector.build_report, "n_wait"),
     (segmentation.snapshot, "k"),
-    (segmentation.snapshot, "normalize"),
     (segmentation.silhouette_curve, "k_range"),
-    (segmentation.silhouette_curve, "normalize"),
     (segmentation.trigger_timeline, "checkpoints"),
     (preprocess.cruise_filter, "threshold"),
     (preprocess.downsample, "factor"),
@@ -62,7 +60,7 @@ def test_setting_parameter_has_no_default(fn, name):
         (SplitSettings, {"validation_fraction": 1.0}),
         (TrainingSettings, {"epochs": 0}),
         (DetectionSettings, {"n_wait": 0}),
-        (SegmentationSettings, {"normalization": "l2"}),
+        (SegmentationSettings, {"k_max": -1}),
         (SynthSettings, {"n_families": 4}),
         (SynthSettings, {"map_seed": -1}),
         (SynthSettings, {"rows_per_cycle": 19}),
