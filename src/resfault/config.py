@@ -254,9 +254,13 @@ def load_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(
+            f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
+        ) from None
     try:
         blob = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:

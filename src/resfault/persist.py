@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import array
 import csv
+import functools
 import io
 import itertools
 import json
@@ -61,12 +62,28 @@ def format_float(v: float) -> str:
 
 def write_table(path: str | Path, header, rows) -> None:
     """Write a CSV table: the header row, then every row of ``rows``."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
+def _utf8_input(load):
+    """``load(path)``, with a file that is not UTF-8 text a DataError naming it."""
+
+    @functools.wraps(load)
+    def checked(path):
+        try:
+            return load(path)
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
+            ) from None
+
+    return checked
+
+
+@_utf8_input
 def load_csv(path: str | Path) -> list[UnitSeries]:
     """Read a fleet CSV into per-unit series.
 
@@ -75,8 +92,9 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     a cycle.
 
     A well-formed file is parsed by ``np.loadtxt``; anything else (quotes,
-    ragged or blank lines, non-numeric or non-finite cells, no data) is
-    parsed again by the ``csv`` module, which names the offending line.
+    a ``\\r`` inside a line, ragged or blank lines, non-numeric or
+    non-finite cells, no data) is parsed again by the ``csv`` module, which
+    names the offending line.
     """
     path = Path(path)
     unit_ids, codes, table = _parse_fast(path) or _parse_csv(path)
@@ -102,38 +120,61 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     return fleet
 
 
+# Bytes read per step of the scan in _parse_fast.
+_SCAN_BLOCK_BYTES = 1 << 20
+_NEWLINE, _RETURN, _COMMA = b"\n\r,"
+
+
 def _parse_fast(path: Path):
     """Columns of a well-formed fleet CSV, or None when the csv path must decide.
 
-    One pass over the lines checks that no line holds a quote and that every
-    line has the header's cell count, and takes the unit column; then
-    ``np.loadtxt`` parses the numeric columns from a second handle. Neither
-    holds the whole file in memory.
+    A numpy scan of the bytes checks that no line holds a quote or a
+    ``\\r`` other than before its newline, and that every line has the
+    header's cell count, and codes the unit cells; then ``np.loadtxt``
+    parses the numeric columns from a second handle. Neither holds more
+    than a block and its partial last line in memory.
     """
-    with path.open(newline="") as fh:
-        first = fh.readline()
-        header = next(csv.reader([first]), [])
-        if '"' in first or not set(FLEET_COLUMNS) <= set(header):
+    with path.open("rb") as fh:
+        runs = _line_runs(fh)
+        first = next(runs, None)
+        if first is None:
+            return None
+        line, _, rest = first.partition(b"\n")
+        line = line.removesuffix(b"\r")
+        try:
+            header = line.decode().split(",")
+        except UnicodeDecodeError:
+            return None
+        if b"\r" in line or not set(FLEET_COLUMNS) <= set(header):
             return None
         unit_at = header.index(UNIT_COLUMN)
-        index: dict[str, int] = {}
+        index: dict[bytes, int] = {}
         codes = []
-        for line in fh:
-            cells = line.rstrip("\r\n").split(",")
-            if len(cells) != len(header) or '"' in line:
+        for run in itertools.chain([rest], runs):
+            if run is None:
                 return None
-            codes.append(index.setdefault(cells[unit_at], len(index)))
-    if not codes:
+            run_codes = _unit_codes(run, len(header), unit_at, index)
+            if run_codes is None:
+                return None
+            codes.append(run_codes)
+    codes = np.concatenate(codes)
+    if not len(codes):
         return None
-    with path.open() as fh:
+    try:
+        unit_ids = [key.decode() for key in index]
+    except UnicodeDecodeError:
+        return None
+    with path.open("rb") as fh:
         fh.readline()
         try:
+            # numpy decodes a binary handle's lines itself, a little faster than a text handle
             table = np.loadtxt(
                 fh,
                 delimiter=",",
                 comments=None,
                 usecols=[header.index(name) for name in NUMERIC_COLUMNS],
                 ndmin=2,
+                encoding="utf-8",
             )
         except ValueError:
             return None
@@ -144,7 +185,71 @@ def _parse_fast(path: Path):
         or np.any(cycle != np.floor(cycle))
     ):
         return None
-    return list(index), np.array(codes, dtype=np.int64), table
+    return unit_ids, codes, table
+
+
+def _line_runs(fh):
+    """The binary file ``fh`` as runs of whole lines, each ending in a newline.
+
+    Reads _SCAN_BLOCK_BYTES at a time and carries the partial last line
+    into the next run; the file's last line gets a newline if it lacks one.
+    Yields None and stops at the first quote, or at a ``\\r`` inside the
+    partial line, which no newline can follow.
+    """
+    carry = b""
+    while data := fh.read(_SCAN_BLOCK_BYTES):
+        buf = carry + data
+        end = buf.rfind(b"\n") + 1
+        carry = buf[end:]
+        if b'"' in data or b"\r" in carry[:-1]:
+            yield None
+            return
+        if end:
+            yield buf[:end]
+    if carry:
+        yield carry + b"\n"
+
+
+def _unit_codes(run: bytes, n_cells: int, unit_at: int, index: dict[bytes, int]):
+    """Codes of the unit cells of the lines of ``run``, or None unless every
+    line has ``n_cells`` cells and every ``\\r`` ends a line.
+
+    A code is the cell's place in ``index``, which gains the cells it lacks
+    in order of first appearance. Cells are grouped by width and compared
+    as byte strings in numpy, so only distinct cells reach Python.
+    """
+    buf = np.frombuffer(run, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == _NEWLINE)
+    commas = np.flatnonzero(buf == _COMMA)
+    line_returns = buf[newlines - 1] == _RETURN
+    if np.count_nonzero(buf == _RETURN) != np.count_nonzero(line_returns) or np.any(
+        np.diff(np.searchsorted(commas, newlines), prepend=0) != n_cells - 1
+    ):
+        return None
+    bounds = commas.reshape(len(newlines), n_cells - 1)
+    starts = np.concatenate(([0], newlines + 1))[:-1]
+    lo = starts if unit_at == 0 else bounds[:, unit_at - 1] + 1
+    hi = newlines - line_returns if unit_at == n_cells - 1 else bounds[:, unit_at]
+    width = hi - lo
+    groups, keys = [], []  # keys: (first line, cell bytes) of each distinct cell
+    for w in np.unique(width).tolist():
+        rows = np.flatnonzero(width == w)
+        # one zero byte stands for every empty cell
+        cells = buf[lo[rows, None] + np.arange(w)] if w else np.zeros((len(rows), 1), np.uint8)
+        _, first, inverse = np.unique(
+            cells.view(np.dtype((np.void, max(w, 1)))).ravel(),
+            return_index=True,
+            return_inverse=True,
+        )
+        groups.append((rows, inverse + len(keys)))
+        keys += [(row, run[lo[row] : lo[row] + w]) for row in rows[first].tolist()]
+    lut = np.empty(len(keys), dtype=np.int64)
+    for k in sorted(range(len(keys)), key=lambda k: keys[k][0]):
+        lut[k] = index.setdefault(keys[k][1], len(index))
+    codes = np.empty(len(newlines), dtype=np.int64)
+    for rows, key in groups:
+        codes[rows] = lut[key]
+    return codes
 
 
 def _parse_csv(path: Path):
@@ -155,7 +260,7 @@ def _parse_csv(path: Path):
     NUMERIC_COLUMNS order the first non-numeric or non-finite cell, as
     written, with its line.
     """
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -209,7 +314,7 @@ def _parse_csv(path: Path):
 
 def _cell(path: Path, row: int, column: int) -> str:
     """Cell ``column`` of data row ``row`` (0-based), as written."""
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         next(rows)
         return next(itertools.islice(rows, row, None))[column]
@@ -241,7 +346,7 @@ def save_csv(fleet: list[UnitSeries], path: str | Path) -> None:
 
     The bytes are those of ``csv.writer`` rows of ``format_float`` cells.
     """
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_row(FLEET_COLUMNS))
         write_fleet_rows(fh, fleet)
 
@@ -331,10 +436,11 @@ def _int_cell(path: Path, line: int, row: dict, column: str) -> int | None:
         ) from None
 
 
+@_utf8_input
 def load_ground_truth(path: str | Path) -> dict[str, TruthRecord]:
     """Ground-truth sidecar by unit id; a second row for one unit is a DataError."""
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         header, rows = _records(path, fh)
         for name in ("unit", "family", "fault_cycle", "faulty_sensors"):
             if name not in header:
@@ -390,6 +496,7 @@ def save_reports(reports, model_kind: str, hi_kind: str, path: str | Path) -> No
     )
 
 
+@_utf8_input
 def load_reports(path: str | Path):
     """Read detection rows back, grouped as (model, hi_kind) -> reports.
 
@@ -397,7 +504,7 @@ def load_reports(path: str | Path):
     delay other than alarm_cycle - fault_cycle (empty when either is).
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         header, rows = _records(path, fh)
         missing = set(REPORT_COLUMNS) - set(header)
         if missing:
@@ -524,7 +631,7 @@ def save_checkpoint(
         "n_w": model.n_w,
         "metadata": metadata or {},
     }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
@@ -535,7 +642,7 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptCheckpoint(f"{path}: not valid checkpoint JSON ({exc})") from None
     if not isinstance(payload, dict):
@@ -591,7 +698,7 @@ def write_manifest(path: Path, command: str, cfg: RunConfig, extras: dict) -> No
         lines.append(f"{key}: {value}")
     lines.append("config:")
     lines.extend("  " + ln for ln in dump_config(cfg).splitlines())
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _mark_none(value, text=format_float) -> str:

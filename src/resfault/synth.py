@@ -261,7 +261,7 @@ def _write_part(cfg: RunConfig, plan: list, path: Path) -> list[TruthRecord]:
     """
     sensor_map = _fleet_sensor_map(cfg)
     truths = []
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         for planned in plan:
             series, truth = gen_unit(cfg.synth, *planned, sensor_map)
             persist.write_fleet_rows(fh, [series])

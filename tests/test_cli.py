@@ -942,3 +942,67 @@ class TestAeEmbedding:
         # AE signatures carry all 18 channels
         signatures = read_rows(out / "signatures.csv")
         assert len(signatures[0]) == 2 + 18
+
+
+class TestNotUtf8:
+    """An input file that is not UTF-8 text exits with one error line naming it."""
+
+    @staticmethod
+    def spoil_unit_cell(source: Path, target: Path) -> Path:
+        """``source`` with a 0xE9 byte after the first character of line 2's unit cell."""
+        lines = source.read_bytes().split(b"\n")
+        cells = lines[1].split(b",")
+        at = lines[0].split(b",").index(b"unit")
+        cells[at] = cells[at][:1] + b"\xe9" + cells[at][1:]
+        lines[1] = b",".join(cells)
+        target.write_bytes(b"\n".join(lines))
+        return target
+
+    def assert_exit(self, code, capsys, expected_code, path):
+        assert code == expected_code
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path} is not UTF-8 text: byte 0xe9 (invalid continuation byte)"
+        ]
+
+    def data_dir(self, workspace, tmp_path, spoiled):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("fleet.csv", "ground_truth.csv"):
+            if name == spoiled:
+                self.spoil_unit_cell(workspace["data"] / name, data / name)
+            else:
+                (data / name).write_bytes((workspace["data"] / name).read_bytes())
+        return data
+
+    @pytest.mark.parametrize("command", ["detect", "train"])
+    def test_fleet(self, workspace, tmp_path, capsys, command):
+        data = self.data_dir(workspace, tmp_path, "fleet.csv")
+        args = ["--config", str(workspace["config"]), "--data", str(data)]
+        if command == "detect":
+            args += ["--checkpoint", str(workspace["oc"]), "--hi", "sensorwise",
+                     "--out", str(tmp_path / "reports.csv")]
+        else:
+            args += ["--model", "oc", "--out", str(tmp_path / "oc.json")]
+        self.assert_exit(main([command, *args]), capsys, 3, data / "fleet.csv")
+
+    def test_ground_truth(self, workspace, tmp_path, capsys):
+        data = self.data_dir(workspace, tmp_path, "ground_truth.csv")
+        code = main(
+            ["detect", "--config", str(workspace["config"]), "--data", str(data),
+             "--checkpoint", str(workspace["oc"]), "--hi", "sensorwise",
+             "--out", str(tmp_path / "reports.csv")]
+        )
+        self.assert_exit(code, capsys, 3, data / "ground_truth.csv")
+
+    def test_report(self, tmp_path, capsys):
+        path = tmp_path / "reports.csv"
+        save_reports([fabricate_report("u1", "fan", 30, 20)], "OC", "sensorwise", path)
+        self.spoil_unit_cell(path, path)
+        code = main(["evaluate", "--reports", str(path), "--out", str(tmp_path / "eval")])
+        self.assert_exit(code, capsys, 3, path)
+
+    def test_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b'synth:\n  unit_prefix: "\xe9a"\n')
+        code = main(["synth", "--config", str(path), "--out", str(tmp_path / "data")])
+        self.assert_exit(code, capsys, 2, path)

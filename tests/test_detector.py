@@ -190,6 +190,7 @@ class TestDelayAndFpr:
     def test_no_negative_delays(self):
         reports = [self.report(f"u{i}", delay=3, alarm=33) for i in range(4)]
         reports.append(self.report("u4"))  # no alarm counts only in denominator
+        reports.append(self.report("u5", delay=0, alarm=30))  # an alarm at the fault
         assert self.false_positive_rate(reports) == 0.0
 
     def test_all_negative(self):

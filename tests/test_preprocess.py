@@ -119,9 +119,10 @@ class TestStandardizer:
 
 class TestCruiseFilter:
     def test_keeps_high_altitude_rows(self):
+        # 8500 / 10000 is 0.85 exactly, which is not above the threshold
         unit = make_unit(
-            [0, 0, 0, 0],
-            w=np.array([[0.0, 0], [10000.0, 0], [9000.0, 0], [2000.0, 0]]),
+            [0, 0, 0, 0, 0],
+            w=np.array([[0.0, 0], [10000.0, 0], [9000.0, 0], [2000.0, 0], [8500.0, 0]]),
         )
         out = cruise_filter(unit, 0.85)
         np.testing.assert_array_equal(out.w[:, 0], [10000.0, 9000.0])
