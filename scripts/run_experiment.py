@@ -19,8 +19,8 @@ from resfault.health import SENSORWISE
 from resfault.models import OC_KIND
 from resfault.persist import format_float as fmt
 from resfault.persist import write_evaluations, write_manifest, write_table
-from resfault.segmentation import silhouette_curve, trigger_timeline
-from resfault.synth import gen_fleet
+from resfault.segmentation import trigger_timeline
+from resfault.synth import gen_units, unit_plan
 
 
 def parse_args(argv=None):
@@ -30,17 +30,29 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
+def prepared_fleet(cfg) -> tuple[list, dict]:
+    """The preprocessed fleet and its ground truth by unit id.
+
+    Each raw unit is preprocessed before the next one is generated, so the
+    raw fleet is never held whole.
+    """
+    units, truths = [], {}
+    for series, truth in gen_units(cfg, unit_plan(cfg)):
+        truths[truth.unit_id] = truth
+        units += experiment.preprocess_fleet([series], cfg, truths)
+    return units, truths
+
+
 def write_silhouette_table(out: Path, result, seg) -> None:
     k_range = range(0, seg.k_max + 1)
     rows = []
     for kind in experiment.MODEL_KINDS:
         per_k = {k: [] for k in k_range}
-        for run in [run for run in result.runs if run.kind == kind]:
-            _, posts, labels = experiment.alarm_views(run.detections[SENSORWISE])
-            if len(set(labels)) < 2:  # one family alarmed: no score at any k
+        for run in result.runs:
+            # no curve: fewer than two families alarmed, so no score at any k
+            if run.kind != kind or run.silhouette is None:
                 continue
-            curve = silhouette_curve(posts, labels, k_range=k_range)
-            for point in curve:
+            for point in run.silhouette:
                 per_k[point.k].append(point.score)
         for k in k_range:
             finite = [score for score in per_k[k] if np.isfinite(score)]
@@ -79,9 +91,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    fleet = gen_fleet(cfg)
-    units = [s for s, _ in fleet]
-    truths = {t.unit_id: t for _, t in fleet}
+    units, truths = prepared_fleet(cfg)
     print(f"generated {len(units)} units; running {cfg.training.realisations} realisations")
 
     # one worker per usable CPU, up to one per job; `taskset -c 0` runs serially

@@ -4,7 +4,7 @@ Every command takes --config (YAML overrides of the built-in defaults)
 and writes a run manifest next to its outputs recording the effective
 configuration and seeds. Exit codes: 0 success, 2 configuration error,
 3 data error (also a file that cannot be read or written), 4 computation
-error.
+error (also running out of memory).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, detector, experiment, parallel, persist, segmentation, synth
 from .config import RunConfig, load_config
 from .data_model import TruthRecord, UnitSeries
-from .errors import ConfigInvalid, CorruptCheckpoint, DataError
+from .errors import ComputeError, ConfigInvalid, CorruptCheckpoint, DataError
 from .errors import InsufficientData, ResfaultError
 from .health import AGGREGATED, SENSORWISE
 from .models import AE_KIND
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def exit_code(run) -> int:
-    """Exit code of ``run()``: a ResfaultError or OSError prints one error line."""
+    """Exit code of ``run()``: a ResfaultError, OSError or MemoryError prints one error line."""
     try:
         return run()
     except ResfaultError as exc:
@@ -357,6 +357,10 @@ def exit_code(run) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DataError.exit_code
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return ComputeError.exit_code
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import detector, health, models, nn, parallel
+from . import detector, health, models, nn, parallel, segmentation
 from .config import RunConfig, derive_seed
 from .data_model import FleetSplit, TruthRecord, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
@@ -286,6 +286,8 @@ class ModelRun:
     """One (realisation, model kind) job: its seeds, training and detections.
 
     ``detections`` holds one FleetDetection per indicator kind.
+    ``silhouette`` is the silhouette_curve of the sensor-wise alarms from 0
+    to ``k_max`` cycles after them, or None when fewer than two families alarmed.
     """
 
     realisation: int
@@ -294,6 +296,7 @@ class ModelRun:
     kind: str
     train_result: nn.TrainResult
     detections: dict[str, FleetDetection]
+    silhouette: list[segmentation.SilhouettePoint] | None
 
 
 def run_realisation(
@@ -303,7 +306,8 @@ def run_realisation(
     realisation: int,
     kind: str,
 ) -> ModelRun:
-    """Re-split, retrain one model kind, and detect with both indicator kinds.
+    """Re-split, retrain one model kind, detect with both indicator kinds, and
+    score how well the sensor-wise alarms separate the fault families.
 
     The model computes every unit's residuals once, for both indicators.
     """
@@ -313,7 +317,12 @@ def run_realisation(
         hi_kind: detect_with_stats(preprocessed, hi_kind, stats[hi_kind], cfg, truths, residuals)
         for hi_kind in HI_KINDS
     }
-    return ModelRun(realisation, split_seed, train_seed, kind, result, detections)
+    _, posts, labels = alarm_views(detections[SENSORWISE])
+    curve = None
+    if len(set(labels)) >= 2:
+        k_range = range(0, cfg.segmentation.k_max + 1)
+        curve = segmentation.silhouette_curve(posts, labels, k_range)
+    return ModelRun(realisation, split_seed, train_seed, kind, result, detections, curve)
 
 
 @dataclass(frozen=True)
@@ -327,21 +336,33 @@ class ExperimentResult:
     evaluations: dict[tuple[str, str], GroupEvaluation]
 
 
+def _multiply_adds(kind: str, n_w: int, n_x: int) -> int:
+    """Multiply-adds of one forward pass of one row through a model of ``kind``."""
+    dims = models.layer_dims(kind, n_w, n_x)
+    return sum(n_in * n_out for n_in, n_out in zip(dims, dims[1:]))
+
+
 def run_protocol(
-    units: list[UnitSeries],
+    preprocessed: list[UnitSeries],
     truths: dict[str, TruthRecord] | None,
     cfg: RunConfig,
     workers: int,
 ) -> ExperimentResult:
     """The full repeated-training protocol with averaged evaluation.
 
-    Each (realisation, model kind) pair is one run_realisation job, run on
-    ``workers`` processes by parallel.run_jobs. The results are the same
-    bytes for any worker count.
+    ``preprocessed`` is the preprocess_fleet of the fleet. Each (realisation,
+    model kind) pair is one run_realisation job, run on ``workers`` processes
+    by parallel.run_jobs. The jobs of the kind with the most multiply-adds
+    per row are sent first, so that the pool does not end on one long job
+    while the other workers idle. The results are the same bytes for any
+    worker count.
     """
-    preprocessed = preprocess_fleet(units, cfg, truths)
+    unit = preprocessed[0]
+    cost = {kind: _multiply_adds(kind, unit.n_w, unit.n_x) for kind in MODEL_KINDS}
     jobs = [(r, kind) for r in range(cfg.training.realisations) for kind in MODEL_KINDS]
+    jobs.sort(key=lambda job: -cost[job[1]])  # stable: ties keep (realisation, kind) order
     runs = parallel.run_jobs(run_realisation, (preprocessed, truths, cfg), jobs, workers)
+    runs.sort(key=lambda run: (run.realisation, MODEL_KINDS.index(run.kind)))
     evaluations = {
         (kind, hi_kind): evaluate_group(
             kind, hi_kind, [run.detections[hi_kind].reports for run in runs if run.kind == kind]

@@ -13,6 +13,7 @@ plausible but carry no thermodynamic meaning.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -247,11 +248,20 @@ def _fleet_sensor_map(cfg: RunConfig) -> SensorMap:
     return build_sensor_map(cfg.seed if settings.map_seed is None else settings.map_seed)
 
 
+def gen_units(cfg: RunConfig, plan: list) -> Iterator[tuple[UnitSeries, TruthRecord]]:
+    """Each unit of ``plan``, a slice of unit_plan(cfg), with its ground truth.
+
+    A unit is made when the caller asks for it, so a caller that is done with
+    each unit before it asks for the next holds one raw unit at a time.
+    """
+    sensor_map = _fleet_sensor_map(cfg)
+    for planned in plan:
+        yield gen_unit(cfg.synth, *planned, sensor_map)
+
+
 def gen_fleet(cfg: RunConfig) -> list[tuple[UnitSeries, TruthRecord]]:
     """Every unit of unit_plan(cfg), with its ground truth."""
-    plan = unit_plan(cfg)
-    sensor_map = _fleet_sensor_map(cfg)
-    return [gen_unit(cfg.synth, *planned, sensor_map) for planned in plan]
+    return list(gen_units(cfg, unit_plan(cfg)))
 
 
 def _write_part(cfg: RunConfig, plan: list, path: Path) -> list[TruthRecord]:
@@ -259,11 +269,9 @@ def _write_part(cfg: RunConfig, plan: list, path: Path) -> list[TruthRecord]:
 
     Each unit is written as soon as it is made, so one unit is held at a time.
     """
-    sensor_map = _fleet_sensor_map(cfg)
     truths = []
     with path.open("w", newline="", encoding="utf-8") as fh:
-        for planned in plan:
-            series, truth = gen_unit(cfg.synth, *planned, sensor_map)
+        for series, truth in gen_units(cfg, plan):
             persist.write_fleet_rows(fh, [series])
             truths.append(truth)
     return truths

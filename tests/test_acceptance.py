@@ -411,7 +411,8 @@ def test_criterion_10_real_data_orderings():
     cfg = config_from_dict({"training": {"realisations": 1}})
     units = load_csv(os.path.join(root, "fleet.csv"))
     truths = load_ground_truth(os.path.join(root, "ground_truth.csv"))
-    result = experiment.run_protocol(units, truths, cfg, workers=1)
+    preprocessed = experiment.preprocess_fleet(units, cfg, truths)
+    result = experiment.run_protocol(preprocessed, truths, cfg, workers=1)
     oc_agg = result.evaluations[("OC", AGGREGATED)].mean_delay
     ae_agg = result.evaluations[("AE", AGGREGATED)].mean_delay
     oc_sens = result.evaluations[("OC", SENSORWISE)].mean_delay

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import resfault
-from resfault import experiment, parallel
+from resfault import experiment, parallel, synth
 from resfault.cli import main
 from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS
 from resfault.detector import DetectionReport
@@ -126,6 +126,24 @@ class TestSynth:
         cfg = write_config(tmp_path / "bad.yaml", {"synth": {"n_families": 0}})
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("cannot allocate 7 TiB"), "error: out of memory: cannot allocate 7 TiB"),
+            (MemoryError(), "error: out of memory"),
+        ],
+        ids=["numpy_message", "bare"],
+    )
+    def test_out_of_memory_is_computation_error(self, tmp_path, monkeypatch, capsys, exc, line):
+        # a real allocation that large may succeed under overcommit and start paging
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(synth, "save_fleet", exhausted)
+        cfg = write_config(tmp_path / "mini.yaml")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.splitlines() == [line]
+
 
 class TestTrain:
     def test_checkpoint_and_log_written(self, workspace):
@@ -180,7 +198,7 @@ class TestTrain:
 
 
     def test_healthy_stats_take_one_residual_pass(self, workspace, tmp_path, monkeypatch):
-        from resfault import experiment, parallel
+        from resfault import experiment, parallel, synth
 
         calls = []
         residuals = experiment.unit_residuals

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from resfault import experiment, parallel
+from resfault import experiment, parallel, segmentation
 from resfault.config import config_from_dict
 from resfault.detector import DetectionReport
 from resfault.errors import EmptyFleet
@@ -48,6 +48,13 @@ def mini_fleet():
     return cfg, units, truths
 
 
+@pytest.fixture(scope="module")
+def mini_preprocessed(mini_fleet):
+    """run_protocol's input: the preprocessed mini fleet."""
+    cfg, units, truths = mini_fleet
+    return cfg, experiment.preprocess_fleet(units, cfg, truths), truths
+
+
 class TestPreparation:
     def test_preprocess_fleet_stamps_family(self, mini_fleet):
         cfg, units, truths = mini_fleet
@@ -89,8 +96,8 @@ class TestDeriveSeed:
 
 
 class TestProtocol:
-    def test_run_protocol_structure_and_averaging(self, mini_fleet):
-        cfg, units, truths = mini_fleet
+    def test_run_protocol_structure_and_averaging(self, mini_preprocessed):
+        cfg, units, truths = mini_preprocessed
         result = experiment.run_protocol(units, truths, cfg, workers=1)
         assert [(run.realisation, run.kind) for run in result.runs] == [
             (r, kind) for r in range(2) for kind in experiment.MODEL_KINDS
@@ -116,8 +123,8 @@ class TestProtocol:
             else:
                 assert unit_eval.mean_delay is None
 
-    def test_one_residual_pass_per_model_and_unit(self, mini_fleet, monkeypatch):
-        cfg, units, truths = mini_fleet
+    def test_one_residual_pass_per_model_and_unit(self, mini_preprocessed, monkeypatch):
+        cfg, units, truths = mini_preprocessed
         calls = []
         residuals = experiment.unit_residuals
 
@@ -132,8 +139,8 @@ class TestProtocol:
         per_pair = {pair: calls.count(pair) for pair in set(calls)}
         assert set(per_pair.values()) == {cfg.training.realisations}
 
-    def test_worker_pool_gives_the_serial_results(self, mini_fleet):
-        cfg, units, truths = mini_fleet
+    def test_worker_pool_gives_the_serial_results(self, mini_preprocessed):
+        cfg, units, truths = mini_preprocessed
         environ = {var: os.environ.get(var) for var in parallel.BLAS_THREAD_VARS}
         serial = experiment.run_protocol(units, truths, cfg, workers=1)
         pooled = experiment.run_protocol(units, truths, cfg, workers=2)
@@ -141,8 +148,8 @@ class TestProtocol:
         np.testing.assert_equal(dataclasses.asdict(pooled), dataclasses.asdict(serial))
         assert {var: os.environ.get(var) for var in parallel.BLAS_THREAD_VARS} == environ
 
-    def test_realisations_use_distinct_splits(self, mini_fleet):
-        cfg, units, truths = mini_fleet
+    def test_realisations_use_distinct_splits(self, mini_preprocessed):
+        cfg, units, truths = mini_preprocessed
         result = experiment.run_protocol(units, truths, cfg, workers=1)
         seeds = {run.split_seed for run in result.runs}
         assert len(seeds) == 2
@@ -150,6 +157,39 @@ class TestProtocol:
             assert (run.split_seed, run.train_seed) == experiment.realisation_seeds(
                 cfg.seed, run.realisation
             )
+
+    def test_heavier_jobs_first_and_each_scores_its_alarms(self, mini_preprocessed, monkeypatch):
+        cfg, units, truths = mini_preprocessed
+        started = []
+        run_realisation = experiment.run_realisation
+
+        def recording(preprocessed, truths, cfg, realisation, kind):
+            started.append((realisation, kind))
+            return run_realisation(preprocessed, truths, cfg, realisation, kind)
+
+        monkeypatch.setattr(experiment, "run_realisation", recording)
+        result = experiment.run_protocol(units, truths, cfg, workers=1)
+        # OC maps 4 descriptors through 128, 128 to 14 sensors: 18,688
+        # multiply-adds per row against the AE's 6,656
+        assert started == [(0, "OC"), (1, "OC"), (0, "AE"), (1, "AE")]
+        assert [(run.realisation, run.kind) for run in result.runs] == [
+            (r, kind) for r in range(2) for kind in experiment.MODEL_KINDS
+        ]
+        # each job scores its own sensor-wise alarms
+        k_range = range(0, cfg.segmentation.k_max + 1)
+        scored = 0
+        for run in result.runs:
+            _, posts, labels = experiment.alarm_views(run.detections[SENSORWISE])
+            if len(set(labels)) < 2:
+                assert run.silhouette is None
+                continue
+            expected = segmentation.silhouette_curve(posts, labels, k_range)
+            np.testing.assert_equal(
+                [dataclasses.asdict(p) for p in run.silhouette],
+                [dataclasses.asdict(p) for p in expected],
+            )
+            scored += 1
+        assert scored > 0
 
 
 class TestEvaluateGroup:

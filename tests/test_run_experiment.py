@@ -8,15 +8,17 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from resfault import experiment
 from resfault.cli import main as cli_main
-from resfault.config import load_config
+from resfault.config import config_from_dict, load_config
 from resfault.detector import DetectionReport
 from resfault.persist import format_float, save_reports
 from resfault.synth import gen_fleet
@@ -62,21 +64,21 @@ def experiment_run(tmp_path_factory):
     cfg = root / "tiny.yaml"
     cfg.write_text(json.dumps(TINY))
     script = load_script()
-    curves = []
-    silhouette_curve = script.silhouette_curve
+    runs = []
+    run_realisation = experiment.run_realisation
 
-    def recording(*args, **kwargs):
-        curves.append(silhouette_curve(*args, **kwargs))
-        return curves[-1]
+    def recording(*args):
+        runs.append(run_realisation(*args))
+        return runs[-1]
 
-    script.silhouette_curve = recording
     out = root / "out"
     # one usable CPU: training runs in this process, under the warnings filter
-    with one_cpu(), warnings.catch_warnings():
+    with pytest.MonkeyPatch.context() as patch, one_cpu(), warnings.catch_warnings():
+        patch.setattr(experiment, "run_realisation", recording)
         warnings.simplefilter("error")
         code = script.main(["--config", str(cfg), "--seed", "3", "--out", str(out)])
     assert code == 0
-    return out, curves
+    return out, runs
 
 
 def test_manifest_records_workers_and_training_outcomes(experiment_run):
@@ -105,6 +107,28 @@ def test_manifest_records_workers_and_training_outcomes(experiment_run):
             train.best_epoch,
             format_float(train.val_losses[train.best_epoch]),
         )
+
+
+def test_fleet_is_prepared_one_raw_unit_at_a_time():
+    cfg = config_from_dict({"synth": {"n_units": 4}})  # 12 units of 9,600 rows
+    fleet = gen_fleet(cfg)
+    raw_bytes = sum(s.w.nbytes + s.x.nbytes + s.cycle_of.nbytes for s, _ in fleet)
+    truths = {t.unit_id: t for _, t in fleet}
+    expected = experiment.preprocess_fleet([s for s, _ in fleet], cfg, truths)
+    del fleet
+    prepared_fleet = load_script().prepared_fleet
+    # tracemalloc sees numpy's buffers; the whole raw fleet alone is raw_bytes
+    tracemalloc.start()
+    try:
+        units, got_truths = prepared_fleet(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < raw_bytes / 2
+    assert got_truths == truths
+    np.testing.assert_equal(
+        [dataclasses.asdict(u) for u in units], [dataclasses.asdict(u) for u in expected]
+    )
 
 
 def test_one_usable_cpu_starts_no_pool(tmp_path):
@@ -206,14 +230,15 @@ def test_evaluation_headers_match_evaluate(experiment_run, tmp_path):
 
 
 def test_silhouette_counts_only_finite_scores(experiment_run):
-    out, curves = experiment_run
+    out, runs = experiment_run
     realisations = TINY["training"]["realisations"]
-    assert len(curves) == len(experiment.MODEL_KINDS) * realisations
+    assert len(runs) == len(experiment.MODEL_KINDS) * realisations
     with open(out / "silhouette_vs_k.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     saw_partial = False
-    for i, kind in enumerate(experiment.MODEL_KINDS):
-        per_model = curves[i * realisations : (i + 1) * realisations]
+    for kind in experiment.MODEL_KINDS:
+        per_model = [run.silhouette for run in runs if run.kind == kind]
+        assert None not in per_model
         for row in (r for r in rows if r["model"] == kind):
             k = int(row["k"])
             scores = [p.score for curve in per_model for p in curve if p.k == k]

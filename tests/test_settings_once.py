@@ -40,6 +40,7 @@ RECEIVES_SETTING = [
     (models.train, "seed"),
     (synth.gen_unit, "settings"),
     (synth.gen_fleet, "cfg"),
+    (synth.gen_units, "cfg"),
 ]
 
 
