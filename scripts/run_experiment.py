@@ -40,6 +40,7 @@ def prepared_fleet(cfg) -> tuple[list, dict]:
     for series, truth in gen_units(cfg, unit_plan(cfg)):
         truths[truth.unit_id] = truth
         units += experiment.preprocess_fleet([series], cfg, truths)
+        del series  # else it holds this raw unit while the generator makes the next
     return units, truths
 
 

@@ -185,13 +185,12 @@ def cmd_evaluate(args) -> int:
     for path in args.reports:
         for key, reports in persist.load_reports(path).items():
             grouped.setdefault(key, []).append(reports)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     evaluations = [
         experiment.evaluate_group(model_kind, hi_kind, sets)
         for (model_kind, hi_kind), sets in sorted(grouped.items())
     ]
-
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     persist.write_evaluations(out, evaluations)
     persist.write_manifest(
         out / "evaluate_manifest.txt",

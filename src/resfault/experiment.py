@@ -16,7 +16,7 @@ from . import detector, health, models, nn, parallel, segmentation
 from .config import RunConfig, derive_seed
 from .data_model import FleetSplit, TruthRecord, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
-from .errors import EmptyFleet
+from .errors import DataError, EmptyFleet
 from .health import AGGREGATED, SENSORWISE
 from .models import AE_KIND, OC_KIND, ResidualModel
 from .preprocess import (
@@ -237,6 +237,10 @@ class GroupEvaluation:
     fpr: float | None
 
 
+# The fields every report of one unit shares, by their report CSV column.
+_UNIT_FIELDS = {"dataset": "dataset_id", "fault_cycle": "n_true", "gt_known": "ground_truth_known"}
+
+
 def evaluate_group(
     model_kind: str, hi_kind: str, report_sets: list[list[DetectionReport]]
 ) -> GroupEvaluation:
@@ -245,7 +249,9 @@ def evaluate_group(
     A unit's delay is averaged over the realisations in which it was
     detected; units never detected are excluded from the mean delay. The
     false-positive rate is taken over the units with known ground truth,
-    detected or not, and is None when no unit has any.
+    detected or not, and is None when no unit has any. Report sets that
+    disagree on a unit's dataset, fault cycle or ground-truth flag are a
+    DataError.
     """
     if not report_sets or not report_sets[0]:
         raise EmptyFleet("no detection reports to evaluate")
@@ -256,6 +262,12 @@ def evaluate_group(
 
     units = []
     for unit_id, reports in by_unit.items():
+        for column, field in _UNIT_FIELDS.items():
+            if len({getattr(r, field) for r in reports}) > 1:
+                raise DataError(
+                    f"the {model_kind} {hi_kind} report sets disagree on the {column} "
+                    f"of unit {unit_id!r}"
+                )
         delays = [r.delay for r in reports if r.delay is not None]
         units.append(
             UnitEvaluation(

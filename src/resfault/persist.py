@@ -8,12 +8,14 @@ shortest round-trip decimal formatting and parsed back as 64-bit floats.
 from __future__ import annotations
 
 import array
+import codecs
 import csv
 import functools
 import io
 import itertools
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,10 +93,12 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     stably sorted by cycle within each unit, preserving row order inside
     a cycle.
 
-    A well-formed file is parsed by ``np.loadtxt``; anything else (quotes,
-    a ``\\r`` inside a line, ragged or blank lines, non-numeric or
-    non-finite cells, no data) is parsed again by the ``csv`` module, which
-    names the offending line.
+    A well-formed file is read by one ``np.loadtxt`` call. Anything else is
+    parsed again by the ``csv`` module, which names the offending line:
+    quotes, a ``\\r`` inside a line, ragged or blank lines, a header of 64
+    KiB or more, a missing or repeated column name, a cell of any column
+    but the unit's that is not a finite number, a unit id of 16 bytes or
+    more, a file that is not UTF-8 or holds a NUL or a \\x1c-\\x1f byte.
     """
     path = Path(path)
     unit_ids, codes, table = _parse_fast(path) or _parse_csv(path)
@@ -120,136 +124,79 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     return fleet
 
 
-# Bytes read per step of the scan in _parse_fast.
+# Bytes read per step of the byte pass in _parse_fast.
 _SCAN_BLOCK_BYTES = 1 << 20
-_NEWLINE, _RETURN, _COMMA = b"\n\r,"
+# Bytes np.loadtxt reads otherwise than csv and float: a quote, a NUL, which
+# an "S" cell drops at its end, and the separators \x1c-\x1f, which numpy
+# strips from a number as whitespace.
+_REFUSED_BYTES = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Width of a unit cell in _parse_fast; a cell that fills it may have been cut.
+_UNIT_CELL_BYTES = 16
+# Longest header _parse_fast reads; a file with no "\n" that early goes to the csv path.
+_HEADER_MAX_BYTES = 1 << 16
 
 
 def _parse_fast(path: Path):
     """Columns of a well-formed fleet CSV, or None when the csv path must decide.
 
-    A numpy scan of the bytes checks that no line holds a quote or a
-    ``\\r`` other than before its newline, and that every line has the
-    header's cell count, and codes the unit cells; then ``np.loadtxt``
-    parses the numeric columns from a second handle. Neither holds more
-    than a block and its partial last line in memory.
+    A byte pass checks that the file is UTF-8 without _REFUSED_BYTES and
+    counts its lines, one _SCAN_BLOCK_BYTES block at a time. One
+    ``np.loadtxt`` call then reads every column, the unit cells as
+    _UNIT_CELL_BYTES bytes and the others as floats. Any file of the kinds
+    load_csv names is None.
     """
     with path.open("rb") as fh:
-        runs = _line_runs(fh)
-        first = next(runs, None)
-        if first is None:
+        first = fh.readline(_HEADER_MAX_BYTES)
+        if not first.endswith(b"\n"):
             return None
-        line, _, rest = first.partition(b"\n")
-        line = line.removesuffix(b"\r")
+        fh.seek(0)
+        decode = codecs.getincrementaldecoder("utf-8")().decode
+        n_lines, last = 0, b"\n"
         try:
-            header = line.decode().split(",")
+            while block := fh.read(_SCAN_BLOCK_BYTES):
+                if any(byte in block for byte in _REFUSED_BYTES):
+                    return None
+                decode(block)
+                n_lines, last = n_lines + block.count(b"\n"), block[-1:]
+            decode(b"", final=True)
         except UnicodeDecodeError:
             return None
-        if b"\r" in line or not set(FLEET_COLUMNS) <= set(header):
+        n_lines += last != b"\n"
+        line = first.removesuffix(b"\n").removesuffix(b"\r")
+        header = line.decode().split(",")
+        if b"\r" in line or not set(FLEET_COLUMNS) <= set(header) or len(set(header)) < len(header):
             return None
         unit_at = header.index(UNIT_COLUMN)
-        index: dict[bytes, int] = {}
-        codes = []
-        for run in itertools.chain([rest], runs):
-            if run is None:
-                return None
-            run_codes = _unit_codes(run, len(header), unit_at, index)
-            if run_codes is None:
-                return None
-            codes.append(run_codes)
-    codes = np.concatenate(codes)
-    if not len(codes):
-        return None
-    try:
-        unit_ids = [key.decode() for key in index]
-    except UnicodeDecodeError:
-        return None
-    with path.open("rb") as fh:
-        fh.readline()
+        # named by place: numpy names an empty field f<i>, which a column may be called
+        fields = [(f"c{i}", "f8") for i in range(len(header))]
+        fields[unit_at] = (f"c{unit_at}", f"S{_UNIT_CELL_BYTES}")
+        fh.seek(len(first))
         try:
-            # numpy decodes a binary handle's lines itself, a little faster than a text handle
-            table = np.loadtxt(
-                fh,
-                delimiter=",",
-                comments=None,
-                usecols=[header.index(name) for name in NUMERIC_COLUMNS],
-                ndmin=2,
-                encoding="utf-8",
-            )
-        except ValueError:
+            # no data lines, or only blank ones, is a numpy warning, not an error
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                # latin-1 hands each byte of a unit cell to its "S" field unchanged
+                rows = np.loadtxt(fh, fields, delimiter=",", comments=None, quotechar=None,
+                                  ndmin=1, encoding="latin-1")
+        except (ValueError, UserWarning):
             return None
+    # imported here: numpy.ma, which it loads, adds to the start-up of every command
+    from numpy.lib.recfunctions import structured_to_unstructured
+
+    table = structured_to_unstructured(
+        rows[[f"c{header.index(name)}" for name in NUMERIC_COLUMNS]], copy=False
+    )
     cycle = table[:, 0]
-    if (
-        table.shape[0] != len(codes)
-        or not np.isfinite(table).all()
-        or np.any(cycle != np.floor(cycle))
-    ):
+    if len(rows) != n_lines - 1 or not np.isfinite(table).all() or np.any(cycle != np.floor(cycle)):
         return None
-    return unit_ids, codes, table
-
-
-def _line_runs(fh):
-    """The binary file ``fh`` as runs of whole lines, each ending in a newline.
-
-    Reads _SCAN_BLOCK_BYTES at a time and carries the partial last line
-    into the next run; the file's last line gets a newline if it lacks one.
-    Yields None and stops at the first quote, or at a ``\\r`` inside the
-    partial line, which no newline can follow.
-    """
-    carry = b""
-    while data := fh.read(_SCAN_BLOCK_BYTES):
-        buf = carry + data
-        end = buf.rfind(b"\n") + 1
-        carry = buf[end:]
-        if b'"' in data or b"\r" in carry[:-1]:
-            yield None
-            return
-        if end:
-            yield buf[:end]
-    if carry:
-        yield carry + b"\n"
-
-
-def _unit_codes(run: bytes, n_cells: int, unit_at: int, index: dict[bytes, int]):
-    """Codes of the unit cells of the lines of ``run``, or None unless every
-    line has ``n_cells`` cells and every ``\\r`` ends a line.
-
-    A code is the cell's place in ``index``, which gains the cells it lacks
-    in order of first appearance. Cells are grouped by width and compared
-    as byte strings in numpy, so only distinct cells reach Python.
-    """
-    buf = np.frombuffer(run, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == _NEWLINE)
-    commas = np.flatnonzero(buf == _COMMA)
-    line_returns = buf[newlines - 1] == _RETURN
-    if np.count_nonzero(buf == _RETURN) != np.count_nonzero(line_returns) or np.any(
-        np.diff(np.searchsorted(commas, newlines), prepend=0) != n_cells - 1
-    ):
+    cells = rows[f"c{unit_at}"]
+    starts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
+    index: dict[bytes, int] = {}
+    run_codes = [index.setdefault(cell, len(index)) for cell in cells[starts].tolist()]
+    if any(len(cell) == _UNIT_CELL_BYTES for cell in index):
         return None
-    bounds = commas.reshape(len(newlines), n_cells - 1)
-    starts = np.concatenate(([0], newlines + 1))[:-1]
-    lo = starts if unit_at == 0 else bounds[:, unit_at - 1] + 1
-    hi = newlines - line_returns if unit_at == n_cells - 1 else bounds[:, unit_at]
-    width = hi - lo
-    groups, keys = [], []  # keys: (first line, cell bytes) of each distinct cell
-    for w in np.unique(width).tolist():
-        rows = np.flatnonzero(width == w)
-        # one zero byte stands for every empty cell
-        cells = buf[lo[rows, None] + np.arange(w)] if w else np.zeros((len(rows), 1), np.uint8)
-        _, first, inverse = np.unique(
-            cells.view(np.dtype((np.void, max(w, 1)))).ravel(),
-            return_index=True,
-            return_inverse=True,
-        )
-        groups.append((rows, inverse + len(keys)))
-        keys += [(row, run[lo[row] : lo[row] + w]) for row in rows[first].tolist()]
-    lut = np.empty(len(keys), dtype=np.int64)
-    for k in sorted(range(len(keys)), key=lambda k: keys[k][0]):
-        lut[k] = index.setdefault(keys[k][1], len(index))
-    codes = np.empty(len(newlines), dtype=np.int64)
-    for rows, key in groups:
-        codes[rows] = lut[key]
-    return codes
+    codes = np.repeat(np.array(run_codes, dtype=np.int64), np.diff(starts, append=len(cells)))
+    return [cell.decode() for cell in index], codes, table
 
 
 def _parse_csv(path: Path):

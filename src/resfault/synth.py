@@ -180,13 +180,14 @@ def gen_unit(
     healthy = scale == 0.0
 
     sensor_idx = {name: i for i, name in enumerate(DEFAULT_X_CHANNELS)}
-    w_blocks = []
-    x_blocks = []
-    cycle_blocks = []
-    for cycle in range(settings.cycles_per_unit):
-        w_cycle = _cycle_profile(rng, settings.rows_per_cycle)
-        x_cycle = sensor_map.apply(w_cycle) + rng.normal(
-            0.0, settings.noise_std, size=(settings.rows_per_cycle, len(DEFAULT_X_CHANNELS))
+    rows, n_cycles = settings.rows_per_cycle, settings.cycles_per_unit
+    w = np.empty((n_cycles * rows, len(DEFAULT_W_CHANNELS)))
+    x = np.empty((n_cycles * rows, len(DEFAULT_X_CHANNELS)))
+    for cycle in range(n_cycles):
+        at = slice(cycle * rows, (cycle + 1) * rows)
+        w[at] = _cycle_profile(rng, rows)
+        x[at] = sensor_map.apply(w[at]) + rng.normal(
+            0.0, settings.noise_std, size=(rows, len(DEFAULT_X_CHANNELS))
         )
         if not healthy and cycle > n_true:
             for name, mult, onset in zip(
@@ -194,19 +195,14 @@ def gen_unit(
             ):
                 growth = cycle - n_true - onset
                 if growth > 0:
-                    x_cycle[:, sensor_idx[name]] += (
-                        mult * scale * growth**settings.severity_exponent
-                    )
-        w_blocks.append(w_cycle)
-        x_blocks.append(x_cycle)
-        cycle_blocks.append(np.full(settings.rows_per_cycle, cycle, dtype=np.int64))
+                    x[at, sensor_idx[name]] += mult * scale * growth**settings.severity_exponent
 
     series = UnitSeries(
         unit_id=unit_id,
         dataset_id=family.name,
-        w=np.vstack(w_blocks),
-        x=np.vstack(x_blocks),
-        cycle_of=np.concatenate(cycle_blocks),
+        w=w,
+        x=x,
+        cycle_of=np.repeat(np.arange(n_cycles, dtype=np.int64), rows),
         channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
     )
     truth = TruthRecord(

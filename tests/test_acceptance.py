@@ -289,6 +289,7 @@ def end_to_end():
         "detections": detections,
         "healthy": healthy_detections,
         "silhouettes": silhouettes,
+        "truths": truths,
         "elapsed": time.perf_counter() - started,
     }
 
@@ -334,6 +335,23 @@ def test_criterion_08d_oc_silhouette_beats_ae(end_to_end):
 def test_criterion_08e_runtime(end_to_end):
     assert end_to_end["elapsed"] < 600.0
     ok(8, f"(runtime) end-to-end completed in {end_to_end['elapsed']:.1f}s < 600s")
+
+
+def test_criterion_08f_oc_alarms_name_faulty_sensors(end_to_end):
+    """The paper's third claim: OC points at the possible faulty components."""
+    truths = end_to_end["truths"]
+    named = {}
+    for kind in experiment.MODEL_KINDS:
+        alarms = [r for r in end_to_end["detections"][(kind, SENSORWISE)].reports if r.detected]
+        assert alarms, f"{kind}: no sensor-wise alarm"
+        named[kind] = [
+            set(r.triggered_first) <= set(truths[r.unit_id].fault_sensors) for r in alarms
+        ]
+    assert all(named["OC"]), "an OC sensor-wise alarm names a sensor outside the fault"
+    share = {kind: sum(hits) / len(hits) for kind, hits in named.items()}
+    assert share["OC"] >= share["AE"]
+    ok(8, f"(f) OC alarms name faulty sensors only ({sum(named['OC'])}/{len(named['OC'])}), "
+          f"AE {sum(named['AE'])}/{len(named['AE'])}")
 
 
 # --- criterion 9: pipeline determinism ---------------------------------------

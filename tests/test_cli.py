@@ -497,6 +497,26 @@ class TestEvaluate:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "dataset, n_true, known, column",
+        [("hpc", 30, True, "dataset"), ("fan", 30, True, "fault_cycle"),
+         ("fan", 20, False, "gt_known")],
+    )
+    def test_report_sets_that_disagree_on_a_unit_exit_3(
+        self, tmp_path, capsys, dataset, n_true, known, column
+    ):
+        p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
+        save_reports([fabricate_report("u1", "fan", 25, 20)], "OC", "sensorwise", p1)
+        save_reports(
+            [fabricate_report("u1", dataset, 25, n_true, known)], "OC", "sensorwise", p2
+        )
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--reports", str(p1), str(p2), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the OC sensorwise report sets disagree on the {column} of unit 'u1'"
+        ]
+        assert not out.exists()
+
     def test_no_ground_truth_fpr_is_dash(self, tmp_path, capsys):
         reports = [
             fabricate_report("u1", "", 30, None, known=False),

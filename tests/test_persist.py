@@ -1,8 +1,8 @@
 import csv
-import io
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -50,8 +50,8 @@ from resfault.detector import DetectionReport
 
 
 LINE_ENDS = ("\n", "\r\n")
-# The fast parse's default scan block, and blocks so small that lines,
-# "\r\n" pairs and unit cells cross their edges.
+# The fast parse's default block, and blocks so small that lines, UTF-8
+# sequences and "\r\n" pairs cross their edges.
 SCAN_BLOCKS = (persist._SCAN_BLOCK_BYTES, 1, 7, 64)
 
 
@@ -96,8 +96,13 @@ class TestCsvRoundTrip:
         fleet, _ = small_fleet()
         path = tmp_path / "fleet.csv"
         save_csv(fleet, path)
+        text = path.read_bytes()
+        # also without the final line end
+        path.write_bytes(text.removesuffix(b"\r\n"))
         same_columns(_parse_fast(path), _parse_csv(path))
-        loaded = load_csv(path)
+        path.write_bytes(text)
+        same_columns(_parse_fast(path), _parse_csv(path))
+        loaded = load_csv(str(path))  # a str path as well as a Path
         assert [u.unit_id for u in loaded] == [u.unit_id for u in fleet]
         for a, b in zip(fleet, loaded):
             np.testing.assert_array_equal(a.w, b.w)
@@ -276,7 +281,9 @@ finite_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 unit_ids = st.one_of(
-    st.sampled_from(["u,1", 'u"1', " u1", "ünït-é", "", "u\r\n1", "u1 "]),
+    st.sampled_from(
+        ["u,1", 'u"1', " u1", "ünït-é", "", "u\r\n1", "u1 ", "u1\0", "unit-0123456789ab"]
+    ),
     st.text(max_size=6),
 )
 
@@ -329,8 +336,8 @@ def test_save_matches_reference_and_round_trips(block, fleet):
 
 
 GOOD_CELLS = ["0", "1", "2.5", "-0.0", "1e-05"]
-BAD_CELLS = ["", "x", "nan", "NaN", "-inf", "1e400", '"2.5"', '"', " 1", "1.5 "]
-UNIT_CELLS = ["u0", "u1", " u1", '"u0"', '"u,1"', 'u"1', ""]
+BAD_CELLS = ["", "x", "nan", "NaN", "-inf", "1e400", '"2.5"', '"', " 1", "1.5 ", "1\x1f"]
+UNIT_CELLS = ["u0", "u1", " u1", '"u0"', '"u,1"', 'u"1', "", "u1\0", "unit-0123456789ab"]
 
 
 @st.composite
@@ -373,14 +380,89 @@ def test_loadtxt_path_agrees_with_csv_path(block, text):
         same_columns(fast, slow)
 
 
-def test_scan_refuses_a_return_inside_a_line():
-    # refused by the scan itself, whatever np.loadtxt would make of the line
-    assert persist._unit_codes(b"u\r1,0\n", 2, 0, {}) is None
-    # lines that end in a lone "\r" are refused at the first block, not read whole
-    fh = io.BytesIO(b"\r".join([b"u1,0"] * 1000))
-    with mock.patch.object(persist, "_SCAN_BLOCK_BYTES", 64):
-        assert list(persist._line_runs(fh)) == [None]
-    assert fh.tell() == 64
+def fleet_text(header=FLEET_COLUMNS, units=("u1", "u1", "u2"), line_end="\n"):
+    """A fleet file of one row per unit cell, the cells of ``header`` in order."""
+    lines = [",".join(header)]
+    for cycle, uid in enumerate(units):
+        cells = dict(zip(FLEET_COLUMNS, [uid, str(cycle)] + [f"{cycle}.5"] * 18))
+        lines.append(",".join(cells.get(name, "0") for name in header))
+    return line_end.join(lines) + line_end
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        fleet_text().replace("\nu2", "\n\nu2"),
+        fleet_text(units=()) + "\n\n",
+        fleet_text(line_end="\r"),
+        fleet_text(units=("u1\0", "u2")),
+        fleet_text(units=("u1", "u0123456789abcde", "u0123456789abcdef")),
+        fleet_text(header=FLEET_COLUMNS + ("XM",)),
+        fleet_text().replace("1.5", "1.5\x1f"),
+        # the quote that opens the header makes the rest of the file one csv cell
+        fleet_text(header=('"a',) + FLEET_COLUMNS),
+    ],
+    ids=["blank_line", "only_blank_lines", "lone_return_line_ends", "trailing_nul_in_unit",
+         "long_unit_ids", "repeated_column", "separator_byte_in_number", "quoted_header_cell"],
+)
+def test_fast_parse_leaves_the_file_to_the_csv_parse(tmp_path, text):
+    path = tmp_path / "fleet.csv"
+    path.write_bytes(text.encode())
+    assert _parse_fast(path) is None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            expected = _parse_csv(path)
+        except DataError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                load_csv(path)
+        else:
+            fleet = load_csv(path)
+            assert [u.unit_id for u in fleet] == expected[0]
+            assert sum(u.n_rows for u in fleet) == len(expected[1])
+    assert not caught
+
+
+def test_fast_parse_leaves_a_file_without_newlines_unread(tmp_path):
+    path = tmp_path / "fleet.csv"
+    path.write_bytes(fleet_text(units=("u1",) * 5000, line_end="\r").encode())
+    tracemalloc.start()
+    try:
+        assert _parse_fast(path) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+
+
+def test_fast_parse_names_its_fields_by_place(tmp_path):
+    # an unnamed column next to one called "f19", numpy's name for an unnamed 20th field
+    path = tmp_path / "fleet.csv"
+    header = FLEET_COLUMNS[:-1] + ("", "f19") + FLEET_COLUMNS[-1:]
+    path.write_bytes(fleet_text(header=header).encode())
+    same_columns(_parse_fast(path), _parse_csv(path))
+
+
+@pytest.mark.parametrize("block", SCAN_BLOCKS)
+@pytest.mark.parametrize(
+    "data",
+    [
+        # read as latin-1, a lone 0xa0 byte is a space numpy strips from a number
+        fleet_text().encode().replace(b"1.5", b"1.5\xa0"),
+        fleet_text().encode().removesuffix(b"\n") + b"\xa0",
+        # the first byte of a two-byte sequence, cut by the end of the file
+        fleet_text(header=FLEET_COLUMNS[1:] + FLEET_COLUMNS[:1]).encode().removesuffix(b"\n")
+        + b"\xc3",
+    ],
+    ids=["in_a_number", "last_byte", "cut_sequence_in_unit"],
+)
+def test_non_utf8_file_is_data_error(tmp_path, block, data):
+    path = tmp_path / "fleet.csv"
+    path.write_bytes(data)
+    with mock.patch.object(persist, "_SCAN_BLOCK_BYTES", block):
+        assert _parse_fast(path) is None
+        with pytest.raises(DataError, match="is not UTF-8 text"):
+            load_csv(path)
 
 
 class TestGroundTruthSidecar:

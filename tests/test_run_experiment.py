@@ -112,19 +112,19 @@ def test_manifest_records_workers_and_training_outcomes(experiment_run):
 def test_fleet_is_prepared_one_raw_unit_at_a_time():
     cfg = config_from_dict({"synth": {"n_units": 4}})  # 12 units of 9,600 rows
     fleet = gen_fleet(cfg)
-    raw_bytes = sum(s.w.nbytes + s.x.nbytes + s.cycle_of.nbytes for s, _ in fleet)
+    unit_bytes = sum(s.w.nbytes + s.x.nbytes + s.cycle_of.nbytes for s, _ in fleet) / len(fleet)
     truths = {t.unit_id: t for _, t in fleet}
     expected = experiment.preprocess_fleet([s for s, _ in fleet], cfg, truths)
     del fleet
     prepared_fleet = load_script().prepared_fleet
-    # tracemalloc sees numpy's buffers; the whole raw fleet alone is raw_bytes
+    # tracemalloc sees numpy's buffers; a raw unit alone is unit_bytes
     tracemalloc.start()
     try:
         units, got_truths = prepared_fleet(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < raw_bytes / 2
+    assert peak < 3 * unit_bytes
     assert got_truths == truths
     np.testing.assert_equal(
         [dataclasses.asdict(u) for u in units], [dataclasses.asdict(u) for u in expected]
