@@ -95,9 +95,9 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
 
     A well-formed file is read by one ``np.loadtxt`` call. Anything else is
     parsed again by the ``csv`` module, which names the offending line:
-    quotes, a ``\\r`` inside a line, ragged or blank lines, a header of 64
-    KiB or more, a missing or repeated column name, a cell of any column
-    but the unit's that is not a finite number, a unit id of 16 bytes or
+    quotes, a ``\\r`` not followed by ``\\n``, ragged or blank lines, a
+    header of 64 KiB or more, a missing or repeated column name, a cell of
+    NUMERIC_COLUMNS that is not a finite number, a unit id of 16 bytes or
     more, a file that is not UTF-8 or holds a NUL or a \\x1c-\\x1f byte.
     """
     path = Path(path)
@@ -139,11 +139,9 @@ _HEADER_MAX_BYTES = 1 << 16
 def _parse_fast(path: Path):
     """Columns of a well-formed fleet CSV, or None when the csv path must decide.
 
-    A byte pass checks that the file is UTF-8 without _REFUSED_BYTES and
-    counts its lines, one _SCAN_BLOCK_BYTES block at a time. One
-    ``np.loadtxt`` call then reads every column, the unit cells as
-    _UNIT_CELL_BYTES bytes and the others as floats. Any file of the kinds
-    load_csv names is None.
+    A byte pass refuses non-UTF-8, _REFUSED_BYTES and a lone "\\r" and counts
+    lines; one ``np.loadtxt`` call reads unit cells as bytes, NUMERIC_COLUMNS
+    as floats and other cells as one byte. Any file load_csv names is None.
     """
     with path.open("rb") as fh:
         first = fh.readline(_HEADER_MAX_BYTES)
@@ -151,24 +149,26 @@ def _parse_fast(path: Path):
             return None
         fh.seek(0)
         decode = codecs.getincrementaldecoder("utf-8")().decode
-        n_lines, last = 0, b"\n"
+        n_lines, lone_cr, last = 0, 0, b"\n"
         try:
             while block := fh.read(_SCAN_BLOCK_BYTES):
                 if any(byte in block for byte in _REFUSED_BYTES):
                     return None
                 decode(block)
+                # a lone "\r" ends a csv row where numpy need not; a block may cut a "\r\n"
+                lone_cr += block.count(b"\r") - block.count(b"\r\n") - (last + block[:1] == b"\r\n")
                 n_lines, last = n_lines + block.count(b"\n"), block[-1:]
             decode(b"", final=True)
         except UnicodeDecodeError:
             return None
         n_lines += last != b"\n"
-        line = first.removesuffix(b"\n").removesuffix(b"\r")
-        header = line.decode().split(",")
-        if b"\r" in line or not set(FLEET_COLUMNS) <= set(header) or len(set(header)) < len(header):
+        header = first.removesuffix(b"\n").removesuffix(b"\r").decode().split(",")
+        if lone_cr or not set(FLEET_COLUMNS) <= set(header) or len(set(header)) < len(header):
             return None
         unit_at = header.index(UNIT_COLUMN)
         # named by place: numpy names an empty field f<i>, which a column may be called
-        fields = [(f"c{i}", "f8") for i in range(len(header))]
+        fields = [(f"c{i}", "f8" if name in NUMERIC_COLUMNS else "S1")
+                  for i, name in enumerate(header)]
         fields[unit_at] = (f"c{unit_at}", f"S{_UNIT_CELL_BYTES}")
         fh.seek(len(first))
         try:
@@ -178,7 +178,7 @@ def _parse_fast(path: Path):
                 # latin-1 hands each byte of a unit cell to its "S" field unchanged
                 rows = np.loadtxt(fh, fields, delimiter=",", comments=None, quotechar=None,
                                   ndmin=1, encoding="latin-1")
-        except (ValueError, UserWarning):
+        except (ValueError, Warning):
             return None
     # imported here: numpy.ma, which it loads, adds to the start-up of every command
     from numpy.lib.recfunctions import structured_to_unstructured

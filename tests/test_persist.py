@@ -395,6 +395,9 @@ def fleet_text(header=FLEET_COLUMNS, units=("u1", "u1", "u2"), line_end="\n"):
         fleet_text().replace("\nu2", "\n\nu2"),
         fleet_text(units=()) + "\n\n",
         fleet_text(line_end="\r"),
+        # csv.writer's "\r\n" written through a text file that turns "\n" into "\r\n"
+        fleet_text(line_end="\r\r\n"),
+        fleet_text().replace("\nu2", "\n\ru2"),
         fleet_text(units=("u1\0", "u2")),
         fleet_text(units=("u1", "u0123456789abcde", "u0123456789abcdef")),
         fleet_text(header=FLEET_COLUMNS + ("XM",)),
@@ -402,7 +405,8 @@ def fleet_text(header=FLEET_COLUMNS, units=("u1", "u1", "u2"), line_end="\n"):
         # the quote that opens the header makes the rest of the file one csv cell
         fleet_text(header=('"a',) + FLEET_COLUMNS),
     ],
-    ids=["blank_line", "only_blank_lines", "lone_return_line_ends", "trailing_nul_in_unit",
+    ids=["blank_line", "only_blank_lines", "lone_return_line_ends", "crlf_doubled",
+         "return_opening_a_line", "trailing_nul_in_unit",
          "long_unit_ids", "repeated_column", "separator_byte_in_number", "quoted_header_cell"],
 )
 def test_fast_parse_leaves_the_file_to_the_csv_parse(tmp_path, text):
@@ -433,6 +437,32 @@ def test_fast_parse_leaves_a_file_without_newlines_unread(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 4
+
+
+def test_fast_parse_reads_pairs_cut_by_a_block(tmp_path):
+    text = fleet_text(line_end="\r\n").encode()
+    path = tmp_path / "fleet.csv"
+    path.write_bytes(text)
+    # the last size ends the first block between the header's "\r" and "\n"
+    for block in SCAN_BLOCKS + (text.index(b"\n"),):
+        with mock.patch.object(persist, "_SCAN_BLOCK_BYTES", block):
+            same_columns(_parse_fast(path), _parse_csv(path))
+
+
+@pytest.mark.parametrize("at", [0, 5, len(FLEET_COLUMNS)])
+def test_fast_parse_reads_extra_text_columns(tmp_path, at):
+    # text, empty and non-ASCII cells in a column the fleet does not use
+    header = FLEET_COLUMNS[:at] + ("note",) + FLEET_COLUMNS[at:]
+    notes = iter(["a long note", "", "ünï"])
+    text = fleet_text(header=header, units=("u1", "é", "u1"))
+    lines = text.split("\n")
+    for i in range(1, 4):
+        cells = lines[i].split(",")
+        cells[at] = next(notes)
+        lines[i] = ",".join(cells)
+    path = tmp_path / "fleet.csv"
+    path.write_bytes("\n".join(lines).encode())
+    same_columns(_parse_fast(path), _parse_csv(path))
 
 
 def test_fast_parse_names_its_fields_by_place(tmp_path):
