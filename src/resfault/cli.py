@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__, detector, experiment, parallel, persist, segmentation, synth
 from .config import RunConfig, load_config
-from .data_model import TruthRecord, UnitSeries
 from .errors import ComputeError, ConfigInvalid, CorruptCheckpoint, DataError
 from .errors import InsufficientData, ResfaultError
 from .health import AGGREGATED, SENSORWISE
@@ -44,7 +43,8 @@ def effective_config(args) -> RunConfig:
     return cfg
 
 
-def _load_fleet_dir(data_dir: str) -> tuple[list[UnitSeries], dict[str, TruthRecord] | None]:
+def _prepared_units(data_dir: str, cfg: RunConfig):
+    """The preprocessed fleet of ``data_dir`` and its ground truth, None when absent."""
     root = Path(data_dir)
     fleet_path = root / FLEET_FILE
     if not fleet_path.exists():
@@ -52,11 +52,6 @@ def _load_fleet_dir(data_dir: str) -> tuple[list[UnitSeries], dict[str, TruthRec
     units = persist.load_csv(fleet_path)
     truth_path = root / TRUTH_FILE
     truths = persist.load_ground_truth(truth_path) if truth_path.exists() else None
-    return units, truths
-
-
-def _prepared_units(data_dir: str, cfg: RunConfig):
-    units, truths = _load_fleet_dir(data_dir)
     return experiment.preprocess_fleet(units, cfg, truths), truths
 
 
@@ -242,7 +237,7 @@ def cmd_segment(args) -> int:
         signed.append(len(posts) - 1)
         signatures.append(segmentation.snapshot(posts[-1], offset))
         if model.kind == AE_KIND:
-            emb = model.embed(apply_standardizer(model.standardizer, unit.z()))
+            emb = model.embed(apply_standardizer(model.standardizer, unit.z))
             embeddings.append(
                 detector.cycle_average(emb, unit.cycle_of).since(report.alarm_cycle)[offset]
             )
@@ -282,18 +277,10 @@ def cmd_segment(args) -> int:
         cfg,
         {"checkpoint": args.checkpoint, "reports": args.reports, "out": out},
     )
-    print(
-        f"segmented {len(signatures)} units; "
-        f"silhouette at +{offset}: {_curve_at(curve, offset)}"
-    )
+    # the curve holds k = 0..k_max in order; an offset past k_max has no point
+    at_offset = f"{curve[offset].score:.3f}" if offset < len(curve) else "n/a"
+    print(f"segmented {len(signatures)} units; silhouette at +{offset}: {at_offset}")
     return 0
-
-
-def _curve_at(curve, k: int) -> str:
-    for point in curve:
-        if point.k == k:
-            return f"{point.score:.3f}"
-    return "n/a"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -164,13 +164,9 @@ class RunConfig:
             raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
 
 
+# Every field of RunConfig but the seed is a settings section.
 _SECTION_TYPES = {
-    "preprocess": PreprocessSettings,
-    "split": SplitSettings,
-    "training": TrainingSettings,
-    "detection": DetectionSettings,
-    "segmentation": SegmentationSettings,
-    "synth": SynthSettings,
+    f.name: f.default_factory for f in dataclasses.fields(RunConfig) if f.name != "seed"
 }
 
 

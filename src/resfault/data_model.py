@@ -1,8 +1,9 @@
 """Core time-series containers, cycle segmentation, and data splitting.
 
-A fleet is a list of :class:`UnitSeries`. Each unit carries operating
-descriptors ``w`` (altitude, Mach, throttle angle, inlet temperature) and
-sensor readings ``x`` side by side, with an explicit per-row cycle index.
+A fleet is a list of :class:`UnitSeries`. Each unit is one channel matrix
+``z``: the operating descriptors ``w`` (altitude, Mach, throttle angle,
+inlet temperature), then the sensor readings ``x``, with an explicit
+per-row cycle index.
 Splitting designates the first cycles of every unit as the healthy pool,
 draws a seeded validation subset from the pooled healthy rows, and assigns
 all remaining cycles to the test set.
@@ -10,6 +11,7 @@ all remaining cycles to the test set.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,74 +34,62 @@ DEFAULT_X_CHANNELS = (
 class UnitSeries:
     """One unit's multivariate time series.
 
-    ``w`` is the T x N_w matrix of operating descriptors, ``x`` the
-    T x N_x matrix of sensor readings. ``cycle_of`` assigns every row to a
+    ``z`` is the T x N matrix of all channels: the ``n_w`` operating
+    descriptors, then the sensor readings. The properties ``w`` and ``x``
+    are views of those two column blocks. ``cycle_of`` assigns every row to a
     cycle; indices must be non-decreasing so each cycle is a contiguous
-    block of rows. ``channel_names`` lists the N_w descriptor names
-    followed by the N_x sensor names.
+    block of rows. ``channel_names`` names every column of ``z``.
     """
 
     unit_id: str
     dataset_id: str
-    w: np.ndarray
-    x: np.ndarray
+    z: np.ndarray
+    n_w: int
     cycle_of: np.ndarray
     channel_names: tuple[str, ...]
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        x = np.asarray(self.x, dtype=np.float64)
+        z = np.asarray(self.z, dtype=np.float64)
         cyc = np.asarray(self.cycle_of, dtype=np.int64)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
         object.__setattr__(self, "cycle_of", cyc)
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
-        if w.ndim != 2 or x.ndim != 2:
-            raise ShapeMismatch("w and x must be 2-D matrices")
-        if w.shape[0] != x.shape[0] or w.shape[0] < 1:
-            raise ShapeMismatch(
-                f"w and x must share a row count >= 1, got {w.shape[0]} and {x.shape[0]}"
-            )
-        if w.shape[1] < 1 or x.shape[1] < 1:
+        if z.ndim != 2 or z.shape[0] < 1:
+            raise ShapeMismatch(f"z must be a 2-D matrix with a row, got shape {z.shape}")
+        if not 1 <= self.n_w < z.shape[1]:
             raise ShapeMismatch("need at least one descriptor and one sensor channel")
-        if cyc.shape != (w.shape[0],):
+        if cyc.shape != (z.shape[0],):
             raise ShapeMismatch("cycle_of must have one entry per row")
         if np.any(np.diff(cyc) < 0):
             raise ShapeMismatch("cycle_of must be non-decreasing")
-        if len(self.channel_names) != w.shape[1] + x.shape[1]:
-            raise ShapeMismatch("channel_names must cover all w and x columns")
+        if len(self.channel_names) != z.shape[1]:
+            raise ShapeMismatch("channel_names must cover all columns of z")
+
+    @property
+    def w(self) -> np.ndarray:
+        """The operating descriptors: a view of the first ``n_w`` columns of ``z``."""
+        return self.z[:, : self.n_w]
+
+    @property
+    def x(self) -> np.ndarray:
+        """The sensor readings: a view of the columns of ``z`` after ``n_w``."""
+        return self.z[:, self.n_w :]
 
     @property
     def n_rows(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def n_w(self) -> int:
-        return self.w.shape[1]
+        return self.z.shape[0]
 
     @property
     def n_x(self) -> int:
-        return self.x.shape[1]
+        return self.z.shape[1] - self.n_w
 
     @property
     def x_names(self) -> tuple[str, ...]:
         return self.channel_names[self.n_w :]
 
-    def z(self) -> np.ndarray:
-        """Full channel matrix: descriptors and sensors side by side."""
-        return np.hstack([self.w, self.x])
-
     def take_rows(self, rows: np.ndarray) -> "UnitSeries":
-        """New series containing the given rows, in their original order."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return UnitSeries(
-            unit_id=self.unit_id,
-            dataset_id=self.dataset_id,
-            w=self.w[rows],
-            x=self.x[rows],
-            cycle_of=self.cycle_of[rows],
-            channel_names=self.channel_names,
-        )
+        """New series of the rows at the integer indices ``rows``, in that order."""
+        return dataclasses.replace(self, z=self.z[rows], cycle_of=self.cycle_of[rows])
 
 
 @dataclass(frozen=True)
@@ -137,19 +127,19 @@ def split(fleet: list[UnitSeries], settings: SplitSettings, seed: int) -> FleetS
     """Partition healthy rows into train/validation; the rest is the test set.
 
     The healthy window is the first ``settings.healthy_cycles`` cycles of
-    every unit. Validation rows are drawn uniformly at random from the
-    pooled healthy rows of the whole fleet, so the draw is not stratified
-    by unit. The same seed always reproduces the same split. A pool too
-    small to leave rows in both train and validation is InsufficientData.
+    every unit. The healthy rows of the fleet, unit after unit in fleet
+    order, form one pool; validation rows are drawn uniformly at random
+    from it, so the draw is not stratified by unit, and each unit takes its
+    block of the pooled validation mask. The same seed always reproduces
+    the same split. A pool too small to leave rows in both train and
+    validation is InsufficientData.
     """
     seen: set[str] = set()
     for unit in fleet:
         if unit.unit_id in seen:
             raise ValueError(f"duplicate unit id {unit.unit_id!r} in fleet")
         seen.add(unit.unit_id)
-
-    pool_unit: list[str] = []
-    pool_row: list[np.ndarray] = []
+    counts = []
     for unit in fleet:
         _, stops = cycle_bounds(unit.cycle_of)
         if len(stops) <= settings.healthy_cycles:
@@ -157,33 +147,23 @@ def split(fleet: list[UnitSeries], settings: SplitSettings, seed: int) -> FleetS
                 f"unit {unit.unit_id!r} has {len(stops)} cycles; "
                 f"needs more than {settings.healthy_cycles}"
             )
-        healthy_stop = int(stops[settings.healthy_cycles - 1])
-        pool_unit.extend([unit.unit_id] * healthy_stop)
-        pool_row.append(np.arange(healthy_stop, dtype=np.int64))
+        counts.append(int(stops[settings.healthy_cycles - 1]))
 
-    pool_rows = np.concatenate(pool_row)
-    n_pool = len(pool_rows)
+    n_pool = sum(counts)
     n_val = round(settings.validation_fraction * n_pool)
     if not 0 < n_val < n_pool:
         raise InsufficientData(
             f"split.validation_fraction {settings.validation_fraction} of {n_pool} healthy "
             f"rows leaves {n_val} validation and {n_pool - n_val} training rows"
         )
-    rng = np.random.default_rng(seed)
-    val_positions = rng.choice(n_pool, size=n_val, replace=False)
     is_val = np.zeros(n_pool, dtype=bool)
-    is_val[val_positions] = True
+    is_val[np.random.default_rng(seed).choice(n_pool, size=n_val, replace=False)] = True
 
     train: dict[str, np.ndarray] = {}
     validation: dict[str, np.ndarray] = {}
-    pool_unit_arr = np.array(pool_unit)
-    for unit in fleet:
-        mask = pool_unit_arr == unit.unit_id
-        rows = pool_rows[mask]
-        val_mask = is_val[mask]
-        train[unit.unit_id] = rows[~val_mask]
-        validation[unit.unit_id] = rows[val_mask]
-
+    for unit, val_mask in zip(fleet, np.split(is_val, np.cumsum(counts)[:-1])):
+        train[unit.unit_id] = np.flatnonzero(~val_mask)
+        validation[unit.unit_id] = np.flatnonzero(val_mask)
     return FleetSplit(train=train, validation=validation)
 
 
@@ -198,7 +178,7 @@ def stack_rows(fleet: list[UnitSeries], selection: dict[str, np.ndarray]) -> np.
         rows = selection.get(unit.unit_id)
         if rows is None or len(rows) == 0:
             continue
-        blocks.append(unit.z()[rows])
+        blocks.append(unit.z[rows])
     if not blocks:
         raise ValueError("selection picked no rows")
     return np.vstack(blocks)

@@ -141,13 +141,16 @@ def detect(values: np.ndarray, stats: HealthyStats, n_wait: int) -> DetectOutcom
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Per-unit detection result with optional ground truth."""
+    """Per-unit detection result with optional ground truth.
+
+    ``delay`` is derived from ``alarm_cycle`` and ``n_true``, so it cannot
+    contradict them.
+    """
 
     unit_id: str
     dataset_id: str
     alarm_cycle: int | None
     n_true: int | None
-    delay: int | None
     triggered_first: tuple[str, ...]
     ground_truth_known: bool = True
 
@@ -155,10 +158,13 @@ class DetectionReport:
     def detected(self) -> bool:
         return self.alarm_cycle is not None
 
-
-def detection_delay(n0: int, n_true: int) -> int:
-    """Alarm cycle minus fault-initiation cycle; negative means false positive."""
-    return int(n0) - int(n_true)
+    @property
+    def delay(self) -> int | None:
+        """Alarm cycle minus fault-initiation cycle (negative: before the fault),
+        or None when either is unknown."""
+        if self.alarm_cycle is None or self.n_true is None:
+            return None
+        return self.alarm_cycle - self.n_true
 
 
 def build_report(
@@ -180,15 +186,11 @@ def build_report(
         triggered = tuple(
             name for name, hit in zip(stats.channel_names, outcome.qualifying) if hit
         )
-    delay = None
-    if alarm_cycle is not None and n_true is not None:
-        delay = detection_delay(alarm_cycle, n_true)
     return DetectionReport(
         unit_id=unit_id,
         dataset_id=dataset_id,
         alarm_cycle=alarm_cycle,
         n_true=n_true,
-        delay=delay,
         triggered_first=triggered,
         ground_truth_known=ground_truth_known,
     )

@@ -64,7 +64,7 @@ def prepare_fleet(
 
 def unit_residuals(model: ResidualModel, unit: UnitSeries) -> np.ndarray:
     """Residual matrix over a unit's full (standardized) series."""
-    z = apply_standardizer(model.standardizer, unit.z())
+    z = apply_standardizer(model.standardizer, unit.z)
     if model.kind == AE_KIND:
         return models.residual_ae(model, z)
     return models.residual_oc(model, *models.io_blocks(model.kind, z, model.n_w))

@@ -14,6 +14,7 @@ import functools
 import io
 import itertools
 import json
+import os
 import shutil
 import warnings
 from pathlib import Path
@@ -103,8 +104,6 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     path = Path(path)
     unit_ids, codes, table = _parse_fast(path) or _parse_csv(path)
     cycle_int = table[:, 0].astype(np.int64)
-    n_w = len(DEFAULT_W_CHANNELS)
-    w, x = table[:, 1 : 1 + n_w], table[:, 1 + n_w :]
     rows_by_unit = np.split(
         np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1]
     )
@@ -115,8 +114,8 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
             UnitSeries(
                 unit_id=uid,
                 dataset_id="",
-                w=w[idx],
-                x=x[idx],
+                z=table[idx, 1:],
+                n_w=len(DEFAULT_W_CHANNELS),
                 cycle_of=cycle_int[idx],
                 channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
             )
@@ -308,7 +307,7 @@ def write_fleet_rows(fh, fleet) -> None:
         uid = _unit_field(unit.unit_id)
         for start in range(0, unit.n_rows, _WRITE_CHUNK_ROWS):
             rows = slice(start, start + _WRITE_CHUNK_ROWS)
-            values = np.hstack([unit.w[rows], unit.x[rows]]).tolist()
+            values = unit.z[rows].tolist()
             fh.write(
                 "".join(
                     f"{uid},{cycle},{','.join(map(repr, row))}\r\n"
@@ -320,13 +319,21 @@ def write_fleet_rows(fh, fleet) -> None:
 def join_fleet_parts(parts: list[Path], path: str | Path) -> None:
     """Write the fleet CSV whose data rows are the files ``parts``, in order.
 
-    Each part holds write_fleet_rows rows; the header is save_csv's.
+    Each part holds write_fleet_rows rows; the header is save_csv's. The
+    rows go to a hidden file beside ``path``, which replaces ``path`` once
+    it is whole and is deleted when any step fails.
     """
-    with Path(path).open("wb") as fh:
-        fh.write(_csv_row(FLEET_COLUMNS).encode())
-        for part in parts:
-            with part.open("rb") as src:
-                shutil.copyfileobj(src, fh)
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with partial.open("wb") as fh:
+            fh.write(_csv_row(FLEET_COLUMNS).encode())
+            for part in parts:
+                with part.open("rb") as src:
+                    shutil.copyfileobj(src, fh)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def save_ground_truth(truths, path: str | Path) -> None:
@@ -470,27 +477,20 @@ def load_reports(path: str | Path):
                     f"of the {key[0]} {key[1]} reports"
                 )
             seen.add((*key, row["unit"]))
-            alarm = _int_cell(path, line, row, "alarm_cycle")
-            fault = _int_cell(path, line, row, "fault_cycle")
-            delay = _int_cell(path, line, row, "delay")
-            if delay != (None if alarm is None or fault is None else alarm - fault):
+            report = DetectionReport(
+                unit_id=row["unit"],
+                dataset_id=row["dataset"],
+                alarm_cycle=_int_cell(path, line, row, "alarm_cycle"),
+                n_true=_int_cell(path, line, row, "fault_cycle"),
+                triggered_first=tuple(s for s in row["triggered_first"].split(";") if s),
+                ground_truth_known=row["gt_known"] == "1",
+            )
+            if _int_cell(path, line, row, "delay") != report.delay:
                 raise DataError(
                     f"{path}: line {line}, unit {row['unit']!r}: delay {row['delay']!r} "
                     "is not alarm_cycle - fault_cycle"
                 )
-            groups.setdefault(key, []).append(
-                DetectionReport(
-                    unit_id=row["unit"],
-                    dataset_id=row["dataset"],
-                    alarm_cycle=alarm,
-                    n_true=fault,
-                    delay=delay,
-                    triggered_first=tuple(
-                        s for s in row["triggered_first"].split(";") if s
-                    ),
-                    ground_truth_known=row["gt_known"] == "1",
-                )
-            )
+            groups.setdefault(key, []).append(report)
     if not groups:
         raise EmptyFile(f"{path} has a header but no data rows")
     return groups

@@ -181,8 +181,9 @@ def gen_unit(
 
     sensor_idx = {name: i for i, name in enumerate(DEFAULT_X_CHANNELS)}
     rows, n_cycles = settings.rows_per_cycle, settings.cycles_per_unit
-    w = np.empty((n_cycles * rows, len(DEFAULT_W_CHANNELS)))
-    x = np.empty((n_cycles * rows, len(DEFAULT_X_CHANNELS)))
+    n_w = len(DEFAULT_W_CHANNELS)
+    z = np.empty((n_cycles * rows, n_w + len(DEFAULT_X_CHANNELS)))
+    w, x = z[:, :n_w], z[:, n_w:]
     for cycle in range(n_cycles):
         at = slice(cycle * rows, (cycle + 1) * rows)
         w[at] = _cycle_profile(rng, rows)
@@ -200,8 +201,8 @@ def gen_unit(
     series = UnitSeries(
         unit_id=unit_id,
         dataset_id=family.name,
-        w=w,
-        x=x,
+        z=z,
+        n_w=n_w,
         cycle_of=np.repeat(np.arange(n_cycles, dtype=np.int64), rows),
         channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
     )

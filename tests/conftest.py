@@ -29,8 +29,8 @@ def make_unit(
     return UnitSeries(
         unit_id=unit_id,
         dataset_id=dataset_id,
-        w=np.asarray(w, dtype=np.float64),
-        x=np.asarray(x, dtype=np.float64),
+        z=np.hstack([np.asarray(w, dtype=np.float64), np.asarray(x, dtype=np.float64)]),
+        n_w=np.shape(w)[1],
         cycle_of=cycle_of,
         channel_names=names,
     )

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +17,13 @@ from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS
 from resfault.detector import DetectionReport
 from resfault.config import load_config
 from resfault.persist import (
+    REPORT_COLUMNS,
     load_checkpoint,
     load_csv,
     load_ground_truth,
     save_reports,
     stats_to_blob,
+    write_table,
 )
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
@@ -305,6 +308,33 @@ class TestUnwritableOut:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_failed_synth_leaves_no_fleet_csv(tmp_path, monkeypatch, capsys):
+    """A fleet.csv cut by a failed write would read as a smaller fleet with exit 0."""
+    copy = shutil.copyfileobj
+    calls = []
+
+    def second_copy_fails(src, dst):
+        calls.append(src)
+        if len(calls) == 2:
+            raise OSError(27, "File too large")
+        copy(src, dst)
+
+    def in_process(fn, shared, jobs, workers):
+        return [fn(*shared, *args) for args in jobs]
+
+    # two part files, written in this process; the join fails after the first
+    monkeypatch.setattr(parallel, "worker_count", lambda n_jobs: 2)
+    monkeypatch.setattr(parallel, "run_jobs", in_process)
+    monkeypatch.setattr(shutil, "copyfileobj", second_copy_fails)
+    out = tmp_path / "data"
+    cfg = write_config(tmp_path / "mini.yaml")
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == "error: [Errno 27] File too large"
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
+
+
 class TestNegativeSeeds:
     """A negative seed is a config error (exit 2), never numpy's traceback."""
 
@@ -407,13 +437,11 @@ class TestDetect:
 
 
 def fabricate_report(unit, dataset, alarm, n_true, known=True):
-    delay = None if alarm is None or n_true is None else alarm - n_true
     return DetectionReport(
         unit_id=unit,
         dataset_id=dataset,
         alarm_cycle=alarm,
         n_true=n_true,
-        delay=delay,
         triggered_first=(),
         ground_truth_known=known,
     )
@@ -486,12 +514,19 @@ class TestEvaluate:
     def test_delay_that_contradicts_the_cycles_exits_3(
         self, tmp_path, capsys, alarm, n_true, delay
     ):
-        report = dataclasses.replace(fabricate_report("u1", "fan", alarm, n_true), delay=delay)
         p = tmp_path / "r.csv"
-        save_reports([fabricate_report("u0", "fan", 30, 20), report], "OC", "sensorwise", p)
+        save_reports(
+            [fabricate_report("u0", "fan", 30, 20), fabricate_report("u1", "fan", alarm, n_true)],
+            "OC", "sensorwise", p,
+        )
+        # a report cannot hold a delay apart from its cycles, so the written cell is changed
+        with p.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        cell = "" if delay is None else str(delay)
+        rows[2][REPORT_COLUMNS.index("delay")] = cell
+        write_table(p, rows[0], rows[1:])
         out = tmp_path / "eval"
         assert main(["evaluate", "--reports", str(p), "--out", str(out)]) == 3
-        cell = "" if delay is None else str(delay)
         assert capsys.readouterr().err.splitlines() == [
             f"error: {p}: line 3, unit 'u1': delay {cell!r} is not alarm_cycle - fault_cycle"
         ]
@@ -578,6 +613,21 @@ class TestSegment:
         assert len(timeline) == 6 * 14
         categories = {r["triggered_at"] for r in timeline}
         assert "10" in categories and "No" in categories
+
+    @pytest.mark.parametrize("k_max", [10, 9])
+    def test_prints_the_silhouette_at_the_offset(self, workspace, seg_out, tmp_path, capsys, k_max):
+        cfg = write_config(tmp_path / "k_max.yaml", {"segmentation": {"k_max": k_max}})
+        out = tmp_path / "seg"
+        capsys.readouterr()
+        assert main(
+            ["segment", "--config", str(cfg), "--data", str(workspace["data"]),
+             "--checkpoint", str(workspace["oc"]), "--reports", str(seg_out.parent / "reports.csv"),
+             "--out", str(out)]
+        ) == 0
+        curve = {int(r["k"]): float(r["score"]) for r in read_rows(out / "silhouette_curve.csv")}
+        # the default snapshot offset is 10; a curve that stops before it has no score there
+        at_offset = f"{curve[10]:.3f}" if k_max >= 10 else "n/a"
+        assert capsys.readouterr().out == f"segmented 6 units; silhouette at +10: {at_offset}\n"
 
     def test_signature_rows_are_max_normalized(self, seg_out):
         for row in read_rows(seg_out / "signatures.csv"):

@@ -13,8 +13,8 @@ from conftest import make_unit
 
 class TestUnitSeries:
     def test_row_count_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            make_unit([0, 0, 1], w=np.zeros((3, 2)), x=np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatch, match="cycle_of must have one entry per row"):
+            UnitSeries("u", "d", np.zeros((3, 3)), 1, np.zeros(2, dtype=int), ("a", "b", "c"))
 
     def test_decreasing_cycles_rejected(self):
         with pytest.raises(ShapeMismatch):
@@ -25,15 +25,40 @@ class TestUnitSeries:
             UnitSeries(
                 unit_id="u",
                 dataset_id="d",
-                w=np.zeros((2, 2)),
-                x=np.zeros((2, 2)),
+                z=np.zeros((2, 4)),
+                n_w=2,
                 cycle_of=np.zeros(2, dtype=int),
                 channel_names=("a", "b", "c"),
             )
 
     def test_z_concatenates_w_then_x(self):
         unit = make_unit([0, 1], w=[[1.0, 2.0], [3.0, 4.0]], x=[[5.0], [6.0]])
-        np.testing.assert_array_equal(unit.z(), [[1, 2, 5], [3, 4, 6]])
+        np.testing.assert_array_equal(unit.z, [[1, 2, 5], [3, 4, 6]])
+        # w and x are views of z
+        np.testing.assert_array_equal(unit.w, [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(unit.x, [[5], [6]])
+        assert unit.w.base is unit.z and unit.x.base is unit.z
+        assert (unit.n_w, unit.n_x, unit.x_names) == (2, 1, ("x0",))
+
+    def test_fields_are_coerced(self):
+        unit = UnitSeries("u", "d", [[1, 2, 3]], 1, [0], ["a", "b", "c"])
+        assert unit.z.dtype == np.float64 and unit.cycle_of.dtype == np.int64
+        assert unit.channel_names == ("a", "b", "c")
+
+    @pytest.mark.parametrize(
+        "z, n_w, message",
+        [
+            (np.zeros(3), 1, "2-D matrix with a row"),
+            (np.zeros((0, 3)), 1, "2-D matrix with a row"),
+            (np.zeros((1, 3)), 0, "at least one descriptor and one sensor"),
+            (np.zeros((1, 3)), 3, "at least one descriptor and one sensor"),
+        ],
+        ids=["one_dimensional", "no_rows", "no_descriptor", "no_sensor"],
+    )
+    def test_shape_rejected(self, z, n_w, message):
+        names = ("a", "b", "c")
+        with pytest.raises(ShapeMismatch, match=message):
+            UnitSeries("u", "d", z, n_w, np.zeros(len(z), dtype=int), names)
 
 
 def cycle_views(unit):
@@ -166,5 +191,5 @@ class TestStackRows:
         fleet = fleet_of(2, 2, rows_per_cycle=2)
         selection = {"u0": np.array([1]), "u1": np.array([0, 2])}
         out = stack_rows(fleet, selection)
-        expected = np.vstack([fleet[0].z()[[1]], fleet[1].z()[[0, 2]]])
+        expected = np.vstack([fleet[0].z[[1]], fleet[1].z[[0, 2]]])
         np.testing.assert_array_equal(out, expected)

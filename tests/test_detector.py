@@ -11,7 +11,6 @@ from resfault.detector import (
     build_report,
     cycle_average,
     detect,
-    detection_delay,
     fit_stats,
 )
 from resfault.errors import EmptyFleet, InsufficientData, ShapeMismatch
@@ -158,21 +157,24 @@ class TestDetect:
 
 class TestDelayAndFpr:
     def test_late_detection_positive(self):
-        assert detection_delay(40, 24) == 16
+        assert self.report("u", alarm=40, n_true=24).delay == 16
 
     def test_zero_delay(self):
-        assert detection_delay(24, 24) == 0
+        assert self.report("u", alarm=24, n_true=24).delay == 0
 
     def test_negative_is_false_positive(self):
-        assert detection_delay(20, 24) == -4
+        assert self.report("u", alarm=20, n_true=24).delay == -4
 
-    def report(self, unit, delay=None, alarm=None, n_true=30, known=True):
+    def test_no_delay_without_both_cycles(self):
+        assert self.report("u", alarm=None, n_true=24).delay is None
+        assert self.report("u", alarm=20, n_true=None).delay is None
+
+    def report(self, unit, alarm=None, n_true=30, known=True):
         return DetectionReport(
             unit_id=unit,
             dataset_id="d",
             alarm_cycle=alarm,
             n_true=n_true,
-            delay=delay,
             triggered_first=(),
             ground_truth_known=known,
         )
@@ -183,18 +185,18 @@ class TestDelayAndFpr:
         return evaluate_group("OC", AGGREGATED, [reports]).fpr
 
     def test_one_negative_among_thirty(self):
-        reports = [self.report(f"u{i}", delay=5, alarm=35) for i in range(29)]
-        reports.append(self.report("u29", delay=-2, alarm=28))
+        reports = [self.report(f"u{i}", alarm=35) for i in range(29)]
+        reports.append(self.report("u29", alarm=28))
         assert self.false_positive_rate(reports) == pytest.approx(1 / 30)
 
     def test_no_negative_delays(self):
-        reports = [self.report(f"u{i}", delay=3, alarm=33) for i in range(4)]
+        reports = [self.report(f"u{i}", alarm=33) for i in range(4)]
         reports.append(self.report("u4"))  # no alarm counts only in denominator
-        reports.append(self.report("u5", delay=0, alarm=30))  # an alarm at the fault
+        reports.append(self.report("u5", alarm=30))  # an alarm at the fault
         assert self.false_positive_rate(reports) == 0.0
 
     def test_all_negative(self):
-        reports = [self.report(f"u{i}", delay=-1, alarm=29) for i in range(3)]
+        reports = [self.report(f"u{i}", alarm=29) for i in range(3)]
         assert self.false_positive_rate(reports) == 1.0
 
     def test_alarm_on_healthy_unit_counts(self):
@@ -211,7 +213,7 @@ class TestDelayAndFpr:
     def test_unknown_ground_truth_excluded(self):
         unknown = self.report("u0", alarm=12, n_true=None, known=False)
         assert self.false_positive_rate([unknown]) is None
-        known = [self.report("u1", delay=-1, alarm=29), self.report("u2", n_true=None)]
+        known = [self.report("u1", alarm=29), self.report("u2", n_true=None)]
         assert self.false_positive_rate([unknown] + known) == 0.5
 
 

@@ -199,7 +199,6 @@ class TestEvaluateGroup:
             dataset_id="d",
             alarm_cycle=alarm,
             n_true=n_true,
-            delay=None if alarm is None or n_true is None else alarm - n_true,
             triggered_first=(),
         )
 

@@ -2,7 +2,10 @@
 
 A DenseNet is its weights and biases: its layer widths and its activations
 (ReLU on every hidden layer, a linear output) follow from them, so no
-stored copy can disagree with the weights. `resfault segment` hands the
+stored copy can disagree with the weights. A unit is one channel matrix,
+whose descriptor and sensor blocks are views of it; a detection report's
+delay follows from its alarm and fault cycles; and the config's sections
+are the fields of RunConfig. `resfault segment` hands the
 report file's alarms straight to the segmentation functions instead of
 building a detection object only to take it apart again. An alarmed unit
 is read through its rows from the alarm cycle on, so an offset past its
@@ -14,7 +17,8 @@ import ast
 import dataclasses
 from pathlib import Path
 
-from resfault import config, errors, experiment, nn, segmentation
+from resfault import cli, config, detector, errors, experiment, nn, segmentation
+from resfault.data_model import UnitSeries
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM_FILES = sorted(ROOT.glob("src/resfault/*.py")) + sorted(ROOT.glob("scripts/*.py"))
@@ -22,6 +26,24 @@ PROGRAM_FILES = sorted(ROOT.glob("src/resfault/*.py")) + sorted(ROOT.glob("scrip
 
 def test_a_dense_net_is_its_weights_and_biases():
     assert [f.name for f in dataclasses.fields(nn.DenseNet)] == ["weights", "biases"]
+
+
+def test_a_unit_is_one_channel_matrix():
+    assert [f.name for f in dataclasses.fields(UnitSeries)] == [
+        "unit_id", "dataset_id", "z", "n_w", "cycle_of", "channel_names"
+    ]
+
+
+def test_a_report_derives_its_delay():
+    assert "delay" not in {f.name for f in dataclasses.fields(detector.DetectionReport)}
+    assert isinstance(detector.DetectionReport.delay, property)
+
+
+def test_config_sections_are_the_run_config_fields():
+    sections = {f.name for f in dataclasses.fields(config.RunConfig)} - {"seed"}
+    assert set(config._SECTION_TYPES) == sections
+    for name, cls in config._SECTION_TYPES.items():
+        assert isinstance(getattr(config.RunConfig(), name), cls)
 
 
 def test_removed_forms_stay_gone():
@@ -41,6 +63,9 @@ def test_removed_forms_stay_gone():
         (config, "DOWNSAMPLE_FIRST"),
         (config, "CRUISE_FIRST"),
         (errors, "NoAlarm"),
+        (detector, "detection_delay"),
+        (cli, "_curve_at"),
+        (cli, "_load_fleet_dir"),
     ):
         assert not hasattr(module, name), name
 

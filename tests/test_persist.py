@@ -300,8 +300,8 @@ def fleets(draw):
             UnitSeries(
                 unit_id=uid,
                 dataset_id="",
-                w=values.reshape(n, 18)[:, :4],
-                x=values.reshape(n, 18)[:, 4:],
+                z=values.reshape(n, 18),
+                n_w=4,
                 cycle_of=cycles,
                 channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
             )
@@ -623,13 +623,11 @@ class TestCheckpoint:
 
 class TestReportsCsv:
     def make_report(self, unit, alarm=30, n_true=20):
-        delay = None if alarm is None or n_true is None else alarm - n_true
         return DetectionReport(
             unit_id=unit,
             dataset_id="fan",
             alarm_cycle=alarm,
             n_true=n_true,
-            delay=delay,
             triggered_first=("P2", "Nf") if alarm is not None else (),
             ground_truth_known=True,
         )
@@ -662,6 +660,23 @@ class TestReportsCsv:
         save_reports(reports, "OC", "sensorwise", path)
         expected = f"{path}: line 4 repeats unit 'u1' of the OC sensorwise reports"
         with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+            load_reports(path)
+
+    def test_header_only_is_empty_file(self, tmp_path):
+        path = tmp_path / "reports.csv"
+        save_reports([], "OC", "sensorwise", path)
+        with pytest.raises(EmptyFile, match="has a header but no data rows"):
+            load_reports(path)
+
+    def test_missing_columns_are_named(self, tmp_path):
+        path = tmp_path / "reports.csv"
+        save_reports([self.make_report("u1")], "OC", "sensorwise", path)
+        with path.open(newline="") as fh:
+            rows = [row[:6] + row[7:8] for row in csv.reader(fh)]  # no delay, no gt_known
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        expected = f"{path} is missing column(s) ['delay', 'gt_known']"
+        with pytest.raises(MissingColumn, match=f"^{re.escape(expected)}$"):
             load_reports(path)
 
     @pytest.mark.parametrize(

@@ -221,7 +221,7 @@ def test_one_family_fleet_writes_every_table(tmp_path):
 def test_evaluation_headers_match_evaluate(experiment_run, tmp_path):
     out, _ = experiment_run
     reports = tmp_path / "r.csv"
-    report = DetectionReport("u1", "fan", 30, 20, 10, ())
+    report = DetectionReport("u1", "fan", 30, 20, ())
     save_reports([report], "OC", "sensorwise", reports)
     eval_out = tmp_path / "eval"
     assert cli_main(["evaluate", "--reports", str(reports), "--out", str(eval_out)]) == 0
