@@ -3,17 +3,21 @@
 Data interchange is plain CSV with an explicit header. Checkpoints are
 JSON: weights round-trip bit-exactly because values are written with
 shortest round-trip decimal formatting and parsed back as 64-bit floats.
+The parse of a fleet CSV is kept beside it in a binary twin, which later
+reads of the same bytes load. The commands' outputs appear only once whole.
 """
 
 from __future__ import annotations
 
 import array
 import codecs
+import contextlib
 import csv
 import functools
 import io
 import itertools
 import json
+import math
 import os
 import shutil
 import warnings
@@ -63,9 +67,29 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
+@contextlib.contextmanager
+def _published(path: str | Path, mode: str, **open_args):
+    """A file open for writing whose content appears at ``path`` only once whole.
+
+    The file is a hidden temporary beside ``path``, opened with ``mode`` and
+    ``open_args`` like any output, so with the same permissions. It
+    replaces ``path`` when the ``with`` block ends without error, and it is
+    deleted whatever happens.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = temporary.open(mode, **open_args)
+    try:
+        with fh:
+            yield fh
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
 def write_table(path: str | Path, header, rows) -> None:
     """Write a CSV table: the header row, then every row of ``rows``."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with _published(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -100,9 +124,17 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     header of 64 KiB or more, a missing or repeated column name, a cell of
     NUMERIC_COLUMNS that is not a finite number, a unit id of 16 bytes or
     more, a file that is not UTF-8 or holds a NUL or a \\x1c-\\x1f byte.
+
+    The parse of a file that parses is kept in its twin (_twin_path); a
+    later read of the same bytes loads the twin and parses nothing.
     """
     path = Path(path)
-    unit_ids, codes, table = _parse_fast(path) or _parse_csv(path)
+    key = _fleet_key(path)
+    parsed = _load_twin(path, key)
+    if parsed is None:
+        parsed = _parse_fast(path) or _parse_csv(path)
+        _save_twin(path, key, *parsed)
+    unit_ids, codes, table = parsed
     cycle_int = table[:, 0].astype(np.int64)
     rows_by_unit = np.split(
         np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1]
@@ -121,6 +153,114 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
             )
         )
     return fleet
+
+
+# Hashed before a fleet CSV's bytes into the key of its twin; a change to
+# what load_csv's parse returns needs a new tag.
+_TWIN_TAG = b"resfault fleet twin 1\n"
+# The arrays of a twin, in order: dtype and number of dimensions of the
+# key, the unit ids' UTF-8 bytes, the end of each id in them, the row codes
+# and the NUMERIC_COLUMNS table.
+_TWIN_ARRAYS = (
+    (np.dtype(np.uint8), 1),
+    (np.dtype(np.uint8), 1),
+    (np.dtype(np.int64), 1),
+    (np.dtype(np.int64), 1),
+    (np.dtype(np.float64), 2),
+)
+
+
+def _twin_path(path: Path) -> Path:
+    """The twin of fleet CSV ``path``: a hidden file beside it, ``.<name>.npy``."""
+    return path.with_name(f".{path.name}.npy")
+
+
+def _fleet_key(path: Path) -> np.ndarray:
+    """SHA-256 of _TWIN_TAG and the bytes of ``path``, as 32 uint8."""
+    # imported here: it loads OpenSSL, which commands that read no fleet need not map
+    import hashlib
+
+    digest = hashlib.sha256(_TWIN_TAG)
+    with path.open("rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return np.frombuffer(digest.digest(), dtype=np.uint8)
+
+
+def _save_twin(path: Path, key: np.ndarray, unit_ids, codes, table) -> None:
+    """Publish the parse ``(unit_ids, codes, table)`` of bytes ``key`` as the
+    twin of ``path``: one ``np.save`` array per _TWIN_ARRAYS entry.
+
+    A twin that cannot be written, as in a read-only directory, is left out.
+    """
+    encoded = [uid.encode() for uid in unit_ids]
+    arrays = (
+        key,
+        np.frombuffer(b"".join(encoded), dtype=np.uint8),
+        np.cumsum([len(e) for e in encoded], dtype=np.int64),
+        codes,
+        table,
+    )
+    try:
+        with _published(_twin_path(path), "wb") as fh:
+            for array in arrays:
+                np.save(fh, np.ascontiguousarray(array), allow_pickle=False)
+    except OSError:
+        pass
+
+
+def _load_twin(path: Path, key: np.ndarray):
+    """The parse kept in the twin of ``path`` for bytes ``key``, or None.
+
+    None also when the twin is missing, cut short, longer than its arrays
+    or not what _save_twin writes: other dtypes or shapes, codes that name
+    no unit, ids that are not UTF-8.
+    """
+    try:
+        with _twin_path(path).open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            stored, blob, ends, codes, table = [
+                _read_array(fh, size, dtype, ndim) for dtype, ndim in _TWIN_ARRAYS
+            ]
+            whole = fh.tell() == size
+        data = blob.tobytes()
+        if not (
+            whole
+            and np.array_equal(stored, key)
+            and len(ends) > 0
+            and ends[-1] == len(data)
+            and np.all(np.diff(ends, prepend=0) >= 0)
+            and table.shape == (len(codes), len(NUMERIC_COLUMNS))
+            and 0 <= codes.min()
+            and codes.max() < len(ends)
+        ):
+            return None
+        starts = [0, *ends[:-1].tolist()]
+        unit_ids = [data[a:b].decode() for a, b in zip(starts, ends.tolist())]
+    except (OSError, ValueError):
+        return None
+    return unit_ids, codes, table
+
+
+def _read_array(fh, size: int, dtype: np.dtype, ndim: int) -> np.ndarray:
+    """The next ``np.save`` array of ``fh``, a file of ``size`` bytes.
+
+    Anything but a C-order ``dtype`` array of ``ndim`` dimensions whose data
+    the file holds is a ValueError, raised before the data is read.
+    """
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 .npy array")
+    shape, fortran_order, stored = np.lib.format.read_array_header_1_0(fh)
+    count = math.prod(shape)
+    if (
+        stored != dtype
+        or fortran_order
+        or len(shape) != ndim
+        or min(shape) < 0
+        or count * dtype.itemsize > size - fh.tell()
+    ):
+        raise ValueError(f"unexpected array {stored} {shape}")
+    return np.fromfile(fh, dtype=dtype, count=count).reshape(shape)
 
 
 # Bytes read per step of the byte pass in _parse_fast.
@@ -320,20 +460,13 @@ def join_fleet_parts(parts: list[Path], path: str | Path) -> None:
     """Write the fleet CSV whose data rows are the files ``parts``, in order.
 
     Each part holds write_fleet_rows rows; the header is save_csv's. The
-    rows go to a hidden file beside ``path``, which replaces ``path`` once
-    it is whole and is deleted when any step fails.
+    file is _published, so ``path`` appears only once it is whole.
     """
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.partial")
-    try:
-        with partial.open("wb") as fh:
-            fh.write(_csv_row(FLEET_COLUMNS).encode())
-            for part in parts:
-                with part.open("rb") as src:
-                    shutil.copyfileobj(src, fh)
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+    with _published(path, "wb") as fh:
+        fh.write(_csv_row(FLEET_COLUMNS).encode())
+        for part in parts:
+            with part.open("rb") as src:
+                shutil.copyfileobj(src, fh)
 
 
 def save_ground_truth(truths, path: str | Path) -> None:
@@ -578,7 +711,8 @@ def save_checkpoint(
         "n_w": model.n_w,
         "metadata": metadata or {},
     }
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    with _published(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=1))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
@@ -645,7 +779,8 @@ def write_manifest(path: Path, command: str, cfg: RunConfig, extras: dict) -> No
         lines.append(f"{key}: {value}")
     lines.append("config:")
     lines.extend("  " + ln for ln in dump_config(cfg).splitlines())
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _published(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _mark_none(value, text=format_float) -> str:

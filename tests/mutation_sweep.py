@@ -16,9 +16,12 @@ function:
 - a statement replaced by ``pass``.
 
 The mutated module is written, through ``ast.unparse``, into a copy of
-the repository, and the test files that import the module run there with
-``pytest -x``, the module's own ``test_<module>.py`` first. The tests must
-first pass on the unmutated module as ``ast.unparse`` writes it. A mutant the tests pass survives; the
+the repository. There ``pytest -x`` first runs the tests whose source
+names the function, or a function of its module that calls it directly
+or through others, found by an AST scan of the test files that import
+the module; only a mutant those tests pass goes on to the whole files,
+the module's own ``test_<module>.py`` first. The tests must first pass on
+the unmutated module as ``ast.unparse`` writes it. A mutant the tests pass survives; the
 survivors are listed at the end, and the exit status is 1 if there are
 any. The file is not collected by pytest.
 """
@@ -133,6 +136,53 @@ def importing_tests(module: str) -> list[str]:
     return sorted(found, key=lambda name: name != own)
 
 
+def callers(tree: ast.Module, name: str) -> set[str]:
+    """``name`` and the module-level functions of ``tree`` that call it,
+    directly or through others."""
+    used = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    found, todo = {name}, [name]
+    while todo:
+        callee = todo.pop()
+        for caller, names in used.items():
+            if callee in names and caller not in found:
+                found.add(caller)
+                todo.append(caller)
+    return found
+
+
+def naming_tests(files: list[str], wanted: set[str]) -> list[str]:
+    """The pytest ids of the tests in ``files`` whose source names one of
+    ``wanted``: as a variable, an attribute or a string, such as a
+    ``mock.patch`` target."""
+
+    def names(node) -> bool:
+        return any(
+            (isinstance(n, ast.Name) and n.id in wanted)
+            or (isinstance(n, ast.Attribute) and n.attr in wanted)
+            or (isinstance(n, ast.Constant) and n.value in wanted)
+            for n in ast.walk(node)
+        )
+
+    found = []
+    for rel in files:
+        for node in ast.parse((ROOT / rel).read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test") and names(node):
+                found.append(f"{rel}::{node.name}")
+            elif isinstance(node, ast.ClassDef) and node.name.startswith("Test"):
+                found.extend(
+                    f"{rel}::{node.name}::{method.name}"
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and method.name.startswith("test")
+                    and names(method)
+                )
+    return found
+
+
 def run_tests(work: Path, files: list[str]) -> bool:
     """True when ``files`` pass in ``work``."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"))
@@ -153,6 +203,7 @@ def sweep(target: str, work: Path) -> list[str]:
     original = path.read_text()
     tree = ast.parse(original)
     files = importing_tests(module)
+    first = naming_tests(files, callers(tree, dotted.rpartition(".")[2]))
     path.write_text(ast.unparse(tree))
     if not run_tests(work, files):
         raise SystemExit(f"{target}: the tests fail on the unmutated module")
@@ -160,7 +211,7 @@ def sweep(target: str, work: Path) -> list[str]:
     try:
         for line, description, mutant in mutants(tree, dotted):
             path.write_text(ast.unparse(mutant))
-            killed = not run_tests(work, files)
+            killed = (bool(first) and not run_tests(work, first)) or not run_tests(work, files)
             label = f"{module}.py:{line} {dotted}: {description}"
             print(f"{'killed  ' if killed else 'SURVIVED'} {label}", flush=True)
             if not killed:

@@ -79,6 +79,8 @@ def test_cli_import_leaves_the_process_pool_out():
     assert "resfault.experiment" in loaded
     assert "multiprocessing" not in loaded
     assert "concurrent.futures.process" not in loaded
+    # hashlib maps OpenSSL, a few MB of RSS: only a fleet read imports it
+    assert "hashlib" not in loaded and "_hashlib" not in loaded
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +110,9 @@ class TestSynth:
         assert len(fleet_rows) == 6 * 36 * 100
         truth_rows = read_rows(data / "ground_truth.csv")
         assert len(truth_rows) == 6
-        # the worker jobs' part files are gone
+        # the worker jobs' part files are gone; the fixture's train left the fleet's twin
         assert sorted(p.name for p in data.iterdir()) == [
-            "fleet.csv", "ground_truth.csv", "synth_manifest.txt"
+            ".fleet.csv.npy", "fleet.csv", "ground_truth.csv", "synth_manifest.txt"
         ]
         workers = parallel.worker_count(6)
         assert f"workers: {workers}" in (data / "synth_manifest.txt").read_text().splitlines()

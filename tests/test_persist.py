@@ -1,6 +1,10 @@
 import csv
+import dataclasses
+import io
 import json
+import os
 import re
+import stat
 import tempfile
 import tracemalloc
 import warnings
@@ -79,6 +83,24 @@ def same_columns(a, b):
     for left, right in zip(a[1:], b[1:]):
         assert left.dtype == right.dtype and left.shape == right.shape
         assert left.tobytes() == right.tobytes()
+
+
+def same_fleet(a, b):
+    """Two loaded fleets agree bit for bit, unit by unit."""
+    assert [u.unit_id for u in a] == [u.unit_id for u in b]
+    for left, right in zip(a, b):
+        assert left.dataset_id == right.dataset_id and left.n_w == right.n_w
+        assert left.channel_names == right.channel_names
+        for x, y in ((left.z, right.z), (left.cycle_of, right.cycle_of)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def twin_read(path):
+    """load_csv(path) with both parsers refused, so the fleet must come from its twin."""
+    refused = AssertionError("parsed, not read from the twin")
+    with mock.patch.object(persist, "_parse_fast", side_effect=refused), \
+            mock.patch.object(persist, "_parse_csv", side_effect=refused):
+        return load_csv(path)
 
 
 def small_fleet():
@@ -333,6 +355,7 @@ def test_save_matches_reference_and_round_trips(block, fleet):
                 assert a.w.tobytes() == b.w.tobytes()
                 assert a.x.tobytes() == b.x.tobytes()
                 assert a.cycle_of.tobytes() == b.cycle_of.tobytes()
+            same_fleet(twin_read(path), loaded)
 
 
 GOOD_CELLS = ["0", "1", "2.5", "-0.0", "1e-05"]
@@ -493,6 +516,268 @@ def test_non_utf8_file_is_data_error(tmp_path, block, data):
         assert _parse_fast(path) is None
         with pytest.raises(DataError, match="is not UTF-8 text"):
             load_csv(path)
+
+
+def twin_bytes(path):
+    return persist._twin_path(path).read_bytes()
+
+
+def write_twin(path, arrays):
+    with persist._twin_path(path).open("wb") as fh:
+        for array in arrays:
+            np.save(fh, array)
+
+
+def twin_arrays(path):
+    with persist._twin_path(path).open("rb") as fh:
+        return [np.load(fh) for _ in persist._TWIN_ARRAYS]
+
+
+def header_only_array(shape):
+    """An .npy float64 header for ``shape`` with no data after it."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": shape}
+    )
+    return buf.getvalue()
+
+
+class TestFleetTwin:
+    """load_csv keeps each parse in a twin beside the CSV and reads it back bit for bit."""
+
+    def test_twin_is_written_once_and_read_back(self, tmp_path):
+        fleet, _ = small_fleet()
+        path = tmp_path / "fleet.csv"
+        save_csv(fleet, path)
+        loaded = load_csv(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".fleet.csv.npy", "fleet.csv"]
+        written = twin_bytes(path)
+        same_fleet(twin_read(path), loaded)
+        assert twin_bytes(path) == written
+        # the same bytes elsewhere give the same twin bytes
+        other = tmp_path / "copy" / "fleet.csv"
+        other.parent.mkdir()
+        other.write_bytes(path.read_bytes())
+        load_csv(other)
+        assert twin_bytes(other) == written
+
+    def test_twin_has_the_permissions_of_other_outputs(self, tmp_path):
+        path = tmp_path / "fleet.csv"
+        path.write_text(fleet_text())
+        load_csv(path)
+        mode = persist._twin_path(path).stat().st_mode
+        assert stat.S_IMODE(mode) == stat.S_IMODE(path.stat().st_mode)
+
+    def test_quoted_ids_take_the_csv_parse_and_the_twin(self, tmp_path):
+        fleet, _ = small_fleet()
+        fleet = [dataclasses.replace(u, unit_id=uid) for u, uid in zip(fleet, ["u,1", 'ü"2'])]
+        path = tmp_path / "fleet.csv"
+        save_csv(fleet, path)
+        assert _parse_fast(path) is None
+        loaded = load_csv(path)
+        assert [u.unit_id for u in loaded] == ["u,1", 'ü"2']
+        same_fleet(twin_read(path), loaded)
+
+    def test_nul_and_non_ascii_ids_survive_the_twin(self, tmp_path):
+        path = tmp_path / "fleet.csv"
+        path.write_text(fleet_text(units=("u1\0", "é", "u1\0", "ünï\0", "u1")))
+        loaded = load_csv(path)
+        assert [u.unit_id for u in loaded] == ["u1\0", "é", "ünï\0", "u1"]
+        again = twin_read(path)
+        assert [u.unit_id for u in again] == ["u1\0", "é", "ünï\0", "u1"]
+        same_fleet(again, loaded)
+
+    def test_changed_digit_is_parsed_again(self, tmp_path):
+        path = tmp_path / "fleet.csv"
+        text = fleet_text()
+        path.write_text(text)
+        first = load_csv(path)
+        path.write_text(text.replace(",2.5", ",3.5", 1))
+        with mock.patch.object(persist, "_parse_fast", wraps=_parse_fast) as fast:
+            second = load_csv(path)
+        fast.assert_called_once()
+        assert first[1].z[0, 0] == 2.5 and second[1].z[0, 0] == 3.5
+        same_fleet(twin_read(path), second)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda good: b"",
+            lambda good: good[:5],
+            lambda good: good[:40],
+            lambda good: good[: len(good) // 2],
+            lambda good: good[:-1],
+            lambda good: good + b"\0",
+            lambda good: b"garbage, not arrays",
+            lambda good: b"PK\x03\x04" + good,
+            lambda good: bytes(reversed(good)),
+        ],
+        ids=["empty", "cut_in_magic", "cut_in_header", "cut_in_half", "last_byte_cut",
+             "trailing_byte", "garbage", "zip_magic", "reversed"],
+    )
+    def test_damaged_twin_is_a_miss_and_rewritten(self, tmp_path, damage):
+        path = tmp_path / "fleet.csv"
+        path.write_text(fleet_text(units=("u1", "u2", "u3", "u1")))
+        expected = load_csv(path)
+        good = twin_bytes(path)
+        persist._twin_path(path).write_bytes(damage(good))
+        same_fleet(load_csv(path), expected)
+        assert twin_bytes(path) == good
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda a: [a[0] ^ np.uint8(1), *a[1:]],
+            lambda a: [a[0].astype(np.int64), *a[1:]],
+            lambda a: [a[0], np.concatenate(([0xFF], a[1][1:])).astype(np.uint8), *a[2:]],
+            lambda a: [a[0], a[1], a[2].astype(np.int32), *a[3:]],
+            lambda a: [*a[:2], a[2] - (np.arange(len(a[2])) == len(a[2]) - 1), *a[3:]],
+            lambda a: [*a[:2], np.array([2, 1, a[2][-1]]), *a[3:]],
+            lambda a: [*a[:2], np.array([-1, 4, a[2][-1]]), *a[3:]],
+            lambda a: [*a[:2], a[2][:0], a[3][:0], a[4][:0]],
+            lambda a: [a[0], a[1][:0], a[2][:0], *a[3:]],
+            lambda a: [*a[:3], np.where(a[3] == 2, 3, a[3]), a[4]],
+            lambda a: [*a[:3], np.where(a[3] == 0, -1, a[3]), a[4]],
+            lambda a: [*a[:3], a[3].astype(np.float64), a[4]],
+            lambda a: [*a[:3], a[3][:-1], a[4]],
+            lambda a: [*a[:4], a[4][:, :-1]],
+            lambda a: [*a[:3], a[3][:, None], a[4]],
+            lambda a: [*a[:4], a[4].astype(np.float32)],
+            lambda a: [*a[:4], a[4].view(np.int64)],
+            lambda a: [*a[:4], np.asfortranarray(a[4])],
+            lambda a: [*a[:4], a[4][None]],
+            lambda a: [*a, a[0]],
+            lambda a: a[:-1],
+        ],
+        ids=["other_key", "key_dtype", "ids_not_utf8", "ends_dtype", "last_end_short",
+             "ends_decreasing", "end_negative", "no_rows", "no_ids", "code_past_the_ids",
+             "negative_code", "codes_dtype", "codes_short", "codes_ndim", "table_columns", "table_dtype", "table_bits_as_int64",
+             "table_fortran_order", "table_ndim", "extra_array", "missing_array"],
+    )
+    def test_tampered_twin_is_a_miss_and_rewritten(self, tmp_path, tamper):
+        path = tmp_path / "fleet.csv"
+        path.write_text(fleet_text(units=("u1", "u2", "u3", "u1")))
+        expected = load_csv(path)
+        good = twin_bytes(path)
+        write_twin(path, tamper(twin_arrays(path)))
+        same_fleet(load_csv(path), expected)
+        assert twin_bytes(path) == good
+
+    @pytest.mark.parametrize("shape", [(10**12, 19), (-1, 19)])
+    def test_table_header_of_another_size_is_not_read(self, tmp_path, shape):
+        path = tmp_path / "fleet.csv"
+        path.write_text(fleet_text())
+        expected = load_csv(path)
+        good = twin_bytes(path)
+        data = twin_arrays(path)[4].tobytes()
+        head = len(good) - len(data) - len(header_only_array((3, 19)))
+        persist._twin_path(path).write_bytes(good[:head] + header_only_array(shape) + data)
+        same_fleet(load_csv(path), expected)
+        assert twin_bytes(path) == good
+
+    @pytest.mark.parametrize("fails", ["open", "replace"])
+    def test_unwritable_twin_still_returns_the_fleet(self, tmp_path, monkeypatch, fails):
+        path = tmp_path / "fleet.csv"
+        path.write_text(fleet_text())
+        expected = _parse_csv(path)
+        real_open = Path.open
+
+        def refuse_temporaries(self, *args, **kwargs):
+            if self.name.endswith(".tmp"):
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_open(self, *args, **kwargs)
+
+        def refuse(*args):
+            raise OSError(30, "Read-only file system")
+
+        if fails == "open":
+            monkeypatch.setattr(Path, "open", refuse_temporaries)
+        else:
+            monkeypatch.setattr(persist.os, "replace", refuse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fleet = load_csv(path)
+        assert not caught
+        assert [u.unit_id for u in fleet] == expected[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.csv"]
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (fleet_text().replace(",2.5", ",x", 1), NonNumericCell),
+            (fleet_text().replace(",2.5", "", 1), RaggedRow),
+            (fleet_text(units=()), EmptyFile),
+            (fleet_text(header=FLEET_COLUMNS[1:]), MissingColumn),
+        ],
+        ids=["non_numeric", "ragged", "header_only", "missing_column"],
+    )
+    def test_refused_file_writes_no_twin(self, tmp_path, text, error):
+        path = tmp_path / "fleet.csv"
+        path.write_text(text)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                load_csv(path)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.csv"]
+
+    def test_non_utf8_file_writes_no_twin(self, tmp_path):
+        path = tmp_path / "fleet.csv"
+        path.write_bytes(fleet_text().encode().replace(b"u2", b"u\xff"))
+        with pytest.raises(DataError, match="is not UTF-8 text: byte 0xff"):
+            load_csv(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.csv"]
+
+
+class FailsMidWrite:
+    """A file handle that writes half of the first write it gets, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("before", [None, b"the previous output\n"], ids=["new", "replaced"])
+@pytest.mark.parametrize("writer", ["write_table", "save_checkpoint"])
+def test_failed_write_publishes_nothing(tmp_path, monkeypatch, writer, before):
+    target = tmp_path / "out.csv"
+    if before is not None:
+        target.write_bytes(before)
+    oc, _ = make_models()
+    write = {
+        "write_table": lambda: persist.write_table(target, ["a", "b"], [[1, 2], [3, 4]]),
+        "save_checkpoint": lambda: save_checkpoint(oc, target),
+    }[writer]
+    real_open = Path.open
+    monkeypatch.setattr(Path, "open", lambda *a, **kw: FailsMidWrite(real_open(*a, **kw)))
+    with pytest.raises(OSError, match="No space left on device"):
+        write()
+    monkeypatch.undo()
+    if before is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == before
+    write()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~current_umask()
+
+
+def current_umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 class TestGroundTruthSidecar:
