@@ -12,9 +12,11 @@ import argparse
 import sys
 from pathlib import Path
 
+# resfault before numpy: importing it pins numpy's BLAS to one thread
+from resfault import cli, experiment, parallel
+
 import numpy as np
 
-from resfault import cli, experiment, parallel
 from resfault.health import SENSORWISE
 from resfault.models import OC_KIND
 from resfault.persist import format_float as fmt

@@ -13,23 +13,15 @@ import os
 
 from .errors import ComputeError
 
-# Each of these sizes a BLAS thread pool when a process imports numpy; a
-# worker runs one thread so that the workers do not contend for cores.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# The job function with its shared arguments bound, set once per worker
-# process by _init_worker so that each job sends only its own arguments.
+# The job function with its shared arguments bound. run_jobs sets it before
+# the workers fork, so they inherit it and each job sends only its own
+# arguments.
 _worker_job = None
 
 
 def worker_count(n_jobs: int) -> int:
     """One worker per usable CPU, up to one per job."""
     return min(len(os.sched_getaffinity(0)), n_jobs)
-
-
-def _init_worker(fn, shared: tuple) -> None:
-    global _worker_job
-    _worker_job = functools.partial(fn, *shared)
 
 
 def _run_worker_job(args: tuple):
@@ -40,14 +32,13 @@ def run_jobs(fn, shared: tuple, jobs: list[tuple], workers: int) -> list:
     """``[fn(*shared, *args) for args in jobs]``, on ``workers`` processes.
 
     With ``workers`` 1 the jobs run one after another in this process, and no
-    pool module is imported. With more, they run on that many ``spawn``
-    worker processes, each with one BLAS thread; ``fn`` and ``shared`` are
-    sent once per worker, and a job's exception is raised here once every
-    running job has ended. A spawned worker imports the caller's main
-    module, so a program that calls this with ``workers`` > 1 must guard its
-    entry point with ``if __name__ == "__main__":``; a worker that dies,
-    as one does without that guard, raises ComputeError.
+    pool module is imported. With more, they run on that many worker
+    processes forked from this one: ``fn`` and ``shared`` are inherited, not
+    sent, and so is the one BLAS thread that importing resfault sets. A job's
+    exception is raised here once every running job has ended, and a worker
+    that dies raises ComputeError.
     """
+    global _worker_job
     if workers == 1:
         return [fn(*shared, *args) for args in jobs]
     # imported here: the CLI imports this module and may never start a pool
@@ -55,27 +46,16 @@ def run_jobs(fn, shared: tuple, jobs: list[tuple], workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    _worker_job = functools.partial(fn, *shared)
     try:
-        pool = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_init_worker,
-            initargs=(fn, shared),
-        )
+        # safe to fork: the pool forks every worker before it starts a thread, and
+        # OpenBLAS stops its own threads at fork
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
             return list(pool.map(_run_worker_job, jobs))
         except BrokenProcessPool:
-            raise ComputeError(
-                "a worker process ended abruptly; a program that starts workers must "
-                'guard its entry point with `if __name__ == "__main__":`'
-            ) from None
+            raise ComputeError("a worker process ended abruptly") from None
         finally:
             pool.shutdown(cancel_futures=True)
     finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        _worker_job = None

@@ -74,17 +74,23 @@ def _published(path: str | Path, mode: str, **open_args):
     The file is a hidden temporary beside ``path``, opened with ``mode`` and
     ``open_args`` like any output, so with the same permissions. It
     replaces ``path`` when the ``with`` block ends without error, and it is
-    deleted whatever happens.
+    deleted whatever happens. An error that names the temporary, such as
+    ``path`` being a directory, is raised naming ``path``.
     """
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    fh = temporary.open(mode, **open_args)
     try:
-        with fh:
-            yield fh
-        os.replace(temporary, path)
-    finally:
-        temporary.unlink(missing_ok=True)
+        fh = temporary.open(mode, **open_args)
+        try:
+            with fh:
+                yield fh
+            os.replace(temporary, path)
+        finally:
+            temporary.unlink(missing_ok=True)
+    except OSError as exc:
+        if exc.filename != str(temporary):
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def write_table(path: str | Path, header, rows) -> None:

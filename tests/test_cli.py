@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ import yaml
 
 import resfault
 from resfault import experiment, parallel, synth
-from resfault.cli import main
+from resfault.cli import exit_code, main
 from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS
 from resfault.detector import DetectionReport
 from resfault.config import load_config
@@ -308,6 +309,25 @@ class TestUnwritableOut:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("writer", ["write_table", "train"])
+def test_output_that_is_a_directory_names_the_output(workspace, tmp_path, capsys, writer):
+    """The error names the user's path, not the hidden temporary written first."""
+    target = tmp_path / "isdir.json"
+    target.mkdir()
+    if writer == "train":
+        code = main(
+            ["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--model", "oc", "--out", str(target)]
+        )
+    else:
+        code = exit_code(lambda: write_table(target, ["a"], [[1]]))
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: [Errno {errno.EISDIR}] Is a directory: '{target}'"]
+    assert ".tmp" not in err[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["isdir.json"]
 
 
 def test_failed_synth_leaves_no_fleet_csv(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from resfault import experiment, parallel, segmentation
+import resfault
+from resfault import experiment, segmentation
 from resfault.config import config_from_dict
 from resfault.detector import DetectionReport
 from resfault.errors import EmptyFleet
@@ -141,12 +142,12 @@ class TestProtocol:
 
     def test_worker_pool_gives_the_serial_results(self, mini_preprocessed):
         cfg, units, truths = mini_preprocessed
-        environ = {var: os.environ.get(var) for var in parallel.BLAS_THREAD_VARS}
+        environ = {var: os.environ.get(var) for var in resfault.BLAS_THREAD_VARS}
         serial = experiment.run_protocol(units, truths, cfg, workers=1)
         pooled = experiment.run_protocol(units, truths, cfg, workers=2)
         # every detection, statistic, cycle average, weight and loss
         np.testing.assert_equal(dataclasses.asdict(pooled), dataclasses.asdict(serial))
-        assert {var: os.environ.get(var) for var in parallel.BLAS_THREAD_VARS} == environ
+        assert {var: os.environ.get(var) for var in resfault.BLAS_THREAD_VARS} == environ
 
     def test_realisations_use_distinct_splits(self, mini_preprocessed):
         cfg, units, truths = mini_preprocessed

@@ -174,25 +174,29 @@ def test_failing_job_fails_the_pool_run_cleanly(tmp_path):
 @pytest.mark.skipif(
     len(os.sched_getaffinity(0)) < 2, reason="a worker pool needs 2 usable CPUs"
 )
-def test_unguarded_program_gets_one_error_line(tmp_path):
+def test_unguarded_program_runs_the_pool(tmp_path):
     cfg = tmp_path / "tiny.yaml"
     cfg.write_text(json.dumps(TINY))
-    data = tmp_path / "data"
+    unguarded, guarded = tmp_path / "unguarded", tmp_path / "guarded"
     program = tmp_path / "unguarded.py"
-    # no `if __name__ == "__main__":`: each spawned worker re-runs the synth
+    # no `if __name__ == "__main__":`: forked workers never import the program
     program.write_text(
         "import sys\n"
         "from resfault.cli import main\n"
-        f"sys.exit(main(['synth', '--config', {str(cfg)!r}, '--out', {str(data)!r}]))\n"
+        f"sys.exit(main(['synth', '--config', {str(cfg)!r}, '--out', {str(unguarded)!r}]))\n"
     )
     with usable_cpus(sorted(os.sched_getaffinity(0))[:2]):
         proc = run_fresh([str(program)])
-    assert proc.returncode == 4
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1
-    assert "__main__" in errors[0]
-    assert "BrokenProcessPool" not in proc.stderr
-    assert not [p.name for p in data.iterdir() if ".part" in p.name]
+        reference = run_fresh(
+            ["-m", "resfault", "synth", "--config", str(cfg), "--out", str(guarded)]
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert reference.returncode == 0, reference.stderr
+    assert proc.stderr == ""
+    assert "workers: 2" in (unguarded / "synth_manifest.txt").read_text().splitlines()
+    fleet = (unguarded / "fleet.csv").read_bytes()
+    assert fleet == (guarded / "fleet.csv").read_bytes()
+    assert sorted(p.name for p in unguarded.iterdir()) == sorted(p.name for p in guarded.iterdir())
 
 
 def test_one_family_fleet_writes_every_table(tmp_path):
