@@ -59,11 +59,16 @@ def cmd_synth(args) -> int:
     cfg = effective_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    manifest = out / "synth_manifest.txt"
+    # an earlier run's files go first, so a failed run leaves none beside its
+    # own; a stale fleet twin is keyed by content and only misses
+    for stale in (manifest, out / TRUTH_FILE, out / FLEET_FILE):
+        stale.unlink(missing_ok=True)
     workers = parallel.worker_count(len(synth.unit_plan(cfg)))
     truths = synth.save_fleet(cfg, out / FLEET_FILE, workers)
     persist.save_ground_truth(truths, out / TRUTH_FILE)
     persist.write_manifest(
-        out / "synth_manifest.txt",
+        manifest,
         "synth",
         cfg,
         {"seed": cfg.seed, "units": len(truths), "out": out, "workers": workers},

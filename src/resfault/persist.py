@@ -10,7 +10,6 @@ reads of the same bytes load. The commands' outputs appear only once whole.
 from __future__ import annotations
 
 import array
-import codecs
 import contextlib
 import csv
 import functools
@@ -20,7 +19,6 @@ import json
 import math
 import os
 import shutil
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +56,7 @@ NO_DETECTION_MARK = "-"
 UNIT_COLUMN = "unit"
 CYCLE_COLUMN = "cycle"
 FLEET_COLUMNS = (UNIT_COLUMN, CYCLE_COLUMN) + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS
-# The columns of the table the fleet parsers return, next to the unit ids in
+# The columns of the table the fleet parser returns, next to the unit ids in
 # order of first appearance and each row's index into them.
 NUMERIC_COLUMNS = (CYCLE_COLUMN,) + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS
 
@@ -124,12 +122,12 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     stably sorted by cycle within each unit, preserving row order inside
     a cycle.
 
-    A well-formed file is read by one ``np.loadtxt`` call. Anything else is
-    parsed again by the ``csv`` module, which names the offending line:
-    quotes, a ``\\r`` not followed by ``\\n``, ragged or blank lines, a
-    header of 64 KiB or more, a missing or repeated column name, a cell of
-    NUMERIC_COLUMNS that is not a finite number, a unit id of 16 bytes or
-    more, a file that is not UTF-8 or holds a NUL or a \\x1c-\\x1f byte.
+    The file is UTF-8 text read by the ``csv`` module (_parse_csv), so a
+    cell may be quoted as ``csv.writer`` quotes it. A typed error names the
+    first defect: no header or no data rows, a row, a blank one included,
+    whose cell count is not the header's, a missing column, a cell of
+    NUMERIC_COLUMNS that is not a finite number, a cycle that is not an
+    integer. A column named twice is read from its first place.
 
     The parse of a file that parses is kept in its twin (_twin_path); a
     later read of the same bytes loads the twin and parses nothing.
@@ -138,7 +136,7 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     key = _fleet_key(path)
     parsed = _load_twin(path, key)
     if parsed is None:
-        parsed = _parse_fast(path) or _parse_csv(path)
+        parsed = _parse_csv(path)
         _save_twin(path, key, *parsed)
     unit_ids, codes, table = parsed
     cycle_int = table[:, 0].astype(np.int64)
@@ -269,81 +267,6 @@ def _read_array(fh, size: int, dtype: np.dtype, ndim: int) -> np.ndarray:
     return np.fromfile(fh, dtype=dtype, count=count).reshape(shape)
 
 
-# Bytes read per step of the byte pass in _parse_fast.
-_SCAN_BLOCK_BYTES = 1 << 20
-# Bytes np.loadtxt reads otherwise than csv and float: a quote, a NUL, which
-# an "S" cell drops at its end, and the separators \x1c-\x1f, which numpy
-# strips from a number as whitespace.
-_REFUSED_BYTES = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# Width of a unit cell in _parse_fast; a cell that fills it may have been cut.
-_UNIT_CELL_BYTES = 16
-# Longest header _parse_fast reads; a file with no "\n" that early goes to the csv path.
-_HEADER_MAX_BYTES = 1 << 16
-
-
-def _parse_fast(path: Path):
-    """Columns of a well-formed fleet CSV, or None when the csv path must decide.
-
-    A byte pass refuses non-UTF-8, _REFUSED_BYTES and a lone "\\r" and counts
-    lines; one ``np.loadtxt`` call reads unit cells as bytes, NUMERIC_COLUMNS
-    as floats and other cells as one byte. Any file load_csv names is None.
-    """
-    with path.open("rb") as fh:
-        first = fh.readline(_HEADER_MAX_BYTES)
-        if not first.endswith(b"\n"):
-            return None
-        fh.seek(0)
-        decode = codecs.getincrementaldecoder("utf-8")().decode
-        n_lines, lone_cr, last = 0, 0, b"\n"
-        try:
-            while block := fh.read(_SCAN_BLOCK_BYTES):
-                if any(byte in block for byte in _REFUSED_BYTES):
-                    return None
-                decode(block)
-                # a lone "\r" ends a csv row where numpy need not; a block may cut a "\r\n"
-                lone_cr += block.count(b"\r") - block.count(b"\r\n") - (last + block[:1] == b"\r\n")
-                n_lines, last = n_lines + block.count(b"\n"), block[-1:]
-            decode(b"", final=True)
-        except UnicodeDecodeError:
-            return None
-        n_lines += last != b"\n"
-        header = first.removesuffix(b"\n").removesuffix(b"\r").decode().split(",")
-        if lone_cr or not set(FLEET_COLUMNS) <= set(header) or len(set(header)) < len(header):
-            return None
-        unit_at = header.index(UNIT_COLUMN)
-        # named by place: numpy names an empty field f<i>, which a column may be called
-        fields = [(f"c{i}", "f8" if name in NUMERIC_COLUMNS else "S1")
-                  for i, name in enumerate(header)]
-        fields[unit_at] = (f"c{unit_at}", f"S{_UNIT_CELL_BYTES}")
-        fh.seek(len(first))
-        try:
-            # no data lines, or only blank ones, is a numpy warning, not an error
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                # latin-1 hands each byte of a unit cell to its "S" field unchanged
-                rows = np.loadtxt(fh, fields, delimiter=",", comments=None, quotechar=None,
-                                  ndmin=1, encoding="latin-1")
-        except (ValueError, Warning):
-            return None
-    # imported here: numpy.ma, which it loads, adds to the start-up of every command
-    from numpy.lib.recfunctions import structured_to_unstructured
-
-    table = structured_to_unstructured(
-        rows[[f"c{header.index(name)}" for name in NUMERIC_COLUMNS]], copy=False
-    )
-    cycle = table[:, 0]
-    if len(rows) != n_lines - 1 or not np.isfinite(table).all() or np.any(cycle != np.floor(cycle)):
-        return None
-    cells = rows[f"c{unit_at}"]
-    starts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
-    index: dict[bytes, int] = {}
-    run_codes = [index.setdefault(cell, len(index)) for cell in cells[starts].tolist()]
-    if any(len(cell) == _UNIT_CELL_BYTES for cell in index):
-        return None
-    codes = np.repeat(np.array(run_codes, dtype=np.int64), np.diff(starts, append=len(cells)))
-    return [cell.decode() for cell in index], codes, table
-
-
 def _parse_csv(path: Path):
     """Columns of any fleet CSV, read row by row with ``csv``.
 
@@ -438,7 +361,7 @@ def save_csv(fleet: list[UnitSeries], path: str | Path) -> None:
 
     The bytes are those of ``csv.writer`` rows of ``format_float`` cells.
     """
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with _published(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_row(FLEET_COLUMNS))
         write_fleet_rows(fh, fleet)
 

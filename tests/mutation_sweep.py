@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python tests/mutation_sweep.py persist._parse_fast persist.load_csv
+    python tests/mutation_sweep.py persist._parse_csv persist.load_csv
 
 Each argument names a function of ``src/resfault`` as ``module.function``
 (or ``module.Class.method``). Every mutant changes one node of that
@@ -23,7 +23,8 @@ the module; only a mutant those tests pass goes on to the whole files,
 the module's own ``test_<module>.py`` first. The tests must first pass on
 the unmutated module as ``ast.unparse`` writes it. A mutant the tests pass survives; the
 survivors are listed at the end, and the exit status is 1 if there are
-any. The file is not collected by pytest.
+any. A mutant in KNOWN_EQUIVALENT is not run: it is listed as skipped and
+does not set the exit status. The file is not collected by pytest.
 """
 
 from __future__ import annotations
@@ -49,6 +50,16 @@ _FLIPPED = {
     ast.Is: ast.IsNot, ast.IsNot: ast.Is,
 }
 _BOUND_MOVED = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+
+# Mutants no test can kill, because the program behaves the same, as
+# (function, mutation, the mutated line as ``ast.unparse`` writes it
+# unmutated, stripped).
+KNOWN_EQUIVALENT = {
+    # the block size the fleet file is hashed in, not the digest
+    ("persist._fleet_key", "1 -> 2", "while (block := fh.read(1 << 20)):"),
+    ("persist._fleet_key", "20 -> 21", "while (block := fh.read(1 << 20)):"),
+    ("persist._fleet_key", "20 -> 19", "while (block := fh.read(1 << 20)):"),
+}
 
 
 def find_function(tree: ast.Module, dotted: str):
@@ -196,29 +207,42 @@ def run_tests(work: Path, files: list[str]) -> bool:
     return proc.returncode == 0
 
 
-def sweep(target: str, work: Path) -> list[str]:
-    """Run every mutant of ``target``; return the survivors' descriptions."""
+def changed_line(unmutated: str, mutated: str) -> str:
+    """The first line of ``unmutated`` that ``mutated`` writes otherwise, stripped."""
+    pairs = zip(unmutated.splitlines(), mutated.splitlines())
+    return next((old.strip() for old, new in pairs if old != new), "")
+
+
+def sweep(target: str, work: Path) -> tuple[list[str], list[str]]:
+    """Run every mutant of ``target``; return the survivors' descriptions
+    and those of the KNOWN_EQUIVALENT mutants left unrun."""
     module, _, dotted = target.partition(".")
     path = work / "src" / PACKAGE / f"{module}.py"
     original = path.read_text()
     tree = ast.parse(original)
     files = importing_tests(module)
     first = naming_tests(files, callers(tree, dotted.rpartition(".")[2]))
-    path.write_text(ast.unparse(tree))
+    unmutated = ast.unparse(tree)
+    path.write_text(unmutated)
     if not run_tests(work, files):
         raise SystemExit(f"{target}: the tests fail on the unmutated module")
-    survivors = []
+    survivors, skipped = [], []
     try:
         for line, description, mutant in mutants(tree, dotted):
-            path.write_text(ast.unparse(mutant))
-            killed = (bool(first) and not run_tests(work, first)) or not run_tests(work, files)
+            text = ast.unparse(mutant)
             label = f"{module}.py:{line} {dotted}: {description}"
+            if (target, description, changed_line(unmutated, text)) in KNOWN_EQUIVALENT:
+                print(f"skipped  {label}", flush=True)
+                skipped.append(label)
+                continue
+            path.write_text(text)
+            killed = (bool(first) and not run_tests(work, first)) or not run_tests(work, files)
             print(f"{'killed  ' if killed else 'SURVIVED'} {label}", flush=True)
             if not killed:
                 survivors.append(label)
     finally:
         path.write_text(original)
-    return survivors
+    return survivors, skipped
 
 
 def main(argv=None) -> int:
@@ -230,9 +254,14 @@ def main(argv=None) -> int:
         shutil.copytree(
             ROOT, work, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis")
         )
-        survivors = [label for target in args.targets for label in sweep(target, work)]
+        results = [sweep(target, work) for target in args.targets]
+    survivors = [label for found, _ in results for label in found]
+    skipped = [label for _, found in results for label in found]
     print(f"{len(survivors)} survived")
     for label in survivors:
+        print(f"  {label}")
+    print(f"{len(skipped)} skipped (known equivalent)")
+    for label in skipped:
         print(f"  {label}")
     return 1 if survivors else 0
 

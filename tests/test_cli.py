@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import resfault
-from resfault import experiment, parallel, synth
+from resfault import experiment, parallel, persist, synth
 from resfault.cli import exit_code, main
 from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS
 from resfault.detector import DetectionReport
@@ -355,6 +355,35 @@ def test_failed_synth_leaves_no_fleet_csv(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0] == "error: [Errno 27] File too large"
     assert len(calls) == 2
     assert list(out.iterdir()) == []
+
+
+def test_failed_synth_rerun_leaves_one_runs_files(tmp_path, monkeypatch, capsys):
+    """A re-run that fails keeps no earlier run's ground truth beside its fleet."""
+    cfg = write_config(tmp_path / "mini.yaml")
+    clean, out = tmp_path / "clean", tmp_path / "data"
+
+    def synth_into(directory, seed):
+        return main(["synth", "--config", str(cfg), "--seed", str(seed), "--out", str(directory)])
+
+    assert synth_into(clean, 602) == 0
+    assert synth_into(out, 601) == 0
+    capsys.readouterr()
+
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(persist, "save_ground_truth", disk_full)
+        assert synth_into(out, 602) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+    left = sorted(p.name for p in out.iterdir())
+    assert left in ([], ["fleet.csv"])
+    if left:
+        assert (out / "fleet.csv").read_bytes() == (clean / "fleet.csv").read_bytes()
+    # a successful re-run writes the bytes of a run into an empty directory
+    assert synth_into(out, 602) == 0
+    for name in ("fleet.csv", "ground_truth.csv"):
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
 
 
 class TestNegativeSeeds:

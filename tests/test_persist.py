@@ -6,14 +6,13 @@ import os
 import re
 import stat
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from resfault import nn, persist
 from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, UnitSeries
@@ -32,7 +31,6 @@ from resfault.persist import (
     FLEET_COLUMNS,
     TruthRecord,
     _parse_csv,
-    _parse_fast,
     format_float,
     load_checkpoint,
     load_csv,
@@ -54,9 +52,6 @@ from resfault.detector import DetectionReport
 
 
 LINE_ENDS = ("\n", "\r\n")
-# The fast parse's default block, and blocks so small that lines, UTF-8
-# sequences and "\r\n" pairs cross their edges.
-SCAN_BLOCKS = (persist._SCAN_BLOCK_BYTES, 1, 7, 64)
 
 
 def reference_save_csv(fleet, path):
@@ -77,14 +72,6 @@ def write_lines(path, lines, line_end):
     path.write_bytes("".join(line + line_end for line in lines).encode())
 
 
-def same_columns(a, b):
-    """Two parses agree bit for bit: unit ids, row codes, cycles, w and x."""
-    assert a[0] == b[0]
-    for left, right in zip(a[1:], b[1:]):
-        assert left.dtype == right.dtype and left.shape == right.shape
-        assert left.tobytes() == right.tobytes()
-
-
 def same_fleet(a, b):
     """Two loaded fleets agree bit for bit, unit by unit."""
     assert [u.unit_id for u in a] == [u.unit_id for u in b]
@@ -96,10 +83,9 @@ def same_fleet(a, b):
 
 
 def twin_read(path):
-    """load_csv(path) with both parsers refused, so the fleet must come from its twin."""
+    """load_csv(path) with the parse refused, so the fleet must come from its twin."""
     refused = AssertionError("parsed, not read from the twin")
-    with mock.patch.object(persist, "_parse_fast", side_effect=refused), \
-            mock.patch.object(persist, "_parse_csv", side_effect=refused):
+    with mock.patch.object(persist, "_parse_csv", side_effect=refused):
         return load_csv(path)
 
 
@@ -120,16 +106,14 @@ class TestCsvRoundTrip:
         save_csv(fleet, path)
         text = path.read_bytes()
         # also without the final line end
-        path.write_bytes(text.removesuffix(b"\r\n"))
-        same_columns(_parse_fast(path), _parse_csv(path))
-        path.write_bytes(text)
-        same_columns(_parse_fast(path), _parse_csv(path))
-        loaded = load_csv(str(path))  # a str path as well as a Path
-        assert [u.unit_id for u in loaded] == [u.unit_id for u in fleet]
-        for a, b in zip(fleet, loaded):
-            np.testing.assert_array_equal(a.w, b.w)
-            np.testing.assert_array_equal(a.x, b.x)
-            np.testing.assert_array_equal(a.cycle_of, b.cycle_of)
+        for variant in (text.removesuffix(b"\r\n"), text):
+            path.write_bytes(variant)
+            loaded = load_csv(str(path))  # a str path as well as a Path
+            assert [u.unit_id for u in loaded] == [u.unit_id for u in fleet]
+            for a, b in zip(fleet, loaded):
+                np.testing.assert_array_equal(a.w, b.w)
+                np.testing.assert_array_equal(a.x, b.x)
+                np.testing.assert_array_equal(a.cycle_of, b.cycle_of)
 
     def test_second_save_is_byte_identical(self, tmp_path):
         fleet, _ = small_fleet()
@@ -147,8 +131,7 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("quote", ["", '"'])
     def test_interleaved_units_regrouped(self, tmp_path, quote):
-        # quoted unit cells, such as "a", are refused by the fast parse and
-        # name the unit without their quotes
+        # quoted unit cells, such as "a", name the unit without their quotes
         rows = []
         for cyc in (1, 0):
             for uid in ("a", "b"):
@@ -163,7 +146,6 @@ class TestCsvRoundTrip:
                     + [",".join(row[i] for i in order) for row in rows],
                     line_end,
                 )
-                assert (_parse_fast(path) is None) == bool(quote)
                 fleet = load_csv(path)
                 assert [u.unit_id for u in fleet] == ["a", "b"]
                 for unit in fleet:
@@ -258,6 +240,9 @@ class TestCsvRoundTrip:
             ({(2, "cycle"): "1.5", (3, "alt"): "oops"}, "cycle column must hold integers"),
             ({(3, "XM"): " Infinity", (2, "T2"): "NaN"},
              "non-finite value ' Infinity' in column 'XM', line 3"),
+            # two non-finite cells in one column: the first line's is named
+            ({(2, "T30"): "nan", (3, "T30"): "-inf"},
+             "non-finite value 'nan' in column 'T30', line 2"),
         ],
     )
     def test_first_defect_named(self, tmp_path, cells, error):
@@ -331,31 +316,21 @@ def fleets(draw):
     return fleet
 
 
-@pytest.mark.parametrize("block", SCAN_BLOCKS)
 @settings(max_examples=150, deadline=None)
 @given(fleet=fleets())
-def test_save_matches_reference_and_round_trips(block, fleet):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        persist, "_SCAN_BLOCK_BYTES", block
-    ):
+def test_save_matches_reference_and_round_trips(fleet):
+    with tempfile.TemporaryDirectory() as tmp:
         path, reference = Path(tmp) / "fleet.csv", Path(tmp) / "reference.csv"
         save_csv(fleet, path)
         reference_save_csv(fleet, reference)
-        text = path.read_bytes()
-        assert text == reference.read_bytes()
-        # the file as written, and without its final line end
-        for variant in (text, text.removesuffix(b"\r\n")):
-            path.write_bytes(variant)
-            loaded = load_csv(path)
-            fast = _parse_fast(path)
-            if fast is not None:
-                same_columns(fast, _parse_csv(path))
-            assert [u.unit_id for u in loaded] == [u.unit_id for u in fleet]
-            for a, b in zip(fleet, loaded):
-                assert a.w.tobytes() == b.w.tobytes()
-                assert a.x.tobytes() == b.x.tobytes()
-                assert a.cycle_of.tobytes() == b.cycle_of.tobytes()
-            same_fleet(twin_read(path), loaded)
+        assert path.read_bytes() == reference.read_bytes()
+        loaded = load_csv(path)
+        assert [u.unit_id for u in loaded] == [u.unit_id for u in fleet]
+        for a, b in zip(fleet, loaded):
+            assert a.w.tobytes() == b.w.tobytes()
+            assert a.x.tobytes() == b.x.tobytes()
+            assert a.cycle_of.tobytes() == b.cycle_of.tobytes()
+        same_fleet(twin_read(path), loaded)
 
 
 GOOD_CELLS = ["0", "1", "2.5", "-0.0", "1e-05"]
@@ -383,26 +358,6 @@ def damaged_fleet_files(draw):
     return text
 
 
-@pytest.mark.parametrize("block", SCAN_BLOCKS)
-@settings(max_examples=300, deadline=None)
-@given(text=damaged_fleet_files())
-def test_loadtxt_path_agrees_with_csv_path(block, text):
-    """The fast parse answers only where the csv parse gives the same columns."""
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        persist, "_SCAN_BLOCK_BYTES", block
-    ):
-        path = Path(tmp) / "fleet.csv"
-        path.write_bytes(text.encode())
-        fast = _parse_fast(path)
-        try:
-            slow = _parse_csv(path)
-        except DataError:
-            assert fast is None
-            return
-    if fast is not None:
-        same_columns(fast, slow)
-
-
 def fleet_text(header=FLEET_COLUMNS, units=("u1", "u1", "u2"), line_end="\n"):
     """A fleet file of one row per unit cell, the cells of ``header`` in order."""
     lines = [",".join(header)]
@@ -412,95 +367,60 @@ def fleet_text(header=FLEET_COLUMNS, units=("u1", "u1", "u2"), line_end="\n"):
     return line_end.join(lines) + line_end
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        fleet_text().replace("\nu2", "\n\nu2"),
-        fleet_text(units=()) + "\n\n",
-        fleet_text(line_end="\r"),
-        # csv.writer's "\r\n" written through a text file that turns "\n" into "\r\n"
-        fleet_text(line_end="\r\r\n"),
-        fleet_text().replace("\nu2", "\n\ru2"),
-        fleet_text(units=("u1\0", "u2")),
-        fleet_text(units=("u1", "u0123456789abcde", "u0123456789abcdef")),
-        fleet_text(header=FLEET_COLUMNS + ("XM",)),
-        fleet_text().replace("1.5", "1.5\x1f"),
-        # the quote that opens the header makes the rest of the file one csv cell
-        fleet_text(header=('"a',) + FLEET_COLUMNS),
-    ],
-    ids=["blank_line", "only_blank_lines", "lone_return_line_ends", "crlf_doubled",
-         "return_opening_a_line", "trailing_nul_in_unit",
-         "long_unit_ids", "repeated_column", "separator_byte_in_number", "quoted_header_cell"],
-)
-def test_fast_parse_leaves_the_file_to_the_csv_parse(tmp_path, text):
-    path = tmp_path / "fleet.csv"
-    path.write_bytes(text.encode())
-    assert _parse_fast(path) is None
-    with warnings.catch_warnings(record=True) as caught:
+@settings(max_examples=300, deadline=None)
+@given(text=damaged_fleet_files())
+@example(text=fleet_text().replace("\nu2", "\n\nu2"))  # a blank line
+@example(text=fleet_text(units=()) + "\n\n")  # only blank lines
+@example(text=fleet_text(line_end="\r"))  # lone "\r" line ends
+# csv.writer's "\r\n" written through a text file that turns "\n" into "\r\n"
+@example(text=fleet_text(line_end="\r\r\n"))
+@example(text=fleet_text().replace("\nu2", "\n\ru2"))  # a "\r" opening a line
+@example(text=fleet_text(units=("u1\0", "u2")))  # a NUL ending a unit id
+@example(text=fleet_text(units=("u1", "u0123456789abcde", "u0123456789abcdef")))  # 16-byte ids
+@example(text=fleet_text(header=FLEET_COLUMNS + ("XM",)))  # a repeated column
+@example(text=fleet_text().replace("1.5", "1.5\x1f"))  # a separator byte in a number
+# the quote that opens the header makes the rest of the file one csv cell
+@example(text=fleet_text(header=('"a',) + FLEET_COLUMNS))
+def test_odd_fleet_file_is_refused_alike_or_twinned(text):
+    """load_csv refuses a file with the same error on every read and keeps no
+    twin of it, or returns the fleet its twin gives back bit for bit; no
+    warning escapes either way."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        path = Path(tmp) / "fleet.csv"
+        path.write_bytes(text.encode())
         try:
-            expected = _parse_csv(path)
-        except DataError as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                load_csv(path)
-        else:
             fleet = load_csv(path)
-            assert [u.unit_id for u in fleet] == expected[0]
-            assert sum(u.n_rows for u in fleet) == len(expected[1])
+        except DataError as exc:
+            with pytest.raises(DataError) as again:
+                load_csv(path)
+            assert (type(again.value), str(again.value)) == (type(exc), str(exc))
+            assert list(Path(tmp).iterdir()) == [path]
+        else:
+            same_fleet(twin_read(path), fleet)
     assert not caught
 
 
-def test_fast_parse_leaves_a_file_without_newlines_unread(tmp_path):
-    path = tmp_path / "fleet.csv"
-    path.write_bytes(fleet_text(units=("u1",) * 5000, line_end="\r").encode())
-    tracemalloc.start()
-    try:
-        assert _parse_fast(path) is None
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < path.stat().st_size / 4
-
-
-def test_fast_parse_reads_pairs_cut_by_a_block(tmp_path):
-    text = fleet_text(line_end="\r\n").encode()
-    path = tmp_path / "fleet.csv"
-    path.write_bytes(text)
-    # the last size ends the first block between the header's "\r" and "\n"
-    for block in SCAN_BLOCKS + (text.index(b"\n"),):
-        with mock.patch.object(persist, "_SCAN_BLOCK_BYTES", block):
-            same_columns(_parse_fast(path), _parse_csv(path))
-
-
 @pytest.mark.parametrize("at", [0, 5, len(FLEET_COLUMNS)])
-def test_fast_parse_reads_extra_text_columns(tmp_path, at):
+def test_extra_text_columns_are_read_and_not_kept(tmp_path, at):
     # text, empty and non-ASCII cells in a column the fleet does not use
     header = FLEET_COLUMNS[:at] + ("note",) + FLEET_COLUMNS[at:]
     notes = iter(["a long note", "", "ünï"])
-    text = fleet_text(header=header, units=("u1", "é", "u1"))
-    lines = text.split("\n")
+    lines = fleet_text(header=header, units=("u1", "é", "u1")).split("\n")
     for i in range(1, 4):
         cells = lines[i].split(",")
         cells[at] = next(notes)
         lines[i] = ",".join(cells)
-    path = tmp_path / "fleet.csv"
+    path, plain = tmp_path / "fleet.csv", tmp_path / "plain" / "fleet.csv"
     path.write_bytes("\n".join(lines).encode())
-    same_columns(_parse_fast(path), _parse_csv(path))
+    plain.parent.mkdir()
+    plain.write_text(fleet_text(units=("u1", "é", "u1")))
+    same_fleet(load_csv(path), load_csv(plain))
 
 
-def test_fast_parse_names_its_fields_by_place(tmp_path):
-    # an unnamed column next to one called "f19", numpy's name for an unnamed 20th field
-    path = tmp_path / "fleet.csv"
-    header = FLEET_COLUMNS[:-1] + ("", "f19") + FLEET_COLUMNS[-1:]
-    path.write_bytes(fleet_text(header=header).encode())
-    same_columns(_parse_fast(path), _parse_csv(path))
-
-
-@pytest.mark.parametrize("block", SCAN_BLOCKS)
 @pytest.mark.parametrize(
     "data",
     [
-        # read as latin-1, a lone 0xa0 byte is a space numpy strips from a number
         fleet_text().encode().replace(b"1.5", b"1.5\xa0"),
         fleet_text().encode().removesuffix(b"\n") + b"\xa0",
         # the first byte of a two-byte sequence, cut by the end of the file
@@ -509,13 +429,11 @@ def test_fast_parse_names_its_fields_by_place(tmp_path):
     ],
     ids=["in_a_number", "last_byte", "cut_sequence_in_unit"],
 )
-def test_non_utf8_file_is_data_error(tmp_path, block, data):
+def test_non_utf8_file_is_data_error(tmp_path, data):
     path = tmp_path / "fleet.csv"
     path.write_bytes(data)
-    with mock.patch.object(persist, "_SCAN_BLOCK_BYTES", block):
-        assert _parse_fast(path) is None
-        with pytest.raises(DataError, match="is not UTF-8 text"):
-            load_csv(path)
+    with pytest.raises(DataError, match="is not UTF-8 text"):
+        load_csv(path)
 
 
 def twin_bytes(path):
@@ -573,7 +491,6 @@ class TestFleetTwin:
         fleet = [dataclasses.replace(u, unit_id=uid) for u, uid in zip(fleet, ["u,1", 'ü"2'])]
         path = tmp_path / "fleet.csv"
         save_csv(fleet, path)
-        assert _parse_fast(path) is None
         loaded = load_csv(path)
         assert [u.unit_id for u in loaded] == ["u,1", 'ü"2']
         same_fleet(twin_read(path), loaded)
@@ -593,9 +510,9 @@ class TestFleetTwin:
         path.write_text(text)
         first = load_csv(path)
         path.write_text(text.replace(",2.5", ",3.5", 1))
-        with mock.patch.object(persist, "_parse_fast", wraps=_parse_fast) as fast:
+        with mock.patch.object(persist, "_parse_csv", wraps=_parse_csv) as parse:
             second = load_csv(path)
-        fast.assert_called_once()
+        parse.assert_called_once()
         assert first[1].z[0, 0] == 2.5 and second[1].z[0, 0] == 3.5
         same_fleet(twin_read(path), second)
 
@@ -749,7 +666,7 @@ class FailsMidWrite:
 
 
 @pytest.mark.parametrize("before", [None, b"the previous output\n"], ids=["new", "replaced"])
-@pytest.mark.parametrize("writer", ["write_table", "save_checkpoint"])
+@pytest.mark.parametrize("writer", ["write_table", "save_checkpoint", "save_csv"])
 def test_failed_write_publishes_nothing(tmp_path, monkeypatch, writer, before):
     target = tmp_path / "out.csv"
     if before is not None:
@@ -758,6 +675,7 @@ def test_failed_write_publishes_nothing(tmp_path, monkeypatch, writer, before):
     write = {
         "write_table": lambda: persist.write_table(target, ["a", "b"], [[1, 2], [3, 4]]),
         "save_checkpoint": lambda: save_checkpoint(oc, target),
+        "save_csv": lambda: save_csv(small_fleet()[0], target),
     }[writer]
     real_open = Path.open
     monkeypatch.setattr(Path, "open", lambda *a, **kw: FailsMidWrite(real_open(*a, **kw)))
