@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from resfault import nn, persist
 from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, UnitSeries
@@ -52,6 +52,9 @@ from resfault.detector import DetectionReport
 
 
 LINE_ENDS = ("\n", "\r\n")
+# Most bytes one read returns while _fleet_key hashes a fleet file: all the
+# 1 MiB it asks for, and so few that the file is hashed in many pieces.
+KEY_READS = (1 << 20, 1, 7, 64)
 
 
 def reference_save_csv(fleet, path):
@@ -87,6 +90,35 @@ def twin_read(path):
     refused = AssertionError("parsed, not read from the twin")
     with mock.patch.object(persist, "_parse_csv", side_effect=refused):
         return load_csv(path)
+
+
+class ShortReads:
+    """A binary file handle whose reads return at most ``most`` bytes, as a read may."""
+
+    def __init__(self, fh, most):
+        self.fh, self.most = fh, most
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def read(self, size):
+        return self.fh.read(min(size, self.most))
+
+
+def key_reads(most):
+    """Within, a fleet CSV opened "rb", as _fleet_key opens it, returns at
+    most ``most`` bytes a read; the twin (a .npy file) and the parse (text
+    mode) read as usual."""
+    real_open = Path.open
+
+    def open_(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return ShortReads(fh, most) if mode == "rb" and path.suffix == ".csv" else fh
+
+    return mock.patch.object(Path, "open", open_)
 
 
 def small_fleet():
@@ -316,9 +348,10 @@ def fleets(draw):
     return fleet
 
 
+@pytest.mark.parametrize("most", KEY_READS)
 @settings(max_examples=150, deadline=None)
 @given(fleet=fleets())
-def test_save_matches_reference_and_round_trips(fleet):
+def test_save_matches_reference_and_round_trips(most, fleet):
     with tempfile.TemporaryDirectory() as tmp:
         path, reference = Path(tmp) / "fleet.csv", Path(tmp) / "reference.csv"
         save_csv(fleet, path)
@@ -330,7 +363,9 @@ def test_save_matches_reference_and_round_trips(fleet):
             assert a.w.tobytes() == b.w.tobytes()
             assert a.x.tobytes() == b.x.tobytes()
             assert a.cycle_of.tobytes() == b.cycle_of.tobytes()
-        same_fleet(twin_read(path), loaded)
+        # the key of the bytes read in pieces finds the twin of the whole read
+        with key_reads(most):
+            same_fleet(twin_read(path), loaded)
 
 
 GOOD_CELLS = ["0", "1", "2.5", "-0.0", "1e-05"]
@@ -367,24 +402,11 @@ def fleet_text(header=FLEET_COLUMNS, units=("u1", "u1", "u2"), line_end="\n"):
     return line_end.join(lines) + line_end
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=damaged_fleet_files())
-@example(text=fleet_text().replace("\nu2", "\n\nu2"))  # a blank line
-@example(text=fleet_text(units=()) + "\n\n")  # only blank lines
-@example(text=fleet_text(line_end="\r"))  # lone "\r" line ends
-# csv.writer's "\r\n" written through a text file that turns "\n" into "\r\n"
-@example(text=fleet_text(line_end="\r\r\n"))
-@example(text=fleet_text().replace("\nu2", "\n\ru2"))  # a "\r" opening a line
-@example(text=fleet_text(units=("u1\0", "u2")))  # a NUL ending a unit id
-@example(text=fleet_text(units=("u1", "u0123456789abcde", "u0123456789abcdef")))  # 16-byte ids
-@example(text=fleet_text(header=FLEET_COLUMNS + ("XM",)))  # a repeated column
-@example(text=fleet_text().replace("1.5", "1.5\x1f"))  # a separator byte in a number
-# the quote that opens the header makes the rest of the file one csv cell
-@example(text=fleet_text(header=('"a',) + FLEET_COLUMNS))
-def test_odd_fleet_file_is_refused_alike_or_twinned(text):
-    """load_csv refuses a file with the same error on every read and keeps no
-    twin of it, or returns the fleet its twin gives back bit for bit; no
-    warning escapes either way."""
+def refused_alike_or_twinned(text, most=KEY_READS[0]):
+    """Whether load_csv refuses ``text`` as a fleet file; either way the
+    behaviour is checked. A refusal repeats its error on a second read and
+    keeps no twin; a fleet is what its twin gives back bit for bit, found by
+    a key read ``most`` bytes at a time. No warning escapes."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         path = Path(tmp) / "fleet.csv"
@@ -396,9 +418,53 @@ def test_odd_fleet_file_is_refused_alike_or_twinned(text):
                 load_csv(path)
             assert (type(again.value), str(again.value)) == (type(exc), str(exc))
             assert list(Path(tmp).iterdir()) == [path]
+            refused = True
         else:
-            same_fleet(twin_read(path), fleet)
+            with key_reads(most):
+                same_fleet(twin_read(path), fleet)
+            refused = False
     assert not caught
+    return refused
+
+
+@pytest.mark.parametrize("most", KEY_READS)
+@settings(max_examples=300, deadline=None)
+@given(text=damaged_fleet_files())
+def test_loadtxt_path_agrees_with_csv_path(most, text):
+    """An odd fleet file is refused alike on every read, or twinned.
+
+    (Named for the np.loadtxt parse it once held equal to the csv parse.)"""
+    refused_alike_or_twinned(text, most)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        fleet_text().replace("\nu2", "\n\nu2"),
+        fleet_text(units=()) + "\n\n",
+        fleet_text(line_end="\r"),
+        # csv.writer's "\r\n" written through a text file that turns "\n" into "\r\n"
+        fleet_text(line_end="\r\r\n"),
+        fleet_text().replace("\nu2", "\n\ru2"),
+        fleet_text(units=("u1\0", "u2")),
+        fleet_text(units=("u1", "u0123456789abcde", "u0123456789abcdef")),
+        fleet_text(header=FLEET_COLUMNS + ("XM",)),
+        fleet_text().replace("1.5", "1.5\x1f"),
+        # the quote that opens the header makes the rest of the file one csv cell
+        fleet_text(header=('"a',) + FLEET_COLUMNS),
+    ],
+    ids=["blank_line", "only_blank_lines", "lone_return_line_ends", "crlf_doubled",
+         "return_opening_a_line", "trailing_nul_in_unit",
+         "long_unit_ids", "repeated_column", "separator_byte_in_number", "quoted_header_cell"],
+)
+def test_fast_parse_leaves_the_file_to_the_csv_parse(text):
+    """The csv parse reads each of these files: every read of a refused
+    one, only the first of a twinned one.
+
+    (Named for the parse before it, which left these files to this one.)"""
+    with mock.patch.object(persist, "_parse_csv", wraps=_parse_csv) as parse:
+        refused = refused_alike_or_twinned(text)
+    assert parse.call_count == (2 if refused else 1)
 
 
 @pytest.mark.parametrize("at", [0, 5, len(FLEET_COLUMNS)])
@@ -418,6 +484,7 @@ def test_extra_text_columns_are_read_and_not_kept(tmp_path, at):
     same_fleet(load_csv(path), load_csv(plain))
 
 
+@pytest.mark.parametrize("most", KEY_READS)
 @pytest.mark.parametrize(
     "data",
     [
@@ -429,11 +496,12 @@ def test_extra_text_columns_are_read_and_not_kept(tmp_path, at):
     ],
     ids=["in_a_number", "last_byte", "cut_sequence_in_unit"],
 )
-def test_non_utf8_file_is_data_error(tmp_path, data):
+def test_non_utf8_file_is_data_error(tmp_path, most, data):
     path = tmp_path / "fleet.csv"
     path.write_bytes(data)
-    with pytest.raises(DataError, match="is not UTF-8 text"):
+    with key_reads(most), pytest.raises(DataError, match="is not UTF-8 text"):
         load_csv(path)
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def twin_bytes(path):
