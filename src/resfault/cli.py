@@ -65,8 +65,7 @@ def cmd_synth(args) -> int:
     for stale in (manifest, out / TRUTH_FILE, out / FLEET_FILE):
         stale.unlink(missing_ok=True)
     workers = parallel.worker_count(len(synth.unit_plan(cfg)))
-    truths = synth.save_fleet(cfg, out / FLEET_FILE, workers)
-    persist.save_ground_truth(truths, out / TRUTH_FILE)
+    truths = synth.save_fleet(cfg, out / FLEET_FILE, out / TRUTH_FILE, workers)
     persist.write_manifest(
         manifest,
         "synth",

@@ -12,11 +12,11 @@ from __future__ import annotations
 import array
 import contextlib
 import csv
-import functools
 import io
 import itertools
 import json
 import math
+import operator
 import os
 import shutil
 from pathlib import Path
@@ -99,22 +99,44 @@ def write_table(path: str | Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _utf8_input(load):
-    """``load(path)``, with a file that is not UTF-8 text a DataError naming it."""
+def _rows(path: Path, columns):
+    """``(line, cells)`` of each data row of the CSV ``path``: the file line
+    the row ends on, and the row's cells of ``columns``, in that order.
 
-    @functools.wraps(load)
-    def checked(path):
-        try:
-            return load(path)
-        except UnicodeDecodeError as exc:
-            raise DataError(
-                f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
-            ) from None
+    The file is UTF-8 text read by the ``csv`` module, so a cell may be
+    quoted as ``csv.writer`` quotes it. A column named twice is read from its
+    first place; a column not in ``columns`` is read and not kept. A typed
+    error names the first defect, in this order: no header; a row, a blank
+    one included, whose cell count is not the header's; no data rows;
+    missing columns, named together in ``columns`` order.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyFile(f"{path} has no header row")
+            missing = [name for name in columns if name not in header]
+            pick = None if missing else operator.itemgetter(*map(header.index, columns))
+            header_end = reader.line_num
+            for row in reader:
+                if len(row) != len(header):
+                    raise RaggedRow(
+                        f"{path}: line {reader.line_num} has {len(row)} cells, "
+                        f"the header has {len(header)}"
+                    )
+                if pick:
+                    yield reader.line_num, pick(row)
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
+        ) from None
+    if reader.line_num == header_end:  # no row since the header
+        raise EmptyFile(f"{path} has a header but no data rows")
+    if missing:
+        raise MissingColumn(f"{path} is missing column(s) {missing}")
 
-    return checked
 
-
-@_utf8_input
 def load_csv(path: str | Path) -> list[UnitSeries]:
     """Read a fleet CSV into per-unit series.
 
@@ -122,12 +144,9 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     stably sorted by cycle within each unit, preserving row order inside
     a cycle.
 
-    The file is UTF-8 text read by the ``csv`` module (_parse_csv), so a
-    cell may be quoted as ``csv.writer`` quotes it. A typed error names the
-    first defect: no header or no data rows, a row, a blank one included,
-    whose cell count is not the header's, a missing column, a cell of
-    NUMERIC_COLUMNS that is not a finite number, a cycle that is not an
-    integer. A column named twice is read from its first place.
+    The file is read by _rows. A typed error names the first defect: one of
+    _rows' defects, a cell of NUMERIC_COLUMNS that is not a finite number, a
+    cycle that is not an integer.
 
     The parse of a file that parses is kept in its twin (_twin_path); a
     later read of the same bytes loads the twin and parses nothing.
@@ -268,47 +287,28 @@ def _read_array(fh, size: int, dtype: np.dtype, ndim: int) -> np.ndarray:
 
 
 def _parse_csv(path: Path):
-    """Columns of any fleet CSV, read row by row with ``csv``.
+    """Columns of any fleet CSV, read by _rows.
 
-    Raises the typed error of the first defect: no header or no rows, the
-    first ragged row, the first missing column, then column by column in
-    NUMERIC_COLUMNS order the first non-numeric or non-finite cell, as
-    written, with its line.
+    Raises the typed error of the first defect: one of _rows' defects, then
+    column by column in NUMERIC_COLUMNS order the first non-numeric or
+    non-finite cell, as written, with its line.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    index: dict[str, int] = {}
+    codes = []
+    values = array.array("d")
+    non_numeric: dict[int, tuple[int, str]] = {}  # column -> first (line, cell)
+    for line, (unit, *numbers) in _rows(path, FLEET_COLUMNS):
+        codes.append(index.setdefault(unit, len(index)))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path} has no header row") from None
-        missing = [name for name in FLEET_COLUMNS if name not in header]
-        numeric = [] if missing else [header.index(name) for name in NUMERIC_COLUMNS]
-        unit_at = None if missing else header.index(UNIT_COLUMN)
-        index: dict[str, int] = {}
-        codes = []
-        values = array.array("d")
-        non_numeric: dict[int, tuple[int, str]] = {}  # column -> first (line, cell)
-        line = 1
-        for line, row in enumerate(reader, 2):
-            if len(row) != len(header):
-                raise _ragged_row(path, line, row, header)
-            if missing:
-                continue
-            codes.append(index.setdefault(row[unit_at], len(index)))
-            try:
-                values.extend([float(row[i]) for i in numeric])
-            except ValueError:
-                for j, i in enumerate(numeric):
-                    try:
-                        values.append(float(row[i]))
-                    except ValueError:
-                        non_numeric.setdefault(j, (line, row[i]))
-                        values.append(np.nan)
-    if line == 1:
-        raise EmptyFile(f"{path} has a header but no data rows")
-    if missing:
-        raise MissingColumn(f"{path} is missing required column {missing[0]!r}")
-    table = np.frombuffer(values).reshape(len(codes), len(numeric))
+            values.extend([float(cell) for cell in numbers])
+        except ValueError:
+            for j, cell in enumerate(numbers):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    non_numeric.setdefault(j, (line, cell))
+                    values.append(np.nan)
+    table = np.frombuffer(values).reshape(len(codes), len(NUMERIC_COLUMNS))
     for j, name in enumerate(NUMERIC_COLUMNS):
         if j in non_numeric:
             line, cell = non_numeric[j]
@@ -317,22 +317,20 @@ def _parse_csv(path: Path):
             )
         finite = np.isfinite(table[:, j])
         if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0])
+            line, cell = _cell(path, int(np.flatnonzero(~finite)[0]), j)
             raise NonNumericCell(
-                f"{path}: non-finite value {_cell(path, bad, numeric[j])!r} "
-                f"in column {name!r}, line {bad + 2}"
+                f"{path}: non-finite value {cell!r} in column {name!r}, line {line}"
             )
         if name == CYCLE_COLUMN and np.any(table[:, j] != np.floor(table[:, j])):
             raise NonNumericCell(f"{path}: cycle column must hold integers")
     return list(index), np.array(codes, dtype=np.int64), table
 
 
-def _cell(path: Path, row: int, column: int) -> str:
-    """Cell ``column`` of data row ``row`` (0-based), as written."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        next(rows)
-        return next(itertools.islice(rows, row, None))[column]
+def _cell(path: Path, row: int, column: int) -> tuple[int, str]:
+    """The line of data row ``row`` (0-based) of a fleet CSV, and its cell
+    ``column`` of NUMERIC_COLUMNS, as written."""
+    line, (_, *numbers) = next(itertools.islice(_rows(path, FLEET_COLUMNS), row, None))
+    return line, numbers[column]
 
 
 # Rows formatted per write: one string per chunk keeps memory flat, where
@@ -398,11 +396,14 @@ def join_fleet_parts(parts: list[Path], path: str | Path) -> None:
                 shutil.copyfileobj(src, fh)
 
 
+TRUTH_COLUMNS = ("unit", "family", "fault_cycle", "faulty_sensors")
+
+
 def save_ground_truth(truths, path: str | Path) -> None:
     """Write the ground-truth sidecar (empty fault cycle = healthy unit)."""
     write_table(
         path,
-        ["unit", "family", "fault_cycle", "faulty_sensors"],
+        TRUTH_COLUMNS,
         (
             [
                 t.unit_id,
@@ -415,33 +416,9 @@ def save_ground_truth(truths, path: str | Path) -> None:
     )
 
 
-def _ragged_row(path: Path, line: int, row: list[str], header: list[str]) -> RaggedRow:
-    return RaggedRow(f"{path}: line {line} has {len(row)} cells, the header has {len(header)}")
-
-
-def _records(path: Path, fh):
-    """Header and ``(line, {column: cell})`` rows of a CSV sidecar.
-
-    A row whose cell count differs from the header's, a blank line
-    included, is a RaggedRow, the rule of load_csv.
-    """
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None:
-        raise EmptyFile(f"{path} has no header row")
-
-    def rows():
-        for row in reader:
-            if len(row) != len(header):
-                raise _ragged_row(path, reader.line_num, row, header)
-            yield reader.line_num, dict(zip(header, row))
-
-    return header, rows()
-
-
-def _int_cell(path: Path, line: int, row: dict, column: str) -> int | None:
-    """Integer value of a cell, None when empty; anything else is a NonNumericCell."""
-    token = row[column].strip()
+def _int_cell(path: Path, line: int, column: str, cell: str) -> int | None:
+    """Integer value of ``cell``, None when empty; anything else is a NonNumericCell."""
+    token = cell.strip()
     if not token:
         return None
     try:
@@ -452,28 +429,20 @@ def _int_cell(path: Path, line: int, row: dict, column: str) -> int | None:
         ) from None
 
 
-@_utf8_input
 def load_ground_truth(path: str | Path) -> dict[str, TruthRecord]:
-    """Ground-truth sidecar by unit id; a second row for one unit is a DataError."""
+    """Ground-truth sidecar by unit id, read by _rows; a second row for one
+    unit is a DataError."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        header, rows = _records(path, fh)
-        for name in ("unit", "family", "fault_cycle", "faulty_sensors"):
-            if name not in header:
-                raise MissingColumn(f"{path} is missing required column {name!r}")
-        out: dict[str, TruthRecord] = {}
-        for line, row in rows:
-            if row["unit"] in out:
-                raise DataError(f"{path}: line {line} repeats unit {row['unit']!r}")
-            sensors = tuple(s for s in row["faulty_sensors"].split(";") if s)
-            out[row["unit"]] = TruthRecord(
-                unit_id=row["unit"],
-                family=row["family"],
-                fault_cycle=_int_cell(path, line, row, "fault_cycle"),
-                fault_sensors=sensors,
-            )
-    if not out:
-        raise EmptyFile(f"{path} has a header but no data rows")
+    out: dict[str, TruthRecord] = {}
+    for line, (unit, family, fault_cycle, sensors) in _rows(path, TRUTH_COLUMNS):
+        if unit in out:
+            raise DataError(f"{path}: line {line} repeats unit {unit!r}")
+        out[unit] = TruthRecord(
+            unit_id=unit,
+            family=family,
+            fault_cycle=_int_cell(path, line, "fault_cycle", fault_cycle),
+            fault_sensors=tuple(s for s in sensors.split(";") if s),
+        )
     return out
 
 
@@ -512,49 +481,40 @@ def save_reports(reports, model_kind: str, hi_kind: str, path: str | Path) -> No
     )
 
 
-@_utf8_input
 def load_reports(path: str | Path):
-    """Read detection rows back, grouped as (model, hi_kind) -> reports.
+    """Read detection rows back by _rows, grouped as (model, hi_kind) -> reports.
 
     A second row for one (model, hi_kind, unit) is a DataError, and so is a
     delay other than alarm_cycle - fault_cycle (empty when either is).
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        header, rows = _records(path, fh)
-        missing = set(REPORT_COLUMNS) - set(header)
-        if missing:
-            raise MissingColumn(f"{path} is missing column(s) {sorted(missing)}")
-        groups: dict[tuple[str, str], list[DetectionReport]] = {}
-        seen: set[tuple[str, str, str]] = set()
-        for line, row in rows:
-            if row["gt_known"] not in ("0", "1"):
-                raise NonNumericCell(
-                    f"{path}: gt_known must be 0 or 1, got {row['gt_known']!r}, line {line}"
-                )
-            key = (row["model"], row["hi_kind"])
-            if (*key, row["unit"]) in seen:
-                raise DataError(
-                    f"{path}: line {line} repeats unit {row['unit']!r} "
-                    f"of the {key[0]} {key[1]} reports"
-                )
-            seen.add((*key, row["unit"]))
-            report = DetectionReport(
-                unit_id=row["unit"],
-                dataset_id=row["dataset"],
-                alarm_cycle=_int_cell(path, line, row, "alarm_cycle"),
-                n_true=_int_cell(path, line, row, "fault_cycle"),
-                triggered_first=tuple(s for s in row["triggered_first"].split(";") if s),
-                ground_truth_known=row["gt_known"] == "1",
+    groups: dict[tuple[str, str], list[DetectionReport]] = {}
+    seen: set[tuple[str, str, str]] = set()
+    for line, row in _rows(path, REPORT_COLUMNS):
+        model, hi_kind, unit, dataset, fault_cycle, alarm_cycle, delay, triggered, gt_known = row
+        if gt_known not in ("0", "1"):
+            raise NonNumericCell(
+                f"{path}: gt_known must be 0 or 1, got {gt_known!r}, line {line}"
             )
-            if _int_cell(path, line, row, "delay") != report.delay:
-                raise DataError(
-                    f"{path}: line {line}, unit {row['unit']!r}: delay {row['delay']!r} "
-                    "is not alarm_cycle - fault_cycle"
-                )
-            groups.setdefault(key, []).append(report)
-    if not groups:
-        raise EmptyFile(f"{path} has a header but no data rows")
+        if (model, hi_kind, unit) in seen:
+            raise DataError(
+                f"{path}: line {line} repeats unit {unit!r} of the {model} {hi_kind} reports"
+            )
+        seen.add((model, hi_kind, unit))
+        report = DetectionReport(
+            unit_id=unit,
+            dataset_id=dataset,
+            alarm_cycle=_int_cell(path, line, "alarm_cycle", alarm_cycle),
+            n_true=_int_cell(path, line, "fault_cycle", fault_cycle),
+            triggered_first=tuple(s for s in triggered.split(";") if s),
+            ground_truth_known=gt_known == "1",
+        )
+        if _int_cell(path, line, "delay", delay) != report.delay:
+            raise DataError(
+                f"{path}: line {line}, unit {unit!r}: delay {delay!r} "
+                "is not alarm_cycle - fault_cycle"
+            )
+        groups.setdefault((model, hi_kind), []).append(report)
     return groups
 
 

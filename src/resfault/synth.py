@@ -274,12 +274,15 @@ def _write_part(cfg: RunConfig, plan: list, path: Path) -> list[TruthRecord]:
     return truths
 
 
-def save_fleet(cfg: RunConfig, path: Path, workers: int) -> list[TruthRecord]:
-    """Write the fleet of gen_fleet(cfg) to ``path`` as persist.save_csv would.
+def save_fleet(cfg: RunConfig, path: Path, truth_path: Path, workers: int) -> list[TruthRecord]:
+    """Write the fleet of gen_fleet(cfg) to ``path`` as persist.save_csv
+    would, and its ground truth to ``truth_path``.
 
     Each of ``workers`` jobs generates one contiguous slice of the units and
     writes it to a part file beside ``path``; the parts are then joined in
-    unit order and deleted, also when a job fails. The bytes are the same for
+    unit order and deleted, also when a job fails. The ground truth is
+    written before the join publishes the fleet, and deleted when the join
+    fails, so a fleet never appears without it. The bytes are the same for
     any worker count. Returns the units' ground truth, in fleet order.
     """
     plan = unit_plan(cfg)
@@ -288,8 +291,14 @@ def save_fleet(cfg: RunConfig, path: Path, workers: int) -> list[TruthRecord]:
     jobs = [(plan[lo:hi], part) for lo, hi, part in zip(bounds, bounds[1:], parts)]
     try:
         truths = parallel.run_jobs(_write_part, (cfg,), jobs, workers)
-        persist.join_fleet_parts(parts, path)
+        truths = [truth for part_truths in truths for truth in part_truths]
+        persist.save_ground_truth(truths, truth_path)
+        try:
+            persist.join_fleet_parts(parts, path)
+        except BaseException:
+            truth_path.unlink(missing_ok=True)
+            raise
     finally:
         for part in parts:
             part.unlink(missing_ok=True)
-    return [truth for part_truths in truths for truth in part_truths]
+    return truths

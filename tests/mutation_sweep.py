@@ -20,11 +20,13 @@ the repository. There ``pytest -x`` first runs the tests whose source
 names the function, or a function of its module that calls it directly
 or through others, found by an AST scan of the test files that import
 the module; only a mutant those tests pass goes on to the whole files,
-the module's own ``test_<module>.py`` first. The tests must first pass on
-the unmutated module as ``ast.unparse`` writes it. A mutant the tests pass survives; the
-survivors are listed at the end, and the exit status is 1 if there are
-any. A mutant in KNOWN_EQUIVALENT is not run: it is listed as skipped and
-does not set the exit status. The file is not collected by pytest.
+the module's own ``test_<module>.py`` first, then the test files that
+reach the module only through ``resfault.cli`` or a script. The tests
+must first pass on the unmutated module as ``ast.unparse`` writes it. A
+mutant the tests pass survives; the survivors are listed at the end, and
+the exit status is 1 if there are any. A mutant in KNOWN_EQUIVALENT is
+not run: it is listed as skipped and does not set the exit status. The
+file is not collected by pytest.
 """
 
 from __future__ import annotations
@@ -128,23 +130,42 @@ def mutants(tree: ast.Module, dotted: str):
         yield line, description, ast.fix_missing_locations(mutant)
 
 
+def imports(tree: ast.Module, module: str) -> bool:
+    """Whether ``tree`` imports ``module`` of the package."""
+    return any(
+        (isinstance(node, ast.ImportFrom) and node.module == PACKAGE
+         and any(a.name == module for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == f"{PACKAGE}.{module}")
+        or (isinstance(node, ast.Import)
+            and any(a.name == f"{PACKAGE}.{module}" for a in node.names))
+        for node in ast.walk(tree)
+    )
+
+
+def names_a_script(tree: ast.Module) -> bool:
+    """Whether ``tree`` holds a string naming a file of ``scripts/``, as a
+    test that loads or runs the script does."""
+    scripts = {path.name for path in (ROOT / "scripts").glob("*.py")}
+    return any(
+        isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.rpartition("/")[2] in scripts
+        for node in ast.walk(tree)
+    )
+
+
 def importing_tests(module: str) -> list[str]:
-    """The tests/test_*.py files that import ``module``, its own file first."""
-    found = []
+    """The tests/test_*.py files that import ``module``, its own file first,
+    then those that reach it only through the command line: the files that
+    import ``cli`` or name a file of ``scripts/``."""
+    found, through_cli = [], []
     for path in sorted((ROOT / "tests").glob("test_*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            imported = (
-                (isinstance(node, ast.ImportFrom) and node.module == PACKAGE
-                 and any(a.name == module for a in node.names))
-                or (isinstance(node, ast.ImportFrom) and node.module == f"{PACKAGE}.{module}")
-                or (isinstance(node, ast.Import)
-                    and any(a.name == f"{PACKAGE}.{module}" for a in node.names))
-            )
-            if imported:
-                found.append(f"tests/{path.name}")
-                break
+        tree = ast.parse(path.read_text())
+        if imports(tree, module):
+            found.append(f"tests/{path.name}")
+        elif imports(tree, "cli") or names_a_script(tree):
+            through_cli.append(f"tests/{path.name}")
     own = f"tests/test_{module}.py"
-    return sorted(found, key=lambda name: name != own)
+    return sorted(found, key=lambda name: name != own) + through_cli
 
 
 def callers(tree: ast.Module, name: str) -> set[str]:

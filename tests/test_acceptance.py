@@ -354,6 +354,38 @@ def test_criterion_08f_oc_alarms_name_faulty_sensors(end_to_end):
           f"AE {sum(named['AE'])}/{len(named['AE'])}")
 
 
+def test_criterion_08g_indicators_rise_from_the_fault(end_to_end):
+    """The paper's first task: each indicator, over its threshold tau, stays
+    at most 1 up to the fault cycle, then rises with the cycle."""
+    margins = {}  # label -> (largest pre-fault ratio, post-fault Spearman, last-5 mean)
+    for (kind, hi_kind), detection in end_to_end["detections"].items():
+        stats = detection.stats
+        for unit_id, avg in detection.cycle_averages.items():
+            truth = end_to_end["truths"][unit_id]
+            if truth.fault_cycle is None:
+                continue
+            ratios = avg.values / stats.tau
+            if hi_kind == SENSORWISE:
+                sensors = [stats.channel_names.index(name) for name in truth.fault_sensors]
+                ratios = ratios[:, sensors]
+            ratio = ratios.max(axis=1)
+            after = avg.cycle_ids > truth.fault_cycle
+            ranks = np.argsort(np.argsort(ratio[after]))
+            margins[f"{kind} {hi_kind} {unit_id}"] = (
+                ratio[~after].max(),
+                np.corrcoef(ranks, np.arange(after.sum()))[0, 1],
+                ratio[-5:].mean(),
+            )
+    failed = {
+        label: m for label, m in margins.items() if not (m[0] <= 1 and m[1] >= 0.95 and m[2] >= 2)
+    }
+    assert not failed, failed
+    pre, rank_corr, last = zip(*margins.values())
+    ok(8, f"(g) HI/tau over {len(margins)} faulty unit indicators: pre-fault max {max(pre):.2f} "
+          f"<= 1, post-fault Spearman {min(rank_corr):.3f} >= 0.95, "
+          f"last-5 mean {min(last):.2f} >= 2")
+
+
 # --- criterion 9: pipeline determinism ---------------------------------------
 
 

@@ -357,29 +357,33 @@ def test_failed_synth_leaves_no_fleet_csv(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_failed_synth_rerun_leaves_one_runs_files(tmp_path, monkeypatch, capsys):
-    """A re-run that fails keeps no earlier run's ground truth beside its fleet."""
+def test_failed_synth_rerun_leaves_one_runs_files(workspace, tmp_path, monkeypatch, capsys):
+    """A re-run that fails keeps no earlier run's ground truth, and publishes
+    no fleet without its own: detect then finds no fleet to read."""
     cfg = write_config(tmp_path / "mini.yaml")
     clean, out = tmp_path / "clean", tmp_path / "data"
 
     def synth_into(directory, seed):
         return main(["synth", "--config", str(cfg), "--seed", str(seed), "--out", str(directory)])
 
-    assert synth_into(clean, 602) == 0
-    assert synth_into(out, 601) == 0
-    capsys.readouterr()
-
     def disk_full(*args):
         raise OSError(28, "No space left on device")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(persist, "save_ground_truth", disk_full)
-        assert synth_into(out, 602) == 3
-    assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
-    left = sorted(p.name for p in out.iterdir())
-    assert left in ([], ["fleet.csv"])
-    if left:
-        assert (out / "fleet.csv").read_bytes() == (clean / "fleet.csv").read_bytes()
+    assert synth_into(clean, 602) == 0
+    for failing in ("save_ground_truth", "join_fleet_parts"):
+        assert synth_into(out, 601) == 0
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(persist, failing, disk_full)
+            assert synth_into(out, 602) == 3
+        assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+        assert list(out.iterdir()) == [], failing
+        assert main(
+            ["detect", "--config", str(workspace["config"]), "--data", str(out),
+             "--checkpoint", str(workspace["oc"]), "--hi", "aggregated",
+             "--out", str(tmp_path / "reports.csv")]
+        ) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: no fleet.csv in {out}"]
     # a successful re-run writes the bytes of a run into an empty directory
     assert synth_into(out, 602) == 0
     for name in ("fleet.csv", "ground_truth.csv"):

@@ -29,6 +29,8 @@ from resfault.errors import (
 from resfault.models import AE_KIND, OC_KIND, ResidualModel, layer_dims
 from resfault.persist import (
     FLEET_COLUMNS,
+    REPORT_COLUMNS,
+    TRUTH_COLUMNS,
     TruthRecord,
     _parse_csv,
     format_float,
@@ -502,6 +504,62 @@ def test_non_utf8_file_is_data_error(tmp_path, most, data):
     with key_reads(most), pytest.raises(DataError, match="is not UTF-8 text"):
         load_csv(path)
     assert list(tmp_path.iterdir()) == [path]
+
+
+# The three CSV readers, each with its header and one row it reads.
+READERS = {
+    "load_csv": (load_csv, FLEET_COLUMNS, ["u1", "0"] + ["1.5"] * 18),
+    "load_ground_truth": (load_ground_truth, TRUTH_COLUMNS, ["u1", "fan", "20", "P2"]),
+    "load_reports": (
+        load_reports, REPORT_COLUMNS, ["OC", "sensorwise", "u1", "fan", "20", "30", "10", "P2", "1"]
+    ),
+}
+
+
+def reader_case(case, header, row):
+    """The bytes of a file with the defects of ``case``, and the exception
+    type and message (after the path) that every reader raises for it."""
+    n = len(header)
+    second = ["u2" if name == "unit" else cell for name, cell in zip(header, row)]
+    if case == "multi_line_cell_then_ragged_row":
+        # the quoted unit id spans lines 2 and 3, so the short row is line 4
+        quoted = [f'"{cell}\nx"' if name == "unit" else cell for name, cell in zip(header, row)]
+        lines = [header, quoted, second[:-1]]
+        error = RaggedRow, f": line 4 has {n - 1} cells, the header has {n}"
+    elif case == "header_only_missing_column":
+        lines = [header[:-1]]
+        error = EmptyFile, " has a header but no data rows"
+    elif case == "missing_column_and_ragged_row":
+        lines = [header[:-1], row[:-1], row]
+        error = RaggedRow, f": line 3 has {n} cells, the header has {n - 1}"
+    elif case == "missing_columns_named_together":
+        lines = [header[1:-1], row[1:-1]]
+        error = MissingColumn, f" is missing column(s) [{header[0]!r}, {header[-1]!r}]"
+    else:
+        lines = [header, row]
+        error = DataError, " is not UTF-8 text: byte 0xe9 (invalid continuation byte)"
+    data = "".join(",".join(cells) + "\r\n" for cells in lines).encode()
+    if case == "non_utf8_byte":
+        data = data.replace(b"u1", b"u\xe91")
+    return data, error
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["multi_line_cell_then_ragged_row", "header_only_missing_column",
+     "missing_column_and_ragged_row", "missing_columns_named_together", "non_utf8_byte"],
+)
+@pytest.mark.parametrize("reader", list(READERS))
+def test_shared_reader_rules(tmp_path, reader, case):
+    """The fleet, ground-truth and report readers refuse a file alike: the
+    first defect in one order, named with its file line."""
+    load, header, row = READERS[reader]
+    data, (error, message) = reader_case(case, list(header), row)
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as err:
+        load(str(path))  # a str path as well as a Path
+    assert (type(err.value), str(err.value)) == (error, f"{path}{message}")
 
 
 def twin_bytes(path):

@@ -21,7 +21,7 @@ from resfault.synth import (
     gen_unit,
     save_fleet,
 )
-from resfault.persist import save_csv, save_ground_truth
+from resfault.persist import save_csv
 
 SEED = 3
 
@@ -242,16 +242,15 @@ class TestSaveFleet:
     )
     def test_bytes_are_the_single_process_bytes(self, tmp_path, n_units, workers):
         cfg = pinned_cfg(n_units)
-        path = tmp_path / "fleet.csv"
-        truths = save_fleet(cfg, path, workers)
-        assert [p.name for p in tmp_path.iterdir()] == ["fleet.csv"]
+        path, truth_path = tmp_path / "fleet.csv", tmp_path / "ground_truth.csv"
+        truths = save_fleet(cfg, path, truth_path, workers)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.csv", "ground_truth.csv"]
         assert truths == [truth for _, truth in gen_fleet(cfg)]
-        save_ground_truth(truths, tmp_path / "ground_truth.csv")
-        assert (sha256(path), sha256(tmp_path / "ground_truth.csv")) == PINNED[n_units]
+        assert (sha256(path), sha256(truth_path)) == PINNED[n_units]
 
     def test_bytes_are_save_csv_bytes(self, tmp_path):
         cfg = small_cfg(unit_prefix='a "quoted", prefix ')
-        save_fleet(cfg, tmp_path / "parts.csv", 1)
+        save_fleet(cfg, tmp_path / "parts.csv", tmp_path / "truth.csv", 1)
         save_csv([series for series, _ in gen_fleet(cfg)], tmp_path / "whole.csv")
         assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
@@ -271,6 +270,6 @@ class TestSaveFleet:
         # three jobs in this process, so that the first two parts are written
         monkeypatch.setattr(parallel, "run_jobs", in_process)
         with pytest.raises(OSError, match="no space left"):
-            save_fleet(pinned_cfg(2), tmp_path / "fleet.csv", 3)
+            save_fleet(pinned_cfg(2), tmp_path / "fleet.csv", tmp_path / "truth.csv", 3)
         assert len(made) == 4
         assert list(tmp_path.iterdir()) == []
