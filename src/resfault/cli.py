@@ -60,19 +60,19 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = out / "synth_manifest.txt"
-    # an earlier run's files go first, so a failed run leaves none beside its
-    # own; a stale fleet twin is keyed by content and only misses
-    for stale in (manifest, out / TRUTH_FILE, out / FLEET_FILE):
+    # an earlier run's files go first, so a failed run leaves none beside its own
+    fleet = out / FLEET_FILE
+    for stale in (manifest, out / TRUTH_FILE, fleet, persist.twin_path(fleet)):
         stale.unlink(missing_ok=True)
     workers = parallel.worker_count(len(synth.unit_plan(cfg)))
-    truths = synth.save_fleet(cfg, out / FLEET_FILE, out / TRUTH_FILE, workers)
+    truths = synth.save_fleet(cfg, fleet, out / TRUTH_FILE, workers)
     persist.write_manifest(
         manifest,
         "synth",
         cfg,
         {"seed": cfg.seed, "units": len(truths), "out": out, "workers": workers},
     )
-    print(f"wrote {len(truths)} units to {out / FLEET_FILE}")
+    print(f"wrote {len(truths)} units to {fleet}")
     return 0
 
 
@@ -161,14 +161,19 @@ def cmd_detect(args) -> int:
     detection = experiment.detect_with_stats(units, args.hi, stats, cfg, truths, residuals)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    manifest, hi_path, stats_path = (
+        out.with_name(out.stem + suffix) for suffix in ("_manifest.txt", "_hi.csv", "_stats.csv")
+    )
+    # an earlier run's files go first, manifest first, so a run that fails or
+    # writes no _hi.csv leaves none beside its own
+    for stale in (manifest, hi_path, stats_path, out):
+        stale.unlink(missing_ok=True)
     persist.save_reports(detection.reports, model.kind, args.hi, out)
-    persist.save_stats(stats, out.with_name(out.stem + "_stats.csv"))
+    persist.save_stats(stats, stats_path)
     if args.dump_hi:
-        persist.save_cycle_hi_csv(
-            detection.cycle_averages, stats.channel_names, out.with_name(out.stem + "_hi.csv")
-        )
+        persist.save_cycle_hi_csv(detection.cycle_averages, stats.channel_names, hi_path)
     persist.write_manifest(
-        out.with_name(out.stem + "_manifest.txt"),
+        manifest,
         f"detect {args.hi}",
         cfg,
         {"checkpoint": args.checkpoint, "data": args.data, "out": out},

@@ -148,16 +148,17 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     _rows' defects, a cell of NUMERIC_COLUMNS that is not a finite number, a
     cycle that is not an integer.
 
-    The parse of a file that parses is kept in its twin (_twin_path); a
+    The parse of a file that parses is kept in its twin (twin_path); a
     later read of the same bytes loads the twin and parses nothing.
     """
     path = Path(path)
     key = _fleet_key(path)
     parsed = _load_twin(path, key)
-    if parsed is None:
-        parsed = _parse_csv(path)
-        _save_twin(path, key, *parsed)
-    unit_ids, codes, table = parsed
+    if parsed is not None:
+        unit_ids, codes, table = parsed
+    else:
+        unit_ids, codes, table = _parse_csv(path)
+        _save_twin(path, key, unit_ids, len(codes), [codes], [table])
     cycle_int = table[:, 0].astype(np.int64)
     rows_by_unit = np.split(
         np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1]
@@ -193,41 +194,79 @@ _TWIN_ARRAYS = (
 )
 
 
-def _twin_path(path: Path) -> Path:
+def twin_path(path: Path) -> Path:
     """The twin of fleet CSV ``path``: a hidden file beside it, ``.<name>.npy``."""
     return path.with_name(f".{path.name}.npy")
 
 
+class _KeyedWriter:
+    """Writes to the binary file ``fh``, or nowhere when it is None, and
+    hashes what it writes, after _TWIN_TAG, into the key of a twin."""
+
+    def __init__(self, fh=None):
+        # imported here: it loads OpenSSL, which commands that read no fleet need not map
+        import hashlib
+
+        self.fh, self.digest = fh, hashlib.sha256(_TWIN_TAG)
+
+    def write(self, data) -> None:
+        self.digest.update(data)
+        if self.fh is not None:
+            self.fh.write(data)
+
+    def key(self) -> np.ndarray:
+        """The SHA-256 of _TWIN_TAG and the bytes written so far, as 32 uint8."""
+        return np.frombuffer(self.digest.digest(), dtype=np.uint8)
+
+
 def _fleet_key(path: Path) -> np.ndarray:
-    """SHA-256 of _TWIN_TAG and the bytes of ``path``, as 32 uint8."""
-    # imported here: it loads OpenSSL, which commands that read no fleet need not map
-    import hashlib
-
-    digest = hashlib.sha256(_TWIN_TAG)
-    with path.open("rb") as fh:
-        while block := fh.read(1 << 20):
-            digest.update(block)
-    return np.frombuffer(digest.digest(), dtype=np.uint8)
+    """The key of the twin of ``path``: _KeyedWriter's key of its bytes."""
+    keyed = _KeyedWriter()
+    for block in _file_blocks([path]):
+        keyed.write(block)
+    return keyed.key()
 
 
-def _save_twin(path: Path, key: np.ndarray, unit_ids, codes, table) -> None:
-    """Publish the parse ``(unit_ids, codes, table)`` of bytes ``key`` as the
-    twin of ``path``: one ``np.save`` array per _TWIN_ARRAYS entry.
+def _file_blocks(paths):
+    """The bytes of the files ``paths``, in order, in blocks of at most 64 KiB.
 
-    A twin that cannot be written, as in a read-only directory, is left out.
+    A block that small is taken from the heap and reused, where a larger one
+    would leave its pages to the process.
+    """
+    for path in paths:
+        with path.open("rb") as fh:
+            while block := fh.read(1 << 16):
+                yield block
+
+
+def _save_twin(path: Path, key: np.ndarray, unit_ids, n_rows: int, codes, table) -> None:
+    """Publish a parse of the bytes ``key`` as the twin of ``path``: one
+    array per _TWIN_ARRAYS entry, in the ``np.save`` format.
+
+    The parse is the ``unit_ids`` and ``n_rows`` rows: their int64 codes and
+    their NUMERIC_COLUMNS float64 table, in C order. ``codes`` and ``table``
+    are each given as blocks that hold the data one after another, arrays
+    or bytes. A twin that cannot be written, as in a read-only directory,
+    is left out.
     """
     encoded = [uid.encode() for uid in unit_ids]
+    blob = b"".join(encoded)
     arrays = (
-        key,
-        np.frombuffer(b"".join(encoded), dtype=np.uint8),
-        np.cumsum([len(e) for e in encoded], dtype=np.int64),
-        codes,
-        table,
+        ((len(key),), [key]),
+        ((len(blob),), [blob]),
+        ((len(encoded),), [np.cumsum([len(e) for e in encoded], dtype=np.int64)]),
+        ((n_rows,), codes),
+        ((n_rows, len(NUMERIC_COLUMNS)), table),
     )
     try:
-        with _published(_twin_path(path), "wb") as fh:
-            for array in arrays:
-                np.save(fh, np.ascontiguousarray(array), allow_pickle=False)
+        with _published(twin_path(path), "wb") as fh:
+            for (dtype, _), (shape, blocks) in zip(_TWIN_ARRAYS, arrays):
+                # the header np.save writes for such an array, then its data
+                descr = np.lib.format.dtype_to_descr(dtype)
+                header = {"descr": descr, "fortran_order": False, "shape": shape}
+                np.lib.format.write_array_header_1_0(fh, header)
+                for block in blocks:
+                    fh.write(block)
     except OSError:
         pass
 
@@ -240,7 +279,7 @@ def _load_twin(path: Path, key: np.ndarray):
     no unit, ids that are not UTF-8.
     """
     try:
-        with _twin_path(path).open("rb") as fh:
+        with twin_path(path).open("rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             stored, blob, ends, codes, table = [
                 _read_array(fh, size, dtype, ndim) for dtype, ndim in _TWIN_ARRAYS
@@ -364,11 +403,13 @@ def save_csv(fleet: list[UnitSeries], path: str | Path) -> None:
         write_fleet_rows(fh, fleet)
 
 
-def write_fleet_rows(fh, fleet) -> None:
+def write_fleet_rows(fh, fleet, table=None) -> None:
     """Write the data rows of save_csv for ``fleet`` to the text file ``fh``.
 
     ``fh`` is opened with ``newline=""``. The rows are formatted
-    ``_WRITE_CHUNK_ROWS`` at a time, one write each.
+    ``_WRITE_CHUNK_ROWS`` at a time, one write each. With ``table``, a
+    binary file, each chunk's NUMERIC_COLUMNS are also written to it as
+    float64 in C order: the data of the twin's table for these rows.
     """
     for unit in fleet:
         uid = _unit_field(unit.unit_id)
@@ -381,19 +422,41 @@ def write_fleet_rows(fh, fleet) -> None:
                     for cycle, row in zip(unit.cycle_of[rows].tolist(), values)
                 )
             )
+            if table is not None:
+                table.write(np.column_stack((unit.cycle_of[rows], unit.z[rows])))
 
 
-def join_fleet_parts(parts: list[Path], path: str | Path) -> None:
-    """Write the fleet CSV whose data rows are the files ``parts``, in order.
+def join_fleet_parts(
+    parts: list[Path], tables: list[Path], unit_ids, row_counts, path: Path
+) -> None:
+    """Write the fleet CSV whose data rows are the files ``parts``, in order,
+    and its twin.
 
-    Each part holds write_fleet_rows rows; the header is save_csv's. The
-    file is _published, so ``path`` appears only once it is whole.
+    Each part holds write_fleet_rows rows, and the table of the same index
+    the rows' table data; the rows are those of the distinct units
+    ``unit_ids``, in order, ``row_counts`` rows each. The header is
+    save_csv's. The fleet's bytes are hashed as they are written, and the
+    twin is the one load_csv would keep. Both files are _published, so
+    ``path`` appears only once it is whole, and a failed join leaves neither.
     """
-    with _published(path, "wb") as fh:
-        fh.write(_csv_row(FLEET_COLUMNS).encode())
-        for part in parts:
-            with part.open("rb") as src:
-                shutil.copyfileobj(src, fh)
+    try:
+        with _published(path, "wb") as fh:
+            keyed = _KeyedWriter(fh)
+            keyed.write(_csv_row(FLEET_COLUMNS).encode())
+            for part in parts:
+                with part.open("rb") as src:
+                    shutil.copyfileobj(src, keyed)
+            _save_twin(
+                path,
+                keyed.key(),
+                unit_ids,
+                sum(row_counts),
+                (np.full(n, code, dtype=np.int64) for code, n in enumerate(row_counts)),
+                _file_blocks(tables),
+            )
+    except BaseException:
+        twin_path(path).unlink(missing_ok=True)
+        raise
 
 
 TRUTH_COLUMNS = ("unit", "family", "fault_cycle", "faulty_sensors")

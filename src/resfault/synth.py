@@ -261,44 +261,52 @@ def gen_fleet(cfg: RunConfig) -> list[tuple[UnitSeries, TruthRecord]]:
     return list(gen_units(cfg, unit_plan(cfg)))
 
 
-def _write_part(cfg: RunConfig, plan: list, path: Path) -> list[TruthRecord]:
-    """Generate the units of ``plan`` and write their fleet rows to ``path``.
+def _write_part(
+    cfg: RunConfig, plan: list, path: Path, table: Path
+) -> list[tuple[TruthRecord, int]]:
+    """Generate the units of ``plan`` and write their fleet rows to ``path``
+    and the rows' table data to ``table`` (persist.write_fleet_rows).
 
-    Each unit is written as soon as it is made, so one unit is held at a time.
+    Each unit is written as soon as it is made, so one unit is held at a
+    time. Returns each unit's ground truth and row count.
     """
-    truths = []
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    units = []
+    with path.open("w", newline="", encoding="utf-8") as fh, table.open("wb") as table_fh:
         for series, truth in gen_units(cfg, plan):
-            persist.write_fleet_rows(fh, [series])
-            truths.append(truth)
-    return truths
+            persist.write_fleet_rows(fh, [series], table_fh)
+            units.append((truth, series.n_rows))
+    return units
 
 
 def save_fleet(cfg: RunConfig, path: Path, truth_path: Path, workers: int) -> list[TruthRecord]:
     """Write the fleet of gen_fleet(cfg) to ``path`` as persist.save_csv
-    would, and its ground truth to ``truth_path``.
+    would, with the twin persist.load_csv would keep, and its ground truth
+    to ``truth_path``.
 
     Each of ``workers`` jobs generates one contiguous slice of the units and
-    writes it to a part file beside ``path``; the parts are then joined in
-    unit order and deleted, also when a job fails. The ground truth is
-    written before the join publishes the fleet, and deleted when the join
-    fails, so a fleet never appears without it. The bytes are the same for
-    any worker count. Returns the units' ground truth, in fleet order.
+    writes it to a part file and a part table beside ``path``; the parts are
+    then joined in unit order and deleted, also when a job fails. The ground
+    truth is written before the join publishes the fleet, and deleted when
+    the join fails, so a fleet never appears without it. The bytes are the
+    same for any worker count. Returns the units' ground truth, in fleet order.
     """
     plan = unit_plan(cfg)
     bounds = [len(plan) * i // workers for i in range(workers + 1)]
     parts = [path.with_name(f".{path.name}.part{i}") for i in range(workers)]
-    jobs = [(plan[lo:hi], part) for lo, hi, part in zip(bounds, bounds[1:], parts)]
+    tables = [part.with_name(f"{part.name}.table") for part in parts]
+    jobs = [(plan[lo:hi], *files) for lo, hi, *files in zip(bounds, bounds[1:], parts, tables)]
     try:
-        truths = parallel.run_jobs(_write_part, (cfg,), jobs, workers)
-        truths = [truth for part_truths in truths for truth in part_truths]
+        units = parallel.run_jobs(_write_part, (cfg,), jobs, workers)
+        truths, row_counts = zip(*(unit for part_units in units for unit in part_units))
         persist.save_ground_truth(truths, truth_path)
         try:
-            persist.join_fleet_parts(parts, path)
+            persist.join_fleet_parts(
+                parts, tables, [t.unit_id for t in truths], row_counts, path
+            )
         except BaseException:
             truth_path.unlink(missing_ok=True)
             raise
     finally:
-        for part in parts:
+        for part in parts + tables:
             part.unlink(missing_ok=True)
-    return truths
+    return list(truths)

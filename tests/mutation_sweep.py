@@ -57,10 +57,17 @@ _BOUND_MOVED = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.
 # (function, mutation, the mutated line as ``ast.unparse`` writes it
 # unmutated, stripped).
 KNOWN_EQUIVALENT = {
-    # the block size the fleet file is hashed in, not the digest
-    ("persist._fleet_key", "1 -> 2", "while (block := fh.read(1 << 20)):"),
-    ("persist._fleet_key", "20 -> 21", "while (block := fh.read(1 << 20)):"),
-    ("persist._fleet_key", "20 -> 19", "while (block := fh.read(1 << 20)):"),
+    # the block size a fleet file is hashed in, or a part table copied in,
+    # not the bytes
+    ("persist._file_blocks", "1 -> 2", "while (block := fh.read(1 << 16)):"),
+    ("persist._file_blocks", "16 -> 17", "while (block := fh.read(1 << 16)):"),
+    ("persist._file_blocks", "16 -> 15", "while (block := fh.read(1 << 16)):"),
+    # a bound past the last job's: zip stops at the last part
+    (
+        "synth.save_fleet",
+        "1 -> 2",
+        "bounds = [len(plan) * i // workers for i in range(workers + 1)]",
+    ),
 }
 
 

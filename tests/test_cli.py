@@ -111,7 +111,7 @@ class TestSynth:
         assert len(fleet_rows) == 6 * 36 * 100
         truth_rows = read_rows(data / "ground_truth.csv")
         assert len(truth_rows) == 6
-        # the worker jobs' part files are gone; the fixture's train left the fleet's twin
+        # the worker jobs' part files and part tables are gone; synth wrote the fleet's twin
         assert sorted(p.name for p in data.iterdir()) == [
             ".fleet.csv.npy", "fleet.csv", "ground_truth.csv", "synth_manifest.txt"
         ]
@@ -149,6 +149,44 @@ class TestSynth:
         cfg = write_config(tmp_path / "mini.yaml")
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
         assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_first_read_of_the_fleet_is_a_twin_hit(self, tmp_path):
+        cfg = write_config(tmp_path / "mini.yaml")
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+
+        def refused(path):
+            raise AssertionError("parsed, not read from the twin")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(persist, "_parse_csv", refused)
+            hit = load_csv(data / "fleet.csv")
+        persist.twin_path(data / "fleet.csv").unlink()
+        parsed = load_csv(data / "fleet.csv")
+        assert [u.unit_id for u in hit] == [u.unit_id for u in parsed]
+        for left, right in zip(hit, parsed):
+            assert left.z.tobytes() == right.z.tobytes()
+            assert left.cycle_of.tobytes() == right.cycle_of.tobytes()
+
+    def test_twin_that_cannot_be_written_is_left_out(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path / "mini.yaml")
+        clean, out = tmp_path / "clean", tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out", str(clean)]) == 0
+        blocks = persist._file_blocks
+
+        def disk_full(paths):
+            for block in blocks(paths):
+                yield block
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(persist, "_file_blocks", disk_full)
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fleet.csv", "ground_truth.csv", "synth_manifest.txt"
+        ]
+        for name in ("fleet.csv", "ground_truth.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
 
 
 class TestTrain:
@@ -489,6 +527,39 @@ class TestDetect:
         for unit, early in alarms[1].items():
             assert unit in alarms[3]
             assert early <= alarms[3][unit]
+
+    def detect_into(self, workspace, out, *extra):
+        return main(
+            ["detect", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--checkpoint", str(workspace["oc"]), "--hi", "sensorwise", "--out", str(out),
+             *extra]
+        )
+
+    def test_rerun_without_dump_hi_leaves_no_hi_csv(self, workspace, tmp_path):
+        out = tmp_path / "oc_sens.csv"
+        assert self.detect_into(workspace, out, "--dump-hi") == 0
+        assert (tmp_path / "oc_sens_hi.csv").exists()
+        assert self.detect_into(workspace, out) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "oc_sens.csv", "oc_sens_manifest.txt", "oc_sens_stats.csv"
+        ]
+
+    def test_failed_rerun_leaves_no_earlier_runs_file(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "oc_sens.csv"
+        assert self.detect_into(workspace, out, "--dump-hi") == 0
+        assert len(list(tmp_path.iterdir())) == 4
+        capsys.readouterr()
+
+        def disk_full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(persist, "save_stats", disk_full)
+        assert self.detect_into(workspace, out, "--dump-hi") == 3
+        assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+        # the report is this run's, written before the failure, and no manifest marks it whole
+        assert [p.name for p in tmp_path.iterdir()] == ["oc_sens.csv"]
 
 
 def fabricate_report(unit, dataset, alarm, n_true, known=True):

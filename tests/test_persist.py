@@ -55,7 +55,7 @@ from resfault.detector import DetectionReport
 
 LINE_ENDS = ("\n", "\r\n")
 # Most bytes one read returns while _fleet_key hashes a fleet file: all the
-# 1 MiB it asks for, and so few that the file is hashed in many pieces.
+# 64 KiB it asks for, and so few that the file is hashed in many pieces.
 KEY_READS = (1 << 20, 1, 7, 64)
 
 
@@ -563,17 +563,17 @@ def test_shared_reader_rules(tmp_path, reader, case):
 
 
 def twin_bytes(path):
-    return persist._twin_path(path).read_bytes()
+    return persist.twin_path(path).read_bytes()
 
 
 def write_twin(path, arrays):
-    with persist._twin_path(path).open("wb") as fh:
+    with persist.twin_path(path).open("wb") as fh:
         for array in arrays:
             np.save(fh, array)
 
 
 def twin_arrays(path):
-    with persist._twin_path(path).open("rb") as fh:
+    with persist.twin_path(path).open("rb") as fh:
         return [np.load(fh) for _ in persist._TWIN_ARRAYS]
 
 
@@ -609,7 +609,7 @@ class TestFleetTwin:
         path = tmp_path / "fleet.csv"
         path.write_text(fleet_text())
         load_csv(path)
-        mode = persist._twin_path(path).stat().st_mode
+        mode = persist.twin_path(path).stat().st_mode
         assert stat.S_IMODE(mode) == stat.S_IMODE(path.stat().st_mode)
 
     def test_quoted_ids_take_the_csv_parse_and_the_twin(self, tmp_path):
@@ -663,7 +663,7 @@ class TestFleetTwin:
         path.write_text(fleet_text(units=("u1", "u2", "u3", "u1")))
         expected = load_csv(path)
         good = twin_bytes(path)
-        persist._twin_path(path).write_bytes(damage(good))
+        persist.twin_path(path).write_bytes(damage(good))
         same_fleet(load_csv(path), expected)
         assert twin_bytes(path) == good
 
@@ -714,7 +714,7 @@ class TestFleetTwin:
         good = twin_bytes(path)
         data = twin_arrays(path)[4].tobytes()
         head = len(good) - len(data) - len(header_only_array((3, 19)))
-        persist._twin_path(path).write_bytes(good[:head] + header_only_array(shape) + data)
+        persist.twin_path(path).write_bytes(good[:head] + header_only_array(shape) + data)
         same_fleet(load_csv(path), expected)
         assert twin_bytes(path) == good
 

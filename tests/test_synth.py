@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from resfault.synth import (
     gen_unit,
     save_fleet,
 )
-from resfault.persist import save_csv
+from resfault.persist import load_csv, save_csv, twin_path
 
 SEED = 3
 
@@ -225,6 +227,11 @@ PINNED = {
 }
 
 
+def in_process(fn, shared, jobs, workers):
+    """parallel.run_jobs with every job run in this process, whatever ``workers``."""
+    return [fn(*shared, *args) for args in jobs]
+
+
 def pinned_cfg(n_units):
     return config_from_dict({"seed": 5, "synth": {"n_units": n_units, "rows_per_cycle": 40}})
 
@@ -244,7 +251,9 @@ class TestSaveFleet:
         cfg = pinned_cfg(n_units)
         path, truth_path = tmp_path / "fleet.csv", tmp_path / "ground_truth.csv"
         truths = save_fleet(cfg, path, truth_path, workers)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.csv", "ground_truth.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".fleet.csv.npy", "fleet.csv", "ground_truth.csv"
+        ]
         assert truths == [truth for _, truth in gen_fleet(cfg)]
         assert (sha256(path), sha256(truth_path)) == PINNED[n_units]
 
@@ -254,6 +263,53 @@ class TestSaveFleet:
         save_csv([series for series, _ in gen_fleet(cfg)], tmp_path / "whole.csv")
         assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "workers, prefix",
+        # one slice in this process; three slices in this process; two workers
+        [(1, ""), (3, ""), (1, 'a,"b" '), (2, "")],
+        ids=["one_job", "three_jobs_in_process", "quoted_prefix", "two_workers"],
+    )
+    def test_twin_is_the_one_load_csv_keeps(self, tmp_path, monkeypatch, workers, prefix):
+        if workers == 3:
+            monkeypatch.setattr(parallel, "run_jobs", in_process)
+        path = tmp_path / "fleet.csv"
+        save_fleet(small_cfg(unit_prefix=prefix), path, tmp_path / "truth.csv", workers)
+        twin = twin_path(path)
+        written = twin.read_bytes()
+        twin.unlink()
+        load_csv(path)
+        assert twin.read_bytes() == written
+
+    def test_failed_fleet_publish_leaves_no_twin(self, tmp_path, monkeypatch):
+        """The twin is published before the fleet; a fleet that cannot then
+        be published takes its twin with it."""
+        path = tmp_path / "fleet.csv"
+        replace, published = os.replace, []
+
+        def fleet_rename_fails(src, dst):
+            if Path(dst) == path:
+                assert twin_path(path).exists()
+                raise OSError(28, "No space left on device")
+            published.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fleet_rename_fails)
+        with pytest.raises(OSError, match="No space left"):
+            save_fleet(pinned_cfg(1), path, tmp_path / "truth.csv", 2)
+        assert published == ["truth.csv", ".fleet.csv.npy"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_twin_write_leaves_no_file(self, tmp_path, monkeypatch):
+        """An error the twin's writer does not leave out ends the join."""
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "full", exhausted)
+        with pytest.raises(MemoryError):
+            save_fleet(pinned_cfg(1), tmp_path / "fleet.csv", tmp_path / "truth.csv", 1)
+        assert list(tmp_path.iterdir()) == []
+
     def test_failing_job_leaves_no_part_file(self, tmp_path, monkeypatch):
         made = []
 
@@ -262,9 +318,6 @@ class TestSaveFleet:
                 raise OSError("no space left on device")
             made.append(unit_id)
             return gen_unit(settings, family, unit_seed, unit_id, sensor_map)
-
-        def in_process(fn, shared, jobs, workers):
-            return [fn(*shared, *args) for args in jobs]
 
         monkeypatch.setattr(synth, "gen_unit", failing)
         # three jobs in this process, so that the first two parts are written
