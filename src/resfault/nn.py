@@ -17,11 +17,6 @@ from .errors import EmptyDataset, NonFiniteLoss, ShapeMismatch
 ADAM_EPS = 1e-8
 
 
-def _interleave(weights: list[np.ndarray], biases: list[np.ndarray]) -> list[np.ndarray]:
-    """[W0, b0, W1, b1, ...]: the one parameter order of nets and their gradients."""
-    return [p for pair in zip(weights, biases) for p in pair]
-
-
 @dataclass(frozen=True)
 class DenseNet:
     """Fully connected network: weights[l] has shape (d_{l+1}, d_l).
@@ -56,7 +51,7 @@ class DenseNet:
 
     def params(self) -> list[np.ndarray]:
         """Interleaved [W0, b0, W1, b1, ...] view of the parameters."""
-        return _interleave(self.weights, self.biases)
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def with_params(self, params: list[np.ndarray]) -> "DenseNet":
         return DenseNet(list(params[0::2]), list(params[1::2]))
@@ -121,46 +116,35 @@ def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.sum(diff * diff) / diff.shape[0])
 
 
-@dataclass
-class Gradients:
-    """Per-layer weight and bias gradients, shaped like the parameters.
+def backward(net: DenseNet, inp: np.ndarray, target: np.ndarray, grad: DenseNet) -> float:
+    """Gradient of loss_mse(forward(net, inp), target), written into ``grad``.
 
-    ``loss`` is the batch loss the gradients were taken at.
+    ``grad`` is a net of ``net``'s layer dims whose parameters are
+    overwritten in place with the gradient of the matching parameters of
+    ``net``. One forward pass gives both the gradient and the batch loss it
+    belongs to, which is returned.
     """
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    loss: float
-
-    def params(self) -> list[np.ndarray]:
-        """Interleaved like DenseNet.params()."""
-        return _interleave(self.weights, self.biases)
-
-
-def backward(net: DenseNet, inp: np.ndarray, target: np.ndarray) -> Gradients:
-    """Gradients of loss_mse(forward(net, inp), target) for every parameter.
-
-    One forward pass gives both the gradients and the loss they belong to.
-    """
+    if grad.layer_dims != net.layer_dims:
+        raise ShapeMismatch(
+            f"gradient layer dims {grad.layer_dims} != net layer dims {net.layer_dims}"
+        )
     target = _as_batch(target, net.weights[-1].shape[0], "target")
     pre_acts, acts = forward_activations(net, inp)
     if acts[-1].shape != target.shape:
         raise ShapeMismatch("input and target batch sizes differ")
-    n = acts[0].shape[0]
+    n = len(target)
     diff = acts[-1] - target
     loss = float(np.sum(diff * diff) / n)
     delta = 2.0 * diff / n
-    grad_w: list[np.ndarray] = [np.empty(0)] * net.n_layers
-    grad_b: list[np.ndarray] = [np.empty(0)] * net.n_layers
-    for l in range(net.n_layers - 1, -1, -1):
-        if l < net.n_layers - 1:
+    last = net.n_layers - 1
+    for l in range(last, -1, -1):
+        if l < last:
+            delta = delta @ net.weights[l + 1]
             # the derivative at exactly 0 is defined as 0
             delta *= pre_acts[l] > 0.0
-        grad_w[l] = delta.T @ acts[l]
-        grad_b[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = delta @ net.weights[l]
-    return Gradients(weights=grad_w, biases=grad_b, loss=loss)
+        np.matmul(delta.T, acts[l], out=grad.weights[l])
+        np.sum(delta, axis=0, out=grad.biases[l])
+    return loss
 
 
 @dataclass
@@ -242,9 +226,10 @@ def train(
     ``settings.patience`` consecutive epochs (or at ``settings.epochs``);
     the returned net carries the parameters of the best-validation epoch.
     Each mini-batch takes one forward pass: ``backward`` returns the batch
-    loss with the gradients. The parameters live in one contiguous buffer
-    that Adam updates in place. A non-finite training or validation loss
-    raises NonFiniteLoss.
+    loss and writes the gradient. The parameters live in one contiguous
+    buffer that Adam updates in place; the gradient lives in a second flat
+    buffer of the same layout, reused by every step. A non-finite training
+    or validation loss raises NonFiniteLoss.
     """
     x_train = np.asarray(train_set[0], dtype=np.float64)
     y_train = np.asarray(train_set[1], dtype=np.float64)
@@ -258,18 +243,18 @@ def train(
     rng = np.random.default_rng(seed)
     flat = np.concatenate([p.ravel() for p in net.params()])
     live = _net_over(net, flat)
+    grad_flat = np.empty_like(flat)
+    grad = _net_over(net, grad_flat)
     state = AdamState.init(
         flat, beta1=settings.beta1, beta2=settings.beta2, lr=settings.learning_rate
     )
     n = x_train.shape[0]
 
+    # settings.epochs >= 1, and the first epoch's loss is finite or raises, so
+    # that epoch always sets best_epoch, best_flat and bad_streak
     best_val = np.inf
-    best_epoch = 0
-    best_flat = flat.copy()
-    bad_streak = 0
     train_losses: list[float] = []
     val_losses: list[float] = []
-    epochs_run = 0
 
     # a diverging run overflows inside the matrix products; the non-finite
     # loss check below reports it as NonFiniteLoss instead
@@ -279,9 +264,8 @@ def train(
             running = 0.0
             for start in range(0, n, settings.batch_size):
                 batch = order[start : start + settings.batch_size]
-                grads = backward(live, x_train[batch], y_train[batch])
-                running += grads.loss * len(batch)
-                adam_step(flat, np.concatenate([g.ravel() for g in grads.params()]), state)
+                running += backward(live, x_train[batch], y_train[batch], grad) * len(batch)
+                adam_step(flat, grad_flat, state)
             train_loss = running / n
             val_loss = loss_mse(forward(live, x_val), y_val)
             if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
@@ -291,7 +275,6 @@ def train(
                 )
             train_losses.append(train_loss)
             val_losses.append(val_loss)
-            epochs_run = epoch + 1
             if val_loss < best_val:
                 best_val = val_loss
                 best_epoch = epoch
@@ -307,5 +290,5 @@ def train(
         train_losses=train_losses,
         val_losses=val_losses,
         best_epoch=best_epoch,
-        epochs_run=epochs_run,
+        epochs_run=len(val_losses),
     )

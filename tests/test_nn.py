@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from resfault import nn
 from resfault.config import TrainingSettings
 from resfault.errors import EmptyDataset, NonFiniteLoss, ShapeMismatch
-from gradcheck import finite_diff_grad
+from gradcheck import backward_fresh, finite_diff_grad
 
 
 def random_net(rng, dims=None, max_layers=4, max_width=8):
@@ -124,7 +124,7 @@ class TestBackward:
         net = random_net(rng, dims=(3, 2))
         x = rng.normal(size=(4, 3))
         target = nn.forward(net, x)
-        grads = nn.backward(net, x, target)
+        _, grads = backward_fresh(net, x, target)
         for g in grads.params():
             np.testing.assert_array_equal(g, 0.0)
 
@@ -132,7 +132,7 @@ class TestBackward:
         # y = w*x, loss (w*x - t)^2, dL/dw = 2x(w*x - t)
         w0, x0, t0 = 1.7, 0.6, -0.9
         net = nn.DenseNet([np.array([[w0]])], [np.zeros(1)])
-        grads = nn.backward(net, np.array([[x0]]), np.array([[t0]]))
+        _, grads = backward_fresh(net, np.array([[x0]]), np.array([[t0]]))
         expected = 2.0 * x0 * (w0 * x0 - t0)
         np.testing.assert_allclose(grads.weights[0][0, 0], expected, rtol=1e-12)
 
@@ -144,10 +144,61 @@ class TestBackward:
             t = rng.normal(size=(3, net.layer_dims[-1]))
             if min_relu_preactivation(net, x) < 1e-4:
                 continue
-            analytic = nn.backward(net, x, t)
+            _, analytic = backward_fresh(net, x, t)
             numeric = finite_diff_grad(net, x, t, h=1e-5)
             assert relative_grad_errors(analytic, numeric) < 1e-5
             checked += 1
+
+    def test_grad_of_other_layer_dims_rejected(self, rng):
+        net = random_net(rng, dims=(3, 4, 2))
+        x = rng.normal(size=(5, 3))
+        t = rng.normal(size=(5, 2))
+        for dims in ((3, 5, 2), (3, 4, 4, 2), (3, 2)):
+            grad = nn.init_weights(dims, seed=0)
+            with pytest.raises(ShapeMismatch):
+                nn.backward(net, x, t, grad)
+
+    def test_relu_derivative_at_exactly_zero_is_zero(self):
+        # the hidden unit's pre-activation is exactly 0, so nothing flows
+        # back through it: only the output bias gets a gradient
+        net = nn.DenseNet([np.zeros((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
+        _, grads = backward_fresh(net, np.array([[0.8]]), np.array([[1.0]]))
+        np.testing.assert_array_equal(grads.weights[0], 0.0)
+        np.testing.assert_array_equal(grads.biases[0], 0.0)
+        np.testing.assert_array_equal(grads.weights[1], 0.0)
+        np.testing.assert_array_equal(grads.biases[1], -2.0)
+
+    def test_batch_size_mismatch_rejected(self, rng):
+        # a one-row target would broadcast against the batch unchecked
+        net = random_net(rng, dims=(3, 4, 2))
+        x = rng.normal(size=(5, 3))
+        grad = nn.init_weights(net.layer_dims, seed=0)
+        for rows in (1, 3):
+            with pytest.raises(ShapeMismatch):
+                nn.backward(net, x, rng.normal(size=(rows, 2)), grad)
+
+    def test_array_likes_taken_like_arrays(self, rng):
+        net = random_net(rng, dims=(3, 4, 2))
+        x = rng.normal(size=(5, 3))
+        t = rng.normal(size=(5, 2))
+        loss, want = backward_fresh(net, x, t)
+        got_loss, got = backward_fresh(net, x.tolist(), t.tolist())
+        assert got_loss == loss
+        for a, b in zip(got.params(), want.params()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_every_grad_entry_overwritten(self, rng):
+        # a NaN-filled buffer must come back holding exactly the gradient a
+        # fresh buffer gets: an entry left unwritten would keep its NaN
+        net = random_net(rng, dims=(4, 6, 3, 2))
+        x = rng.normal(size=(9, 4))
+        t = rng.normal(size=(9, 2))
+        loss, fresh = backward_fresh(net, x, t)
+        grad = net.with_params([np.full_like(p, np.nan) for p in net.params()])
+        assert nn.backward(net, x, t, grad) == loss
+        for got, want in zip(grad.params(), fresh.params()):
+            assert np.isfinite(got).all()
+            np.testing.assert_array_equal(got, want)
 
 
 class TestFiniteDiff:
@@ -272,6 +323,39 @@ class TestTrain:
                 seed=0,
             )
 
+    def test_empty_validation_set(self):
+        net = nn.init_weights((1, 1), seed=0)
+        with pytest.raises(EmptyDataset):
+            nn.train(
+                net,
+                (np.ones((1, 1)), np.ones((1, 1))),
+                (np.empty((0, 1)), np.empty((0, 1))),
+                TrainingSettings(),
+                seed=0,
+            )
+
+    def test_equal_validation_loss_is_no_improvement(self, rng):
+        # an exact fit has a zero gradient, so every epoch repeats the
+        # first epoch's validation loss; a tie must count against patience
+        x, y = self.linear_task(rng, n=40)
+        net = nn.DenseNet([np.array([[2.0]])], [np.zeros(1)])
+        cfg = TrainingSettings(epochs=6, batch_size=8, patience=2)
+        result = nn.train(net, (x[:30], y[:30]), (x[30:], y[30:]), cfg, seed=0)
+        assert result.val_losses == [0.0] * 3
+        assert result.best_epoch == 0
+        assert result.epochs_run == 3
+
+    @pytest.mark.parametrize("extra_train, extra_val", [(2, 0), (0, 1)])
+    def test_unequal_row_counts_rejected(self, rng, extra_train, extra_val):
+        # surplus target rows would otherwise be dropped without a word
+        x, y = self.linear_task(rng, n=16)
+        net = nn.init_weights((1, 2, 1), seed=3)
+        y_train = np.vstack([y[:12], np.ones((extra_train, 1))])
+        y_val = np.vstack([y[12:], np.ones((extra_val, 1))])
+        cfg = TrainingSettings(epochs=2, batch_size=4, patience=2)
+        with pytest.raises(ShapeMismatch, match="equal row counts"):
+            nn.train(net, (x[:12], y_train), (x[12:], y_val), cfg, seed=0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_loss_raises(self, rng):
         # before this check a NaN loss never beat best_val, so train
@@ -298,7 +382,7 @@ class TestTrain:
         net = random_net(rng)
         x = rng.normal(size=(5, net.layer_dims[0]))
         t = rng.normal(size=(5, net.layer_dims[-1]))
-        assert nn.backward(net, x, t).loss == nn.loss_mse(nn.forward(net, x), t)
+        assert backward_fresh(net, x, t)[0] == nn.loss_mse(nn.forward(net, x), t)
 
     def test_returns_best_epoch_weights(self, rng):
         x, y = self.linear_task(rng, n=80)
@@ -347,6 +431,6 @@ def test_gradient_property_random_nets(seed):
     t = rng.normal(size=(2, net.layer_dims[-1]))
     if min_relu_preactivation(net, x) < 1e-4:
         return
-    analytic = nn.backward(net, x, t)
+    _, analytic = backward_fresh(net, x, t)
     numeric = finite_diff_grad(net, x, t, h=1e-5)
     assert relative_grad_errors(analytic, numeric) < 1e-5
