@@ -13,14 +13,14 @@ import sys
 from pathlib import Path
 
 # resfault before numpy: importing it pins numpy's BLAS to one thread
-from resfault import cli, experiment, parallel
+from resfault import cli, experiment, parallel, persist
 
 import numpy as np
 
 from resfault.health import SENSORWISE
 from resfault.models import OC_KIND
 from resfault.persist import format_float as fmt
-from resfault.persist import write_evaluations, write_manifest, write_table
+from resfault.persist import write_table
 from resfault.segmentation import trigger_timeline
 from resfault.synth import gen_units, unit_plan
 
@@ -46,7 +46,7 @@ def prepared_fleet(cfg) -> tuple[list, dict]:
     return units, truths
 
 
-def write_silhouette_table(out: Path, result, seg) -> None:
+def write_silhouette_table(path: Path, result, seg) -> None:
     k_range = range(0, seg.k_max + 1)
     rows = []
     for kind in experiment.MODEL_KINDS:
@@ -61,10 +61,10 @@ def write_silhouette_table(out: Path, result, seg) -> None:
             finite = [score for score in per_k[k] if np.isfinite(score)]
             mean = float(np.mean(finite)) if finite else float("nan")
             rows.append([kind, k, fmt(mean), len(finite)])
-    write_table(out / "silhouette_vs_k.csv", ["model", "k", "mean_score", "n_realisations"], rows)
+    write_table(path, ["model", "k", "mean_score", "n_realisations"], rows)
 
 
-def write_trigger_timelines(out: Path, result, seg) -> None:
+def write_trigger_timelines(path: Path, result, seg) -> None:
     rows = []
     for run in [run for run in result.runs if run.kind == OC_KIND]:
         detection = run.detections[SENSORWISE]
@@ -73,7 +73,7 @@ def write_trigger_timelines(out: Path, result, seg) -> None:
             timeline = trigger_timeline(post, detection.stats, seg.timeline_checkpoints)
             rows.extend([run.realisation, unit_id, *item] for item in timeline.items())
     header = ["realisation", "unit", "channel", "triggered_at"]
-    write_table(out / "trigger_timeline.csv", header, rows)
+    write_table(path, header, rows)
 
 
 def training_outcomes(result) -> dict[str, str]:
@@ -101,22 +101,14 @@ def main(argv=None) -> int:
     workers = parallel.worker_count(cfg.training.realisations * len(experiment.MODEL_KINDS))
     result = experiment.run_protocol(units, truths, cfg, workers)
     evaluations = [result.evaluations[key] for key in sorted(result.evaluations)]
-    write_evaluations(out, evaluations)
-
-    write_silhouette_table(out, result, cfg.segmentation)
-    write_trigger_timelines(out, result, cfg.segmentation)
-    write_manifest(
-        out / "experiment_manifest.txt",
-        "run_experiment",
-        cfg,
-        {
-            "seed": cfg.seed,
-            "units": len(units),
-            "out": out,
-            "workers": workers,
-            **training_outcomes(result),
-        },
-    )
+    silhouette, timeline = out / "silhouette_vs_k.csv", out / "trigger_timeline.csv"
+    tables = (*persist.evaluation_paths(out), silhouette, timeline)
+    with persist.outputs(out / "experiment_manifest.txt", "run_experiment", cfg, *tables) as extras:
+        persist.write_evaluations(out, evaluations)
+        write_silhouette_table(silhouette, result, cfg.segmentation)
+        write_trigger_timelines(timeline, result, cfg.segmentation)
+        extras.update(seed=cfg.seed, units=len(units), out=out, workers=workers)
+        extras.update(training_outcomes(result))
     return 0
 
 

@@ -59,19 +59,12 @@ def cmd_synth(args) -> int:
     cfg = effective_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = out / "synth_manifest.txt"
-    # an earlier run's files go first, so a failed run leaves none beside its own
-    fleet = out / FLEET_FILE
-    for stale in (manifest, out / TRUTH_FILE, fleet, persist.twin_path(fleet)):
-        stale.unlink(missing_ok=True)
     workers = parallel.worker_count(len(synth.unit_plan(cfg)))
-    truths = synth.save_fleet(cfg, fleet, out / TRUTH_FILE, workers)
-    persist.write_manifest(
-        manifest,
-        "synth",
-        cfg,
-        {"seed": cfg.seed, "units": len(truths), "out": out, "workers": workers},
-    )
+    fleet, truth = out / FLEET_FILE, out / TRUTH_FILE
+    manifest = out / "synth_manifest.txt"
+    with persist.outputs(manifest, "synth", cfg, truth, fleet, persist.twin_path(fleet)) as extras:
+        truths = synth.save_fleet(cfg, fleet, truth, workers)
+        extras.update(seed=cfg.seed, units=len(truths), out=out, workers=workers)
     print(f"wrote {len(truths)} units to {fleet}")
     return 0
 
@@ -99,32 +92,27 @@ def cmd_train(args) -> int:
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    persist.save_checkpoint(model, out, metadata)
-
-    persist.write_table(
-        out.with_name(out.stem + "_log.csv"),
-        ["epoch", "train_loss", "val_loss"],
-        (
-            [i, fmt(tr), fmt(va)]
-            for i, (tr, va) in enumerate(zip(result.train_losses, result.val_losses))
-        ),
-    )
-
-    persist.write_manifest(
-        out.with_name(out.stem + "_manifest.txt"),
-        f"train {args.model}",
-        cfg,
-        {
-            "seed": cfg.seed,
-            "realisation": args.realisation,
-            "split_seed": split_seed,
-            "train_seed": train_seed,
-            "data": args.data,
-            "checkpoint": out,
-            "best_epoch": result.best_epoch,
-            "best_val_loss": result.val_losses[result.best_epoch],
-        },
-    )
+    manifest, log = (out.with_name(out.stem + suffix) for suffix in ("_manifest.txt", "_log.csv"))
+    with persist.outputs(manifest, f"train {args.model}", cfg, out, log) as extras:
+        persist.save_checkpoint(model, out, metadata)
+        persist.write_table(
+            log,
+            ["epoch", "train_loss", "val_loss"],
+            (
+                [i, fmt(tr), fmt(va)]
+                for i, (tr, va) in enumerate(zip(result.train_losses, result.val_losses))
+            ),
+        )
+        extras.update(
+            seed=cfg.seed,
+            realisation=args.realisation,
+            split_seed=split_seed,
+            train_seed=train_seed,
+            data=args.data,
+            checkpoint=out,
+            best_epoch=result.best_epoch,
+            best_val_loss=result.val_losses[result.best_epoch],
+        )
     print(
         f"trained {kind}: {result.epochs_run} epochs, "
         f"best val loss {result.val_losses[result.best_epoch]:.6g} -> {out}"
@@ -164,20 +152,12 @@ def cmd_detect(args) -> int:
     manifest, hi_path, stats_path = (
         out.with_name(out.stem + suffix) for suffix in ("_manifest.txt", "_hi.csv", "_stats.csv")
     )
-    # an earlier run's files go first, manifest first, so a run that fails or
-    # writes no _hi.csv leaves none beside its own
-    for stale in (manifest, hi_path, stats_path, out):
-        stale.unlink(missing_ok=True)
-    persist.save_reports(detection.reports, model.kind, args.hi, out)
-    persist.save_stats(stats, stats_path)
-    if args.dump_hi:
-        persist.save_cycle_hi_csv(detection.cycle_averages, stats.channel_names, hi_path)
-    persist.write_manifest(
-        manifest,
-        f"detect {args.hi}",
-        cfg,
-        {"checkpoint": args.checkpoint, "data": args.data, "out": out},
-    )
+    with persist.outputs(manifest, f"detect {args.hi}", cfg, out, stats_path, hi_path) as extras:
+        persist.save_reports(detection.reports, model.kind, args.hi, out)
+        persist.save_stats(stats, stats_path)
+        if args.dump_hi:
+            persist.save_cycle_hi_csv(detection.cycle_averages, stats.channel_names, hi_path)
+        extras.update(checkpoint=args.checkpoint, data=args.data, out=out)
     n_alarms = sum(1 for r in detection.reports if r.detected)
     print(f"detected alarms on {n_alarms}/{len(detection.reports)} units -> {out}")
     return 0
@@ -195,13 +175,10 @@ def cmd_evaluate(args) -> int:
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    persist.write_evaluations(out, evaluations)
-    persist.write_manifest(
-        out / "evaluate_manifest.txt",
-        "evaluate",
-        cfg,
-        {"reports": ", ".join(str(p) for p in args.reports), "out": out},
-    )
+    manifest = out / "evaluate_manifest.txt"
+    with persist.outputs(manifest, "evaluate", cfg, *persist.evaluation_paths(out)) as extras:
+        persist.write_evaluations(out, evaluations)
+        extras.update(reports=", ".join(str(p) for p in args.reports), out=out)
     return 0
 
 
@@ -260,32 +237,32 @@ def cmd_segment(args) -> int:
     curve = segmentation.silhouette_curve(posts, labels, k_range)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    rows = [[ids[i], labels[i], *map(fmt, vector)] for i, vector in zip(signed, signatures)]
-    persist.write_table(out / "signatures.csv", ["unit", "label", *stats.channel_names], rows)
-    rows = [[ids[i], labels[i], fmt(x), fmt(y)] for i, (x, y) in zip(signed, pca.coords)]
-    persist.write_table(out / "pca_coords.csv", ["unit", "label", "pc1", "pc2"], rows)
-    rows = [[point.k, fmt(point.score), point.n_units] for point in curve]
-    persist.write_table(out / "silhouette_curve.csv", ["k", "score", "n_units"], rows)
-    rows = [
-        [unit_id, channel, category]
-        for unit_id, post in zip(ids, posts)
-        for channel, category in segmentation.trigger_timeline(
-            post, stats, cfg.segmentation.timeline_checkpoints
-        ).items()
+    tables = [
+        out / name
+        for name in ("signatures.csv", "pca_coords.csv", "silhouette_curve.csv",
+                     "trigger_timeline.csv", "ae_embedding_pca.csv")
     ]
-    persist.write_table(out / "trigger_timeline.csv", ["unit", "channel", "triggered_at"], rows)
-    if len(embeddings) >= 3:
-        coords = segmentation.pca_2d(np.array(embeddings)).coords
-        rows = [[ids[i], fmt(x), fmt(y)] for i, (x, y) in zip(signed, coords)]
-        persist.write_table(out / "ae_embedding_pca.csv", ["unit", "pc1", "pc2"], rows)
-
-    persist.write_manifest(
-        out / "segment_manifest.txt",
-        "segment",
-        cfg,
-        {"checkpoint": args.checkpoint, "reports": args.reports, "out": out},
-    )
+    signatures_path, pca_path, curve_path, timeline_path, embedding_path = tables
+    with persist.outputs(out / "segment_manifest.txt", "segment", cfg, *tables) as extras:
+        rows = [[ids[i], labels[i], *map(fmt, vector)] for i, vector in zip(signed, signatures)]
+        persist.write_table(signatures_path, ["unit", "label", *stats.channel_names], rows)
+        rows = [[ids[i], labels[i], fmt(x), fmt(y)] for i, (x, y) in zip(signed, pca.coords)]
+        persist.write_table(pca_path, ["unit", "label", "pc1", "pc2"], rows)
+        rows = [[point.k, fmt(point.score), point.n_units] for point in curve]
+        persist.write_table(curve_path, ["k", "score", "n_units"], rows)
+        rows = [
+            [unit_id, channel, category]
+            for unit_id, post in zip(ids, posts)
+            for channel, category in segmentation.trigger_timeline(
+                post, stats, cfg.segmentation.timeline_checkpoints
+            ).items()
+        ]
+        persist.write_table(timeline_path, ["unit", "channel", "triggered_at"], rows)
+        if len(embeddings) >= 3:
+            coords = segmentation.pca_2d(np.array(embeddings)).coords
+            rows = [[ids[i], fmt(x), fmt(y)] for i, (x, y) in zip(signed, coords)]
+            persist.write_table(embedding_path, ["unit", "pc1", "pc2"], rows)
+        extras.update(checkpoint=args.checkpoint, reports=args.reports, out=out)
     # the curve holds k = 0..k_max in order; an offset past k_max has no point
     at_offset = f"{curve[offset].score:.3f}" if offset < len(curve) else "n/a"
     print(f"segmented {len(signatures)} units; silhouette at +{offset}: {at_offset}")

@@ -4,7 +4,8 @@ Data interchange is plain CSV with an explicit header. Checkpoints are
 JSON: weights round-trip bit-exactly because values are written with
 shortest round-trip decimal formatting and parsed back as 64-bit floats.
 The parse of a fleet CSV is kept beside it in a binary twin, which later
-reads of the same bytes load. The commands' outputs appear only once whole.
+reads of the same bytes load. The commands' outputs appear only once whole,
+and those of a command that fails not at all.
 """
 
 from __future__ import annotations
@@ -437,26 +438,22 @@ def join_fleet_parts(
     ``unit_ids``, in order, ``row_counts`` rows each. The header is
     save_csv's. The fleet's bytes are hashed as they are written, and the
     twin is the one load_csv would keep. Both files are _published, so
-    ``path`` appears only once it is whole, and a failed join leaves neither.
+    ``path`` appears only once it is whole.
     """
-    try:
-        with _published(path, "wb") as fh:
-            keyed = _KeyedWriter(fh)
-            keyed.write(_csv_row(FLEET_COLUMNS).encode())
-            for part in parts:
-                with part.open("rb") as src:
-                    shutil.copyfileobj(src, keyed)
-            _save_twin(
-                path,
-                keyed.key(),
-                unit_ids,
-                sum(row_counts),
-                (np.full(n, code, dtype=np.int64) for code, n in enumerate(row_counts)),
-                _file_blocks(tables),
-            )
-    except BaseException:
-        twin_path(path).unlink(missing_ok=True)
-        raise
+    with _published(path, "wb") as fh:
+        keyed = _KeyedWriter(fh)
+        keyed.write(_csv_row(FLEET_COLUMNS).encode())
+        for part in parts:
+            with part.open("rb") as src:
+                shutil.copyfileobj(src, keyed)
+        _save_twin(
+            path,
+            keyed.key(),
+            unit_ids,
+            sum(row_counts),
+            (np.full(n, code, dtype=np.int64) for code, n in enumerate(row_counts)),
+            _file_blocks(tables),
+        )
 
 
 TRUTH_COLUMNS = ("unit", "family", "fault_cycle", "faulty_sensors")
@@ -720,32 +717,51 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
     return model, metadata
 
 
-def write_manifest(path: Path, command: str, cfg: RunConfig, extras: dict) -> None:
-    """Write a run manifest: the command, the version, one line per ``extras``
-    entry, then the effective configuration."""
-    lines = [
-        f"command: {command}",
-        f"resfault_version: {__version__}",
-    ]
-    for key, value in extras.items():
-        lines.append(f"{key}: {value}")
-    lines.append("config:")
-    lines.extend("  " + ln for ln in dump_config(cfg).splitlines())
-    with _published(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+@contextlib.contextmanager
+def outputs(manifest: Path, command: str, cfg: RunConfig, *paths: Path):
+    """The write protocol of one command whose outputs are ``paths`` and the
+    run manifest ``manifest``: a failed command leaves none of them.
+
+    On entry an earlier run's manifest is deleted, then ``paths`` in order.
+    The block fills the yielded dict with the manifest's extra lines. When
+    it ends without error the manifest is written last: the command, the
+    version, one line per extra entry, then the effective configuration.
+    When anything in it raises, every one of ``paths`` is deleted.
+    """
+    for path in (manifest, *paths):
+        path.unlink(missing_ok=True)
+    extras = {}
+    try:
+        yield extras
+        lines = [f"command: {command}", f"resfault_version: {__version__}"]
+        lines.extend(f"{key}: {value}" for key, value in extras.items())
+        lines.append("config:")
+        lines.extend("  " + ln for ln in dump_config(cfg).splitlines())
+        with _published(manifest, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _mark_none(value, text=format_float) -> str:
     return NO_DETECTION_MARK if value is None else text(value)
 
 
+def evaluation_paths(out: Path) -> tuple[Path, Path]:
+    """The evaluation_units.csv and evaluation_summary.csv of directory ``out``."""
+    return out / "evaluation_units.csv", out / "evaluation_summary.csv"
+
+
 def write_evaluations(out: Path, evaluations) -> None:
-    """Write evaluation_units.csv and evaluation_summary.csv under ``out``.
+    """Write the two evaluation_paths tables of directory ``out``.
 
     Also prints one summary line per (model, indicator-kind) group.
     """
+    units_path, summary_path = evaluation_paths(out)
     write_table(
-        out / "evaluation_units.csv",
+        units_path,
         ["model", "hi_kind", "dataset", "unit", "fault_cycle", "n_detected", "avg_delay"],
         (
             [
@@ -762,7 +778,7 @@ def write_evaluations(out: Path, evaluations) -> None:
         ),
     )
     write_table(
-        out / "evaluation_summary.csv",
+        summary_path,
         ["model", "hi_kind", "n_realisations", "n_units", "n_detected_units",
          "mean_delay", "fpr_percent"],
         (

@@ -286,8 +286,7 @@ def save_fleet(cfg: RunConfig, path: Path, truth_path: Path, workers: int) -> li
     Each of ``workers`` jobs generates one contiguous slice of the units and
     writes it to a part file and a part table beside ``path``; the parts are
     then joined in unit order and deleted, also when a job fails. The ground
-    truth is written before the join publishes the fleet, and deleted when
-    the join fails, so a fleet never appears without it. The bytes are the
+    truth is written before the join publishes the fleet. The bytes are the
     same for any worker count. Returns the units' ground truth, in fleet order.
     """
     plan = unit_plan(cfg)
@@ -299,13 +298,7 @@ def save_fleet(cfg: RunConfig, path: Path, truth_path: Path, workers: int) -> li
         units = parallel.run_jobs(_write_part, (cfg,), jobs, workers)
         truths, row_counts = zip(*(unit for part_units in units for unit in part_units))
         persist.save_ground_truth(truths, truth_path)
-        try:
-            persist.join_fleet_parts(
-                parts, tables, [t.unit_id for t in truths], row_counts, path
-            )
-        except BaseException:
-            truth_path.unlink(missing_ok=True)
-            raise
+        persist.join_fleet_parts(parts, tables, [t.unit_id for t in truths], row_counts, path)
     finally:
         for part in parts + tables:
             part.unlink(missing_ok=True)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import errno
+import importlib.util
 import json
 import os
 import shutil
@@ -16,7 +17,7 @@ from resfault import experiment, parallel, persist, synth
 from resfault.cli import exit_code, main
 from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS
 from resfault.detector import DetectionReport
-from resfault.config import load_config
+from resfault.config import config_from_dict, load_config
 from resfault.persist import (
     REPORT_COLUMNS,
     load_checkpoint,
@@ -428,6 +429,121 @@ def test_failed_synth_rerun_leaves_one_runs_files(workspace, tmp_path, monkeypat
         assert (out / name).read_bytes() == (clean / name).read_bytes()
 
 
+# Each writer's outputs in its --out directory, the manifest last.
+DECLARED = {
+    "synth": ["ground_truth.csv", "fleet.csv", ".fleet.csv.npy", "synth_manifest.txt"],
+    "train": ["oc.json", "oc_log.csv", "oc_manifest.txt"],
+    "detect": ["r.csv", "r_stats.csv", "r_hi.csv", "r_manifest.txt"],
+    "evaluate": ["evaluation_units.csv", "evaluation_summary.csv", "evaluate_manifest.txt"],
+    "segment": ["signatures.csv", "pca_coords.csv", "silhouette_curve.csv",
+                "trigger_timeline.csv", "ae_embedding_pca.csv", "segment_manifest.txt"],
+    "script": ["evaluation_units.csv", "evaluation_summary.csv", "silhouette_vs_k.csv",
+               "trigger_timeline.csv", "experiment_manifest.txt"],
+}
+
+
+@pytest.fixture(scope="module")
+def writers(workspace, tmp_path_factory):
+    """The workspace, an AE checkpoint, each model's sensor-wise reports, the
+    script, and each writer's seed-123 outputs in ``earlier / writer``."""
+    root = tmp_path_factory.mktemp("writers")
+    common = ["--config", str(workspace["config"]), "--data", str(workspace["data"])]
+    env = dict(workspace, ae=root / "ae.json")
+    assert main(["train", *common, "--model", "ae", "--out", str(env["ae"])]) == 0
+    for kind in ("ae", "oc"):
+        env[f"{kind}_reports"] = reports = root / f"{kind}_sens.csv"
+        assert main(
+            ["detect", *common, "--checkpoint", str(env[kind]), "--hi", "sensorwise",
+             "--out", str(reports)]
+        ) == 0
+    spec = importlib.util.spec_from_file_location("run_experiment", SCRIPT)
+    env["script"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(env["script"])
+    env["earlier"] = root / "earlier"
+    for writer, names in DECLARED.items():
+        assert run_writer(writer, env, env["earlier"] / writer, 123) == 0
+        assert sorted(p.name for p in (env["earlier"] / writer).iterdir()) == sorted(names)
+    return env
+
+
+def earlier_run(writers, writer, out):
+    """``out``, a new directory holding a copy of ``writer``'s seed-123 outputs."""
+    shutil.copytree(writers["earlier"] / writer, out)
+    return out
+
+
+def run_writer(writer, env, out, seed, checkpoint="ae"):
+    """Exit code of ``writer`` at ``seed``, its outputs named DECLARED[writer] in ``out``."""
+    common = ["--config", str(env["config"]), "--seed", str(seed)]
+    if writer == "script":
+        return exit_code(lambda: env["script"].main([*common, "--out", str(out)]))
+    data = ["--data", str(env["data"])]
+    args = {
+        "synth": ["--out", str(out)],
+        "train": [*data, "--model", "oc", "--out", str(out / "oc.json")],
+        "detect": [*data, "--checkpoint", str(env["oc"]), "--hi", "sensorwise",
+                   "--out", str(out / "r.csv"), "--dump-hi"],
+        "evaluate": ["--reports", str(env["ae_reports"]), "--out", str(out)],
+        "segment": [*data, "--checkpoint", str(env[checkpoint]),
+                    "--reports", str(env[f"{checkpoint}_reports"]), "--out", str(out)],
+    }[writer]
+    return main([writer, *common, *args])
+
+
+# A twin that cannot be published is left out and synth succeeds, so the
+# twin is no case here.
+@pytest.mark.parametrize(
+    "writer, output",
+    [(w, name) for w, names in DECLARED.items() for name in names if name != ".fleet.csv.npy"],
+)
+def test_failed_rerun_leaves_no_output(writers, tmp_path, monkeypatch, capsys, writer, output):
+    """A re-run whose publish of any output fails leaves neither run's files."""
+    out = earlier_run(writers, writer, tmp_path / "out")
+    # no pool: quicker here, and every publish is in this process either way
+    monkeypatch.setattr(parallel, "worker_count", lambda n_jobs: 1)
+    replace = os.replace
+
+    def publish_fails(src, dst):
+        if Path(dst) == out / output:
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", publish_fails)
+    assert run_writer(writer, writers, out, 5) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("writer", DECLARED)
+def test_rerun_leaves_exactly_its_declared_outputs(writers, tmp_path, monkeypatch, writer):
+    declared, outputs = [], persist.outputs
+
+    def recording(manifest, command, cfg, *paths):
+        declared.append(sorted(path.name for path in (manifest, *paths)))
+        return outputs(manifest, command, cfg, *paths)
+
+    monkeypatch.setattr(persist, "outputs", recording)
+    out = earlier_run(writers, writer, tmp_path / "out")
+    assert run_writer(writer, writers, out, 5) == 0
+    assert declared == [sorted(DECLARED[writer])]
+    assert sorted(p.name for p in out.iterdir()) == sorted(DECLARED[writer])
+    # the manifest reads as YAML, and its config section as the run's configuration
+    blob = yaml.safe_load((out / DECLARED[writer][-1]).read_text())
+    assert config_from_dict(blob["config"]) == dataclasses.replace(
+        load_config(writers["config"]), seed=5
+    )
+
+
+def test_segment_oc_after_ae_leaves_no_ae_table(writers, tmp_path):
+    out = earlier_run(writers, "segment", tmp_path / "seg")
+    assert run_writer("segment", writers, out, 123, checkpoint="oc") == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        set(DECLARED["segment"]) - {"ae_embedding_pca.csv"}
+    )
+    manifest = (out / "segment_manifest.txt").read_text().splitlines()
+    assert f"checkpoint: {writers['oc']}" in manifest
+
+
 class TestNegativeSeeds:
     """A negative seed is a config error (exit 2), never numpy's traceback."""
 
@@ -558,8 +674,8 @@ class TestDetect:
         monkeypatch.setattr(persist, "save_stats", disk_full)
         assert self.detect_into(workspace, out, "--dump-hi") == 3
         assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
-        # the report is this run's, written before the failure, and no manifest marks it whole
-        assert [p.name for p in tmp_path.iterdir()] == ["oc_sens.csv"]
+        # the report written before the failure goes with the rest of the run
+        assert [p.name for p in tmp_path.iterdir()] == []
 
 
 def fabricate_report(unit, dataset, alarm, n_true, known=True):

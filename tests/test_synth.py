@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from resfault import parallel, synth
+from resfault.cli import main
 from resfault.config import RunConfig, SynthSettings, config_from_dict, derive_seed
 from resfault.data_model import DEFAULT_X_CHANNELS, cycle_bounds
 from resfault.detector import build_report, cycle_average, fit_stats
@@ -232,8 +234,19 @@ def in_process(fn, shared, jobs, workers):
     return [fn(*shared, *args) for args in jobs]
 
 
+def pinned_settings(n_units):
+    return {"seed": 5, "synth": {"n_units": n_units, "rows_per_cycle": 40}}
+
+
 def pinned_cfg(n_units):
-    return config_from_dict({"seed": 5, "synth": {"n_units": n_units, "rows_per_cycle": 40}})
+    return config_from_dict(pinned_settings(n_units))
+
+
+def synth_pinned(tmp_path, n_units, out):
+    """Exit code of ``resfault synth`` with pinned_cfg(n_units) into ``out``."""
+    cfg = tmp_path / "pinned.yaml"
+    cfg.write_text(json.dumps(pinned_settings(n_units)))
+    return main(["synth", "--config", str(cfg), "--out", str(out)])
 
 
 def sha256(path):
@@ -280,10 +293,11 @@ class TestSaveFleet:
         load_csv(path)
         assert twin.read_bytes() == written
 
-    def test_failed_fleet_publish_leaves_no_twin(self, tmp_path, monkeypatch):
+    def test_failed_fleet_publish_leaves_no_twin(self, tmp_path, monkeypatch, capsys):
         """The twin is published before the fleet; a fleet that cannot then
-        be published takes its twin with it."""
-        path = tmp_path / "fleet.csv"
+        be published takes its twin and its ground truth with it."""
+        out = tmp_path / "data"
+        path = out / "fleet.csv"
         replace, published = os.replace, []
 
         def fleet_rename_fails(src, dst):
@@ -293,22 +307,25 @@ class TestSaveFleet:
             published.append(Path(dst).name)
             replace(src, dst)
 
+        monkeypatch.setattr(parallel, "worker_count", lambda n_jobs: 2)
         monkeypatch.setattr(os, "replace", fleet_rename_fails)
-        with pytest.raises(OSError, match="No space left"):
-            save_fleet(pinned_cfg(1), path, tmp_path / "truth.csv", 2)
-        assert published == ["truth.csv", ".fleet.csv.npy"]
-        assert list(tmp_path.iterdir()) == []
+        assert synth_pinned(tmp_path, 1, out) == 3
+        assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+        assert published == ["ground_truth.csv", ".fleet.csv.npy"]
+        assert list(out.iterdir()) == []
 
-    def test_failed_twin_write_leaves_no_file(self, tmp_path, monkeypatch):
+    def test_failed_twin_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         """An error the twin's writer does not leave out ends the join."""
 
         def exhausted(*args, **kwargs):
             raise MemoryError
 
+        monkeypatch.setattr(parallel, "worker_count", lambda n_jobs: 1)
         monkeypatch.setattr(np, "full", exhausted)
-        with pytest.raises(MemoryError):
-            save_fleet(pinned_cfg(1), tmp_path / "fleet.csv", tmp_path / "truth.csv", 1)
-        assert list(tmp_path.iterdir()) == []
+        out = tmp_path / "data"
+        assert synth_pinned(tmp_path, 1, out) == 4
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+        assert list(out.iterdir()) == []
 
     def test_failing_job_leaves_no_part_file(self, tmp_path, monkeypatch):
         made = []
