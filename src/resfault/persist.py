@@ -142,8 +142,9 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
     """Read a fleet CSV into per-unit series.
 
     Rows are grouped by unit id (units ordered by first appearance) and
-    stably sorted by cycle within each unit, preserving row order inside
-    a cycle.
+    stably sorted by cycle within each unit, keeping row order inside a
+    cycle. The fleet's table is held once, reordered only when its rows are
+    not in that order, and each unit's ``z`` and ``cycle_of`` slice its rows.
 
     The file is read by _rows. A typed error names the first defect: one of
     _rows' defects, a cell of NUMERIC_COLUMNS that is not a finite number, a
@@ -161,23 +162,21 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
         unit_ids, codes, table = _parse_csv(path)
         _save_twin(path, key, unit_ids, len(codes), [codes], [table])
     cycle_int = table[:, 0].astype(np.int64)
-    rows_by_unit = np.split(
-        np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1]
-    )
-    fleet = []
-    for uid, idx in zip(unit_ids, rows_by_unit):
-        idx = idx[np.argsort(cycle_int[idx], kind="stable")]
-        fleet.append(
-            UnitSeries(
-                unit_id=uid,
-                dataset_id="",
-                z=table[idx, 1:],
-                n_w=len(DEFAULT_W_CHANNELS),
-                cycle_of=cycle_int[idx],
-                channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
-            )
+    order = np.lexsort((cycle_int, codes))
+    if not np.array_equal(order, np.arange(len(order))):
+        table, cycle_int = table[order], cycle_int[order]
+    ends = np.cumsum(np.bincount(codes)).tolist()
+    return [
+        UnitSeries(
+            unit_id=uid,
+            dataset_id="",
+            z=table[lo:hi, 1:],
+            n_w=len(DEFAULT_W_CHANNELS),
+            cycle_of=cycle_int[lo:hi],
+            channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
         )
-    return fleet
+        for uid, lo, hi in zip(unit_ids, [0, *ends], ends)
+    ]
 
 
 # Hashed before a fleet CSV's bytes into the key of its twin; a change to
@@ -276,8 +275,8 @@ def _load_twin(path: Path, key: np.ndarray):
     """The parse kept in the twin of ``path`` for bytes ``key``, or None.
 
     None also when the twin is missing, cut short, longer than its arrays
-    or not what _save_twin writes: other dtypes or shapes, codes that name
-    no unit, ids that are not UTF-8.
+    or not what _save_twin writes: other dtypes or shapes, ids that are not
+    UTF-8, codes that name no unit or that skip or reorder units.
     """
     try:
         with twin_path(path).open("rb") as fh:
@@ -295,7 +294,8 @@ def _load_twin(path: Path, key: np.ndarray):
             and np.all(np.diff(ends, prepend=0) >= 0)
             and table.shape == (len(codes), len(NUMERIC_COLUMNS))
             and 0 <= codes.min()
-            and codes.max() < len(ends)
+            and codes.max() == len(ends) - 1
+            and np.all(np.diff(np.maximum.accumulate(codes), prepend=-1) <= 1)
         ):
             return None
         starts = [0, *ends[:-1].tolist()]

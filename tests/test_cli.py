@@ -396,39 +396,6 @@ def test_failed_synth_leaves_no_fleet_csv(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_failed_synth_rerun_leaves_one_runs_files(workspace, tmp_path, monkeypatch, capsys):
-    """A re-run that fails keeps no earlier run's ground truth, and publishes
-    no fleet without its own: detect then finds no fleet to read."""
-    cfg = write_config(tmp_path / "mini.yaml")
-    clean, out = tmp_path / "clean", tmp_path / "data"
-
-    def synth_into(directory, seed):
-        return main(["synth", "--config", str(cfg), "--seed", str(seed), "--out", str(directory)])
-
-    def disk_full(*args):
-        raise OSError(28, "No space left on device")
-
-    assert synth_into(clean, 602) == 0
-    for failing in ("save_ground_truth", "join_fleet_parts"):
-        assert synth_into(out, 601) == 0
-        capsys.readouterr()
-        with monkeypatch.context() as patch:
-            patch.setattr(persist, failing, disk_full)
-            assert synth_into(out, 602) == 3
-        assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
-        assert list(out.iterdir()) == [], failing
-        assert main(
-            ["detect", "--config", str(workspace["config"]), "--data", str(out),
-             "--checkpoint", str(workspace["oc"]), "--hi", "aggregated",
-             "--out", str(tmp_path / "reports.csv")]
-        ) == 3
-        assert capsys.readouterr().err.splitlines() == [f"error: no fleet.csv in {out}"]
-    # a successful re-run writes the bytes of a run into an empty directory
-    assert synth_into(out, 602) == 0
-    for name in ("fleet.csv", "ground_truth.csv"):
-        assert (out / name).read_bytes() == (clean / name).read_bytes()
-
-
 # Each writer's outputs in its --out directory, the manifest last.
 DECLARED = {
     "synth": ["ground_truth.csv", "fleet.csv", ".fleet.csv.npy", "synth_manifest.txt"],
@@ -512,6 +479,21 @@ def test_failed_rerun_leaves_no_output(writers, tmp_path, monkeypatch, capsys, w
     assert run_writer(writer, writers, out, 5) == 3
     assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
     assert list(out.iterdir()) == []
+    if writer == "synth":
+        # detect finds no fleet to read
+        assert main(
+            ["detect", "--config", str(writers["config"]), "--data", str(out),
+             "--checkpoint", str(writers["oc"]), "--hi", "aggregated",
+             "--out", str(tmp_path / "reports.csv")]
+        ) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: no fleet.csv in {out}"]
+    if output == "fleet.csv":
+        # a re-run that succeeds writes the bytes of a run into the emptied directory
+        monkeypatch.setattr(os, "replace", replace)
+        assert run_writer(writer, writers, out, 123) == 0
+        # all but the manifest, which names the worker count patched above
+        for name in DECLARED[writer][:-1]:
+            assert (out / name).read_bytes() == (writers["earlier"] / writer / name).read_bytes()
 
 
 @pytest.mark.parametrize("writer", DECLARED)
@@ -659,23 +641,6 @@ class TestDetect:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "oc_sens.csv", "oc_sens_manifest.txt", "oc_sens_stats.csv"
         ]
-
-    def test_failed_rerun_leaves_no_earlier_runs_file(
-        self, workspace, tmp_path, monkeypatch, capsys
-    ):
-        out = tmp_path / "oc_sens.csv"
-        assert self.detect_into(workspace, out, "--dump-hi") == 0
-        assert len(list(tmp_path.iterdir())) == 4
-        capsys.readouterr()
-
-        def disk_full(*args):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(persist, "save_stats", disk_full)
-        assert self.detect_into(workspace, out, "--dump-hi") == 3
-        assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
-        # the report written before the failure goes with the rest of the run
-        assert [p.name for p in tmp_path.iterdir()] == []
 
 
 def fabricate_report(unit, dataset, alarm, n_true, known=True):

@@ -6,6 +6,7 @@ import os
 import re
 import stat
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -439,6 +440,47 @@ def test_loadtxt_path_agrees_with_csv_path(most, text):
     refused_alike_or_twinned(text, most)
 
 
+def grouped_rows(rows):
+    """The row numbers of each unit of ``rows``, (unit, cycle) pairs in file
+    order: units in order of first appearance, rows stably sorted by cycle."""
+    units = {}
+    for n, (uid, _) in enumerate(rows):
+        units.setdefault(uid, []).append(n)
+    return {uid: sorted(ns, key=lambda n: rows[n][1]) for uid, ns in units.items()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 3)), min_size=1, max_size=12
+    ),
+    in_order=st.booleans(),
+)
+def test_load_csv_groups_units_as_the_reference(rows, in_order):
+    """Parse and twin give each unit its rows in the reference's order; a
+    file already in that order is one table whose slices are the units."""
+    if in_order:
+        rows = [rows[n] for ns in grouped_rows(rows).values() for n in ns]
+    expected = grouped_rows(rows)
+    ordered = [n for ns in expected.values() for n in ns] == list(range(len(rows)))
+    # every numeric cell of row n other than its cycle is n.j, for column j
+    lines = [",".join(FLEET_COLUMNS)] + [
+        ",".join([uid, str(cycle)] + [f"{n}.{j}" for j in range(18)])
+        for n, (uid, cycle) in enumerate(rows)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fleet.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for fleet in (load_csv(path), twin_read(path)):
+            assert [u.unit_id for u in fleet] == list(expected)
+            for unit, ns in zip(fleet, expected.values()):
+                assert unit.cycle_of.tolist() == [rows[n][1] for n in ns]
+                assert unit.z.tolist() == [[float(f"{n}.{j}") for j in range(18)] for n in ns]
+            if ordered:
+                table = fleet[0].z.base
+                assert all(np.shares_memory(u.z, table) for u in fleet)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -682,6 +724,11 @@ class TestFleetTwin:
             lambda a: [*a[:3], np.where(a[3] == 2, 3, a[3]), a[4]],
             lambda a: [*a[:3], np.where(a[3] == 0, -1, a[3]), a[4]],
             lambda a: [*a[:3], a[3].astype(np.float64), a[4]],
+            # the good codes are [0, 1, 2, 0]
+            lambda a: [*a[:3], np.array([0, 1, 1, 0]), a[4]],
+            lambda a: [*a[:3], np.array([0, 0, 2, 0]), a[4]],
+            lambda a: [*a[:3], np.array([1, 0, 2, 1]), a[4]],
+            lambda a: [*a[:3], np.array([0, 1, 2, -1]), a[4]],
             lambda a: [*a[:3], a[3][:-1], a[4]],
             lambda a: [*a[:4], a[4][:, :-1]],
             lambda a: [*a[:3], a[3][:, None], a[4]],
@@ -694,7 +741,9 @@ class TestFleetTwin:
         ],
         ids=["other_key", "key_dtype", "ids_not_utf8", "ends_dtype", "last_end_short",
              "ends_decreasing", "end_negative", "no_rows", "no_ids", "code_past_the_ids",
-             "negative_code", "codes_dtype", "codes_short", "codes_ndim", "table_columns", "table_dtype", "table_bits_as_int64",
+             "negative_code", "codes_dtype", "code_skips_a_unit", "first_code_skips_a_unit",
+             "codes_reorder_units", "negative_code_after_the_first", "codes_short",
+             "codes_ndim", "table_columns", "table_dtype", "table_bits_as_int64",
              "table_fortran_order", "table_ndim", "extra_array", "missing_array"],
     )
     def test_tampered_twin_is_a_miss_and_rewritten(self, tmp_path, tamper):
@@ -705,6 +754,32 @@ class TestFleetTwin:
         write_twin(path, tamper(twin_arrays(path)))
         same_fleet(load_csv(path), expected)
         assert twin_bytes(path) == good
+
+    def test_twin_read_of_an_ordered_fleet_holds_one_table(self, tmp_path):
+        """The units of a fleet already in unit and cycle order are slices of
+        the twin's table, not a second copy of it."""
+        n_units, n_rows = 4, 5_000
+        rng = np.random.default_rng(3)
+        fleet = [
+            UnitSeries(
+                unit_id=f"u{i}", dataset_id="", z=rng.normal(size=(n_rows, 18)),
+                n_w=len(DEFAULT_W_CHANNELS), cycle_of=np.arange(n_rows) // 50,
+                channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
+            )
+            for i in range(n_units)
+        ]
+        path = tmp_path / "fleet.csv"
+        save_csv(fleet, path)
+        load_csv(path)  # parses and writes the twin
+        table_bytes = n_units * n_rows * len(persist.NUMERIC_COLUMNS) * 8
+        tracemalloc.start()
+        try:
+            loaded = twin_read(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [u.z.tobytes() for u in loaded] == [u.z.tobytes() for u in fleet]
+        assert peak < 1.5 * table_bytes, peak / table_bytes
 
     @pytest.mark.parametrize("shape", [(10**12, 19), (-1, 19)])
     def test_table_header_of_another_size_is_not_read(self, tmp_path, shape):
