@@ -91,10 +91,10 @@ def training_outcomes(result) -> dict[str, str]:
 def main(argv=None) -> int:
     args = parse_args(argv)
     cfg = cli.effective_config(args)
+    units, truths = prepared_fleet(cfg)
+    # after unit_plan's check, so a refused run makes none; before any training
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    units, truths = prepared_fleet(cfg)
     print(f"generated {len(units)} units; running {cfg.training.realisations} realisations")
 
     # one worker per usable CPU, up to one per job; `taskset -c 0` runs serially

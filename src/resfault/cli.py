@@ -58,7 +58,6 @@ def _prepared_units(data_dir: str, cfg: RunConfig):
 def cmd_synth(args) -> int:
     cfg = effective_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     workers = parallel.worker_count(len(synth.unit_plan(cfg)))
     fleet, truth = out / FLEET_FILE, out / TRUTH_FILE
     manifest = out / "synth_manifest.txt"
@@ -91,7 +90,6 @@ def cmd_train(args) -> int:
         "healthy_stats": {hi: persist.stats_to_blob(st) for hi, st in stats.items()},
     }
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     manifest, log = (out.with_name(out.stem + suffix) for suffix in ("_manifest.txt", "_log.csv"))
     with persist.outputs(manifest, f"train {args.model}", cfg, out, log) as extras:
         persist.save_checkpoint(model, out, metadata)
@@ -120,8 +118,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint_stats(model, metadata: dict, hi_kind: str):
-    """The checkpoint's healthy statistics for ``hi_kind``, sized for ``model``."""
+def _checkpoint(path: str, hi_kind: str):
+    """The model of checkpoint ``path`` and its healthy statistics for ``hi_kind``."""
+    model, metadata = persist.load_checkpoint(path)
     by_kind = metadata.get("healthy_stats", {})
     if not isinstance(by_kind, dict):
         raise CorruptCheckpoint("checkpoint healthy_stats must be a JSON object")
@@ -137,18 +136,16 @@ def _checkpoint_stats(model, metadata: dict, hi_kind: str):
             f"checkpoint has {stats.n_channels} {hi_kind} statistics channels, "
             f"the {model.kind} model needs {width}"
         )
-    return stats
+    return model, stats
 
 
 def cmd_detect(args) -> int:
     cfg = effective_config(args)
-    model, metadata = persist.load_checkpoint(args.checkpoint)
-    stats = _checkpoint_stats(model, metadata, args.hi)
+    model, stats = _checkpoint(args.checkpoint, args.hi)
     units, truths = _prepared_units(args.data, cfg)
     residuals = experiment.fleet_residuals(model, units)
     detection = experiment.detect_with_stats(units, args.hi, stats, cfg, truths, residuals)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     manifest, hi_path, stats_path = (
         out.with_name(out.stem + suffix) for suffix in ("_manifest.txt", "_hi.csv", "_stats.csv")
     )
@@ -174,7 +171,6 @@ def cmd_evaluate(args) -> int:
         for (model_kind, hi_kind), sets in sorted(grouped.items())
     ]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = out / "evaluate_manifest.txt"
     with persist.outputs(manifest, "evaluate", cfg, *persist.evaluation_paths(out)) as extras:
         persist.write_evaluations(out, evaluations)
@@ -185,8 +181,7 @@ def cmd_evaluate(args) -> int:
 def cmd_segment(args) -> int:
     cfg = effective_config(args)
     offset = cfg.segmentation.snapshot_offset
-    model, metadata = persist.load_checkpoint(args.checkpoint)
-    stats = _checkpoint_stats(model, metadata, SENSORWISE)
+    model, stats = _checkpoint(args.checkpoint, SENSORWISE)
     units, _ = _prepared_units(args.data, cfg)
 
     groups = persist.load_reports(args.reports)
@@ -236,7 +231,6 @@ def cmd_segment(args) -> int:
     k_range = range(0, cfg.segmentation.k_max + 1)
     curve = segmentation.silhouette_curve(posts, labels, k_range)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tables = [
         out / name
         for name in ("signatures.csv", "pca_coords.csv", "silhouette_curve.csv",

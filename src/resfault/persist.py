@@ -275,8 +275,8 @@ def _load_twin(path: Path, key: np.ndarray):
     """The parse kept in the twin of ``path`` for bytes ``key``, or None.
 
     None also when the twin is missing, cut short, longer than its arrays
-    or not what _save_twin writes: other dtypes or shapes, ids that are not
-    UTF-8, codes that name no unit or that skip or reorder units.
+    or not what _save_twin writes: other dtypes or shapes, ids that repeat
+    or are not UTF-8, codes that name no unit or that skip or reorder units.
     """
     try:
         with twin_path(path).open("rb") as fh:
@@ -302,7 +302,7 @@ def _load_twin(path: Path, key: np.ndarray):
         unit_ids = [data[a:b].decode() for a, b in zip(starts, ends.tolist())]
     except (OSError, ValueError):
         return None
-    return unit_ids, codes, table
+    return (unit_ids, codes, table) if len(set(unit_ids)) == len(unit_ids) else None
 
 
 def _read_array(fh, size: int, dtype: np.dtype, ndim: int) -> np.ndarray:
@@ -722,12 +722,14 @@ def outputs(manifest: Path, command: str, cfg: RunConfig, *paths: Path):
     """The write protocol of one command whose outputs are ``paths`` and the
     run manifest ``manifest``: a failed command leaves none of them.
 
-    On entry an earlier run's manifest is deleted, then ``paths`` in order.
-    The block fills the yielded dict with the manifest's extra lines. When
-    it ends without error the manifest is written last: the command, the
-    version, one line per extra entry, then the effective configuration.
-    When anything in it raises, every one of ``paths`` is deleted.
+    On entry the directory of each is made, then an earlier run's manifest
+    and ``paths`` are deleted. The block fills the yielded dict with the
+    manifest's extra lines. When it ends without error the manifest is
+    written last: the command, the version, one line per extra entry, then
+    the effective configuration. When the block raises, ``paths`` are deleted.
     """
+    for path in (manifest, *paths):
+        path.parent.mkdir(parents=True, exist_ok=True)
     for path in (manifest, *paths):
         path.unlink(missing_ok=True)
     extras = {}

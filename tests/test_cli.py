@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -349,6 +350,20 @@ class TestUnwritableOut:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("writer", ["train", "detect", "evaluate", "segment", "script"])
+    def test_command(self, writers, out, monkeypatch, capsys, writer):
+        """Each command, and the script before its protocol, names the --out it cannot make."""
+
+        def protocol(*args):
+            raise AssertionError("the protocol ran")
+
+        monkeypatch.setattr(experiment, "run_protocol", protocol)
+        assert run_writer(writer, writers, out, 5) == 3
+        code = errno.EEXIST if out.name == "taken" else errno.ENOTDIR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno {code}] {os.strerror(code)}: '{out}'"
+        ]
+
 
 @pytest.mark.parametrize("writer", ["write_table", "train"])
 def test_output_that_is_a_directory_names_the_output(workspace, tmp_path, capsys, writer):
@@ -457,27 +472,66 @@ def run_writer(writer, env, out, seed, checkpoint="ae"):
     return main([writer, *common, *args])
 
 
-# A twin that cannot be published is left out and synth succeeds, so the
-# twin is no case here.
+class FullDisk:
+    """A file open for writing whose every write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+# Each writer's failures: the publish of one of its outputs, or its first
+# write to a temporary. A twin that cannot be published is left out and
+# synth succeeds, so the twin is no case here.
+FAILURES = [
+    *((w, name) for w, names in DECLARED.items() for name in names if name != ".fleet.csv.npy"),
+    *((w, "first_write") for w in DECLARED),
+]
+
+
 @pytest.mark.parametrize(
-    "writer, output",
-    [(w, name) for w, names in DECLARED.items() for name in names if name != ".fleet.csv.npy"],
+    "writer, output, new_out",
+    [
+        pytest.param(w, output, new_out, id=f"{w}-{output}" + ("-new_out" if new_out else ""))
+        for w, output in FAILURES
+        for new_out in (False, True)
+    ],
 )
-def test_failed_rerun_leaves_no_output(writers, tmp_path, monkeypatch, capsys, writer, output):
-    """A re-run whose publish of any output fails leaves neither run's files."""
-    out = earlier_run(writers, writer, tmp_path / "out")
+def test_failed_rerun_leaves_no_output(
+    writers, tmp_path, monkeypatch, capsys, writer, output, new_out
+):
+    """A run that fails to publish any output, or to write its first, leaves
+    none of its own or an earlier run's files: an --out that did not exist
+    is left empty, as is one that held an earlier run."""
+    out = tmp_path / "out"
+    if not new_out:
+        earlier_run(writers, writer, out)
     # no pool: quicker here, and every publish is in this process either way
     monkeypatch.setattr(parallel, "worker_count", lambda n_jobs: 1)
-    replace = os.replace
+    replace, published = os.replace, persist._published
 
     def publish_fails(src, dst):
         if Path(dst) == out / output:
             raise OSError(28, "No space left on device")
         replace(src, dst)
 
-    monkeypatch.setattr(os, "replace", publish_fails)
+    @contextlib.contextmanager
+    def writes_fail(path, mode, **open_args):
+        with published(path, mode, **open_args) as fh:
+            yield FullDisk(fh)
+
+    if output == "first_write":
+        monkeypatch.setattr(persist, "_published", writes_fail)
+    else:
+        monkeypatch.setattr(os, "replace", publish_fails)
     assert run_writer(writer, writers, out, 5) == 3
     assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+    # no output, temporary, part file or part table
     assert list(out.iterdir()) == []
     if writer == "synth":
         # detect finds no fleet to read
@@ -542,8 +596,10 @@ class TestNegativeSeeds:
 
     def test_script_config_seed(self, tmp_path):
         cfg = write_config(tmp_path / "neg.yaml", {"seed": -5})
-        proc = run_fresh([str(SCRIPT), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        proc = run_fresh([str(SCRIPT), "--config", str(cfg), "--out", str(out)])
         self.assert_config_error(proc, "seed must be >= 0, got -5")
+        assert not out.exists()
 
     def test_synth_map_seed(self, tmp_path):
         cfg = write_config(tmp_path / "neg.yaml", {"synth": {"map_seed": -1}})
@@ -561,6 +617,20 @@ class TestNegativeSeeds:
         )
         self.assert_config_error(proc, "--realisation must be >= 0, got -1")
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["-m", "resfault", "synth"], [str(SCRIPT)]], ids=["synth", "script"]
+)
+def test_fault_start_in_the_healthy_window_makes_no_out(tmp_path, command):
+    """A run its configuration refuses exits 2 before it makes its --out."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"synth": {"fault_start_lo": 10}}))
+    out = tmp_path / "o"
+    proc = run_fresh([*command, "--config", str(cfg), "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: faults must start after the healthy window (10 <= 16)\n"
+    assert not out.exists()
 
 
 class TestDetect:
@@ -951,8 +1021,8 @@ class TestSegment:
         assert not out.exists()
 
 
-CORRUPT_STATS = ["metadata_is_a_list", "healthy_stats_is_a_list", "unequal_lengths",
-                 "thirteen_channels", "thirteen_names"]
+CORRUPT_STATS = ["metadata_is_a_list", "healthy_stats_is_a_list", "no_sensorwise_stats",
+                 "unequal_lengths", "thirteen_channels", "thirteen_names"]
 
 
 def corrupt_checkpoint(source: Path, target: Path, case: str) -> str:
@@ -965,6 +1035,9 @@ def corrupt_checkpoint(source: Path, target: Path, case: str) -> str:
     elif case == "healthy_stats_is_a_list":
         blob["metadata"]["healthy_stats"] = []
         expected = "checkpoint healthy_stats must be a JSON object"
+    elif case == "no_sensorwise_stats":
+        del blob["metadata"]["healthy_stats"]["sensorwise"]
+        expected = "checkpoint carries no healthy statistics for 'sensorwise' indicators"
     elif case == "unequal_lengths":
         sensorwise["tau"].pop()
         expected = "mu, sigma, tau must be 1-D vectors of equal length"

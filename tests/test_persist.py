@@ -716,6 +716,7 @@ class TestFleetTwin:
             lambda a: [a[0].astype(np.int64), *a[1:]],
             lambda a: [a[0], np.concatenate(([0xFF], a[1][1:])).astype(np.uint8), *a[2:]],
             lambda a: [a[0], a[1], a[2].astype(np.int32), *a[3:]],
+            lambda a: [a[0], np.frombuffer(b"u1u1u3", np.uint8), np.array([2, 4, 6]), *a[3:]],
             lambda a: [*a[:2], a[2] - (np.arange(len(a[2])) == len(a[2]) - 1), *a[3:]],
             lambda a: [*a[:2], np.array([2, 1, a[2][-1]]), *a[3:]],
             lambda a: [*a[:2], np.array([-1, 4, a[2][-1]]), *a[3:]],
@@ -739,11 +740,12 @@ class TestFleetTwin:
             lambda a: [*a, a[0]],
             lambda a: a[:-1],
         ],
-        ids=["other_key", "key_dtype", "ids_not_utf8", "ends_dtype", "last_end_short",
-             "ends_decreasing", "end_negative", "no_rows", "no_ids", "code_past_the_ids",
-             "negative_code", "codes_dtype", "code_skips_a_unit", "first_code_skips_a_unit",
-             "codes_reorder_units", "negative_code_after_the_first", "codes_short",
-             "codes_ndim", "table_columns", "table_dtype", "table_bits_as_int64",
+        ids=["other_key", "key_dtype", "ids_not_utf8", "ends_dtype", "ids_repeat",
+             "last_end_short", "ends_decreasing", "end_negative", "no_rows", "no_ids",
+             "code_past_the_ids", "negative_code", "codes_dtype", "code_skips_a_unit",
+             "first_code_skips_a_unit", "codes_reorder_units",
+             "negative_code_after_the_first", "codes_short", "codes_ndim",
+             "table_columns", "table_dtype", "table_bits_as_int64",
              "table_fortran_order", "table_ndim", "extra_array", "missing_array"],
     )
     def test_tampered_twin_is_a_miss_and_rewritten(self, tmp_path, tamper):
