@@ -4,7 +4,7 @@ Every command takes --config (YAML overrides of the built-in defaults)
 and writes a run manifest next to its outputs recording the effective
 configuration and seeds. Exit codes: 0 success, 2 configuration error,
 3 data error (also a file that cannot be read or written), 4 computation
-error (also running out of memory).
+error (also running out of memory or a numeric overflow).
 """
 
 from __future__ import annotations
@@ -314,9 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def exit_code(run) -> int:
-    """Exit code of ``run()``: a ResfaultError, OSError or MemoryError prints one error line."""
+    """Exit code of ``run()``: a ResfaultError, OSError, MemoryError or
+    floating-point error (overflow, division by zero, invalid value) prints
+    one error line."""
     try:
-        return run()
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return run()
     except ResfaultError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -326,6 +329,9 @@ def exit_code(run) -> int:
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
+        return ComputeError.exit_code
+    except FloatingPointError as exc:
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
         return ComputeError.exit_code
 
 

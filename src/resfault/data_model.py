@@ -171,7 +171,7 @@ def stack_rows(fleet: list[UnitSeries], selection: dict[str, np.ndarray]) -> np.
     """Stack the selected rows of every unit's full channel matrix ``z``.
 
     Units are stacked in fleet order; rows within a unit keep their stored
-    order.
+    order. The caller's selection picks at least one row.
     """
     blocks = []
     for unit in fleet:
@@ -179,6 +179,4 @@ def stack_rows(fleet: list[UnitSeries], selection: dict[str, np.ndarray]) -> np.
         if rows is None or len(rows) == 0:
             continue
         blocks.append(unit.z[rows])
-    if not blocks:
-        raise ValueError("selection picked no rows")
     return np.vstack(blocks)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import cycle_bounds
-from .errors import CycleOutOfRange, ShapeMismatch
+from .errors import ShapeMismatch
 from .preprocess import column_stats
 
 SIGMA_MULTIPLIER = 3.0
@@ -85,20 +85,16 @@ class CycleAverages:
     def since(self, cycle: int) -> np.ndarray:
         """A view of the value rows from ``cycle``'s row on.
 
-        Raises CycleOutOfRange when ``cycle`` is not one of the cycle ids.
+        The caller checks ``cycle`` is one of the cycle ids.
         """
-        positions = np.flatnonzero(self.cycle_ids == cycle)
-        if len(positions) == 0:
-            raise CycleOutOfRange(f"cycle {cycle} is not among the averaged cycles")
-        return self.values[positions[0]:]
+        return self.values[np.flatnonzero(self.cycle_ids == cycle)[0]:]
 
 
 def cycle_average(values: np.ndarray, cycle_of: np.ndarray) -> CycleAverages:
-    """Mean of every column over each contiguous block of rows of one cycle."""
+    """Mean of every column over each contiguous block of rows of one cycle;
+    ``cycle_of`` holds one cycle id per value row."""
     values = np.asarray(values, dtype=np.float64)
     cyc = np.asarray(cycle_of, dtype=np.int64)
-    if values.ndim != 2 or cyc.shape != (values.shape[0],):
-        raise ShapeMismatch("one cycle id per value row required")
     starts, stops = cycle_bounds(cyc)
     sums = np.add.reduceat(values, starts, axis=0)
     return CycleAverages(cycle_ids=cyc[starts], values=sums / (stops - starts)[:, None])
@@ -122,14 +118,9 @@ def detect(values: np.ndarray, stats: HealthyStats, n_wait: int) -> DetectOutcom
 
     The alarm is raised at the first cycle where some single channel has
     exceeded its threshold for ``n_wait`` consecutive cycles ending there.
+    The caller passes ``n_wait >= 1`` and one column per channel of ``stats``.
     """
     values = np.asarray(values)
-    if n_wait < 1:
-        raise ValueError("n_wait must be >= 1")
-    if values.ndim != 2 or values.shape[1] != stats.n_channels:
-        raise ShapeMismatch(
-            f"cycle matrix width {values.shape} does not match {stats.n_channels} channels"
-        )
     exceed = values > stats.tau
     streak = np.zeros(stats.n_channels, dtype=np.int64)
     for c in range(values.shape[0]):

@@ -45,10 +45,6 @@ class InsufficientData(DataError):
     pass
 
 
-class EmptyDataset(DataError):
-    pass
-
-
 class EmptyFleet(DataError):
     pass
 
@@ -82,10 +78,6 @@ class CorruptCheckpoint(DataError):
 
 
 class ShapeMismatch(ComputeError):
-    pass
-
-
-class CycleOutOfRange(ComputeError):
     pass
 
 

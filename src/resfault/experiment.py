@@ -250,8 +250,8 @@ def evaluate_group(
     detected; units never detected are excluded from the mean delay. The
     false-positive rate is taken over the units with known ground truth,
     detected or not, and is None when no unit has any. Report sets that
-    disagree on a unit's dataset, fault cycle or ground-truth flag are a
-    DataError.
+    disagree on their units, or on a unit's dataset, fault cycle or
+    ground-truth flag, are a DataError.
     """
     if not report_sets or not report_sets[0]:
         raise EmptyFleet("no detection reports to evaluate")
@@ -262,6 +262,11 @@ def evaluate_group(
 
     units = []
     for unit_id, reports in by_unit.items():
+        if len(reports) < len(report_sets):
+            raise DataError(
+                f"the {model_kind} {hi_kind} report sets disagree on the units: "
+                f"unit {unit_id!r} is in {len(reports)} of {len(report_sets)}"
+            )
         for column, field in _UNIT_FIELDS.items():
             if len({getattr(r, field) for r in reports}) > 1:
                 raise DataError(

@@ -68,9 +68,8 @@ class ResidualModel:
         return self.standardizer.n_channels - self.n_w
 
     def embed(self, z_rows: np.ndarray) -> np.ndarray:
-        """Bottleneck activations for standardized rows (autoencoders only)."""
-        if self.kind != AE_KIND:
-            raise ValueError(f"{self.kind} models have no bottleneck embedding")
+        """Bottleneck activations for standardized rows. The caller checks the
+        model is an autoencoder."""
         _, acts = nn.forward_activations(self.net, z_rows)
         return acts[AE_BOTTLENECK]
 
@@ -104,11 +103,7 @@ def residual_ae(model: ResidualModel, z_rows: np.ndarray) -> np.ndarray:
 
 
 def residual_oc(model: ResidualModel, w_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
-    """Row-wise measured minus predicted sensors; expects standardized rows."""
+    """Row-wise measured minus predicted sensors: the io_blocks of standardized rows."""
     w_rows = np.asarray(w_rows, dtype=np.float64)
     x_rows = np.asarray(x_rows, dtype=np.float64)
-    if w_rows.shape[0] != x_rows.shape[0]:
-        raise ShapeMismatch("descriptor and sensor row counts differ")
-    if x_rows.shape[-1] != model.n_x:
-        raise ShapeMismatch(f"expected {model.n_x} sensor channels, got {x_rows.shape[-1]}")
     return x_rows - nn.forward(model.net, w_rows)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainingSettings
-from .errors import EmptyDataset, NonFiniteLoss, ShapeMismatch
+from .errors import NonFiniteLoss, ShapeMismatch
 
 ADAM_EPS = 1e-8
 
@@ -58,10 +58,8 @@ class DenseNet:
 
 
 def init_weights(layer_dims: tuple[int, ...] | list[int], seed: int) -> DenseNet:
-    """Seeded uniform init scaled by 1/sqrt(fan_in), zero biases."""
+    """Seeded uniform init scaled by 1/sqrt(fan_in), zero biases, over widths >= 1."""
     dims = tuple(int(d) for d in layer_dims)
-    if any(d < 1 for d in dims):
-        raise ValueError("all layer dims must be >= 1")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -72,16 +70,9 @@ def init_weights(layer_dims: tuple[int, ...] | list[int], seed: int) -> DenseNet
     return DenseNet(weights, biases)
 
 
-def _as_batch(arr: np.ndarray, width: int, what: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise ShapeMismatch(f"{what} must be a batch of width {width}, got shape {arr.shape}")
-    return arr
-
-
 def forward(net: DenseNet, inp: np.ndarray) -> np.ndarray:
-    """Affine + activation composition over a 2-D batch of rows."""
-    a = _as_batch(inp, net.weights[0].shape[1], "input")
+    """Affine + activation composition over a 2-D batch of rows of the input width."""
+    a = inp
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         a = np.maximum(a @ w.T + b, 0.0)
     return a @ net.weights[-1].T + net.biases[-1]
@@ -92,10 +83,10 @@ def forward_activations(net: DenseNet, inp: np.ndarray) -> tuple[list[np.ndarray
 
     Returns (pre_acts, acts) where acts[0] is the input batch and
     acts[l+1] is ReLU(pre_acts[l]) on a hidden layer, pre_acts[l] at the output.
+    The caller passes rows of the net's input width.
     """
-    a = _as_batch(inp, net.weights[0].shape[1], "input")
     pre_acts: list[np.ndarray] = []
-    acts: list[np.ndarray] = [a]
+    acts: list[np.ndarray] = [inp]
     last = net.n_layers - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = acts[-1] @ w.T + b
@@ -105,13 +96,9 @@ def forward_activations(net: DenseNet, inp: np.ndarray) -> tuple[list[np.ndarray
 
 
 def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean over a 2-D batch of squared Euclidean residual norms."""
+    """Mean over two 2-D batches of one shape of squared Euclidean residual norms."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape or pred.ndim != 2:
-        raise ShapeMismatch(
-            f"pred and target must be 2-D batches of one shape: {pred.shape}, {target.shape}"
-        )
     diff = pred - target
     return float(np.sum(diff * diff) / diff.shape[0])
 
@@ -122,16 +109,10 @@ def backward(net: DenseNet, inp: np.ndarray, target: np.ndarray, grad: DenseNet)
     ``grad`` is a net of ``net``'s layer dims whose parameters are
     overwritten in place with the gradient of the matching parameters of
     ``net``. One forward pass gives both the gradient and the batch loss it
-    belongs to, which is returned.
+    belongs to, which is returned. The caller passes input and target
+    batches of one row count, of the net's input and output widths.
     """
-    if grad.layer_dims != net.layer_dims:
-        raise ShapeMismatch(
-            f"gradient layer dims {grad.layer_dims} != net layer dims {net.layer_dims}"
-        )
-    target = _as_batch(target, net.weights[-1].shape[0], "target")
     pre_acts, acts = forward_activations(net, inp)
-    if acts[-1].shape != target.shape:
-        raise ShapeMismatch("input and target batch sizes differ")
     n = len(target)
     diff = acts[-1] - target
     loss = float(np.sum(diff * diff) / n)
@@ -173,10 +154,9 @@ def adam_step(
     goes through the operations of ``m = beta1*m + (1-beta1)*g``,
     ``v = beta2*v + (1-beta2)*(g*g)`` and
     ``p = p - lr*m_hat/(sqrt(v_hat)+eps)`` in that order, so the results
-    are bit-identical to those expressions.
+    are bit-identical to those expressions. Gradient and state have the
+    parameter's shape.
     """
-    if not param.shape == grad.shape == state.first_moment.shape:
-        raise ShapeMismatch(f"param {param.shape}, grad {grad.shape} and state shapes differ")
     t = state.step_count + 1
     m, v = state.first_moment, state.second_moment
     m *= state.beta1
@@ -229,16 +209,13 @@ def train(
     loss and writes the gradient. The parameters live in one contiguous
     buffer that Adam updates in place; the gradient lives in a second flat
     buffer of the same layout, reused by every step. A non-finite training
-    or validation loss raises NonFiniteLoss.
+    or validation loss raises NonFiniteLoss. The caller passes non-empty
+    sets whose inputs and targets have equal row counts.
     """
     x_train = np.asarray(train_set[0], dtype=np.float64)
     y_train = np.asarray(train_set[1], dtype=np.float64)
     x_val = np.asarray(val_set[0], dtype=np.float64)
     y_val = np.asarray(val_set[1], dtype=np.float64)
-    if x_train.shape[0] == 0 or x_val.shape[0] == 0:
-        raise EmptyDataset("training and validation sets must be non-empty")
-    if x_train.shape[0] != y_train.shape[0] or x_val.shape[0] != y_val.shape[0]:
-        raise ShapeMismatch("inputs and targets must have equal row counts")
 
     rng = np.random.default_rng(seed)
     flat = np.concatenate([p.ravel() for p in net.params()])

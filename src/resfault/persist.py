@@ -148,7 +148,7 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
 
     The file is read by _rows. A typed error names the first defect: one of
     _rows' defects, a cell of NUMERIC_COLUMNS that is not a finite number, a
-    cycle that is not an integer.
+    cycle that is not a 64-bit integer.
 
     The parse of a file that parses is kept in its twin (twin_path); a
     later read of the same bytes loads the twin and parses nothing.
@@ -361,7 +361,8 @@ def _parse_csv(path: Path):
             raise NonNumericCell(
                 f"{path}: non-finite value {cell!r} in column {name!r}, line {line}"
             )
-        if name == CYCLE_COLUMN and np.any(table[:, j] != np.floor(table[:, j])):
+        column = table[:, j]
+        if name == CYCLE_COLUMN and np.any((column != np.floor(column)) | (abs(column) >= 2**63)):
             raise NonNumericCell(f"{path}: cycle column must hold integers")
     return list(index), np.array(codes, dtype=np.int64), table
 

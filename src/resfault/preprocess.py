@@ -46,14 +46,12 @@ class Standardizer:
 
 
 def column_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and population (1/N) standard deviation of a matrix.
+    """Per-column mean and population (1/N) standard deviation of a 2-D matrix.
 
     An exactly constant column gets exactly its value as mean and 0 as
     standard deviation, immune to summation rounding in the mean.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix of rows, got shape {rows.shape}")
     if rows.shape[0] < 2:
         raise InsufficientData(f"need >= 2 rows to fit, got {rows.shape[0]}")
     constant = rows.min(axis=0) == rows.max(axis=0)
@@ -82,10 +80,8 @@ def downsample(series: UnitSeries, factor: int) -> UnitSeries:
     """Keep rows 0, factor, 2*factor, ... of every cycle.
 
     The stride restarts at each cycle boundary so no cycle loses its first
-    row; factor 1 is the identity.
+    row; factor 1 is the identity. The caller passes ``factor >= 1``.
     """
-    if factor < 1:
-        raise ValueError("downsample factor must be >= 1")
     if factor == 1:
         return series
     starts, stops = cycle_bounds(series.cycle_of)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import HealthyStats
-from .errors import InsufficientData, ShapeMismatch, SingleCluster
+from .errors import SingleCluster
 
 NEVER_TRIGGERED = "No"
 
@@ -46,16 +46,11 @@ def pca_2d(matrix: np.ndarray) -> PcaResult:
 
     Components are unit-norm eigenvectors of the mean-centered covariance,
     ordered by descending eigenvalue, with each component's sign fixed so
-    its largest-magnitude entry is positive.
+    its largest-magnitude entry is positive. The caller passes n >= 3 rows.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ShapeMismatch("expected an n x d signature matrix")
-    n, d = matrix.shape
-    if n < 3:
-        raise InsufficientData(f"need >= 3 signatures for a projection, got {n}")
     centered = matrix - matrix.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
+    cov = centered.T @ centered / (len(matrix) - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:2]
     components = []
@@ -76,17 +71,12 @@ def pca_2d(matrix: np.ndarray) -> PcaResult:
 def silhouette(points: np.ndarray | list, labels: list | np.ndarray) -> float:
     """Mean silhouette score over all samples with Euclidean distances.
 
-    Scores lie in [-1, 1]; samples in singleton clusters score 0.
+    Scores lie in [-1, 1]; samples in singleton clusters score 0. The points
+    are matrix rows, one label each, with at least two distinct labels.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     labels = np.asarray(labels)
-    if pts.shape[0] != len(labels):
-        raise ShapeMismatch("one label per point required")
     unique = np.unique(labels)
-    if len(unique) < 2:
-        raise SingleCluster(f"need >= 2 clusters, got {len(unique)}")
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     scores = np.zeros(len(labels))
@@ -143,10 +133,9 @@ def trigger_timeline(
 
     Exceedance is checked instantaneously at each checkpoint cycle (no
     waiting window). Channels that never exceed by the last reachable
-    checkpoint are labeled "No".
+    checkpoint are labeled "No". The caller passes one column per channel
+    of ``stats``.
     """
-    if post.shape[1] != stats.n_channels:
-        raise ShapeMismatch("cycle matrix and stats channel counts differ")
     timeline: dict[str, int | str] = dict.fromkeys(stats.channel_names, NEVER_TRIGGERED)
     for c in sorted(checkpoints):
         if c >= len(post):

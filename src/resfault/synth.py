@@ -41,38 +41,16 @@ _MAP_CALIBRATION_CYCLES = 30
 _MAP_SEED_TAG = 917
 
 
+# The i-th sensor of a fault family drifts at 1 / RATE_DECAY**i of the full rate.
+RATE_DECAY = 1.8
+
+
 @dataclass(frozen=True)
 class FamilyFault:
-    """One fault family: which sensors drift, how fast, and when.
-
-    ``rate_multipliers`` scale the drift per sensor (1.0 = full rate) and
-    ``onset_offsets`` delay each sensor's drift start, in cycles after the
-    unit's fault-initiation cycle.
-    """
+    """One fault family: its name and the sensors that drift, fastest first."""
 
     name: str
     sensors: tuple[str, ...]
-    rate_multipliers: tuple[float, ...] = ()
-    onset_offsets: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not self.sensors:
-            raise ConfigInvalid(f"family {self.name!r} must list at least one sensor")
-        unknown = set(self.sensors) - set(DEFAULT_X_CHANNELS)
-        if unknown:
-            raise ConfigInvalid(f"family {self.name!r}: unknown sensors {sorted(unknown)}")
-        if not self.rate_multipliers:
-            object.__setattr__(
-                self,
-                "rate_multipliers",
-                tuple(1.0 / (1.8**i) for i in range(len(self.sensors))),
-            )
-        if not self.onset_offsets:
-            object.__setattr__(self, "onset_offsets", (0,) * len(self.sensors))
-        if len(self.rate_multipliers) != len(self.sensors):
-            raise ConfigInvalid("one rate multiplier per sensor required")
-        if len(self.onset_offsets) != len(self.sensors):
-            raise ConfigInvalid("one onset offset per sensor required")
 
 
 DEFAULT_FAMILIES = (
@@ -191,12 +169,9 @@ def gen_unit(
             0.0, settings.noise_std, size=(rows, len(DEFAULT_X_CHANNELS))
         )
         if not healthy and cycle > n_true:
-            for name, mult, onset in zip(
-                family.sensors, family.rate_multipliers, family.onset_offsets
-            ):
-                growth = cycle - n_true - onset
-                if growth > 0:
-                    x[at, sensor_idx[name]] += mult * scale * growth**settings.severity_exponent
+            growth = (cycle - n_true) ** settings.severity_exponent
+            for i, name in enumerate(family.sensors):
+                x[at, sensor_idx[name]] += 1.0 / (RATE_DECAY**i) * scale * growth
 
     series = UnitSeries(
         unit_id=unit_id,

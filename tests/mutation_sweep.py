@@ -62,6 +62,9 @@ KNOWN_EQUIVALENT = {
     ("persist._file_blocks", "1 -> 2", "while (block := fh.read(1 << 16)):"),
     ("persist._file_blocks", "16 -> 17", "while (block := fh.read(1 << 16)):"),
     ("persist._file_blocks", "16 -> 15", "while (block := fh.read(1 << 16)):"),
+    # the sign fix's pivot is the largest-magnitude entry of a unit-norm
+    # eigenvector, so it is never 0
+    ("segmentation.pca_2d", "Lt -> LtE", "if vec[pivot] < 0:"),
     # a bound past the last job's: zip stops at the last part
     (
         "synth.save_fleet",

@@ -810,22 +810,27 @@ class TestEvaluate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "dataset, n_true, known, column",
-        [("hpc", 30, True, "dataset"), ("fan", 30, True, "fault_cycle"),
-         ("fan", 20, False, "gt_known")],
+        "second, detail",
+        [
+            ([fabricate_report("u1", "hpc", 25, 30)], "the dataset of unit 'u1'"),
+            ([fabricate_report("u1", "fan", 25, 30)], "the fault_cycle of unit 'u1'"),
+            ([fabricate_report("u1", "fan", 25, 20, False)], "the gt_known of unit 'u1'"),
+            # a unit missing from one set would count that set as a realisation
+            (
+                [fabricate_report("u1", "fan", 25, 20), fabricate_report("u2", "hpc", 25, 30)],
+                "the units: unit 'u2' is in 1 of 2",
+            ),
+        ],
+        ids=["hpc-30-True-dataset", "fan-30-True-fault_cycle", "fan-20-False-gt_known", "units"],
     )
-    def test_report_sets_that_disagree_on_a_unit_exit_3(
-        self, tmp_path, capsys, dataset, n_true, known, column
-    ):
+    def test_report_sets_that_disagree_on_a_unit_exit_3(self, tmp_path, capsys, second, detail):
         p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         save_reports([fabricate_report("u1", "fan", 25, 20)], "OC", "sensorwise", p1)
-        save_reports(
-            [fabricate_report("u1", dataset, 25, n_true, known)], "OC", "sensorwise", p2
-        )
+        save_reports(second, "OC", "sensorwise", p2)
         out = tmp_path / "eval"
         assert main(["evaluate", "--reports", str(p1), str(p2), "--out", str(out)]) == 3
         assert capsys.readouterr().err.splitlines() == [
-            f"error: the OC sensorwise report sets disagree on the {column} of unit 'u1'"
+            f"error: the OC sensorwise report sets disagree on {detail}"
         ]
         assert not out.exists()
 
@@ -1174,6 +1179,23 @@ class TestMalformedFleet:
             f"error: {data / 'fleet.csv'}: line {bad_line} has {bad_cells} cells, "
             f"the header has {n_cells}"
         ]
+
+    def test_overflowing_value_exits_4_with_one_line(self, workspace, tmp_path, capsys):
+        # finite, but too large to standardize: no numeric warning may leak
+        lines = (workspace["data"] / "fleet.csv").read_text().splitlines()
+        lines[51] = lines[51].rsplit(",", 1)[0] + ",1e308"  # a cruise row that is kept
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "fleet.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.csv"
+        assert main(
+            ["detect", "--config", str(workspace["config"]), "--data", str(data),
+             "--checkpoint", str(workspace["oc"]), "--hi", "sensorwise", "--out", str(out)]
+        ) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: numeric failure: overflow encountered in divide"
+        ]
+        assert not out.exists()
 
 
 class TestMalformedSidecars:

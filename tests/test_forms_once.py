@@ -9,8 +9,9 @@ are the fields of RunConfig. `resfault segment` hands the
 report file's alarms straight to the segmentation functions instead of
 building a detection object only to take it apart again. An alarmed unit
 is read through its rows from the alarm cycle on, so an offset past its
-series is a length test, not a caught CycleOutOfRange. And the CLI is the
-one place that turns a package error into an exit code.
+series is a length test. A precondition is checked once, where its value
+enters the program, not again by each numeric function. And the CLI is
+the one place that turns a package error into an exit code.
 """
 
 import ast
@@ -63,6 +64,9 @@ def test_removed_forms_stay_gone():
         (config, "DOWNSAMPLE_FIRST"),
         (config, "CRUISE_FIRST"),
         (errors, "NoAlarm"),
+        (errors, "EmptyDataset"),
+        (errors, "CycleOutOfRange"),
+        (nn, "_as_batch"),
         (detector, "detection_delay"),
         (cli, "_curve_at"),
         (cli, "_load_fleet_dir"),
@@ -106,6 +110,3 @@ def catchers_of(error_name: str) -> set[str]:
 def test_only_cli_catches_resfault_error():
     assert catchers_of("ResfaultError") == {"resfault/cli.py"}
 
-
-def test_no_program_file_catches_cycle_out_of_range():
-    assert catchers_of("CycleOutOfRange") == set()

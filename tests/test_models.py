@@ -108,18 +108,6 @@ class TestResidualOc:
         np.testing.assert_allclose(residual_oc(model, w, x), expected, atol=1e-12)
         assert residual_oc(model, w, x).shape == (10, 3)
 
-    def test_no_bottleneck_embedding(self, rng):
-        net = nn.init_weights(layer_dims(OC_KIND, 2, 3), seed=2)
-        model = ResidualModel(OC_KIND, net=net, standardizer=unit_standardizer(5), n_w=2)
-        with pytest.raises(ValueError, match="no bottleneck"):
-            model.embed(rng.normal(size=(4, 5)))
-
-    def test_row_count_mismatch(self, rng):
-        net = nn.init_weights(layer_dims(OC_KIND, 2, 3), seed=0)
-        model = ResidualModel(OC_KIND, net=net, standardizer=unit_standardizer(5), n_w=2)
-        with pytest.raises(ShapeMismatch):
-            residual_oc(model, np.zeros((3, 2)), np.zeros((2, 3)))
-
 
 class TestTrainAe:
     def test_beats_mean_predictor_on_correlated_data(self, rng):

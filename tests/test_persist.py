@@ -278,6 +278,8 @@ class TestCsvRoundTrip:
             # two non-finite cells in one column: the first line's is named
             ({(2, "T30"): "nan", (3, "T30"): "-inf"},
              "non-finite value 'nan' in column 'T30', line 2"),
+            # a whole number past int64 would wrap when the cycles are cast
+            ({(3, "cycle"): "1e19"}, "cycle column must hold integers"),
         ],
     )
     def test_first_defect_named(self, tmp_path, cells, error):

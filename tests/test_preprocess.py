@@ -61,10 +61,6 @@ class TestDownsample:
         np.testing.assert_array_equal(out.x, unit.x[[0, 3, 6]])
         np.testing.assert_array_equal(out.cycle_of, [0, 1, 1])
 
-    def test_bad_factor(self):
-        with pytest.raises(ValueError):
-            downsample(make_unit([0]), 0)
-
 
 class TestStandardizer:
     def test_two_point_statistics(self):

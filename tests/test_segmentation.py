@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from resfault.data_model import DEFAULT_X_CHANNELS
-from resfault.detector import (
-    CycleAverages,
-    HealthyStats,
-    build_report,
-    cycle_average,
-    fit_stats,
-)
-from resfault.errors import CycleOutOfRange, InsufficientData, SingleCluster
-from resfault.health import sensorwise_hi
+from resfault.detector import CycleAverages, HealthyStats, fit_stats
+from resfault.errors import SingleCluster
 from resfault.segmentation import (
     NEVER_TRIGGERED,
     pca_2d,
@@ -23,8 +15,6 @@ from resfault.segmentation import (
     snapshot,
     trigger_timeline,
 )
-from resfault.config import SynthSettings
-from resfault.synth import FamilyFault, build_sensor_map, gen_unit
 
 
 def averages(values, cycle_ids=None):
@@ -41,12 +31,6 @@ class TestSince:
         np.testing.assert_array_equal(post, [[6.0, 7.0], [8.0, 9.0], [10.0, 11.0]])
         assert np.shares_memory(post, avg.values)
         assert len(avg.since(3)) == 6 and len(avg.since(9)) == 1
-
-    def test_out_of_range(self):
-        avg = averages(np.ones((4, 2)), cycle_ids=[2, 3, 5, 6])
-        for absent in (1, 4, 7):
-            with pytest.raises(CycleOutOfRange):
-                avg.since(absent)
 
 
 class TestSnapshot:
@@ -157,12 +141,9 @@ class TestPca2d:
         comps, lams, coords = power_iteration_top2(points)
         np.testing.assert_allclose(result.components, comps, atol=1e-8)
         np.testing.assert_allclose(result.coords, coords, atol=1e-8)
+        np.testing.assert_allclose(result.explained_variance, lams, rtol=1e-8)
         assert result.explained_variance[0] >= result.explained_variance[1]
         assert result.coords[:, 0].var() >= result.coords[:, 1].var() - 1e-12
-
-    def test_requires_three_points(self):
-        with pytest.raises(InsufficientData):
-            pca_2d(np.ones((2, 4)))
 
     def test_translation_invariance(self, rng):
         points = rng.normal(size=(10, 5))
@@ -170,6 +151,7 @@ class TestPca2d:
         a = pca_2d(points)
         b = pca_2d(shifted)
         np.testing.assert_allclose(a.coords, b.coords, atol=1e-10)
+        np.testing.assert_array_equal(pca_2d(points.tolist()).coords, a.coords)
 
 
 def brute_silhouette(points, labels):
@@ -227,10 +209,6 @@ class TestSilhouette:
             np.testing.assert_allclose(
                 silhouette(pts, labels), brute_silhouette(pts, labels), atol=1e-12
             )
-
-    def test_single_cluster_rejected(self):
-        with pytest.raises(SingleCluster):
-            silhouette(np.ones((4, 2)), ["a"] * 4)
 
     def test_singleton_cluster_scores_zero(self):
         pts = np.array([[0.0, 0.0], [5.0, 5.0], [5.0, 6.0]])
@@ -319,40 +297,6 @@ class TestTriggerTimeline:
         # only the +10 checkpoint cycle falls outside... the series ends at
         # position 19 < 15+10, so nothing is reachable
         assert timeline["c0"] == NEVER_TRIGGERED
-
-    def test_staggered_onsets_from_generator(self):
-        family = FamilyFault(
-            name="stag",
-            sensors=("T24", "T30"),
-            rate_multipliers=(1.0, 1.0),
-            onset_offsets=(0, 15),
-        )
-        settings = SynthSettings(
-            n_units=1,
-            cycles_per_unit=70,
-            rows_per_cycle=40,
-            fault_start_lo=18,
-            fault_start_hi=18,
-            noise_std=0.05,
-        )
-        response = build_sensor_map(21)
-        series, truth = gen_unit(settings, family, 99, "u1", response)
-        # oracle residuals: the generator's own response map is a perfect
-        # operating-conditions model, so residual = noise + injected drift
-        residuals = series.x - response.apply(series.w)
-        hi = sensorwise_hi(residuals)
-        healthy_rows = series.cycle_of < 16
-        stats = fit_stats(hi[healthy_rows], DEFAULT_X_CHANNELS)
-        avg = cycle_average(hi, series.cycle_of)
-        report = build_report("u1", "stag", avg, stats, n_wait=3, n_true=truth.fault_cycle)
-        assert report.detected
-        timeline = trigger_timeline(
-            avg.since(report.alarm_cycle), stats, checkpoints=(10, 20, 30, 40)
-        )
-        first = timeline["T24"]
-        second = timeline["T30"]
-        assert first != NEVER_TRIGGERED and second != NEVER_TRIGGERED
-        assert second > first
 
 
 N_CHANNELS = 3

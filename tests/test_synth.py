@@ -18,7 +18,7 @@ from resfault.synth import (
     DEFAULT_FAMILIES,
     DRIFT_TARGET_CYCLES,
     DRIFT_TARGET_SIGMA,
-    FamilyFault,
+    RATE_DECAY,
     _drift_scale,
     build_sensor_map,
     gen_fleet,
@@ -68,9 +68,9 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             small_cfg(fault_start_lo=18, fault_start_hi=30)
 
-    def test_unknown_sensor_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            FamilyFault(name="x", sensors=("NOPE",))
+    def test_family_sensors_are_sensor_channels(self):
+        for family in DEFAULT_FAMILIES:
+            assert family.sensors and set(family.sensors) <= set(DEFAULT_X_CHANNELS)
 
     def test_auto_calibrated_scale(self):
         settings = small_cfg().synth
@@ -78,9 +78,15 @@ class TestConfig:
         assert _drift_scale(settings) == pytest.approx(expected)
 
     def test_default_multipliers_descend_from_one(self):
-        fam = DEFAULT_FAMILIES[0]
-        assert fam.rate_multipliers[0] == 1.0
-        assert all(a > b for a, b in zip(fam.rate_multipliers, fam.rate_multipliers[1:]))
+        # the i-th sensor of a family drifts at 1 / RATE_DECAY**i of the full rate
+        settings = small_cfg().synth
+        faulty, truth = small_unit(settings, unit_seed=13)
+        clean, _ = small_unit(dataclasses.replace(settings, severity_scale=0.0), unit_seed=13)
+        columns = [DEFAULT_X_CHANNELS.index(name) for name in truth.fault_sensors]
+        drift = (faulty.x - clean.x)[-1, columns]
+        assert len(drift) == 4
+        expected = [1.0 / RATE_DECAY**i for i in range(len(drift))]
+        np.testing.assert_allclose(drift / drift[0], expected, rtol=1e-9)
 
 
 class TestGenUnit:
