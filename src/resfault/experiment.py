@@ -16,7 +16,7 @@ from . import detector, health, models, nn, parallel, segmentation
 from .config import RunConfig, derive_seed
 from .data_model import FleetSplit, TruthRecord, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
-from .errors import DataError, EmptyFleet
+from .errors import ComputeError, DataError, EmptyFleet
 from .health import AGGREGATED, SENSORWISE
 from .models import AE_KIND, OC_KIND, ResidualModel
 from .preprocess import (
@@ -63,11 +63,25 @@ def prepare_fleet(
 
 
 def unit_residuals(model: ResidualModel, unit: UnitSeries) -> np.ndarray:
-    """Residual matrix over a unit's full (standardized) series."""
+    """Residual matrix over a unit's full (standardized) series.
+
+    A unit with a residual row whose squared norm is not finite is refused,
+    so that both indicator kinds are computed from the same residuals or
+    from none.
+    """
     z = apply_standardizer(model.standardizer, unit.z)
     if model.kind == AE_KIND:
-        return models.residual_ae(model, z)
-    return models.residual_oc(model, *models.io_blocks(model.kind, z, model.n_w))
+        residuals = models.residual_ae(model, z)
+    else:
+        residuals = models.residual_oc(model, *models.io_blocks(model.kind, z, model.n_w))
+    # an overflow here is what the check looks for, not a failure of its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared_norms = np.einsum("ij,ij->i", residuals, residuals)
+    if not np.isfinite(squared_norms).all():
+        raise ComputeError(
+            f"unit {unit.unit_id!r} has a residual row whose squared norm is not finite"
+        )
+    return residuals
 
 
 def fleet_residuals(model: ResidualModel, units: list[UnitSeries]) -> dict[str, np.ndarray]:

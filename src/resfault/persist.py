@@ -375,7 +375,8 @@ def _cell(path: Path, row: int, column: int) -> tuple[int, str]:
 
 
 # Rows formatted per write: one string per chunk keeps memory flat, where
-# one string per unit would hold a whole unit's text.
+# one string per unit would hold a whole unit's text. A chunk's float cells
+# are formatted by one orjson call on its float64 rows.
 _WRITE_CHUNK_ROWS = 200
 
 
@@ -398,11 +399,21 @@ def _unit_field(unit_id: str) -> str:
 def save_csv(fleet: list[UnitSeries], path: str | Path) -> None:
     """Write a fleet to CSV in FLEET_COLUMNS order.
 
-    The bytes are those of ``csv.writer`` rows of ``format_float`` cells.
+    The bytes are those of ``csv.writer`` rows of ``format_float`` cells,
+    as written by write_fleet_rows.
     """
     with _published(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_row(FLEET_COLUMNS))
         write_fleet_rows(fh, fleet)
+
+
+def _repr_exponent_rows(z: np.ndarray) -> np.ndarray:
+    """The indices of the rows of ``z`` with a cell that ``repr`` writes in
+    exponent form or as a word: a non-zero |x| < 1e-4, an |x| >= 1e16, or
+    a value that is not finite. orjson writes these cells otherwise."""
+    magnitude = np.abs(z)
+    fixed = (magnitude == 0) | (magnitude >= 1e-4) & (magnitude < 1e16)
+    return np.flatnonzero(~fixed.all(axis=1))
 
 
 def write_fleet_rows(fh, fleet, table=None) -> None:
@@ -412,20 +423,33 @@ def write_fleet_rows(fh, fleet, table=None) -> None:
     ``_WRITE_CHUNK_ROWS`` at a time, one write each. With ``table``, a
     binary file, each chunk's NUMERIC_COLUMNS are also written to it as
     float64 in C order: the data of the twin's table for these rows.
+
+    The bytes are ``csv.writer`` rows of ``format_float`` cells: no cell
+    needs quoting but the unit id. orjson writes each float64 with the
+    shortest digits that read back to it, as ``repr`` does, and in the same
+    fixed notation wherever ``repr`` uses one; a row with a cell ``repr``
+    writes in exponent form or as a word is written by ``format_float``.
     """
+    # imported here: commands that write no fleet need not load it
+    import orjson
+
     for unit in fleet:
         uid = _unit_field(unit.unit_id)
         for start in range(0, unit.n_rows, _WRITE_CHUNK_ROWS):
             rows = slice(start, start + _WRITE_CHUNK_ROWS)
-            values = unit.z[rows].tolist()
+            z = np.ascontiguousarray(unit.z[rows])
+            # [[a,b,...],[c,d,...],...]: one text of comma-joined cells per row
+            texts = orjson.dumps(z, option=orjson.OPT_SERIALIZE_NUMPY).decode()[2:-2].split("],[")
+            for i in _repr_exponent_rows(z).tolist():
+                texts[i] = ",".join(map(format_float, z[i]))
             fh.write(
                 "".join(
-                    f"{uid},{cycle},{','.join(map(repr, row))}\r\n"
-                    for cycle, row in zip(unit.cycle_of[rows].tolist(), values)
+                    f"{uid},{cycle},{text}\r\n"
+                    for cycle, text in zip(unit.cycle_of[rows].tolist(), texts)
                 )
             )
             if table is not None:
-                table.write(np.column_stack((unit.cycle_of[rows], unit.z[rows])))
+                table.write(np.column_stack((unit.cycle_of[rows], z)))
 
 
 def join_fleet_parts(
@@ -626,7 +650,7 @@ def stats_from_blob(blob: dict) -> HealthyStats:
             fitted_on=int(blob["fitted_on"]),
             channel_names=blob["channels"],
         )
-    except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ShapeMismatch) as exc:
         raise CorruptCheckpoint(f"malformed healthy statistics blob ({exc})") from None
     _require_finite([stats.mu, stats.sigma, stats.tau], "checkpoint healthy statistics")
     return stats
@@ -668,7 +692,8 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
     """Load a checkpointed model; returns (model, training metadata).
 
-    The layer dims and activation tags must be those the weights fix, and
+    The layer dims and activation tags must be those the weights fix, the
+    descriptor count and standardizer width those of FLEET_COLUMNS, and
     every parameter and standardizer value must be finite.
     """
     path = Path(path)
@@ -697,7 +722,7 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
         )
         n_w = int(payload["n_w"])
         metadata = payload.get("metadata", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed checkpoint ({exc})") from None
     if not isinstance(metadata, dict):
         raise CorruptCheckpoint(f"{path}: checkpoint metadata must be a JSON object")
@@ -710,6 +735,12 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
         raise CorruptCheckpoint(
             f"{path}: layer_dims {list(dims)} and activations {activations} "
             f"do not fit weights of layer dims {list(net.layer_dims)}"
+        )
+    n_w_fleet, n_z_fleet = len(DEFAULT_W_CHANNELS), len(DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS)
+    if (n_w, standardizer.n_channels) != (n_w_fleet, n_z_fleet):
+        raise CorruptCheckpoint(
+            f"{path}: n_w {n_w} and a standardizer over {standardizer.n_channels} channels "
+            f"do not fit the fleet's {n_w_fleet} descriptors of {n_z_fleet} channels"
         )
     _require_finite(
         [*net.params(), standardizer.mean, standardizer.std, standardizer.epsilon],

@@ -84,6 +84,8 @@ def test_cli_import_leaves_the_process_pool_out():
     assert "concurrent.futures.process" not in loaded
     # hashlib maps OpenSSL, a few MB of RSS: only a fleet read imports it
     assert "hashlib" not in loaded and "_hashlib" not in loaded
+    # only a fleet write imports orjson
+    assert "orjson" not in loaded
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,10 @@
 Each example changes one value of a tiny fleet CSV or of a checkpoint JSON,
 then runs `detect --hi aggregated`, `detect --hi sensorwise` and `segment`
 in process. Whatever the damage, each command exits 0, 2, 3 or 4, lets no
-exception escape, and prints one `error:` line exactly when it fails. The
-numeric functions check nothing of their own, so this is the contract that
-the config, the readers and the commands keep for them.
+exception escape, and prints one `error:` line exactly when it fails; damage
+to the fleet alone gives both indicators the same exit code. The numeric
+functions check nothing of their own, so this is the contract that the
+config, the readers and the commands keep for them.
 """
 
 import contextlib
@@ -109,7 +110,9 @@ def test_one_damaged_fleet_cell(base, data):
         fleet.mkdir()
         (fleet / "fleet.csv").write_text("\n".join(lines) + "\n")
         shutil.copy(base["data"] / "ground_truth.csv", fleet)
-        check_commands(base, fleet, *base[kind], Path(tmp))
+        aggregated, sensorwise, _ = check_commands(base, fleet, *base[kind], Path(tmp))
+    # the two indicators come from one residual pass, so fleet damage fails both or neither
+    assert aggregated == sensorwise
 
 
 @given(data=st.data())
@@ -132,4 +135,46 @@ def test_one_damaged_checkpoint_value(base, data):
     with tempfile.TemporaryDirectory() as tmp:
         damaged = Path(tmp) / "model.json"
         damaged.write_text(json.dumps(blob))
-        check_commands(base, base["data"], damaged, reports, Path(tmp))
+        codes = check_commands(base, base["data"], damaged, reports, Path(tmp))
+    if parent is blob and key == "n_w":
+        # no value of VALUES reads as the fleet's 4 descriptors
+        assert codes == [3, 3, 3]
+
+
+def damaged_inputs(base, tmp: Path, kind: str, fleet_cell=None, **checkpoint):
+    """(data, checkpoint, reports) of ``kind``: the base inputs with the first
+    data row's ``alt`` cell set to ``fleet_cell`` and the checkpoint's
+    top-level fields set to ``checkpoint``."""
+    ckpt, reports = base[kind]
+    data = tmp / "data"
+    shutil.copytree(base["data"], data)
+    if fleet_cell is not None:
+        lines = (data / "fleet.csv").read_text().splitlines()
+        alt = lines[0].split(",").index("alt")
+        cells = lines[1].split(",")
+        cells[alt] = fleet_cell
+        lines[1] = ",".join(cells)
+        (data / "fleet.csv").write_text("\n".join(lines) + "\n")
+    blob = json.loads(ckpt.read_text())
+    blob.update(checkpoint)
+    damaged = tmp / "model.json"
+    damaged.write_text(json.dumps(blob))
+    return data, damaged, reports
+
+
+@pytest.mark.parametrize("kind", ["oc", "ae"])
+def test_an_overflowing_fleet_value_fails_every_command_alike(base, tmp_path, kind):
+    data, ckpt, reports = damaged_inputs(base, tmp_path, kind, fleet_cell="1e308")
+    assert check_commands(base, data, ckpt, reports, tmp_path) == [4, 4, 4]
+    unit = (data / "fleet.csv").read_text().splitlines()[1].split(",")[0]
+    common = ["--config", str(base["config"]), "--data", str(data), "--checkpoint", str(ckpt)]
+    assert run(["detect", *common, "--hi", "sensorwise", "--out", str(tmp_path / "r.csv")]) == (
+        4, [f"error: unit {unit!r} has a residual row whose squared norm is not finite"]
+    )
+
+
+@pytest.mark.parametrize("n_w", [-7, 0, 3, 5, 18])
+@pytest.mark.parametrize("kind", ["oc", "ae"])
+def test_a_checkpoint_of_another_descriptor_count_exits_3(base, tmp_path, kind, n_w):
+    inputs = damaged_inputs(base, tmp_path, kind, n_w=n_w)
+    assert check_commands(base, *inputs, tmp_path) == [3, 3, 3]

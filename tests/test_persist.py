@@ -373,6 +373,54 @@ def test_save_matches_reference_and_round_trips(most, fleet):
             same_fleet(twin_read(path), loaded)
 
 
+# Cells repr writes in exponent form, and -0.0, which it writes as it is.
+EXPONENT_CELLS = [1e-05, 9.999999999999999e-05, 1e16, 5e-324, -0.0]
+# Unit lengths at either side of the writer's 200-row chunks.
+CHUNK_EDGE_ROWS = (1, 199, 200, 201, 401)
+
+
+def chunk_edge_fleet(rng):
+    """Units of CHUNK_EDGE_ROWS rows of sensor-like values. The first and
+    last row of each unit and the rows around each chunk edge hold one
+    EXPONENT_CELLS cell, so most chunks mix such rows with others."""
+    fleet = []
+    for i, n in enumerate(CHUNK_EDGE_ROWS):
+        z = rng.normal(0.0, 500.0, size=(n, 18))
+        z[::3] = np.round(z[::3], 2)
+        marked = sorted({0, 198, 199, 200, 201, 399, 400, n - 1} & set(range(n)))
+        for j, row in enumerate(marked):
+            z[row, (i + j) % 18] = (-1) ** j * EXPONENT_CELLS[(i + j) % len(EXPONENT_CELLS)]
+        fleet.append(
+            UnitSeries(f"u{i}", "", z, 4, np.arange(n) // 7, DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS)
+        )
+    return fleet
+
+
+def test_save_matches_reference_across_chunk_edges(tmp_path, rng):
+    fleet = chunk_edge_fleet(rng)
+    path, reference = tmp_path / "fleet.csv", tmp_path / "reference.csv"
+    save_csv(fleet, path)
+    reference_save_csv(fleet, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    # load_csv hands out each unit's z as a view of its table, not C-contiguous
+    loaded = load_csv(path)
+    assert not loaded[-1].z.flags.c_contiguous
+    again = tmp_path / "again.csv"
+    save_csv(loaded, again)
+    assert again.read_bytes() == reference.read_bytes()
+
+
+def test_save_writes_non_finite_cells_as_reference(tmp_path, rng):
+    z = rng.normal(size=(5, 18))
+    z[1, 3], z[3, 0], z[3, 17] = np.nan, np.inf, -np.inf
+    fleet = [UnitSeries("u", "", z, 4, np.arange(5), DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS)]
+    path, reference = tmp_path / "fleet.csv", tmp_path / "reference.csv"
+    save_csv(fleet, path)
+    reference_save_csv(fleet, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    assert b",nan," in path.read_bytes() and b",-inf\r\n" in path.read_bytes()
+
+
 GOOD_CELLS = ["0", "1", "2.5", "-0.0", "1e-05"]
 BAD_CELLS = ["", "x", "nan", "NaN", "-inf", "1e400", '"2.5"', '"', " 1", "1.5 ", "1\x1f"]
 UNIT_CELLS = ["u0", "u1", " u1", '"u0"', '"u,1"', 'u"1', "", "u1\0", "unit-0123456789ab"]
@@ -1022,6 +1070,32 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpoint, match="expected layer dims"):
             load_checkpoint(self.tampered(tmp_path, oc, n_w=5))
 
+    @pytest.mark.parametrize("n_w", [-7, 0, 3, 5, 18])
+    def test_ae_n_w_not_the_fleets(self, tmp_path, n_w):
+        # an AE's layer dims depend on n_w + n_x alone, so they cannot show it
+        ae, _ = make_models()
+        with pytest.raises(CorruptCheckpoint, match=f"n_w {n_w} and a standardizer over 18 "):
+            load_checkpoint(self.tampered(tmp_path, ae, n_w=n_w))
+
+    def test_standardizer_not_over_the_fleets_channels(self, tmp_path):
+        n_w, n_x = 4, 13
+        ae = ResidualModel(
+            AE_KIND, net=nn.init_weights(layer_dims(AE_KIND, n_w, n_x), seed=0),
+            standardizer=Standardizer(mean=np.zeros(17), std=np.ones(17)), n_w=n_w,
+        )
+        path = tmp_path / "ae17.json"
+        save_checkpoint(ae, path)
+        with pytest.raises(CorruptCheckpoint, match="a standardizer over 17 channels do not fit"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("layer_dims", [float("inf")]), ("n_w", float("inf")), ("n_w", -1e400)]
+    )
+    def test_number_past_its_type_is_corrupt(self, tmp_path, field, value):
+        ae, _ = make_models()
+        with pytest.raises(CorruptCheckpoint, match="malformed checkpoint"):
+            load_checkpoint(self.tampered(tmp_path, ae, **{field: value}))
+
     def test_non_finite_weights_refused(self, tmp_path):
         ae, _ = make_models()
         ae.net.weights[0][0, 0] = np.inf
@@ -1126,6 +1200,12 @@ class TestReportsCsv:
         np.testing.assert_array_equal(back.mu, stats.mu)
         np.testing.assert_array_equal(back.tau, stats.tau)
         assert back.channel_names == ("only",)
+
+    @pytest.mark.parametrize("field, value", [("fitted_on", float("inf")), ("mu", [10**400])])
+    def test_stats_blob_with_a_number_past_its_type_is_corrupt(self, field, value):
+        blob = {"channels": ["only"], "mu": [0.1], "sigma": [0.2], "tau": [0.7], "fitted_on": 9}
+        with pytest.raises(CorruptCheckpoint, match="malformed healthy statistics blob"):
+            stats_from_blob({**blob, field: value})
 
 
 class TestHiExport:
