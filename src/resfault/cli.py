@@ -18,8 +18,7 @@ import numpy as np
 
 from . import __version__, detector, experiment, parallel, persist, segmentation, synth
 from .config import RunConfig, load_config
-from .errors import ComputeError, ConfigInvalid, CorruptCheckpoint, DataError
-from .errors import InsufficientData, ResfaultError
+from .errors import ComputeError, ConfigError, DataError, ResfaultError
 from .health import AGGREGATED, SENSORWISE
 from .models import AE_KIND
 from .persist import format_float as fmt
@@ -70,7 +69,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     if args.realisation < 0:
-        raise ConfigInvalid(f"--realisation must be >= 0, got {args.realisation}")
+        raise ConfigError(f"--realisation must be >= 0, got {args.realisation}")
     cfg = effective_config(args)
     kind = args.model.upper()
     units, _ = _prepared_units(args.data, cfg)
@@ -123,16 +122,16 @@ def _checkpoint(path: str, hi_kind: str):
     model, metadata = persist.load_checkpoint(path)
     by_kind = metadata.get("healthy_stats", {})
     if not isinstance(by_kind, dict):
-        raise CorruptCheckpoint("checkpoint healthy_stats must be a JSON object")
+        raise DataError("checkpoint healthy_stats must be a JSON object")
     blob = by_kind.get(hi_kind)
     if blob is None:
-        raise CorruptCheckpoint(
+        raise DataError(
             f"checkpoint carries no healthy statistics for {hi_kind!r} indicators"
         )
     stats = persist.stats_from_blob(blob)
     width = 1 if hi_kind == AGGREGATED else model.net.layer_dims[-1]
     if stats.n_channels != width:
-        raise CorruptCheckpoint(
+        raise DataError(
             f"checkpoint has {stats.n_channels} {hi_kind} statistics channels, "
             f"the {model.kind} model needs {width}"
         )
@@ -223,7 +222,7 @@ def cmd_segment(args) -> int:
                 detector.cycle_average(emb, unit.cycle_of).since(report.alarm_cycle)[offset]
             )
     if len(signatures) < 3:
-        raise InsufficientData(
+        raise DataError(
             f"segmentation needs >= 3 units with a signature {offset} cycles after "
             f"their alarm, got {len(signatures)}"
         )

@@ -18,7 +18,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigInvalid, UnknownKey
+from .errors import ConfigError
+
+# the most rows a synthetic fleet may have, about 350 times the default fleet:
+# a larger size is refused before synth.unit_plan builds its list of units
+MAX_FLEET_ROWS = 10**8
 
 
 def derive_seed(master_seed: int, *keys: int) -> int:
@@ -34,9 +38,9 @@ class PreprocessSettings:
 
     def __post_init__(self):
         if self.downsample_factor < 1:
-            raise ConfigInvalid("preprocess.downsample_factor must be >= 1")
+            raise ConfigError("preprocess.downsample_factor must be >= 1")
         if not 0.0 < self.cruise_threshold < 1.0:
-            raise ConfigInvalid("preprocess.cruise_threshold must lie in (0, 1)")
+            raise ConfigError("preprocess.cruise_threshold must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -46,9 +50,9 @@ class SplitSettings:
 
     def __post_init__(self):
         if self.healthy_cycles < 1:
-            raise ConfigInvalid("split.healthy_cycles must be >= 1")
+            raise ConfigError("split.healthy_cycles must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
-            raise ConfigInvalid("split.validation_fraction must lie in (0, 1)")
+            raise ConfigError("split.validation_fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -63,18 +67,18 @@ class TrainingSettings:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ConfigInvalid("training.epochs must be >= 1")
+            raise ConfigError("training.epochs must be >= 1")
         if self.batch_size < 1:
-            raise ConfigInvalid("training.batch_size must be >= 1")
+            raise ConfigError("training.batch_size must be >= 1")
         if not 0 < self.learning_rate < np.inf:
-            raise ConfigInvalid("training.learning_rate must be positive and finite")
+            raise ConfigError("training.learning_rate must be positive and finite")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigInvalid(f"training.{name} must lie in [0, 1)")
+                raise ConfigError(f"training.{name} must lie in [0, 1)")
         if self.patience < 0:
-            raise ConfigInvalid("training.patience must be >= 0")
+            raise ConfigError("training.patience must be >= 0")
         if self.realisations < 1:
-            raise ConfigInvalid("training.realisations must be >= 1")
+            raise ConfigError("training.realisations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class DetectionSettings:
 
     def __post_init__(self):
         if self.n_wait < 1:
-            raise ConfigInvalid("detection.n_wait must be >= 1")
+            raise ConfigError("detection.n_wait must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,16 +98,16 @@ class SegmentationSettings:
 
     def __post_init__(self):
         if self.snapshot_offset < 0:
-            raise ConfigInvalid("segmentation.snapshot_offset must be >= 0")
+            raise ConfigError("segmentation.snapshot_offset must be >= 0")
         if self.k_max < 0:
-            raise ConfigInvalid("segmentation.k_max must be >= 0")
+            raise ConfigError("segmentation.k_max must be >= 0")
         if any(c < 0 for c in self.timeline_checkpoints):
-            raise ConfigInvalid("segmentation.timeline_checkpoints must be >= 0")
+            raise ConfigError("segmentation.timeline_checkpoints must be >= 0")
 
 
 @dataclass(frozen=True)
 class SynthSettings:
-    """The synthetic fleet of synth.gen_fleet.
+    """The synthetic fleet that synth.gen_units makes, unit by unit.
 
     ``severity_scale`` is the drift per (cycle - fault cycle) **
     ``severity_exponent`` in sensor units (None: 6 * noise_std ten cycles
@@ -125,26 +129,32 @@ class SynthSettings:
 
     def __post_init__(self):
         if self.n_units < 1:
-            raise ConfigInvalid("synth.n_units must be >= 1")
+            raise ConfigError("synth.n_units must be >= 1")
         # 3 is len(synth.DEFAULT_FAMILIES); synth imports this module, so it is restated
         if not 1 <= self.n_families <= 3:
-            raise ConfigInvalid("synth.n_families must lie in 1..3")
+            raise ConfigError("synth.n_families must lie in 1..3")
         if self.cycles_per_unit < 2:
-            raise ConfigInvalid("synth.cycles_per_unit must be >= 2")
+            raise ConfigError("synth.cycles_per_unit must be >= 2")
         if self.rows_per_cycle < 20:
-            raise ConfigInvalid("synth.rows_per_cycle must be >= 20")
+            raise ConfigError("synth.rows_per_cycle must be >= 20")
+        rows = self.n_families * self.n_units * self.cycles_per_unit * self.rows_per_cycle
+        if rows > MAX_FLEET_ROWS:
+            raise ConfigError(
+                "synth.n_families * n_units * cycles_per_unit * rows_per_cycle must be "
+                f"<= {MAX_FLEET_ROWS}, got {rows}"
+            )
         if self.fault_start_lo > self.fault_start_hi:
-            raise ConfigInvalid("synth.fault_start_lo must be <= synth.fault_start_hi")
+            raise ConfigError("synth.fault_start_lo must be <= synth.fault_start_hi")
         if self.fault_start_hi >= self.cycles_per_unit:
-            raise ConfigInvalid("synth.fault_start_hi must be < synth.cycles_per_unit")
+            raise ConfigError("synth.fault_start_hi must be < synth.cycles_per_unit")
         if not 0 <= self.noise_std < np.inf:
-            raise ConfigInvalid("synth.noise_std must be >= 0 and finite")
+            raise ConfigError("synth.noise_std must be >= 0 and finite")
         if not 0 < self.severity_exponent < np.inf:
-            raise ConfigInvalid("synth.severity_exponent must be positive and finite")
+            raise ConfigError("synth.severity_exponent must be positive and finite")
         if self.severity_scale is not None and not 0 <= self.severity_scale < np.inf:
-            raise ConfigInvalid("synth.severity_scale must be >= 0 and finite")
+            raise ConfigError("synth.severity_scale must be >= 0 and finite")
         if self.map_seed is not None and self.map_seed < 0:
-            raise ConfigInvalid("synth.map_seed must be >= 0")
+            raise ConfigError("synth.map_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -159,9 +169,9 @@ class RunConfig:
 
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigInvalid(f"seed must be an integer, got {self.seed!r}")
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
-            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # Every field of RunConfig but the seed is a settings section.
@@ -176,37 +186,37 @@ def _coerce(section: str, fld: dataclasses.Field, value):
     if value is None:
         if "None" in ftype:
             return None
-        raise ConfigInvalid(f"{name} must not be null")
+        raise ConfigError(f"{name} must not be null")
     if ftype.startswith("int"):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
         return value
     if ftype.startswith("float"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigInvalid(f"{name} must be a number, got {value!r}")
+            raise ConfigError(f"{name} must be a number, got {value!r}")
         return float(value)
     if ftype.startswith("str"):
         if not isinstance(value, str):
-            raise ConfigInvalid(f"{name} must be a string, got {value!r}")
+            raise ConfigError(f"{name} must be a string, got {value!r}")
         return value
     if ftype.startswith("tuple"):
         if not isinstance(value, (list, tuple)) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in value
         ):
-            raise ConfigInvalid(f"{name} must be a list of integers, got {value!r}")
+            raise ConfigError(f"{name} must be a list of integers, got {value!r}")
         return tuple(value)
-    raise ConfigInvalid(f"{name}: unsupported field type {ftype!r}")
+    raise ConfigError(f"{name}: unsupported field type {ftype!r}")
 
 
 def _build_section(section_name: str, cls, blob) -> object:
     if blob is None:
         blob = {}
     if not isinstance(blob, dict):
-        raise ConfigInvalid(f"section {section_name!r} must be a mapping")
+        raise ConfigError(f"section {section_name!r} must be a mapping")
     known = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(blob) - set(known)
     if unknown:
-        raise UnknownKey(f"unknown key(s) in {section_name!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in {section_name!r}: {sorted(unknown)}")
     kwargs = {
         key: _coerce(section_name, known[key], value) for key, value in blob.items()
     }
@@ -218,10 +228,10 @@ def config_from_dict(blob: dict | None) -> RunConfig:
     if blob is None:
         blob = {}
     if not isinstance(blob, dict):
-        raise ConfigInvalid("config must be a mapping of sections")
+        raise ConfigError("config must be a mapping of sections")
     unknown = set(blob) - set(_SECTION_TYPES) - {"seed"}
     if unknown:
-        raise UnknownKey(f"unknown top-level key(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
     sections = {
         name: _build_section(name, cls, blob.get(name))
         for name, cls in _SECTION_TYPES.items()
@@ -252,15 +262,15 @@ def load_config(path: str | Path | None) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigInvalid(f"cannot read config file: {exc}") from None
+        raise ConfigError(f"cannot read config file: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise ConfigInvalid(
+        raise ConfigError(
             f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
         ) from None
     try:
         blob = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
-        raise ConfigInvalid(f"invalid YAML in {path}: {exc}") from None
+        raise ConfigError(f"invalid YAML in {path}: {exc}") from None
     return config_from_dict(blob)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SplitSettings
-from .errors import InsufficientData, ShapeMismatch, UnitTooShort
+from .errors import ComputeError, DataError
 
 # Operating descriptors: altitude, Mach number, throttle-resolver angle,
 # total temperature at the fan inlet.
@@ -55,15 +55,15 @@ class UnitSeries:
         object.__setattr__(self, "cycle_of", cyc)
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
         if z.ndim != 2 or z.shape[0] < 1:
-            raise ShapeMismatch(f"z must be a 2-D matrix with a row, got shape {z.shape}")
+            raise ComputeError(f"z must be a 2-D matrix with a row, got shape {z.shape}")
         if not 1 <= self.n_w < z.shape[1]:
-            raise ShapeMismatch("need at least one descriptor and one sensor channel")
+            raise ComputeError("need at least one descriptor and one sensor channel")
         if cyc.shape != (z.shape[0],):
-            raise ShapeMismatch("cycle_of must have one entry per row")
+            raise ComputeError("cycle_of must have one entry per row")
         if np.any(np.diff(cyc) < 0):
-            raise ShapeMismatch("cycle_of must be non-decreasing")
+            raise ComputeError("cycle_of must be non-decreasing")
         if len(self.channel_names) != z.shape[1]:
-            raise ShapeMismatch("channel_names must cover all columns of z")
+            raise ComputeError("channel_names must cover all columns of z")
 
     @property
     def w(self) -> np.ndarray:
@@ -132,7 +132,7 @@ def split(fleet: list[UnitSeries], settings: SplitSettings, seed: int) -> FleetS
     from it, so the draw is not stratified by unit, and each unit takes its
     block of the pooled validation mask. The same seed always reproduces
     the same split. A pool too small to leave rows in both train and
-    validation is InsufficientData.
+    validation is a DataError.
     """
     seen: set[str] = set()
     for unit in fleet:
@@ -143,7 +143,7 @@ def split(fleet: list[UnitSeries], settings: SplitSettings, seed: int) -> FleetS
     for unit in fleet:
         _, stops = cycle_bounds(unit.cycle_of)
         if len(stops) <= settings.healthy_cycles:
-            raise UnitTooShort(
+            raise DataError(
                 f"unit {unit.unit_id!r} has {len(stops)} cycles; "
                 f"needs more than {settings.healthy_cycles}"
             )
@@ -152,7 +152,7 @@ def split(fleet: list[UnitSeries], settings: SplitSettings, seed: int) -> FleetS
     n_pool = sum(counts)
     n_val = round(settings.validation_fraction * n_pool)
     if not 0 < n_val < n_pool:
-        raise InsufficientData(
+        raise DataError(
             f"split.validation_fraction {settings.validation_fraction} of {n_pool} healthy "
             f"rows leaves {n_val} validation and {n_pool - n_val} training rows"
         )

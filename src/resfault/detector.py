@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import cycle_bounds
-from .errors import ShapeMismatch
+from .errors import ComputeError
 from .preprocess import column_stats
 
 SIGMA_MULTIPLIER = 3.0
@@ -39,11 +39,11 @@ class HealthyStats:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
         if not (self.mu.shape == self.sigma.shape == self.tau.shape) or self.mu.ndim != 1:
-            raise ShapeMismatch("mu, sigma, tau must be 1-D vectors of equal length")
+            raise ComputeError("mu, sigma, tau must be 1-D vectors of equal length")
         if np.any(self.sigma < 0):
             raise ValueError("sigma must be non-negative")
         if len(self.channel_names) != len(self.mu):
-            raise ShapeMismatch(
+            raise ComputeError(
                 f"healthy statistics name {len(self.channel_names)} channels "
                 f"for {len(self.mu)} values"
             )
@@ -80,7 +80,7 @@ class CycleAverages:
         object.__setattr__(self, "cycle_ids", np.asarray(self.cycle_ids, dtype=np.int64))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.values.ndim != 2 or self.cycle_ids.shape != (self.values.shape[0],):
-            raise ShapeMismatch("one cycle id per value row required")
+            raise ComputeError("one cycle id per value row required")
 
     def since(self, cycle: int) -> np.ndarray:
         """A view of the value rows from ``cycle``'s row on.

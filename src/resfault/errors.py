@@ -27,63 +27,3 @@ class ComputeError(ResfaultError):
     """A computation could not be carried out on otherwise valid inputs."""
 
     exit_code = 4
-
-
-class ConfigInvalid(ConfigError):
-    pass
-
-
-class UnknownKey(ConfigError):
-    pass
-
-
-class UnitTooShort(DataError):
-    pass
-
-
-class InsufficientData(DataError):
-    pass
-
-
-class EmptyFleet(DataError):
-    pass
-
-
-class MissingColumn(DataError):
-    pass
-
-
-class NonNumericCell(DataError):
-    pass
-
-
-class RaggedRow(DataError):
-    pass
-
-
-class EmptyFile(DataError):
-    pass
-
-
-class NonPositiveAltitude(DataError):
-    pass
-
-
-class VersionMismatch(DataError):
-    pass
-
-
-class CorruptCheckpoint(DataError):
-    pass
-
-
-class ShapeMismatch(ComputeError):
-    pass
-
-
-class SingleCluster(ComputeError):
-    pass
-
-
-class NonFiniteLoss(ComputeError):
-    pass

@@ -16,7 +16,7 @@ from . import detector, health, models, nn, parallel, segmentation
 from .config import RunConfig, derive_seed
 from .data_model import FleetSplit, TruthRecord, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
-from .errors import ComputeError, DataError, EmptyFleet
+from .errors import ComputeError, DataError
 from .health import AGGREGATED, SENSORWISE
 from .models import AE_KIND, OC_KIND, ResidualModel
 from .preprocess import (
@@ -268,7 +268,7 @@ def evaluate_group(
     ground-truth flag, are a DataError.
     """
     if not report_sets or not report_sets[0]:
-        raise EmptyFleet("no detection reports to evaluate")
+        raise DataError("no detection reports to evaluate")
     by_unit: dict[str, list[DetectionReport]] = {}
     for report_set in report_sets:
         for report in report_set:

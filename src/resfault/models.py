@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .config import TrainingSettings
-from .errors import ShapeMismatch
+from .errors import ComputeError
 from .preprocess import Standardizer
 
 AE_KIND = "AE"
@@ -59,7 +59,7 @@ class ResidualModel:
     def __post_init__(self):
         expected = layer_dims(self.kind, self.n_w, self.n_x)
         if self.net.layer_dims != expected:
-            raise ShapeMismatch(
+            raise ComputeError(
                 f"{self.kind} model: expected layer dims {expected}, got {self.net.layer_dims}"
             )
 

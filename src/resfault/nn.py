@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainingSettings
-from .errors import NonFiniteLoss, ShapeMismatch
+from .errors import ComputeError
 
 ADAM_EPS = 1e-8
 
@@ -29,17 +29,17 @@ class DenseNet:
 
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
-            raise ShapeMismatch("one weight matrix and bias vector per layer required")
+            raise ComputeError("one weight matrix and bias vector per layer required")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2:
-                raise ShapeMismatch(f"layer {l}: weight shape {w.shape} is not 2-D")
+                raise ComputeError(f"layer {l}: weight shape {w.shape} is not 2-D")
             if l > 0 and w.shape[1] != self.weights[l - 1].shape[0]:
-                raise ShapeMismatch(
+                raise ComputeError(
                     f"layer {l}: weight shape {w.shape} does not take the "
                     f"{self.weights[l - 1].shape[0]} outputs of layer {l - 1}"
                 )
             if b.shape != (w.shape[0],):
-                raise ShapeMismatch(f"layer {l}: bias shape {b.shape} != {(w.shape[0],)}")
+                raise ComputeError(f"layer {l}: bias shape {b.shape} != {(w.shape[0],)}")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -209,7 +209,7 @@ def train(
     loss and writes the gradient. The parameters live in one contiguous
     buffer that Adam updates in place; the gradient lives in a second flat
     buffer of the same layout, reused by every step. A non-finite training
-    or validation loss raises NonFiniteLoss. The caller passes non-empty
+    or validation loss raises ComputeError. The caller passes non-empty
     sets whose inputs and targets have equal row counts.
     """
     x_train = np.asarray(train_set[0], dtype=np.float64)
@@ -234,7 +234,7 @@ def train(
     val_losses: list[float] = []
 
     # a diverging run overflows inside the matrix products; the non-finite
-    # loss check below reports it as NonFiniteLoss instead
+    # loss check below reports it as ComputeError instead
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(settings.epochs):
             order = rng.permutation(n)
@@ -246,7 +246,7 @@ def train(
             train_loss = running / n
             val_loss = loss_mse(forward(live, x_val), y_val)
             if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-                raise NonFiniteLoss(
+                raise ComputeError(
                     f"epoch {epoch}: training loss {train_loss}, validation loss "
                     f"{val_loss}; lower the learning rate or check the inputs"
                 )

@@ -28,16 +28,7 @@ from . import __version__, nn
 from .config import RunConfig, dump_config
 from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, TruthRecord, UnitSeries
 from .detector import DetectionReport, HealthyStats
-from .errors import (
-    CorruptCheckpoint,
-    DataError,
-    EmptyFile,
-    MissingColumn,
-    NonNumericCell,
-    RaggedRow,
-    ShapeMismatch,
-    VersionMismatch,
-)
+from .errors import ComputeError, DataError
 from .models import ResidualModel
 from .preprocess import Standardizer
 
@@ -116,13 +107,13 @@ def _rows(path: Path, columns):
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
-                raise EmptyFile(f"{path} has no header row")
+                raise DataError(f"{path} has no header row")
             missing = [name for name in columns if name not in header]
             pick = None if missing else operator.itemgetter(*map(header.index, columns))
             header_end = reader.line_num
             for row in reader:
                 if len(row) != len(header):
-                    raise RaggedRow(
+                    raise DataError(
                         f"{path}: line {reader.line_num} has {len(row)} cells, "
                         f"the header has {len(header)}"
                     )
@@ -133,9 +124,9 @@ def _rows(path: Path, columns):
             f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
         ) from None
     if reader.line_num == header_end:  # no row since the header
-        raise EmptyFile(f"{path} has a header but no data rows")
+        raise DataError(f"{path} has a header but no data rows")
     if missing:
-        raise MissingColumn(f"{path} is missing column(s) {missing}")
+        raise DataError(f"{path} is missing column(s) {missing}")
 
 
 def load_csv(path: str | Path) -> list[UnitSeries]:
@@ -352,18 +343,18 @@ def _parse_csv(path: Path):
     for j, name in enumerate(NUMERIC_COLUMNS):
         if j in non_numeric:
             line, cell = non_numeric[j]
-            raise NonNumericCell(
+            raise DataError(
                 f"{path}: non-numeric value {cell!r} in column {name!r}, line {line}"
             )
         finite = np.isfinite(table[:, j])
         if not finite.all():
             line, cell = _cell(path, int(np.flatnonzero(~finite)[0]), j)
-            raise NonNumericCell(
+            raise DataError(
                 f"{path}: non-finite value {cell!r} in column {name!r}, line {line}"
             )
         column = table[:, j]
         if name == CYCLE_COLUMN and np.any((column != np.floor(column)) | (abs(column) >= 2**63)):
-            raise NonNumericCell(f"{path}: cycle column must hold integers")
+            raise DataError(f"{path}: cycle column must hold integers")
     return list(index), np.array(codes, dtype=np.int64), table
 
 
@@ -502,14 +493,14 @@ def save_ground_truth(truths, path: str | Path) -> None:
 
 
 def _int_cell(path: Path, line: int, column: str, cell: str) -> int | None:
-    """Integer value of ``cell``, None when empty; anything else is a NonNumericCell."""
+    """Integer value of ``cell``, None when empty; anything else is a DataError."""
     token = cell.strip()
     if not token:
         return None
     try:
         return int(token)
     except ValueError:
-        raise NonNumericCell(
+        raise DataError(
             f"{path}: non-integer value {token!r} in column {column!r}, line {line}"
         ) from None
 
@@ -578,7 +569,7 @@ def load_reports(path: str | Path):
     for line, row in _rows(path, REPORT_COLUMNS):
         model, hi_kind, unit, dataset, fault_cycle, alarm_cycle, delay, triggered, gt_known = row
         if gt_known not in ("0", "1"):
-            raise NonNumericCell(
+            raise DataError(
                 f"{path}: gt_known must be 0 or 1, got {gt_known!r}, line {line}"
             )
         if (model, hi_kind, unit) in seen:
@@ -641,7 +632,7 @@ def stats_to_blob(stats: HealthyStats) -> dict:
 
 
 def stats_from_blob(blob: dict) -> HealthyStats:
-    """Inverse of stats_to_blob; a non-finite mu, sigma or tau is a CorruptCheckpoint."""
+    """Inverse of stats_to_blob; a non-finite mu, sigma or tau is a DataError."""
     try:
         stats = HealthyStats(
             mu=np.asarray(blob["mu"], dtype=np.float64),
@@ -650,16 +641,16 @@ def stats_from_blob(blob: dict) -> HealthyStats:
             fitted_on=int(blob["fitted_on"]),
             channel_names=blob["channels"],
         )
-    except (KeyError, TypeError, ValueError, OverflowError, ShapeMismatch) as exc:
-        raise CorruptCheckpoint(f"malformed healthy statistics blob ({exc})") from None
+    except (KeyError, TypeError, ValueError, OverflowError, ComputeError) as exc:
+        raise DataError(f"malformed healthy statistics blob ({exc})") from None
     _require_finite([stats.mu, stats.sigma, stats.tau], "checkpoint healthy statistics")
     return stats
 
 
 def _require_finite(arrays, what: str) -> None:
-    """Raise CorruptCheckpoint naming ``what`` unless every value of ``arrays`` is finite."""
+    """Raise DataError naming ``what`` unless every value of ``arrays`` is finite."""
     if not all(np.isfinite(a).all() for a in arrays):
-        raise CorruptCheckpoint(f"{what} hold a non-finite number")
+        raise DataError(f"{what} hold a non-finite number")
 
 
 def save_checkpoint(
@@ -700,12 +691,12 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptCheckpoint(f"{path}: not valid checkpoint JSON ({exc})") from None
+        raise DataError(f"{path}: not valid checkpoint JSON ({exc})") from None
     if not isinstance(payload, dict):
-        raise CorruptCheckpoint(f"{path}: checkpoint must be a JSON object")
+        raise DataError(f"{path}: checkpoint must be a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise VersionMismatch(
+        raise DataError(
             f"{path}: format version {version!r}, expected {CHECKPOINT_FORMAT_VERSION}"
         )
     try:
@@ -723,22 +714,22 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
         n_w = int(payload["n_w"])
         metadata = payload.get("metadata", {})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CorruptCheckpoint(f"{path}: malformed checkpoint ({exc})") from None
+        raise DataError(f"{path}: malformed checkpoint ({exc})") from None
     if not isinstance(metadata, dict):
-        raise CorruptCheckpoint(f"{path}: checkpoint metadata must be a JSON object")
+        raise DataError(f"{path}: checkpoint metadata must be a JSON object")
     try:
         net = nn.DenseNet(weights, biases)
         model = ResidualModel(kind, net, standardizer, n_w)
     except Exception as exc:
-        raise CorruptCheckpoint(f"{path}: inconsistent checkpoint ({exc})") from None
+        raise DataError(f"{path}: inconsistent checkpoint ({exc})") from None
     if dims != net.layer_dims or activations != _activation_tags(net.n_layers):
-        raise CorruptCheckpoint(
+        raise DataError(
             f"{path}: layer_dims {list(dims)} and activations {activations} "
             f"do not fit weights of layer dims {list(net.layer_dims)}"
         )
     n_w_fleet, n_z_fleet = len(DEFAULT_W_CHANNELS), len(DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS)
     if (n_w, standardizer.n_channels) != (n_w_fleet, n_z_fleet):
-        raise CorruptCheckpoint(
+        raise DataError(
             f"{path}: n_w {n_w} and a standardizer over {standardizer.n_channels} channels "
             f"do not fit the fleet's {n_w_fleet} descriptors of {n_z_fleet} channels"
         )

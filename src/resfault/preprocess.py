@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import UnitSeries, cycle_bounds
-from .errors import InsufficientData, NonPositiveAltitude, ShapeMismatch
+from .errors import ComputeError, DataError
 
 STD_EPSILON = 1e-8
 # column of ``UnitSeries.w`` that holds the altitude
@@ -34,7 +34,7 @@ class Standardizer:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
         object.__setattr__(self, "std", np.asarray(self.std, dtype=np.float64))
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
-            raise ShapeMismatch("mean and std must be 1-D vectors of equal length")
+            raise ComputeError("mean and std must be 1-D vectors of equal length")
         if np.any(self.std < 0):
             raise ValueError("std must be non-negative")
         if self.epsilon <= 0:
@@ -53,7 +53,7 @@ def column_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[0] < 2:
-        raise InsufficientData(f"need >= 2 rows to fit, got {rows.shape[0]}")
+        raise DataError(f"need >= 2 rows to fit, got {rows.shape[0]}")
     constant = rows.min(axis=0) == rows.max(axis=0)
     mean = np.where(constant, rows[0], rows.mean(axis=0))
     std = np.where(constant, 0.0, rows.std(axis=0))
@@ -70,7 +70,7 @@ def apply_standardizer(std: Standardizer, rows: np.ndarray) -> np.ndarray:
     """(rows - mean) / max(std, epsilon), column-wise, over a 2-D batch of rows."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != std.n_channels:
-        raise ShapeMismatch(
+        raise ComputeError(
             f"standardizer fitted on {std.n_channels} channels, data has shape {rows.shape}"
         )
     return (rows - std.mean) / np.maximum(std.std, std.epsilon)
@@ -105,7 +105,7 @@ def cruise_filter(series: UnitSeries, threshold: float) -> UnitSeries:
         cyc_alt = alt[start:stop]
         top = cyc_alt.max()
         if top <= 0:
-            raise NonPositiveAltitude(
+            raise DataError(
                 f"unit {series.unit_id!r} cycle {series.cycle_of[start]}: "
                 f"max altitude {top} is not positive"
             )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import HealthyStats
-from .errors import SingleCluster
+from .errors import ComputeError
 
 NEVER_TRIGGERED = "No"
 
@@ -113,7 +113,7 @@ def silhouette_curve(
     is recorded where fewer than two fault families survive the attrition.
     """
     if len(set(fault_labels)) < 2:
-        raise SingleCluster("need alarms from >= 2 fault families")
+        raise ComputeError("need alarms from >= 2 fault families")
     curve = []
     for k in k_range:
         kept = [(post, lab) for post, lab in zip(posts, fault_labels) if k < len(post)]

@@ -22,7 +22,7 @@ import numpy as np
 from . import parallel, persist
 from .config import RunConfig, SynthSettings, derive_seed
 from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, TruthRecord, UnitSeries
-from .errors import ConfigInvalid
+from .errors import ConfigError
 
 ALTITUDE_CEILING = 35000.0
 
@@ -200,7 +200,7 @@ def unit_plan(cfg: RunConfig) -> list[tuple[FamilyFault, int, str]]:
     """
     settings = cfg.synth
     if settings.fault_start_lo <= cfg.split.healthy_cycles:
-        raise ConfigInvalid(
+        raise ConfigError(
             "faults must start after the healthy window "
             f"({settings.fault_start_lo} <= {cfg.split.healthy_cycles})"
         )

@@ -18,7 +18,7 @@ from resfault import experiment, parallel, persist, synth
 from resfault.cli import exit_code, main
 from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS
 from resfault.detector import DetectionReport
-from resfault.config import config_from_dict, load_config
+from resfault.config import MAX_FLEET_ROWS, config_from_dict, load_config
 from resfault.persist import (
     REPORT_COLUMNS,
     load_checkpoint,
@@ -625,14 +625,26 @@ class TestNegativeSeeds:
     "command", [["-m", "resfault", "synth"], [str(SCRIPT)]], ids=["synth", "script"]
 )
 def test_fault_start_in_the_healthy_window_makes_no_out(tmp_path, command):
-    """A run its configuration refuses exits 2 before it makes its --out."""
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({"synth": {"fault_start_lo": 10}}))
-    out = tmp_path / "o"
-    proc = run_fresh([*command, "--config", str(cfg), "--out", str(out)])
-    assert proc.returncode == 2
-    assert proc.stderr == "error: faults must start after the healthy window (10 <= 16)\n"
-    assert not out.exists()
+    """A run its configuration refuses exits 2 before it makes its --out.
+
+    The second case is a fleet too large to make, refused before any unit
+    is planned rather than growing until the process is killed.
+    """
+    for synth_settings, message in (
+        ({"fault_start_lo": 10}, "faults must start after the healthy window (10 <= 16)"),
+        (
+            {"n_units": 10**22},
+            "synth.n_families * n_units * cycles_per_unit * rows_per_cycle must be "
+            f"<= {MAX_FLEET_ROWS}, got {3 * 10**22 * 48 * 200}",
+        ),
+    ):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"synth": synth_settings}))
+        out = tmp_path / "o"
+        proc = run_fresh([*command, "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestDetect:

@@ -12,7 +12,7 @@ from resfault.config import (
     dump_config,
     load_config,
 )
-from resfault.errors import ConfigInvalid, UnknownKey
+from resfault.errors import ConfigError
 
 
 class TestDefaults:
@@ -40,35 +40,37 @@ class TestDefaults:
 
 class TestValidation:
     def test_n_wait_zero_rejected(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigError, match="detection.n_wait must be >= 1"):
             config_from_dict({"detection": {"n_wait": 0}})
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(UnknownKey):
+        with pytest.raises(ConfigError, match=r"unknown top-level key\(s\): \['trainnig'\]"):
             config_from_dict({"trainnig": {"epochs": 3}})
 
     def test_unknown_section_key(self):
-        with pytest.raises(UnknownKey):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) in 'training': \['epoch'\]"):
             config_from_dict({"training": {"epoch": 3}})
 
     def test_type_error_per_field(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigError, match="training.epochs must be an integer, got 'many'"):
             config_from_dict({"training": {"epochs": "many"}})
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigError, match="training.epochs must be an integer, got 1.5"):
             config_from_dict({"training": {"epochs": 1.5}})
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(
+            ConfigError, match="preprocess.cruise_threshold must be a number, got 'high'"
+        ):
             config_from_dict({"preprocess": {"cruise_threshold": "high"}})
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigError, match="synth.unit_prefix must be a string, got 4"):
             config_from_dict({"synth": {"unit_prefix": 4}})
 
     def test_bool_is_not_an_integer(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigError, match="training.epochs must be an integer, got True"):
             config_from_dict({"training": {"epochs": True}})
 
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("a: [1, 2\n")
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigError, match=f"invalid YAML in {path}"):
             load_config(path)
 
 
@@ -129,11 +131,11 @@ class TestYamlNumbers:
 
     @pytest.mark.parametrize("text", ["-2.5E-4", "-25E-5"])
     def test_negative_exponent_float_reaches_the_range_check(self, tmp_path, text):
-        with pytest.raises(ConfigInvalid, match="learning_rate must be positive"):
+        with pytest.raises(ConfigError, match="learning_rate must be positive"):
             self.load(tmp_path, f"training: {{learning_rate: {text}}}\n")
 
     def test_exponent_is_not_an_integer(self, tmp_path):
-        with pytest.raises(ConfigInvalid, match="epochs must be an integer"):
+        with pytest.raises(ConfigError, match="epochs must be an integer"):
             self.load(tmp_path, "training: {epochs: 1e3}\n")
 
     def test_global_safe_loader_unchanged(self):
@@ -160,16 +162,16 @@ class TestNonFiniteFloats:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("section, name", FLOAT_FIELDS)
     def test_rejected_from_dict_and_by_construction(self, section, name, value):
-        with pytest.raises(ConfigInvalid, match=f"{section}.{name}"):
+        with pytest.raises(ConfigError, match=f"{section}.{name}"):
             config_from_dict({section: {name: value}})
-        with pytest.raises(ConfigInvalid, match=f"{section}.{name}"):
+        with pytest.raises(ConfigError, match=f"{section}.{name}"):
             config._SECTION_TYPES[section](**{name: value})
 
     @pytest.mark.parametrize("text", [".nan", ".inf", "-.inf"])
     def test_rejected_from_yaml(self, tmp_path, text):
         path = tmp_path / "cfg.yaml"
         path.write_text(f"synth: {{noise_std: {text}}}\n")
-        with pytest.raises(ConfigInvalid, match="synth.noise_std"):
+        with pytest.raises(ConfigError, match="synth.noise_std"):
             load_config(path)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from resfault.config import SplitSettings
 from resfault.data_model import UnitSeries, cycle_bounds, split, stack_rows
-from resfault.errors import InsufficientData, ShapeMismatch, UnitTooShort
+from resfault.errors import ComputeError, DataError
 from resfault.config import SynthSettings
 from resfault.synth import FamilyFault, build_sensor_map, gen_unit
 
@@ -13,15 +13,15 @@ from conftest import make_unit
 
 class TestUnitSeries:
     def test_row_count_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatch, match="cycle_of must have one entry per row"):
+        with pytest.raises(ComputeError, match="cycle_of must have one entry per row"):
             UnitSeries("u", "d", np.zeros((3, 3)), 1, np.zeros(2, dtype=int), ("a", "b", "c"))
 
     def test_decreasing_cycles_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ComputeError, match="cycle_of must be non-decreasing"):
             make_unit([1, 0])
 
     def test_channel_names_cover_all_columns(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ComputeError, match="channel_names must cover all columns of z"):
             UnitSeries(
                 unit_id="u",
                 dataset_id="d",
@@ -57,7 +57,7 @@ class TestUnitSeries:
     )
     def test_shape_rejected(self, z, n_w, message):
         names = ("a", "b", "c")
-        with pytest.raises(ShapeMismatch, match=message):
+        with pytest.raises(ComputeError, match=message):
             UnitSeries("u", "d", z, n_w, np.zeros(len(z), dtype=int), names)
 
 
@@ -142,7 +142,7 @@ class TestSplit:
 
     def test_unit_too_short(self):
         fleet = fleet_of(1, 16)
-        with pytest.raises(UnitTooShort):
+        with pytest.raises(DataError, match="unit 'u0' has 16 cycles; needs more than 16"):
             split(fleet, SplitSettings(16, 0.15), 0)
 
     @pytest.mark.parametrize(
@@ -156,7 +156,7 @@ class TestSplit:
             f"validation_fraction {fraction} of {healthy_cycles} healthy rows leaves "
             f"{n_val} validation and {healthy_cycles - n_val} training rows"
         )
-        with pytest.raises(InsufficientData, match=message):
+        with pytest.raises(DataError, match=message):
             split(fleet, SplitSettings(healthy_cycles, fraction), 0)
 
     def test_duplicate_unit_ids_rejected(self):

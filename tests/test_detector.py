@@ -13,7 +13,7 @@ from resfault.detector import (
     detect,
     fit_stats,
 )
-from resfault.errors import EmptyFleet, InsufficientData
+from resfault.errors import DataError
 from resfault.experiment import evaluate_group
 from resfault.health import AGGREGATED
 from resfault.preprocess import fit_standardizer
@@ -67,7 +67,7 @@ class TestFitStats:
         np.testing.assert_array_equal(s.tau - s.mu, 3.0 * s.sigma)
 
     def test_insufficient_rows(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(DataError, match="need >= 2 rows to fit, got 1"):
             fit_stats(np.ones((1, 2)), names_for(2))
 
 
@@ -204,7 +204,7 @@ class TestDelayAndFpr:
         assert self.false_positive_rate(reports) == 0.5
 
     def test_empty_fleet(self):
-        with pytest.raises(EmptyFleet):
+        with pytest.raises(DataError, match="no detection reports to evaluate"):
             self.false_positive_rate([])
 
     def test_unknown_ground_truth_excluded(self):

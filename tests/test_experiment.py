@@ -8,7 +8,7 @@ import resfault
 from resfault import experiment, segmentation
 from resfault.config import config_from_dict
 from resfault.detector import DetectionReport
-from resfault.errors import EmptyFleet
+from resfault.errors import DataError
 from resfault.health import AGGREGATED, SENSORWISE
 from resfault.preprocess import apply_standardizer
 from resfault.data_model import stack_rows
@@ -221,5 +221,5 @@ class TestEvaluateGroup:
         assert ev.units[0].mean_delay is None
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyFleet):
+        with pytest.raises(DataError, match="no detection reports to evaluate"):
             experiment.evaluate_group("OC", AGGREGATED, [])

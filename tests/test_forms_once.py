@@ -11,7 +11,8 @@ building a detection object only to take it apart again. An alarmed unit
 is read through its rows from the alarm cycle on, so an offset past its
 series is a length test. A precondition is checked once, where its value
 enters the program, not again by each numeric function. And the CLI is
-the one place that turns a package error into an exit code.
+the one place that turns a package error into an exit code, each exit code
+having one error type.
 """
 
 import ast
@@ -66,6 +67,21 @@ def test_removed_forms_stay_gone():
         (errors, "NoAlarm"),
         (errors, "EmptyDataset"),
         (errors, "CycleOutOfRange"),
+        (errors, "ConfigInvalid"),
+        (errors, "UnknownKey"),
+        (errors, "UnitTooShort"),
+        (errors, "InsufficientData"),
+        (errors, "EmptyFleet"),
+        (errors, "MissingColumn"),
+        (errors, "NonNumericCell"),
+        (errors, "RaggedRow"),
+        (errors, "EmptyFile"),
+        (errors, "NonPositiveAltitude"),
+        (errors, "VersionMismatch"),
+        (errors, "CorruptCheckpoint"),
+        (errors, "ShapeMismatch"),
+        (errors, "SingleCluster"),
+        (errors, "NonFiniteLoss"),
         (nn, "_as_batch"),
         (detector, "detection_delay"),
         (cli, "_curve_at"),

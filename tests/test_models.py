@@ -3,7 +3,7 @@ import pytest
 
 from resfault import nn
 from resfault.config import TrainingSettings
-from resfault.errors import ShapeMismatch
+from resfault.errors import ComputeError
 from resfault.models import (
     AE_KIND,
     OC_KIND,
@@ -73,7 +73,8 @@ class TestResidualAe:
 
     def test_wrong_dims_rejected(self):
         net = nn.init_weights((4, 16, 4), seed=0)
-        with pytest.raises(ShapeMismatch):
+        dims = r"expected layer dims \(4, 128, 8, 128, 4\), got \(4, 16, 4\)"
+        with pytest.raises(ComputeError, match=f"AE model: {dims}"):
             ResidualModel(AE_KIND, net=net, standardizer=unit_standardizer(4), n_w=2)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resfault.data_model import cycle_bounds
-from resfault.errors import InsufficientData, NonPositiveAltitude, ShapeMismatch
+from resfault.errors import ComputeError, DataError
 from resfault.preprocess import (
     Standardizer,
     apply_standardizer,
@@ -81,7 +81,7 @@ class TestStandardizer:
         np.testing.assert_allclose(refit.std, 1.0, atol=1e-10)
 
     def test_insufficient_rows(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(DataError, match="need >= 2 rows to fit, got 1"):
             fit_standardizer(np.array([[1.0, 2.0]]))
 
     def test_apply_simple(self):
@@ -95,12 +95,14 @@ class TestStandardizer:
 
     def test_apply_shape_mismatch(self):
         std = Standardizer(mean=np.zeros(2), std=np.ones(2))
-        with pytest.raises(ShapeMismatch):
+        message = r"standardizer fitted on 2 channels, data has shape \(3, 3\)"
+        with pytest.raises(ComputeError, match=message):
             apply_standardizer(std, np.zeros((3, 3)))
 
     def test_apply_rejects_a_single_row(self):
         std = Standardizer(mean=np.zeros(2), std=np.ones(2))
-        with pytest.raises(ShapeMismatch):
+        message = r"standardizer fitted on 2 channels, data has shape \(2,\)"
+        with pytest.raises(ComputeError, match=message):
             apply_standardizer(std, np.zeros(2))
 
     @given(st.integers(0, 2**31 - 1))
@@ -130,7 +132,7 @@ class TestCruiseFilter:
 
     def test_non_positive_altitude(self):
         unit = make_unit([0, 0], w=np.array([[0.0, 1], [-5.0, 1]]))
-        with pytest.raises(NonPositiveAltitude):
+        with pytest.raises(DataError, match="unit 'u1' cycle 0: max altitude 0.0 is not positive"):
             cruise_filter(unit, 0.85)
 
     def test_matches_generator_cruise_segment(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from resfault.detector import CycleAverages, HealthyStats, fit_stats
-from resfault.errors import SingleCluster
+from resfault.errors import ComputeError
 from resfault.segmentation import (
     NEVER_TRIGGERED,
     pca_2d,
@@ -267,7 +267,7 @@ class TestSilhouetteCurve:
 
     def test_single_family_rejected(self):
         posts, labels = self.build_fleet()
-        with pytest.raises(SingleCluster):
+        with pytest.raises(ComputeError, match="need alarms from >= 2 fault families"):
             silhouette_curve(posts[:3], labels[:3], k_range=[0])
 
 

@@ -11,7 +11,7 @@ import inspect
 
 import pytest
 
-from resfault import data_model, detector, models, nn, preprocess, segmentation, synth
+from resfault import config, data_model, detector, models, nn, preprocess, segmentation, synth
 from resfault.config import (
     DetectionSettings,
     PreprocessSettings,
@@ -21,7 +21,7 @@ from resfault.config import (
     SynthSettings,
     TrainingSettings,
 )
-from resfault.errors import ConfigInvalid
+from resfault.errors import ConfigError
 
 # (callable, parameter) pairs that receive a RunConfig value
 RECEIVES_SETTING = [
@@ -74,12 +74,13 @@ def test_setting_parameter_has_no_default(fn, name):
     ids=lambda v: v.__name__ if isinstance(v, type) else next(iter(v)),
 )
 def test_section_rejects_bad_value_when_built(cls, bad):
-    with pytest.raises(ConfigInvalid):
+    section = {c: f"{name}." for name, c in config._SECTION_TYPES.items()}.get(cls, "")
+    with pytest.raises(ConfigError, match=f"^{section}{next(iter(bad))} must "):
         cls(**bad)
 
 
 def test_family_bound_is_the_generators_family_count():
     # config cannot import synth, which imports config, so it restates the count
     SynthSettings(n_families=len(synth.DEFAULT_FAMILIES))
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ConfigError, match=r"^synth.n_families must lie in 1\.\.3$"):
         SynthSettings(n_families=len(synth.DEFAULT_FAMILIES) + 1)

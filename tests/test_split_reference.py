@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from resfault.config import SplitSettings
 from resfault.data_model import cycle_bounds, split
-from resfault.errors import InsufficientData, UnitTooShort
+from resfault.errors import DataError
 
 from conftest import make_unit
 
@@ -30,7 +30,7 @@ def reference_split(fleet, settings, seed):
     for unit in fleet:
         _, stops = cycle_bounds(unit.cycle_of)
         if len(stops) <= settings.healthy_cycles:
-            raise UnitTooShort(
+            raise DataError(
                 f"unit {unit.unit_id!r} has {len(stops)} cycles; "
                 f"needs more than {settings.healthy_cycles}"
             )
@@ -42,7 +42,7 @@ def reference_split(fleet, settings, seed):
     n_pool = len(pool_rows)
     n_val = round(settings.validation_fraction * n_pool)
     if not 0 < n_val < n_pool:
-        raise InsufficientData(
+        raise DataError(
             f"split.validation_fraction {settings.validation_fraction} of {n_pool} healthy "
             f"rows leaves {n_val} validation and {n_pool - n_val} training rows"
         )

@@ -12,7 +12,7 @@ from resfault.cli import main
 from resfault.config import RunConfig, SynthSettings, config_from_dict, derive_seed
 from resfault.data_model import DEFAULT_X_CHANNELS, cycle_bounds
 from resfault.detector import build_report, cycle_average, fit_stats
-from resfault.errors import ConfigInvalid
+from resfault.errors import ConfigError
 from resfault.health import sensorwise_hi
 from resfault.synth import (
     DEFAULT_FAMILIES,
@@ -61,11 +61,12 @@ class TestConfig:
         assert len(set(sensor_sets)) == len(sensor_sets)
 
     def test_fault_must_start_after_healthy_window(self):
-        with pytest.raises(ConfigInvalid, match="after the healthy window"):
+        with pytest.raises(ConfigError, match="after the healthy window"):
             gen_fleet(small_cfg(fault_start_lo=10, fault_start_hi=12))
 
     def test_fault_must_start_before_unit_ends(self):
-        with pytest.raises(ConfigInvalid):
+        message = "synth.fault_start_hi must be < synth.cycles_per_unit"
+        with pytest.raises(ConfigError, match=message):
             small_cfg(fault_start_lo=18, fault_start_hi=30)
 
     def test_family_sensors_are_sensor_channels(self):
