@@ -129,7 +129,7 @@ def _checkpoint(path: str, hi_kind: str):
             f"checkpoint carries no healthy statistics for {hi_kind!r} indicators"
         )
     stats = persist.stats_from_blob(blob)
-    width = 1 if hi_kind == AGGREGATED else model.net.layer_dims[-1]
+    width = len(experiment.hi_channel_names(model.kind, hi_kind))
     if stats.n_channels != width:
         raise DataError(
             f"checkpoint has {stats.n_channels} {hi_kind} statistics channels, "

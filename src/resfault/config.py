@@ -155,6 +155,10 @@ class SynthSettings:
             raise ConfigError("synth.severity_scale must be >= 0 and finite")
         if self.map_seed is not None and self.map_seed < 0:
             raise ConfigError("synth.map_seed must be >= 0")
+        try:
+            self.unit_prefix.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError("synth.unit_prefix must be UTF-8 text") from None
 
 
 @dataclass(frozen=True)

@@ -28,64 +28,54 @@ DEFAULT_X_CHANNELS = (
     "P15", "P2", "P21", "P24", "Ps30", "P40", "P50",
     "Nf", "Nc", "Wf",
 )
+# The one fleet layout: every unit's z has these columns, descriptors first.
+CHANNEL_NAMES = DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS
+N_W = len(DEFAULT_W_CHANNELS)
 
 
 @dataclass(frozen=True)
 class UnitSeries:
     """One unit's multivariate time series.
 
-    ``z`` is the T x N matrix of all channels: the ``n_w`` operating
-    descriptors, then the sensor readings. The properties ``w`` and ``x``
-    are views of those two column blocks. ``cycle_of`` assigns every row to a
-    cycle; indices must be non-decreasing so each cycle is a contiguous
-    block of rows. ``channel_names`` names every column of ``z``.
+    ``z`` is the T x 18 matrix of the CHANNEL_NAMES columns: the ``N_W``
+    operating descriptors, then the sensor readings. The properties ``w`` and
+    ``x`` are views of those two column blocks. ``cycle_of`` assigns every
+    row to a cycle; indices must be non-decreasing so each cycle is a
+    contiguous block of rows.
     """
 
     unit_id: str
     dataset_id: str
     z: np.ndarray
-    n_w: int
     cycle_of: np.ndarray
-    channel_names: tuple[str, ...]
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
         cyc = np.asarray(self.cycle_of, dtype=np.int64)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "cycle_of", cyc)
-        object.__setattr__(self, "channel_names", tuple(self.channel_names))
-        if z.ndim != 2 or z.shape[0] < 1:
-            raise ComputeError(f"z must be a 2-D matrix with a row, got shape {z.shape}")
-        if not 1 <= self.n_w < z.shape[1]:
-            raise ComputeError("need at least one descriptor and one sensor channel")
+        if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != len(CHANNEL_NAMES):
+            raise ComputeError(
+                f"z must be a T x {len(CHANNEL_NAMES)} matrix with a row, got shape {z.shape}"
+            )
         if cyc.shape != (z.shape[0],):
             raise ComputeError("cycle_of must have one entry per row")
         if np.any(np.diff(cyc) < 0):
             raise ComputeError("cycle_of must be non-decreasing")
-        if len(self.channel_names) != z.shape[1]:
-            raise ComputeError("channel_names must cover all columns of z")
 
     @property
     def w(self) -> np.ndarray:
-        """The operating descriptors: a view of the first ``n_w`` columns of ``z``."""
-        return self.z[:, : self.n_w]
+        """The operating descriptors: a view of the first ``N_W`` columns of ``z``."""
+        return self.z[:, :N_W]
 
     @property
     def x(self) -> np.ndarray:
-        """The sensor readings: a view of the columns of ``z`` after ``n_w``."""
-        return self.z[:, self.n_w :]
+        """The sensor readings: a view of the columns of ``z`` after ``N_W``."""
+        return self.z[:, N_W:]
 
     @property
     def n_rows(self) -> int:
         return self.z.shape[0]
-
-    @property
-    def n_x(self) -> int:
-        return self.z.shape[1] - self.n_w
-
-    @property
-    def x_names(self) -> tuple[str, ...]:
-        return self.channel_names[self.n_w :]
 
     def take_rows(self, rows: np.ndarray) -> "UnitSeries":
         """New series of the rows at the integer indices ``rows``, in that order."""

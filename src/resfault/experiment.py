@@ -14,7 +14,7 @@ import numpy as np
 
 from . import detector, health, models, nn, parallel, segmentation
 from .config import RunConfig, derive_seed
-from .data_model import FleetSplit, TruthRecord, UnitSeries, split, stack_rows
+from .data_model import CHANNEL_NAMES, N_W, FleetSplit, TruthRecord, UnitSeries, split, stack_rows
 from .detector import CycleAverages, DetectionReport, HealthyStats
 from .errors import ComputeError, DataError
 from .health import AGGREGATED, SENSORWISE
@@ -73,7 +73,7 @@ def unit_residuals(model: ResidualModel, unit: UnitSeries) -> np.ndarray:
     if model.kind == AE_KIND:
         residuals = models.residual_ae(model, z)
     else:
-        residuals = models.residual_oc(model, *models.io_blocks(model.kind, z, model.n_w))
+        residuals = models.residual_oc(model, *models.io_blocks(model.kind, z))
     # an overflow here is what the check looks for, not a failure of its own
     with np.errstate(over="ignore", invalid="ignore"):
         squared_norms = np.einsum("ij,ij->i", residuals, residuals)
@@ -93,15 +93,15 @@ def fleet_residuals(model: ResidualModel, units: list[UnitSeries]) -> dict[str, 
     return {unit.unit_id: unit_residuals(model, unit) for unit in units}
 
 
-def hi_channel_names(model: ResidualModel, unit: UnitSeries, hi_kind: str) -> tuple[str, ...]:
-    """Channel names of a unit's indicator: one per residual column, or the aggregate.
+def hi_channel_names(kind: str, hi_kind: str) -> tuple[str, ...]:
+    """Channel names of a ``kind`` model's indicator: one per residual column, or the aggregate.
 
     Autoencoder residuals cover every channel; regressor residuals cover
     the sensors only.
     """
     if hi_kind == AGGREGATED:
         return (AGGREGATED,)
-    return unit.channel_names if model.kind == AE_KIND else unit.x_names
+    return CHANNEL_NAMES if kind == AE_KIND else CHANNEL_NAMES[N_W:]
 
 
 def unit_hi(residuals: np.ndarray, hi_kind: str) -> np.ndarray:
@@ -128,7 +128,7 @@ def fit_fleet_stats(
         if len(rows) == 0:
             continue
         pooled.append(unit_hi(residuals[unit.unit_id], hi_kind)[rows])
-    names = hi_channel_names(model, units[0], hi_kind)
+    names = hi_channel_names(model.kind, hi_kind)
     return detector.fit_stats(np.vstack(pooled), names)
 
 
@@ -149,7 +149,6 @@ def fit_model(
         cfg.training,
         train_seed,
         std,
-        preprocessed[0].n_w,
     )
     residuals = fleet_residuals(model, preprocessed)
     stats = {
@@ -367,9 +366,9 @@ class ExperimentResult:
     evaluations: dict[tuple[str, str], GroupEvaluation]
 
 
-def _multiply_adds(kind: str, n_w: int, n_x: int) -> int:
+def _multiply_adds(kind: str) -> int:
     """Multiply-adds of one forward pass of one row through a model of ``kind``."""
-    dims = models.layer_dims(kind, n_w, n_x)
+    dims = models.layer_dims(kind)
     return sum(n_in * n_out for n_in, n_out in zip(dims, dims[1:]))
 
 
@@ -388,8 +387,7 @@ def run_protocol(
     while the other workers idle. The results are the same bytes for any
     worker count.
     """
-    unit = preprocessed[0]
-    cost = {kind: _multiply_adds(kind, unit.n_w, unit.n_x) for kind in MODEL_KINDS}
+    cost = {kind: _multiply_adds(kind) for kind in MODEL_KINDS}
     jobs = [(r, kind) for r in range(cfg.training.realisations) for kind in MODEL_KINDS]
     jobs.sort(key=lambda job: -cost[job[1]])  # stable: ties keep (realisation, kind) order
     runs = parallel.run_jobs(run_realisation, (preprocessed, truths, cfg), jobs, workers)

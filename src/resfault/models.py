@@ -16,6 +16,7 @@ import numpy as np
 
 from . import nn
 from .config import TrainingSettings
+from .data_model import CHANNEL_NAMES, N_W
 from .errors import ComputeError
 from .preprocess import Standardizer
 
@@ -29,43 +30,43 @@ OC_HIDDEN = (128, 128)
 AE_BOTTLENECK = int(np.argmin(AE_HIDDEN)) + 1
 
 
-def layer_dims(kind: str, n_w: int, n_x: int) -> tuple[int, ...]:
-    """Layer widths of a model of ``kind`` over n_w descriptors and n_x sensors."""
+def layer_dims(kind: str) -> tuple[int, ...]:
+    """Layer widths of a model of ``kind`` over the fleet's CHANNEL_NAMES."""
     if kind == AE_KIND:
-        return (n_w + n_x, *AE_HIDDEN, n_w + n_x)
+        return (len(CHANNEL_NAMES), *AE_HIDDEN, len(CHANNEL_NAMES))
     if kind == OC_KIND:
-        return (n_w, *OC_HIDDEN, n_x)
+        return (N_W, *OC_HIDDEN, len(CHANNEL_NAMES) - N_W)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def io_blocks(kind: str, z_rows: np.ndarray, n_w: int) -> tuple[np.ndarray, np.ndarray]:
+def io_blocks(kind: str, z_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(input, target) column blocks of standardized rows for a model of ``kind``."""
     if kind == AE_KIND:
         return z_rows, z_rows
     if kind == OC_KIND:
-        return z_rows[:, :n_w], z_rows[:, n_w:]
+        return z_rows[:, :N_W], z_rows[:, N_W:]
     raise ValueError(f"unknown model kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class ResidualModel:
-    """A trained residual model: its kind, net, standardizer and descriptor count."""
+    """A trained residual model: its kind, net and standardizer."""
 
     kind: str
     net: nn.DenseNet
     standardizer: Standardizer
-    n_w: int
 
     def __post_init__(self):
-        expected = layer_dims(self.kind, self.n_w, self.n_x)
+        expected = layer_dims(self.kind)
         if self.net.layer_dims != expected:
             raise ComputeError(
                 f"{self.kind} model: expected layer dims {expected}, got {self.net.layer_dims}"
             )
-
-    @property
-    def n_x(self) -> int:
-        return self.standardizer.n_channels - self.n_w
+        if self.standardizer.n_channels != len(CHANNEL_NAMES):
+            raise ComputeError(
+                f"{self.kind} model: expected a standardizer over {len(CHANNEL_NAMES)} "
+                f"channels, got {self.standardizer.n_channels}"
+            )
 
     def embed(self, z_rows: np.ndarray) -> np.ndarray:
         """Bottleneck activations for standardized rows. The caller checks the
@@ -81,7 +82,6 @@ def train(
     settings: TrainingSettings,
     seed: int,
     standardizer: Standardizer,
-    n_w: int,
 ) -> tuple[ResidualModel, nn.TrainResult]:
     """Train a model of ``kind`` on standardized healthy rows (descriptors first).
 
@@ -89,11 +89,9 @@ def train(
     """
     z_train = np.asarray(z_train, dtype=np.float64)
     z_val = np.asarray(z_val, dtype=np.float64)
-    net = nn.init_weights(layer_dims(kind, n_w, z_train.shape[1] - n_w), seed=seed)
-    result = nn.train(
-        net, io_blocks(kind, z_train, n_w), io_blocks(kind, z_val, n_w), settings, seed
-    )
-    return ResidualModel(kind, result.net, standardizer, n_w), result
+    net = nn.init_weights(layer_dims(kind), seed=seed)
+    result = nn.train(net, io_blocks(kind, z_train), io_blocks(kind, z_val), settings, seed)
+    return ResidualModel(kind, result.net, standardizer), result
 
 
 def residual_ae(model: ResidualModel, z_rows: np.ndarray) -> np.ndarray:

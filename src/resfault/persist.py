@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, nn
 from .config import RunConfig, dump_config
-from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, TruthRecord, UnitSeries
+from .data_model import CHANNEL_NAMES, N_W, TruthRecord, UnitSeries
 from .detector import DetectionReport, HealthyStats
 from .errors import ComputeError, DataError
 from .models import ResidualModel
@@ -47,10 +47,10 @@ NO_DETECTION_MARK = "-"
 # descriptor column is treated as altitude by the cruise filter.
 UNIT_COLUMN = "unit"
 CYCLE_COLUMN = "cycle"
-FLEET_COLUMNS = (UNIT_COLUMN, CYCLE_COLUMN) + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS
+FLEET_COLUMNS = (UNIT_COLUMN, CYCLE_COLUMN) + CHANNEL_NAMES
 # The columns of the table the fleet parser returns, next to the unit ids in
 # order of first appearance and each row's index into them.
-NUMERIC_COLUMNS = (CYCLE_COLUMN,) + DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS
+NUMERIC_COLUMNS = (CYCLE_COLUMN,) + CHANNEL_NAMES
 
 
 def format_float(v: float) -> str:
@@ -158,14 +158,7 @@ def load_csv(path: str | Path) -> list[UnitSeries]:
         table, cycle_int = table[order], cycle_int[order]
     ends = np.cumsum(np.bincount(codes)).tolist()
     return [
-        UnitSeries(
-            unit_id=uid,
-            dataset_id="",
-            z=table[lo:hi, 1:],
-            n_w=len(DEFAULT_W_CHANNELS),
-            cycle_of=cycle_int[lo:hi],
-            channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
-        )
+        UnitSeries(uid, "", z=table[lo:hi, 1:], cycle_of=cycle_int[lo:hi])
         for uid, lo, hi in zip(unit_ids, [0, *ends], ends)
     ]
 
@@ -673,7 +666,7 @@ def save_checkpoint(
             "std": model.standardizer.std.tolist(),
             "epsilon": model.standardizer.epsilon,
         },
-        "n_w": model.n_w,
+        "n_w": N_W,
         "metadata": metadata or {},
     }
     with _published(path, "w", encoding="utf-8") as fh:
@@ -719,7 +712,7 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
         raise DataError(f"{path}: checkpoint metadata must be a JSON object")
     try:
         net = nn.DenseNet(weights, biases)
-        model = ResidualModel(kind, net, standardizer, n_w)
+        model = ResidualModel(kind, net, standardizer)
     except Exception as exc:
         raise DataError(f"{path}: inconsistent checkpoint ({exc})") from None
     if dims != net.layer_dims or activations != _activation_tags(net.n_layers):
@@ -727,11 +720,10 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualModel, dict]:
             f"{path}: layer_dims {list(dims)} and activations {activations} "
             f"do not fit weights of layer dims {list(net.layer_dims)}"
         )
-    n_w_fleet, n_z_fleet = len(DEFAULT_W_CHANNELS), len(DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS)
-    if (n_w, standardizer.n_channels) != (n_w_fleet, n_z_fleet):
+    if n_w != N_W:
         raise DataError(
             f"{path}: n_w {n_w} and a standardizer over {standardizer.n_channels} channels "
-            f"do not fit the fleet's {n_w_fleet} descriptors of {n_z_fleet} channels"
+            f"do not fit the fleet's {N_W} descriptors of {len(CHANNEL_NAMES)} channels"
         )
     _require_finite(
         [*net.params(), standardizer.mean, standardizer.std, standardizer.epsilon],

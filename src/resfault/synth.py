@@ -21,7 +21,7 @@ import numpy as np
 
 from . import parallel, persist
 from .config import RunConfig, SynthSettings, derive_seed
-from .data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, TruthRecord, UnitSeries
+from .data_model import CHANNEL_NAMES, DEFAULT_X_CHANNELS, N_W, TruthRecord, UnitSeries
 from .errors import ConfigError
 
 ALTITUDE_CEILING = 35000.0
@@ -111,11 +111,9 @@ def _cycle_profile(rng: np.random.Generator, rows: int) -> np.ndarray:
 def build_sensor_map(seed: int) -> SensorMap:
     """Construct the shared response map, normalized to unit signal variance."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, _MAP_SEED_TAG]))
-    n_w = len(DEFAULT_W_CHANNELS)
-    n_x = len(DEFAULT_X_CHANNELS)
-    mix = rng.uniform(-2.0, 2.0, size=(_MAP_HIDDEN, n_w))
+    mix = rng.uniform(-2.0, 2.0, size=(_MAP_HIDDEN, N_W))
     offset = rng.uniform(-1.0, 1.0, size=_MAP_HIDDEN)
-    readout = rng.normal(0.0, 1.0, size=(n_x, _MAP_HIDDEN))
+    readout = rng.normal(0.0, 1.0, size=(len(DEFAULT_X_CHANNELS), _MAP_HIDDEN))
     reference = np.vstack(
         [_cycle_profile(rng, 150) for _ in range(_MAP_CALIBRATION_CYCLES)]
     )
@@ -159,28 +157,19 @@ def gen_unit(
 
     sensor_idx = {name: i for i, name in enumerate(DEFAULT_X_CHANNELS)}
     rows, n_cycles = settings.rows_per_cycle, settings.cycles_per_unit
-    n_w = len(DEFAULT_W_CHANNELS)
-    z = np.empty((n_cycles * rows, n_w + len(DEFAULT_X_CHANNELS)))
-    w, x = z[:, :n_w], z[:, n_w:]
+    z = np.empty((n_cycles * rows, len(CHANNEL_NAMES)))
+    w, x = z[:, :N_W], z[:, N_W:]
     for cycle in range(n_cycles):
         at = slice(cycle * rows, (cycle + 1) * rows)
         w[at] = _cycle_profile(rng, rows)
-        x[at] = sensor_map.apply(w[at]) + rng.normal(
-            0.0, settings.noise_std, size=(rows, len(DEFAULT_X_CHANNELS))
-        )
+        x[at] = sensor_map.apply(w[at]) + rng.normal(0.0, settings.noise_std, size=x[at].shape)
         if not healthy and cycle > n_true:
             growth = (cycle - n_true) ** settings.severity_exponent
             for i, name in enumerate(family.sensors):
                 x[at, sensor_idx[name]] += 1.0 / (RATE_DECAY**i) * scale * growth
 
-    series = UnitSeries(
-        unit_id=unit_id,
-        dataset_id=family.name,
-        z=z,
-        n_w=n_w,
-        cycle_of=np.repeat(np.arange(n_cycles, dtype=np.int64), rows),
-        channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
-    )
+    cycle_of = np.repeat(np.arange(n_cycles, dtype=np.int64), rows)
+    series = UnitSeries(unit_id, family.name, z=z, cycle_of=cycle_of)
     truth = TruthRecord(
         unit_id=unit_id,
         family=family.name,

@@ -129,6 +129,19 @@ def checkpoint_field(**fields):
     return damage
 
 
+def checkpoint_standardizer(n_channels: int):
+    """A damage that keeps the first ``n_channels`` channels of the
+    checkpoint's standardizer."""
+
+    def damage(ckpt: Path) -> None:
+        blob = json.loads(ckpt.read_text())
+        for key in ("mean", "std"):
+            blob["standardizer"][key] = blob["standardizer"][key][:n_channels]
+        ckpt.write_text(json.dumps(blob))
+
+    return damage
+
+
 # (label, model kind, --hi, fleet damage, checkpoint damage, config overrides)
 FAILURES = [
     ("fleet cell abc", "oc", "sensorwise", fleet_cell("abc"), None, {}),
@@ -136,6 +149,8 @@ FAILURES = [
     ("fleet cell empty", "oc", "aggregated", fleet_cell(""), None, {}),
     ("fleet cell 1e308", "ae", "sensorwise", fleet_cell("1e308"), None, {}),
     ("checkpoint n_w 3", "oc", "sensorwise", None, checkpoint_field(n_w=3), {}),
+    ("checkpoint n_w 3", "ae", "aggregated", None, checkpoint_field(n_w=3), {}),
+    ("checkpoint standardizer 17", "oc", "aggregated", None, checkpoint_standardizer(17), {}),
     ("checkpoint format_version 99", "ae", "sensorwise", None,
      checkpoint_field(format_version=99), {}),
     ("checkpoint metadata list", "oc", "aggregated", None, checkpoint_field(metadata=[]), {}),

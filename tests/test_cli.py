@@ -628,7 +628,9 @@ def test_fault_start_in_the_healthy_window_makes_no_out(tmp_path, command):
     """A run its configuration refuses exits 2 before it makes its --out.
 
     The second case is a fleet too large to make, refused before any unit
-    is planned rather than growing until the process is killed.
+    is planned rather than growing until the process is killed. The third
+    is a unit prefix that no fleet file could hold, refused before the
+    script trains a model only to fail at its first table.
     """
     for synth_settings, message in (
         ({"fault_start_lo": 10}, "faults must start after the healthy window (10 <= 16)"),
@@ -637,6 +639,7 @@ def test_fault_start_in_the_healthy_window_makes_no_out(tmp_path, command):
             "synth.n_families * n_units * cycles_per_unit * rows_per_cycle must be "
             f"<= {MAX_FLEET_ROWS}, got {3 * 10**22 * 48 * 200}",
         ),
+        ({"unit_prefix": "\ud800"}, "synth.unit_prefix must be UTF-8 text"),
     ):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({"synth": synth_settings}))

@@ -67,6 +67,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="training.epochs must be an integer, got True"):
             config_from_dict({"training": {"epochs": True}})
 
+    def test_unit_prefix_must_encode_as_utf8(self, tmp_path):
+        """A lone surrogate is valid YAML but no fleet file can hold it."""
+        path = tmp_path / "prefix.yaml"
+        path.write_text('synth:\n  unit_prefix: "a\\ud800"\n')
+        with pytest.raises(ConfigError, match="synth.unit_prefix must be UTF-8 text"):
+            load_config(path)
+        assert config.SynthSettings(unit_prefix="hé-\U0001f680").unit_prefix == "hé-\U0001f680"
+
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("a: [1, 2\n")

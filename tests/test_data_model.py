@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resfault.config import SplitSettings
-from resfault.data_model import UnitSeries, cycle_bounds, split, stack_rows
+from resfault.data_model import (
+    CHANNEL_NAMES,
+    DEFAULT_W_CHANNELS,
+    DEFAULT_X_CHANNELS,
+    N_W,
+    UnitSeries,
+    cycle_bounds,
+    split,
+    stack_rows,
+)
 from resfault.errors import ComputeError, DataError
 from resfault.config import SynthSettings
 from resfault.synth import FamilyFault, build_sensor_map, gen_unit
@@ -14,51 +23,41 @@ from conftest import make_unit
 class TestUnitSeries:
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ComputeError, match="cycle_of must have one entry per row"):
-            UnitSeries("u", "d", np.zeros((3, 3)), 1, np.zeros(2, dtype=int), ("a", "b", "c"))
+            UnitSeries("u", "d", np.zeros((3, 18)), np.zeros(2, dtype=int))
 
     def test_decreasing_cycles_rejected(self):
         with pytest.raises(ComputeError, match="cycle_of must be non-decreasing"):
             make_unit([1, 0])
 
     def test_channel_names_cover_all_columns(self):
-        with pytest.raises(ComputeError, match="channel_names must cover all columns of z"):
-            UnitSeries(
-                unit_id="u",
-                dataset_id="d",
-                z=np.zeros((2, 4)),
-                n_w=2,
-                cycle_of=np.zeros(2, dtype=int),
-                channel_names=("a", "b", "c"),
-            )
+        assert CHANNEL_NAMES == DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS
+        assert (N_W, len(CHANNEL_NAMES)) == (4, 18)
+        for width in (4, 19):
+            with pytest.raises(ComputeError, match="z must be a T x 18 matrix with a row"):
+                UnitSeries("u", "d", np.zeros((2, width)), np.zeros(2, dtype=int))
 
     def test_z_concatenates_w_then_x(self):
-        unit = make_unit([0, 1], w=[[1.0, 2.0], [3.0, 4.0]], x=[[5.0], [6.0]])
-        np.testing.assert_array_equal(unit.z, [[1, 2, 5], [3, 4, 6]])
+        z = np.arange(36.0).reshape(2, 18).copy()
+        unit = UnitSeries("u", "d", z, np.array([0, 1]))
+        np.testing.assert_array_equal(unit.z, z)
         # w and x are views of z
-        np.testing.assert_array_equal(unit.w, [[1, 2], [3, 4]])
-        np.testing.assert_array_equal(unit.x, [[5], [6]])
+        np.testing.assert_array_equal(unit.w, z[:, :4])
+        np.testing.assert_array_equal(unit.x, z[:, 4:])
         assert unit.w.base is unit.z and unit.x.base is unit.z
-        assert (unit.n_w, unit.n_x, unit.x_names) == (2, 1, ("x0",))
+        assert (unit.w.shape, unit.x.shape) == ((2, 4), (2, 14))
 
     def test_fields_are_coerced(self):
-        unit = UnitSeries("u", "d", [[1, 2, 3]], 1, [0], ["a", "b", "c"])
+        unit = UnitSeries("u", "d", [list(range(18))], [0])
         assert unit.z.dtype == np.float64 and unit.cycle_of.dtype == np.int64
-        assert unit.channel_names == ("a", "b", "c")
 
     @pytest.mark.parametrize(
-        "z, n_w, message",
-        [
-            (np.zeros(3), 1, "2-D matrix with a row"),
-            (np.zeros((0, 3)), 1, "2-D matrix with a row"),
-            (np.zeros((1, 3)), 0, "at least one descriptor and one sensor"),
-            (np.zeros((1, 3)), 3, "at least one descriptor and one sensor"),
-        ],
+        "z",
+        [np.zeros(18), np.zeros((0, 18)), np.zeros((1, 14)), np.zeros((1, 4))],
         ids=["one_dimensional", "no_rows", "no_descriptor", "no_sensor"],
     )
-    def test_shape_rejected(self, z, n_w, message):
-        names = ("a", "b", "c")
-        with pytest.raises(ComputeError, match=message):
-            UnitSeries("u", "d", z, n_w, np.zeros(len(z), dtype=int), names)
+    def test_shape_rejected(self, z):
+        with pytest.raises(ComputeError, match="z must be a T x 18 matrix with a row"):
+            UnitSeries("u", "d", z, np.zeros(len(z), dtype=int))
 
 
 def cycle_views(unit):

@@ -11,7 +11,7 @@ from resfault.detector import DetectionReport
 from resfault.errors import DataError
 from resfault.health import AGGREGATED, SENSORWISE
 from resfault.preprocess import apply_standardizer
-from resfault.data_model import stack_rows
+from resfault.data_model import DEFAULT_X_CHANNELS, stack_rows
 from resfault.synth import gen_fleet
 
 
@@ -84,7 +84,7 @@ class TestPreparation:
         )
         # the pool is the validation rows, and only they
         assert stats_val.fitted_on == sum(len(fleet_split.validation[u.unit_id]) for u in pre)
-        assert stats_val.channel_names == pre[0].x_names
+        assert stats_val.channel_names == DEFAULT_X_CHANNELS
         assert stats[AGGREGATED].channel_names == (AGGREGATED,)
 
 

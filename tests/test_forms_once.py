@@ -3,7 +3,8 @@
 A DenseNet is its weights and biases: its layer widths and its activations
 (ReLU on every hidden layer, a linear output) follow from them, so no
 stored copy can disagree with the weights. A unit is one channel matrix,
-whose descriptor and sensor blocks are views of it; a detection report's
+whose descriptor and sensor blocks are views of it, in the one fleet
+layout that also fixes every model's widths; a detection report's
 delay follows from its alarm and fault cycles; and the config's sections
 are the fields of RunConfig. `resfault segment` hands the
 report file's alarms straight to the segmentation functions instead of
@@ -17,9 +18,10 @@ having one error type.
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
-from resfault import cli, config, detector, errors, experiment, nn, segmentation
+from resfault import cli, config, detector, errors, experiment, models, nn, segmentation
 from resfault.data_model import UnitSeries
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,8 +34,21 @@ def test_a_dense_net_is_its_weights_and_biases():
 
 def test_a_unit_is_one_channel_matrix():
     assert [f.name for f in dataclasses.fields(UnitSeries)] == [
-        "unit_id", "dataset_id", "z", "n_w", "cycle_of", "channel_names"
+        "unit_id", "dataset_id", "z", "cycle_of"
     ]
+
+
+def test_a_model_is_its_kind_net_and_standardizer():
+    assert [f.name for f in dataclasses.fields(models.ResidualModel)] == [
+        "kind", "net", "standardizer"
+    ]
+
+
+def test_the_fleet_layout_fixes_every_model_width():
+    for fn in (models.layer_dims, models.io_blocks, models.train):
+        assert "n_w" not in inspect.signature(fn).parameters, fn.__name__
+    assert list(inspect.signature(models.layer_dims).parameters) == ["kind"]
+    assert list(inspect.signature(models.io_blocks).parameters) == ["kind", "z_rows"]
 
 
 def test_a_report_derives_its_delay():

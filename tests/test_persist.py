@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from resfault import nn, persist
 from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, UnitSeries
 from resfault.detector import HealthyStats
-from resfault.errors import DataError
+from resfault.errors import ComputeError, DataError
 from resfault.models import AE_KIND, OC_KIND, ResidualModel, layer_dims
 from resfault.persist import (
     FLEET_COLUMNS,
@@ -74,8 +74,7 @@ def same_fleet(a, b):
     """Two loaded fleets agree bit for bit, unit by unit."""
     assert [u.unit_id for u in a] == [u.unit_id for u in b]
     for left, right in zip(a, b):
-        assert left.dataset_id == right.dataset_id and left.n_w == right.n_w
-        assert left.channel_names == right.channel_names
+        assert left.dataset_id == right.dataset_id
         for x, y in ((left.z, right.z), (left.cycle_of, right.cycle_of)):
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -333,14 +332,7 @@ def fleets(draw):
         values = np.array(draw(st.lists(finite_floats, min_size=18 * n, max_size=18 * n)))
         cycles = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)))
         fleet.append(
-            UnitSeries(
-                unit_id=uid,
-                dataset_id="",
-                z=values.reshape(n, 18),
-                n_w=4,
-                cycle_of=cycles,
-                channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
-            )
+            UnitSeries(unit_id=uid, dataset_id="", z=values.reshape(n, 18), cycle_of=cycles)
         )
     return fleet
 
@@ -382,9 +374,7 @@ def chunk_edge_fleet(rng):
         marked = sorted({0, 198, 199, 200, 201, 399, 400, n - 1} & set(range(n)))
         for j, row in enumerate(marked):
             z[row, (i + j) % 18] = (-1) ** j * EXPONENT_CELLS[(i + j) % len(EXPONENT_CELLS)]
-        fleet.append(
-            UnitSeries(f"u{i}", "", z, 4, np.arange(n) // 7, DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS)
-        )
+        fleet.append(UnitSeries(f"u{i}", "", z, np.arange(n) // 7))
     return fleet
 
 
@@ -405,7 +395,7 @@ def test_save_matches_reference_across_chunk_edges(tmp_path, rng):
 def test_save_writes_non_finite_cells_as_reference(tmp_path, rng):
     z = rng.normal(size=(5, 18))
     z[1, 3], z[3, 0], z[3, 17] = np.nan, np.inf, -np.inf
-    fleet = [UnitSeries("u", "", z, 4, np.arange(5), DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS)]
+    fleet = [UnitSeries("u", "", z, np.arange(5))]
     path, reference = tmp_path / "fleet.csv", tmp_path / "reference.csv"
     save_csv(fleet, path)
     reference_save_csv(fleet, reference)
@@ -807,8 +797,7 @@ class TestFleetTwin:
         fleet = [
             UnitSeries(
                 unit_id=f"u{i}", dataset_id="", z=rng.normal(size=(n_rows, 18)),
-                n_w=len(DEFAULT_W_CHANNELS), cycle_of=np.arange(n_rows) // 50,
-                channel_names=DEFAULT_W_CHANNELS + DEFAULT_X_CHANNELS,
+                cycle_of=np.arange(n_rows) // 50,
             )
             for i in range(n_units)
         ]
@@ -983,18 +972,10 @@ class TestGroundTruthSidecar:
 
 
 def make_models(seed=0):
-    n_w, n_x = 4, 14
-    n_z = n_w + n_x
     rng = np.random.default_rng(seed)
-    std = Standardizer(mean=rng.normal(size=n_z), std=np.abs(rng.normal(size=n_z)) + 0.1)
-    ae = ResidualModel(
-        AE_KIND, net=nn.init_weights(layer_dims(AE_KIND, n_w, n_x), seed=seed),
-        standardizer=std, n_w=n_w,
-    )
-    oc = ResidualModel(
-        OC_KIND, net=nn.init_weights(layer_dims(OC_KIND, n_w, n_x), seed=seed + 1),
-        standardizer=std, n_w=n_w,
-    )
+    std = Standardizer(mean=rng.normal(size=18), std=np.abs(rng.normal(size=18)) + 0.1)
+    ae = ResidualModel(AE_KIND, nn.init_weights(layer_dims(AE_KIND), seed=seed), std)
+    oc = ResidualModel(OC_KIND, nn.init_weights(layer_dims(OC_KIND), seed=seed + 1), std)
     return ae, oc
 
 
@@ -1059,26 +1040,25 @@ class TestCheckpoint:
 
     def test_oc_n_w_not_matching_first_layer(self, tmp_path):
         _, oc = make_models()
-        with pytest.raises(DataError, match="expected layer dims"):
+        with pytest.raises(DataError, match="n_w 5 and a standardizer over 18 "):
             load_checkpoint(self.tampered(tmp_path, oc, n_w=5))
 
     @pytest.mark.parametrize("n_w", [-7, 0, 3, 5, 18])
     def test_ae_n_w_not_the_fleets(self, tmp_path, n_w):
-        # an AE's layer dims depend on n_w + n_x alone, so they cannot show it
+        # the weights fix no descriptor count, so the field is checked on its own
         ae, _ = make_models()
         with pytest.raises(DataError, match=f"n_w {n_w} and a standardizer over 18 "):
             load_checkpoint(self.tampered(tmp_path, ae, n_w=n_w))
 
     def test_standardizer_not_over_the_fleets_channels(self, tmp_path):
-        n_w, n_x = 4, 13
-        ae = ResidualModel(
-            AE_KIND, net=nn.init_weights(layer_dims(AE_KIND, n_w, n_x), seed=0),
-            standardizer=Standardizer(mean=np.zeros(17), std=np.ones(17)), n_w=n_w,
-        )
-        path = tmp_path / "ae17.json"
-        save_checkpoint(ae, path)
-        with pytest.raises(DataError, match="a standardizer over 17 channels do not fit"):
-            load_checkpoint(path)
+        narrow = Standardizer(mean=np.zeros(17), std=np.ones(17))
+        for model in make_models():
+            blob = {"mean": [0.0] * 17, "std": [1.0] * 17, "epsilon": narrow.epsilon}
+            with pytest.raises(DataError, match=f"inconsistent checkpoint \\({model.kind} model: "
+                               "expected a standardizer over 18 channels, got 17\\)"):
+                load_checkpoint(self.tampered(tmp_path, model, standardizer=blob))
+            with pytest.raises(ComputeError, match="expected a standardizer over 18 channels"):
+                ResidualModel(model.kind, model.net, narrow)
 
     @pytest.mark.parametrize(
         "field, value", [("layer_dims", [float("inf")]), ("n_w", float("inf")), ("n_w", -1e400)]

@@ -68,6 +68,7 @@ def test_setting_parameter_has_no_default(fn, name):
         (SynthSettings, {"fault_start_lo": 21, "fault_start_hi": 20}),
         (SynthSettings, {"fault_start_hi": 48}),
         (SynthSettings, {"noise_std": -0.1}),
+        (SynthSettings, {"unit_prefix": "\ud800"}),
         (RunConfig, {"seed": -1}),
         (RunConfig, {"seed": 1.5}),
     ],

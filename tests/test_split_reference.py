@@ -78,7 +78,7 @@ def fleets(draw, healthy_cycles):
         n_cycles = healthy_cycles + draw(st.integers(0, 4))
         sizes = draw(st.lists(st.integers(1, 4), min_size=n_cycles, max_size=n_cycles))
         steps = draw(st.lists(st.integers(1, 3), min_size=n_cycles, max_size=n_cycles))
-        fleet.append(make_unit(np.repeat(np.cumsum(steps), sizes), n_w=1, n_x=1, unit_id=uid))
+        fleet.append(make_unit(np.repeat(np.cumsum(steps), sizes), unit_id=uid))
     return fleet
 
 

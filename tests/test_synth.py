@@ -95,7 +95,7 @@ class TestGenUnit:
         series, truth = small_unit(small_cfg().synth, unit_seed=1, unit_id="u1")
         assert series.n_rows == 30 * 40
         assert len(cycle_bounds(series.cycle_of)[0]) == 30
-        assert series.n_w == 4 and series.n_x == 14
+        assert (series.w.shape[1], series.x.shape[1]) == (4, 14)
         assert truth.fault_cycle is not None
         assert 18 <= truth.fault_cycle <= 20
         assert truth.fault_sensors == DEFAULT_FAMILIES[0].sensors

@@ -106,14 +106,14 @@ def assert_same_as_reference(net, train_set, val_set, cfg, seed):
     return result
 
 
-def ae_data(rng, n_train, n_val, n_z=18):
-    z = rng.normal(size=(n_train + n_val, n_z))
+def ae_data(rng, n_train, n_val):
+    z = rng.normal(size=(n_train + n_val, 18))
     return (z[:n_train], z[:n_train]), (z[n_train:], z[n_train:])
 
 
-def oc_data(rng, n_train, n_val, n_w=4, n_x=14):
-    w = rng.normal(size=(n_train + n_val, n_w))
-    x = np.tanh(w @ rng.normal(size=(n_w, n_x))) + 0.1 * rng.normal(size=(len(w), n_x))
+def oc_data(rng, n_train, n_val):
+    w = rng.normal(size=(n_train + n_val, 4))
+    x = np.tanh(w @ rng.normal(size=(4, 14))) + 0.1 * rng.normal(size=(len(w), 14))
     return (w[:n_train], x[:n_train]), (w[n_train:], x[n_train:])
 
 
@@ -121,7 +121,7 @@ def oc_data(rng, n_train, n_val, n_w=4, n_x=14):
 def test_ae_dims_ragged_last_batch(rng, seed):
     # 301 rows in batches of 64: the last batch holds 45 rows
     train_set, val_set = ae_data(rng, 301, 60)
-    net = nn.init_weights(layer_dims(AE_KIND, 4, 14), seed=seed)
+    net = nn.init_weights(layer_dims(AE_KIND), seed=seed)
     cfg = TrainingSettings(epochs=6, batch_size=64, patience=6)
     result = assert_same_as_reference(net, train_set, val_set, cfg, seed)
     assert result.epochs_run == 6
@@ -130,14 +130,14 @@ def test_ae_dims_ragged_last_batch(rng, seed):
 @pytest.mark.parametrize("seed", [1, 3])
 def test_oc_dims_ragged_last_batch(rng, seed):
     train_set, val_set = oc_data(rng, 250, 50)
-    net = nn.init_weights(layer_dims(OC_KIND, 4, 14), seed=seed)
+    net = nn.init_weights(layer_dims(OC_KIND), seed=seed)
     cfg = TrainingSettings(epochs=5, batch_size=64, patience=5, learning_rate=0.003)
     assert_same_as_reference(net, train_set, val_set, cfg, seed)
 
 
 def test_early_stopping_fires(rng):
     train_set, val_set = oc_data(rng, 130, 40)
-    net = nn.init_weights(layer_dims(OC_KIND, 4, 14), seed=5)
+    net = nn.init_weights(layer_dims(OC_KIND), seed=5)
     cfg = TrainingSettings(epochs=40, batch_size=32, patience=1, learning_rate=0.05)
     result = assert_same_as_reference(net, train_set, val_set, cfg, seed=2)
     assert result.epochs_run < cfg.epochs
@@ -147,7 +147,7 @@ def test_early_stopping_fires(rng):
 def test_unshuffled_single_batch(rng):
     # 40 rows in batches of 64: every epoch is one batch holding all rows,
     # so the shuffle only reorders rows inside that batch
-    train_set, val_set = ae_data(rng, 40, 10, n_z=6)
-    net = nn.init_weights(layer_dims(AE_KIND, 2, 4), seed=4)
+    train_set, val_set = ae_data(rng, 40, 10)
+    net = nn.init_weights(layer_dims(AE_KIND), seed=4)
     cfg = TrainingSettings(epochs=4, batch_size=64, patience=4)
     assert_same_as_reference(net, train_set, val_set, cfg, seed=0)
