@@ -17,11 +17,9 @@ from resfault import cli, experiment, parallel, persist
 
 import numpy as np
 
-from resfault.health import SENSORWISE
 from resfault.models import OC_KIND
 from resfault.persist import format_float as fmt
 from resfault.persist import write_table
-from resfault.segmentation import trigger_timeline
 from resfault.synth import gen_units, unit_plan
 
 
@@ -32,17 +30,33 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def prepared_fleet(cfg) -> tuple[list, dict]:
-    """The preprocessed fleet and its ground truth by unit id.
+def prepared_slice(cfg, plan: list) -> tuple[list, list]:
+    """The preprocessed units of ``plan``, a slice of unit_plan(cfg), and their ground truth.
 
     Each raw unit is preprocessed before the next one is generated, so the
     raw fleet is never held whole.
     """
-    units, truths = [], {}
-    for series, truth in gen_units(cfg, unit_plan(cfg)):
-        truths[truth.unit_id] = truth
-        units += experiment.preprocess_fleet([series], cfg, truths)
+    units, truths = [], []
+    for series, truth in gen_units(cfg, plan):
+        truths.append(truth)
+        units += experiment.preprocess_fleet([series], cfg, {truth.unit_id: truth})
         del series  # else it holds this raw unit while the generator makes the next
+    return units, truths
+
+
+def prepared_fleet(cfg, workers: int) -> tuple[list, dict]:
+    """The preprocessed fleet and its ground truth by unit id, in unit_plan order.
+
+    Up to ``workers`` jobs each run prepared_slice on one contiguous slice
+    of the plan, so no process holds more than one raw unit at a time.
+    """
+    plan = unit_plan(cfg)
+    workers = min(workers, len(plan))
+    parts = parallel.run_jobs(
+        prepared_slice, (cfg,), [(part,) for part in parallel.slices(plan, workers)], workers
+    )
+    units = [unit for part_units, _ in parts for unit in part_units]
+    truths = {truth.unit_id: truth for _, part_truths in parts for truth in part_truths}
     return units, truths
 
 
@@ -64,14 +78,14 @@ def write_silhouette_table(path: Path, result, seg) -> None:
     write_table(path, ["model", "k", "mean_score", "n_realisations"], rows)
 
 
-def write_trigger_timelines(path: Path, result, seg) -> None:
-    rows = []
-    for run in [run for run in result.runs if run.kind == OC_KIND]:
-        detection = run.detections[SENSORWISE]
-        ids, posts, _ = experiment.alarm_views(detection)
-        for unit_id, post in zip(ids, posts):
-            timeline = trigger_timeline(post, detection.stats, seg.timeline_checkpoints)
-            rows.extend([run.realisation, unit_id, *item] for item in timeline.items())
+def write_trigger_timelines(path: Path, result) -> None:
+    rows = [
+        [run.realisation, unit_id, *item]
+        for run in result.runs
+        if run.kind == OC_KIND
+        for unit_id, timeline in run.timelines.items()
+        for item in timeline.items()
+    ]
     header = ["realisation", "unit", "channel", "triggered_at"]
     write_table(path, header, rows)
 
@@ -91,14 +105,14 @@ def training_outcomes(result) -> dict[str, str]:
 def main(argv=None) -> int:
     args = parse_args(argv)
     cfg = cli.effective_config(args)
-    units, truths = prepared_fleet(cfg)
+    # one worker per usable CPU, up to one per job; `taskset -c 0` runs serially
+    workers = parallel.worker_count(cfg.training.realisations * len(experiment.MODEL_KINDS))
+    units, truths = prepared_fleet(cfg, workers)
     # after unit_plan's check, so a refused run makes none; before any training
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(f"generated {len(units)} units; running {cfg.training.realisations} realisations")
 
-    # one worker per usable CPU, up to one per job; `taskset -c 0` runs serially
-    workers = parallel.worker_count(cfg.training.realisations * len(experiment.MODEL_KINDS))
     result = experiment.run_protocol(units, truths, cfg, workers)
     evaluations = [result.evaluations[key] for key in sorted(result.evaluations)]
     silhouette, timeline = out / "silhouette_vs_k.csv", out / "trigger_timeline.csv"
@@ -106,7 +120,7 @@ def main(argv=None) -> int:
     with persist.outputs(out / "experiment_manifest.txt", "run_experiment", cfg, *tables) as extras:
         persist.write_evaluations(out, evaluations)
         write_silhouette_table(silhouette, result, cfg.segmentation)
-        write_trigger_timelines(timeline, result, cfg.segmentation)
+        write_trigger_timelines(timeline, result)
         extras.update(seed=cfg.seed, units=len(units), out=out, workers=workers)
         extras.update(training_outcomes(result))
     return 0

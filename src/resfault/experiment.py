@@ -313,11 +313,14 @@ def evaluate_group(
 
 @dataclass(frozen=True)
 class ModelRun:
-    """One (realisation, model kind) job: its seeds, training and detections.
+    """One (realisation, model kind) job: its seeds, training record and detections.
 
-    ``detections`` holds one FleetDetection per indicator kind.
+    ``stats`` and ``reports`` hold each indicator kind's healthy statistics
+    and detection reports. ``timelines`` holds the sensor-wise
+    trigger_timeline of each alarmed unit, by unit id in report order.
     ``silhouette`` is the silhouette_curve of the sensor-wise alarms from 0
     to ``k_max`` cycles after them, or None when fewer than two families alarmed.
+    The job's net and cycle averages stay with the job.
     """
 
     realisation: int
@@ -325,7 +328,9 @@ class ModelRun:
     train_seed: int
     kind: str
     train_result: nn.TrainResult
-    detections: dict[str, FleetDetection]
+    stats: dict[str, HealthyStats]
+    reports: dict[str, list[DetectionReport]]
+    timelines: dict[str, dict[str, int | str]]
     silhouette: list[segmentation.SilhouettePoint] | None
 
 
@@ -342,17 +347,25 @@ def run_realisation(
     The model computes every unit's residuals once, for both indicators.
     """
     split_seed, train_seed = realisation_seeds(cfg.seed, realisation)
-    model, result, residuals, stats = fit_model(preprocessed, cfg, kind, split_seed, train_seed)
+    _, result, residuals, stats = fit_model(preprocessed, cfg, kind, split_seed, train_seed)
     detections = {
         hi_kind: detect_with_stats(preprocessed, hi_kind, stats[hi_kind], cfg, truths, residuals)
         for hi_kind in HI_KINDS
     }
-    _, posts, labels = alarm_views(detections[SENSORWISE])
+    ids, posts, labels = alarm_views(detections[SENSORWISE])
+    checkpoints = cfg.segmentation.timeline_checkpoints
+    timelines = {
+        unit_id: segmentation.trigger_timeline(post, stats[SENSORWISE], checkpoints)
+        for unit_id, post in zip(ids, posts)
+    }
     curve = None
     if len(set(labels)) >= 2:
         k_range = range(0, cfg.segmentation.k_max + 1)
         curve = segmentation.silhouette_curve(posts, labels, k_range)
-    return ModelRun(realisation, split_seed, train_seed, kind, result, detections, curve)
+    reports = {hi_kind: detection.reports for hi_kind, detection in detections.items()}
+    return ModelRun(
+        realisation, split_seed, train_seed, kind, result, stats, reports, timelines, curve
+    )
 
 
 @dataclass(frozen=True)
@@ -394,7 +407,7 @@ def run_protocol(
     runs.sort(key=lambda run: (run.realisation, MODEL_KINDS.index(run.kind)))
     evaluations = {
         (kind, hi_kind): evaluate_group(
-            kind, hi_kind, [run.detections[hi_kind].reports for run in runs if run.kind == kind]
+            kind, hi_kind, [run.reports[hi_kind] for run in runs if run.kind == kind]
         )
         for kind in MODEL_KINDS
         for hi_kind in HI_KINDS

@@ -91,7 +91,7 @@ def train(
     z_val = np.asarray(z_val, dtype=np.float64)
     net = nn.init_weights(layer_dims(kind), seed=seed)
     result = nn.train(net, io_blocks(kind, z_train), io_blocks(kind, z_val), settings, seed)
-    return ResidualModel(kind, result.net, standardizer), result
+    return ResidualModel(kind, net, standardizer), result
 
 
 def residual_ae(model: ResidualModel, z_rows: np.ndarray) -> np.ndarray:

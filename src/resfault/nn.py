@@ -175,7 +175,8 @@ def adam_step(
 
 @dataclass
 class TrainResult:
-    net: DenseNet
+    """How one training ended: every epoch's losses and the best epoch."""
+
     train_losses: list[float]
     val_losses: list[float]
     best_epoch: int
@@ -199,16 +200,16 @@ def train(
     settings: TrainingSettings,
     seed: int,
 ) -> TrainResult:
-    """Mini-batch Adam training with validation-based early stopping.
+    """Mini-batch Adam training of ``net``, in place, with early stopping.
 
     ``seed`` drives the per-epoch shuffle of the training rows. Training
     stops once the validation loss has failed to improve for
     ``settings.patience`` consecutive epochs (or at ``settings.epochs``);
-    the returned net carries the parameters of the best-validation epoch.
+    ``net`` then holds the parameters of the best-validation epoch.
     Each mini-batch takes one forward pass: ``backward`` returns the batch
     loss and writes the gradient. The parameters live in one contiguous
-    buffer that Adam updates in place; the gradient lives in a second flat
-    buffer of the same layout, reused by every step. A non-finite training
+    buffer, a copy of ``net``'s, that Adam updates in place; the gradient
+    lives in a second flat buffer of the same layout, reused by every step. A non-finite training
     or validation loss raises ComputeError. The caller passes non-empty
     sets whose inputs and targets have equal row counts.
     """
@@ -262,8 +263,9 @@ def train(
                 if bad_streak >= settings.patience:
                     break
 
+    for param, best in zip(net.params(), _net_over(net, best_flat).params()):
+        param[...] = best
     return TrainResult(
-        net=_net_over(net, best_flat),
         train_losses=train_losses,
         val_losses=val_losses,
         best_epoch=best_epoch,

@@ -1,9 +1,10 @@
 """Independent jobs on one worker process per usable CPU.
 
-The protocol's (realisation, model) jobs and synth's fleet slices run
-through run_jobs. The results are the same whatever the worker count, so a
-caller takes its count from worker_count and nothing else: `taskset -c 0`
-runs the jobs serially, in the calling process.
+The protocol's (realisation, model) jobs, and the fleet slices that synth
+writes and the protocol prepares, run through run_jobs. The results are the
+same whatever the worker count, so a caller takes its count from
+worker_count and nothing else: `taskset -c 0` runs the jobs serially, in
+the calling process.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ _worker_job = None
 def worker_count(n_jobs: int) -> int:
     """One worker per usable CPU, up to one per job."""
     return min(len(os.sched_getaffinity(0)), n_jobs)
+
+
+def slices(items: list, n: int) -> list[list]:
+    """``items`` cut into ``n`` contiguous slices in order, one per job of a pool."""
+    bounds = [len(items) * i // n for i in range(n + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _run_worker_job(args: tuple):

@@ -254,10 +254,9 @@ def save_fleet(cfg: RunConfig, path: Path, truth_path: Path, workers: int) -> li
     same for any worker count. Returns the units' ground truth, in fleet order.
     """
     plan = unit_plan(cfg)
-    bounds = [len(plan) * i // workers for i in range(workers + 1)]
     parts = [path.with_name(f".{path.name}.part{i}") for i in range(workers)]
     tables = [part.with_name(f"{part.name}.table") for part in parts]
-    jobs = [(plan[lo:hi], *files) for lo, hi, *files in zip(bounds, bounds[1:], parts, tables)]
+    jobs = list(zip(parallel.slices(plan, workers), parts, tables))
     try:
         units = parallel.run_jobs(_write_part, (cfg,), jobs, workers)
         truths, row_counts = zip(*(unit for part_units in units for unit in part_units))

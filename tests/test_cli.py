@@ -219,7 +219,7 @@ class TestTrain:
         units = experiment.preprocess_fleet(load_csv(data / "fleet.csv"), cfg, truths)
         run = experiment.run_realisation(units, truths, cfg, 0, "OC")
         for hi_kind in experiment.HI_KINDS:
-            blob = stats_to_blob(run.detections[hi_kind].stats)
+            blob = stats_to_blob(run.stats[hi_kind])
             assert metadata["healthy_stats"][hi_kind] == blob
 
     def test_missing_data_dir_is_data_error(self, workspace, tmp_path):

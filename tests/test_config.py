@@ -94,8 +94,8 @@ class TestOverrides:
             )
             assert cfg.training.learning_rate == lr
             net = nn.init_weights((1, 1), seed=0)
-            result = nn.train(net, data, data, cfg.training, seed=0)
-            nets[lr] = result.net.weights[0][0, 0]
+            nn.train(net, data, data, cfg.training, seed=0)
+            nets[lr] = net.weights[0][0, 0]
         # a 10x learning rate must move the weight further in 2 epochs
         assert nets[0.001] != nets[0.01]
 

@@ -40,6 +40,19 @@ def mini_cfg(realisations=2):
     )
 
 
+def arrays_in(value) -> list[np.ndarray]:
+    """Every ndarray reachable from ``value`` through dataclass fields and containers."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    elif not isinstance(value, (list, tuple)):
+        return []
+    return [array for item in value for array in arrays_in(item)]
+
+
 @pytest.fixture(scope="module")
 def mini_fleet():
     cfg = mini_cfg()
@@ -116,7 +129,7 @@ class TestProtocol:
                 r.delay
                 for run in result.runs
                 if run.kind == "OC"
-                for r in run.detections[SENSORWISE].reports
+                for r in run.reports[SENSORWISE]
                 if r.unit_id == unit_eval.unit_id and r.delay is not None
             ]
             if delays:
@@ -145,9 +158,18 @@ class TestProtocol:
         environ = {var: os.environ.get(var) for var in resfault.BLAS_THREAD_VARS}
         serial = experiment.run_protocol(units, truths, cfg, workers=1)
         pooled = experiment.run_protocol(units, truths, cfg, workers=2)
-        # every detection, statistic, cycle average, weight and loss
+        # everything a job returns: its seeds, every epoch's losses, every
+        # statistic, report, trigger timeline and silhouette point
         np.testing.assert_equal(dataclasses.asdict(pooled), dataclasses.asdict(serial))
         assert {var: os.environ.get(var) for var in resfault.BLAS_THREAD_VARS} == environ
+
+    def test_a_job_returns_no_weights_and_no_cycle_averages(self, mini_preprocessed):
+        cfg, units, truths = mini_preprocessed
+        result = experiment.run_protocol(units, truths, cfg, workers=2)
+        # a statistic holds one value per channel: 18 for the AE's sensor-wise
+        # indicator. A weight matrix or a unit's cycle averages hold more.
+        sizes = [array.size for array in arrays_in(result.runs)]
+        assert sizes and max(sizes) <= 18
 
     def test_realisations_use_distinct_splits(self, mini_preprocessed):
         cfg, units, truths = mini_preprocessed
@@ -176,11 +198,22 @@ class TestProtocol:
         assert [(run.realisation, run.kind) for run in result.runs] == [
             (r, kind) for r in range(2) for kind in experiment.MODEL_KINDS
         ]
-        # each job scores its own sensor-wise alarms
+        # each job scores its own sensor-wise alarms and times their channels
         k_range = range(0, cfg.segmentation.k_max + 1)
+        checkpoints = cfg.segmentation.timeline_checkpoints
         scored = 0
         for run in result.runs:
-            _, posts, labels = experiment.alarm_views(run.detections[SENSORWISE])
+            _, _, residuals, stats = experiment.fit_model(
+                units, cfg, run.kind, run.split_seed, run.train_seed
+            )
+            detection = experiment.detect_with_stats(
+                units, SENSORWISE, stats[SENSORWISE], cfg, truths, residuals
+            )
+            ids, posts, labels = experiment.alarm_views(detection)
+            assert run.timelines == {
+                unit_id: segmentation.trigger_timeline(post, stats[SENSORWISE], checkpoints)
+                for unit_id, post in zip(ids, posts)
+            }
             if len(set(labels)) < 2:
                 assert run.silhouette is None
                 continue

@@ -256,13 +256,13 @@ class TestTrain:
     def test_same_seed_bit_identical(self, rng):
         x, y = self.linear_task(rng, n=100)
         cfg = TrainingSettings(epochs=8, batch_size=16, patience=8)
-        runs = []
+        runs, nets = [], []
         for _ in range(2):
-            net = nn.init_weights((1, 3, 1), seed=5)
-            runs.append(nn.train(net, (x[:80], y[:80]), (x[80:], y[80:]), cfg, seed=11))
+            nets.append(nn.init_weights((1, 3, 1), seed=5))
+            runs.append(nn.train(nets[-1], (x[:80], y[:80]), (x[80:], y[80:]), cfg, seed=11))
         assert runs[0].train_losses == runs[1].train_losses
         assert runs[0].val_losses == runs[1].val_losses
-        for a, b in zip(runs[0].net.params(), runs[1].net.params()):
+        for a, b in zip(nets[0].params(), nets[1].params()):
             np.testing.assert_array_equal(a, b)
 
     def test_final_loss_below_initial(self, rng):
@@ -318,7 +318,7 @@ class TestTrain:
         net = nn.init_weights((1, 2, 1), seed=9)
         cfg = TrainingSettings(epochs=25, batch_size=8, patience=25)
         result = nn.train(net, (x[:60], y[:60]), (x[60:], y[60:]), cfg, seed=2)
-        restored_loss = nn.loss_mse(nn.forward(result.net, x[60:]), y[60:])
+        restored_loss = nn.loss_mse(nn.forward(net, x[60:]), y[60:])
         np.testing.assert_allclose(restored_loss, min(result.val_losses), rtol=1e-12)
 
 

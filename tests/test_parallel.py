@@ -78,14 +78,16 @@ def test_summary_line_is_printed_once(command, tmp_path, monkeypatch):
 def test_forking_the_pool_raises_no_deprecation_warning():
     """Python 3.12 and later warn when a process with threads forks.
 
-    With that warning an error, a 2-worker protocol must still run, so the
-    pool forks before it starts a thread. Python 3.11 has no such warning,
-    so there the test only shows that the pool runs under the filter.
+    With that warning an error, a 2-worker fleet preparation and protocol
+    must still run, so each pool forks before it starts a thread, and the
+    first pool's threads have ended before the second forks. Python 3.11 has
+    no such warning, so there the test only shows that the pools run under
+    the filter.
     """
     cfg = config_from_dict(TINY)
-    units, truths = load_script().prepared_fleet(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
+        units, truths = load_script().prepared_fleet(cfg, workers=2)
         result = experiment.run_protocol(units, truths, cfg, workers=2)
     assert [(run.realisation, run.kind) for run in result.runs] == [
         (0, "AE"), (0, "OC"), (1, "AE"), (1, "OC")

@@ -21,7 +21,7 @@ from resfault.cli import main as cli_main
 from resfault.config import config_from_dict, load_config
 from resfault.detector import DetectionReport
 from resfault.persist import format_float, save_reports
-from resfault.synth import gen_fleet
+from resfault.synth import gen_fleet, unit_plan
 from test_cli import run_fresh
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
@@ -116,18 +116,33 @@ def test_fleet_is_prepared_one_raw_unit_at_a_time():
     truths = {t.unit_id: t for _, t in fleet}
     expected = experiment.preprocess_fleet([s for s, _ in fleet], cfg, truths)
     del fleet
-    prepared_fleet = load_script().prepared_fleet
+    prepared_slice = load_script().prepared_slice
     # tracemalloc sees numpy's buffers; a raw unit alone is unit_bytes
     tracemalloc.start()
     try:
-        units, got_truths = prepared_fleet(cfg)
+        units, got_truths = prepared_slice(cfg, unit_plan(cfg))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 3 * unit_bytes
-    assert got_truths == truths
+    assert got_truths == list(truths.values())
     np.testing.assert_equal(
         [dataclasses.asdict(u) for u in units], [dataclasses.asdict(u) for u in expected]
+    )
+
+
+def test_fleet_slices_on_the_pool_join_in_plan_order():
+    cfg = config_from_dict(TINY)
+    prepared_fleet = load_script().prepared_fleet
+    serial_units, serial_truths = prepared_fleet(cfg, 1)
+    pooled_units, pooled_truths = prepared_fleet(cfg, 2)
+    plan_ids = [unit_id for _, _, unit_id in unit_plan(cfg)]
+    assert [u.unit_id for u in pooled_units] == plan_ids
+    assert list(pooled_truths) == list(serial_truths) == plan_ids
+    assert pooled_truths == serial_truths
+    np.testing.assert_equal(
+        [dataclasses.asdict(u) for u in pooled_units],
+        [dataclasses.asdict(u) for u in serial_units],
     )
 
 

@@ -99,7 +99,7 @@ def assert_same_as_reference(net, train_set, val_set, cfg, seed):
     assert result.val_losses == val_losses
     assert result.best_epoch == best_epoch
     assert result.epochs_run == epochs_run
-    got = result.net.params()
+    got = net.params()
     assert len(got) == len(params)
     for a, b in zip(got, params):
         np.testing.assert_array_equal(a, b)
