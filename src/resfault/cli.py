@@ -43,15 +43,20 @@ def effective_config(args) -> RunConfig:
 
 
 def _prepared_units(data_dir: str, cfg: RunConfig):
-    """The preprocessed fleet of ``data_dir`` and its ground truth, None when absent."""
+    """The preprocessed fleet of ``data_dir`` and its ground truth, None when
+    absent. Each raw unit is preprocessed before the next one is read."""
     root = Path(data_dir)
     fleet_path = root / FLEET_FILE
     if not fleet_path.exists():
         raise DataError(f"no {FLEET_FILE} in {root}")
-    units = persist.load_csv(fleet_path)
+    raw = persist.load_csv(fleet_path)
     truth_path = root / TRUTH_FILE
     truths = persist.load_ground_truth(truth_path) if truth_path.exists() else None
-    return experiment.preprocess_fleet(units, cfg, truths), truths
+    units = []
+    for unit in raw:
+        units += experiment.preprocess_fleet([unit], cfg, truths)
+        del unit  # else it holds this raw unit while the next is read
+    return units, truths
 
 
 def cmd_synth(args) -> int:

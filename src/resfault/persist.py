@@ -20,6 +20,8 @@ import math
 import operator
 import os
 import shutil
+import weakref
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -129,38 +131,42 @@ def _rows(path: Path, columns):
         raise DataError(f"{path} is missing column(s) {missing}")
 
 
-def load_csv(path: str | Path) -> list[UnitSeries]:
-    """Read a fleet CSV into per-unit series.
+def load_csv(path: str | Path) -> Iterator[UnitSeries]:
+    """Read a fleet CSV into per-unit series, one unit at a time.
 
     Rows are grouped by unit id (units ordered by first appearance) and
     stably sorted by cycle within each unit, keeping row order inside a
-    cycle. The fleet's table is held once, reordered only when its rows are
-    not in that order, and each unit's ``z`` and ``cycle_of`` slice its rows.
+    cycle. Every error is raised before this returns. The iterator reads
+    each unit's rows from the twin when asked, so a read holds one raw
+    unit, or after a parse slices the parse's table.
 
     The file is read by _rows. A typed error names the first defect: one of
     _rows' defects, a cell of NUMERIC_COLUMNS that is not a finite number, a
     cycle that is not a 64-bit integer.
 
-    The parse of a file that parses is kept in its twin (twin_path); a
-    later read of the same bytes loads the twin and parses nothing.
+    The parse of a file that parses is kept in its twin (twin_path), in
+    that order; a later read of the same bytes loads the twin and parses nothing.
     """
     path = Path(path)
     key = _fleet_key(path)
-    parsed = _load_twin(path, key)
-    if parsed is not None:
-        unit_ids, codes, table = parsed
-    else:
+    units = _load_twin(path, key)
+    if units is None:
         unit_ids, codes, table = _parse_csv(path)
+        order = np.lexsort((table[:, 0], codes))
+        if not np.array_equal(order, np.arange(len(order))):
+            codes, table = codes[order], table[order]
         _save_twin(path, key, unit_ids, len(codes), [codes], [table])
-    cycle_int = table[:, 0].astype(np.int64)
-    order = np.lexsort((cycle_int, codes))
-    if not np.array_equal(order, np.arange(len(order))):
-        table, cycle_int = table[order], cycle_int[order]
-    ends = np.cumsum(np.bincount(codes)).tolist()
-    return [
-        UnitSeries(uid, "", z=table[lo:hi, 1:], cycle_of=cycle_int[lo:hi])
-        for uid, lo, hi in zip(unit_ids, [0, *ends], ends)
-    ]
+        bounds = [0, *np.cumsum(np.bincount(codes)).tolist()]
+        units = _units(unit_ids, bounds, lambda lo, hi: table[lo:hi])
+    return units
+
+
+def _units(unit_ids, bounds: list[int], rows):
+    """Each unit of ``unit_ids``: its rows ``rows(lo, hi)`` between consecutive ``bounds``."""
+    for uid, lo, hi in zip(unit_ids, bounds, bounds[1:]):
+        block = rows(lo, hi)
+        yield UnitSeries(uid, "", z=block[:, 1:], cycle_of=block[:, 0].astype(np.int64))
+        del block  # else it holds this unit's rows while the next are read
 
 
 # Hashed before a fleet CSV's bytes into the key of its twin; a change to
@@ -227,11 +233,11 @@ def _save_twin(path: Path, key: np.ndarray, unit_ids, n_rows: int, codes, table)
     """Publish a parse of the bytes ``key`` as the twin of ``path``: one
     array per _TWIN_ARRAYS entry, in the ``np.save`` format.
 
-    The parse is the ``unit_ids`` and ``n_rows`` rows: their int64 codes and
-    their NUMERIC_COLUMNS float64 table, in C order. ``codes`` and ``table``
-    are each given as blocks that hold the data one after another, arrays
-    or bytes. A twin that cannot be written, as in a read-only directory,
-    is left out.
+    The parse is the ``unit_ids`` and ``n_rows`` rows in unit and cycle
+    order: their int64 codes, grouped, and their NUMERIC_COLUMNS float64
+    table, in C order. ``codes`` and ``table`` are each given as blocks that
+    hold the data one after another, arrays or bytes. A twin that cannot be
+    written, as in a read-only directory, is left out.
     """
     encoded = [uid.encode() for uid in unit_ids]
     blob = b"".join(encoded)
@@ -256,58 +262,62 @@ def _save_twin(path: Path, key: np.ndarray, unit_ids, n_rows: int, codes, table)
 
 
 def _load_twin(path: Path, key: np.ndarray):
-    """The parse kept in the twin of ``path`` for bytes ``key``, or None.
+    """The units of the twin of ``path`` for bytes ``key``, or None.
 
     None also when the twin is missing, cut short, longer than its arrays
     or not what _save_twin writes: other dtypes or shapes, ids that repeat
-    or are not UTF-8, codes that name no unit or that skip or reorder units.
+    or are not UTF-8, codes that are not the ids' codes grouped in their
+    order (0, ..., 0, 1, ..., 1, 2, ...). The table's data is read later,
+    one unit at a time and in order, on the handle that was checked.
     """
     try:
-        with twin_path(path).open("rb") as fh:
+        with contextlib.ExitStack() as stack:
+            fh = stack.enter_context(twin_path(path).open("rb"))
             size = os.fstat(fh.fileno()).st_size
-            stored, blob, ends, codes, table = [
-                _read_array(fh, size, dtype, ndim) for dtype, ndim in _TWIN_ARRAYS
-            ]
-            whole = fh.tell() == size
-        data = blob.tobytes()
-        if not (
-            whole
-            and np.array_equal(stored, key)
-            and len(ends) > 0
-            and ends[-1] == len(data)
-            and np.all(np.diff(ends, prepend=0) >= 0)
-            and table.shape == (len(codes), len(NUMERIC_COLUMNS))
-            and 0 <= codes.min()
-            and codes.max() == len(ends) - 1
-            and np.all(np.diff(np.maximum.accumulate(codes), prepend=-1) <= 1)
-        ):
-            return None
-        starts = [0, *ends[:-1].tolist()]
-        unit_ids = [data[a:b].decode() for a, b in zip(starts, ends.tolist())]
+            stored, blob, ends, codes = [_read_array(fh, size, *a) for a in _TWIN_ARRAYS[:-1]]
+            shape = _read_array(fh, size, *_TWIN_ARRAYS[-1], data=False)
+            unit_ids = [bytes(blob[a:b]).decode() for a, b in zip([0, *ends], ends)]
+            # 0, each row whose code is not the previous row's, and the row count (~c != c)
+            bounds = np.flatnonzero(np.diff(codes, prepend=~codes[:1], append=~codes[-1:]))
+            if not (
+                fh.tell() + math.prod(shape) * 8 == size  # the float64 table ends the file
+                and np.array_equal(stored, key)
+                and np.array_equal(ends[-1:], [len(blob)])
+                and np.all(np.diff(ends, prepend=0) >= 0)
+                and shape == (len(codes), len(NUMERIC_COLUMNS))
+                and np.array_equal(codes[bounds[:-1]], np.arange(len(ends)))
+                and len(set(unit_ids)) == len(unit_ids)
+            ):
+                return None
+            stack.pop_all()  # the units read on fh
     except (OSError, ValueError):
         return None
-    return (unit_ids, codes, table) if len(set(unit_ids)) == len(unit_ids) else None
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        return np.fromfile(fh, np.float64, (hi - lo) * shape[1]).reshape(hi - lo, shape[1])
+
+    units = _units(unit_ids, bounds.tolist(), rows)
+    weakref.finalize(units, fh.close)  # read or not, the units close fh when they go
+    return units
 
 
-def _read_array(fh, size: int, dtype: np.dtype, ndim: int) -> np.ndarray:
-    """The next ``np.save`` array of ``fh``, a file of ``size`` bytes.
-
-    Anything but a C-order ``dtype`` array of ``ndim`` dimensions whose data
-    the file holds is a ValueError, raised before the data is read.
-    """
+def _read_array(fh, size: int, dtype: np.dtype, ndim: int, data: bool = True):
+    """The next ``np.save`` array of ``fh``, a file of ``size`` bytes, or
+    without ``data`` its shape, read up to its data. Anything but a C-order
+    ``dtype`` array of ``ndim`` dimensions whose data the file holds is a
+    ValueError, raised before the data is read."""
     if np.lib.format.read_magic(fh) != (1, 0):
         raise ValueError("not a version 1.0 .npy array")
     shape, fortran_order, stored = np.lib.format.read_array_header_1_0(fh)
-    count = math.prod(shape)
     if (
         stored != dtype
         or fortran_order
         or len(shape) != ndim
         or min(shape) < 0
-        or count * dtype.itemsize > size - fh.tell()
+        or math.prod(shape) * dtype.itemsize > size - fh.tell()
     ):
         raise ValueError(f"unexpected array {stored} {shape}")
-    return np.fromfile(fh, dtype=dtype, count=count).reshape(shape)
+    return np.fromfile(fh, dtype=dtype, count=math.prod(shape)).reshape(shape) if data else shape
 
 
 def _parse_csv(path: Path):
@@ -443,11 +453,11 @@ def join_fleet_parts(
     and its twin.
 
     Each part holds write_fleet_rows rows, and the table of the same index
-    the rows' table data; the rows are those of the distinct units
-    ``unit_ids``, in order, ``row_counts`` rows each. The header is
+    the rows' table data; the rows are in unit and cycle order, those of the
+    distinct units ``unit_ids``, ``row_counts`` rows each. The header is
     save_csv's. The fleet's bytes are hashed as they are written, and the
-    twin is the one load_csv would keep. Both files are _published, so
-    ``path`` appears only once it is whole.
+    twin, whose codes group the rows as they are, is the one load_csv would
+    keep. Both files are _published, so ``path`` appears only once whole.
     """
     with _published(path, "wb") as fh:
         keyed = _KeyedWriter(fh)

@@ -244,8 +244,8 @@ def _write_part(
 
 def save_fleet(cfg: RunConfig, path: Path, truth_path: Path, workers: int) -> list[TruthRecord]:
     """Write the fleet of gen_fleet(cfg) to ``path`` as persist.save_csv
-    would, with the twin persist.load_csv would keep, and its ground truth
-    to ``truth_path``.
+    would, with the twin persist.load_csv would keep (its rows are already
+    in unit and cycle order), and its ground truth to ``truth_path``.
 
     Each of ``workers`` jobs generates one contiguous slice of the units and
     writes it to a part file and a part table beside ``path``; the parts are

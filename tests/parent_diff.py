@@ -10,10 +10,12 @@ Both trees then run one fixed list of commands, each in a fresh
 interpreter with that tree's ``src`` on ``PYTHONPATH``, at each config of
 CONFIGS: ``resfault synth`` with its twin, ``train`` oc and ae, ``detect``
 x4 with ``--dump-hi``, one ``detect`` that parses the fleet again without
-its twin, ``evaluate``, ``segment`` oc and ae, and
-``scripts/run_experiment.py``. At the first config they also run a fixed
-list of invocations that must fail, on a fleet cell, a checkpoint value or
-a config value of the kinds ``tests/test_fuzz_exit_codes.py`` damages.
+its twin, one ``detect`` with ``--dump-hi`` on a copy of the fleet whose
+rows interleave the units (see ``interleave``), ``evaluate``, ``segment``
+oc and ae, and ``scripts/run_experiment.py``. At the first config they
+also run a fixed list of invocations that must fail, on a fleet cell, a
+checkpoint value or a config value of the kinds
+``tests/test_fuzz_exit_codes.py`` damages.
 
 Every output file but the run manifests is reported as same, different or
 missing, and every invocation's exit code and ``error:`` lines as same or
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import ast
 import fnmatch
+import itertools
 import json
 import os
 import shutil
@@ -61,6 +64,8 @@ def three_family_config() -> dict:
 CONFIGS = {"mini": mini_config, "three": three_family_config}
 # the command that reads a copy of the fleet without its twin
 PARSED = "detect oc sensorwise, fleet parsed"
+# the command that reads a copy of the fleet whose units interleave
+INTERLEAVED = "detect oc sensorwise, rows interleaved"
 
 
 def commands(tree: Path, cfg: Path, out: Path) -> list[tuple[str, list[str]]]:
@@ -88,6 +93,11 @@ def commands(tree: Path, cfg: Path, out: Path) -> list[tuple[str, list[str]]]:
         "--checkpoint", str(out / "oc.json"), "--hi", "sensorwise",
         "--out", str(out / "oc_sensorwise_parsed.csv"),
     ]))
+    runs.append((INTERLEAVED, [
+        "-m", "resfault", "detect", *common, "--data", str(out / "interleaved"),
+        "--checkpoint", str(out / "oc.json"), "--hi", "sensorwise",
+        "--out", str(out / "oc_sensorwise_interleaved.csv"), "--dump-hi",
+    ]))
     runs.append(("evaluate", [
         "-m", "resfault", "evaluate", *common, "--reports", *reports,
         "--out", str(out / "eval"),
@@ -101,6 +111,22 @@ def commands(tree: Path, cfg: Path, out: Path) -> list[tuple[str, list[str]]]:
     script = str(tree / "scripts" / "run_experiment.py")
     runs.append(("script", [script, *common, "--out", str(out / "experiment")]))
     return runs
+
+
+def interleave(data: Path, copy: Path) -> None:
+    """Copy fleet directory ``data`` to ``copy`` without the twin, with the
+    fleet's rows dealt out by unit in turn: each unit's first row, then each
+    unit's second row, and so on. The units keep their order of first
+    appearance and each unit its rows' order, so a reader that groups the
+    rows by unit reads the same fleet."""
+    shutil.copytree(data, copy)
+    (copy / ".fleet.csv.npy").unlink()
+    header, *rows = (data / "fleet.csv").read_bytes().splitlines(keepends=True)
+    by_unit: dict[bytes, list[bytes]] = {}
+    for row in rows:
+        by_unit.setdefault(row.split(b",", 1)[0], []).append(row)
+    dealt = [row for turn in itertools.zip_longest(*by_unit.values()) for row in turn if row]
+    (copy / "fleet.csv").write_bytes(header + b"".join(dealt))
 
 
 def fleet_cell(value: str):
@@ -220,6 +246,8 @@ def run_side(tree: Path, side: Path, configs: dict[str, dict]) -> dict[str, tupl
             if label == PARSED:
                 shutil.copytree(out / "data", out / "parse")
                 (out / "parse" / ".fleet.csv.npy").unlink()
+            if label == INTERLEAVED:
+                interleave(out / "data", out / "interleaved")
             results[f"{name}: {label}"] = invoke(tree, side, argv)
         if n == 0:
             for label, argv in failing_invocations(cfg, out, side / "fail"):

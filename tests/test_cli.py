@@ -28,6 +28,7 @@ from resfault.persist import (
     stats_to_blob,
     write_table,
 )
+from test_persist import TWIN_DAMAGES, TWIN_TAMPERS, twin_arrays, write_twin
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
 
@@ -164,9 +165,9 @@ class TestSynth:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(persist, "_parse_csv", refused)
-            hit = load_csv(data / "fleet.csv")
+            hit = list(load_csv(data / "fleet.csv"))
         persist.twin_path(data / "fleet.csv").unlink()
-        parsed = load_csv(data / "fleet.csv")
+        parsed = list(load_csv(data / "fleet.csv"))
         assert [u.unit_id for u in hit] == [u.unit_id for u in parsed]
         for left, right in zip(hit, parsed):
             assert left.z.tobytes() == right.z.tobytes()
@@ -719,6 +720,37 @@ class TestDetect:
              "--checkpoint", str(workspace["oc"]), "--hi", "sensorwise", "--out", str(out),
              *extra]
         )
+
+    @pytest.mark.parametrize(
+        "name", ["cut_in_half", "trailing_byte", "reversed",
+                 "other_key", "code_past_the_ids", "table_columns"]
+    )
+    def test_damaged_twin_gives_the_outputs_of_no_twin(self, workspace, tmp_path, name):
+        """A twin that is damaged or tampered with is a miss: detect exits 0,
+        writes what it writes with the twin deleted, and rewrites the twin."""
+        good = persist.twin_path(workspace["data"] / "fleet.csv").read_bytes()
+        outputs = {}
+        for case in ("damaged", "no_twin"):
+            data = tmp_path / case
+            shutil.copytree(workspace["data"], data)
+            twin = persist.twin_path(data / "fleet.csv")
+            if case == "no_twin":
+                twin.unlink()
+            elif name in TWIN_DAMAGES:
+                twin.write_bytes(TWIN_DAMAGES[name](good))
+            else:
+                write_twin(data / "fleet.csv", TWIN_TAMPERS[name](twin_arrays(data / "fleet.csv")))
+            out = tmp_path / f"{case}.csv"
+            assert main(
+                ["detect", "--config", str(workspace["config"]), "--data", str(data),
+                 "--checkpoint", str(workspace["oc"]), "--hi", "sensorwise", "--out", str(out),
+                 "--dump-hi"]
+            ) == 0
+            outputs[case] = [
+                out.with_name(f"{case}{suffix}.csv").read_bytes() for suffix in ("", "_hi", "_stats")
+            ]
+            assert twin.read_bytes() == good
+        assert outputs["damaged"] == outputs["no_twin"]
 
     def test_rerun_without_dump_hi_leaves_no_hi_csv(self, workspace, tmp_path):
         out = tmp_path / "oc_sens.csv"

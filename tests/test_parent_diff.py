@@ -10,11 +10,12 @@ def test_a_tree_against_itself_differs_nowhere(tmp_path):
     assert [row for row in file_rows + run_rows if row[0] != "same"] == []
     files = {name for _, name in file_rows}
     assert {"mini/data/fleet.csv", "mini/data/.fleet.csv.npy", "mini/parse/.fleet.csv.npy",
+            "mini/interleaved/.fleet.csv.npy", "mini/oc_sensorwise_interleaved_hi.csv",
             "mini/oc_aggregated_hi.csv", "mini/eval/evaluation_summary.csv",
             "mini/seg_ae/signatures.csv", "mini/experiment/silhouette_vs_k.csv"} <= files
     assert not any(name.endswith("_manifest.txt") for name in files)
     runs = {name for _, name in run_rows}
-    assert len(runs) == 12 + len(parent_diff.FAILURES) + 1
+    assert len(runs) == 13 + len(parent_diff.FAILURES) + 1
     assert {f"mini: {label}" for label, *_ in parent_diff.FAILURES} <= {
         name.rsplit(": ", 1)[0] for name in runs
     }

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resfault import nn, persist
+from resfault import cli, experiment, nn, persist
 from resfault.data_model import DEFAULT_W_CHANNELS, DEFAULT_X_CHANNELS, UnitSeries
 from resfault.detector import HealthyStats
 from resfault.errors import ComputeError, DataError
@@ -41,7 +41,7 @@ from resfault.persist import (
     stats_to_blob,
 )
 from resfault.preprocess import Standardizer
-from resfault.config import RunConfig, SynthSettings
+from resfault.config import PreprocessSettings, RunConfig, SynthSettings
 from resfault.synth import gen_fleet
 from resfault.detector import DetectionReport
 
@@ -72,6 +72,7 @@ def write_lines(path, lines, line_end):
 
 def same_fleet(a, b):
     """Two loaded fleets agree bit for bit, unit by unit."""
+    a, b = list(a), list(b)
     assert [u.unit_id for u in a] == [u.unit_id for u in b]
     for left, right in zip(a, b):
         assert left.dataset_id == right.dataset_id
@@ -83,7 +84,7 @@ def twin_read(path):
     """load_csv(path) with the parse refused, so the fleet must come from its twin."""
     refused = AssertionError("parsed, not read from the twin")
     with mock.patch.object(persist, "_parse_csv", side_effect=refused):
-        return load_csv(path)
+        return list(load_csv(path))
 
 
 class ShortReads:
@@ -134,7 +135,7 @@ class TestCsvRoundTrip:
         # also without the final line end
         for variant in (text.removesuffix(b"\r\n"), text):
             path.write_bytes(variant)
-            loaded = load_csv(str(path))  # a str path as well as a Path
+            loaded = list(load_csv(str(path)))  # a str path as well as a Path
             assert [u.unit_id for u in loaded] == [u.unit_id for u in fleet]
             for a, b in zip(fleet, loaded):
                 np.testing.assert_array_equal(a.w, b.w)
@@ -172,7 +173,7 @@ class TestCsvRoundTrip:
                     + [",".join(row[i] for i in order) for row in rows],
                     line_end,
                 )
-                fleet = load_csv(path)
+                fleet = list(load_csv(path))
                 assert [u.unit_id for u in fleet] == ["a", "b"]
                 for unit in fleet:
                     np.testing.assert_array_equal(unit.cycle_of, [0, 1])
@@ -346,7 +347,7 @@ def test_save_matches_reference_and_round_trips(most, fleet):
         save_csv(fleet, path)
         reference_save_csv(fleet, reference)
         assert path.read_bytes() == reference.read_bytes()
-        loaded = load_csv(path)
+        loaded = list(load_csv(path))
         assert [u.unit_id for u in loaded] == [u.unit_id for u in fleet]
         for a, b in zip(fleet, loaded):
             assert a.w.tobytes() == b.w.tobytes()
@@ -385,7 +386,7 @@ def test_save_matches_reference_across_chunk_edges(tmp_path, rng):
     reference_save_csv(fleet, reference)
     assert path.read_bytes() == reference.read_bytes()
     # load_csv hands out each unit's z as a view of its table, not C-contiguous
-    loaded = load_csv(path)
+    loaded = list(load_csv(path))
     assert not loaded[-1].z.flags.c_contiguous
     again = tmp_path / "again.csv"
     save_csv(loaded, again)
@@ -447,7 +448,7 @@ def refused_alike_or_twinned(text, most=KEY_READS[0]):
         path = Path(tmp) / "fleet.csv"
         path.write_bytes(text.encode())
         try:
-            fleet = load_csv(path)
+            fleet = list(load_csv(path))
         except DataError as exc:
             with pytest.raises(DataError) as again:
                 load_csv(path)
@@ -489,12 +490,12 @@ def grouped_rows(rows):
     in_order=st.booleans(),
 )
 def test_load_csv_groups_units_as_the_reference(rows, in_order):
-    """Parse and twin give each unit its rows in the reference's order; a
-    file already in that order is one table whose slices are the units."""
+    """Parse and twin give each unit its rows in the reference's order, the
+    twin holds them in that order, and the parse's units are slices of one
+    table."""
     if in_order:
         rows = [rows[n] for ns in grouped_rows(rows).values() for n in ns]
     expected = grouped_rows(rows)
-    ordered = [n for ns in expected.values() for n in ns] == list(range(len(rows)))
     # every numeric cell of row n other than its cycle is n.j, for column j
     lines = [",".join(FLEET_COLUMNS)] + [
         ",".join([uid, str(cycle)] + [f"{n}.{j}" for j in range(18)])
@@ -503,14 +504,16 @@ def test_load_csv_groups_units_as_the_reference(rows, in_order):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fleet.csv"
         path.write_text("\n".join(lines) + "\n")
-        for fleet in (load_csv(path), twin_read(path)):
+        parsed = list(load_csv(path))
+        codes, table = twin_arrays(path)[3:]
+        assert codes.tolist() == [code for code, ns in enumerate(expected.values()) for _ in ns]
+        assert table[:, 1].tolist() == [float(f"{n}.0") for ns in expected.values() for n in ns]
+        for fleet in (parsed, twin_read(path)):
             assert [u.unit_id for u in fleet] == list(expected)
             for unit, ns in zip(fleet, expected.values()):
                 assert unit.cycle_of.tolist() == [rows[n][1] for n in ns]
                 assert unit.z.tolist() == [[float(f"{n}.{j}") for j in range(18)] for n in ns]
-            if ordered:
-                table = fleet[0].z.base
-                assert all(np.shares_memory(u.z, table) for u in fleet)
+        assert all(np.shares_memory(u.z, parsed[0].z.base) for u in parsed)
 
 
 @pytest.mark.parametrize(
@@ -660,6 +663,56 @@ def header_only_array(shape):
     return buf.getvalue()
 
 
+# Twin arrays, as twin_arrays reads them, made into a twin _load_twin refuses.
+TWIN_TAMPERS = {
+    "other_key": lambda a: [a[0] ^ np.uint8(1), *a[1:]],
+    "key_dtype": lambda a: [a[0].astype(np.int64), *a[1:]],
+    "ids_not_utf8": lambda a: [a[0], np.concatenate(([0xFF], a[1][1:])).astype(np.uint8), *a[2:]],
+    "ends_dtype": lambda a: [a[0], a[1], a[2].astype(np.int32), *a[3:]],
+    "ids_repeat": lambda a: [
+        a[0], np.frombuffer(b"u1u1u3", np.uint8), np.array([2, 4, 6]), *a[3:]
+    ],
+    "last_end_short": lambda a: [*a[:2], a[2] - (np.arange(len(a[2])) == len(a[2]) - 1), *a[3:]],
+    "ends_decreasing": lambda a: [*a[:2], np.array([2, 1, a[2][-1]]), *a[3:]],
+    "end_negative": lambda a: [*a[:2], np.array([-1, 4, a[2][-1]]), *a[3:]],
+    "no_rows": lambda a: [*a[:2], a[2][:0], a[3][:0], a[4][:0]],
+    "no_ids": lambda a: [a[0], a[1][:0], a[2][:0], *a[3:]],
+    "code_past_the_ids": lambda a: [*a[:3], np.where(a[3] == 2, 3, a[3]), a[4]],
+    "negative_code": lambda a: [*a[:3], np.where(a[3] == 0, -1, a[3]), a[4]],
+    "codes_dtype": lambda a: [*a[:3], a[3].astype(np.float64), a[4]],
+    # the good codes are [0, 0, 1, 2]: u1's two rows, then u2's and u3's
+    "code_skips_a_unit": lambda a: [*a[:3], np.array([0, 0, 1, 1]), a[4]],
+    "first_code_skips_a_unit": lambda a: [*a[:3], np.array([0, 0, 2, 2]), a[4]],
+    "codes_reorder_units": lambda a: [*a[:3], np.array([1, 1, 0, 2]), a[4]],
+    "negative_code_after_the_first": lambda a: [*a[:3], np.array([0, 0, 1, -1]), a[4]],
+    "codes_in_file_order": lambda a: [*a[:3], np.array([0, 1, 2, 0]), a[4]],
+    "unit_in_two_runs": lambda a: [*a[:3], np.array([0, 1, 0, 2]), a[4]],
+    "codes_short": lambda a: [*a[:3], a[3][:-1], a[4]],
+    "codes_ndim": lambda a: [*a[:3], a[3][:, None], a[4]],
+    "table_columns": lambda a: [*a[:4], a[4][:, :-1]],
+    "table_dtype": lambda a: [*a[:4], a[4].astype(np.float32)],
+    "table_bits_as_int64": lambda a: [*a[:4], a[4].view(np.int64)],
+    "table_fortran_order": lambda a: [*a[:4], np.asfortranarray(a[4])],
+    "table_ndim": lambda a: [*a[:4], a[4][None]],
+    "extra_array": lambda a: [*a, a[0]],
+    "missing_array": lambda a: a[:-1],
+}
+
+
+# A twin's bytes made into a twin _load_twin refuses.
+TWIN_DAMAGES = {
+    "empty": lambda good: b"",
+    "cut_in_magic": lambda good: good[:5],
+    "cut_in_header": lambda good: good[:40],
+    "cut_in_half": lambda good: good[: len(good) // 2],
+    "last_byte_cut": lambda good: good[:-1],
+    "trailing_byte": lambda good: good + b"\0",
+    "garbage": lambda good: b"garbage, not arrays",
+    "zip_magic": lambda good: b"PK\x03\x04" + good,
+    "reversed": lambda good: bytes(reversed(good)),
+}
+
+
 class TestFleetTwin:
     """load_csv keeps each parse in a twin beside the CSV and reads it back bit for bit."""
 
@@ -667,7 +720,7 @@ class TestFleetTwin:
         fleet, _ = small_fleet()
         path = tmp_path / "fleet.csv"
         save_csv(fleet, path)
-        loaded = load_csv(path)
+        loaded = list(load_csv(path))
         assert sorted(p.name for p in tmp_path.iterdir()) == [".fleet.csv.npy", "fleet.csv"]
         written = twin_bytes(path)
         same_fleet(twin_read(path), loaded)
@@ -691,14 +744,14 @@ class TestFleetTwin:
         fleet = [dataclasses.replace(u, unit_id=uid) for u, uid in zip(fleet, ["u,1", 'ü"2'])]
         path = tmp_path / "fleet.csv"
         save_csv(fleet, path)
-        loaded = load_csv(path)
+        loaded = list(load_csv(path))
         assert [u.unit_id for u in loaded] == ["u,1", 'ü"2']
         same_fleet(twin_read(path), loaded)
 
     def test_nul_and_non_ascii_ids_survive_the_twin(self, tmp_path):
         path = tmp_path / "fleet.csv"
         path.write_text(fleet_text(units=("u1\0", "é", "u1\0", "ünï\0", "u1")))
-        loaded = load_csv(path)
+        loaded = list(load_csv(path))
         assert [u.unit_id for u in loaded] == ["u1\0", "é", "ünï\0", "u1"]
         again = twin_read(path)
         assert [u.unit_id for u in again] == ["u1\0", "é", "ünï\0", "u1"]
@@ -708,117 +761,108 @@ class TestFleetTwin:
         path = tmp_path / "fleet.csv"
         text = fleet_text()
         path.write_text(text)
-        first = load_csv(path)
+        first = list(load_csv(path))
         path.write_text(text.replace(",2.5", ",3.5", 1))
         with mock.patch.object(persist, "_parse_csv", wraps=_parse_csv) as parse:
-            second = load_csv(path)
+            second = list(load_csv(path))
         parse.assert_called_once()
         assert first[1].z[0, 0] == 2.5 and second[1].z[0, 0] == 3.5
         same_fleet(twin_read(path), second)
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda good: b"",
-            lambda good: good[:5],
-            lambda good: good[:40],
-            lambda good: good[: len(good) // 2],
-            lambda good: good[:-1],
-            lambda good: good + b"\0",
-            lambda good: b"garbage, not arrays",
-            lambda good: b"PK\x03\x04" + good,
-            lambda good: bytes(reversed(good)),
-        ],
-        ids=["empty", "cut_in_magic", "cut_in_header", "cut_in_half", "last_byte_cut",
-             "trailing_byte", "garbage", "zip_magic", "reversed"],
-    )
+    @pytest.mark.parametrize("damage", TWIN_DAMAGES.values(), ids=TWIN_DAMAGES.keys())
     def test_damaged_twin_is_a_miss_and_rewritten(self, tmp_path, damage):
         path = tmp_path / "fleet.csv"
         path.write_text(fleet_text(units=("u1", "u2", "u3", "u1")))
-        expected = load_csv(path)
+        expected = list(load_csv(path))
         good = twin_bytes(path)
         persist.twin_path(path).write_bytes(damage(good))
         same_fleet(load_csv(path), expected)
         assert twin_bytes(path) == good
 
-    @pytest.mark.parametrize(
-        "tamper",
-        [
-            lambda a: [a[0] ^ np.uint8(1), *a[1:]],
-            lambda a: [a[0].astype(np.int64), *a[1:]],
-            lambda a: [a[0], np.concatenate(([0xFF], a[1][1:])).astype(np.uint8), *a[2:]],
-            lambda a: [a[0], a[1], a[2].astype(np.int32), *a[3:]],
-            lambda a: [a[0], np.frombuffer(b"u1u1u3", np.uint8), np.array([2, 4, 6]), *a[3:]],
-            lambda a: [*a[:2], a[2] - (np.arange(len(a[2])) == len(a[2]) - 1), *a[3:]],
-            lambda a: [*a[:2], np.array([2, 1, a[2][-1]]), *a[3:]],
-            lambda a: [*a[:2], np.array([-1, 4, a[2][-1]]), *a[3:]],
-            lambda a: [*a[:2], a[2][:0], a[3][:0], a[4][:0]],
-            lambda a: [a[0], a[1][:0], a[2][:0], *a[3:]],
-            lambda a: [*a[:3], np.where(a[3] == 2, 3, a[3]), a[4]],
-            lambda a: [*a[:3], np.where(a[3] == 0, -1, a[3]), a[4]],
-            lambda a: [*a[:3], a[3].astype(np.float64), a[4]],
-            # the good codes are [0, 1, 2, 0]
-            lambda a: [*a[:3], np.array([0, 1, 1, 0]), a[4]],
-            lambda a: [*a[:3], np.array([0, 0, 2, 0]), a[4]],
-            lambda a: [*a[:3], np.array([1, 0, 2, 1]), a[4]],
-            lambda a: [*a[:3], np.array([0, 1, 2, -1]), a[4]],
-            lambda a: [*a[:3], a[3][:-1], a[4]],
-            lambda a: [*a[:4], a[4][:, :-1]],
-            lambda a: [*a[:3], a[3][:, None], a[4]],
-            lambda a: [*a[:4], a[4].astype(np.float32)],
-            lambda a: [*a[:4], a[4].view(np.int64)],
-            lambda a: [*a[:4], np.asfortranarray(a[4])],
-            lambda a: [*a[:4], a[4][None]],
-            lambda a: [*a, a[0]],
-            lambda a: a[:-1],
-        ],
-        ids=["other_key", "key_dtype", "ids_not_utf8", "ends_dtype", "ids_repeat",
-             "last_end_short", "ends_decreasing", "end_negative", "no_rows", "no_ids",
-             "code_past_the_ids", "negative_code", "codes_dtype", "code_skips_a_unit",
-             "first_code_skips_a_unit", "codes_reorder_units",
-             "negative_code_after_the_first", "codes_short", "codes_ndim",
-             "table_columns", "table_dtype", "table_bits_as_int64",
-             "table_fortran_order", "table_ndim", "extra_array", "missing_array"],
-    )
+    @pytest.mark.parametrize("tamper", TWIN_TAMPERS.values(), ids=TWIN_TAMPERS.keys())
     def test_tampered_twin_is_a_miss_and_rewritten(self, tmp_path, tamper):
         path = tmp_path / "fleet.csv"
         path.write_text(fleet_text(units=("u1", "u2", "u3", "u1")))
-        expected = load_csv(path)
+        expected = list(load_csv(path))
         good = twin_bytes(path)
         write_twin(path, tamper(twin_arrays(path)))
         same_fleet(load_csv(path), expected)
         assert twin_bytes(path) == good
 
+    def test_interleaved_fleet_gets_a_grouped_twin(self, tmp_path):
+        """The twin of a file whose units interleave holds the parse in unit
+        and cycle order, and a twin in the file's order is a miss."""
+        path = tmp_path / "fleet.csv"
+        path.write_text(fleet_text(units=("u1", "u2", "u3", "u1")))
+        with mock.patch.object(persist, "_parse_csv", wraps=_parse_csv) as parse:
+            first = list(load_csv(path))
+        parse.assert_called_once()
+        assert [(u.unit_id, u.cycle_of.tolist()) for u in first] == [
+            ("u1", [0, 3]), ("u2", [1]), ("u3", [2])
+        ]
+        key, blob, ends, codes, table = twin_arrays(path)
+        assert codes.tolist() == [0, 0, 1, 2]
+        assert table.tolist() == [[c] + [c + 0.5] * 18 for c in (0, 3, 1, 2)]
+        good = twin_bytes(path)
+        same_fleet(twin_read(path), first)
+        # the twin of the same parse in the file's order, as readers that
+        # sorted each twin read kept it
+        _, file_codes, file_table = _parse_csv(path)
+        assert file_codes.tolist() == [0, 1, 2, 0]
+        write_twin(path, [key, blob, ends, file_codes, file_table])
+        with mock.patch.object(persist, "_parse_csv", wraps=_parse_csv) as parse:
+            same_fleet(load_csv(path), first)
+        parse.assert_called_once()
+        assert twin_bytes(path) == good
+
+    def test_units_are_read_from_the_twin_that_was_checked(self, tmp_path):
+        path = tmp_path / "fleet.csv"
+        path.write_text(fleet_text(units=("u1", "u2", "u3", "u1")))
+        expected = list(load_csv(path))
+        units = load_csv(path)
+        # another file published as the twin after the check, as a concurrent
+        # read of other bytes would publish its own
+        other = tmp_path / "other"
+        other.write_bytes(bytes(reversed(twin_bytes(path))))
+        os.replace(other, persist.twin_path(path))
+        same_fleet(units, expected)
+
     def test_twin_read_of_an_ordered_fleet_holds_one_table(self, tmp_path):
-        """The units of a fleet already in unit and cycle order are slices of
-        the twin's table, not a second copy of it."""
-        n_units, n_rows = 4, 5_000
+        """A twin read hands out one unit at a time: reading and preprocessing
+        a fleet, as every command that reads one does, holds one raw unit's
+        table at a time, not the fleet's."""
+        n_units, n_rows, cycle_rows = 4, 5_000, 50
         rng = np.random.default_rng(3)
         fleet = [
             UnitSeries(
-                unit_id=f"u{i}", dataset_id="", z=rng.normal(size=(n_rows, 18)),
-                cycle_of=np.arange(n_rows) // 50,
+                unit_id=f"u{i}", dataset_id="", z=rng.uniform(0.5, 1.0, size=(n_rows, 18)),
+                cycle_of=np.arange(n_rows) // cycle_rows,
             )
             for i in range(n_units)
         ]
         path = tmp_path / "fleet.csv"
         save_csv(fleet, path)
-        load_csv(path)  # parses and writes the twin
-        table_bytes = n_units * n_rows * len(persist.NUMERIC_COLUMNS) * 8
+        list(load_csv(path))  # parses and writes the twin
+        # one row kept per cycle, so the preprocessed fleet is small beside a raw unit
+        cfg = RunConfig(preprocess=PreprocessSettings(downsample_factor=cycle_rows))
+        expected = experiment.preprocess_fleet(fleet, cfg, None)
+        unit_bytes = n_rows * len(persist.NUMERIC_COLUMNS) * 8
+        refused = AssertionError("parsed, not read from the twin")
         tracemalloc.start()
         try:
-            loaded = twin_read(path)
+            with mock.patch.object(persist, "_parse_csv", side_effect=refused):
+                units, _ = cli._prepared_units(str(tmp_path), cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [u.z.tobytes() for u in loaded] == [u.z.tobytes() for u in fleet]
-        assert peak < 1.5 * table_bytes, peak / table_bytes
+        same_fleet(units, expected)
+        assert peak < 1.5 * unit_bytes, peak / unit_bytes
 
     @pytest.mark.parametrize("shape", [(10**12, 19), (-1, 19)])
     def test_table_header_of_another_size_is_not_read(self, tmp_path, shape):
         path = tmp_path / "fleet.csv"
         path.write_text(fleet_text())
-        expected = load_csv(path)
+        expected = list(load_csv(path))
         good = twin_bytes(path)
         data = twin_arrays(path)[4].tobytes()
         head = len(good) - len(data) - len(header_only_array((3, 19)))
@@ -847,7 +891,7 @@ class TestFleetTwin:
             monkeypatch.setattr(persist.os, "replace", refuse)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fleet = load_csv(path)
+            fleet = list(load_csv(path))
         assert not caught
         assert [u.unit_id for u in fleet] == expected[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.csv"]
