@@ -21,7 +21,6 @@ import operator
 import os
 import shutil
 import weakref
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -131,8 +130,8 @@ def _rows(path: Path, columns):
         raise DataError(f"{path} is missing column(s) {missing}")
 
 
-def load_csv(path: str | Path) -> Iterator[UnitSeries]:
-    """Read a fleet CSV into per-unit series, one unit at a time.
+def load_csv(path: str | Path):
+    """An iterator of the per-unit series (UnitSeries) of fleet CSV ``path``.
 
     Rows are grouped by unit id (units ordered by first appearance) and
     stably sorted by cycle within each unit, keeping row order inside a
@@ -165,6 +164,8 @@ def _units(unit_ids, bounds: list[int], rows):
     """Each unit of ``unit_ids``: its rows ``rows(lo, hi)`` between consecutive ``bounds``."""
     for uid, lo, hi in zip(unit_ids, bounds, bounds[1:]):
         block = rows(lo, hi)
+        if np.any(block[1:, 0] < block[:-1, 0]):  # a twin in file order, as earlier versions wrote
+            block = block[np.argsort(block[:, 0], kind="stable")]
         yield UnitSeries(uid, "", z=block[:, 1:], cycle_of=block[:, 0].astype(np.int64))
         del block  # else it holds this unit's rows while the next are read
 
@@ -266,9 +267,8 @@ def _load_twin(path: Path, key: np.ndarray):
 
     None also when the twin is missing, cut short, longer than its arrays
     or not what _save_twin writes: other dtypes or shapes, ids that repeat
-    or are not UTF-8, codes that are not the ids' codes grouped in their
-    order (0, ..., 0, 1, ..., 1, 2, ...). The table's data is read later,
-    one unit at a time and in order, on the handle that was checked.
+    or are not UTF-8, codes not grouped in the ids' order (0, .., 0, 1, ..).
+    The table is read later, a unit at a time, on the handle that was checked.
     """
     try:
         with contextlib.ExitStack() as stack:

@@ -815,6 +815,30 @@ class TestFleetTwin:
         parse.assert_called_once()
         assert twin_bytes(path) == good
 
+    def test_twin_in_file_order_of_a_grouped_fleet_is_read_sorted(self, tmp_path):
+        """A twin that holds a unit's rows out of cycle order, as earlier
+        versions kept the twin of a grouped file in the file's order, is a
+        hit whose units are the parse's: each such unit is stably sorted by
+        cycle as it is read."""
+        path = tmp_path / "fleet.csv"
+        # u1's cycles are 1, 0, 1 and its values rise, so only the cycles say the order
+        rows = [("u1", 1, 0.5), ("u1", 0, 1.5), ("u1", 1, 2.5), ("u2", 2, 3.5)]
+        path.write_text(
+            "".join(",".join([uid, str(c)] + [str(v)] * 18) + "\n" for uid, c, v in rows)
+            .join([",".join(FLEET_COLUMNS) + "\n", ""])
+        )
+        parsed = list(load_csv(path))
+        assert [(u.unit_id, u.cycle_of.tolist(), u.z[:, 0].tolist()) for u in parsed] == [
+            ("u1", [0, 1, 1], [1.5, 0.5, 2.5]), ("u2", [2], [3.5])
+        ]
+        key, blob, ends, _, _ = twin_arrays(path)
+        _, file_codes, file_table = _parse_csv(path)
+        assert file_codes.tolist() == [0, 0, 0, 1]
+        write_twin(path, [key, blob, ends, file_codes, file_table])
+        file_order = twin_bytes(path)
+        same_fleet(twin_read(path), parsed)
+        assert twin_bytes(path) == file_order
+
     def test_units_are_read_from_the_twin_that_was_checked(self, tmp_path):
         path = tmp_path / "fleet.csv"
         path.write_text(fleet_text(units=("u1", "u2", "u3", "u1")))
