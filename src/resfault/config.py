@@ -194,11 +194,16 @@ def _coerce(section: str, fld: dataclasses.Field, value):
     if ftype.startswith("int"):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not -(2**63) <= value < 2**63:
+            raise ConfigError(f"{name} is outside the 64-bit integer range")
         return value
     if ftype.startswith("float"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is too large for a 64-bit float") from None
     if ftype.startswith("str"):
         if not isinstance(value, str):
             raise ConfigError(f"{name} must be a string, got {value!r}")

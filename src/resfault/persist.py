@@ -153,10 +153,10 @@ def load_csv(path: str | Path):
         unit_ids, codes, table = _parse_csv(path)
         order = np.lexsort((table[:, 0], codes))
         if not np.array_equal(order, np.arange(len(order))):
-            codes, table = codes[order], table[order]
-        _save_twin(path, key, unit_ids, len(codes), [codes], [table])
-        bounds = [0, *np.cumsum(np.bincount(codes)).tolist()]
-        units = _units(unit_ids, bounds, lambda lo, hi: table[lo:hi])
+            table = table[order]
+        row_ends = np.cumsum(np.bincount(codes), dtype=np.int64)
+        _save_twin(path, key, unit_ids, row_ends, [table])
+        units = _units(unit_ids, [0, *row_ends.tolist()], lambda lo, hi: table[lo:hi])
     return units
 
 
@@ -164,18 +164,16 @@ def _units(unit_ids, bounds: list[int], rows):
     """Each unit of ``unit_ids``: its rows ``rows(lo, hi)`` between consecutive ``bounds``."""
     for uid, lo, hi in zip(unit_ids, bounds, bounds[1:]):
         block = rows(lo, hi)
-        if np.any(block[1:, 0] < block[:-1, 0]):  # a twin in file order, as earlier versions wrote
-            block = block[np.argsort(block[:, 0], kind="stable")]
         yield UnitSeries(uid, "", z=block[:, 1:], cycle_of=block[:, 0].astype(np.int64))
         del block  # else it holds this unit's rows while the next are read
 
 
 # Hashed before a fleet CSV's bytes into the key of its twin; a change to
 # what load_csv's parse returns needs a new tag.
-_TWIN_TAG = b"resfault fleet twin 1\n"
+_TWIN_TAG = b"resfault fleet twin 2\n"
 # The arrays of a twin, in order: dtype and number of dimensions of the
-# key, the unit ids' UTF-8 bytes, the end of each id in them, the row codes
-# and the NUMERIC_COLUMNS table.
+# key, the unit ids' UTF-8 bytes, the end of each id in them, the end of
+# each unit's rows in the table, and the NUMERIC_COLUMNS table.
 _TWIN_ARRAYS = (
     (np.dtype(np.uint8), 1),
     (np.dtype(np.uint8), 1),
@@ -230,15 +228,15 @@ def _file_blocks(paths):
                 yield block
 
 
-def _save_twin(path: Path, key: np.ndarray, unit_ids, n_rows: int, codes, table) -> None:
+def _save_twin(path: Path, key: np.ndarray, unit_ids, row_ends: np.ndarray, table) -> None:
     """Publish a parse of the bytes ``key`` as the twin of ``path``: one
     array per _TWIN_ARRAYS entry, in the ``np.save`` format.
 
-    The parse is the ``unit_ids`` and ``n_rows`` rows in unit and cycle
-    order: their int64 codes, grouped, and their NUMERIC_COLUMNS float64
-    table, in C order. ``codes`` and ``table`` are each given as blocks that
-    hold the data one after another, arrays or bytes. A twin that cannot be
-    written, as in a read-only directory, is left out.
+    The parse is the ``unit_ids``, the int64 end of each unit's rows
+    ``row_ends``, and the NUMERIC_COLUMNS float64 table of the rows in unit
+    and cycle order, in C order, given as blocks that hold the data one
+    after another, arrays or bytes. A twin that cannot be written, as in a
+    read-only directory, is left out.
     """
     encoded = [uid.encode() for uid in unit_ids]
     blob = b"".join(encoded)
@@ -246,8 +244,8 @@ def _save_twin(path: Path, key: np.ndarray, unit_ids, n_rows: int, codes, table)
         ((len(key),), [key]),
         ((len(blob),), [blob]),
         ((len(encoded),), [np.cumsum([len(e) for e in encoded], dtype=np.int64)]),
-        ((n_rows,), codes),
-        ((n_rows, len(NUMERIC_COLUMNS)), table),
+        ((len(row_ends),), [row_ends]),
+        ((int(row_ends[-1]), len(NUMERIC_COLUMNS)), table),
     )
     try:
         with _published(twin_path(path), "wb") as fh:
@@ -267,25 +265,26 @@ def _load_twin(path: Path, key: np.ndarray):
 
     None also when the twin is missing, cut short, longer than its arrays
     or not what _save_twin writes: other dtypes or shapes, ids that repeat
-    or are not UTF-8, codes not grouped in the ids' order (0, .., 0, 1, ..).
-    The table is read later, a unit at a time, on the handle that was checked.
+    or are not UTF-8, not one row end per id, a unit with no rows, a last
+    row end that is not the table's row count. The table is read later, a
+    unit at a time, on the handle that was checked.
     """
     try:
         with contextlib.ExitStack() as stack:
             fh = stack.enter_context(twin_path(path).open("rb"))
             size = os.fstat(fh.fileno()).st_size
-            stored, blob, ends, codes = [_read_array(fh, size, *a) for a in _TWIN_ARRAYS[:-1]]
+            stored, blob, ends, row_ends = [_read_array(fh, size, *a) for a in _TWIN_ARRAYS[:-1]]
             shape = _read_array(fh, size, *_TWIN_ARRAYS[-1], data=False)
             unit_ids = [bytes(blob[a:b]).decode() for a, b in zip([0, *ends], ends)]
-            # 0, each row whose code is not the previous row's, and the row count (~c != c)
-            bounds = np.flatnonzero(np.diff(codes, prepend=~codes[:1], append=~codes[-1:]))
+            bounds = [0, *row_ends.tolist()]
             if not (
                 fh.tell() + math.prod(shape) * 8 == size  # the float64 table ends the file
                 and np.array_equal(stored, key)
                 and np.array_equal(ends[-1:], [len(blob)])
                 and np.all(np.diff(ends, prepend=0) >= 0)
-                and shape == (len(codes), len(NUMERIC_COLUMNS))
-                and np.array_equal(codes[bounds[:-1]], np.arange(len(ends)))
+                and len(row_ends) == len(ends)
+                and np.all(np.diff(bounds) > 0)
+                and shape == (bounds[-1], len(NUMERIC_COLUMNS))
                 and len(set(unit_ids)) == len(unit_ids)
             ):
                 return None
@@ -296,7 +295,7 @@ def _load_twin(path: Path, key: np.ndarray):
     def rows(lo: int, hi: int) -> np.ndarray:
         return np.fromfile(fh, np.float64, (hi - lo) * shape[1]).reshape(hi - lo, shape[1])
 
-    units = _units(unit_ids, bounds.tolist(), rows)
+    units = _units(unit_ids, bounds, rows)
     weakref.finalize(units, fh.close)  # read or not, the units close fh when they go
     return units
 
@@ -456,8 +455,8 @@ def join_fleet_parts(
     the rows' table data; the rows are in unit and cycle order, those of the
     distinct units ``unit_ids``, ``row_counts`` rows each. The header is
     save_csv's. The fleet's bytes are hashed as they are written, and the
-    twin, whose codes group the rows as they are, is the one load_csv would
-    keep. Both files are _published, so ``path`` appears only once whole.
+    twin is the one load_csv would keep. Both files are _published, so
+    ``path`` appears only once whole.
     """
     with _published(path, "wb") as fh:
         keyed = _KeyedWriter(fh)
@@ -465,14 +464,8 @@ def join_fleet_parts(
         for part in parts:
             with part.open("rb") as src:
                 shutil.copyfileobj(src, keyed)
-        _save_twin(
-            path,
-            keyed.key(),
-            unit_ids,
-            sum(row_counts),
-            (np.full(n, code, dtype=np.int64) for code, n in enumerate(row_counts)),
-            _file_blocks(tables),
-        )
+        row_ends = np.cumsum(row_counts, dtype=np.int64)
+        _save_twin(path, keyed.key(), unit_ids, row_ends, _file_blocks(tables))
 
 
 TRUTH_COLUMNS = ("unit", "family", "fault_cycle", "faulty_sensors")

@@ -76,7 +76,7 @@ def silhouette(points: np.ndarray | list, labels: list | np.ndarray) -> float:
     """
     pts = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
-    unique = np.unique(labels)
+    unique = sorted(set(labels.tolist()))  # np.unique would import numpy.ma
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     scores = np.zeros(len(labels))

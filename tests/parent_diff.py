@@ -185,6 +185,10 @@ FAILURES = [
     ("config n_wait 0", "oc", "sensorwise", None, None, {"detection": {"n_wait": 0}}),
     ("config learning_rate nan", "oc", "sensorwise", None, None,
      {"training": {"learning_rate": float("nan")}}),
+    ("config learning_rate 1e400", "ae", "sensorwise", None, None,
+     {"training": {"learning_rate": 10**400}}),
+    ("config downsample_factor 1e30", "oc", "aggregated", None, None,
+     {"preprocess": {"downsample_factor": 10**30}}),
 ]
 
 

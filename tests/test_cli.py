@@ -87,6 +87,8 @@ def test_cli_import_leaves_the_process_pool_out():
     assert "hashlib" not in loaded and "_hashlib" not in loaded
     # only a fleet write imports orjson
     assert "orjson" not in loaded
+    # numpy.ma costs about 0.6 MB; numpy.random maps OpenSSL through secrets, about 6 MB
+    assert "numpy.ma" not in loaded and "numpy.random" not in loaded
 
 
 @pytest.fixture(scope="module")
@@ -636,9 +638,9 @@ def test_fault_start_in_the_healthy_window_makes_no_out(tmp_path, command):
     for synth_settings, message in (
         ({"fault_start_lo": 10}, "faults must start after the healthy window (10 <= 16)"),
         (
-            {"n_units": 10**22},
+            {"n_units": 10**15},
             "synth.n_families * n_units * cycles_per_unit * rows_per_cycle must be "
-            f"<= {MAX_FLEET_ROWS}, got {3 * 10**22 * 48 * 200}",
+            f"<= {MAX_FLEET_ROWS}, got {3 * 10**15 * 48 * 200}",
         ),
         ({"unit_prefix": "\ud800"}, "synth.unit_prefix must be UTF-8 text"),
     ):
@@ -649,6 +651,34 @@ def test_fault_start_in_the_healthy_window_makes_no_out(tmp_path, command):
         assert proc.returncode == 2
         assert proc.stderr == f"error: {message}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"training": {"learning_rate": 10**400}},
+            "training.learning_rate is too large for a 64-bit float",
+        ),
+        (
+            {"preprocess": {"downsample_factor": 10**30}},
+            "preprocess.downsample_factor is outside the 64-bit integer range",
+        ),
+    ],
+    ids=["float", "int64"],
+)
+def test_number_past_its_type_makes_no_out(workspace, tmp_path, overrides, message):
+    """A config number that no float64 or int64 holds exits 2 before train
+    makes its --out, where it overflowed in the computation that used it."""
+    cfg = write_config(tmp_path / "cfg.yaml", overrides)
+    out = tmp_path / "o" / "oc.json"
+    proc = run_fresh(
+        ["-m", "resfault", "train", "--config", str(cfg), "--data", str(workspace["data"]),
+         "--model", "oc", "--out", str(out)]
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert not out.parent.exists()
 
 
 class TestDetect:
@@ -723,7 +753,7 @@ class TestDetect:
 
     @pytest.mark.parametrize(
         "name", ["cut_in_half", "trailing_byte", "reversed",
-                 "other_key", "code_past_the_ids", "table_columns"]
+                 "other_key", "row_end_past_the_table", "table_columns"]
     )
     def test_damaged_twin_gives_the_outputs_of_no_twin(self, workspace, tmp_path, name):
         """A twin that is damaged or tampered with is a miss: detect exits 0,

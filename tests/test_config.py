@@ -63,6 +63,29 @@ class TestValidation:
         with pytest.raises(ConfigError, match="synth.unit_prefix must be a string, got 4"):
             config_from_dict({"synth": {"unit_prefix": 4}})
 
+    def test_null_only_where_the_setting_may_be_none(self):
+        with pytest.raises(ConfigError, match="^training.epochs must not be null$"):
+            config_from_dict({"training": {"epochs": None}})
+        assert config_from_dict({"synth": {"map_seed": None}}).synth.map_seed is None
+
+    @pytest.mark.parametrize("value", [5, "5", [1.5], [10, True]])
+    def test_list_of_integers_only(self, value):
+        with pytest.raises(
+            ConfigError,
+            match=re.escape(f"segmentation.timeline_checkpoints must be a list of integers, "
+                            f"got {value!r}"),
+        ):
+            config_from_dict({"segmentation": {"timeline_checkpoints": value}})
+
+    def test_field_of_an_unsupported_type_is_named(self):
+        @dataclasses.dataclass
+        class Odd:
+            blob: bytes = b""
+
+        (fld,) = dataclasses.fields(Odd)
+        with pytest.raises(ConfigError, match="^odd.blob: unsupported field type"):
+            config._coerce("odd", fld, b"x")
+
     def test_bool_is_not_an_integer(self):
         with pytest.raises(ConfigError, match="training.epochs must be an integer, got True"):
             config_from_dict({"training": {"epochs": True}})
@@ -74,6 +97,39 @@ class TestValidation:
         with pytest.raises(ConfigError, match="synth.unit_prefix must be UTF-8 text"):
             load_config(path)
         assert config.SynthSettings(unit_prefix="hé-\U0001f680").unit_prefix == "hé-\U0001f680"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("training: {learning_rate: 1%s}" % ("0" * 400),
+             "training.learning_rate is too large for a 64-bit float"),
+            ("training: {learning_rate: -1%s}" % ("0" * 400),
+             "training.learning_rate is too large for a 64-bit float"),
+            ("preprocess: {downsample_factor: %d}" % 10**30,
+             "preprocess.downsample_factor is outside the 64-bit integer range"),
+            ("preprocess: {downsample_factor: %d}" % 2**63,
+             "preprocess.downsample_factor is outside the 64-bit integer range"),
+            ("preprocess: {downsample_factor: %d}" % (-(2**63) - 1),
+             "preprocess.downsample_factor is outside the 64-bit integer range"),
+            # the int64 bounds themselves reach the setting's own check
+            ("preprocess: {downsample_factor: %d}" % -(2**63),
+             r"preprocess.downsample_factor must be >= 1"),
+        ],
+        ids=["float", "negative_float", "int64", "int64_max_plus_1", "int64_min_minus_1",
+             "int64_min"],
+    )
+    def test_number_past_its_type(self, tmp_path, text, message):
+        """A number no float64 or int64 holds is refused naming its key, not
+        left to overflow where the setting is used."""
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_config(path)
+
+    def test_int64_max_loads(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"synth: {{map_seed: {2**63 - 1}}}\n")
+        assert load_config(path).synth.map_seed == 2**63 - 1
 
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -491,8 +493,8 @@ def grouped_rows(rows):
 )
 def test_load_csv_groups_units_as_the_reference(rows, in_order):
     """Parse and twin give each unit its rows in the reference's order, the
-    twin holds them in that order, and the parse's units are slices of one
-    table."""
+    twin holds them in that order with the end of each unit's rows, and the
+    parse's units are slices of one table."""
     if in_order:
         rows = [rows[n] for ns in grouped_rows(rows).values() for n in ns]
     expected = grouped_rows(rows)
@@ -505,8 +507,8 @@ def test_load_csv_groups_units_as_the_reference(rows, in_order):
         path = Path(tmp) / "fleet.csv"
         path.write_text("\n".join(lines) + "\n")
         parsed = list(load_csv(path))
-        codes, table = twin_arrays(path)[3:]
-        assert codes.tolist() == [code for code, ns in enumerate(expected.values()) for _ in ns]
+        row_ends, table = twin_arrays(path)[3:]
+        assert row_ends.tolist() == list(itertools.accumulate(map(len, expected.values())))
         assert table[:, 1].tolist() == [float(f"{n}.0") for ns in expected.values() for n in ns]
         for fleet in (parsed, twin_read(path)):
             assert [u.unit_id for u in fleet] == list(expected)
@@ -654,6 +656,22 @@ def twin_arrays(path):
         return [np.load(fh) for _ in persist._TWIN_ARRAYS]
 
 
+def twin_key(path, tag):
+    """The key of the twin of ``path`` under format tag ``tag``."""
+    return np.frombuffer(hashlib.sha256(tag + path.read_bytes()).digest(), np.uint8)
+
+
+def write_earlier_twin(path):
+    """Write the twin of ``path`` as versions before format tag 2 kept it:
+    the tag 1 key, the ids, each row's unit code and the table, in the
+    file's order."""
+    unit_ids, codes, table = _parse_csv(path)
+    encoded = [uid.encode() for uid in unit_ids]
+    blob = np.frombuffer(b"".join(encoded), np.uint8)
+    ends = np.cumsum([len(e) for e in encoded])
+    write_twin(path, [twin_key(path, b"resfault fleet twin 1\n"), blob, ends, codes, table])
+
+
 def header_only_array(shape):
     """An .npy float64 header for ``shape`` with no data after it."""
     buf = io.BytesIO()
@@ -677,18 +695,18 @@ TWIN_TAMPERS = {
     "end_negative": lambda a: [*a[:2], np.array([-1, 4, a[2][-1]]), *a[3:]],
     "no_rows": lambda a: [*a[:2], a[2][:0], a[3][:0], a[4][:0]],
     "no_ids": lambda a: [a[0], a[1][:0], a[2][:0], *a[3:]],
-    "code_past_the_ids": lambda a: [*a[:3], np.where(a[3] == 2, 3, a[3]), a[4]],
-    "negative_code": lambda a: [*a[:3], np.where(a[3] == 0, -1, a[3]), a[4]],
-    "codes_dtype": lambda a: [*a[:3], a[3].astype(np.float64), a[4]],
-    # the good codes are [0, 0, 1, 2]: u1's two rows, then u2's and u3's
-    "code_skips_a_unit": lambda a: [*a[:3], np.array([0, 0, 1, 1]), a[4]],
-    "first_code_skips_a_unit": lambda a: [*a[:3], np.array([0, 0, 2, 2]), a[4]],
-    "codes_reorder_units": lambda a: [*a[:3], np.array([1, 1, 0, 2]), a[4]],
-    "negative_code_after_the_first": lambda a: [*a[:3], np.array([0, 0, 1, -1]), a[4]],
-    "codes_in_file_order": lambda a: [*a[:3], np.array([0, 1, 2, 0]), a[4]],
-    "unit_in_two_runs": lambda a: [*a[:3], np.array([0, 1, 0, 2]), a[4]],
-    "codes_short": lambda a: [*a[:3], a[3][:-1], a[4]],
-    "codes_ndim": lambda a: [*a[:3], a[3][:, None], a[4]],
+    # the good row ends are [2, 3, 4]: u1's two rows, then u2's and u3's
+    "row_end_past_the_table": lambda a: [*a[:3], np.array([2, 3, 5]), a[4]],
+    "row_ends_short_of_the_table": lambda a: [*a[:3], np.array([1, 2, 3]), a[4]],
+    "negative_row_end": lambda a: [*a[:3], np.array([-1, 3, 4]), a[4]],
+    "negative_row_end_after_the_first": lambda a: [*a[:3], np.array([2, -1, 4]), a[4]],
+    "unit_with_no_rows": lambda a: [*a[:3], np.array([2, 2, 4]), a[4]],
+    "first_unit_with_no_rows": lambda a: [*a[:3], np.array([0, 3, 4]), a[4]],
+    "row_ends_decrease": lambda a: [*a[:3], np.array([3, 2, 4]), a[4]],
+    "fewer_row_ends_than_ids": lambda a: [*a[:3], np.array([2, 4]), a[4]],
+    "more_row_ends_than_ids": lambda a: [*a[:3], np.array([1, 2, 3, 4]), a[4]],
+    "row_ends_dtype": lambda a: [*a[:3], a[3].astype(np.float64), a[4]],
+    "row_ends_ndim": lambda a: [*a[:3], a[3][:, None], a[4]],
     "table_columns": lambda a: [*a[:4], a[4][:, :-1]],
     "table_dtype": lambda a: [*a[:4], a[4].astype(np.float32)],
     "table_bits_as_int64": lambda a: [*a[:4], a[4].view(np.int64)],
@@ -791,7 +809,8 @@ class TestFleetTwin:
 
     def test_interleaved_fleet_gets_a_grouped_twin(self, tmp_path):
         """The twin of a file whose units interleave holds the parse in unit
-        and cycle order, and a twin in the file's order is a miss."""
+        and cycle order, and the twin in the file's order that earlier
+        versions kept is a miss."""
         path = tmp_path / "fleet.csv"
         path.write_text(fleet_text(units=("u1", "u2", "u3", "u1")))
         with mock.patch.object(persist, "_parse_csv", wraps=_parse_csv) as parse:
@@ -800,26 +819,24 @@ class TestFleetTwin:
         assert [(u.unit_id, u.cycle_of.tolist()) for u in first] == [
             ("u1", [0, 3]), ("u2", [1]), ("u3", [2])
         ]
-        key, blob, ends, codes, table = twin_arrays(path)
-        assert codes.tolist() == [0, 0, 1, 2]
+        row_ends, table = twin_arrays(path)[3:]
+        assert row_ends.tolist() == [2, 3, 4]
         assert table.tolist() == [[c] + [c + 0.5] * 18 for c in (0, 3, 1, 2)]
         good = twin_bytes(path)
         same_fleet(twin_read(path), first)
-        # the twin of the same parse in the file's order, as readers that
-        # sorted each twin read kept it
-        _, file_codes, file_table = _parse_csv(path)
-        assert file_codes.tolist() == [0, 1, 2, 0]
-        write_twin(path, [key, blob, ends, file_codes, file_table])
+        write_earlier_twin(path)
+        assert twin_arrays(path)[3].tolist() == [0, 1, 2, 0]
         with mock.patch.object(persist, "_parse_csv", wraps=_parse_csv) as parse:
             same_fleet(load_csv(path), first)
         parse.assert_called_once()
         assert twin_bytes(path) == good
 
-    def test_twin_in_file_order_of_a_grouped_fleet_is_read_sorted(self, tmp_path):
-        """A twin that holds a unit's rows out of cycle order, as earlier
-        versions kept the twin of a grouped file in the file's order, is a
-        hit whose units are the parse's: each such unit is stably sorted by
-        cycle as it is read."""
+    def test_twin_of_an_earlier_version_is_a_miss_and_rewritten(self, tmp_path):
+        """A twin that versions before format tag 2 kept, with a unit code
+        per row and the rows in the file's order, is a miss: the file is
+        parsed again and its twin rewritten under tag 2. Here the file is
+        grouped but a unit's cycles are out of order, a twin that earlier
+        versions read by sorting each unit as it was read."""
         path = tmp_path / "fleet.csv"
         # u1's cycles are 1, 0, 1 and its values rise, so only the cycles say the order
         rows = [("u1", 1, 0.5), ("u1", 0, 1.5), ("u1", 1, 2.5), ("u2", 2, 3.5)]
@@ -831,13 +848,14 @@ class TestFleetTwin:
         assert [(u.unit_id, u.cycle_of.tolist(), u.z[:, 0].tolist()) for u in parsed] == [
             ("u1", [0, 1, 1], [1.5, 0.5, 2.5]), ("u2", [2], [3.5])
         ]
-        key, blob, ends, _, _ = twin_arrays(path)
-        _, file_codes, file_table = _parse_csv(path)
-        assert file_codes.tolist() == [0, 0, 0, 1]
-        write_twin(path, [key, blob, ends, file_codes, file_table])
-        file_order = twin_bytes(path)
-        same_fleet(twin_read(path), parsed)
-        assert twin_bytes(path) == file_order
+        good = twin_bytes(path)
+        assert np.array_equal(twin_arrays(path)[0], twin_key(path, b"resfault fleet twin 2\n"))
+        write_earlier_twin(path)
+        assert twin_arrays(path)[3].tolist() == [0, 0, 0, 1]
+        with mock.patch.object(persist, "_parse_csv", wraps=_parse_csv) as parse:
+            same_fleet(load_csv(path), parsed)
+        parse.assert_called_once()
+        assert twin_bytes(path) == good
 
     def test_units_are_read_from_the_twin_that_was_checked(self, tmp_path):
         path = tmp_path / "fleet.csv"
@@ -881,6 +899,33 @@ class TestFleetTwin:
             tracemalloc.stop()
         same_fleet(units, expected)
         assert peak < 1.5 * unit_bytes, peak / unit_bytes
+
+    def test_twin_hit_holds_nothing_per_row_before_a_unit_is_read(self, tmp_path):
+        """A twin hit reads the ids and the end of each unit's rows, nothing
+        per row: load_csv peaks within a few KiB of the same value when each
+        unit has ten times the rows."""
+        peaks = []
+        for n_rows in (1_000, 10_000):
+            fleet = [
+                UnitSeries(f"u{i}", "", z=np.full((n_rows, 18), 0.5), cycle_of=np.arange(n_rows))
+                for i in range(3)
+            ]
+            path = tmp_path / str(n_rows) / "fleet.csv"
+            path.parent.mkdir()
+            save_csv(fleet, path)
+            list(load_csv(path))  # parses and writes the twin
+            load_csv(path)  # a first hit, so that the traced one meets warm caches
+            refused = AssertionError("parsed, not read from the twin")
+            with mock.patch.object(persist, "_parse_csv", side_effect=refused):
+                tracemalloc.start()
+                try:
+                    units = load_csv(path)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            peaks.append(peak)
+            assert [u.n_rows for u in units] == [n_rows] * 3
+        assert abs(peaks[1] - peaks[0]) < 4096, peaks
 
     @pytest.mark.parametrize("shape", [(10**12, 19), (-1, 19)])
     def test_table_header_of_another_size_is_not_read(self, tmp_path, shape):

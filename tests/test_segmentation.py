@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import resfault
 from resfault.detector import CycleAverages, HealthyStats, fit_stats
 from resfault.errors import ComputeError
 from resfault.segmentation import (
@@ -219,6 +224,19 @@ class TestSilhouette:
     def test_identical_points_score_zero(self):
         pts = np.zeros((4, 2))
         assert silhouette(pts, ["a", "a", "b", "b"]) == 0.0
+
+    def test_leaves_numpy_ma_unloaded(self):
+        """A silhouette call, as in every segment command and protocol job,
+        does not import numpy.ma, as np.unique would."""
+        code = (
+            "import sys; from resfault.segmentation import silhouette; "
+            "silhouette([[0.0], [1.0], [5.0]], ['a', 'a', 'b']); print('numpy.ma' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(resfault.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.stdout == "False\n", proc.stderr
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)

@@ -328,7 +328,7 @@ class TestSaveFleet:
             raise MemoryError
 
         monkeypatch.setattr(parallel, "worker_count", lambda n_jobs: 1)
-        monkeypatch.setattr(np, "full", exhausted)
+        monkeypatch.setattr(np.lib.format, "write_array_header_1_0", exhausted)
         out = tmp_path / "data"
         assert synth_pinned(tmp_path, 1, out) == 4
         assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
