@@ -74,8 +74,12 @@ def forward(net: DenseNet, inp: np.ndarray) -> np.ndarray:
     """Affine + activation composition over a 2-D batch of rows of the input width."""
     a = inp
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = np.maximum(a @ w.T + b, 0.0)
-    return a @ net.weights[-1].T + net.biases[-1]
+        a = a @ w.T  # then in place: the operations of np.maximum(a @ w.T + b, 0.0)
+        a += b
+        np.maximum(a, 0.0, out=a)
+    out = a @ net.weights[-1].T
+    out += net.biases[-1]
+    return out
 
 
 def forward_activations(net: DenseNet, inp: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -193,10 +193,9 @@ class _KeyedWriter:
     hashes what it writes, after _TWIN_TAG, into the key of a twin."""
 
     def __init__(self, fh=None):
-        # imported here: it loads OpenSSL, which commands that read no fleet need not map
-        import hashlib
+        import hashlib  # only a fleet read or write hashes
 
-        self.fh, self.digest = fh, hashlib.sha256(_TWIN_TAG)
+        self.fh, self.digest = fh, hashlib.blake2b(_TWIN_TAG, digest_size=32)
 
     def write(self, data) -> None:
         self.digest.update(data)
@@ -204,7 +203,7 @@ class _KeyedWriter:
             self.fh.write(data)
 
     def key(self) -> np.ndarray:
-        """The SHA-256 of _TWIN_TAG and the bytes written so far, as 32 uint8."""
+        """The BLAKE2b-256 of _TWIN_TAG and the bytes written so far, as 32 uint8."""
         return np.frombuffer(self.digest.digest(), dtype=np.uint8)
 
 

@@ -18,8 +18,9 @@ checkpoint value or a config value of the kinds
 ``tests/test_fuzz_exit_codes.py`` damages.
 
 Every output file but the run manifests is reported as same, different or
-missing, and every invocation's exit code and ``error:`` lines as same or
-different (paths read from the side's directory). The exit status is 1
+missing, and every invocation's exit code and stderr lines as same or
+different (paths read from the side's directory), so a warning or a logged
+line that only one side writes is a difference too. The exit status is 1
 if a difference is not matched by an ``--expect-change`` glob, else 0. An
 output's name is ``<config>/<path under its run directory>``; an
 invocation's is ``<config>: <label>``. The file is not collected by pytest.
@@ -224,20 +225,18 @@ def failing_invocations(cfg: Path, out: Path, fail: Path) -> list[tuple[str, lis
 
 
 def invoke(tree: Path, side: Path, argv: list[str]) -> tuple[int, list[str]]:
-    """Exit code and ``error:`` lines of ``python argv`` with ``tree``'s src,
+    """Exit code and stderr lines of ``python argv`` with ``tree``'s src,
     run in ``side``, with ``side`` read as ``<side>`` in the lines."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run(
         [sys.executable, *argv], cwd=side, env=env, capture_output=True, text=True, timeout=900
     )
-    errors = [line.replace(str(side), "<side>") for line in proc.stderr.splitlines()
-              if line.startswith("error:")]
-    return proc.returncode, errors
+    return proc.returncode, proc.stderr.replace(str(side), "<side>").splitlines()
 
 
 def run_side(tree: Path, side: Path, configs: dict[str, dict]) -> dict[str, tuple]:
     """Run every command, and the failing invocations at the first config,
-    with ``tree``'s program in directory ``side``; (code, error lines) by
+    with ``tree``'s program in directory ``side``; (code, stderr lines) by
     name. Each config's run writes into ``side / <config>``."""
     results = {}
     (side / "configs").mkdir(parents=True)

@@ -76,19 +76,52 @@ def run_fresh(args: list[str]) -> subprocess.CompletedProcess:
     )
 
 
+# Python source that prints whether its process maps OpenSSL's libcrypto, and
+# None where there is no /proc to tell.
+PRINT_MAPS_OPENSSL = (
+    "import os; maps = '/proc/self/maps'; "
+    "print('libcrypto' in open(maps).read() if os.path.exists(maps) else None)"
+)
+
+
 def test_cli_import_leaves_the_process_pool_out():
-    proc = run_fresh(["-c", "import sys, resfault.cli; print(*sys.modules)"])
+    proc = run_fresh([
+        "-c", "import sys, resfault.cli; print(*sys.modules); "
+        "print(sys.modules.get('_hashlib', 'absent')); " + PRINT_MAPS_OPENSSL
+    ])
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
+    modules, hashlib_entry, maps_openssl = proc.stdout.splitlines()
+    loaded = modules.split()
     assert "resfault.experiment" in loaded
     assert "multiprocessing" not in loaded
     assert "concurrent.futures.process" not in loaded
-    # hashlib maps OpenSSL, a few MB of RSS: only a fleet read imports it
-    assert "hashlib" not in loaded and "_hashlib" not in loaded
+    # only a fleet read or write imports hashlib
+    assert "hashlib" not in loaded
+    # blocked: hashlib and hmac take CPython's built-in hashes, and OpenSSL
+    # (3.4 MB of RSS) is never mapped; None when there is no /proc
+    assert hashlib_entry == "None" and maps_openssl in ("False", "None")
     # only a fleet write imports orjson
     assert "orjson" not in loaded
-    # numpy.ma costs about 0.6 MB; numpy.random maps OpenSSL through secrets, about 6 MB
+    # numpy.ma costs about 0.6 MB and numpy.random about 2.1 MB
     assert "numpy.ma" not in loaded and "numpy.random" not in loaded
+
+
+def test_build_without_a_builtin_hash_keeps_openssl_quietly(workspace, tmp_path):
+    """Where CPython lacks a built-in hash, here _md5, hashlib keeps OpenSSL
+    as it would without resfault: detect logs nothing and writes the same
+    reports."""
+    detect = ["detect", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+              "--checkpoint", str(workspace["oc"]), "--hi", "aggregated", "--out"]
+    assert main([*detect, str(tmp_path / "here.csv")]) == 0
+    proc = run_fresh([
+        "-c", "import sys; sys.modules['_md5'] = None; from resfault.cli import main; "
+        "code = main(sys.argv[1:]); print(sys.modules['_hashlib'] is not None); sys.exit(code)",
+        *detect, str(tmp_path / "no_md5.csv"),
+    ])
+    assert (proc.returncode, proc.stderr, proc.stdout.split()[-1]) == (0, "", "True")
+    for name in ("", "_stats"):
+        assert (tmp_path / f"no_md5{name}.csv").read_bytes() == (
+            tmp_path / f"here{name}.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -461,9 +494,17 @@ def earlier_run(writers, writer, out):
 
 def run_writer(writer, env, out, seed, checkpoint="ae"):
     """Exit code of ``writer`` at ``seed``, its outputs named DECLARED[writer] in ``out``."""
+    argv = writer_argv(writer, env, out, seed, checkpoint)
+    if writer == "script":
+        return exit_code(lambda: env["script"].main(argv))
+    return main([writer, *argv])
+
+
+def writer_argv(writer, env, out, seed, checkpoint="ae"):
+    """The arguments of ``writer`` that run_writer passes."""
     common = ["--config", str(env["config"]), "--seed", str(seed)]
     if writer == "script":
-        return exit_code(lambda: env["script"].main([*common, "--out", str(out)]))
+        return [*common, "--out", str(out)]
     data = ["--data", str(env["data"])]
     args = {
         "synth": ["--out", str(out)],
@@ -474,7 +515,26 @@ def run_writer(writer, env, out, seed, checkpoint="ae"):
         "segment": [*data, "--checkpoint", str(env[checkpoint]),
                     "--reports", str(env[f"{checkpoint}_reports"]), "--out", str(out)],
     }[writer]
-    return main([writer, *common, *args])
+    return [*common, *args]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps to read")
+@pytest.mark.parametrize("writer", DECLARED)
+def test_writer_leaves_openssl_unmapped(writers, tmp_path, writer):
+    """Every command, and the script with its pool, run in a fresh
+    interpreter without mapping OpenSSL: the twin key is CPython's built-in
+    BLAKE2b, and the hmac that numpy.random imports takes the built-ins too."""
+    if writer == "script":
+        run = "runpy.run_path(sys.argv[1])['main'](sys.argv[2:])"
+    else:
+        run = f"resfault.cli.main([{writer!r}, *sys.argv[2:]])"
+    argv = writer_argv(writer, writers, tmp_path / "out", 123)
+    proc = run_fresh([
+        "-c", f"import runpy, sys, resfault.cli; print({run}); " + PRINT_MAPS_OPENSSL,
+        str(SCRIPT), *argv,
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 class FullDisk:

@@ -656,9 +656,12 @@ def twin_arrays(path):
         return [np.load(fh) for _ in persist._TWIN_ARRAYS]
 
 
-def twin_key(path, tag):
-    """The key of the twin of ``path`` under format tag ``tag``."""
-    return np.frombuffer(hashlib.sha256(tag + path.read_bytes()).digest(), np.uint8)
+def twin_key(path, tag, sha256=False):
+    """The key of the twin of ``path`` under format tag ``tag``: its BLAKE2b-256,
+    or with ``sha256`` the SHA-256 that earlier versions keyed twins with."""
+    data = tag + path.read_bytes()
+    digest = hashlib.sha256(data) if sha256 else hashlib.blake2b(data, digest_size=32)
+    return np.frombuffer(digest.digest(), np.uint8)
 
 
 def write_earlier_twin(path):
@@ -669,7 +672,8 @@ def write_earlier_twin(path):
     encoded = [uid.encode() for uid in unit_ids]
     blob = np.frombuffer(b"".join(encoded), np.uint8)
     ends = np.cumsum([len(e) for e in encoded])
-    write_twin(path, [twin_key(path, b"resfault fleet twin 1\n"), blob, ends, codes, table])
+    key = twin_key(path, b"resfault fleet twin 1\n", sha256=True)
+    write_twin(path, [key, blob, ends, codes, table])
 
 
 def header_only_array(shape):
@@ -854,6 +858,20 @@ class TestFleetTwin:
         assert twin_arrays(path)[3].tolist() == [0, 0, 0, 1]
         with mock.patch.object(persist, "_parse_csv", wraps=_parse_csv) as parse:
             same_fleet(load_csv(path), parsed)
+        parse.assert_called_once()
+        assert twin_bytes(path) == good
+
+    def test_sha256_keyed_twin_is_a_miss_and_rewritten(self, tmp_path):
+        """A twin of the current layout under a SHA-256 key, as versions before
+        the BLAKE2b key wrote it, is a miss: parsed once and rewritten."""
+        path = tmp_path / "fleet.csv"
+        path.write_text(fleet_text(units=("u1", "u2", "u3", "u1")))
+        expected = list(load_csv(path))
+        good = twin_bytes(path)
+        assert np.array_equal(twin_arrays(path)[0], twin_key(path, persist._TWIN_TAG))
+        write_twin(path, [twin_key(path, persist._TWIN_TAG, sha256=True), *twin_arrays(path)[1:]])
+        with mock.patch.object(persist, "_parse_csv", wraps=_parse_csv) as parse:
+            same_fleet(load_csv(path), expected)
         parse.assert_called_once()
         assert twin_bytes(path) == good
 
